@@ -1044,6 +1044,46 @@ fn main() {
              run_simulation runs"
         );
     }
+    // The boxed path: System B lanes settle against one shared harvest
+    // per seed, and each must still equal its own independent run.
+    {
+        let id = SystemId::B;
+        let seeds = [arena_seed, arena_seed + 1];
+        let horizon = Seconds::from_days(2.0);
+        let spec = ArenaSpec::boxed(
+            "perf boxed arena",
+            resilience::natural_node(id),
+            move |_| Box::new(id.build()),
+            Environment::outdoor_temperate,
+        )
+        .with_contenders(default_contenders())
+        .with_seeds(&seeds);
+        let kept = run_arena(&spec, ArenaConfig::over(horizon).keep_lane_results());
+        let lanes = kept.lane_results.expect("kept");
+        for (si, &seed) in seeds.iter().enumerate() {
+            for (ci, contender) in spec.contenders().iter().enumerate() {
+                let mut policy = contender.build(seed);
+                let reference = run_simulation(
+                    &mut id.build(),
+                    &Environment::outdoor_temperate(seed),
+                    &resilience::natural_node(id),
+                    policy.as_mut(),
+                    SimConfig::over(horizon),
+                );
+                assert_eq!(
+                    lanes[si * spec.contenders().len() + ci],
+                    reference,
+                    "boxed arena lane ({seed}, {}) diverged from its independent run",
+                    contender.name()
+                );
+            }
+        }
+        println!(
+            "determinism: all {} boxed System B arena lanes bit-identical to independent \
+             run_simulation runs",
+            lanes.len()
+        );
+    }
     let mut arena_secs = f64::INFINITY;
     let mut arena_summary = None;
     for _ in 0..RATE_ROW_REPS {
@@ -1396,6 +1436,10 @@ fn main() {
         "    \"policy_evals_per_sec\": {policy_evals_per_sec:.1},"
     );
     let _ = writeln!(json, "    \"arena_lanes_match_independent_runs\": true,");
+    let _ = writeln!(
+        json,
+        "    \"arena_boxed_lanes_match_independent_runs\": true,"
+    );
     let _ = writeln!(json, "    \"winner\": \"{arena_winner}\",");
     let _ = writeln!(
         json,

@@ -142,6 +142,50 @@ impl StepReport {
     }
 }
 
+/// Channel overheads a [`BusHarvest`] holds without allocating: every
+/// Table-I platform fits (System B's six slots at most); larger units
+/// spill the rest to the heap.
+const INLINE_CHANNELS: usize = 6;
+
+/// The harvest half of one [`PowerUnit::step`]: what the input channels
+/// put on the bus, solved before any load or store is consulted.
+///
+/// Each channel sees only the ambient conditions and the step width, so
+/// identically built units stepped through the same conditions produce
+/// identical harvests. That lets one unit [`harvest`](PowerUnit::harvest)
+/// and many [`settle`](PowerUnit::settle) against the result, bit for bit
+/// as if each had stepped its own channels.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct BusHarvest {
+    /// Power delivered onto the bus, summed over channels in port order.
+    pub delivered: Watts,
+    inline: [Watts; INLINE_CHANNELS],
+    channels: usize,
+    spill: Vec<Watts>,
+}
+
+impl BusHarvest {
+    fn push(&mut self, delivered: Watts, overhead: Watts) {
+        self.delivered += delivered;
+        match self.inline.get_mut(self.channels) {
+            Some(slot) => *slot = overhead,
+            None => self.spill.push(overhead),
+        }
+        self.channels += 1;
+    }
+
+    /// Each channel's housekeeping draw, in port order. They stay
+    /// separate because [`PowerUnit::settle`] folds them one by one onto
+    /// the supervisor and output-stage draw, the order a full step has
+    /// always summed them in.
+    pub fn overheads(&self) -> impl Iterator<Item = Watts> + '_ {
+        self.inline[..self.channels.min(INLINE_CHANNELS)]
+            .iter()
+            .chain(&self.spill)
+            .copied()
+    }
+}
+
 /// A multi-source energy-harvesting power unit.
 ///
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
@@ -762,22 +806,43 @@ impl PowerUnit {
     }
 
     /// Advances the unit one interval: harvest, serve `load` through the
-    /// output stage, balance against the stores.
+    /// output stage, balance against the stores. Exactly
+    /// [`settle`](Self::settle) applied to [`harvest`](Self::harvest).
     pub fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
+        let harvest = self.harvest(env, dt);
+        self.settle(&harvest, dt, load)
+    }
+
+    /// The harvest half of [`step`](Self::step): steps every input
+    /// channel through `env` for `dt` and returns what they put on the
+    /// bus. Touches nothing but the channels.
+    pub fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        let mut harvest = BusHarvest::default();
+        for port in &mut self.harvester_ports {
+            if let Some(channel) = port.channel.as_mut() {
+                let step = channel.step(env, dt);
+                harvest.push(step.delivered, step.overhead);
+            }
+        }
+        harvest
+    }
+
+    /// The settle half of [`step`](Self::step): serves `load` through
+    /// the output stage and balances `harvest` against the stores. The
+    /// harvest may come from this unit or from an identically built one
+    /// stepped through the same conditions; the channels here are left
+    /// untouched.
+    pub fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
         // 0. Age stages with internal clocks (scheduled-brownout
         //    wrappers) before serving, so the step containing a brownout
         //    start already sees the stage down.
         self.output.advance(dt);
 
-        // 1. Harvest.
-        let mut harvested_w = Watts::ZERO;
+        // 1. Harvest and housekeeping.
+        let harvested_w = harvest.delivered;
         let mut overhead_w = self.supervisor.overhead + self.output.quiescent();
-        for port in &mut self.harvester_ports {
-            if let Some(channel) = port.channel.as_mut() {
-                let step = channel.step(env, dt);
-                harvested_w += step.delivered;
-                overhead_w += step.overhead;
-            }
+        for overhead in harvest.overheads() {
+            overhead_w += overhead;
         }
         self.last_harvest = harvested_w;
 
@@ -1194,6 +1259,101 @@ mod tests {
         let t = unit.totals();
         assert!(t.harvested.value() > 0.0);
         assert!(t.overhead.value() > 0.0);
+    }
+
+    #[test]
+    fn harvest_past_the_inline_channels_keeps_every_overhead_in_order() {
+        let build = || {
+            let mut builder = PowerUnit::builder("eight PV ports");
+            for _ in 0..8 {
+                builder = builder.harvester_port(
+                    PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+                    Some(pv_channel()),
+                    true,
+                );
+            }
+            builder
+                .store_port(
+                    PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(3.0)),
+                    Some(Box::new(Supercap::edlc_22f())),
+                    StoreRole::PrimaryBuffer,
+                    true,
+                )
+                .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+                .build()
+        };
+        let (mut whole, mut split) = (build(), build());
+        let dt = Seconds::new(60.0);
+        for env in [sunny(), EnvConditions::quiescent(Seconds::ZERO)] {
+            let expected = whole.step(&env, dt, Watts::from_milli(2.0));
+            let harvest = split.harvest(&env, dt);
+            assert_eq!(harvest.overheads().count(), 8);
+            assert_eq!(split.settle(&harvest, dt, Watts::from_milli(2.0)), expected);
+        }
+    }
+
+    /// A lossless pass-through stage with a chosen standing draw.
+    struct Housekeeping(Watts);
+
+    impl PowerStage for Housekeeping {
+        fn name(&self) -> &str {
+            "housekeeping"
+        }
+        fn quiescent(&self) -> Watts {
+            self.0
+        }
+        fn accepts_input_voltage(&self, _v: Volts) -> bool {
+            true
+        }
+        fn output_voltage(&self) -> Volts {
+            Volts::new(3.3)
+        }
+        fn output_for_input(&self, p: Watts, _v: Volts) -> Watts {
+            p
+        }
+        fn input_for_output(&self, p: Watts, _v: Volts) -> Watts {
+            p
+        }
+    }
+
+    #[test]
+    fn settle_folds_channel_overheads_one_by_one() {
+        // Each channel draws 0.4 ulp of the supervisor's 1 mW, so adding
+        // them one at a time rounds both away while their pre-summed
+        // 0.8 ulp would round up: only the left fold gives these bits.
+        let base = Watts::from_milli(1.0);
+        let tiny = Watts::new(0.4 * f64::EPSILON * 2f64.powi(-10));
+        let channel = || {
+            InputChannel::new(
+                Box::new(PvModule::outdoor_panel_half_watt()),
+                Box::new(FractionalVoc::pv_standard()),
+                Box::new(Housekeeping(Watts::ZERO)),
+                Box::new(Housekeeping(tiny)),
+            )
+        };
+        let port = || PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0));
+        let mut unit = PowerUnit::builder("two dark channels")
+            .harvester_port(port(), Some(channel()), true)
+            .harvester_port(port(), Some(channel()), true)
+            .store_port(
+                PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(3.0)),
+                Some(Box::new(Supercap::edlc_22f())),
+                StoreRole::PrimaryBuffer,
+                true,
+            )
+            .output_stage(Box::new(Housekeeping(Watts::ZERO)))
+            .supervisor(Supervisor {
+                overhead: base,
+                ..Supervisor::none()
+            })
+            .build();
+        let dt = Seconds::new(1.0);
+        let folded = base + tiny + tiny;
+        assert_ne!(folded, base + (tiny + tiny), "the case must discriminate");
+        let night = EnvConditions::quiescent(Seconds::ZERO);
+        let harvest = unit.harvest(&night, dt);
+        assert_eq!(harvest.overheads().collect::<Vec<_>>(), vec![tiny, tiny]);
+        assert_eq!(unit.settle(&harvest, dt, Watts::ZERO).overhead, folded * dt);
     }
 
     #[test]

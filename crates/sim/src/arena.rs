@@ -15,6 +15,9 @@
 //! struct-of-arrays so the batched solve kernels
 //! ([`mseh_storage::SupercapLanes`], [`mseh_storage::BatteryLanes`])
 //! apply across policy lanes exactly as they do across fleet nodes.
+//! Boxed scenarios share the solve too: one extra platform per seed
+//! harvests each control window once ([`Platform::harvest`]) and every
+//! lane settles against it ([`Platform::settle`]).
 //!
 //! # Bit-identity
 //!
@@ -65,11 +68,11 @@
 //! assert_eq!(out.summary.standings[0].rank, 1);
 //! ```
 
-use crate::cancel::tripped;
+use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_battery_lanes, run_supercap_lanes, LanePopulation};
 use crate::fleet::{
     build_harvest_table, percentile, simulate_node, simulate_node_dense, DenseClass,
-    DenseSolveTier, DenseStore, EnvCadence, FleetControl, NodeOutcome, PlatformFactory,
+    DenseSolveTier, DenseStore, EnvCadence, FleetControl, NodeBooks, NodeOutcome, PlatformFactory,
     PolicyFactory, StepPlan, UptimePercentiles,
 };
 use crate::parallel::{par_map_with, thread_count};
@@ -77,6 +80,7 @@ use crate::platform::Platform;
 #[cfg(doc)]
 use crate::runner::run_simulation;
 use crate::runner::{SimConfig, SimResult};
+use mseh_core::BusHarvest;
 use mseh_env::{EnvConditions, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
 use mseh_node::{
@@ -134,9 +138,9 @@ impl core::fmt::Debug for Contender {
 
 /// The hardware every policy lane runs on.
 enum ArenaPlatform {
-    /// Arbitrary platforms behind dynamic dispatch, rebuilt per
-    /// (scenario seed, lane) by the factory — the reference path,
-    /// bit-identical to standalone runs by construction.
+    /// Arbitrary platforms behind dynamic dispatch, built per (scenario
+    /// seed, lane) by the factory. Platforms that split their step
+    /// settle against one shared harvest per seed; the rest step whole.
     Boxed(Box<PlatformFactory>),
     /// The monomorphized single-channel/single-store shape: lanes
     /// share one harvest table and step on the batched
@@ -158,9 +162,10 @@ pub struct ArenaSpec {
 
 impl ArenaSpec {
     /// A scenario on boxed platforms: `platform` builds each lane's
-    /// unit from the scenario seed (every lane of a seed gets an
-    /// identically-built platform — heterogeneity belongs to the
-    /// policies under test, not the hardware).
+    /// unit from the scenario seed. Every call for a seed must build an
+    /// identical platform — heterogeneity belongs to the policies under
+    /// test, not the hardware — because one extra build solves the
+    /// seed's channels and every lane settles against its harvest.
     pub fn boxed(
         name: &str,
         node: SensorNode,
@@ -374,15 +379,17 @@ pub struct ArenaSummary {
     /// served fraction, then mean uptime, then samples delivered, then
     /// name.
     pub standings: Vec<ContenderStanding>,
-    /// Kernel-cache counters summed across lanes plus the per-seed
-    /// shared-table drivers (dense scenarios).
+    /// Kernel-cache counters of the channel solves: one shared driver
+    /// per seed row, for boxed and dense scenarios alike, since lanes
+    /// only settle or replay its harvest. Dense lanes add one
+    /// synthesized hit per table replay, as dense fleet nodes do.
     pub kernel_cache: CacheStats,
     /// Worst interpolation-table voltage deviation recorded by any
     /// lane (`0` unless [`DenseSolveTier::Interpolated`] is active).
     pub interp_max_deviation: f64,
     /// Arena-aggregated conservation residual: |Σ signed per-lane
-    /// residuals| over total storage throughput (≈0; < 1e-6 asserted
-    /// in debug builds).
+    /// residuals| over total storage throughput (≈0; a run at or above
+    /// 1e-6 is an error, never a summary).
     pub audit_relative: f64,
 }
 
@@ -442,14 +449,106 @@ struct RowOutcome {
     driver_cache: CacheStats,
 }
 
+/// How a boxed seed row's lockstep run ended.
+enum Lockstep {
+    /// Every lane's outcome, in lane order.
+    Settled(Vec<NodeOutcome>),
+    /// The cancel token tripped.
+    Cancelled,
+    /// The platform only steps whole; nothing was touched.
+    WholeSteps,
+}
+
+/// Runs one boxed seed row with the channels solved once: per control
+/// window `driver` harvests every step into a reusable buffer, then each
+/// lane picks its duty and settles the window against that buffer.
+/// A lane's harvest never depends on its load, so every lane ends
+/// exactly where stepping its own channels would have left it. Lanes
+/// must be built like `driver` ([`ArenaSpec::boxed`]'s rule).
+fn settle_lanes_in_lockstep(
+    driver: &mut dyn Platform,
+    lanes: &mut [Box<dyn Platform>],
+    policies: &mut [Box<dyn DutyCyclePolicy>],
+    node: &SensorNode,
+    rows: &[EnvConditions],
+    plan: &StepPlan,
+    cancel: Option<&CancelToken>,
+) -> Lockstep {
+    let mut books: Vec<NodeBooks> = lanes
+        .iter()
+        .map(|lane| NodeBooks::open(lane.total_stored_energy(), lane.storage_losses()))
+        .collect();
+    let mut window: Vec<BusHarvest> =
+        Vec::with_capacity(plan.control_every.min(plan.steps) as usize);
+    let mut window_ordinal = 0usize;
+    let mut window_start = 0u64;
+    while window_start < plan.steps {
+        if tripped(cancel) {
+            return Lockstep::Cancelled;
+        }
+        let window_end = (window_start + plan.control_every).min(plan.steps);
+        window.clear();
+        for j in window_start..window_end {
+            let step_dt = match plan.frac_dt {
+                Some(frac) if j == plan.full_steps => frac,
+                _ => plan.dt,
+            };
+            let env = match plan.cadence {
+                EnvCadence::PerStep => &rows[j as usize],
+                EnvCadence::PerWindow => &rows[window_ordinal],
+            };
+            match driver.harvest(env, step_dt) {
+                Some(harvest) => window.push(harvest),
+                None if j == 0 => return Lockstep::WholeSteps,
+                None => panic!("{} stopped splitting its step mid-run", driver.name()),
+            }
+        }
+
+        for ((lane, policy), books) in lanes.iter_mut().zip(policies.iter_mut()).zip(&mut books) {
+            let duty = policy.choose(node, &lane.energy_status().at(plan.time_at(window_start)));
+            let load = node.average_power(duty);
+            let demand = node.step(duty, plan.dt);
+            let load_energy = load * plan.dt;
+            for (j, harvest) in (window_start..window_end).zip(&window) {
+                let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
+                    Some(frac) if j == plan.full_steps => {
+                        (frac, node.step(duty, frac).samples, load * frac)
+                    }
+                    _ => (plan.dt, demand.samples, load_energy),
+                };
+                let report = lane.settle(harvest, step_dt, load);
+                books.record(&report, step_samples, step_load_energy);
+            }
+        }
+        window_start = window_end;
+        window_ordinal += 1;
+    }
+
+    Lockstep::Settled(
+        lanes
+            .iter()
+            .zip(books)
+            .map(|(lane, books)| {
+                books.close(
+                    lane.total_stored_energy(),
+                    lane.storage_losses(),
+                    lane.stranded_energy(),
+                    lane.kernel_cache_stats(),
+                )
+            })
+            .collect(),
+    )
+}
+
 /// Runs the tournament described by `spec` under `config`.
 ///
 /// # Panics
 ///
-/// Panics on an empty roster or seed list, a non-positive `dt`, or a
-/// duration shorter than one step. Long-running embeddings that must
-/// survive a malformed spec (the `mseh serve` daemon) use
-/// [`run_arena_controlled`], which reports those as `Err` instead.
+/// Panics on an empty roster or seed list, a non-positive `dt`, a
+/// duration shorter than one step, or a run whose energy books do not
+/// close. Long-running embeddings that must survive a malformed spec
+/// (the `mseh serve` daemon) use [`run_arena_controlled`], which reports
+/// those as `Err` instead.
 pub fn run_arena(spec: &ArenaSpec, config: ArenaConfig) -> ArenaResult {
     match run_arena_controlled(spec, config, FleetControl::default()) {
         Ok(Some(result)) => result,
@@ -459,7 +558,8 @@ pub fn run_arena(spec: &ArenaSpec, config: ArenaConfig) -> ArenaResult {
 }
 
 /// [`run_arena`] as a daemon-facing entry point: spec/config validation
-/// errors come back as `Err` instead of panicking, and a
+/// errors and energy books that fail the 1e-6 conservation audit come
+/// back as `Err` instead of panicking, and a
 /// [`FleetControl`] supplies optional cooperative cancellation
 /// (`Ok(None)` when the token trips — partial results are discarded,
 /// never returned torn) and progress reporting (counts are lanes). An
@@ -629,23 +729,46 @@ pub fn run_arena_controlled(
                 }
             }
             ArenaPlatform::Boxed(factory) => {
-                for policy in policies.iter_mut() {
-                    let mut platform = factory(seed);
-                    match simulate_node(
-                        platform.as_mut(),
-                        &spec.node,
-                        policy.as_mut(),
-                        &rows,
-                        &JitterFactors::IDENTITY,
-                        false,
-                        &plan,
-                        cancel,
-                    ) {
-                        Some(o) => row.lanes.push(LaneOutcome {
+                // One more platform, built like every lane, solves the
+                // channels; the lanes only settle.
+                let mut driver = factory(seed);
+                let mut lanes: Vec<Box<dyn Platform>> = (0..n).map(|_| factory(seed)).collect();
+                match settle_lanes_in_lockstep(
+                    driver.as_mut(),
+                    &mut lanes,
+                    &mut policies,
+                    &spec.node,
+                    &rows,
+                    &plan,
+                    cancel,
+                ) {
+                    Lockstep::Settled(outcomes) => {
+                        row.driver_cache = driver.kernel_cache_stats();
+                        row.lanes.extend(outcomes.into_iter().map(|o| LaneOutcome {
                             outcome: o,
                             failovers: 0,
-                        }),
-                        None => return row,
+                        }));
+                    }
+                    Lockstep::Cancelled => return row,
+                    Lockstep::WholeSteps => {
+                        for (platform, policy) in lanes.iter_mut().zip(policies.iter_mut()) {
+                            match simulate_node(
+                                platform.as_mut(),
+                                &spec.node,
+                                policy.as_mut(),
+                                &rows,
+                                &JitterFactors::IDENTITY,
+                                false,
+                                &plan,
+                                cancel,
+                            ) {
+                                Some(o) => row.lanes.push(LaneOutcome {
+                                    outcome: o,
+                                    failovers: 0,
+                                }),
+                                None => return row,
+                            }
+                        }
                     }
                 }
             }
@@ -809,10 +932,12 @@ pub fn run_arena_controlled(
     }
 
     let audit_relative = residual_signed.abs() / throughput.max(1.0);
-    debug_assert!(
-        audit_relative < 1e-6,
-        "arena-aggregated conservation residual {residual_signed} J"
-    );
+    if audit_relative.is_nan() || audit_relative >= 1e-6 {
+        return Err(format!(
+            "arena energy books do not close: conservation residual {residual_signed} J \
+             ({audit_relative:.3e} of storage throughput, limit 1e-6)"
+        ));
+    }
 
     Ok(Some(ArenaResult {
         summary: ArenaSummary {
@@ -1067,6 +1192,55 @@ mod tests {
             FleetControl::default(),
         )
         .is_err());
+    }
+
+    /// A unit whose books claim twice the energy its stores hold.
+    struct Misreporting(PowerUnit);
+
+    impl Platform for Misreporting {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn step(
+            &mut self,
+            env: &EnvConditions,
+            dt: Seconds,
+            load: mseh_units::Watts,
+        ) -> mseh_core::StepReport {
+            self.0.step(env, dt, load)
+        }
+        fn energy_status(&self) -> mseh_node::EnergyStatus {
+            self.0.energy_status()
+        }
+        fn total_stored_energy(&self) -> Joules {
+            self.0.total_stored_energy() * 2.0
+        }
+        fn storage_losses(&self) -> Joules {
+            self.0.storage_losses()
+        }
+        fn storage_capacity(&self) -> Joules {
+            self.0.storage_capacity()
+        }
+    }
+
+    #[test]
+    fn books_that_do_not_close_are_an_error() {
+        let spec = ArenaSpec::boxed(
+            "misreporting",
+            SensorNode::submilliwatt_class(),
+            |_| Box::new(Misreporting(solar_unit())),
+            Environment::outdoor_temperate,
+        )
+        .with_contender(Contender::new("fixed-2%", |_| {
+            Box::new(FixedDuty::new(DutyCycle::saturating(0.02)))
+        }));
+        let err = run_arena_controlled(
+            &spec,
+            ArenaConfig::over(Seconds::from_hours(12.0)),
+            FleetControl::default(),
+        )
+        .expect_err("a 2x stored-energy misreport breaks conservation");
+        assert!(err.contains("do not close"), "{err}");
     }
 
     #[test]

@@ -113,6 +113,7 @@ use crate::cancel::{tripped, CancelToken};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
+use mseh_core::StepReport;
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
@@ -872,6 +873,126 @@ impl NodeOutcome {
     }
 }
 
+/// One node's energy books, kept step by step exactly as the single-run
+/// kernel keeps them: energy totals, served-fraction-weighted samples,
+/// brown-out and outage runs and the minimum store voltage; closed with
+/// the storage conservation audit and uptime. The boxed and dense
+/// scalar node loops and the arena's lockstep all record into one.
+pub(crate) struct NodeBooks {
+    initial_stored: Joules,
+    initial_losses: Joules,
+    samples: f64,
+    harvested: Joules,
+    delivered: Joules,
+    shortfall: Joules,
+    demanded: Joules,
+    charged: Joules,
+    discharged: Joules,
+    converter_losses: Joules,
+    brownout_steps: u64,
+    outage_run: u64,
+    longest_outage: u64,
+    min_v: Volts,
+}
+
+impl NodeBooks {
+    /// Opens the books on a node holding `stored` (every store, backups
+    /// included) with `losses` dissipated so far.
+    pub(crate) fn open(stored: Joules, losses: Joules) -> Self {
+        Self {
+            initial_stored: stored,
+            initial_losses: losses,
+            samples: 0.0,
+            harvested: Joules::ZERO,
+            delivered: Joules::ZERO,
+            shortfall: Joules::ZERO,
+            demanded: Joules::ZERO,
+            charged: Joules::ZERO,
+            discharged: Joules::ZERO,
+            converter_losses: Joules::ZERO,
+            brownout_steps: 0,
+            outage_run: 0,
+            longest_outage: 0,
+            min_v: Volts::new(f64::INFINITY),
+        }
+    }
+
+    /// Books one step: its report, the samples a fully served step
+    /// would deliver, and the load energy it demanded.
+    #[inline]
+    pub(crate) fn record(&mut self, report: &StepReport, step_samples: f64, load_energy: Joules) {
+        self.harvested += report.harvested;
+        self.delivered += report.delivered;
+        self.shortfall += report.shortfall;
+        self.charged += report.charged;
+        self.discharged += report.discharged;
+        self.converter_losses += report.converter_loss;
+        self.demanded += load_energy;
+
+        let served_fraction = if report.shortfall.value() > 0.0 {
+            let full = (report.delivered + report.shortfall).value();
+            if full > 0.0 {
+                report.delivered.value() / full
+            } else {
+                0.0
+            }
+        } else {
+            1.0
+        };
+        self.samples += step_samples * served_fraction;
+
+        if report.shortfall.value() > 1e-12 {
+            self.brownout_steps += 1;
+            self.outage_run += 1;
+            self.longest_outage = self.longest_outage.max(self.outage_run);
+        } else {
+            self.outage_run = 0;
+        }
+        self.min_v = self.min_v.min(report.store_voltage);
+    }
+
+    /// Closes the books against the node's final stored energy and
+    /// losses. The audit residual is reported, not asserted: callers
+    /// check the aggregate.
+    pub(crate) fn close(
+        self,
+        stored: Joules,
+        losses: Joules,
+        stranded: Joules,
+        cache: CacheStats,
+    ) -> NodeOutcome {
+        let d_stored = stored - self.initial_stored;
+        let d_losses = losses - self.initial_losses;
+        let residual_signed = (self.charged - self.discharged - d_losses - d_stored).value();
+        let throughput = (self.harvested + self.discharged + self.charged)
+            .value()
+            .max(1.0);
+        let uptime = if self.demanded.value() > 0.0 {
+            1.0 - (self.shortfall.value() / self.demanded.value()).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        NodeOutcome {
+            uptime,
+            samples: self.samples,
+            harvested: self.harvested,
+            delivered: self.delivered,
+            shortfall: self.shortfall,
+            demanded: self.demanded,
+            converter_losses: self.converter_losses,
+            brownout_steps: self.brownout_steps,
+            longest_outage_steps: self.longest_outage,
+            min_store_voltage: self.min_v,
+            audit_residual: residual_signed.abs() / throughput,
+            residual_signed,
+            throughput,
+            stranded,
+            cache,
+            interp_deviation: 0.0,
+        }
+    }
+}
+
 /// Runs one node's full trajectory. The loop body replicates
 /// `run_simulation`'s unobserved hot path step for step — same window
 /// structure, same accumulator order, same audit — so a per-step-cadence
@@ -888,21 +1009,7 @@ pub(crate) fn simulate_node(
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
 ) -> Option<NodeOutcome> {
-    let initial_stored = platform.total_stored_energy();
-    let initial_losses = platform.storage_losses();
-
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut converter_losses = Joules::ZERO;
-    let mut min_v = Volts::new(f64::INFINITY);
+    let mut books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
 
     let mut window_ordinal = 0usize;
     let mut window_start = 0u64;
@@ -938,74 +1045,18 @@ pub(crate) fn simulate_node(
                 base
             };
             let report = platform.step(env, step_dt, load);
-
-            harvested += report.harvested;
-            delivered += report.delivered;
-            shortfall += report.shortfall;
-            charged += report.charged;
-            discharged += report.discharged;
-            converter_losses += report.converter_loss;
-            demanded += step_load_energy;
-
-            let served_fraction = if report.shortfall.value() > 0.0 {
-                let full = (report.delivered + report.shortfall).value();
-                if full > 0.0 {
-                    report.delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
-            };
-            samples += step_samples * served_fraction;
-
-            if report.shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report.store_voltage);
+            books.record(&report, step_samples, step_load_energy);
         }
         window_start = window_end;
         window_ordinal += 1;
     }
 
-    let d_stored = platform.total_stored_energy() - initial_stored;
-    let d_losses = platform.storage_losses() - initial_losses;
-    let residual_signed = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = residual_signed.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "fleet node violated storage conservation: residual {residual_signed} J"
-    );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
-    Some(NodeOutcome {
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        demanded,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
-        residual_signed,
-        throughput,
-        stranded: platform.stranded_energy(),
-        cache: platform.kernel_cache_stats(),
-        interp_deviation: 0.0,
-    })
+    Some(books.close(
+        platform.total_stored_energy(),
+        platform.storage_losses(),
+        platform.stranded_energy(),
+        platform.kernel_cache_stats(),
+    ))
 }
 
 /// Drives one representative channel through the run's full step
@@ -1108,22 +1159,8 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
     // The boxed path's recognized capacity defaults to the device's
     // datasheet capacity at attach time.
     let recognized = store.capacity();
-    let initial_stored = store.stored_energy();
-    let initial_losses = store.losses();
+    let mut books = NodeBooks::open(store.stored_energy(), store.losses());
     let mut last_harvest = Watts::ZERO;
-
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut converter_losses = Joules::ZERO;
-    let mut min_v = Volts::new(f64::INFINITY);
 
     let mut window_start = 0u64;
     while window_start < plan.steps {
@@ -1218,75 +1255,24 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
             };
 
             store.idle(step_dt);
-            let report_v = store.voltage();
             // --- end PowerUnit::step ---
 
-            harvested += e_h;
-            delivered += step_delivered;
-            shortfall += step_shortfall;
-            charged += step_charged;
-            discharged += step_discharged;
-            converter_losses += step_conv_loss;
-            demanded += step_load_energy;
-
-            let served_fraction = if step_shortfall.value() > 0.0 {
-                let full = (step_delivered + step_shortfall).value();
-                if full > 0.0 {
-                    step_delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
+            let report = StepReport {
+                harvested: e_h,
+                delivered: step_delivered,
+                shortfall: step_shortfall,
+                charged: step_charged,
+                discharged: step_discharged,
+                converter_loss: step_conv_loss,
+                store_voltage: store.voltage(),
+                ..StepReport::default()
             };
-            samples += step_samples * served_fraction;
-
-            if step_shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report_v);
+            books.record(&report, step_samples, step_load_energy);
         }
         window_start = window_end;
     }
 
-    let d_stored = store.stored_energy() - initial_stored;
-    let d_losses = store.losses() - initial_losses;
-    let residual_signed = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = residual_signed.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "dense fleet node violated storage conservation: residual {residual_signed} J"
-    );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
-    Some(NodeOutcome {
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        demanded,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
-        residual_signed,
-        throughput,
-        stranded: Joules::ZERO,
-        cache,
-        interp_deviation: 0.0,
-    })
+    Some(books.close(store.stored_energy(), store.losses(), Joules::ZERO, cache))
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice.

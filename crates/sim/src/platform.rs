@@ -1,6 +1,6 @@
 //! The [`Platform`] abstraction: anything the simulation kernel can drive.
 
-use mseh_core::{PowerUnit, SmartNetwork, StepReport};
+use mseh_core::{BusHarvest, PowerUnit, SmartNetwork, StepReport};
 use mseh_env::EnvConditions;
 use mseh_harvesters::CacheStats;
 use mseh_node::EnergyStatus;
@@ -15,6 +15,34 @@ pub trait Platform {
 
     /// Advances one interval, serving `load` at the output rail.
     fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport;
+
+    /// The harvest half of [`step`](Self::step), for platforms whose
+    /// harvest never depends on the load: solves the input channels and
+    /// returns what they put on the bus. `None` (the default) means the
+    /// platform only steps whole and nothing was touched; a platform
+    /// that returns `Some` once must keep doing so.
+    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> Option<BusHarvest> {
+        let _ = (env, dt);
+        None
+    }
+
+    /// The settle half of [`step`](Self::step): serves `load` and
+    /// balances a [`harvest`](Self::harvest) against the stores. The
+    /// harvest may come from an identically built platform stepped
+    /// through the same conditions, which is how the policy arena solves
+    /// a seed's channels once for every lane.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: only platforms whose `harvest` returns `Some`
+    /// may be settled.
+    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        let _ = (harvest, dt, load);
+        panic!(
+            "{} steps whole and cannot settle a shared harvest",
+            self.name()
+        )
+    }
 
     /// The energy status visible to the node (clamped to the platform's
     /// monitoring capability).
@@ -91,6 +119,14 @@ impl Platform for PowerUnit {
 
     fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
         PowerUnit::step(self, env, dt, load)
+    }
+
+    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> Option<BusHarvest> {
+        Some(PowerUnit::harvest(self, env, dt))
+    }
+
+    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        PowerUnit::settle(self, harvest, dt, load)
     }
 
     fn energy_status(&self) -> EnergyStatus {

@@ -156,6 +156,13 @@ grep -q '"arena_lanes_match_independent_runs": true' target/BENCH_sim_quick.json
 }
 echo "ok: all arena lanes bit-identical to independent runs"
 
+echo "==> boxed arena bit-identity smoke (System B lanes on one shared harvest vs independent runs)"
+grep -q '"arena_boxed_lanes_match_independent_runs": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: boxed arena lanes diverged from independent runs"
+    exit 1
+}
+echo "ok: all boxed arena lanes bit-identical to independent runs"
+
 echo "==> batched-solve bit-identity smoke (supercap lane, batched vs scalar tier)"
 # The harness asserts full summary equality (cache counters included)
 # before writing the flag.
