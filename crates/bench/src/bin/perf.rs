@@ -61,10 +61,6 @@ const SEEDS: [u64; 16] = [
     3, 17, 101, 444, 1234, 9000, 31337, 99999, 7, 21, 55, 89, 144, 233, 377, 610,
 ];
 
-/// Mantissa bits dropped by the quantized kernel-cache key tier in the
-/// per-scenario-class hit-rate survey (relative input error < 2⁻⁸).
-const QUANTIZE_DROP_BITS: u32 = 44;
-
 /// Fixed scale for the batched-tier rate rows: the same population and
 /// horizon in quick and full mode, so check.sh's quick-vs-committed
 /// regression gates compare identical specs. The uniform fast path
@@ -553,57 +549,6 @@ fn main() {
         );
         println!("determinism: cached run bit-identical to uncached reference (System C)");
     }
-
-    // --- Quantized cache tier: hit rate per scenario class. ---------
-    // The exact tier keys on bit-exact conditions, so stochastic
-    // environments rarely repeat a key. The opt-in quantized tier drops
-    // low mantissa bits from the key (bounded relative input error
-    // < 2^(m-52)); this survey records what that buys per environment
-    // class, next to the aggregate deviation it costs. The exact-tier
-    // gate above is unaffected: quantization stays off by default.
-    type EnvPreset = fn(u64) -> Environment;
-    let scenario_classes: [(&str, EnvPreset); 5] = [
-        ("outdoor_temperate", Environment::outdoor_temperate),
-        ("outdoor_winter", Environment::outdoor_winter),
-        ("indoor_industrial", Environment::indoor_industrial),
-        ("indoor_office", Environment::indoor_office),
-        ("agricultural", Environment::agricultural),
-    ];
-    let class_cfg = SimConfig::over(Seconds::from_days(if quick { 0.5 } else { 2.0 }));
-    let mut class_rows = Vec::new();
-    for (class, make_env) in scenario_classes {
-        let class_env = make_env(4242);
-        let mut exact_unit = SystemId::C.build();
-        let mut policy = duty();
-        let exact = run_simulation(&mut exact_unit, &class_env, &node, &mut policy, class_cfg);
-        let exact_stats = Platform::kernel_cache_stats(&exact_unit);
-        let mut q_unit = SystemId::C.build();
-        Platform::set_kernel_cache_quantization(&mut q_unit, Some(QUANTIZE_DROP_BITS));
-        let mut policy = duty();
-        let quantized = run_simulation(&mut q_unit, &class_env, &node, &mut policy, class_cfg);
-        let q_stats = Platform::kernel_cache_stats(&q_unit);
-        assert!(quantized.audit_residual < 1e-6);
-        let harvested_dev = (quantized.harvested.value() - exact.harvested.value()).abs()
-            / exact.harvested.value().abs().max(1e-12);
-        println!(
-            "quantized  : {class:<18} exact hit rate {:.3}, quantized {:.3} \
-             ({} hits), harvested dev {harvested_dev:.2e}",
-            exact_stats.hit_rate(),
-            q_stats.hit_rate(),
-            q_stats.hits,
-        );
-        class_rows.push((
-            class,
-            exact_stats.hit_rate(),
-            q_stats.hits,
-            q_stats.hit_rate(),
-            harvested_dev,
-        ));
-    }
-    assert!(
-        class_rows.iter().any(|row| row.2 > 0),
-        "quantized tier produced zero hits on every stochastic scenario class"
-    );
 
     // --- Observability overhead: bare vs no-op vs instrumented. -----
     // Attachments are interleaved per rep so host-load drift hits all
@@ -1179,7 +1124,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v8\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v9\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1207,31 +1152,7 @@ fn main() {
         cache_stats.invalidations
     );
     let _ = writeln!(json, "    \"hit_rate\": {:.6},", cache_stats.hit_rate());
-    let _ = writeln!(json, "    \"cached_matches_uncached\": true,");
-    let _ = writeln!(json, "    \"quantized_tier\": {{");
-    let _ = writeln!(json, "      \"drop_bits\": {QUANTIZE_DROP_BITS},");
-    let _ = writeln!(
-        json,
-        "      \"max_rel_input_error\": {:.3e},",
-        (2f64).powi(QUANTIZE_DROP_BITS as i32 - 52)
-    );
-    let _ = writeln!(
-        json,
-        "      \"scenario\": \"System C, seed 4242, {} days, fixed 5% duty\",",
-        class_cfg.duration.value() / 86_400.0
-    );
-    let _ = writeln!(json, "      \"by_scenario_class\": [");
-    for (i, (class, exact_rate, q_hits, q_rate, harvested_dev)) in class_rows.iter().enumerate() {
-        let comma = if i + 1 < class_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "        {{ \"class\": \"{class}\", \"exact_hit_rate\": {exact_rate:.6}, \
-             \"quantized_hits\": {q_hits}, \"quantized_hit_rate\": {q_rate:.6}, \
-             \"harvested_rel_dev_vs_exact\": {harvested_dev:.3e} }}{comma}"
-        );
-    }
-    let _ = writeln!(json, "      ]");
-    let _ = writeln!(json, "    }}");
+    let _ = writeln!(json, "    \"cached_matches_uncached\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"instrumentation\": {{");
     let _ = writeln!(json, "    \"days\": {overhead_days},");

@@ -703,20 +703,6 @@ impl PowerUnit {
         }
     }
 
-    /// Selects the kernel cache's key tier on every input channel:
-    /// `None` is the exact tier (bit-identical replays), `Some(m)` the
-    /// opt-in quantized tier that truncates `m` low mantissa bits of
-    /// each sensed ambient field before keying and solving (see
-    /// [`InputChannel::set_cache_quantization`] for the ULP-bounded
-    /// error contract). Switching tiers flushes all solve memos.
-    pub fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        for port in &mut self.harvester_ports {
-            if let Some(channel) = port.channel.as_mut() {
-                channel.set_cache_quantization(drop_bits);
-            }
-        }
-    }
-
     /// Energy currently stranded inside attached stores by active faults
     /// (content that physically exists but cannot be delivered).
     pub fn stranded_energy(&self) -> Joules {

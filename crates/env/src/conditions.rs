@@ -101,63 +101,6 @@ impl EnvConditions {
     pub fn same_ambient(&self, other: &Self) -> bool {
         self.ambient_bits() == other.ambient_bits()
     }
-
-    /// A copy with the `drop_bits` lowest mantissa bits of every sensed
-    /// field truncated toward zero (`time` is untouched).
-    ///
-    /// This is the input side of the kernel cache's *quantized* key tier:
-    /// snapshots that agree after truncation share one cache bucket, so
-    /// a stochastic environment whose fields wander by less than a bucket
-    /// still replays memoized operating-point solves. The error contract
-    /// is ULP-bounded on the *input*: truncating `m` mantissa bits moves
-    /// a finite field value by less than `2^m` ULPs, i.e. a relative
-    /// perturbation below `2^(m−52)` (for `m = 44`, under 0.4 %). The
-    /// replayed result is the **exact** solve of the quantized snapshot —
-    /// downstream outputs differ from the unquantized path only through
-    /// the model's sensitivity to that input perturbation.
-    ///
-    /// `drop_bits = 0` is the identity; values ≥ 52 clamp to 52 (sign and
-    /// exponent always survive). Zeros, infinities and NaNs are mapped
-    /// onto themselves: non-finite values pass through untouched, because
-    /// masking a NaN whose payload sits entirely in the dropped bits would
-    /// otherwise collapse it into an infinity of the same sign.
-    ///
-    /// ```
-    /// use mseh_env::EnvConditions;
-    /// use mseh_units::{Seconds, WattsPerSqM};
-    ///
-    /// let mut c = EnvConditions::quiescent(Seconds::ZERO);
-    /// c.irradiance = WattsPerSqM::new(803.1234567);
-    /// let q = c.quantize_mantissa(44);
-    /// let rel = (q.irradiance.value() - c.irradiance.value()).abs() / c.irradiance.value();
-    /// assert!(rel < 2f64.powi(44 - 52));
-    /// assert_eq!(c.quantize_mantissa(0), c);
-    /// ```
-    pub fn quantize_mantissa(&self, drop_bits: u32) -> Self {
-        let m = drop_bits.min(52);
-        if m == 0 {
-            return *self;
-        }
-        let mask = !((1u64 << m) - 1);
-        let q = |v: f64| {
-            if !v.is_finite() {
-                return v;
-            }
-            f64::from_bits(v.to_bits() & mask)
-        };
-        Self {
-            time: self.time,
-            irradiance: WattsPerSqM::new(q(self.irradiance.value())),
-            illuminance: Lux::new(q(self.illuminance.value())),
-            wind: MetersPerSecond::new(q(self.wind.value())),
-            ambient: Celsius::new(q(self.ambient.value())),
-            hot_surface: Celsius::new(q(self.hot_surface.value())),
-            vibration_amp: GAccel::new(q(self.vibration_amp.value())),
-            vibration_freq: Hertz::new(q(self.vibration_freq.value())),
-            rf_incident: Watts::new(q(self.rf_incident.value())),
-            water_flow: MetersPerSecond::new(q(self.water_flow.value())),
-        }
-    }
 }
 
 impl Default for EnvConditions {
@@ -186,73 +129,6 @@ mod tests {
         c.irradiance = WattsPerSqM::new(100.0);
         c.illuminance = Lux::new(600.0); // 5 W/m² indoor-equivalent
         assert!((c.effective_irradiance().value() - 105.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantization_is_idempotent_and_ulp_bounded() {
-        let mut c = EnvConditions::quiescent(Seconds::new(7.0));
-        c.irradiance = WattsPerSqM::new(641.987654321);
-        c.wind = MetersPerSecond::new(3.178_562_91);
-        c.ambient = Celsius::new(23.456789);
-        c.hot_surface = Celsius::new(61.23456);
-        for m in [8u32, 20, 32, 44, 52] {
-            let q = c.quantize_mantissa(m);
-            // Idempotent: already-truncated fields stay put.
-            assert_eq!(q.quantize_mantissa(m), q, "m = {m}");
-            // Relative error under 2^(m-52), truncation toward zero.
-            let bound = 2f64.powi(m as i32 - 52);
-            for (orig, quant) in c.ambient_bits().iter().zip(q.ambient_bits().iter()) {
-                let (o, v) = (f64::from_bits(*orig), f64::from_bits(*quant));
-                assert!(v.abs() <= o.abs(), "truncation must move toward zero");
-                if o != 0.0 {
-                    assert!((o - v).abs() / o.abs() < bound, "m = {m}: {o} → {v}");
-                }
-            }
-        }
-        // Identity and clamping edges.
-        assert_eq!(c.quantize_mantissa(0), c);
-        assert_eq!(c.quantize_mantissa(52), c.quantize_mantissa(60));
-        assert_eq!(c.quantize_mantissa(44).time, c.time);
-        // Zeros map onto themselves: a dark sky stays exactly dark.
-        assert_eq!(c.quantize_mantissa(44).rf_incident.value(), 0.0);
-    }
-
-    #[test]
-    fn quantization_passes_non_finite_values_through() {
-        // A quiet NaN whose payload sits entirely in the dropped bits used
-        // to collapse into +Inf (exponent all-ones, mantissa zero) once the
-        // mask zeroed the payload. Non-finite values must pass through.
-        let payload_nan = f64::from_bits(0x7FF0_0000_0000_0001);
-        assert!(payload_nan.is_nan());
-        let mut c = EnvConditions::quiescent(Seconds::ZERO);
-        c.irradiance = WattsPerSqM::new(payload_nan);
-        c.wind = MetersPerSecond::new(f64::NAN);
-        c.rf_incident = Watts::new(f64::INFINITY);
-        c.ambient = Celsius::new(f64::NEG_INFINITY);
-        for m in [1u32, 44, 52] {
-            let q = c.quantize_mantissa(m);
-            assert!(q.irradiance.value().is_nan(), "m = {m}");
-            assert!(q.wind.value().is_nan(), "m = {m}");
-            assert_eq!(q.rf_incident.value(), f64::INFINITY, "m = {m}");
-            assert_eq!(q.ambient.value(), f64::NEG_INFINITY, "m = {m}");
-        }
-        // Negative zero keeps its sign bit: the mask never touches it, and
-        // the pass-through guard must not reroute it either.
-        let mut z = EnvConditions::quiescent(Seconds::ZERO);
-        z.wind = MetersPerSecond::new(-0.0);
-        let qz = z.quantize_mantissa(44);
-        assert_eq!(qz.wind.value().to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn quantization_buckets_nearby_snapshots_together() {
-        let mut a = EnvConditions::quiescent(Seconds::ZERO);
-        a.irradiance = WattsPerSqM::new(800.0);
-        let mut b = a;
-        b.irradiance = WattsPerSqM::new(800.0 * (1.0 + 1e-4)); // 0.01 % apart
-        assert!(!a.same_ambient(&b));
-        let (qa, qb) = (a.quantize_mantissa(44), b.quantize_mantissa(44));
-        assert!(qa.same_ambient(&qb), "0.01 % apart, ~0.4 % buckets");
     }
 
     #[test]

@@ -69,17 +69,11 @@ pub struct InputChannel {
     /// the exact ambient bit pattern and the step width.
     memo: Option<ChannelMemo>,
     cache_enabled: bool,
-    /// When set, the memo keys on — and the solve runs against — ambient
-    /// snapshots with this many low mantissa bits truncated per field
-    /// (the opt-in quantized key tier). `None` is the exact tier.
-    quantize_drop_bits: Option<u32>,
     memo_hits: u64,
     memo_misses: u64,
     memo_invalidations: u64,
     /// Scratch for batched window solves: per-lane open-circuit voltages.
     lane_voc: Vec<f64>,
-    /// Scratch for batched window solves: quantized-tier snapshots.
-    lane_env: Vec<EnvConditions>,
 }
 
 /// One memoised channel step. Replaying it is sound only when the
@@ -106,12 +100,10 @@ impl InputChannel {
             converter,
             memo: None,
             cache_enabled: true,
-            quantize_drop_bits: None,
             memo_hits: 0,
             memo_misses: 0,
             memo_invalidations: 0,
             lane_voc: Vec::new(),
-            lane_env: Vec::new(),
         }
     }
 
@@ -164,32 +156,6 @@ impl InputChannel {
     /// Whether the channel's kernel cache is serving memoized results.
     pub fn cache_enabled(&self) -> bool {
         self.cache_enabled
-    }
-
-    /// Selects the kernel cache's key tier. `None` (the default) is the
-    /// exact tier: memo keys are the untouched ambient bit patterns and
-    /// replays are bit-identical to fresh solves. `Some(m)` enables the
-    /// quantized tier: before keying *and* solving, the snapshot's
-    /// sensed fields are truncated by `m` low mantissa bits
-    /// ([`EnvConditions::quantize_mantissa`]), so a stochastic
-    /// environment whose fields wander within one bucket still replays.
-    ///
-    /// The error contract is ULP-bounded on the input: each field moves
-    /// by a relative amount below `2^(m−52)` and the replayed step is the
-    /// exact solve of that quantized snapshot — the quantized tier is
-    /// verifiable against the exact path by re-solving the quantized
-    /// input. Switching tiers flushes all solve memos.
-    pub fn set_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        let normalized = drop_bits.filter(|&m| m > 0).map(|m| m.min(52));
-        if self.quantize_drop_bits != normalized {
-            self.quantize_drop_bits = normalized;
-            self.invalidate_solve_memos();
-        }
-    }
-
-    /// The active quantized-tier width (`None` = exact tier).
-    pub fn cache_quantization(&self) -> Option<u32> {
-        self.quantize_drop_bits
     }
 
     /// Whether, *from the channel's current state*, a repeat [`step`]
@@ -332,23 +298,13 @@ impl InputChannel {
             && self.protection.is_time_invariant()
             && self.converter.is_time_invariant()
         {
-            // Quantized tier: key *and* solve on the truncated snapshot,
-            // so a replay is the exact solve of the same input the miss
-            // path saw — self-consistent by construction.
-            return match self.quantize_drop_bits {
-                Some(bits) => {
-                    let q = env.quantize_mantissa(bits);
-                    self.memo_step(&q, dt)
-                }
-                None => self.memo_step(env, dt),
-            };
+            return self.memo_step(env, dt);
         }
         self.solve_step(env, dt)
     }
 
     /// The memoized step path: replay on a key match, otherwise solve
-    /// `env` (already quantized when the quantized tier is active) and
-    /// store the result.
+    /// `env` and store the result.
     fn memo_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
         let key = (env.ambient_bits(), dt.value().to_bits());
         if let Some(memo) = self.memo {
@@ -420,18 +376,6 @@ impl InputChannel {
             && self.converter.is_time_invariant()
     }
 
-    /// Quantized-tier staging for the batched lanes: fills
-    /// `self.lane_env` with truncated snapshots when the quantized tier
-    /// is active (the solves then run against those, exactly as the
-    /// scalar memo path solves the truncated snapshot).
-    fn stage_lane_envs(&mut self, envs: &[EnvConditions]) {
-        if let Some(bits) = self.quantize_drop_bits {
-            self.lane_env.clear();
-            self.lane_env
-                .extend(envs.iter().map(|e| e.quantize_mantissa(bits)));
-        }
-    }
-
     /// One control window for a whole population: writes into `out[i]`
     /// exactly the [`HarvestStep`] a replayable per-node channel's
     /// [`step`](Self::step) would return for `envs[i]` at width `dt`,
@@ -454,34 +398,23 @@ impl InputChannel {
         // Mirror the per-window `step` call the scalar driver makes.
         self.protection.advance(dt);
         self.converter.advance(dt);
-        self.stage_lane_envs(envs);
         match choice {
             WindowChoice::Fixed(v) => {
-                let staged: &[EnvConditions] = if self.quantize_drop_bits.is_some() {
-                    &self.lane_env
-                } else {
-                    envs
-                };
-                for (slot, env) in out.iter_mut().zip(staged) {
+                for (slot, env) in out.iter_mut().zip(envs) {
                     *slot = self.finish_step(v, env);
                 }
             }
             WindowChoice::FractionOfVoc(k) => {
                 let mut lane_voc = core::mem::take(&mut self.lane_voc);
                 lane_voc.resize(envs.len(), 0.0);
-                let staged: &[EnvConditions] = if self.quantize_drop_bits.is_some() {
-                    &self.lane_env
-                } else {
-                    envs
-                };
                 self.harvester
                     .voc_batch()
                     .expect("FractionOfVoc windows require a harvester batch kernel")
-                    .voc_lanes(staged, &mut lane_voc);
-                for i in 0..staged.len() {
+                    .voc_lanes(envs, &mut lane_voc);
+                for i in 0..envs.len() {
                     // Same arithmetic as the scalar `Voc * k` in FOCV.
                     let v_op = Volts::new(lane_voc[i]) * k;
-                    out[i] = self.finish_step(v_op, &staged[i]);
+                    out[i] = self.finish_step(v_op, &envs[i]);
                 }
                 self.lane_voc = lane_voc;
             }
@@ -493,9 +426,8 @@ impl InputChannel {
     /// [`WindowChoice`] still resolves at this width the step is just a
     /// narrow window; otherwise each lane holds `held[i]` — its own
     /// previous window's operating voltage — exactly as the scalar
-    /// controller's stale-hold contract does. The hold path runs against
-    /// the raw snapshots (the scalar fractional step bypasses the memo
-    /// and its quantized tier entirely).
+    /// controller's stale-hold contract does (the scalar fractional step
+    /// bypasses the memo).
     ///
     /// # Panics
     ///
@@ -699,90 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_tier_hits_under_wandering_conditions() {
-        use crate::mppt::FractionalVoc;
-        let build = || {
-            InputChannel::new(
-                Box::new(PvModule::outdoor_panel_half_watt()),
-                Box::new(FractionalVoc::pv_standard()),
-                Box::new(IdealDiode::nanopower()),
-                Box::new(DcDcConverter::mppt_front_end_5v()),
-            )
-        };
-        // Irradiance drifts by ~0.005 % per step: the exact tier misses
-        // every step, the 44-bit quantized tier buckets them together.
-        let dt = Seconds::new(60.0);
-        let drift = |ch: &mut InputChannel| {
-            for i in 0..50 {
-                let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-                env.irradiance = WattsPerSqM::new(800.0 * (1.0 + 5e-5 * (i % 5) as f64));
-                ch.step(&env, dt);
-            }
-        };
-        let mut exact = build();
-        drift(&mut exact);
-        assert_eq!(exact.memo_stats().hits, 0, "exact tier must not bucket");
-
-        let mut quantized = build();
-        quantized.set_cache_quantization(Some(44));
-        assert_eq!(quantized.cache_quantization(), Some(44));
-        drift(&mut quantized);
-        assert!(
-            quantized.memo_stats().hits >= 40,
-            "{:?}",
-            quantized.memo_stats()
-        );
-    }
-
-    #[test]
-    fn quantized_replay_equals_exact_solve_of_quantized_input() {
-        // The verification contract: whatever the quantized tier returns
-        // must equal an uncached channel stepped on the pre-quantized
-        // snapshot. FixedPoint is env-pure on every step, so the
-        // quantized tier is engaged throughout.
-        let build = || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let bits = 44;
-        let mut quantized = build();
-        quantized.set_cache_quantization(Some(bits));
-        let mut reference = build();
-        reference.set_cache_enabled(false);
-        let dt = Seconds::new(60.0);
-        for i in 0..30 {
-            let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-            env.irradiance = WattsPerSqM::new(641.0 + 0.013 * (i % 7) as f64);
-            let a = quantized.step(&env, dt);
-            let b = reference.step(&env.quantize_mantissa(bits), dt);
-            assert_eq!(a, b, "step {i}");
-        }
-        // And the input perturbation stays within the documented bound.
-        let env = {
-            let mut e = EnvConditions::quiescent(Seconds::ZERO);
-            e.irradiance = WattsPerSqM::new(641.987);
-            e
-        };
-        let q = env.quantize_mantissa(bits);
-        let rel = (env.irradiance.value() - q.irradiance.value()).abs() / env.irradiance.value();
-        assert!(rel < 2f64.powi(bits as i32 - 52));
-    }
-
-    #[test]
-    fn switching_tiers_flushes_memos_and_zero_is_exact() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let env = sunny();
-        ch.step(&env, Seconds::new(1.0));
-        ch.step(&env, Seconds::new(1.0));
-        let invalidations = ch.memo_stats().invalidations;
-        ch.set_cache_quantization(Some(40));
-        assert!(ch.memo_stats().invalidations > invalidations);
-        // Some(0) normalizes to the exact tier.
-        ch.set_cache_quantization(Some(0));
-        assert_eq!(ch.cache_quantization(), None);
-        // Oversized widths clamp to the full mantissa.
-        ch.set_cache_quantization(Some(99));
-        assert_eq!(ch.cache_quantization(), Some(52));
-    }
-
-    #[test]
     fn swap_and_wrap_flush_the_memo() {
         let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
         let env = sunny();
@@ -880,33 +728,6 @@ mod tests {
             let mut scalar = build();
             scalar.step(&window_envs[i], dt);
             assert_eq!(scalar.step(&frac_envs[i], wide), resampled[i], "lane {i}");
-        }
-    }
-
-    #[test]
-    fn quantized_window_lanes_solve_the_truncated_snapshots() {
-        let bits = 44;
-        let dt = Seconds::new(60.0);
-        let envs: Vec<EnvConditions> = (0..6)
-            .map(|i| {
-                let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
-                env.irradiance = WattsPerSqM::new(641.987 + 0.013 * i as f64);
-                env
-            })
-            .collect();
-        let build = || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        let mut batched = build();
-        batched.set_cache_quantization(Some(bits));
-        let mut out = vec![HarvestStep::default(); envs.len()];
-        batched.window_lanes(&envs, dt, &mut out);
-        for (i, env) in envs.iter().enumerate() {
-            let mut scalar = build();
-            scalar.set_cache_enabled(false);
-            assert_eq!(
-                scalar.step(&env.quantize_mantissa(bits), dt),
-                out[i],
-                "lane {i}"
-            );
         }
     }
 

@@ -72,14 +72,15 @@ use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_battery_lanes, run_supercap_lanes, LanePopulation};
 use crate::fleet::{
     build_harvest_table, percentile, simulate_node, simulate_node_dense, DenseClass,
-    DenseSolveTier, DenseStore, EnvCadence, FleetControl, NodeBooks, NodeOutcome, PlatformFactory,
-    PolicyFactory, StepPlan, UptimePercentiles,
+    DenseSolveTier, DenseStore, EnvCadence, FleetControl, PlatformFactory, PolicyFactory,
+    UptimePercentiles,
 };
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 #[cfg(doc)]
 use crate::runner::run_simulation;
 use crate::runner::{SimConfig, SimResult};
+use crate::steps::{NodeBooks, NodeOutcome, StepPlan};
 use mseh_core::BusHarvest;
 use mseh_env::{EnvConditions, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
@@ -478,50 +479,28 @@ fn settle_lanes_in_lockstep(
         .iter()
         .map(|lane| NodeBooks::open(lane.total_stored_energy(), lane.storage_losses()))
         .collect();
-    let mut window: Vec<BusHarvest> =
-        Vec::with_capacity(plan.control_every.min(plan.steps) as usize);
-    let mut window_ordinal = 0usize;
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
+    let mut harvests: Vec<BusHarvest> = Vec::with_capacity(plan.max_window_len());
+    for window in plan.windows() {
         if tripped(cancel) {
             return Lockstep::Cancelled;
         }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
-        window.clear();
-        for j in window_start..window_end {
-            let step_dt = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => frac,
-                _ => plan.dt,
-            };
-            let env = match plan.cadence {
-                EnvCadence::PerStep => &rows[j as usize],
-                EnvCadence::PerWindow => &rows[window_ordinal],
-            };
-            match driver.harvest(env, step_dt) {
-                Some(harvest) => window.push(harvest),
-                None if j == 0 => return Lockstep::WholeSteps,
+        harvests.clear();
+        for step in window.steps() {
+            match driver.harvest(window.row(rows, &step), step.dt) {
+                Some(harvest) => harvests.push(harvest),
+                None if step.index == 0 => return Lockstep::WholeSteps,
                 None => panic!("{} stopped splitting its step mid-run", driver.name()),
             }
         }
 
         for ((lane, policy), books) in lanes.iter_mut().zip(policies.iter_mut()).zip(&mut books) {
-            let duty = policy.choose(node, &lane.energy_status().at(plan.time_at(window_start)));
-            let load = node.average_power(duty);
-            let demand = node.step(duty, plan.dt);
-            let load_energy = load * plan.dt;
-            for (j, harvest) in (window_start..window_end).zip(&window) {
-                let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
-                    Some(frac) if j == plan.full_steps => {
-                        (frac, node.step(duty, frac).samples, load * frac)
-                    }
-                    _ => (plan.dt, demand.samples, load_energy),
-                };
-                let report = lane.settle(harvest, step_dt, load);
-                books.record(&report, step_samples, step_load_energy);
+            let duty = policy.choose(node, &lane.energy_status().at(plan.time_at(window.start)));
+            let load = window.load(node, duty);
+            for (step, harvest) in window.steps().zip(&harvests) {
+                let report = lane.settle(harvest, step.dt, load.power);
+                books.record(&report, &load, &step);
             }
         }
-        window_start = window_end;
-        window_ordinal += 1;
     }
 
     Lockstep::Settled(
@@ -602,7 +581,7 @@ pub fn run_arena_controlled(
         }
     }
 
-    let plan = StepPlan::from_sim(sim, config.cadence, None);
+    let plan = StepPlan::from_sim(sim, config.cadence);
     let times = plan.table_times();
     let lanes_total = spec.lanes();
     let threads = if config.threads == 0 {

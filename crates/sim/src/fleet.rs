@@ -113,6 +113,7 @@ use crate::cancel::{tripped, CancelToken};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
+use crate::steps::{NodeBooks, NodeOutcome, StepPlan};
 use mseh_core::StepReport;
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
@@ -598,10 +599,6 @@ pub struct FleetConfig {
     pub shard_size: usize,
     /// How often member nodes re-sample site conditions.
     pub cadence: EnvCadence,
-    /// Kernel-cache key tier applied to every node's platform (`None` =
-    /// exact tier; `Some(m)` = quantized tier, see
-    /// [`Platform::set_kernel_cache_quantization`]).
-    pub quantize_drop_bits: Option<u32>,
     /// Also return a full [`SimResult`] per node (memory scales with
     /// population).
     pub keep_node_results: bool,
@@ -617,14 +614,13 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// Fleet defaults over `duration`: 60 s steps, 10-minute control
     /// windows, per-window cadence, auto threads, 1024-node shards,
-    /// exact cache tier, 8 stragglers.
+    /// 8 stragglers.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             threads: 0,
             shard_size: 0,
             cadence: EnvCadence::PerWindow,
-            quantize_drop_bits: None,
             keep_node_results: false,
             stragglers: 8,
             dense_tier: DenseSolveTier::Batched,
@@ -730,8 +726,8 @@ pub struct FleetSummary {
     /// Minimum store voltage seen by any node.
     pub min_store_voltage: Volts,
     /// Fleet-aggregated conservation residual: |Σ signed per-node
-    /// residuals| over total storage throughput (≈0; < 1e-6 asserted in
-    /// debug builds).
+    /// residuals| over total storage throughput (≈0; a run at or above
+    /// 1e-6 is an error, never a summary).
     pub audit_relative: f64,
     /// Worst single node's relative audit residual.
     pub worst_node_audit: f64,
@@ -758,245 +754,9 @@ pub struct FleetResult {
     pub node_results: Option<Vec<SimResult>>,
 }
 
-/// Shared, immutable step plan derived from the config (mirrors the
-/// single-run kernel's step arithmetic exactly).
-pub(crate) struct StepPlan {
-    pub(crate) dt: Seconds,
-    pub(crate) start_at: Seconds,
-    pub(crate) duration: Seconds,
-    pub(crate) full_steps: u64,
-    pub(crate) frac_dt: Option<Seconds>,
-    pub(crate) steps: u64,
-    pub(crate) control_every: u64,
-    pub(crate) cadence: EnvCadence,
-    pub(crate) quantize_drop_bits: Option<u32>,
-}
-
-impl StepPlan {
-    fn new(config: &FleetConfig) -> Self {
-        Self::from_sim(config.sim, config.cadence, config.quantize_drop_bits)
-    }
-
-    /// Builds the plan straight from a [`SimConfig`] plus the sampling
-    /// cadence and cache-key tier — shared with the policy arena, which
-    /// has no [`FleetConfig`].
-    pub(crate) fn from_sim(
-        sim: SimConfig,
-        cadence: EnvCadence,
-        quantize_drop_bits: Option<u32>,
-    ) -> Self {
-        assert!(sim.dt.value() > 0.0, "dt must be positive");
-        assert!(
-            sim.duration >= sim.dt,
-            "duration must cover at least one step"
-        );
-        // Identical step arithmetic to run_simulation: whole steps plus
-        // an explicit fractional closer, with the same dust guard.
-        let full_steps = (sim.duration.value() / sim.dt.value()).floor() as u64;
-        let frac_dt = {
-            let rem = sim.duration.value() - full_steps as f64 * sim.dt.value();
-            (rem > sim.dt.value() * 1e-9).then(|| Seconds::new(rem))
-        };
-        let steps = full_steps + u64::from(frac_dt.is_some());
-        let control_every = (sim.control_interval.value() / sim.dt.value())
-            .round()
-            .max(1.0) as u64;
-        Self {
-            dt: sim.dt,
-            start_at: sim.start_at,
-            duration: sim.duration,
-            full_steps,
-            frac_dt,
-            steps,
-            control_every,
-            cadence,
-            quantize_drop_bits,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn time_at(&self, i: u64) -> Seconds {
-        self.start_at + Seconds::new(i as f64 * self.dt.value())
-    }
-
-    /// Sample times for one site's condition table under the plan's
-    /// cadence.
-    pub(crate) fn table_times(&self) -> Vec<Seconds> {
-        match self.cadence {
-            EnvCadence::PerStep => (0..self.steps).map(|i| self.time_at(i)).collect(),
-            EnvCadence::PerWindow => (0..self.steps)
-                .step_by(self.control_every as usize)
-                .map(|w| self.time_at(w))
-                .collect(),
-        }
-    }
-}
-
-/// Everything the summary fold needs from one node, in plain scalars so
-/// shards stay cheap to ship back.
-#[derive(Clone)]
-pub(crate) struct NodeOutcome {
-    pub(crate) uptime: f64,
-    pub(crate) samples: f64,
-    pub(crate) harvested: Joules,
-    pub(crate) delivered: Joules,
-    pub(crate) shortfall: Joules,
-    pub(crate) demanded: Joules,
-    pub(crate) converter_losses: Joules,
-    pub(crate) brownout_steps: u64,
-    pub(crate) longest_outage_steps: u64,
-    pub(crate) min_store_voltage: Volts,
-    pub(crate) audit_residual: f64,
-    pub(crate) residual_signed: f64,
-    pub(crate) throughput: f64,
-    pub(crate) stranded: Joules,
-    pub(crate) cache: CacheStats,
-    pub(crate) interp_deviation: f64,
-}
-
-impl NodeOutcome {
-    pub(crate) fn to_sim_result(&self, duration: Seconds) -> SimResult {
-        SimResult {
-            duration,
-            uptime: self.uptime,
-            samples: self.samples,
-            harvested: self.harvested,
-            delivered: self.delivered,
-            shortfall: self.shortfall,
-            converter_losses: self.converter_losses,
-            brownout_steps: self.brownout_steps,
-            longest_outage_steps: self.longest_outage_steps,
-            min_store_voltage: self.min_store_voltage,
-            audit_residual: self.audit_residual,
-            traces: None,
-        }
-    }
-}
-
-/// One node's energy books, kept step by step exactly as the single-run
-/// kernel keeps them: energy totals, served-fraction-weighted samples,
-/// brown-out and outage runs and the minimum store voltage; closed with
-/// the storage conservation audit and uptime. The boxed and dense
-/// scalar node loops and the arena's lockstep all record into one.
-pub(crate) struct NodeBooks {
-    initial_stored: Joules,
-    initial_losses: Joules,
-    samples: f64,
-    harvested: Joules,
-    delivered: Joules,
-    shortfall: Joules,
-    demanded: Joules,
-    charged: Joules,
-    discharged: Joules,
-    converter_losses: Joules,
-    brownout_steps: u64,
-    outage_run: u64,
-    longest_outage: u64,
-    min_v: Volts,
-}
-
-impl NodeBooks {
-    /// Opens the books on a node holding `stored` (every store, backups
-    /// included) with `losses` dissipated so far.
-    pub(crate) fn open(stored: Joules, losses: Joules) -> Self {
-        Self {
-            initial_stored: stored,
-            initial_losses: losses,
-            samples: 0.0,
-            harvested: Joules::ZERO,
-            delivered: Joules::ZERO,
-            shortfall: Joules::ZERO,
-            demanded: Joules::ZERO,
-            charged: Joules::ZERO,
-            discharged: Joules::ZERO,
-            converter_losses: Joules::ZERO,
-            brownout_steps: 0,
-            outage_run: 0,
-            longest_outage: 0,
-            min_v: Volts::new(f64::INFINITY),
-        }
-    }
-
-    /// Books one step: its report, the samples a fully served step
-    /// would deliver, and the load energy it demanded.
-    #[inline]
-    pub(crate) fn record(&mut self, report: &StepReport, step_samples: f64, load_energy: Joules) {
-        self.harvested += report.harvested;
-        self.delivered += report.delivered;
-        self.shortfall += report.shortfall;
-        self.charged += report.charged;
-        self.discharged += report.discharged;
-        self.converter_losses += report.converter_loss;
-        self.demanded += load_energy;
-
-        let served_fraction = if report.shortfall.value() > 0.0 {
-            let full = (report.delivered + report.shortfall).value();
-            if full > 0.0 {
-                report.delivered.value() / full
-            } else {
-                0.0
-            }
-        } else {
-            1.0
-        };
-        self.samples += step_samples * served_fraction;
-
-        if report.shortfall.value() > 1e-12 {
-            self.brownout_steps += 1;
-            self.outage_run += 1;
-            self.longest_outage = self.longest_outage.max(self.outage_run);
-        } else {
-            self.outage_run = 0;
-        }
-        self.min_v = self.min_v.min(report.store_voltage);
-    }
-
-    /// Closes the books against the node's final stored energy and
-    /// losses. The audit residual is reported, not asserted: callers
-    /// check the aggregate.
-    pub(crate) fn close(
-        self,
-        stored: Joules,
-        losses: Joules,
-        stranded: Joules,
-        cache: CacheStats,
-    ) -> NodeOutcome {
-        let d_stored = stored - self.initial_stored;
-        let d_losses = losses - self.initial_losses;
-        let residual_signed = (self.charged - self.discharged - d_losses - d_stored).value();
-        let throughput = (self.harvested + self.discharged + self.charged)
-            .value()
-            .max(1.0);
-        let uptime = if self.demanded.value() > 0.0 {
-            1.0 - (self.shortfall.value() / self.demanded.value()).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        NodeOutcome {
-            uptime,
-            samples: self.samples,
-            harvested: self.harvested,
-            delivered: self.delivered,
-            shortfall: self.shortfall,
-            demanded: self.demanded,
-            converter_losses: self.converter_losses,
-            brownout_steps: self.brownout_steps,
-            longest_outage_steps: self.longest_outage,
-            min_store_voltage: self.min_v,
-            audit_residual: residual_signed.abs() / throughput,
-            residual_signed,
-            throughput,
-            stranded,
-            cache,
-            interp_deviation: 0.0,
-        }
-    }
-}
-
-/// Runs one node's full trajectory. The loop body replicates
-/// `run_simulation`'s unobserved hot path step for step — same window
-/// structure, same accumulator order, same audit — so a per-step-cadence
-/// fleet node is bit-identical to a standalone run. Returns `None` when
+/// Runs one node's full trajectory: `run_simulation`'s unobserved hot
+/// path over a pre-sampled condition table, so a per-step-cadence fleet
+/// node is bit-identical to a standalone run. Returns `None` when
 /// `cancel` trips, checked once per control window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_node(
@@ -1010,33 +770,17 @@ pub(crate) fn simulate_node(
     cancel: Option<&CancelToken>,
 ) -> Option<NodeOutcome> {
     let mut books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
-
-    let mut window_ordinal = 0usize;
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
+    for window in plan.windows() {
         if tripped(cancel) {
             return None;
         }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
         let duty = policy.choose(
             node,
-            &platform.energy_status().at(plan.time_at(window_start)),
+            &platform.energy_status().at(plan.time_at(window.start)),
         );
-        let load = node.average_power(duty);
-        let demand = node.step(duty, plan.dt);
-        let load_energy = load * plan.dt;
-
-        for j in window_start..window_end {
-            let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (plan.dt, demand.samples, load_energy),
-            };
-            let base = match plan.cadence {
-                EnvCadence::PerStep => &rows[j as usize],
-                EnvCadence::PerWindow => &rows[window_ordinal],
-            };
+        let load = window.load(node, duty);
+        for step in window.steps() {
+            let base = window.row(rows, &step);
             let local;
             let env = if jittered {
                 local = factors.apply(base);
@@ -1044,11 +788,9 @@ pub(crate) fn simulate_node(
             } else {
                 base
             };
-            let report = platform.step(env, step_dt, load);
-            books.record(&report, step_samples, step_load_energy);
+            let report = platform.step(env, step.dt, load.power);
+            books.record(&report, &load, &step);
         }
-        window_start = window_end;
-        window_ordinal += 1;
     }
 
     Some(books.close(
@@ -1088,28 +830,19 @@ pub(crate) fn build_harvest_table(
     out.reserve(plan.steps as usize);
     let mut calls = 0u64;
     let mut probed = false;
-    let mut window_ordinal = 0usize;
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
+    for window in plan.windows() {
         if tripped(cancel) {
             return None;
         }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
-        for j in window_start..window_end {
-            let step_dt = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => frac,
-                _ => plan.dt,
-            };
-            let replay =
-                plan.cadence == EnvCadence::PerWindow && j > window_start && step_dt == plan.dt;
+        for step in window.steps() {
+            let replay = plan.cadence == EnvCadence::PerWindow
+                && step.index > window.start
+                && step.dt == plan.dt;
             if replay {
-                out.push(out[window_start as usize]);
+                out.push(out[window.start as usize]);
                 continue;
             }
-            let base = match plan.cadence {
-                EnvCadence::PerStep => &rows[j as usize],
-                EnvCadence::PerWindow => &rows[window_ordinal],
-            };
+            let base = window.row(rows, &step);
             let local;
             let env = if jittered {
                 local = factors.apply(base);
@@ -1117,7 +850,7 @@ pub(crate) fn build_harvest_table(
             } else {
                 base
             };
-            out.push(channel.step(env, step_dt));
+            out.push(channel.step(env, step.dt));
             calls += 1;
             if !probed && plan.cadence == EnvCadence::PerWindow {
                 probed = true;
@@ -1130,8 +863,6 @@ pub(crate) fn build_harvest_table(
                 );
             }
         }
-        window_start = window_end;
-        window_ordinal += 1;
     }
     Some(calls)
 }
@@ -1139,8 +870,8 @@ pub(crate) fn build_harvest_table(
 /// Runs one dense-lane node: the per-step arithmetic of
 /// `PowerUnit::step` specialized to the one-channel/one-store shape,
 /// monomorphized over the concrete storage type, with the channel's
-/// work already materialized in `harvest`. Mirrors [`simulate_node`]'s
-/// accumulator order exactly so lane choice never changes a result.
+/// work already materialized in `harvest`. It keeps the same books as
+/// [`simulate_node`], so lane choice never changes a result.
 /// Returns `None` when `cancel` trips, checked once per control window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_node_dense<S: Storage + Clone>(
@@ -1162,12 +893,10 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
     let mut books = NodeBooks::open(store.stored_energy(), store.losses());
     let mut last_harvest = Watts::ZERO;
 
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
+    for window in plan.windows() {
         if tripped(cancel) {
             return None;
         }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
         // `PowerUnit::energy_status` for a single primary store: actual
         // SoC over the device capacity, believed stored energy over the
         // recognized capacity, clamped to the monitoring tier.
@@ -1186,19 +915,12 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
             )
             .clamped_to(monitoring)
         };
-        let duty = policy.choose(node, &status.at(plan.time_at(window_start)));
-        let load = node.average_power(duty);
-        let demand = node.step(duty, plan.dt);
-        let load_energy = load * plan.dt;
+        let duty = policy.choose(node, &status.at(plan.time_at(window.start)));
+        let load = window.load(node, duty);
 
-        for j in window_start..window_end {
-            let (step_dt, step_samples, step_load_energy) = match plan.frac_dt {
-                Some(frac) if j == plan.full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (plan.dt, demand.samples, load_energy),
-            };
-            let hs = &harvest[j as usize];
+        for step in window.steps() {
+            let step_dt = step.dt;
+            let hs = &harvest[step.index as usize];
 
             // --- PowerUnit::step, specialized ---
             let harvested_w = hs.delivered;
@@ -1206,9 +928,9 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
             last_harvest = harvested_w;
 
             let store_v = store.voltage();
-            let (load_in_w, servable) = if load.value() > 0.0 {
+            let (load_in_w, servable) = if load.power.value() > 0.0 {
                 if output.accepts_input_voltage(store_v) {
-                    (output.input_for_output(load, store_v), true)
+                    (output.input_for_output(load.power, store_v), true)
                 } else {
                     (Watts::ZERO, false)
                 }
@@ -1238,12 +960,12 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
             }
 
             let (step_delivered, step_shortfall, step_conv_loss) = if !servable {
-                (Joules::ZERO, load * step_dt, Joules::ZERO)
+                (Joules::ZERO, load.power * step_dt, Joules::ZERO)
             } else if e_load_in.value() > 0.0 {
                 let load_unmet = unmet.min(e_load_in);
                 let served_in = e_load_in - load_unmet;
                 let served = (served_in / e_load_in).clamp(0.0, 1.0);
-                let full_load = load * step_dt;
+                let full_load = load.power * step_dt;
                 let step_delivered = full_load * served;
                 (
                     step_delivered,
@@ -1267,9 +989,8 @@ pub(crate) fn simulate_node_dense<S: Storage + Clone>(
                 store_voltage: store.voltage(),
                 ..StepReport::default()
             };
-            books.record(&report, step_samples, step_load_energy);
+            books.record(&report, &load, &step);
         }
-        window_start = window_end;
     }
 
     Some(books.close(store.stored_energy(), store.losses(), Joules::ZERO, cache))
@@ -1319,10 +1040,11 @@ impl core::fmt::Debug for FleetControl<'_> {
 ///
 /// # Panics
 ///
-/// Panics on an empty population, a non-positive `dt`, or a duration
-/// shorter than one step. Long-running embeddings that must survive a
-/// malformed spec (the `mseh serve` daemon) use
-/// [`run_fleet_controlled`], which reports those as `Err` instead.
+/// Panics on an empty population, a non-positive `dt`, a duration
+/// shorter than one step, or a run whose energy books do not close.
+/// Long-running embeddings that must survive a malformed spec (the
+/// `mseh serve` daemon) use [`run_fleet_controlled`], which reports
+/// those as `Err` instead.
 pub fn run_fleet(spec: &FleetSpec, config: FleetConfig) -> FleetResult {
     match run_fleet_controlled(spec, config, FleetControl::default()) {
         Ok(Some(result)) => result,
@@ -1383,7 +1105,8 @@ fn validate_dense_class(g: &FleetGroup, class: &DenseClass) -> Result<(), String
 }
 
 /// [`run_fleet`] as a daemon-facing entry point: spec/config validation
-/// errors come back as `Err` instead of panicking, and a
+/// errors and energy books that fail the 1e-6 conservation audit come
+/// back as `Err` instead of panicking, and a
 /// [`FleetControl`] supplies optional cooperative cancellation
 /// (`Ok(None)` when the token trips — partial results are discarded,
 /// never returned torn) and progress reporting. An un-cancelled run
@@ -1421,7 +1144,7 @@ pub fn run_fleet_controlled(
             ));
         }
     }
-    let plan = StepPlan::new(&config);
+    let plan = StepPlan::from_sim(sim, config.cadence);
 
     // One contiguous condition table per site, sampled through the same
     // batched `conditions_into` contract the single-run kernel uses
@@ -1493,9 +1216,6 @@ pub fn run_fleet_controlled(
     let build_group_table =
         |factory: &ChannelFactory, site: usize| -> Option<(Vec<HarvestStep>, CacheStats)> {
             let mut channel = factory();
-            if plan.quantize_drop_bits.is_some() {
-                channel.set_cache_quantization(plan.quantize_drop_bits);
-            }
             let mut table = Vec::new();
             build_harvest_table(
                 &mut channel,
@@ -1652,9 +1372,6 @@ pub fn run_fleet_controlled(
                         let jittered = !g.jitter.is_none();
                         let mut platform = (g.platform)(node_seed);
                         let mut policy = (g.policy)(node_seed);
-                        if plan.quantize_drop_bits.is_some() {
-                            platform.set_kernel_cache_quantization(plan.quantize_drop_bits);
-                        }
                         match simulate_node(
                             platform.as_mut(),
                             &g.node,
@@ -1681,9 +1398,6 @@ pub fn run_fleet_controlled(
                             None => {
                                 let factors = JitterFactors::derive(g.jitter, node_seed);
                                 let mut channel = (g.channel)();
-                                if plan.quantize_drop_bits.is_some() {
-                                    channel.set_cache_quantization(plan.quantize_drop_bits);
-                                }
                                 calls = match build_harvest_table(
                                     &mut channel,
                                     &tables[g.site],
@@ -1842,10 +1556,12 @@ pub fn run_fleet_controlled(
         .collect();
 
     let audit_relative = residual_signed.abs() / throughput.max(1.0);
-    debug_assert!(
-        audit_relative < 1e-6,
-        "fleet-aggregated conservation residual {residual_signed} J"
-    );
+    if audit_relative.is_nan() || audit_relative >= 1e-6 {
+        return Err(format!(
+            "fleet energy books do not close: conservation residual {residual_signed} J \
+             ({audit_relative:.3e} of storage throughput, limit 1e-6)"
+        ));
+    }
     let served_fraction = if demanded.value() > 0.0 {
         1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
     } else {
@@ -2630,6 +2346,51 @@ mod tests {
         let err =
             run_fleet_controlled(&spec, bad_dt, FleetControl::default()).expect_err("zero dt");
         assert!(err.contains("dt must be positive"), "{err}");
+    }
+
+    /// A unit whose books claim twice the energy its stores hold.
+    struct Misreporting(PowerUnit);
+
+    impl Platform for Misreporting {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
+            self.0.step(env, dt, load)
+        }
+        fn energy_status(&self) -> EnergyStatus {
+            self.0.energy_status()
+        }
+        fn total_stored_energy(&self) -> Joules {
+            self.0.total_stored_energy() * 2.0
+        }
+        fn storage_losses(&self) -> Joules {
+            self.0.storage_losses()
+        }
+        fn storage_capacity(&self) -> Joules {
+            self.0.storage_capacity()
+        }
+    }
+
+    #[test]
+    fn books_that_do_not_close_are_an_error() {
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(Environment::outdoor_temperate(11));
+        spec.add_group(FleetGroup::new(
+            "misreporting",
+            2,
+            site,
+            SensorNode::submilliwatt_class(),
+            |_| Box::new(Misreporting(solar_unit())),
+            |_| Box::new(FixedDuty::new(duty())),
+        ));
+        let err = run_fleet_controlled(
+            &spec,
+            FleetConfig::over(Seconds::from_hours(12.0)),
+            FleetControl::default(),
+        )
+        .expect_err("a 2x stored-energy misreport breaks conservation");
+        assert!(err.contains("do not close"), "{err}");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! # Bit-identity
 //!
 //! Every pass replicates the scalar path's exact arithmetic — same
-//! operation order, same guard branches, same accumulator sequence as
+//! operation order, same guard branches, same books as
 //! [`simulate_node_dense`](super::simulate_node_dense) — and each
 //! lane's iterates are independent of its companions, so the result is
 //! bit-identical to the scalar tier *and* independent of how shards
@@ -43,10 +43,10 @@
 //! one-lane population's iterates equal any lane of a wider one. The
 //! fleet tests assert all of it.
 
-use super::{
-    ChannelFactory, DenseSolveTier, NodeOutcome, PolicyFactory, StepPlan, NODE_SEED_STREAM,
-};
+use super::{ChannelFactory, DenseSolveTier, PolicyFactory, NODE_SEED_STREAM};
 use crate::cancel::{tripped, CancelToken};
+use crate::steps::{NodeBooks, NodeOutcome, StepPlan, WindowLoad};
+use mseh_core::StepReport;
 use mseh_env::rng::Noise;
 use mseh_env::{EnvConditions, EnvJitter, JitterFactors};
 use mseh_harvesters::CacheStats;
@@ -170,44 +170,6 @@ impl StoreLanes for BatteryLanes {
     }
 }
 
-/// Per-lane running totals, mirroring `simulate_node_dense`'s locals.
-#[derive(Clone)]
-struct LaneAcc {
-    samples: f64,
-    harvested: Joules,
-    delivered: Joules,
-    shortfall: Joules,
-    demanded: Joules,
-    charged: Joules,
-    discharged: Joules,
-    brownout_steps: u64,
-    outage_run: u64,
-    longest_outage: u64,
-    converter_losses: Joules,
-    min_v: Volts,
-    last_harvest: Watts,
-}
-
-impl LaneAcc {
-    fn new() -> Self {
-        Self {
-            samples: 0.0,
-            harvested: Joules::ZERO,
-            delivered: Joules::ZERO,
-            shortfall: Joules::ZERO,
-            demanded: Joules::ZERO,
-            charged: Joules::ZERO,
-            discharged: Joules::ZERO,
-            brownout_steps: 0,
-            outage_run: 0,
-            longest_outage: 0,
-            converter_losses: Joules::ZERO,
-            min_v: Volts::new(f64::INFINITY),
-            last_harvest: Watts::ZERO,
-        }
-    }
-}
-
 /// Steps global nodes `lo..hi` of a supercap-store dense class as one
 /// lane population, pushing their [`NodeOutcome`]s onto `out` in node
 /// order. See [`run_lane_population`] for the shared semantics.
@@ -234,8 +196,7 @@ pub(super) fn simulate_supercap_run(
         view,
         solo,
         template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
+        NodeBooks::open(template.stored_energy(), template.losses()),
         interp_deviation,
         group_start,
         lo,
@@ -273,8 +234,7 @@ pub(super) fn simulate_battery_run(
         view,
         solo,
         template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
+        NodeBooks::open(template.stored_energy(), template.losses()),
         0.0,
         group_start,
         lo,
@@ -295,8 +255,7 @@ fn simulate_dense_run<L: StoreLanes>(
     view: &DenseView<'_>,
     solo: L,
     cap: Joules,
-    initial_stored: f64,
-    initial_losses: f64,
+    books: NodeBooks,
     interp_deviation: f64,
     group_start: u64,
     lo: u64,
@@ -322,15 +281,11 @@ fn simulate_dense_run<L: StoreLanes>(
     let harvest = match shared {
         Some(table) => LaneHarvest::Shared(table),
         None => {
-            let mut ch = (view.channel)();
-            if plan.quantize_drop_bits.is_some() {
-                ch.set_cache_quantization(plan.quantize_drop_bits);
-            }
             let factors: Vec<JitterFactors> = (0..lanes_n)
                 .map(|i| JitterFactors::derive(view.jitter, node_seed(i)))
                 .collect();
             LaneHarvest::Jittered {
-                channel: Box::new(ch),
+                channel: Box::new((view.channel)()),
                 factors,
                 rows,
             }
@@ -348,8 +303,7 @@ fn simulate_dense_run<L: StoreLanes>(
         &mut pop,
         solo,
         cap,
-        initial_stored,
-        initial_losses,
+        books,
         interp_deviation,
         harvest,
         plan,
@@ -381,8 +335,7 @@ pub(crate) fn run_supercap_lanes(
         pop,
         solo,
         template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
+        NodeBooks::open(template.stored_energy(), template.losses()),
         interp_deviation,
         LaneHarvest::Shared(table),
         plan,
@@ -407,8 +360,7 @@ pub(crate) fn run_battery_lanes(
         pop,
         solo,
         template.capacity(),
-        template.stored_energy().value(),
-        template.losses().value(),
+        NodeBooks::open(template.stored_energy(), template.losses()),
         0.0,
         LaneHarvest::Shared(table),
         plan,
@@ -418,7 +370,8 @@ pub(crate) fn run_battery_lanes(
 }
 
 /// The generic lane runner: steps one [`LanePopulation`] as a
-/// [`StoreLanes`] population, one lane per policy.
+/// [`StoreLanes`] population, one lane per policy, each lane keeping
+/// its own copy of the freshly opened `books`.
 ///
 /// [`LaneHarvest::Shared`] populations replay the class-wide table
 /// (cache counters are synthesized exactly as the scalar dense path
@@ -433,8 +386,7 @@ fn run_lane_population<L: StoreLanes>(
     pop: &mut LanePopulation<'_>,
     solo: L,
     cap: Joules,
-    initial_stored: f64,
-    initial_losses: f64,
+    books: NodeBooks,
     interp_deviation: f64,
     harvest: LaneHarvest<'_>,
     plan: &StepPlan,
@@ -442,7 +394,8 @@ fn run_lane_population<L: StoreLanes>(
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
     let lanes_n = pop.policies.len();
-    let recognized = cap;
+    let (node, output, monitoring) = (pop.node, pop.output, pop.monitoring);
+    let overhead_w = pop.supervisor_overhead + output.quiescent();
 
     let empty_rows: &[EnvConditions] = &[];
     let (shared, mut channel, factors, rows) = match harvest {
@@ -466,7 +419,25 @@ fn run_lane_population<L: StoreLanes>(
     // Lanes actually stepped this window (1 while uniform).
     let mut active = if uniform { 1 } else { lanes_n };
 
-    let mut acc: Vec<LaneAcc> = (0..lanes_n).map(|_| LaneAcc::new()).collect();
+    let mut books = vec![books; lanes_n];
+    // Each lane's latest bus harvest, for its policy's energy status.
+    let mut last_harvest = vec![Watts::ZERO; lanes_n];
+    // The exact `EnergyStatus` the scalar dense path composes from its
+    // store.
+    let status = |lanes: &L, i: usize, last_harvest: Watts| {
+        let soc_actual = if cap.value() > 0.0 {
+            lanes.stored_energy(i) / cap.value()
+        } else {
+            0.0
+        };
+        EnergyStatus::full(
+            Volts::new(lanes.voltage(i)),
+            Ratio::new(soc_actual),
+            cap * soc_actual,
+            last_harvest,
+        )
+        .clamped_to(monitoring)
+    };
 
     let mut jenvs: Vec<EnvConditions> = Vec::new();
     let mut whs: Vec<HarvestStep> = vec![HarvestStep::default(); lanes_n];
@@ -481,9 +452,9 @@ fn run_lane_population<L: StoreLanes>(
 
     // Per-window scratch from the policy prologue.
     let mut duties: Vec<DutyCycle> = vec![DutyCycle::ZERO; lanes_n];
-    let mut loads: Vec<Watts> = vec![Watts::ZERO; lanes_n];
-    let mut wsamples: Vec<f64> = vec![0.0; lanes_n];
+    let mut loads: Vec<WindowLoad> = Vec::with_capacity(lanes_n);
     // Per-step staging for the batched store transfer.
+    let mut e_h_l = vec![Joules::ZERO; lanes_n];
     let mut charge_w = vec![0.0f64; lanes_n];
     let mut discharge_w = vec![0.0f64; lanes_n];
     let mut charged_o = vec![0.0f64; lanes_n];
@@ -492,82 +463,51 @@ fn run_lane_population<L: StoreLanes>(
     let mut e_load_in_l = vec![Joules::ZERO; lanes_n];
     let mut servable_l = vec![true; lanes_n];
 
-    let mut window_ordinal = 0usize;
-    let mut window_start = 0u64;
-    while window_start < plan.steps {
+    for window in plan.windows() {
         if tripped(cancel) {
             return false;
         }
-        let window_end = (window_start + plan.control_every).min(plan.steps);
+        let t_win = plan.time_at(window.start);
 
-        // Policy prologue, per lane: the exact `EnergyStatus` the scalar
-        // dense path composes from its store. While uniform, every
-        // lane's state bit-equals lane 0's, so one status serves all
-        // policies — each of which is still driven, so stateful
-        // policies evolve exactly as scalar — and the population
-        // materializes on the first divergent duty.
+        // Policy prologue, per lane. While uniform, every lane's state
+        // bit-equals lane 0's, so one status serves all policies — each
+        // of which is still driven, so stateful policies evolve exactly
+        // as scalar — and the population materializes on the first
+        // divergent duty.
         if uniform {
-            let soc_actual = if cap.value() > 0.0 {
-                lanes.stored_energy(0) / cap.value()
-            } else {
-                0.0
-            };
-            let status = EnergyStatus::full(
-                Volts::new(lanes.voltage(0)),
-                Ratio::new(soc_actual),
-                recognized * soc_actual,
-                acc[0].last_harvest,
-            )
-            .clamped_to(pop.monitoring);
-            let timed = status.at(plan.time_at(window_start));
+            let timed = status(&lanes, 0, last_harvest[0]).at(t_win);
             let mut diverged = false;
             for i in 0..lanes_n {
-                duties[i] = pop.policies[i].choose(pop.node, &timed);
+                duties[i] = pop.policies[i].choose(node, &timed);
                 if duties[i].value().to_bits() != duties[0].value().to_bits() {
                     diverged = true;
                 }
             }
             if diverged {
                 lanes = lanes.replicate_lane0(lanes_n);
-                let a0 = acc[0].clone();
-                for a in acc.iter_mut().skip(1) {
-                    *a = a0.clone();
-                }
+                let (first, rest) = books.split_at_mut(1);
+                rest.fill(first[0].clone());
+                let first_harvest = last_harvest[0];
+                last_harvest.fill(first_harvest);
                 active = lanes_n;
                 uniform = false;
             }
-            for i in 0..active {
-                loads[i] = pop.node.average_power(duties[i]);
-                wsamples[i] = pop.node.step(duties[i], plan.dt).samples;
-            }
         } else {
             for i in 0..lanes_n {
-                let soc_actual = if cap.value() > 0.0 {
-                    lanes.stored_energy(i) / cap.value()
-                } else {
-                    0.0
-                };
-                let status = EnergyStatus::full(
-                    Volts::new(lanes.voltage(i)),
-                    Ratio::new(soc_actual),
-                    recognized * soc_actual,
-                    acc[i].last_harvest,
-                )
-                .clamped_to(pop.monitoring);
-                let duty = pop.policies[i].choose(pop.node, &status.at(plan.time_at(window_start)));
-                duties[i] = duty;
-                loads[i] = pop.node.average_power(duty);
-                wsamples[i] = pop.node.step(duty, plan.dt).samples;
+                let timed = status(&lanes, i, last_harvest[i]).at(t_win);
+                duties[i] = pop.policies[i].choose(node, &timed);
             }
         }
+        loads.clear();
+        loads.extend(duties[..active].iter().map(|&duty| window.load(node, duty)));
 
         // Harvest for the window: batched channel solve across lanes
         // (jittered) — the shared-table case reads per step below.
         if let Some(ch) = channel.as_mut() {
-            let base = &rows[window_ordinal];
+            let base = &rows[window.index];
             jenvs.clear();
             jenvs.extend(factors.iter().map(|f| f.apply(base)));
-            if window_start < plan.full_steps {
+            if window.has_whole_step() {
                 ch.window_lanes(&jenvs, plan.dt, &mut whs);
                 calls += 1;
                 for i in 0..lanes_n {
@@ -576,14 +516,9 @@ fn run_lane_population<L: StoreLanes>(
             }
         }
 
-        for j in window_start..window_end {
-            let frac_step = plan.frac_dt.is_some() && j == plan.full_steps;
-            let step_dt = if frac_step {
-                plan.frac_dt.expect("frac step implies frac_dt")
-            } else {
-                plan.dt
-            };
-            if frac_step {
+        for step in window.steps() {
+            let step_dt = step.dt;
+            if step.closer {
                 if let Some(ch) = channel.as_mut() {
                     ch.frac_lanes(&jenvs, &held, step_dt, &mut fhs);
                     calls += 1;
@@ -595,20 +530,20 @@ fn run_lane_population<L: StoreLanes>(
             // charge/discharge request.
             for i in 0..active {
                 let hs: &HarvestStep = match shared {
-                    Some(table) => &table[j as usize],
-                    None if frac_step => &fhs[i],
+                    Some(table) => &table[step.index as usize],
+                    None if step.closer => &fhs[i],
                     None => &whs[i],
                 };
-                let load = loads[i];
+                let load = loads[i].power;
 
                 let harvested_w = hs.delivered;
-                let overhead_w = pop.supervisor_overhead + pop.output.quiescent() + hs.overhead;
-                acc[i].last_harvest = harvested_w;
+                let overhead_w = overhead_w + hs.overhead;
+                last_harvest[i] = harvested_w;
 
                 let store_v = Volts::new(lanes.voltage(i));
                 let (load_in_w, servable) = if load.value() > 0.0 {
-                    if pop.output.accepts_input_voltage(store_v) {
-                        (pop.output.input_for_output(load, store_v), true)
+                    if output.accepts_input_voltage(store_v) {
+                        (output.input_for_output(load, store_v), true)
                     } else {
                         (Watts::ZERO, false)
                     }
@@ -636,9 +571,9 @@ fn run_lane_population<L: StoreLanes>(
                     }
                     deficit_l[i] = deficit;
                 }
+                e_h_l[i] = e_h;
                 e_load_in_l[i] = e_load_in;
                 servable_l[i] = servable;
-                acc[i].harvested += e_h;
             }
 
             // Batched transfer + idle: masked passes over the lanes,
@@ -652,17 +587,10 @@ fn run_lane_population<L: StoreLanes>(
                 &mut discharged_o[..active],
             );
 
-            // Pass B — the post-transfer half: shortfall split, sample
-            // accounting, outage tracking. Accumulator order matches the
-            // scalar step exactly.
+            // Pass B — the post-transfer half: the shortfall split, then
+            // the lane's books.
             for i in 0..active {
-                let load = loads[i];
-                let (step_samples, step_load_energy) = if frac_step {
-                    (pop.node.step(duties[i], step_dt).samples, load * step_dt)
-                } else {
-                    (wsamples[i], load * plan.dt)
-                };
-                let step_charged = Joules::new(charged_o[i]);
+                let load = loads[i].power;
                 let step_discharged = Joules::new(discharged_o[i]);
                 let unmet = (deficit_l[i] - step_discharged).max(Joules::ZERO);
                 let e_load_in = e_load_in_l[i];
@@ -684,38 +612,19 @@ fn run_lane_population<L: StoreLanes>(
                     (Joules::ZERO, Joules::ZERO, Joules::ZERO)
                 };
 
-                let a = &mut acc[i];
-                a.delivered += step_delivered;
-                a.shortfall += step_shortfall;
-                a.charged += step_charged;
-                a.discharged += step_discharged;
-                a.converter_losses += step_conv_loss;
-                a.demanded += step_load_energy;
-
-                let served_fraction = if step_shortfall.value() > 0.0 {
-                    let full = (step_delivered + step_shortfall).value();
-                    if full > 0.0 {
-                        step_delivered.value() / full
-                    } else {
-                        0.0
-                    }
-                } else {
-                    1.0
+                let report = StepReport {
+                    harvested: e_h_l[i],
+                    delivered: step_delivered,
+                    shortfall: step_shortfall,
+                    charged: Joules::new(charged_o[i]),
+                    discharged: step_discharged,
+                    converter_loss: step_conv_loss,
+                    store_voltage: Volts::new(lanes.voltage(i)),
+                    ..StepReport::default()
                 };
-                a.samples += step_samples * served_fraction;
-
-                if step_shortfall.value() > 1e-12 {
-                    a.brownout_steps += 1;
-                    a.outage_run += 1;
-                    a.longest_outage = a.longest_outage.max(a.outage_run);
-                } else {
-                    a.outage_run = 0;
-                }
-                a.min_v = a.min_v.min(Volts::new(lanes.voltage(i)));
+                books[i].record(&report, &loads[i], &step);
             }
         }
-        window_start = window_end;
-        window_ordinal += 1;
     }
 
     // Per-lane cache synthesis mirrors the scalar dense path: every
@@ -725,52 +634,27 @@ fn run_lane_population<L: StoreLanes>(
         hits: plan.steps - calls,
         ..CacheStats::default()
     };
-
-    let fold = |a: &LaneAcc, i: usize| -> NodeOutcome {
-        let d_stored = lanes.stored_energy(i) - initial_stored;
-        let d_losses = lanes.losses(i) - initial_losses;
-        let residual_signed = a.charged.value() - a.discharged.value() - d_losses - d_stored;
-        let throughput = (a.harvested + a.discharged + a.charged).value().max(1.0);
-        let audit_residual = residual_signed.abs() / throughput;
-        debug_assert!(
-            audit_residual < 1e-6,
-            "dense fleet node violated storage conservation: residual {residual_signed} J"
-        );
-        let uptime = if a.demanded.value() > 0.0 {
-            1.0 - (a.shortfall.value() / a.demanded.value()).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        NodeOutcome {
-            uptime,
-            samples: a.samples,
-            harvested: a.harvested,
-            delivered: a.delivered,
-            shortfall: a.shortfall,
-            demanded: a.demanded,
-            converter_losses: a.converter_losses,
-            brownout_steps: a.brownout_steps,
-            longest_outage_steps: a.longest_outage,
-            min_store_voltage: a.min_v,
-            audit_residual,
-            residual_signed,
-            throughput,
-            stranded: Joules::ZERO,
+    let close = |books: NodeBooks, i: usize| {
+        let mut outcome = books.close(
+            Joules::new(lanes.stored_energy(i)),
+            Joules::new(lanes.losses(i)),
+            Joules::ZERO,
             cache,
-            interp_deviation,
-        }
+        );
+        debug_assert!(
+            outcome.audit_residual < 1e-6,
+            "dense fleet node violated storage conservation: residual {} J",
+            outcome.residual_signed
+        );
+        outcome.interp_deviation = interp_deviation;
+        outcome
     };
 
     if uniform {
         // Never diverged: every member's trajectory is lane 0's.
-        let outcome = fold(&acc[0], 0);
-        for _ in 0..lanes_n {
-            out.push(outcome.clone());
-        }
+        out.extend(std::iter::repeat_n(close(books.swap_remove(0), 0), lanes_n));
     } else {
-        for (i, a) in acc.iter().enumerate() {
-            out.push(fold(a, i));
-        }
+        out.extend(books.into_iter().enumerate().map(|(i, b)| close(b, i)));
     }
     true
 }

@@ -73,6 +73,7 @@ mod parallel;
 mod platform;
 mod runner;
 pub mod serve;
+mod steps;
 mod sweep;
 
 pub use arena::{

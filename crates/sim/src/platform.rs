@@ -91,15 +91,6 @@ pub trait Platform {
         let _ = enabled;
     }
 
-    /// Selects the kernel cache's key tier: `None` is the exact tier,
-    /// `Some(m)` the opt-in quantized tier truncating `m` low mantissa
-    /// bits of each ambient field before keying and solving (ULP-bounded
-    /// input perturbation below `2^(m−52)` relative, per field).
-    /// Default: no-op for platforms without caches.
-    fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        let _ = drop_bits;
-    }
-
     /// Whether this platform's shape matches the fleet engine's
     /// monomorphized dense-lane class (one channel-backed harvester
     /// port, one primary-buffer store, no shared-port fabric), so a
@@ -159,10 +150,6 @@ impl Platform for PowerUnit {
 
     fn set_kernel_cache_enabled(&mut self, enabled: bool) {
         PowerUnit::set_kernel_cache_enabled(self, enabled)
-    }
-
-    fn set_kernel_cache_quantization(&mut self, drop_bits: Option<u32>) {
-        PowerUnit::set_kernel_cache_quantization(self, drop_bits)
     }
 
     fn supports_dense_kernels(&self) -> bool {

@@ -2,9 +2,11 @@
 //! environment, recording time series and enforcing energy conservation.
 
 use crate::cancel::{tripped, CancelToken};
+use crate::fleet::EnvCadence;
 use crate::metrics::MetricsRegistry;
 use crate::observe::{SimEvent, SimObserver, StepEnergies};
 use crate::platform::Platform;
+use crate::steps::{NodeBooks, StepPlan};
 use mseh_env::{EnvConditions, EnvSampler, Trace};
 use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{DutyCycle, Joules, Seconds, Volts};
@@ -94,7 +96,7 @@ pub struct SimResult {
     pub longest_outage_steps: u64,
     /// Minimum store voltage seen.
     pub min_store_voltage: Volts,
-    /// Residual of the bus-level conservation audit, as a fraction of
+    /// Residual of the storage conservation audit, as a fraction of
     /// total throughput (should be ≈0; asserted below 1e-6 in debug).
     pub audit_residual: f64,
     /// Recorded traces, when enabled.
@@ -116,12 +118,11 @@ impl SimResult {
 ///
 /// # Energy conservation
 ///
-/// The runner audits the bus identity
-/// `harvested + discharged = charged + spilled + served demand`
-/// accumulated over the whole run, and the storage identity
-/// `charged − discharged − losses = Δstored`. The combined residual is
-/// returned in [`SimResult::audit_residual`] and asserted small when
-/// debug assertions are on.
+/// The runner audits the storage identity
+/// `charged − discharged − losses = Δstored` accumulated over the whole
+/// run. The residual, relative to storage throughput, is returned in
+/// [`SimResult::audit_residual`] and asserted small when debug
+/// assertions are on.
 ///
 /// # Examples
 ///
@@ -236,29 +237,8 @@ pub(crate) fn run_simulation_core(
     observers: &mut [&mut dyn SimObserver],
     cancel: Option<&CancelToken>,
 ) -> Option<SimResult> {
-    assert!(config.dt.value() > 0.0, "dt must be positive");
-    assert!(
-        config.duration >= config.dt,
-        "duration must cover at least one step"
-    );
-
-    // Truncate to whole steps and close the horizon with an explicit
-    // fractional step: rounding the count would simulate up to half a
-    // step past (or short of) the requested span, and ceiling always
-    // overshoots. The dust guard keeps exact multiples (e.g. one day of
-    // 60 s steps) from growing a ~1e-13 s ghost step.
-    let full_steps = (config.duration.value() / config.dt.value()).floor() as u64;
-    let frac_dt = {
-        let rem = config.duration.value() - full_steps as f64 * config.dt.value();
-        (rem > config.dt.value() * 1e-9).then(|| Seconds::new(rem))
-    };
-    let steps = full_steps + u64::from(frac_dt.is_some());
-    let control_every = (config.control_interval.value() / config.dt.value())
-        .round()
-        .max(1.0) as u64;
-
-    let initial_stored = platform.total_stored_energy();
-    let initial_losses = platform.storage_losses();
+    let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
+    let mut books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
 
     fn emit(observers: &mut [&mut dyn SimObserver], event: SimEvent) {
         for obs in observers.iter_mut() {
@@ -334,25 +314,10 @@ pub(crate) fn run_simulation_core(
         );
     }
 
-    let mut samples = 0.0;
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut charged = Joules::ZERO;
-    let mut discharged = Joules::ZERO;
-    let mut spilled = Joules::ZERO;
-    let mut overheads = Joules::ZERO;
-    let mut converter_losses = Joules::ZERO;
-    let mut brownout_steps = 0u64;
-    let mut outage_run = 0u64;
-    let mut longest_outage = 0u64;
-    let mut min_v = Volts::new(f64::INFINITY);
-
     let mut traces = config.record.then(|| SimTraces {
-        store_voltage: Trace::with_capacity("store_voltage_v", steps as usize),
-        harvest_power: Trace::with_capacity("harvest_power_w", steps as usize),
-        duty: Trace::with_capacity("duty_cycle", steps as usize),
+        store_voltage: Trace::with_capacity("store_voltage_v", plan.steps as usize),
+        harvest_power: Trace::with_capacity("harvest_power_w", plan.steps as usize),
+        duty: Trace::with_capacity("duty_cycle", plan.steps as usize),
     });
 
     // The loop advances one control window at a time: the policy's duty
@@ -362,9 +327,7 @@ pub(crate) fn run_simulation_core(
     // Ambient conditions for the whole window are sampled in one
     // batched `conditions_into` call so samplers can amortize per-step
     // trig/noise setup.
-    let time_at =
-        |i: u64| -> Seconds { config.start_at + Seconds::new(i as f64 * config.dt.value()) };
-    let window_cap = control_every.min(steps) as usize;
+    let window_cap = plan.max_window_len();
     let mut times: Vec<Seconds> = Vec::with_capacity(window_cap);
     let mut conditions: Vec<EnvConditions> = Vec::with_capacity(window_cap);
     // One compact record per step accumulates here for the whole window
@@ -374,28 +337,24 @@ pub(crate) fn run_simulation_core(
     let mut step_records: Vec<StepEnergies> =
         Vec::with_capacity(if observing { window_cap } else { 0 });
 
-    let mut window_start = 0u64;
-    while window_start < steps {
+    for window in plan.windows() {
         // Cancellation checkpoint: at most one control window of work
         // happens after the token trips, and a cancelled run never
         // returns a torn partial result.
         if tripped(cancel) {
             return None;
         }
-        let window_end = (window_start + control_every).min(steps);
-        let duty = policy.choose(node, &platform.energy_status().at(time_at(window_start)));
-        let load = node.average_power(duty);
-        let demand = node.step(duty, config.dt);
-        let load_energy = load * config.dt;
+        let t_win = plan.time_at(window.start);
+        let duty = policy.choose(node, &platform.energy_status().at(t_win));
+        let load = window.load(node, duty);
 
         if observing {
-            let t_win = time_at(window_start);
             emit(
                 observers,
                 SimEvent::WindowStart {
                     time: t_win,
                     duty,
-                    load,
+                    load: load.power,
                     stored: platform.total_stored_energy(),
                     losses: platform.storage_losses(),
                 },
@@ -430,30 +389,12 @@ pub(crate) fn run_simulation_core(
         prev_duty = Some(duty);
 
         times.clear();
-        times.extend((window_start..window_end).map(time_at));
+        times.extend(window.steps().map(|step| plan.time_at(step.index)));
         env.conditions_into(&times, &mut conditions);
 
-        for (j, &t) in times.iter().enumerate() {
-            // The final step may be fractional (when the duration is not
-            // an exact multiple of dt); everything per-step scales by
-            // its actual width.
-            let (step_dt, step_samples, step_load_energy) = match frac_dt {
-                Some(frac) if window_start + j as u64 == full_steps => {
-                    (frac, node.step(duty, frac).samples, load * frac)
-                }
-                _ => (config.dt, demand.samples, load_energy),
-            };
-            let report = platform.step(&conditions[j], step_dt, load);
-
-            harvested += report.harvested;
-            delivered += report.delivered;
-            shortfall += report.shortfall;
-            charged += report.charged;
-            discharged += report.discharged;
-            spilled += report.spilled;
-            overheads += report.overhead;
-            converter_losses += report.converter_loss;
-            demanded += step_load_energy;
+        for ((step, &t), env_now) in window.steps().zip(&times).zip(&conditions) {
+            let report = platform.step(env_now, step.dt, load.power);
+            books.record(&report, &load, &step);
 
             if observing {
                 step_records.push(StepEnergies {
@@ -466,32 +407,10 @@ pub(crate) fn run_simulation_core(
                     shortfall: report.shortfall,
                 });
             }
-
-            let served_fraction = if report.shortfall.value() > 0.0 {
-                let full = (report.delivered + report.shortfall).value();
-                if full > 0.0 {
-                    report.delivered.value() / full
-                } else {
-                    0.0
-                }
-            } else {
-                1.0
-            };
-            samples += step_samples * served_fraction;
-
-            if report.shortfall.value() > 1e-12 {
-                brownout_steps += 1;
-                outage_run += 1;
-                longest_outage = longest_outage.max(outage_run);
-            } else {
-                outage_run = 0;
-            }
-            min_v = min_v.min(report.store_voltage);
-
             if let Some(tr) = traces.as_mut() {
                 tr.store_voltage.push(t, report.store_voltage.value());
                 tr.harvest_power
-                    .push(t, (report.harvested / step_dt).value());
+                    .push(t, (report.harvested / step.dt).value());
                 tr.duty.push(t, duty.value());
             }
         }
@@ -504,21 +423,15 @@ pub(crate) fn run_simulation_core(
                 obs.on_step_records(&step_records);
             }
             step_records.clear();
-            let t_end = if window_end == steps {
-                config.start_at + config.duration
-            } else {
-                time_at(window_end)
-            };
             emit(
                 observers,
                 SimEvent::WindowEnd {
-                    time: t_end,
+                    time: plan.window_end_time(&window),
                     stored: platform.total_stored_energy(),
                     losses: platform.storage_losses(),
                 },
             );
         }
-        window_start = window_end;
     }
 
     if observing {
@@ -538,39 +451,20 @@ pub(crate) fn run_simulation_core(
         emit(observers, SimEvent::RunEnd { time: t_end });
     }
 
-    // Audit. Bus: harvested + discharged − charged − spilled = served
-    // demand (load input + overheads − unserved). We don't observe
-    // unserved bus energy directly, but the storage identity closes the
-    // loop: charged − discharged − storage losses = Δstored.
-    let d_stored = platform.total_stored_energy() - initial_stored;
-    let d_losses = platform.storage_losses() - initial_losses;
-    let storage_residual = (charged - discharged - d_losses - d_stored).value();
-    let throughput = (harvested + discharged + charged).value().max(1.0);
-    let audit_residual = storage_residual.abs() / throughput;
-    debug_assert!(
-        audit_residual < 1e-6,
-        "storage conservation violated: residual {storage_residual} J"
+    let outcome = books.close(
+        platform.total_stored_energy(),
+        platform.storage_losses(),
+        platform.stranded_energy(),
+        platform.kernel_cache_stats(),
     );
-
-    let uptime = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-
+    debug_assert!(
+        outcome.audit_residual < 1e-6,
+        "storage conservation violated: residual {} J",
+        outcome.residual_signed
+    );
     Some(SimResult {
-        duration: config.duration,
-        uptime,
-        samples,
-        harvested,
-        delivered,
-        shortfall,
-        converter_losses,
-        brownout_steps,
-        longest_outage_steps: longest_outage,
-        min_store_voltage: min_v,
-        audit_residual,
         traces,
+        ..outcome.to_sim_result(config.duration)
     })
 }
 

@@ -1,0 +1,367 @@
+//! The step arithmetic, the control-window walk and the energy books
+//! that every step loop shares: the single-run kernel, the boxed and
+//! dense fleet nodes, the dense lane populations and the arena's boxed
+//! lockstep.
+//!
+//! A run is whole `dt` steps plus, when the horizon is not a multiple
+//! of `dt`, one fractional closing step, grouped into control windows
+//! of `control_interval / dt` steps (rounded, at least one). Each
+//! window's policy decision fixes its load; the books record every
+//! step's power flow and close with the storage conservation audit.
+
+use crate::fleet::EnvCadence;
+use crate::runner::{SimConfig, SimResult};
+use mseh_core::StepReport;
+use mseh_env::EnvConditions;
+use mseh_harvesters::CacheStats;
+use mseh_node::SensorNode;
+use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts};
+
+/// The step and window geometry of one run, derived from its
+/// [`SimConfig`] and the condition-sampling cadence.
+pub(crate) struct StepPlan {
+    pub(crate) dt: Seconds,
+    pub(crate) duration: Seconds,
+    /// Steps per run, the fractional closer included.
+    pub(crate) steps: u64,
+    pub(crate) cadence: EnvCadence,
+    start_at: Seconds,
+    full_steps: u64,
+    frac_dt: Option<Seconds>,
+    control_every: u64,
+}
+
+impl StepPlan {
+    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
+        assert!(sim.dt.value() > 0.0, "dt must be positive");
+        assert!(
+            sim.duration >= sim.dt,
+            "duration must cover at least one step"
+        );
+        // Truncate to whole steps and close the horizon with an explicit
+        // fractional step: rounding the count would simulate up to half a
+        // step past (or short of) the requested span, and ceiling always
+        // overshoots. The dust guard keeps exact multiples (e.g. one day of
+        // 60 s steps) from growing a ~1e-13 s ghost step.
+        let full_steps = (sim.duration.value() / sim.dt.value()).floor() as u64;
+        let frac_dt = {
+            let rem = sim.duration.value() - full_steps as f64 * sim.dt.value();
+            (rem > sim.dt.value() * 1e-9).then(|| Seconds::new(rem))
+        };
+        let control_every = (sim.control_interval.value() / sim.dt.value())
+            .round()
+            .max(1.0) as u64;
+        Self {
+            dt: sim.dt,
+            start_at: sim.start_at,
+            duration: sim.duration,
+            steps: full_steps + u64::from(frac_dt.is_some()),
+            cadence,
+            full_steps,
+            frac_dt,
+            control_every,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn time_at(&self, i: u64) -> Seconds {
+        self.start_at + Seconds::new(i as f64 * self.dt.value())
+    }
+
+    /// The most steps any one window holds.
+    pub(crate) fn max_window_len(&self) -> usize {
+        self.control_every.min(self.steps) as usize
+    }
+
+    /// Sample times for one site's condition table under the plan's
+    /// cadence.
+    pub(crate) fn table_times(&self) -> Vec<Seconds> {
+        match self.cadence {
+            EnvCadence::PerStep => (0..self.steps).map(|i| self.time_at(i)).collect(),
+            EnvCadence::PerWindow => self.windows().map(|w| self.time_at(w.start)).collect(),
+        }
+    }
+
+    /// The control windows, in order.
+    pub(crate) fn windows(&self) -> impl Iterator<Item = Window> + '_ {
+        (0..self.steps)
+            .step_by(self.control_every as usize)
+            .enumerate()
+            .map(move |(index, start)| {
+                let end = (start + self.control_every).min(self.steps);
+                Window {
+                    index,
+                    start,
+                    end,
+                    dt: self.dt,
+                    closer: self
+                        .frac_dt
+                        .filter(|_| end > self.full_steps)
+                        .map(|frac| (self.full_steps, frac)),
+                    cadence: self.cadence,
+                }
+            })
+    }
+
+    /// When `window` ends: the next window's start, or the horizon.
+    pub(crate) fn window_end_time(&self, window: &Window) -> Seconds {
+        if window.end == self.steps {
+            self.start_at + self.duration
+        } else {
+            self.time_at(window.end)
+        }
+    }
+}
+
+/// One control window: steps `start..end`, whose load the policy fixes
+/// at the window's first step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    /// Position in the run: the window's row in a per-window table.
+    pub(crate) index: usize,
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+    dt: Seconds,
+    /// Index and width of the fractional closer, when it is in here.
+    closer: Option<(u64, Seconds)>,
+    cadence: EnvCadence,
+}
+
+/// One step of a [`Window`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// Step index within the run.
+    pub(crate) index: u64,
+    pub(crate) dt: Seconds,
+    /// Whether this is the fractional closing step.
+    pub(crate) closer: bool,
+}
+
+impl Window {
+    #[inline]
+    pub(crate) fn steps(&self) -> impl Iterator<Item = Step> {
+        let (dt, closer) = (self.dt, self.closer);
+        (self.start..self.end).map(move |index| match closer {
+            Some((k, frac)) if k == index => Step {
+                index,
+                dt: frac,
+                closer: true,
+            },
+            _ => Step {
+                index,
+                dt,
+                closer: false,
+            },
+        })
+    }
+
+    /// Whether the window holds at least one whole `dt` step (only a
+    /// window holding nothing but the closer does not).
+    pub(crate) fn has_whole_step(&self) -> bool {
+        self.closer.is_none_or(|(k, _)| self.start < k)
+    }
+
+    /// The conditions row `step` reads from a condition table sampled
+    /// at the plan's cadence.
+    #[inline]
+    pub(crate) fn row<'r>(&self, rows: &'r [EnvConditions], step: &Step) -> &'r EnvConditions {
+        match self.cadence {
+            EnvCadence::PerStep => &rows[step.index as usize],
+            EnvCadence::PerWindow => &rows[self.index],
+        }
+    }
+
+    /// What `duty` draws in this window.
+    pub(crate) fn load(&self, node: &SensorNode, duty: DutyCycle) -> WindowLoad {
+        let power = node.average_power(duty);
+        WindowLoad {
+            power,
+            samples: node.step(duty, self.dt).samples,
+            energy: power * self.dt,
+            closer: self
+                .closer
+                .map(|(_, frac)| (node.step(duty, frac).samples, power * frac)),
+        }
+    }
+}
+
+/// One window's load: the power its duty draws, and the samples and
+/// load energy of a fully served whole step and closer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowLoad {
+    pub(crate) power: Watts,
+    samples: f64,
+    energy: Joules,
+    closer: Option<(f64, Joules)>,
+}
+
+impl WindowLoad {
+    #[inline]
+    fn at(&self, step: &Step) -> (f64, Joules) {
+        match self.closer {
+            Some(closer) if step.closer => closer,
+            _ => (self.samples, self.energy),
+        }
+    }
+}
+
+/// Everything the summary folds need from one node or lane, in plain
+/// scalars so shards stay cheap to ship back.
+#[derive(Clone)]
+pub(crate) struct NodeOutcome {
+    pub(crate) uptime: f64,
+    pub(crate) samples: f64,
+    pub(crate) harvested: Joules,
+    pub(crate) delivered: Joules,
+    pub(crate) shortfall: Joules,
+    pub(crate) demanded: Joules,
+    pub(crate) converter_losses: Joules,
+    pub(crate) brownout_steps: u64,
+    pub(crate) longest_outage_steps: u64,
+    pub(crate) min_store_voltage: Volts,
+    pub(crate) audit_residual: f64,
+    pub(crate) residual_signed: f64,
+    pub(crate) throughput: f64,
+    pub(crate) stranded: Joules,
+    pub(crate) cache: CacheStats,
+    pub(crate) interp_deviation: f64,
+}
+
+impl NodeOutcome {
+    pub(crate) fn to_sim_result(&self, duration: Seconds) -> SimResult {
+        SimResult {
+            duration,
+            uptime: self.uptime,
+            samples: self.samples,
+            harvested: self.harvested,
+            delivered: self.delivered,
+            shortfall: self.shortfall,
+            converter_losses: self.converter_losses,
+            brownout_steps: self.brownout_steps,
+            longest_outage_steps: self.longest_outage_steps,
+            min_store_voltage: self.min_store_voltage,
+            audit_residual: self.audit_residual,
+            traces: None,
+        }
+    }
+}
+
+/// One node's energy books, kept step by step: energy totals,
+/// served-fraction-weighted samples, brown-out and outage runs and the
+/// minimum store voltage; closed with the storage conservation audit
+/// and uptime.
+#[derive(Clone)]
+pub(crate) struct NodeBooks {
+    initial_stored: Joules,
+    initial_losses: Joules,
+    samples: f64,
+    harvested: Joules,
+    delivered: Joules,
+    shortfall: Joules,
+    demanded: Joules,
+    charged: Joules,
+    discharged: Joules,
+    converter_losses: Joules,
+    brownout_steps: u64,
+    outage_run: u64,
+    longest_outage: u64,
+    min_v: Volts,
+}
+
+impl NodeBooks {
+    /// Opens the books on a node holding `stored` (every store, backups
+    /// included) with `losses` dissipated so far.
+    pub(crate) fn open(stored: Joules, losses: Joules) -> Self {
+        Self {
+            initial_stored: stored,
+            initial_losses: losses,
+            samples: 0.0,
+            harvested: Joules::ZERO,
+            delivered: Joules::ZERO,
+            shortfall: Joules::ZERO,
+            demanded: Joules::ZERO,
+            charged: Joules::ZERO,
+            discharged: Joules::ZERO,
+            converter_losses: Joules::ZERO,
+            brownout_steps: 0,
+            outage_run: 0,
+            longest_outage: 0,
+            min_v: Volts::new(f64::INFINITY),
+        }
+    }
+
+    /// Books `step`'s report under its window's `load`.
+    #[inline]
+    pub(crate) fn record(&mut self, report: &StepReport, load: &WindowLoad, step: &Step) {
+        let (step_samples, load_energy) = load.at(step);
+        self.harvested += report.harvested;
+        self.delivered += report.delivered;
+        self.shortfall += report.shortfall;
+        self.charged += report.charged;
+        self.discharged += report.discharged;
+        self.converter_losses += report.converter_loss;
+        self.demanded += load_energy;
+
+        let served_fraction = if report.shortfall.value() > 0.0 {
+            let full = (report.delivered + report.shortfall).value();
+            if full > 0.0 {
+                report.delivered.value() / full
+            } else {
+                0.0
+            }
+        } else {
+            1.0
+        };
+        self.samples += step_samples * served_fraction;
+
+        if report.shortfall.value() > 1e-12 {
+            self.brownout_steps += 1;
+            self.outage_run += 1;
+            self.longest_outage = self.longest_outage.max(self.outage_run);
+        } else {
+            self.outage_run = 0;
+        }
+        self.min_v = self.min_v.min(report.store_voltage);
+    }
+
+    /// Closes the books against the node's final stored energy and
+    /// losses. The audit residual is reported, not asserted: callers
+    /// check it.
+    pub(crate) fn close(
+        self,
+        stored: Joules,
+        losses: Joules,
+        stranded: Joules,
+        cache: CacheStats,
+    ) -> NodeOutcome {
+        let d_stored = stored - self.initial_stored;
+        let d_losses = losses - self.initial_losses;
+        let residual_signed = (self.charged - self.discharged - d_losses - d_stored).value();
+        let throughput = (self.harvested + self.discharged + self.charged)
+            .value()
+            .max(1.0);
+        let uptime = if self.demanded.value() > 0.0 {
+            1.0 - (self.shortfall.value() / self.demanded.value()).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        NodeOutcome {
+            uptime,
+            samples: self.samples,
+            harvested: self.harvested,
+            delivered: self.delivered,
+            shortfall: self.shortfall,
+            demanded: self.demanded,
+            converter_losses: self.converter_losses,
+            brownout_steps: self.brownout_steps,
+            longest_outage_steps: self.longest_outage,
+            min_store_voltage: self.min_v,
+            audit_residual: residual_signed.abs() / throughput,
+            residual_signed,
+            throughput,
+            stranded,
+            cache,
+            interp_deviation: 0.0,
+        }
+    }
+}

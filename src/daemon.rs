@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | `single` | `system`, `env`, `days`, `seed`, `policy` | one [`run_simulation`] |
 //! | `campaign` | `system`, `days`, `seed`, `seeds` | a resilience campaign |
-//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `dense_tier`, `shard_size` | a fleet run |
+//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `shard_size` | a fleet run |
 //! | `arena` | `system`, `env`, `days`, `seed`, `seeds`, `roster` | a policy arena |
 //!
 //! Every field is optional except `system`; defaults mirror the CLI.
@@ -33,8 +33,8 @@ use mseh_sim::serve::{JobContext, JobOutput, JobRunner, JobSpec, PreparedJob};
 use mseh_sim::{
     default_contenders, run_arena_controlled, run_fleet_controlled,
     run_resilience_campaign_cancellable, run_simulation_cancellable, ArenaConfig, ArenaSpec,
-    ArenaSummary, CampaignConfig, CampaignSummary, Contender, DenseSolveTier, FleetConfig,
-    FleetControl, FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult,
+    ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetControl,
+    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult,
 };
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
@@ -50,8 +50,6 @@ const MAX_SEEDS: u64 = 4096;
 /// Largest accepted fleet shard size (one shard is one worker task; a
 /// larger value degrades progress streaming, not correctness).
 const MAX_SHARD_SIZE: u64 = 1 << 20;
-/// Largest accepted interpolation-table knot count for the dense tier.
-const MAX_INTERP_SAMPLES: u64 = 1 << 20;
 /// Largest accepted arena roster.
 const MAX_CONTENDERS: usize = 256;
 
@@ -146,35 +144,6 @@ pub fn make_roster(spec: &str) -> Result<Vec<Contender>, String> {
         ));
     }
     Ok(roster)
-}
-
-/// Parses a dense solve tier from its CLI/wire spelling
-/// (`scalar | batched | interp:<samples ≥ 2>`). The tier governs dense
-/// and opted-in groups; boxed groups without a dense class ignore it,
-/// so the digest of a plain boxed fleet is tier-invariant.
-pub fn parse_dense_tier(spec: &str) -> Result<DenseSolveTier, String> {
-    if let Some(samples) = spec.strip_prefix("interp:") {
-        let n: u64 = samples
-            .parse()
-            .map_err(|e| format!("interp samples: {e}"))?;
-        if !(2..=MAX_INTERP_SAMPLES).contains(&n) {
-            return Err(format!(
-                "interp samples must be in 2..={MAX_INTERP_SAMPLES}, got {n}"
-            ));
-        }
-        return Ok(DenseSolveTier::Interpolated {
-            samples: n as usize,
-        });
-    }
-    Ok(match spec {
-        "scalar" => DenseSolveTier::Scalar,
-        "batched" => DenseSolveTier::Batched,
-        other => {
-            return Err(format!(
-                "unknown dense tier {other:?} (use scalar, batched, or interp:<samples>)"
-            ))
-        }
-    })
 }
 
 /// Bit-exact digest of a single run's summary — the `digest` in a
@@ -306,7 +275,6 @@ fn allowed_fields(kind: &str) -> &'static [&'static str] {
             "population",
             "policy",
             "jitter",
-            "dense_tier",
             "shard_size",
         ],
         "arena" => &["system", "env", "days", "seed", "seeds", "roster"],
@@ -516,10 +484,6 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
     if !jitter.is_finite() || !(0.0..=1.0).contains(&jitter) {
         return Err(format!("jitter must be in 0..=1, got {jitter}"));
     }
-    let dense_tier = match spec.get("dense_tier") {
-        None => DenseSolveTier::Batched,
-        Some(v) => parse_dense_tier(v)?,
-    };
     let shard_size = parse_u64_field(spec, "shard_size", 16)?;
     if shard_size == 0 || shard_size > MAX_SHARD_SIZE {
         return Err(format!(
@@ -532,7 +496,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
         run: Box::new(move |ctx| {
             let Some(result) = run_fleet_controlled(
                 &build_fleet_spec(system, &env_kind, seed, population, &policy_spec, jitter),
-                fleet_config(days, dense_tier, shard_size as usize),
+                fleet_config(days, shard_size as usize),
                 FleetControl {
                     cancel: Some(ctx.cancel_token()),
                     progress: Some(&|done: u64, total: u64| {
@@ -547,7 +511,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
                 return Ok(None);
             };
             let s = &result.summary;
-            let mut fields = vec![
+            let fields = vec![
                 ("population".into(), s.population.to_string()),
                 ("uptime_mean".into(), format!("{:.6}", s.uptime.mean)),
                 ("uptime_min".into(), format!("{:.6}", s.uptime.min)),
@@ -559,15 +523,6 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
                 ("delivered_j".into(), format!("{:.6}", s.delivered.value())),
                 ("audit".into(), format!("{:.3e}", s.audit_relative)),
             ];
-            // Interpolated runs report their accuracy envelope on the
-            // wire: the worst per-step voltage deviation any node's
-            // interpolated solve showed against the exact kernel.
-            if matches!(dense_tier, DenseSolveTier::Interpolated { .. }) {
-                fields.push((
-                    "interp_max_dev".into(),
-                    format!("{:.6e}", s.interp_max_deviation),
-                ));
-            }
             Ok(Some(JobOutput {
                 digest: digest_fleet(s),
                 fields,
@@ -690,12 +645,8 @@ pub fn build_fleet_spec(
 /// The exact [`FleetConfig`] a `fleet` job runs under (the wire
 /// default shard size of 16 is kept small so progress events arrive
 /// while the job streams).
-pub fn fleet_config(days: f64, dense_tier: DenseSolveTier, shard_size: usize) -> FleetConfig {
-    FleetConfig {
-        shard_size,
-        dense_tier,
-        ..FleetConfig::over(Seconds::from_days(days))
-    }
+pub fn fleet_config(days: f64, shard_size: usize) -> FleetConfig {
+    FleetConfig::over(Seconds::from_days(days)).with_shard_size(shard_size)
 }
 
 #[cfg(test)]
@@ -748,32 +699,20 @@ mod tests {
             .prepare(&spec("campaign", &[("system", "A"), ("seeds", "0")]))
             .is_err());
         assert!(catalog.prepare(&spec("mystery", &[])).is_err());
-        // Solve-tier and shard-geometry knobs: fleet-only, range-checked.
+        // Shard geometry: fleet-only, range-checked.
         assert!(catalog
-            .prepare(&spec(
-                "fleet",
-                &[
-                    ("system", "A"),
-                    ("dense_tier", "interp:4096"),
-                    ("shard_size", "8")
-                ]
-            ))
+            .prepare(&spec("fleet", &[("system", "A"), ("shard_size", "8")]))
             .is_ok());
-        assert!(catalog
-            .prepare(&spec("fleet", &[("system", "A"), ("dense_tier", "warp")]))
-            .is_err());
-        assert!(catalog
-            .prepare(&spec(
-                "fleet",
-                &[("system", "A"), ("dense_tier", "interp:1")]
-            ))
-            .is_err());
         assert!(catalog
             .prepare(&spec("fleet", &[("system", "A"), ("shard_size", "0")]))
             .is_err());
         assert!(catalog
+            .prepare(&spec("single", &[("system", "A"), ("shard_size", "8")]))
+            .is_err());
+        // Daemon fleets are boxed-only, so there is no solve tier to pick.
+        assert!(catalog
             .prepare(&spec(
-                "single",
+                "fleet",
                 &[("system", "A"), ("dense_tier", "batched")]
             ))
             .is_err());
@@ -832,20 +771,6 @@ mod tests {
         let mut tweaked = out.summary;
         tweaked.standings[0].served_fraction += 1e-12;
         assert_ne!(d1, digest_arena(&tweaked));
-    }
-
-    #[test]
-    fn dense_tier_spellings_round_trip() {
-        assert_eq!(parse_dense_tier("scalar"), Ok(DenseSolveTier::Scalar));
-        assert_eq!(parse_dense_tier("batched"), Ok(DenseSolveTier::Batched));
-        assert_eq!(
-            parse_dense_tier("interp:512"),
-            Ok(DenseSolveTier::Interpolated { samples: 512 })
-        );
-        assert!(parse_dense_tier("interp:").is_err());
-        assert!(parse_dense_tier("interp:1").is_err());
-        assert!(parse_dense_tier("interp:-4").is_err());
-        assert!(parse_dense_tier("INTERP:8").is_err());
     }
 
     #[test]

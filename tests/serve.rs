@@ -18,7 +18,7 @@ use mseh::daemon::{
 use mseh::node::SensorNode;
 use mseh::sim::serve::protocol::parse_line;
 use mseh::sim::serve::{serve, ServeConfig, ServerHandle};
-use mseh::sim::{run_arena, run_fleet, run_simulation, ArenaConfig, DenseSolveTier, SimConfig};
+use mseh::sim::{run_arena, run_fleet, run_simulation, ArenaConfig, SimConfig};
 use mseh::systems::SystemId;
 use mseh::units::Seconds;
 
@@ -213,7 +213,7 @@ fn streamed_fleet_digest_matches_direct_run_bit_for_bit() {
     let wire_digest = field(&result, "digest").expect("digest field");
 
     let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.1);
-    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 16));
+    let direct = run_fleet(&spec, fleet_config(0.1, 16));
     assert_eq!(
         wire_digest,
         format!("{:016x}", digest_fleet(&direct.summary)),
@@ -228,63 +228,23 @@ fn batched_tier_fleet_job_digest_matches_direct_run_bit_for_bit() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
 
-    // Explicit solve-tier and shard-geometry fields on the wire; the
-    // in-process reproduction passes the same knobs straight to the
-    // fleet engine and the digests must agree bit for bit.
+    // An explicit shard-geometry field on the wire; the in-process
+    // reproduction passes the same knob straight to the fleet engine and
+    // the digests must agree bit for bit.
     let result = run_to_result(
         &mut client,
         "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;jitter=0.1;\
-         dense_tier=batched;shard_size=8",
+         shard_size=8",
     );
     let wire_digest = field(&result, "digest").expect("digest field");
 
     let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.1);
-    let direct = run_fleet(&spec, fleet_config(0.1, DenseSolveTier::Batched, 8));
+    let direct = run_fleet(&spec, fleet_config(0.1, 8));
     assert_eq!(
         wire_digest,
         format!("{:016x}", digest_fleet(&direct.summary)),
-        "batched-tier wire job and direct fleet engine disagree bit-for-bit"
+        "sharded wire job and direct fleet engine disagree bit-for-bit"
     );
-
-    handle.shutdown_and_wait();
-}
-
-#[test]
-fn interpolated_fleet_job_reports_its_deviation_envelope_on_the_wire() {
-    let handle = start(8, 2);
-    let mut client = Client::connect(&handle);
-
-    let result = run_to_result(
-        &mut client,
-        "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
-         dense_tier=interp:64",
-    );
-    let wire_dev = field(&result, "interp_max_dev").expect("interp_max_dev field");
-
-    // Round-trip: the wire value must be exactly the direct run's
-    // summary field under the same formatting.
-    let spec = build_fleet_spec(SystemId::E, "office", 5, 24, "ladder", 0.0);
-    let direct = run_fleet(
-        &spec,
-        fleet_config(0.1, DenseSolveTier::Interpolated { samples: 64 }, 16),
-    );
-    assert_eq!(
-        wire_dev,
-        format!("{:.6e}", direct.summary.interp_max_deviation),
-        "wire deviation envelope and direct run disagree"
-    );
-    assert_eq!(
-        field(&result, "digest").expect("digest"),
-        format!("{:016x}", digest_fleet(&direct.summary)),
-    );
-
-    // Exact tiers don't carry the field: there is no envelope to report.
-    let exact = run_to_result(
-        &mut client,
-        "submit kind=fleet;system=E;env=office;days=0.1;seed=5;population=24;\
-         dense_tier=batched",
-    );
-    assert!(field(&exact, "interp_max_dev").is_none());
 
     handle.shutdown_and_wait();
 }
@@ -443,11 +403,10 @@ fn malformed_specs_get_protocol_errors_and_daemon_survives() {
         "submit kind=fleet;system=A;jitter=2",
         "submit kind=campaign;system=A;seeds=0",
         "submit kind=single;system=A;days=-1",
-        // Solve-tier and shard knobs: bad spellings and ranges.
-        "submit kind=fleet;system=A;dense_tier=warp",
-        "submit kind=fleet;system=A;dense_tier=interp:1",
+        // Shard knob out of range or on the wrong kind; no solve tier.
         "submit kind=fleet;system=A;shard_size=0",
-        "submit kind=single;system=A;dense_tier=batched",
+        "submit kind=single;system=A;shard_size=8",
+        "submit kind=fleet;system=A;dense_tier=batched",
         // Arena specs: bad rosters, bad seed counts, fleet-only knobs.
         "submit kind=arena",
         "submit kind=arena;system=A;roster=warp",
