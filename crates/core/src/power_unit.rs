@@ -186,6 +186,57 @@ impl BusHarvest {
     }
 }
 
+/// What `load` draws through the output stage at store voltage
+/// `store_v`: the bus-side input power, and whether the stage can serve
+/// the load at all. An idle load draws nothing and counts as served.
+///
+/// This and [`shortfall_split`] are [`PowerUnit::settle`]'s load
+/// arithmetic, shared with the simulator's lane kernels so the two
+/// cannot drift apart.
+#[inline]
+pub fn load_draw<S: PowerStage + ?Sized>(output: &S, load: Watts, store_v: Volts) -> (Watts, bool) {
+    if load.value() > 0.0 {
+        if output.accepts_input_voltage(store_v) {
+            (output.input_for_output(load, store_v), true)
+        } else {
+            (Watts::ZERO, false)
+        }
+    } else {
+        (Watts::ZERO, true)
+    }
+}
+
+/// Splits one step's load energy once the bus has balanced: the load's
+/// bus-side draw `e_load_in` takes the `unmet` energy first, and the
+/// served fraction scales what reaches the rail. Returns `(delivered,
+/// shortfall, converter_loss)`; an unservable load (see [`load_draw`])
+/// is short in full.
+#[inline]
+pub fn shortfall_split(
+    load: Watts,
+    dt: Seconds,
+    servable: bool,
+    e_load_in: Joules,
+    unmet: Joules,
+) -> (Joules, Joules, Joules) {
+    if !servable {
+        (Joules::ZERO, load * dt, Joules::ZERO)
+    } else if e_load_in.value() > 0.0 {
+        let load_unmet = unmet.min(e_load_in);
+        let served_in = e_load_in - load_unmet;
+        let served_fraction = (served_in / e_load_in).clamp(0.0, 1.0);
+        let full_load = load * dt;
+        let delivered = full_load * served_fraction;
+        (
+            delivered,
+            full_load * (1.0 - served_fraction),
+            (served_in - delivered).max(Joules::ZERO),
+        )
+    } else {
+        (Joules::ZERO, Joules::ZERO, Joules::ZERO)
+    }
+}
+
 /// A multi-source energy-harvesting power unit.
 ///
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
@@ -833,16 +884,7 @@ impl PowerUnit {
         self.last_harvest = harvested_w;
 
         // 2. Load demand through the output stage at the store voltage.
-        let store_v = self.store_voltage();
-        let (load_in_w, servable) = if load.value() > 0.0 {
-            if self.output.accepts_input_voltage(store_v) {
-                (self.output.input_for_output(load, store_v), true)
-            } else {
-                (Watts::ZERO, false)
-            }
-        } else {
-            (Watts::ZERO, true)
-        };
+        let (load_in_w, servable) = load_draw(&*self.output, load, self.store_voltage());
 
         // 3. Balance on the bus.
         let e_h = harvested_w * dt;
@@ -904,22 +946,8 @@ impl PowerUnit {
 
         // 4. Shortfall lands on the load first (the node browns out
         //    before the power unit's own electronics).
-        let (delivered, shortfall, converter_loss) = if !servable {
-            (Joules::ZERO, load * dt, Joules::ZERO)
-        } else if e_load_in.value() > 0.0 {
-            let load_unmet = unmet.min(e_load_in);
-            let served_in = e_load_in - load_unmet;
-            let served_fraction = (served_in / e_load_in).clamp(0.0, 1.0);
-            let full_load = load * dt;
-            let delivered = full_load * served_fraction;
-            (
-                delivered,
-                full_load * (1.0 - served_fraction),
-                (served_in - delivered).max(Joules::ZERO),
-            )
-        } else {
-            (Joules::ZERO, Joules::ZERO, Joules::ZERO)
-        };
+        let (delivered, shortfall, converter_loss) =
+            shortfall_split(load, dt, servable, e_load_in, unmet);
 
         // 5. Storage self-discharge.
         for port in &mut self.store_ports {

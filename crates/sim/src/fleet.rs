@@ -38,33 +38,28 @@
 //!
 //! Most survey deployments are populations of one *shape*: a single
 //! harvester channel feeding a single buffer through one output
-//! converter. [`DenseGroup`] declares that shape with concrete types, and
-//! the engine runs it on a monomorphized fast path: the expensive
-//! operating-point solve is hoisted out of the per-node loop (one
-//! representative channel is driven once per control window and its
-//! [`HarvestStep`]s fanned out to every member — exact because a member
-//! channel's repeat steps are memo replays, see
-//! [`InputChannel::is_replayable`]), while the per-step store balance
-//! runs over the concrete storage type with no dynamic dispatch. A dense
-//! node is bit-identical to the same hardware built as a
-//! [`mseh_core::PowerUnit`] in a boxed [`FleetGroup`] — the tests assert
-//! it — the lane only removes redundant work, never changes arithmetic.
+//! converter. A [`DenseClass`] declares that shape with concrete types.
+//! It is a declaration, not a second platform model: the class builds
+//! the boxed [`mseh_core::PowerUnit`] it describes, and every group is a
+//! boxed [`FleetGroup`]. A [`DenseGroup`] is a group of its class's
+//! units; any other group may declare the class its members match
+//! ([`FleetGroup::with_dense_class`]).
 //!
-//! Dense groups additionally step on a **batched struct-of-arrays
-//! tier** ([`DenseSolveTier`]): contiguous runs of member nodes become
-//! lanes of one [`mseh_storage::SupercapLanes`] or
-//! [`mseh_storage::BatteryLanes`] population, and the per-step store
+//! A group with a class lets its members borrow the **lane kernels**
+//! while the gate is open ([`DenseSolveTier`]). Contiguous runs of
+//! members become lanes of one [`mseh_storage::SupercapLanes`] or
+//! [`mseh_storage::BatteryLanes`] population, whose per-step store
 //! updates run as masked whole-lane passes over contiguous `f64`
-//! arrays instead of one call per node (supercap energy→voltage Newton
-//! inversions as fixed-iteration batch passes, battery self-discharge
-//! as one `powf` per distinct idle `dt` lane-wide). The batch kernels
-//! replicate the scalar iterate sequence exactly (see
-//! [`mseh_units::BatchSolve`]), so the batched tier is bit-identical to
-//! the scalar one; an opt-in interpolation tier trades exact supercap
-//! voltages for a table lookup with a recorded deviation bound
-//! ([`FleetSummary::interp_max_deviation`]). Boxed [`FleetGroup`]s
-//! whose members match a monomorphized class can borrow the same
-//! kernels via [`FleetGroup::with_dense_class`].
+//! arrays. The operating-point solve leaves the per-node loop too: an
+//! un-jittered group replays one group-wide harvest table (exact because
+//! a member channel's repeat steps are memo replays, see
+//! [`InputChannel::is_replayable`]), and a jittered group solves each
+//! window across every lane's snapshot at once. The kernels replicate
+//! the `PowerUnit` arithmetic and iterate sequence exactly (see
+//! [`mseh_units::BatchSolve`]), so the lanes only remove redundant work:
+//! every physical result equals the boxed path's, and only the
+//! kernel-cache counters are synthesized ([`FleetSummary::kernel_cache`]).
+//! With the gate closed the group runs its units on the boxed path.
 //!
 //! # Examples
 //!
@@ -113,15 +108,17 @@ use crate::cancel::{tripped, CancelToken};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
-use crate::steps::{NodeBooks, NodeOutcome, StepPlan};
-use mseh_core::StepReport;
+use crate::steps::{NodeBooks, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
+use dense_lanes::LaneHarvest;
+use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment, JitterFactors};
 use mseh_harvesters::CacheStats;
-use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
-use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
+use mseh_node::{DutyCyclePolicy, MonitoringLevel, SensorNode};
+use mseh_power::{DcDcConverter, HarvestStep, InputChannel};
 use mseh_storage::{Battery, Storage, Supercap};
-use mseh_units::{Joules, Ratio, Seconds, Volts, Watts};
+use mseh_units::{Joules, Seconds, Volts, Watts};
+use std::sync::Arc;
 
 pub(crate) mod dense_lanes;
 
@@ -144,35 +141,33 @@ pub enum EnvCadence {
     PerWindow,
 }
 
-/// How the dense lane solves its per-node storage updates.
+/// How the lane kernels solve a dense class's storage updates.
 ///
-/// [`Scalar`](Self::Scalar) and [`Batched`](Self::Batched) are
-/// bit-identical by contract: the batch kernels replicate the scalar
-/// iterate sequence under a convergence mask instead of inventing a new
-/// numerical scheme (see [`mseh_units::BatchSolve`]), and the tests
-/// assert full [`FleetSummary`] equality between the tiers.
+/// [`Batched`](Self::Batched) is bit-identical to the boxed
+/// [`mseh_core::PowerUnit`] the class declares: the batch kernels
+/// replicate its iterate sequence under a convergence mask instead of
+/// inventing a new numerical scheme (see [`mseh_units::BatchSolve`]),
+/// and the tests assert it against groups of hand-built units.
 /// [`Interpolated`](Self::Interpolated) trades exact supercap voltages
 /// for a per-run interpolation table sampled from the exact solver; its
 /// recorded worst-case voltage deviation surfaces as
 /// [`FleetSummary::interp_max_deviation`], and the conservation audit
 /// still closes exactly (table residuals are charged to losses).
 ///
-/// The tier governs every [`DenseGroup`] — supercap-store *and*
-/// battery-store — plus boxed [`FleetGroup`]s opted in via
+/// The tier governs every group with a [`DenseClass`]: each
+/// [`DenseGroup`], and each boxed [`FleetGroup`] opted in via
 /// [`FleetGroup::with_dense_class`]. Battery lanes have no iterative
 /// inversion to interpolate, so they step the exact batched kernels
-/// under [`Interpolated`](Self::Interpolated) too. Groups the gate
-/// cannot cover (jittered under per-step cadence, or a channel without
-/// window-lane support) fall back to the scalar path — same results,
-/// scalar speed.
+/// under [`Interpolated`](Self::Interpolated) too. Groups the lane gate
+/// cannot cover run their units on the boxed path — same physics, boxed
+/// speed. They are jittered groups under per-step cadence, jittered
+/// groups whose channel has no window-lane support, and groups whose
+/// channel cannot be replayed under per-window cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenseSolveTier {
-    /// Per-node scalar [`mseh_storage::Storage`] calls — the reference
-    /// path.
-    Scalar,
     /// Struct-of-arrays Newton passes over contiguous lanes (fixed
     /// iteration schedule under a convergence mask, no per-node early
-    /// exit). Bit-identical to [`Scalar`](Self::Scalar).
+    /// exit). Bit-identical to the boxed `PowerUnit`.
     Batched,
     /// Batched stepping with the supercap energy→voltage inversion
     /// replaced by a per-run interpolation table.
@@ -200,10 +195,7 @@ pub struct FleetGroup {
     node: SensorNode,
     platform: Box<PlatformFactory>,
     policy: Box<PolicyFactory>,
-    // Boxed: the class template embeds a full store and would otherwise
-    // dominate every FleetGroup's footprint (clippy: large_enum_variant
-    // on GroupEntry).
-    dense_class: Option<Box<DenseClass>>,
+    dense_class: Option<Arc<DenseClass>>,
 }
 
 impl FleetGroup {
@@ -244,15 +236,14 @@ impl FleetGroup {
         self
     }
 
-    /// Opts the group's members into the dense lane kernels by
-    /// declaring the monomorphized class they all match (see
-    /// [`DenseClass`]). When the batched gate is open
-    /// ([`DenseSolveTier`] other than scalar; jittered groups
-    /// additionally need per-window cadence and a window-batchable
-    /// channel) the engine solves the members on the struct-of-arrays
-    /// kernels instead of boxed [`Platform::step`] calls, keeping boxed
-    /// per-node bookkeeping (per-node seeds, policies and jitter
-    /// factors are derived exactly as the boxed path derives them).
+    /// Opts the group's members into the lane kernels by declaring the
+    /// dense class they all match (see [`DenseClass`]). While the lane
+    /// gate is open (un-jittered groups whose channel replays; jittered
+    /// groups under per-window cadence on a window-batchable channel,
+    /// see [`DenseSolveTier`]) the engine steps the members on the
+    /// struct-of-arrays kernels instead of boxed [`Platform::step`]
+    /// calls. Per-node seeds, policies and jitter factors are derived
+    /// exactly as the boxed path derives them.
     ///
     /// The declaration is a contract: every member the factory builds
     /// must match the class. The engine verifies the first member at
@@ -260,12 +251,12 @@ impl FleetGroup {
     /// [`Platform::supports_dense_kernels`] and its storage books must
     /// match the declared template bit for bit — and rejects the run
     /// otherwise; heterogeneity beyond member 0 is the caller's
-    /// responsibility. Kernel-cache counters are synthesized from the
-    /// lane replay pattern rather than read from member channels, so
+    /// responsibility. The lanes synthesize their kernel-cache counters
+    /// from the replay pattern instead of reading member channels, so
     /// summaries match the plain boxed path everywhere except
     /// [`FleetSummary::kernel_cache`].
     pub fn with_dense_class(mut self, class: DenseClass) -> Self {
-        self.dense_class = Some(Box::new(class));
+        self.dense_class = Some(Arc::new(class));
         self
     }
 
@@ -278,6 +269,11 @@ impl FleetGroup {
     pub fn count(&self) -> usize {
         self.count
     }
+
+    /// Member `within`'s node seed.
+    fn node_seed(&self, within: u64) -> u64 {
+        Noise::new(self.seed).bits(NODE_SEED_STREAM, within)
+    }
 }
 
 impl core::fmt::Debug for FleetGroup {
@@ -288,18 +284,19 @@ impl core::fmt::Debug for FleetGroup {
             .field("site", &self.site)
             .field("seed", &self.seed)
             .field("jitter", &self.jitter)
+            .field("dense_class", &self.dense_class)
             .finish_non_exhaustive()
     }
 }
 
-/// Builds a dense-lane group's input channel. Every member node shares
-/// one channel definition (that homogeneity is what lets the engine
-/// hoist the operating-point solve out of the per-node loop);
-/// intra-group spread comes from [`EnvJitter`], not the factory.
+/// Builds a dense class's input channel. Every member shares one
+/// channel definition (that homogeneity is what lets the lanes hoist
+/// the operating-point solve out of the per-node loop); intra-group
+/// spread comes from [`EnvJitter`], not the factory.
 pub type ChannelFactory = dyn Fn() -> InputChannel + Send + Sync;
 
-/// The concrete storage buffer of a dense-lane group, cloned per node
-/// from the template (including its initial state of charge).
+/// The concrete storage buffer of a dense class, cloned per node from
+/// the template (including its initial state of charge).
 #[derive(Debug, Clone)]
 pub enum DenseStore {
     /// A supercapacitor buffer.
@@ -308,11 +305,15 @@ pub enum DenseStore {
     Battery(Battery),
 }
 
-/// The monomorphized dense-lane class a boxed [`FleetGroup`] declares
-/// its members match so they may borrow the batched struct-of-arrays
-/// kernels ([`FleetGroup::with_dense_class`]): the concrete channel,
-/// output converter and store template plus the supervisor overhead and
-/// monitoring tier — the same parts a [`DenseGroup`] declares directly.
+/// The dense class: the survey's most common shape — one harvester
+/// channel, one buffer, one output converter — declared with concrete
+/// types, plus the supervisor overhead and monitoring tier. The class
+/// stands for the boxed [`mseh_core::PowerUnit`] of exactly those parts
+/// with a default supervisor carrying that overhead and tier. Declaring
+/// it lets units of that shape borrow the batched struct-of-arrays lane
+/// kernels: build a group of the class's own units with
+/// [`DenseGroup`], or opt in a boxed group whose factory builds them by
+/// hand with [`FleetGroup::with_dense_class`].
 ///
 /// Defaults match [`DenseGroup::new`]: zero supervisor overhead and
 /// [`MonitoringLevel::Full`] reporting; override with the builders to
@@ -359,6 +360,34 @@ impl DenseClass {
         self.monitoring = monitoring;
         self
     }
+
+    /// The unit the class declares: one harvester port with the class
+    /// channel, one primary-buffer store port holding a copy of the
+    /// template, the output converter, and a supervisor with the class's
+    /// overhead and monitoring tier.
+    pub(crate) fn unit(&self) -> PowerUnit {
+        let store: Box<dyn Storage> = match &self.store {
+            DenseStore::Supercap(cap) => Box::new(cap.clone()),
+            DenseStore::Battery(battery) => Box::new(battery.clone()),
+        };
+        let any_voltage =
+            |label| PortRequirement::any_in_window(label, Volts::ZERO, Volts::new(f64::MAX));
+        PowerUnit::builder("dense class")
+            .harvester_port(any_voltage("harvester"), Some((self.channel)()), false)
+            .store_port(
+                any_voltage("buffer"),
+                Some(store),
+                StoreRole::PrimaryBuffer,
+                false,
+            )
+            .output_stage(Box::new(self.output.clone()))
+            .supervisor(Supervisor {
+                monitoring: self.monitoring,
+                overhead: self.supervisor_overhead,
+                ..Supervisor::none()
+            })
+            .build()
+    }
 }
 
 impl core::fmt::Debug for DenseClass {
@@ -371,20 +400,15 @@ impl core::fmt::Debug for DenseClass {
     }
 }
 
-/// A homogeneous platform class on the fleet's **dense lane**: `count`
-/// nodes of the survey's most common shape — one harvester channel, one
-/// buffer, one output converter — stepped by a monomorphized kernel with
-/// the channel solve shared across the group.
+/// `count` nodes of one [`DenseClass`]: a [`FleetGroup`] whose factory
+/// builds the class's [`mseh_core::PowerUnit`] and which declares the
+/// class, so its members step on the lane kernels whenever the gate is
+/// open.
 ///
-/// Semantics are identical to a [`FleetGroup`] whose platform is a
-/// [`mseh_core::PowerUnit`] with the same parts and a default supervisor
-/// (override the overhead and monitoring tier with
-/// [`with_supervisor_overhead`](Self::with_supervisor_overhead) /
-/// [`with_monitoring`](Self::with_monitoring)). Under
-/// [`EnvCadence::PerWindow`] the channel must be replayable
-/// ([`InputChannel::is_replayable`]) — true for the gated controllers
-/// (fixed-point, fractional-V_oc with its sample interval inside `dt`)
-/// with the kernel cache on; the engine asserts it at run start.
+/// The supervisor is a default one with zero overhead and
+/// [`MonitoringLevel::Full`] reporting; override them with
+/// [`with_supervisor_overhead`](Self::with_supervisor_overhead) and
+/// [`with_monitoring`](Self::with_monitoring).
 pub struct DenseGroup {
     name: String,
     count: usize,
@@ -392,11 +416,7 @@ pub struct DenseGroup {
     seed: u64,
     jitter: EnvJitter,
     node: SensorNode,
-    channel: Box<ChannelFactory>,
-    output: DcDcConverter,
-    store: DenseStore,
-    supervisor_overhead: Watts,
-    monitoring: MonitoringLevel,
+    class: DenseClass,
     policy: Box<PolicyFactory>,
 }
 
@@ -422,11 +442,7 @@ impl DenseGroup {
             seed: 0,
             jitter: EnvJitter::NONE,
             node,
-            channel: Box::new(channel),
-            output,
-            store,
-            supervisor_overhead: Watts::ZERO,
-            monitoring: MonitoringLevel::Full,
+            class: DenseClass::new(channel, output, store),
             policy: Box::new(policy),
         }
     }
@@ -437,26 +453,23 @@ impl DenseGroup {
         self
     }
 
-    /// Sets the per-node environment jitter (jittered dense nodes drive
-    /// their own channel once per window instead of sharing the group
-    /// table).
+    /// Sets the per-node environment jitter (jittered lanes solve their
+    /// own snapshots each window instead of sharing the group table).
     pub fn with_jitter(mut self, jitter: EnvJitter) -> Self {
         self.jitter = jitter;
         self
     }
 
-    /// Sets the supervisory standing draw (the boxed equivalent's
-    /// `Supervisor::overhead`).
+    /// Sets the supervisory standing draw.
     pub fn with_supervisor_overhead(mut self, overhead: Watts) -> Self {
-        self.supervisor_overhead = overhead;
+        self.class = self.class.with_supervisor_overhead(overhead);
         self
     }
 
-    /// Sets the monitoring tier the policy's [`EnergyStatus`] is clamped
-    /// to (the boxed equivalent's `Supervisor::monitoring`; no sense-ADC
-    /// quantization on the dense lane).
+    /// Sets the monitoring tier the policy's energy status is clamped
+    /// to (no sense-ADC quantization).
     pub fn with_monitoring(mut self, monitoring: MonitoringLevel) -> Self {
-        self.monitoring = monitoring;
+        self.class = self.class.with_monitoring(monitoring);
         self
     }
 
@@ -479,45 +492,8 @@ impl core::fmt::Debug for DenseGroup {
             .field("site", &self.site)
             .field("seed", &self.seed)
             .field("jitter", &self.jitter)
-            .field("store", &self.store)
+            .field("class", &self.class)
             .finish_non_exhaustive()
-    }
-}
-
-/// One population entry of a [`FleetSpec`]: either lane.
-#[derive(Debug)]
-pub enum GroupEntry {
-    /// Arbitrary platforms behind dynamic dispatch ([`FleetGroup`]).
-    Boxed(FleetGroup),
-    /// The monomorphized single-channel/single-store lane
-    /// ([`DenseGroup`], boxed: its inline store model dwarfs the
-    /// boxed lane's pointers, and entries are per-group, not per-node).
-    Dense(Box<DenseGroup>),
-}
-
-impl GroupEntry {
-    /// The group's display name.
-    pub fn name(&self) -> &str {
-        match self {
-            GroupEntry::Boxed(g) => &g.name,
-            GroupEntry::Dense(g) => &g.name,
-        }
-    }
-
-    /// Number of nodes in the group.
-    pub fn count(&self) -> usize {
-        match self {
-            GroupEntry::Boxed(g) => g.count,
-            GroupEntry::Dense(g) => g.count,
-        }
-    }
-
-    /// The group's site index.
-    pub fn site(&self) -> usize {
-        match self {
-            GroupEntry::Boxed(g) => g.site,
-            GroupEntry::Dense(g) => g.site,
-        }
     }
 }
 
@@ -527,7 +503,7 @@ impl GroupEntry {
 #[derive(Debug, Default)]
 pub struct FleetSpec {
     sites: Vec<Environment>,
-    groups: Vec<GroupEntry>,
+    groups: Vec<FleetGroup>,
 }
 
 impl FleetSpec {
@@ -543,35 +519,52 @@ impl FleetSpec {
         self.sites.len() - 1
     }
 
-    /// Appends a boxed-lane node group. Panics if the group references
-    /// an unknown site.
+    /// Appends a node group. Panics if the group references an unknown
+    /// site.
     pub fn add_group(&mut self, group: FleetGroup) -> &mut Self {
-        self.check_site(&group.name, group.site);
-        self.groups.push(GroupEntry::Boxed(group));
-        self
-    }
-
-    /// Appends a dense-lane node group. Panics if the group references
-    /// an unknown site.
-    pub fn add_dense_group(&mut self, group: DenseGroup) -> &mut Self {
-        self.check_site(&group.name, group.site);
-        self.groups.push(GroupEntry::Dense(Box::new(group)));
-        self
-    }
-
-    fn check_site(&self, name: &str, site: usize) {
         assert!(
-            site < self.sites.len(),
+            group.site < self.sites.len(),
             "group '{}' references site {} but only {} site(s) exist",
-            name,
-            site,
+            group.name,
+            group.site,
             self.sites.len()
         );
+        self.groups.push(group);
+        self
+    }
+
+    /// Appends a dense group as the boxed group of its class's units,
+    /// declaring the class. Panics if the group references an unknown
+    /// site.
+    pub fn add_dense_group(&mut self, group: DenseGroup) -> &mut Self {
+        let DenseGroup {
+            name,
+            count,
+            site,
+            seed,
+            jitter,
+            node,
+            class,
+            policy,
+        } = group;
+        let class = Arc::new(class);
+        let units = Arc::clone(&class);
+        self.add_group(FleetGroup {
+            name,
+            count,
+            site,
+            seed,
+            jitter,
+            node,
+            platform: Box::new(move |_| Box::new(units.unit())),
+            policy,
+            dense_class: Some(class),
+        })
     }
 
     /// Total node count across all groups.
     pub fn population(&self) -> u64 {
-        self.groups.iter().map(|g| g.count() as u64).sum()
+        self.groups.iter().map(|g| g.count as u64).sum()
     }
 
     /// Number of registered sites.
@@ -580,7 +573,7 @@ impl FleetSpec {
     }
 
     /// Registered groups, in declaration (= global node) order.
-    pub fn groups(&self) -> &[GroupEntry] {
+    pub fn groups(&self) -> &[FleetGroup] {
         &self.groups
     }
 }
@@ -605,9 +598,9 @@ pub struct FleetConfig {
     /// How many worst-uptime nodes to list in
     /// [`FleetSummary::stragglers`].
     pub stragglers: usize,
-    /// Solve tier for dense groups and opted-in boxed groups (default
-    /// [`DenseSolveTier::Batched`], bit-identical to
-    /// [`DenseSolveTier::Scalar`]).
+    /// Lane-kernel solve tier for groups with a [`DenseClass`] (default
+    /// [`DenseSolveTier::Batched`], bit-identical to the boxed
+    /// `PowerUnit` path).
     pub dense_tier: DenseSolveTier,
 }
 
@@ -651,28 +644,6 @@ impl FleetConfig {
         self.dense_tier = tier;
         self
     }
-}
-
-/// Percentiles of the per-node uptime distribution (nearest-rank over
-/// the population).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UptimePercentiles {
-    /// Worst node.
-    pub min: f64,
-    /// 5th percentile.
-    pub p05: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Best node.
-    pub max: f64,
-    /// Population mean.
-    pub mean: f64,
 }
 
 /// One entry in the worst-uptime straggler list.
@@ -732,7 +703,9 @@ pub struct FleetSummary {
     /// Worst single node's relative audit residual.
     pub worst_node_audit: f64,
     /// Kernel-cache counters summed across all node platforms. Cache
-    /// state never crosses nodes, so these are deterministic too.
+    /// state never crosses nodes, so these are deterministic too. Lane
+    /// groups count their table driver's solves once and synthesize each
+    /// lane's replays (see [`FleetGroup::with_dense_class`]).
     pub kernel_cache: CacheStats,
     /// Worst interpolation-table voltage deviation recorded by any
     /// batched run (`0` unless [`DenseSolveTier::Interpolated`] is
@@ -801,208 +774,56 @@ pub(crate) fn simulate_node(
     ))
 }
 
-/// Drives one representative channel through the run's full step
-/// sequence, materializing the per-step [`HarvestStep`] table a dense
-/// node replays. Returns the number of `channel.step` calls made; the
-/// remaining `plan.steps − calls` table reads are replays of solves the
-/// channel memoized.
+/// How a class-wide harvest table build ended.
+pub(crate) enum HarvestTable {
+    /// The per-step table, and the driver channel's cache counters.
+    Built(Vec<HarvestStep>, CacheStats),
+    /// Under per-window cadence the channel's repeat steps are not memo
+    /// replays (a controller with history, or the cache off), so a
+    /// table cannot stand in for it: the caller steps boxed.
+    NotReplayable,
+    /// The cancel token tripped.
+    Cancelled,
+}
+
+/// Drives one channel of `class` through the run's full step sequence,
+/// materializing the per-step [`HarvestStep`] table every lane replays.
 ///
 /// Soundness: under [`EnvCadence::PerStep`] the driver performs exactly
-/// the member step sequence. Under [`EnvCadence::PerWindow`] a member
-/// channel's within-window repeat steps are memo hits (asserted via
+/// a member's step sequence. Under [`EnvCadence::PerWindow`] a member
+/// channel's within-window repeat steps are memo hits — probed via
 /// [`InputChannel::is_replayable`] once the controller has settled after
-/// its first solve), and a hit leaves controller state exactly where the
-/// window's first solve left it — so skipping the repeats preserves both
+/// its first solve, and reported as [`HarvestTable::NotReplayable`]
+/// otherwise — and a hit leaves controller state exactly where the
+/// window's first solve left it. So skipping the repeats preserves both
 /// the per-step outputs and the channel state bit for bit. The
 /// fractional closing step always gets its own call (its `dt` differs).
-/// Returns `None` when `cancel` trips, checked once per control window.
-#[allow(clippy::too_many_arguments)]
+/// The cancel token is checked once per control window.
 pub(crate) fn build_harvest_table(
-    channel: &mut InputChannel,
+    class: &DenseClass,
     rows: &[EnvConditions],
-    factors: &JitterFactors,
-    jittered: bool,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
-    out: &mut Vec<HarvestStep>,
-) -> Option<u64> {
-    out.clear();
-    out.reserve(plan.steps as usize);
-    let mut calls = 0u64;
-    let mut probed = false;
+) -> HarvestTable {
+    let mut channel = (class.channel)();
+    let mut table = Vec::with_capacity(plan.steps as usize);
+    let windowed = plan.cadence == EnvCadence::PerWindow;
     for window in plan.windows() {
         if tripped(cancel) {
-            return None;
+            return HarvestTable::Cancelled;
         }
         for step in window.steps() {
-            let replay = plan.cadence == EnvCadence::PerWindow
-                && step.index > window.start
-                && step.dt == plan.dt;
-            if replay {
-                out.push(out[window.start as usize]);
+            if windowed && step.index > window.start && step.dt == plan.dt {
+                table.push(table[window.start as usize]);
                 continue;
             }
-            let base = window.row(rows, &step);
-            let local;
-            let env = if jittered {
-                local = factors.apply(base);
-                &local
-            } else {
-                base
-            };
-            out.push(channel.step(env, step.dt));
-            calls += 1;
-            if !probed && plan.cadence == EnvCadence::PerWindow {
-                probed = true;
-                assert!(
-                    channel.is_replayable(plan.dt),
-                    "dense group requires a replayable channel under per-window \
-                     cadence (kernel cache on, env-pure controller with its sample \
-                     interval inside dt); use EnvCadence::PerStep or a boxed \
-                     FleetGroup for this platform"
-                );
+            table.push(channel.step(window.row(rows, &step), step.dt));
+            if windowed && step.index == 0 && !channel.is_replayable(plan.dt) {
+                return HarvestTable::NotReplayable;
             }
         }
     }
-    Some(calls)
-}
-
-/// Runs one dense-lane node: the per-step arithmetic of
-/// `PowerUnit::step` specialized to the one-channel/one-store shape,
-/// monomorphized over the concrete storage type, with the channel's
-/// work already materialized in `harvest`. It keeps the same books as
-/// [`simulate_node`], so lane choice never changes a result.
-/// Returns `None` when `cancel` trips, checked once per control window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_node_dense<S: Storage + Clone>(
-    template: &S,
-    output: &DcDcConverter,
-    supervisor_overhead: Watts,
-    monitoring: MonitoringLevel,
-    node: &SensorNode,
-    policy: &mut dyn DutyCyclePolicy,
-    harvest: &[HarvestStep],
-    plan: &StepPlan,
-    cache: CacheStats,
-    cancel: Option<&CancelToken>,
-) -> Option<NodeOutcome> {
-    let mut store = template.clone();
-    // The boxed path's recognized capacity defaults to the device's
-    // datasheet capacity at attach time.
-    let recognized = store.capacity();
-    let mut books = NodeBooks::open(store.stored_energy(), store.losses());
-    let mut last_harvest = Watts::ZERO;
-
-    for window in plan.windows() {
-        if tripped(cancel) {
-            return None;
-        }
-        // `PowerUnit::energy_status` for a single primary store: actual
-        // SoC over the device capacity, believed stored energy over the
-        // recognized capacity, clamped to the monitoring tier.
-        let status = {
-            let cap = store.capacity();
-            let soc_actual = if cap.value() > 0.0 {
-                store.stored_energy().value() / cap.value()
-            } else {
-                0.0
-            };
-            EnergyStatus::full(
-                store.voltage(),
-                Ratio::new(soc_actual),
-                recognized * soc_actual,
-                last_harvest,
-            )
-            .clamped_to(monitoring)
-        };
-        let duty = policy.choose(node, &status.at(plan.time_at(window.start)));
-        let load = window.load(node, duty);
-
-        for step in window.steps() {
-            let step_dt = step.dt;
-            let hs = &harvest[step.index as usize];
-
-            // --- PowerUnit::step, specialized ---
-            let harvested_w = hs.delivered;
-            let overhead_w = supervisor_overhead + output.quiescent() + hs.overhead;
-            last_harvest = harvested_w;
-
-            let store_v = store.voltage();
-            let (load_in_w, servable) = if load.power.value() > 0.0 {
-                if output.accepts_input_voltage(store_v) {
-                    (output.input_for_output(load.power, store_v), true)
-                } else {
-                    (Watts::ZERO, false)
-                }
-            } else {
-                (Watts::ZERO, true)
-            };
-
-            let e_h = harvested_w * step_dt;
-            let e_load_in = load_in_w * step_dt;
-            let e_ov = overhead_w * step_dt;
-            let step_demand = e_load_in + e_ov;
-
-            let mut step_charged = Joules::ZERO;
-            let mut step_discharged = Joules::ZERO;
-            let mut unmet = Joules::ZERO;
-            if e_h >= step_demand {
-                let surplus = e_h - step_demand;
-                if surplus.value() > 0.0 {
-                    step_charged = store.charge(surplus / step_dt, step_dt);
-                }
-            } else {
-                let deficit = step_demand - e_h;
-                if deficit.value() > 0.0 {
-                    step_discharged = store.discharge(deficit / step_dt, step_dt);
-                }
-                unmet = (deficit - step_discharged).max(Joules::ZERO);
-            }
-
-            let (step_delivered, step_shortfall, step_conv_loss) = if !servable {
-                (Joules::ZERO, load.power * step_dt, Joules::ZERO)
-            } else if e_load_in.value() > 0.0 {
-                let load_unmet = unmet.min(e_load_in);
-                let served_in = e_load_in - load_unmet;
-                let served = (served_in / e_load_in).clamp(0.0, 1.0);
-                let full_load = load.power * step_dt;
-                let step_delivered = full_load * served;
-                (
-                    step_delivered,
-                    full_load * (1.0 - served),
-                    (served_in - step_delivered).max(Joules::ZERO),
-                )
-            } else {
-                (Joules::ZERO, Joules::ZERO, Joules::ZERO)
-            };
-
-            store.idle(step_dt);
-            // --- end PowerUnit::step ---
-
-            let report = StepReport {
-                harvested: e_h,
-                delivered: step_delivered,
-                shortfall: step_shortfall,
-                charged: step_charged,
-                discharged: step_discharged,
-                converter_loss: step_conv_loss,
-                store_voltage: store.voltage(),
-                ..StepReport::default()
-            };
-            books.record(&report, &load, &step);
-        }
-    }
-
-    Some(books.close(store.stored_energy(), store.losses(), Joules::ZERO, cache))
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    HarvestTable::Built(table, channel.kernel_cache_stats())
 }
 
 /// External control of a [`run_fleet_controlled`] run: a cooperative
@@ -1053,16 +874,15 @@ pub fn run_fleet(spec: &FleetSpec, config: FleetConfig) -> FleetResult {
     }
 }
 
-/// Verifies a boxed group's declared [`DenseClass`] against its
-/// member-0 platform before the batched gate opens: the platform must
-/// report the dense-kernel shape
-/// ([`Platform::supports_dense_kernels`]) and its storage books must
-/// match the declared template bit for bit. Factories receive per-node
-/// seeds, so the engine can only spot-check the first member cheaply;
-/// the opt-in contract is that every member matches the class.
+/// Verifies a group's declared [`DenseClass`] against its member-0
+/// platform before the lane gate opens: the platform must report the
+/// dense-kernel shape ([`Platform::supports_dense_kernels`]) and its
+/// storage books must match the class's unit bit for bit. Factories
+/// receive per-node seeds, so the engine can only spot-check the first
+/// member cheaply; the opt-in contract is that every member matches the
+/// class.
 fn validate_dense_class(g: &FleetGroup, class: &DenseClass) -> Result<(), String> {
-    let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, 0);
-    let platform = (g.platform)(node_seed);
+    let platform = (g.platform)(g.node_seed(0));
     if !platform.supports_dense_kernels() {
         return Err(format!(
             "group '{}': platform '{}' cannot borrow the dense kernels (the class needs exactly \
@@ -1072,18 +892,23 @@ fn validate_dense_class(g: &FleetGroup, class: &DenseClass) -> Result<(), String
             platform.name(),
         ));
     }
-    let store: &dyn Storage = match &class.store {
-        DenseStore::Supercap(s) => s,
-        DenseStore::Battery(b) => b,
-    };
+    let declared = class.unit();
     let checks = [
-        ("capacity", platform.storage_capacity(), store.capacity()),
+        (
+            "capacity",
+            platform.storage_capacity(),
+            declared.storage_capacity(),
+        ),
         (
             "stored energy",
             platform.total_stored_energy(),
-            store.stored_energy(),
+            declared.total_stored_energy(),
         ),
-        ("losses", platform.storage_losses(), store.losses()),
+        (
+            "losses",
+            platform.storage_losses(),
+            declared.storage_losses(),
+        ),
     ];
     for (what, got, want) in checks {
         if got.value().to_bits() != want.value().to_bits() {
@@ -1102,6 +927,18 @@ fn validate_dense_class(g: &FleetGroup, class: &DenseClass) -> Result<(), String
         ));
     }
     Ok(())
+}
+
+/// How a group's members step.
+enum GroupLanes<'a> {
+    /// One boxed platform per node.
+    Boxed,
+    /// The class's lane kernels, every lane replaying one group-wide
+    /// harvest table; the cache counters are the table driver's.
+    Shared(&'a DenseClass, Vec<HarvestStep>, CacheStats),
+    /// The class's lane kernels, each window solved across the lanes'
+    /// jittered snapshots.
+    Jittered(&'a DenseClass),
 }
 
 /// [`run_fleet`] as a daemon-facing entry point: spec/config validation
@@ -1165,90 +1002,40 @@ pub fn run_fleet_controlled(
     let mut spans: Vec<(u64, u64)> = Vec::with_capacity(spec.groups.len());
     let mut cursor = 0u64;
     for g in &spec.groups {
-        spans.push((cursor, cursor + g.count() as u64));
-        cursor += g.count() as u64;
+        spans.push((cursor, cursor + g.count as u64));
+        cursor += g.count as u64;
     }
 
-    // Dense groups — supercap- and battery-store — step on the
-    // struct-of-arrays batched tier unless the config pins `Scalar`,
-    // and boxed groups with a declared [`DenseClass`] borrow the same
-    // kernels. Unjittered groups always qualify (their lanes replay the
-    // shared harvest table); jittered groups need a window-batchable
-    // channel under per-window cadence — probed once per group — and
-    // otherwise fall back to their scalar path. An opted-in boxed group
-    // whose member platform contradicts its declared class is a spec
-    // error, caught here before any node steps.
-    let mut batched: Vec<bool> = Vec::with_capacity(spec.groups.len());
-    for entry in &spec.groups {
-        let open = match entry {
-            GroupEntry::Dense(g) if config.dense_tier != DenseSolveTier::Scalar => {
-                g.jitter.is_none()
-                    || (plan.cadence == EnvCadence::PerWindow
-                        && (g.channel)().supports_window_lanes(plan.dt))
-            }
-            GroupEntry::Boxed(g) if config.dense_tier != DenseSolveTier::Scalar => {
-                match &g.dense_class {
-                    Some(class) => {
-                        let open = g.jitter.is_none()
-                            || (plan.cadence == EnvCadence::PerWindow
-                                && (class.channel)().supports_window_lanes(plan.dt));
-                        if open {
-                            validate_dense_class(g, class)?;
+    // The lane gate. A group with a dense class steps on the lane
+    // kernels when un-jittered — its driver channel solves the shared
+    // harvest table once for the whole group, unless the channel cannot
+    // be replayed under per-window cadence — or when jittered under
+    // per-window cadence on a window-batchable channel. Every other
+    // group runs boxed. A declared class its member platform
+    // contradicts is a spec error, caught here before any node steps.
+    let mut lanes: Vec<GroupLanes<'_>> = Vec::with_capacity(spec.groups.len());
+    for g in &spec.groups {
+        let class = g.dense_class.as_deref().filter(|class| {
+            g.jitter.is_none()
+                || (plan.cadence == EnvCadence::PerWindow
+                    && (class.channel)().supports_window_lanes(plan.dt))
+        });
+        lanes.push(match class {
+            None => GroupLanes::Boxed,
+            Some(class) => {
+                validate_dense_class(g, class)?;
+                if !g.jitter.is_none() {
+                    GroupLanes::Jittered(class)
+                } else {
+                    match build_harvest_table(class, &tables[g.site], &plan, cancel) {
+                        HarvestTable::Built(table, driver) => {
+                            GroupLanes::Shared(class, table, driver)
                         }
-                        open
+                        HarvestTable::NotReplayable => GroupLanes::Boxed,
+                        HarvestTable::Cancelled => return Ok(None),
                     }
-                    None => false,
                 }
             }
-            _ => false,
-        };
-        batched.push(open);
-    }
-
-    // Un-jittered dense classes share one harvest table group-wide: the
-    // driver channel solves each control window once and every member
-    // replays it. Jittered dense nodes drive their own channel inside
-    // the shard (their conditions differ), still once per window. The
-    // driver's solve counters are folded into the summary once per
-    // group, after the per-node fold. Opted-in boxed groups get a table
-    // only when their batched gate is open — otherwise they run plain
-    // boxed and a table would skew the cache fold.
-    let build_group_table =
-        |factory: &ChannelFactory, site: usize| -> Option<(Vec<HarvestStep>, CacheStats)> {
-            let mut channel = factory();
-            let mut table = Vec::new();
-            build_harvest_table(
-                &mut channel,
-                &tables[site],
-                &JitterFactors::IDENTITY,
-                false,
-                &plan,
-                cancel,
-                &mut table,
-            )
-            .map(|_| (table, channel.kernel_cache_stats()))
-        };
-    let mut dense_tables: Vec<Option<(Vec<HarvestStep>, CacheStats)>> =
-        Vec::with_capacity(spec.groups.len());
-    for (gi, entry) in spec.groups.iter().enumerate() {
-        dense_tables.push(match entry {
-            GroupEntry::Dense(g) if g.jitter.is_none() => {
-                match build_group_table(g.channel.as_ref(), g.site) {
-                    Some(built) => Some(built),
-                    None => return Ok(None),
-                }
-            }
-            GroupEntry::Boxed(g) if batched[gi] && g.jitter.is_none() => {
-                let class = g
-                    .dense_class
-                    .as_ref()
-                    .expect("batched boxed group declared a dense class");
-                match build_group_table(class.channel.as_ref(), g.site) {
-                    Some(built) => Some(built),
-                    None => return Ok(None),
-                }
-            }
-            _ => None,
         });
     }
 
@@ -1270,8 +1057,6 @@ pub fn run_fleet_controlled(
     let done_nodes = std::sync::atomic::AtomicU64::new(0);
     let run_shard = |&(lo, hi): &(u64, u64)| -> Vec<NodeOutcome> {
         let mut out = Vec::with_capacity((hi - lo) as usize);
-        // Scratch harvest table reused by jittered dense nodes.
-        let mut scratch: Vec<HarvestStep> = Vec::new();
         // First group containing `lo`, advanced linearly as the shard
         // walks the global index range.
         let mut gi = spans.partition_point(|&(_, end)| end <= lo);
@@ -1286,90 +1071,16 @@ pub fn run_fleet_controlled(
                 gi += 1;
             }
             let run_end = hi.min(spans[gi].1);
-            // Batched struct-of-arrays tier: the shard's contiguous run
-            // of this dense class — a dense group of either store kind,
-            // or a boxed group opted in via its declared class — steps
-            // as one lane population. Run composition never changes
-            // results — every lane's arithmetic is independent of its
-            // companions — so shard and thread geometry stay
-            // bit-irrelevant.
-            if batched[gi] {
-                let (view, store) = match &spec.groups[gi] {
-                    GroupEntry::Dense(g) => (
-                        dense_lanes::DenseView {
-                            seed: g.seed,
-                            jitter: g.jitter,
-                            node: &g.node,
-                            channel: g.channel.as_ref(),
-                            output: &g.output,
-                            supervisor_overhead: g.supervisor_overhead,
-                            monitoring: g.monitoring,
-                            policy: g.policy.as_ref(),
-                        },
-                        &g.store,
-                    ),
-                    GroupEntry::Boxed(g) => {
-                        let class = g
-                            .dense_class
-                            .as_ref()
-                            .expect("batched boxed group declared a dense class");
-                        (
-                            dense_lanes::DenseView {
-                                seed: g.seed,
-                                jitter: g.jitter,
-                                node: &g.node,
-                                channel: class.channel.as_ref(),
-                                output: &class.output,
-                                supervisor_overhead: class.supervisor_overhead,
-                                monitoring: class.monitoring,
-                                policy: g.policy.as_ref(),
-                            },
-                            &class.store,
-                        )
-                    }
-                };
-                let site = spec.groups[gi].site();
-                let shared = dense_tables[gi].as_ref().map(|(t, _)| t.as_slice());
-                let ok = match store {
-                    DenseStore::Supercap(template) => dense_lanes::simulate_supercap_run(
-                        &view,
-                        template,
-                        spans[gi].0,
-                        cursor,
-                        run_end,
-                        &tables[site],
-                        shared,
-                        &plan,
-                        config.dense_tier,
-                        cancel,
-                        &mut out,
-                    ),
-                    DenseStore::Battery(template) => dense_lanes::simulate_battery_run(
-                        &view,
-                        template,
-                        spans[gi].0,
-                        cursor,
-                        run_end,
-                        &tables[site],
-                        shared,
-                        &plan,
-                        cancel,
-                        &mut out,
-                    ),
-                };
-                if !ok {
-                    return out;
-                }
-                cursor = run_end;
-                continue;
-            }
-            for n in cursor..run_end {
-                let within = n - spans[gi].0;
-                match &spec.groups[gi] {
-                    GroupEntry::Boxed(g) => {
-                        let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, within);
+            let g = &spec.groups[gi];
+            let node_seeds = (cursor - spans[gi].0..run_end - spans[gi].0).map(|n| g.node_seed(n));
+            // The shard's contiguous run of a lane group steps as one
+            // lane population. Run composition never changes results —
+            // every lane's arithmetic is independent of its companions —
+            // so shard and thread geometry stay bit-irrelevant.
+            let (class, harvest) = match &lanes[gi] {
+                GroupLanes::Boxed => {
+                    for node_seed in node_seeds {
                         let factors = JitterFactors::derive(g.jitter, node_seed);
-                        let jittered = !g.jitter.is_none();
                         let mut platform = (g.platform)(node_seed);
                         let mut policy = (g.policy)(node_seed);
                         match simulate_node(
@@ -1378,7 +1089,7 @@ pub fn run_fleet_controlled(
                             policy.as_mut(),
                             &tables[g.site],
                             &factors,
-                            jittered,
+                            !g.jitter.is_none(),
                             &plan,
                             cancel,
                         ) {
@@ -1386,67 +1097,34 @@ pub fn run_fleet_controlled(
                             None => return out,
                         }
                     }
-                    GroupEntry::Dense(g) => {
-                        let node_seed = Noise::new(g.seed).bits(NODE_SEED_STREAM, within);
-                        let mut policy = (g.policy)(node_seed);
-                        // Per-node cache view: table reads beyond the
-                        // driver's own calls are replays of memoized solves.
-                        let mut cache = CacheStats::default();
-                        let mut calls = 0u64;
-                        let table: &[HarvestStep] = match &dense_tables[gi] {
-                            Some((table, _)) => table,
-                            None => {
-                                let factors = JitterFactors::derive(g.jitter, node_seed);
-                                let mut channel = (g.channel)();
-                                calls = match build_harvest_table(
-                                    &mut channel,
-                                    &tables[g.site],
-                                    &factors,
-                                    true,
-                                    &plan,
-                                    cancel,
-                                    &mut scratch,
-                                ) {
-                                    Some(calls) => calls,
-                                    None => return out,
-                                };
-                                cache = channel.kernel_cache_stats();
-                                &scratch
-                            }
-                        };
-                        cache.hits += plan.steps - calls;
-                        let outcome = match &g.store {
-                            DenseStore::Supercap(s) => simulate_node_dense(
-                                s,
-                                &g.output,
-                                g.supervisor_overhead,
-                                g.monitoring,
-                                &g.node,
-                                policy.as_mut(),
-                                table,
-                                &plan,
-                                cache,
-                                cancel,
-                            ),
-                            DenseStore::Battery(b) => simulate_node_dense(
-                                b,
-                                &g.output,
-                                g.supervisor_overhead,
-                                g.monitoring,
-                                &g.node,
-                                policy.as_mut(),
-                                table,
-                                &plan,
-                                cache,
-                                cancel,
-                            ),
-                        };
-                        match outcome {
-                            Some(outcome) => out.push(outcome),
-                            None => return out,
-                        }
-                    }
+                    cursor = run_end;
+                    continue;
                 }
+                GroupLanes::Shared(class, table, _) => (*class, LaneHarvest::Shared(table)),
+                GroupLanes::Jittered(class) => (
+                    *class,
+                    LaneHarvest::Jittered {
+                        channel: Box::new((class.channel)()),
+                        factors: node_seeds
+                            .clone()
+                            .map(|node_seed| JitterFactors::derive(g.jitter, node_seed))
+                            .collect(),
+                        rows: &tables[g.site],
+                    },
+                ),
+            };
+            let mut policies: Vec<Box<dyn DutyCyclePolicy>> = node_seeds.map(&g.policy).collect();
+            if !dense_lanes::run_lanes(
+                class,
+                config.dense_tier,
+                &g.node,
+                &mut policies,
+                harvest,
+                &plan,
+                cancel,
+                &mut out,
+            ) {
+                return out;
             }
             cursor = run_end;
         }
@@ -1468,69 +1146,28 @@ pub fn run_fleet_controlled(
 
     // Fold in global node order (shard order = node order), so the
     // floating-point accumulation is independent of shard boundaries.
-    let mut harvested = Joules::ZERO;
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut demanded = Joules::ZERO;
-    let mut converter_losses = Joules::ZERO;
-    let mut stranded = Joules::ZERO;
-    let mut residual_signed = 0.0;
-    let mut throughput = 0.0;
-    let mut worst_node_audit = 0.0f64;
-    let mut min_v = Volts::new(f64::INFINITY);
-    let mut neutral = 0u64;
-    let mut interp_max_deviation = 0.0f64;
-    let mut cache = CacheStats::default();
-    let mut uptimes: Vec<f64> = Vec::with_capacity(population as usize);
+    let mut totals = OutcomeTotals::new();
     let mut node_results = config
         .keep_node_results
         .then(|| Vec::with_capacity(population as usize));
-
     for outcome in shard_outcomes.iter().flatten() {
-        harvested += outcome.harvested;
-        delivered += outcome.delivered;
-        shortfall += outcome.shortfall;
-        demanded += outcome.demanded;
-        converter_losses += outcome.converter_losses;
-        stranded += outcome.stranded;
-        residual_signed += outcome.residual_signed;
-        throughput += outcome.throughput;
-        worst_node_audit = worst_node_audit.max(outcome.audit_residual);
-        min_v = min_v.min(outcome.min_store_voltage);
-        neutral += u64::from(outcome.brownout_steps == 0);
-        interp_max_deviation = interp_max_deviation.max(outcome.interp_deviation);
-        cache.hits += outcome.cache.hits;
-        cache.misses += outcome.cache.misses;
-        cache.invalidations += outcome.cache.invalidations;
-        uptimes.push(outcome.uptime);
+        totals.add(outcome);
         if let Some(results) = node_results.as_mut() {
             results.push(outcome.to_sim_result(plan.duration));
         }
     }
-    // Shared-table dense groups: the driver's actual solve counters enter
-    // the books once per group (member nodes counted only replays).
-    for driver in dense_tables.iter().flatten() {
-        cache.hits += driver.1.hits;
-        cache.misses += driver.1.misses;
-        cache.invalidations += driver.1.invalidations;
+    // Shared-table groups: the driver's actual solve counters enter the
+    // books once per group (member lanes counted only replays).
+    for lane in &lanes {
+        if let GroupLanes::Shared(_, _, driver) = lane {
+            totals.cache.merge(*driver);
+        }
     }
-
-    let mean = uptimes.iter().sum::<f64>() / population as f64;
-    let mut sorted = uptimes.clone();
-    sorted.sort_by(f64::total_cmp);
-    let uptime = UptimePercentiles {
-        min: sorted[0],
-        p05: percentile(&sorted, 0.05),
-        p25: percentile(&sorted, 0.25),
-        p50: percentile(&sorted, 0.50),
-        p75: percentile(&sorted, 0.75),
-        p95: percentile(&sorted, 0.95),
-        max: sorted[sorted.len() - 1],
-        mean,
-    };
+    let audit_relative = totals.audit("fleet")?;
 
     // Worst-uptime stragglers, ties broken by node index.
-    let mut ranked: Vec<(f64, u64)> = uptimes
+    let mut ranked: Vec<(f64, u64)> = totals
+        .uptimes
         .iter()
         .enumerate()
         .map(|(i, &u)| (u, i as u64))
@@ -1540,33 +1177,17 @@ pub fn run_fleet_controlled(
         .iter()
         .take(config.stragglers.min(population as usize))
         .map(|&(u, n)| {
-            let gi = spans.partition_point(|&(_, end)| end <= n);
-            let outcome = {
-                let shard = (n / shard_size) as usize;
-                &shard_outcomes[shard][(n % shard_size) as usize]
-            };
+            let g = &spec.groups[spans.partition_point(|&(_, end)| end <= n)];
+            let outcome = &shard_outcomes[(n / shard_size) as usize][(n % shard_size) as usize];
             Straggler {
                 node: n,
-                group: spec.groups[gi].name().to_string(),
-                site: spec.groups[gi].site(),
+                group: g.name.clone(),
+                site: g.site,
                 uptime: u,
                 brownout_steps: outcome.brownout_steps,
             }
         })
         .collect();
-
-    let audit_relative = residual_signed.abs() / throughput.max(1.0);
-    if audit_relative.is_nan() || audit_relative >= 1e-6 {
-        return Err(format!(
-            "fleet energy books do not close: conservation residual {residual_signed} J \
-             ({audit_relative:.3e} of storage throughput, limit 1e-6)"
-        ));
-    }
-    let served_fraction = if demanded.value() > 0.0 {
-        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
 
     Ok(Some(FleetResult {
         summary: FleetSummary {
@@ -1574,20 +1195,20 @@ pub fn run_fleet_controlled(
             steps_per_node: plan.steps,
             node_steps: population * plan.steps,
             duration: plan.duration,
-            energy_neutral_fraction: neutral as f64 / population as f64,
-            uptime,
-            served_fraction,
-            harvested,
-            delivered,
-            shortfall,
-            demanded,
-            converter_losses,
-            stranded_energy: stranded,
-            min_store_voltage: min_v,
+            energy_neutral_fraction: totals.energy_neutral as f64 / population as f64,
+            uptime: totals.uptime(),
+            served_fraction: totals.served_fraction(),
+            harvested: totals.harvested,
+            delivered: totals.delivered,
+            shortfall: totals.shortfall,
+            demanded: totals.demanded,
+            converter_losses: totals.converter_losses,
+            stranded_energy: totals.stranded,
+            min_store_voltage: totals.min_store_voltage,
             audit_relative,
-            worst_node_audit,
-            kernel_cache: cache,
-            interp_max_deviation,
+            worst_node_audit: totals.worst_audit,
+            kernel_cache: totals.cache,
+            interp_max_deviation: totals.interp_max_deviation,
             stragglers,
         },
         node_results,
@@ -1598,9 +1219,9 @@ pub fn run_fleet_controlled(
 mod tests {
     use super::*;
     use crate::runner::run_simulation;
-    use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
+    use mseh_core::StepReport;
     use mseh_harvesters::PvModule;
-    use mseh_node::{FixedDuty, VoltageThreshold};
+    use mseh_node::{EnergyStatus, FixedDuty, VoltageThreshold};
     use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
     use mseh_storage::Supercap;
     use mseh_units::{DutyCycle, Volts};
@@ -1646,6 +1267,24 @@ mod tests {
 
     fn solar_unit() -> PowerUnit {
         solar_unit_supervised(None)
+    }
+
+    /// [`solar_unit`] with a battery for the buffer.
+    fn solar_battery_unit(battery: &Battery) -> PowerUnit {
+        PowerUnit::builder("fleet battery node")
+            .harvester_port(
+                PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+                Some(solar_channel()),
+                true,
+            )
+            .store_port(
+                PortRequirement::any_in_window("b", Volts::ZERO, Volts::new(3.0)),
+                Some(Box::new(battery.clone())),
+                StoreRole::PrimaryBuffer,
+                true,
+            )
+            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+            .build()
     }
 
     /// The dense-lane declaration of exactly the hardware in
@@ -1990,52 +1629,60 @@ mod tests {
 
     #[test]
     fn dense_battery_batched_matches_scalar_bitwise() {
+        // The scalar reference: the same hardware built by hand, one
+        // boxed `PowerUnit` per node.
         let mut nimh = Battery::nimh_aa_pair();
         nimh.set_soc(0.5);
-        let build = |jitter: EnvJitter| {
+        // Heterogeneous duties: the uniform fast path must materialize
+        // the full population on divergence.
+        let policy = |seed: u64| -> Box<dyn DutyCyclePolicy> {
+            let d = 0.02 + 0.06 * (seed % 5) as f64 / 5.0;
+            Box::new(FixedDuty::new(DutyCycle::saturating(d)))
+        };
+        let run = |dense: bool, jitter: EnvJitter| {
             let mut spec = FleetSpec::new();
             let site = spec.add_site(Environment::outdoor_temperate(31));
-            spec.add_dense_group(
-                DenseGroup::new(
-                    "pv + nimh",
-                    23,
-                    site,
-                    SensorNode::submilliwatt_class(),
-                    solar_channel,
-                    DcDcConverter::buck_boost_3v3(),
-                    DenseStore::Battery(nimh.clone()),
-                    // Heterogeneous duties: the uniform fast path must
-                    // materialize the full population on divergence.
-                    |seed| {
-                        let d = 0.02 + 0.06 * (seed % 5) as f64 / 5.0;
-                        Box::new(FixedDuty::new(DutyCycle::saturating(d)))
-                    },
-                )
-                .with_seed(9)
-                .with_jitter(jitter),
+            let node = SensorNode::submilliwatt_class();
+            if dense {
+                spec.add_dense_group(
+                    DenseGroup::new(
+                        "pv + nimh",
+                        23,
+                        site,
+                        node,
+                        solar_channel,
+                        DcDcConverter::buck_boost_3v3(),
+                        DenseStore::Battery(nimh.clone()),
+                        policy,
+                    )
+                    .with_monitoring(MonitoringLevel::None)
+                    .with_seed(9)
+                    .with_jitter(jitter),
+                );
+            } else {
+                let nimh = nimh.clone();
+                spec.add_group(
+                    FleetGroup::new(
+                        "pv + nimh",
+                        23,
+                        site,
+                        node,
+                        move |_| Box::new(solar_battery_unit(&nimh)),
+                        policy,
+                    )
+                    .with_seed(9)
+                    .with_jitter(jitter),
+                );
+            }
+            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(3.0))).summary
+        };
+        for jitter in [EnvJitter::NONE, EnvJitter::relative(0.2)] {
+            assert_eq!(
+                modulo_cache(run(true, jitter)),
+                modulo_cache(run(false, jitter)),
+                "{jitter:?}"
             );
-            spec
-        };
-        let run = |spec: &FleetSpec, tier: DenseSolveTier| {
-            run_fleet(
-                spec,
-                FleetConfig {
-                    dense_tier: tier,
-                    ..FleetConfig::over(Seconds::from_hours(3.0))
-                },
-            )
-            .summary
-        };
-        let plain = build(EnvJitter::NONE);
-        assert_eq!(
-            run(&plain, DenseSolveTier::Batched),
-            run(&plain, DenseSolveTier::Scalar)
-        );
-        let jittered = build(EnvJitter::relative(0.2));
-        assert_eq!(
-            modulo_cache(run(&jittered, DenseSolveTier::Batched)),
-            modulo_cache(run(&jittered, DenseSolveTier::Scalar))
-        );
+        }
     }
 
     #[test]
@@ -2097,24 +1744,7 @@ mod tests {
                 5,
                 site,
                 SensorNode::submilliwatt_class(),
-                move |_| {
-                    Box::new(
-                        PowerUnit::builder("fleet battery node")
-                            .harvester_port(
-                                PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-                                Some(solar_channel()),
-                                true,
-                            )
-                            .store_port(
-                                PortRequirement::any_in_window("b", Volts::ZERO, Volts::new(3.0)),
-                                Some(Box::new(template.clone())),
-                                StoreRole::PrimaryBuffer,
-                                true,
-                            )
-                            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-                            .build(),
-                    )
-                },
+                move |_| Box::new(solar_battery_unit(&template)),
                 |_| Box::new(FixedDuty::new(duty())),
             )
             .with_seed(3);

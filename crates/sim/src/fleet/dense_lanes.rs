@@ -1,22 +1,21 @@
-//! Struct-of-arrays stepping for contiguous runs of dense nodes.
+//! Struct-of-arrays stepping for lane populations of one dense class.
 //!
-//! A shard-local run of one dense class's members becomes a lane
-//! population: stored state, losses and staged energy targets live in
-//! contiguous `Vec<f64>`s ([`SupercapLanes`] for supercap buffers,
-//! [`BatteryLanes`] for battery buffers) and the per-step store updates
-//! execute as masked whole-lane passes instead of one `Storage` call
-//! per node. Harvest solves batch the same way: un-jittered runs replay
-//! the group-wide harvest table, jittered runs drive the group
-//! channel's [`mseh_power::InputChannel::window_lanes`] once per
-//! control window across every lane's jittered snapshot.
+//! A shard-local run of a class's fleet members, or an arena seed row's
+//! policy lanes, becomes a lane population: stored state, losses and
+//! staged energy targets live in contiguous `Vec<f64>`s
+//! ([`SupercapLanes`] for supercap buffers, [`BatteryLanes`] for battery
+//! buffers) and the per-step store updates execute as masked whole-lane
+//! passes instead of one `Storage` call per node. Harvest solves batch
+//! the same way: un-jittered populations replay the class-wide harvest
+//! table ([`super::build_harvest_table`]), jittered ones drive the class
+//! channel's [`mseh_power::InputChannel::window_lanes`] once per control
+//! window across every lane's jittered snapshot.
 //!
-//! The runner is generic over the store lane type ([`StoreLanes`]) and
-//! over where its class parameters come from ([`DenseView`]): a
-//! [`DenseGroup`](super::DenseGroup) on the dense lane, or a boxed
-//! [`FleetGroup`](super::FleetGroup) whose members opted into the
-//! kernels via [`DenseClass`](super::DenseClass). The policy arena
-//! drives the same core through [`run_lane_population`], supplying one
-//! policy per lane instead of seeding them from a factory.
+//! [`run_lanes`] is the one entry: it takes the [`DenseClass`], the
+//! solve tier, one policy per lane and a [`LaneHarvest`], and steps the
+//! lanes generically over the store lane type ([`StoreLanes`]). The
+//! fleet derives the policies from a group factory and per-node seeds;
+//! the arena supplies one per contender.
 //!
 //! # Uniform fast path
 //!
@@ -24,71 +23,42 @@
 //! reading the same shared harvest table. While every lane's policy
 //! returns bit-identical duties the trajectories cannot diverge, so the
 //! runner steps a single representative lane (every policy is still
-//! driven each window — policy state must evolve exactly as scalar) and
-//! materializes the full population from it on the first divergent
-//! duty ([`SupercapLanes::replicate_lane0`]). Homogeneous-policy groups
-//! collapse to one lane of arithmetic; heterogeneous groups pay at most
-//! one window of single-lane work before falling back to full-width
+//! driven each window — policy state must evolve exactly as it would
+//! alone) and materializes the full population from it on the first
+//! divergent duty ([`SupercapLanes::replicate_lane0`]). Homogeneous-policy
+//! groups collapse to one lane of arithmetic; heterogeneous groups pay at
+//! most one window of single-lane work before falling back to full-width
 //! stepping. Jittered runs never take the fast path (their harvests
 //! differ per lane from the first window).
 //!
 //! # Bit-identity
 //!
-//! Every pass replicates the scalar path's exact arithmetic — same
-//! operation order, same guard branches, same books as
-//! [`simulate_node_dense`](super::simulate_node_dense) — and each
-//! lane's iterates are independent of its companions, so the result is
-//! bit-identical to the scalar tier *and* independent of how shards
-//! split a group into runs. The uniform fast path preserves this: a
-//! one-lane population's iterates equal any lane of a wider one. The
-//! fleet tests assert all of it.
+//! Every pass replicates the boxed `PowerUnit`'s exact arithmetic —
+//! the same load draw and shortfall split ([`mseh_core::load_draw`],
+//! [`mseh_core::shortfall_split`]), the same operation order, the same
+//! guard branches and books — and each lane's iterates are independent
+//! of its companions. So the result is bit-identical to the boxed
+//! `PowerUnit` *and* independent of how shards split a group into runs.
+//! The uniform fast path preserves this: a one-lane population's
+//! iterates equal any lane of a wider one. The fleet and differential
+//! tests assert all of it.
 
-use super::{ChannelFactory, DenseSolveTier, PolicyFactory, NODE_SEED_STREAM};
+use super::{DenseClass, DenseSolveTier, DenseStore};
 use crate::cancel::{tripped, CancelToken};
 use crate::steps::{NodeBooks, NodeOutcome, StepPlan, WindowLoad};
-use mseh_core::StepReport;
-use mseh_env::rng::Noise;
-use mseh_env::{EnvConditions, EnvJitter, JitterFactors};
+use mseh_core::{load_draw, shortfall_split, StepReport};
+use mseh_env::{EnvConditions, JitterFactors};
 use mseh_harvesters::CacheStats;
-use mseh_node::{DutyCyclePolicy, EnergyStatus, MonitoringLevel, SensorNode};
-use mseh_power::{DcDcConverter, HarvestStep, InputChannel, PowerStage};
-use mseh_storage::{Battery, BatteryLanes, Storage, Supercap, SupercapLanes};
+use mseh_node::{DutyCyclePolicy, EnergyStatus, SensorNode};
+use mseh_power::{HarvestStep, InputChannel, PowerStage};
+use mseh_storage::{BatteryLanes, Storage, SupercapLanes};
 use mseh_units::{DutyCycle, Joules, Ratio, Volts, Watts};
-
-/// The class parameters the generic runner needs, borrowed from either
-/// a [`DenseGroup`](super::DenseGroup) or a boxed
-/// [`FleetGroup`](super::FleetGroup) + [`DenseClass`](super::DenseClass)
-/// pair — the two lanes share the kernels verbatim.
-pub(super) struct DenseView<'a> {
-    pub(super) seed: u64,
-    pub(super) jitter: EnvJitter,
-    pub(super) node: &'a SensorNode,
-    pub(super) channel: &'a ChannelFactory,
-    pub(super) output: &'a DcDcConverter,
-    pub(super) supervisor_overhead: Watts,
-    pub(super) monitoring: MonitoringLevel,
-    pub(super) policy: &'a PolicyFactory,
-}
-
-/// The node-side parameters of one lane population, with one policy
-/// per lane. The fleet derives the policies from a class factory and
-/// per-node seeds; the arena supplies one per contender. Policies are
-/// borrowed mutably so callers can read post-run policy state (e.g.
-/// failover counts) after the population finishes.
-pub(crate) struct LanePopulation<'a> {
-    pub(crate) node: &'a SensorNode,
-    pub(crate) output: &'a DcDcConverter,
-    pub(crate) supervisor_overhead: Watts,
-    pub(crate) monitoring: MonitoringLevel,
-    pub(crate) policies: &'a mut [Box<dyn DutyCyclePolicy>],
-}
 
 /// Where a lane population's harvests come from.
 pub(crate) enum LaneHarvest<'a> {
-    /// Every lane replays one class-wide per-step harvest table; cache
-    /// counters are synthesized exactly as the scalar dense path does
-    /// (every table read is a memoized replay). Populations in this
-    /// mode start on the uniform fast path.
+    /// Every lane replays one class-wide per-step harvest table; each
+    /// lane books every table read as a memoized replay. Populations in
+    /// this mode start on the uniform fast path.
     Shared(&'a [HarvestStep]),
     /// Each lane sees its own jittered snapshot of the window's base
     /// conditions; the channel is driven once per window via
@@ -170,232 +140,87 @@ impl StoreLanes for BatteryLanes {
     }
 }
 
-/// Steps global nodes `lo..hi` of a supercap-store dense class as one
-/// lane population, pushing their [`NodeOutcome`]s onto `out` in node
-/// order. See [`run_lane_population`] for the shared semantics.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn simulate_supercap_run(
-    view: &DenseView<'_>,
-    template: &Supercap,
-    group_start: u64,
-    lo: u64,
-    hi: u64,
-    rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
-    plan: &StepPlan,
-    tier: DenseSolveTier,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let mut solo = SupercapLanes::from_template(template, 1);
-    let interp_deviation = match tier {
-        DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
-        _ => 0.0,
-    };
-    simulate_dense_run(
-        view,
-        solo,
-        template.capacity(),
-        NodeBooks::open(template.stored_energy(), template.losses()),
-        interp_deviation,
-        group_start,
-        lo,
-        hi,
-        rows,
-        shared,
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Steps global nodes `lo..hi` of a battery-store dense class as one
-/// lane population, pushing their [`NodeOutcome`]s onto `out` in node
-/// order. Batteries have no iterative inversion to interpolate, so
-/// every non-`Scalar` tier steps the exact [`BatteryLanes`] kernels
-/// (the one lane-wide `powf` per distinct idle `dt` is already the
-/// cheap path) and `interp_deviation` stays zero. See
-/// [`run_lane_population`] for the shared semantics.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn simulate_battery_run(
-    view: &DenseView<'_>,
-    template: &Battery,
-    group_start: u64,
-    lo: u64,
-    hi: u64,
-    rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let solo = BatteryLanes::from_template(template, 1);
-    simulate_dense_run(
-        view,
-        solo,
-        template.capacity(),
-        NodeBooks::open(template.stored_energy(), template.losses()),
-        0.0,
-        group_start,
-        lo,
-        hi,
-        rows,
-        shared,
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Fleet-facing wrapper: derives per-node seeds, policies, and (for
-/// jittered runs) the group channel + per-lane jitter factors, then
-/// hands the population to [`run_lane_population`].
-#[allow(clippy::too_many_arguments)]
-fn simulate_dense_run<L: StoreLanes>(
-    view: &DenseView<'_>,
-    solo: L,
-    cap: Joules,
-    books: NodeBooks,
-    interp_deviation: f64,
-    group_start: u64,
-    lo: u64,
-    hi: u64,
-    rows: &[EnvConditions],
-    shared: Option<&[HarvestStep]>,
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let lanes_n = (hi - lo) as usize;
-    let node_seed = |i: usize| {
-        let within = lo - group_start + i as u64;
-        Noise::new(view.seed).bits(NODE_SEED_STREAM, within)
-    };
-
-    let mut policies: Vec<Box<dyn DutyCyclePolicy>> =
-        (0..lanes_n).map(|i| (view.policy)(node_seed(i))).collect();
-
-    // Jittered runs drive the group channel once per window over every
-    // lane's jittered snapshot; the per-lane factors replicate the
-    // scalar path's per-node derivation.
-    let harvest = match shared {
-        Some(table) => LaneHarvest::Shared(table),
-        None => {
-            let factors: Vec<JitterFactors> = (0..lanes_n)
-                .map(|i| JitterFactors::derive(view.jitter, node_seed(i)))
-                .collect();
-            LaneHarvest::Jittered {
-                channel: Box::new((view.channel)()),
-                factors,
-                rows,
-            }
-        }
-    };
-
-    let mut pop = LanePopulation {
-        node: view.node,
-        output: view.output,
-        supervisor_overhead: view.supervisor_overhead,
-        monitoring: view.monitoring,
-        policies: &mut policies,
-    };
-    run_lane_population(
-        &mut pop,
-        solo,
-        cap,
-        books,
-        interp_deviation,
-        harvest,
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Steps a policy-lane population of a supercap-store class against a
-/// shared harvest table, pushing one [`NodeOutcome`] per lane onto
-/// `out` in lane order. Arena-facing analogue of
-/// [`simulate_supercap_run`]: lanes are one-per-policy rather than
-/// one-per-node.
-pub(crate) fn run_supercap_lanes(
-    pop: &mut LanePopulation<'_>,
-    template: &Supercap,
-    tier: DenseSolveTier,
-    table: &[HarvestStep],
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let mut solo = SupercapLanes::from_template(template, 1);
-    let interp_deviation = match tier {
-        DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
-        _ => 0.0,
-    };
-    run_lane_population(
-        pop,
-        solo,
-        template.capacity(),
-        NodeBooks::open(template.stored_energy(), template.losses()),
-        interp_deviation,
-        LaneHarvest::Shared(table),
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// Steps a policy-lane population of a battery-store class against a
-/// shared harvest table. Arena-facing analogue of
-/// [`simulate_battery_run`].
-pub(crate) fn run_battery_lanes(
-    pop: &mut LanePopulation<'_>,
-    template: &Battery,
-    table: &[HarvestStep],
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<NodeOutcome>,
-) -> bool {
-    let solo = BatteryLanes::from_template(template, 1);
-    run_lane_population(
-        pop,
-        solo,
-        template.capacity(),
-        NodeBooks::open(template.stored_energy(), template.losses()),
-        0.0,
-        LaneHarvest::Shared(table),
-        plan,
-        cancel,
-        out,
-    )
-}
-
-/// The generic lane runner: steps one [`LanePopulation`] as a
-/// [`StoreLanes`] population, one lane per policy, each lane keeping
-/// its own copy of the freshly opened `books`.
-///
-/// [`LaneHarvest::Shared`] populations replay the class-wide table
-/// (cache counters are synthesized exactly as the scalar dense path
-/// does: every table read is a replay) and start on the uniform fast
-/// path (see the module docs). [`LaneHarvest::Jittered`] populations
-/// drive the channel once per window over per-lane jittered snapshots.
+/// The one entry to the lane kernels: steps one lane per policy of
+/// `class` under `tier`, pushing one [`NodeOutcome`] per lane onto `out`
+/// in lane order. Battery lanes have no iterative inversion to
+/// interpolate, so every tier steps the exact [`BatteryLanes`] kernels
+/// (the one lane-wide `powf` per distinct idle `dt` is already the cheap
+/// path) and record no deviation.
 ///
 /// Returns `false` — with no outcomes pushed — when `cancel` trips,
 /// checked once per control window.
 #[allow(clippy::too_many_arguments)]
-fn run_lane_population<L: StoreLanes>(
-    pop: &mut LanePopulation<'_>,
-    solo: L,
-    cap: Joules,
-    books: NodeBooks,
-    interp_deviation: f64,
+pub(crate) fn run_lanes(
+    class: &DenseClass,
+    tier: DenseSolveTier,
+    node: &SensorNode,
+    policies: &mut [Box<dyn DutyCyclePolicy>],
     harvest: LaneHarvest<'_>,
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
-    let lanes_n = pop.policies.len();
-    let (node, output, monitoring) = (pop.node, pop.output, pop.monitoring);
-    let overhead_w = pop.supervisor_overhead + output.quiescent();
+    match &class.store {
+        DenseStore::Supercap(template) => {
+            let mut solo = SupercapLanes::from_template(template, 1);
+            let interp_deviation = match tier {
+                DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
+                DenseSolveTier::Batched => 0.0,
+            };
+            run_lane_population(
+                class,
+                node,
+                policies,
+                harvest,
+                plan,
+                cancel,
+                out,
+                solo,
+                template,
+                interp_deviation,
+            )
+        }
+        DenseStore::Battery(template) => run_lane_population(
+            class,
+            node,
+            policies,
+            harvest,
+            plan,
+            cancel,
+            out,
+            BatteryLanes::from_template(template, 1),
+            template,
+            0.0,
+        ),
+    }
+}
+
+/// The generic lane runner behind [`run_lanes`]: steps the lanes as a
+/// [`StoreLanes`] population cloned from the store template (`solo`
+/// holds one lane of it), one lane per policy, each keeping its own
+/// books.
+///
+/// [`LaneHarvest::Shared`] populations replay the class-wide table
+/// (every table read books a replay hit) and start on the uniform fast
+/// path (see the module docs). [`LaneHarvest::Jittered`] populations
+/// drive the channel once per window over per-lane jittered snapshots.
+#[allow(clippy::too_many_arguments)]
+fn run_lane_population<L: StoreLanes>(
+    class: &DenseClass,
+    node: &SensorNode,
+    policies: &mut [Box<dyn DutyCyclePolicy>],
+    harvest: LaneHarvest<'_>,
+    plan: &StepPlan,
+    cancel: Option<&CancelToken>,
+    out: &mut Vec<NodeOutcome>,
+    solo: L,
+    template: &dyn Storage,
+    interp_deviation: f64,
+) -> bool {
+    let lanes_n = policies.len();
+    let (output, monitoring) = (&class.output, class.monitoring);
+    let overhead_w = class.supervisor_overhead + output.quiescent();
+    let cap = template.capacity();
 
     let empty_rows: &[EnvConditions] = &[];
     let (shared, mut channel, factors, rows) = match harvest {
@@ -419,11 +244,13 @@ fn run_lane_population<L: StoreLanes>(
     // Lanes actually stepped this window (1 while uniform).
     let mut active = if uniform { 1 } else { lanes_n };
 
-    let mut books = vec![books; lanes_n];
+    let mut books = vec![NodeBooks::open(template.stored_energy(), template.losses()); lanes_n];
     // Each lane's latest bus harvest, for its policy's energy status.
     let mut last_harvest = vec![Watts::ZERO; lanes_n];
-    // The exact `EnergyStatus` the scalar dense path composes from its
-    // store.
+    // The exact `EnergyStatus` the class's `PowerUnit` reports for its
+    // one primary store: actual SoC over the device capacity, believed
+    // stored energy over the recognized (commissioning) capacity,
+    // clamped to the monitoring tier.
     let status = |lanes: &L, i: usize, last_harvest: Watts| {
         let soc_actual = if cap.value() > 0.0 {
             lanes.stored_energy(i) / cap.value()
@@ -472,13 +299,13 @@ fn run_lane_population<L: StoreLanes>(
         // Policy prologue, per lane. While uniform, every lane's state
         // bit-equals lane 0's, so one status serves all policies — each
         // of which is still driven, so stateful policies evolve exactly
-        // as scalar — and the population materializes on the first
-        // divergent duty.
+        // as they would alone — and the population materializes on the
+        // first divergent duty.
         if uniform {
             let timed = status(&lanes, 0, last_harvest[0]).at(t_win);
             let mut diverged = false;
             for i in 0..lanes_n {
-                duties[i] = pop.policies[i].choose(node, &timed);
+                duties[i] = policies[i].choose(node, &timed);
                 if duties[i].value().to_bits() != duties[0].value().to_bits() {
                     diverged = true;
                 }
@@ -495,7 +322,7 @@ fn run_lane_population<L: StoreLanes>(
         } else {
             for i in 0..lanes_n {
                 let timed = status(&lanes, i, last_harvest[i]).at(t_win);
-                duties[i] = pop.policies[i].choose(node, &timed);
+                duties[i] = policies[i].choose(node, &timed);
             }
         }
         loads.clear();
@@ -525,8 +352,9 @@ fn run_lane_population<L: StoreLanes>(
                 }
             }
 
-            // Pass A — the pre-transfer half of the scalar step: resolve
-            // the lane's harvest, read the store voltage, stage the
+            // Pass A — `PowerUnit::settle` up to the store transfer:
+            // resolve the lane's harvest, draw the load through the
+            // output stage at the store voltage, stage the
             // charge/discharge request.
             for i in 0..active {
                 let hs: &HarvestStep = match shared {
@@ -534,22 +362,12 @@ fn run_lane_population<L: StoreLanes>(
                     None if step.closer => &fhs[i],
                     None => &whs[i],
                 };
-                let load = loads[i].power;
-
                 let harvested_w = hs.delivered;
                 let overhead_w = overhead_w + hs.overhead;
                 last_harvest[i] = harvested_w;
 
-                let store_v = Volts::new(lanes.voltage(i));
-                let (load_in_w, servable) = if load.value() > 0.0 {
-                    if output.accepts_input_voltage(store_v) {
-                        (output.input_for_output(load, store_v), true)
-                    } else {
-                        (Watts::ZERO, false)
-                    }
-                } else {
-                    (Watts::ZERO, true)
-                };
+                let (load_in_w, servable) =
+                    load_draw(output, loads[i].power, Volts::new(lanes.voltage(i)));
 
                 let e_h = harvested_w * step_dt;
                 let e_load_in = load_in_w * step_dt;
@@ -587,38 +405,25 @@ fn run_lane_population<L: StoreLanes>(
                 &mut discharged_o[..active],
             );
 
-            // Pass B — the post-transfer half: the shortfall split, then
+            // Pass B — the rest of `settle`: the shortfall split, then
             // the lane's books.
             for i in 0..active {
-                let load = loads[i].power;
                 let step_discharged = Joules::new(discharged_o[i]);
                 let unmet = (deficit_l[i] - step_discharged).max(Joules::ZERO);
-                let e_load_in = e_load_in_l[i];
-
-                let (step_delivered, step_shortfall, step_conv_loss) = if !servable_l[i] {
-                    (Joules::ZERO, load * step_dt, Joules::ZERO)
-                } else if e_load_in.value() > 0.0 {
-                    let load_unmet = unmet.min(e_load_in);
-                    let served_in = e_load_in - load_unmet;
-                    let served = (served_in / e_load_in).clamp(0.0, 1.0);
-                    let full_load = load * step_dt;
-                    let step_delivered = full_load * served;
-                    (
-                        step_delivered,
-                        full_load * (1.0 - served),
-                        (served_in - step_delivered).max(Joules::ZERO),
-                    )
-                } else {
-                    (Joules::ZERO, Joules::ZERO, Joules::ZERO)
-                };
-
+                let (delivered, shortfall, converter_loss) = shortfall_split(
+                    loads[i].power,
+                    step_dt,
+                    servable_l[i],
+                    e_load_in_l[i],
+                    unmet,
+                );
                 let report = StepReport {
                     harvested: e_h_l[i],
-                    delivered: step_delivered,
-                    shortfall: step_shortfall,
+                    delivered,
+                    shortfall,
                     charged: Joules::new(charged_o[i]),
                     discharged: step_discharged,
-                    converter_loss: step_conv_loss,
+                    converter_loss,
                     store_voltage: Volts::new(lanes.voltage(i)),
                     ..StepReport::default()
                 };
@@ -627,8 +432,8 @@ fn run_lane_population<L: StoreLanes>(
         }
     }
 
-    // Per-lane cache synthesis mirrors the scalar dense path: every
-    // harvest read beyond the run's own solves is a memoized replay.
+    // Every harvest read beyond the run's own solves is a memoized
+    // replay.
     let cache = CacheStats {
         misses: calls,
         hits: plan.steps - calls,
@@ -643,7 +448,7 @@ fn run_lane_population<L: StoreLanes>(
         );
         debug_assert!(
             outcome.audit_residual < 1e-6,
-            "dense fleet node violated storage conservation: residual {} J",
+            "dense lane violated storage conservation: residual {} J",
             outcome.residual_signed
         );
         outcome.interp_deviation = interp_deviation;

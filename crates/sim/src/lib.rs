@@ -96,7 +96,7 @@ pub use fault::{
 pub use fleet::{
     run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseSolveTier,
     DenseStore, EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec,
-    FleetSummary, GroupEntry, PlatformFactory, PolicyFactory, Straggler, UptimePercentiles,
+    FleetSummary, PlatformFactory, PolicyFactory, Straggler,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry,
@@ -112,6 +112,7 @@ pub use runner::{
     publish_kernel_cache_stats, run_simulation, run_simulation_cancellable,
     run_simulation_observed, SimConfig, SimResult, SimTraces,
 };
+pub use steps::UptimePercentiles;
 pub use sweep::{
     crossover, day_grid, first_meeting, geometric_grid, par_sweep, par_sweep_with_threads, sweep,
     SweepPoint,

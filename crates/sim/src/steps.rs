@@ -1,7 +1,8 @@
 //! The step arithmetic, the control-window walk and the energy books
-//! that every step loop shares: the single-run kernel, the boxed and
-//! dense fleet nodes, the dense lane populations and the arena's boxed
-//! lockstep.
+//! that every step loop shares: the single-run kernel, the boxed fleet
+//! node, the dense lane populations and the arena's boxed lockstep;
+//! plus the one fold that sums closed books into fleet and arena
+//! summaries.
 //!
 //! A run is whole `dt` steps plus, when the horizon is not a multiple
 //! of `dt`, one fractional closing step, grouped into control windows
@@ -340,13 +341,8 @@ impl NodeBooks {
         let throughput = (self.harvested + self.discharged + self.charged)
             .value()
             .max(1.0);
-        let uptime = if self.demanded.value() > 0.0 {
-            1.0 - (self.shortfall.value() / self.demanded.value()).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
         NodeOutcome {
-            uptime,
+            uptime: served_fraction(self.shortfall, self.demanded),
             samples: self.samples,
             harvested: self.harvested,
             delivered: self.delivered,
@@ -363,5 +359,154 @@ impl NodeBooks {
             cache,
             interp_deviation: 0.0,
         }
+    }
+}
+
+/// The energy-weighted served fraction `1 − shortfall / demanded`
+/// (clamped; `1` when nothing was demanded): a node's uptime, and the
+/// served fraction of any total.
+pub(crate) fn served_fraction(shortfall: Joules, demanded: Joules) -> f64 {
+    if demanded.value() > 0.0 {
+        1.0 - (shortfall.value() / demanded.value()).clamp(0.0, 1.0)
+    } else {
+        1.0
+    }
+}
+
+/// Percentiles of a per-node (or per-seed) uptime distribution,
+/// nearest-rank.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UptimePercentiles {
+    /// Worst node.
+    pub min: f64,
+    /// 5th percentile.
+    pub p05: f64,
+    /// 25th percentile.
+    pub p25: f64,
+    /// Median.
+    pub p50: f64,
+    /// 75th percentile.
+    pub p75: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// Best node.
+    pub max: f64,
+    /// Population mean.
+    pub mean: f64,
+}
+
+/// Nearest-rank percentile over an ascending-sorted slice.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Closed books summed in the order they are added: a fleet's
+/// population in node order, one arena contender across its seeds, or
+/// a whole arena in seed-major lane order. Floating-point totals depend
+/// on that order, so callers fix it.
+pub(crate) struct OutcomeTotals {
+    pub(crate) harvested: Joules,
+    pub(crate) delivered: Joules,
+    pub(crate) shortfall: Joules,
+    pub(crate) demanded: Joules,
+    pub(crate) converter_losses: Joules,
+    pub(crate) stranded: Joules,
+    pub(crate) samples: f64,
+    pub(crate) brownout_steps: u64,
+    pub(crate) longest_outage_steps: u64,
+    pub(crate) min_store_voltage: Volts,
+    /// Outcomes with no brown-out step.
+    pub(crate) energy_neutral: u64,
+    pub(crate) worst_audit: f64,
+    pub(crate) cache: CacheStats,
+    pub(crate) interp_max_deviation: f64,
+    /// Each outcome's uptime, in order.
+    pub(crate) uptimes: Vec<f64>,
+    residual_signed: f64,
+    throughput: f64,
+}
+
+impl OutcomeTotals {
+    pub(crate) fn new() -> Self {
+        Self {
+            harvested: Joules::ZERO,
+            delivered: Joules::ZERO,
+            shortfall: Joules::ZERO,
+            demanded: Joules::ZERO,
+            converter_losses: Joules::ZERO,
+            stranded: Joules::ZERO,
+            samples: 0.0,
+            brownout_steps: 0,
+            longest_outage_steps: 0,
+            min_store_voltage: Volts::new(f64::INFINITY),
+            energy_neutral: 0,
+            worst_audit: 0.0,
+            cache: CacheStats::default(),
+            interp_max_deviation: 0.0,
+            uptimes: Vec::new(),
+            residual_signed: 0.0,
+            throughput: 0.0,
+        }
+    }
+
+    pub(crate) fn add(&mut self, o: &NodeOutcome) {
+        self.harvested += o.harvested;
+        self.delivered += o.delivered;
+        self.shortfall += o.shortfall;
+        self.demanded += o.demanded;
+        self.converter_losses += o.converter_losses;
+        self.stranded += o.stranded;
+        self.samples += o.samples;
+        self.brownout_steps += o.brownout_steps;
+        self.longest_outage_steps = self.longest_outage_steps.max(o.longest_outage_steps);
+        self.min_store_voltage = self.min_store_voltage.min(o.min_store_voltage);
+        self.energy_neutral += u64::from(o.brownout_steps == 0);
+        self.worst_audit = self.worst_audit.max(o.audit_residual);
+        self.cache.merge(o.cache);
+        self.interp_max_deviation = self.interp_max_deviation.max(o.interp_deviation);
+        self.uptimes.push(o.uptime);
+        self.residual_signed += o.residual_signed;
+        self.throughput += o.throughput;
+    }
+
+    /// Energy-weighted served fraction of the totals.
+    pub(crate) fn served_fraction(&self) -> f64 {
+        served_fraction(self.shortfall, self.demanded)
+    }
+
+    /// The uptime percentile ladder and mean. Needs at least one
+    /// outcome.
+    pub(crate) fn uptime(&self) -> UptimePercentiles {
+        let mut sorted = self.uptimes.clone();
+        sorted.sort_by(f64::total_cmp);
+        UptimePercentiles {
+            min: sorted[0],
+            p05: percentile(&sorted, 0.05),
+            p25: percentile(&sorted, 0.25),
+            p50: percentile(&sorted, 0.50),
+            p75: percentile(&sorted, 0.75),
+            p95: percentile(&sorted, 0.95),
+            max: sorted[sorted.len() - 1],
+            mean: self.uptimes.iter().sum::<f64>() / self.uptimes.len() as f64,
+        }
+    }
+
+    /// The aggregate conservation audit: |Σ signed residuals| over total
+    /// storage throughput. `Err` when `what`'s books do not close below
+    /// 1e-6 (or the audit is NaN).
+    pub(crate) fn audit(&self, what: &str) -> Result<f64, String> {
+        let audit_relative = self.residual_signed.abs() / self.throughput.max(1.0);
+        if audit_relative.is_nan() || audit_relative >= 1e-6 {
+            return Err(format!(
+                "{what} energy books do not close: conservation residual {} J \
+                 ({audit_relative:.3e} of storage throughput, limit 1e-6)",
+                self.residual_signed
+            ));
+        }
+        Ok(audit_relative)
     }
 }

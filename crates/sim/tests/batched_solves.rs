@@ -1,71 +1,96 @@
-//! Tier-equivalence properties of the dense lane's batched
-//! struct-of-arrays solves.
+//! Dense ≡ boxed: the dense lane's batched struct-of-arrays kernels
+//! against the scalar reference, a boxed group of the same hardware
+//! built by hand with [`PowerUnit::builder`] and stepped one
+//! `Platform::step` per node (in the arena: one lockstep settle per
+//! lane).
 //!
-//! The contract under test: [`DenseSolveTier::Batched`] is bit-identical
-//! to [`DenseSolveTier::Scalar`] — same harvest, same uptime
-//! distribution, same audit, same stragglers — across harvester classes,
-//! controllers, supercap parameter sets, jitter settings and run
-//! geometry, because the batch kernels replicate the scalar iterate
-//! sequence under a convergence mask rather than inventing a new
-//! numerical scheme. The interpolated tier is checked against its
+//! The sweep crosses the seven Table-I-style presets with both store
+//! kinds, with and without jitter, under both condition cadences. It
+//! adds a PV channel under each controller family (fractional-V_oc,
+//! fixed point, perturb-and-observe) and fractional-V_oc on the two
+//! harvesters without a window-lane kernel (wind, RF). Every cell
+//! agrees with the boxed reference on every physical quantity. Cache
+//! counters may differ where the lanes run, because the lanes synthesize
+//! theirs; jittered per-step cells close the lane gate and run boxed,
+//! so they agree in full. The interpolated tier is checked against its
 //! deviation bound instead.
 
+use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::{EnvJitter, Environment};
-use mseh_harvesters::{FlowTurbine, PvModule, Rectenna, Teg};
-use mseh_node::{FixedDuty, MonitoringLevel, SensorNode, VoltageThreshold};
-use mseh_power::{DcDcConverter, FixedPoint, FractionalVoc, IdealDiode, InputChannel};
+use mseh_harvesters::{FlowTurbine, PvModule, Rectenna, Teg, Transducer};
+use mseh_node::{
+    DutyCyclePolicy, EnergyNeutral, FixedDuty, HillClimbDuty, MonitoringLevel, SensorNode,
+    VoltageThreshold,
+};
+use mseh_power::{
+    DcDcConverter, FixedPoint, FractionalVoc, IdealDiode, InputChannel, OperatingPointController,
+    PerturbObserve,
+};
 use mseh_sim::{
-    run_fleet, DenseGroup, DenseSolveTier, DenseStore, FleetConfig, FleetSpec, FleetSummary,
+    run_arena_controlled, run_fleet, run_fleet_controlled, ArenaConfig, ArenaResult, ArenaSpec,
+    Contender, DenseClass, DenseGroup, DenseSolveTier, DenseStore, EnvCadence, FleetConfig,
+    FleetControl, FleetGroup, FleetSpec, FleetSummary,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_units::{DutyCycle, Seconds, Volts};
 
 /// One dense platform preset per Table-I system: the seven surveyed
 /// harvester-class / controller / buffer combinations, reduced to the
-/// dense lane's one-channel/one-supercap shape.
+/// dense lane's one-channel/one-store shape.
 const PRESETS: usize = 7;
 
-fn channel_for(preset: usize) -> InputChannel {
-    let (harvester, controller): (_, Box<dyn mseh_power::OperatingPointController>) = match preset {
-        // A: Smart Power Unit — large PV behind fractional-Voc MPPT.
-        0 => (
-            Box::new(PvModule::outdoor_panel_two_watt()) as Box<dyn mseh_harvesters::Transducer>,
-            Box::new(FractionalVoc::pv_standard()),
-        ),
-        // B: Plug-and-Play — small PV, quiescent-lean fixed point.
-        1 => (
-            Box::new(PvModule::outdoor_panel_half_watt()) as _,
-            Box::new(FixedPoint::new(Volts::new(3.2))),
-        ),
-        // C: AmbiMax — wind column (fixed point: turbines expose no
-        // batched Voc kernel, the gate must still accept them).
-        2 => (
-            Box::new(FlowTurbine::micro_wind()) as _,
-            Box::new(FixedPoint::new(Volts::new(3.0))),
-        ),
-        // D: MPWiNode — half-watt PV with fractional-Voc.
-        3 => (
-            Box::new(PvModule::outdoor_panel_half_watt()) as _,
-            Box::new(FractionalVoc::pv_standard()),
-        ),
-        // E: MAX17710 eval — TEG with a Thevenin-fraction tracker.
-        4 => (
-            Box::new(Teg::module_40mm()) as _,
-            Box::new(FractionalVoc::thevenin_standard()),
-        ),
-        // F: EnerChip eval — indoor amorphous PV, fixed point.
-        5 => (
-            Box::new(PvModule::amorphous_indoor()) as _,
-            Box::new(FixedPoint::new(Volts::new(2.4))),
-        ),
-        // G: EH-Link — RF rectenna column, fixed point.
-        _ => (
-            Box::new(Rectenna::rectenna_915mhz()) as _,
-            Box::new(FixedPoint::new(Volts::new(1.8))),
-        ),
+/// Presets whose harvester is a Thevenin-like source (wind, TEG, RF).
+fn thevenin_source(preset: usize) -> bool {
+    matches!(preset, 2 | 4 | 6)
+}
+
+fn harvester_for(preset: usize) -> Box<dyn Transducer> {
+    match preset {
+        // A: Smart Power Unit — large PV.
+        0 => Box::new(PvModule::outdoor_panel_two_watt()),
+        // B and D: Plug-and-Play, MPWiNode — half-watt PV.
+        1 | 3 => Box::new(PvModule::outdoor_panel_half_watt()),
+        // C: AmbiMax — wind column.
+        2 => Box::new(FlowTurbine::micro_wind()),
+        // E: MAX17710 eval — TEG.
+        4 => Box::new(Teg::module_40mm()),
+        // F: EnerChip eval — indoor amorphous PV.
+        5 => Box::new(PvModule::amorphous_indoor()),
+        // G: EH-Link — RF rectenna column.
+        _ => Box::new(Rectenna::rectenna_915mhz()),
+    }
+}
+
+/// Which controller a cell's channel runs on the preset's harvester.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ctl {
+    /// The preset's own: fixed point on B, C, F and G (turbines and
+    /// rectennas expose no batched V_oc kernel, so fixed point is what
+    /// lets them clear the window-lane gate), fractional-V_oc elsewhere.
+    Preset,
+    Focv,
+    Fixed,
+    PerturbObserve,
+}
+
+fn channel_for(preset: usize, ctl: Ctl) -> InputChannel {
+    let focv = || -> Box<dyn OperatingPointController> {
+        if thevenin_source(preset) {
+            Box::new(FractionalVoc::thevenin_standard())
+        } else {
+            Box::new(FractionalVoc::pv_standard())
+        }
+    };
+    let controller: Box<dyn OperatingPointController> = match (ctl, preset) {
+        (Ctl::Preset, 1) | (Ctl::Fixed, _) => Box::new(FixedPoint::new(Volts::new(3.2))),
+        (Ctl::Preset, 2) => Box::new(FixedPoint::new(Volts::new(3.0))),
+        (Ctl::Preset, 5) => Box::new(FixedPoint::new(Volts::new(2.4))),
+        (Ctl::Preset, 6) => Box::new(FixedPoint::new(Volts::new(1.8))),
+        (Ctl::Preset, _) | (Ctl::Focv, _) => focv(),
+        (Ctl::PerturbObserve, _) => Box::new(PerturbObserve::new()),
     };
     InputChannel::new(
-        harvester,
+        harvester_for(preset),
         controller,
         Box::new(IdealDiode::nanopower()),
         Box::new(DcDcConverter::mppt_front_end_5v()),
@@ -98,6 +123,22 @@ fn batt_for(preset: usize) -> Battery {
     batt
 }
 
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    Supercap,
+    Battery,
+}
+
+const STORES: [Store; 2] = [Store::Supercap, Store::Battery];
+const CADENCES: [EnvCadence; 2] = [EnvCadence::PerStep, EnvCadence::PerWindow];
+
+fn dense_store(preset: usize, store: Store) -> DenseStore {
+    match store {
+        Store::Supercap => DenseStore::Supercap(cap_for(preset)),
+        Store::Battery => DenseStore::Battery(batt_for(preset)),
+    }
+}
+
 fn site_for(preset: usize, seed: u64) -> Environment {
     match preset {
         // TEG and rectenna presets need a gradient / an RF field.
@@ -107,58 +148,170 @@ fn site_for(preset: usize, seed: u64) -> Environment {
     }
 }
 
-fn spec_for(preset: usize, seed: u64, jitter: EnvJitter, count: usize) -> FleetSpec {
-    spec_with_store(
-        preset,
-        seed,
-        jitter,
-        count,
-        DenseStore::Supercap(cap_for(preset)),
-    )
+fn policy_for(preset: usize, node_seed: u64) -> Box<dyn DutyCyclePolicy> {
+    if preset.is_multiple_of(2) {
+        Box::new(VoltageThreshold::supercap_ladder())
+    } else {
+        Box::new(FixedDuty::new(DutyCycle::saturating(
+            0.02 + 0.08 * (node_seed % 7) as f64 / 7.0,
+        )))
+    }
 }
 
-fn battery_spec_for(preset: usize, seed: u64, jitter: EnvJitter, count: usize) -> FleetSpec {
-    spec_with_store(
-        preset,
-        seed,
-        jitter,
-        count,
-        DenseStore::Battery(batt_for(preset)),
-    )
+/// The hardware a dense cell declares, built by hand as a boxed unit:
+/// one harvester port, one primary-buffer store, the output converter,
+/// and a zero-overhead supervisor reporting full status.
+fn unit_for(preset: usize, ctl: Ctl, store: Store) -> PowerUnit {
+    let device: Box<dyn Storage> = match store {
+        Store::Supercap => Box::new(cap_for(preset)),
+        Store::Battery => Box::new(batt_for(preset)),
+    };
+    PowerUnit::builder("preset")
+        .harvester_port(
+            PortRequirement::any_in_window("in", Volts::ZERO, Volts::new(50.0)),
+            Some(channel_for(preset, ctl)),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(5.0)),
+            Some(device),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor {
+            monitoring: MonitoringLevel::Full,
+            ..Supervisor::none()
+        })
+        .build()
 }
 
-fn spec_with_store(
+/// One cell of the sweep.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
     preset: usize,
+    ctl: Ctl,
+    store: Store,
     seed: u64,
     jitter: EnvJitter,
-    count: usize,
-    store: DenseStore,
-) -> FleetSpec {
-    let mut spec = FleetSpec::new();
-    let site = spec.add_site(site_for(preset, seed));
-    let group = DenseGroup::new(
-        "preset",
-        count,
-        site,
-        SensorNode::submilliwatt_class(),
-        move || channel_for(preset),
-        DcDcConverter::buck_boost_3v3(),
-        store,
-        move |node_seed| {
-            if preset.is_multiple_of(2) {
-                Box::new(VoltageThreshold::supercap_ladder())
-            } else {
-                Box::new(FixedDuty::new(DutyCycle::saturating(
-                    0.02 + 0.08 * (node_seed % 7) as f64 / 7.0,
-                )))
+    cadence: EnvCadence,
+}
+
+impl Cell {
+    fn preset(preset: usize, store: Store, seed: u64, jitter: EnvJitter) -> Self {
+        Self {
+            preset,
+            ctl: Ctl::Preset,
+            store,
+            seed,
+            jitter,
+            cadence: EnvCadence::PerWindow,
+        }
+    }
+
+    fn dense(self, count: usize) -> FleetSpec {
+        let Cell {
+            preset, ctl, store, ..
+        } = self;
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(site_for(preset, self.seed));
+        spec.add_dense_group(
+            DenseGroup::new(
+                "preset",
+                count,
+                site,
+                SensorNode::submilliwatt_class(),
+                move || channel_for(preset, ctl),
+                DcDcConverter::buck_boost_3v3(),
+                dense_store(preset, store),
+                move |node_seed| policy_for(preset, node_seed),
+            )
+            .with_seed(self.seed ^ 0x5EED)
+            .with_jitter(self.jitter)
+            .with_monitoring(MonitoringLevel::Full),
+        );
+        spec
+    }
+
+    fn boxed(self, count: usize) -> FleetSpec {
+        let Cell {
+            preset, ctl, store, ..
+        } = self;
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(site_for(preset, self.seed));
+        spec.add_group(
+            FleetGroup::new(
+                "preset",
+                count,
+                site,
+                SensorNode::submilliwatt_class(),
+                move |_| Box::new(unit_for(preset, ctl, store)),
+                move |node_seed| policy_for(preset, node_seed),
+            )
+            .with_seed(self.seed ^ 0x5EED)
+            .with_jitter(self.jitter),
+        );
+        spec
+    }
+
+    fn config(self) -> FleetConfig {
+        let config = FleetConfig::over(horizon());
+        match self.cadence {
+            EnvCadence::PerStep => config.exact_env(),
+            EnvCadence::PerWindow => config,
+        }
+    }
+
+    /// Runs the cell as a dense group and as its boxed twin.
+    fn run(self) -> (FleetSummary, FleetSummary) {
+        let run = |spec: &FleetSpec| {
+            run_fleet_controlled(spec, self.config(), FleetControl::default())
+                .expect("valid spec")
+                .expect("no cancel token")
+                .summary
+        };
+        (run(&self.dense(8)), run(&self.boxed(8)))
+    }
+
+    /// Asserts the cell: full equality where the lane gate is closed
+    /// (jittered under per-step cadence), equality modulo cache counters
+    /// elsewhere.
+    fn check(self) {
+        let (dense, boxed) = self.run();
+        if !self.jitter.is_none() && self.cadence == EnvCadence::PerStep {
+            assert_eq!(dense, boxed, "{self:?}");
+        } else {
+            assert_eq!(modulo_cache(dense.clone()), modulo_cache(boxed), "{self:?}");
+        }
+        assert_eq!(dense.interp_max_deviation, 0.0, "{self:?}");
+    }
+}
+
+/// The presets × both cadences, one store kind and jitter setting.
+fn sweep_presets(store: Store, jitter: EnvJitter, seeds: [u64; 2]) {
+    for preset in 0..PRESETS {
+        for seed in seeds {
+            for cadence in CADENCES {
+                Cell {
+                    cadence,
+                    ..Cell::preset(preset, store, seed, jitter)
+                }
+                .check();
             }
-        },
-    )
-    .with_seed(seed ^ 0x5EED)
-    .with_jitter(jitter)
-    .with_monitoring(MonitoringLevel::Full);
-    spec.add_dense_group(group);
-    spec
+        }
+    }
+}
+
+/// Guards the jittered sweeps against vacuity: a preset whose channel
+/// misses the window-lane gate would run boxed on both sides and
+/// compare the reference with itself.
+fn assert_presets_take_window_lanes() {
+    for preset in 0..PRESETS {
+        assert!(
+            channel_for(preset, Ctl::Preset).supports_window_lanes(Seconds::new(60.0)),
+            "preset {preset} is not window-batchable"
+        );
+    }
 }
 
 /// A duration whose fractional closer lands mid-window (10 s closer
@@ -172,9 +325,9 @@ fn run_tier(spec: &FleetSpec, tier: DenseSolveTier) -> FleetSummary {
     run_fleet(spec, FleetConfig::over(horizon()).with_dense_tier(tier)).summary
 }
 
-/// Cache counters aside (the batched jittered path books synthesized
-/// replay counts, the scalar path books the member channel's own), every
-/// physical quantity must agree bit for bit.
+/// Cache counters aside (the lanes book synthesized replay counts, the
+/// boxed path books each member channel's own), every physical quantity
+/// must agree bit for bit.
 fn modulo_cache(mut s: FleetSummary) -> FleetSummary {
     s.kernel_cache = Default::default();
     s
@@ -182,78 +335,157 @@ fn modulo_cache(mut s: FleetSummary) -> FleetSummary {
 
 #[test]
 fn batched_matches_scalar_bitwise_across_presets_unjittered() {
-    for preset in 0..PRESETS {
-        for seed in [11u64, 4242] {
-            let spec = spec_for(preset, seed, EnvJitter::NONE, 9);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            // Un-jittered groups replay the shared table on both tiers,
-            // so even the cache counters are identical: full equality.
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-            assert_eq!(batched.interp_max_deviation, 0.0);
-        }
-    }
+    sweep_presets(Store::Supercap, EnvJitter::NONE, [11, 4242]);
 }
 
 #[test]
 fn batched_matches_scalar_bitwise_across_presets_jittered() {
-    for preset in 0..PRESETS {
-        // Guard against vacuity: every preset's channel must clear the
-        // window-batchable gate, or the jittered run silently falls back
-        // to the scalar dense path and this test compares it to itself.
-        assert!(
-            channel_for(preset).supports_window_lanes(Seconds::new(60.0)),
-            "preset {preset} is not window-batchable"
-        );
-        for seed in [7u64, 1999] {
-            let spec = spec_for(preset, seed, EnvJitter::relative(0.25), 8);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(
-                modulo_cache(batched),
-                modulo_cache(scalar),
-                "preset {preset}, seed {seed}"
-            );
-        }
-    }
+    assert_presets_take_window_lanes();
+    sweep_presets(Store::Supercap, EnvJitter::relative(0.25), [7, 1999]);
 }
 
 #[test]
 fn battery_batched_matches_scalar_bitwise_across_presets_unjittered() {
-    for preset in 0..PRESETS {
-        for seed in [11u64, 4242] {
-            let spec = battery_spec_for(preset, seed, EnvJitter::NONE, 9);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(batched, scalar, "preset {preset}, seed {seed}");
-            assert_eq!(batched.interp_max_deviation, 0.0);
+    sweep_presets(Store::Battery, EnvJitter::NONE, [11, 4242]);
+}
+
+#[test]
+fn battery_batched_matches_scalar_bitwise_across_presets_jittered() {
+    assert_presets_take_window_lanes();
+    sweep_presets(Store::Battery, EnvJitter::relative(0.25), [7, 1999]);
+}
+
+#[test]
+fn pv_controller_families_match_boxed() {
+    for ctl in [Ctl::Focv, Ctl::Fixed, Ctl::PerturbObserve] {
+        for store in STORES {
+            for jitter in [EnvJitter::NONE, EnvJitter::relative(0.25)] {
+                for cadence in CADENCES {
+                    if ctl == Ctl::PerturbObserve && cadence == EnvCadence::PerWindow {
+                        // Not replayable: see the test below.
+                        continue;
+                    }
+                    Cell {
+                        ctl,
+                        cadence,
+                        ..Cell::preset(3, store, 7, jitter)
+                    }
+                    .check();
+                }
+            }
         }
     }
 }
 
 #[test]
-fn battery_batched_matches_scalar_bitwise_across_presets_jittered() {
-    for preset in 0..PRESETS {
-        assert!(
-            channel_for(preset).supports_window_lanes(Seconds::new(60.0)),
-            "preset {preset} is not window-batchable"
-        );
-        for seed in [7u64, 1999] {
-            let spec = battery_spec_for(preset, seed, EnvJitter::relative(0.25), 8);
-            let scalar = run_tier(&spec, DenseSolveTier::Scalar);
-            let batched = run_tier(&spec, DenseSolveTier::Batched);
-            assert_eq!(
-                modulo_cache(batched),
-                modulo_cache(scalar),
-                "preset {preset}, seed {seed}"
-            );
+fn channels_without_window_lanes_match_boxed() {
+    // Fractional-V_oc on a turbine and a rectenna: replayable, but with
+    // no batched V_oc kernel, so jittered groups run boxed whatever the
+    // cadence.
+    for preset in [2, 6] {
+        assert!(!channel_for(preset, Ctl::Focv).supports_window_lanes(Seconds::new(60.0)));
+        for store in STORES {
+            for jitter in [EnvJitter::NONE, EnvJitter::relative(0.25)] {
+                for cadence in CADENCES {
+                    Cell {
+                        ctl: Ctl::Focv,
+                        cadence,
+                        ..Cell::preset(preset, store, 1999, jitter)
+                    }
+                    .check();
+                }
+            }
         }
+    }
+}
+
+fn arena_roster() -> Vec<Contender> {
+    vec![
+        Contender::new("fixed-2%", |_| {
+            Box::new(FixedDuty::new(DutyCycle::saturating(0.02)))
+        }),
+        Contender::new("fixed-20%", |_| {
+            Box::new(FixedDuty::new(DutyCycle::saturating(0.20)))
+        }),
+        Contender::new("ladder", |_| Box::new(VoltageThreshold::supercap_ladder())),
+        Contender::new("energy-neutral", |_| Box::new(EnergyNeutral::new())),
+        Contender::new("hill-climb", |seed| Box::new(HillClimbDuty::new(seed))),
+    ]
+}
+
+/// An arena cell run as `ArenaSpec::dense` and as `ArenaSpec::boxed`
+/// on the hand-built unit, per-lane results kept.
+fn arena_pair(preset: usize, ctl: Ctl, store: Store, windowed: bool) -> (ArenaResult, ArenaResult) {
+    let env = move |seed| site_for(preset, seed);
+    let dense = ArenaSpec::dense(
+        "preset",
+        SensorNode::submilliwatt_class(),
+        DenseClass::new(
+            move || channel_for(preset, ctl),
+            DcDcConverter::buck_boost_3v3(),
+            dense_store(preset, store),
+        )
+        .with_monitoring(MonitoringLevel::Full),
+        env,
+    );
+    let boxed = ArenaSpec::boxed(
+        "preset",
+        SensorNode::submilliwatt_class(),
+        move |_| Box::new(unit_for(preset, ctl, store)),
+        env,
+    );
+    let mut config = ArenaConfig::over(horizon()).keep_lane_results();
+    if windowed {
+        config = config.windowed_env();
+    }
+    let run = |spec: ArenaSpec| {
+        let spec = spec.with_contenders(arena_roster()).with_seeds(&[3, 17]);
+        run_arena_controlled(&spec, config, FleetControl::default())
+            .expect("valid spec")
+            .expect("no cancel token")
+    };
+    (run(dense), run(boxed))
+}
+
+#[test]
+fn arena_dense_lanes_match_boxed_lanes() {
+    for preset in 0..PRESETS {
+        for store in STORES {
+            for windowed in [false, true] {
+                let (mut dense, mut boxed) = arena_pair(preset, Ctl::Preset, store, windowed);
+                let cell = format!("preset {preset}, {store:?}, windowed {windowed}");
+                assert_eq!(dense.lane_results, boxed.lane_results, "{cell}");
+                dense.summary.kernel_cache = Default::default();
+                boxed.summary.kernel_cache = Default::default();
+                assert_eq!(dense.summary, boxed.summary, "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn perturb_and_observe_runs_boxed_under_per_window_cadence() {
+    // Perturb-and-observe carries history, so its harvest cannot be
+    // replayed within a window: dense groups and arenas on it run the
+    // boxed path, and agree with the boxed reference in full.
+    assert!(!channel_for(3, Ctl::PerturbObserve).is_replayable(Seconds::new(60.0)));
+    for store in STORES {
+        for jitter in [EnvJitter::NONE, EnvJitter::relative(0.25)] {
+            let cell = Cell {
+                ctl: Ctl::PerturbObserve,
+                ..Cell::preset(3, store, 7, jitter)
+            };
+            let (dense, boxed) = cell.run();
+            assert_eq!(dense, boxed, "{cell:?}");
+        }
+        let (dense, boxed) = arena_pair(3, Ctl::PerturbObserve, store, true);
+        assert_eq!(dense, boxed, "arena, {store:?}");
     }
 }
 
 #[test]
 fn battery_batched_tier_is_invariant_to_run_geometry() {
-    let spec = battery_spec_for(1, 31, EnvJitter::relative(0.2), 13);
+    let spec = Cell::preset(1, Store::Battery, 31, EnvJitter::relative(0.2)).dense(13);
     let reference = run_fleet(
         &spec,
         FleetConfig::over(horizon())
@@ -278,7 +510,7 @@ fn interpolated_tier_is_exact_for_battery_stores() {
     // Battery lanes have no iterative inversion to tabulate, so the
     // interpolated tier steps the exact batched kernels: full equality
     // and a zero recorded deviation.
-    let spec = battery_spec_for(3, 5, EnvJitter::relative(0.15), 6);
+    let spec = Cell::preset(3, Store::Battery, 5, EnvJitter::relative(0.15)).dense(6);
     let batched = run_tier(&spec, DenseSolveTier::Batched);
     let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
     assert_eq!(interp, batched);
@@ -290,7 +522,7 @@ fn batched_tier_is_invariant_to_run_geometry() {
     // Shard size 1 forces single-lane runs, 3 splits the group mid-run,
     // 1024 gives one run for the whole group: the lane population's
     // composition must never leak into any lane's bits.
-    let spec = spec_for(0, 31, EnvJitter::relative(0.2), 13);
+    let spec = Cell::preset(0, Store::Supercap, 31, EnvJitter::relative(0.2)).dense(13);
     let reference = run_fleet(
         &spec,
         FleetConfig::over(horizon())
@@ -312,7 +544,7 @@ fn batched_tier_is_invariant_to_run_geometry() {
 
 #[test]
 fn interpolated_tier_records_its_deviation_and_still_audits() {
-    let spec = spec_for(3, 5, EnvJitter::relative(0.15), 6);
+    let spec = Cell::preset(3, Store::Supercap, 5, EnvJitter::relative(0.15)).dense(6);
     let exact = run_tier(&spec, DenseSolveTier::Batched);
     let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
 
@@ -339,11 +571,10 @@ fn interpolated_tier_records_its_deviation_and_still_audits() {
 #[test]
 fn percentiles_and_stragglers_stay_ordered_on_every_tier() {
     for tier in [
-        DenseSolveTier::Scalar,
         DenseSolveTier::Batched,
         DenseSolveTier::Interpolated { samples: 1024 },
     ] {
-        let spec = spec_for(0, 23, EnvJitter::relative(0.3), 17);
+        let spec = Cell::preset(0, Store::Supercap, 23, EnvJitter::relative(0.3)).dense(17);
         let s = run_fleet(
             &spec,
             FleetConfig {

@@ -127,7 +127,8 @@ fn main() {
     // A supercap-class dense lane: the EDLC voltage update is a Newton
     // solve every step, which the batched tier (the default) runs as
     // masked struct-of-arrays passes over the whole lane — bit-identical
-    // to the scalar path, roughly an order of magnitude faster.
+    // to stepping each node's `PowerUnit`, roughly an order of magnitude
+    // faster.
     let mut strip_cap = Supercap::edlc_22f();
     strip_cap.set_voltage(Volts::new(1.8));
     spec.add_dense_group(
@@ -160,10 +161,11 @@ fn main() {
 
     let started = Instant::now();
     // `Batched` is already the default dense tier; the builder is spelled
-    // out here to show the knob — swap in `DenseSolveTier::Scalar` for
-    // the per-lane reference path (bit-identical, slower) or
+    // out here to show the knob — swap in
     // `DenseSolveTier::Interpolated { samples }` to trade exactness for
-    // speed with the deviation reported in `interp_max_deviation`.
+    // speed with the deviation reported in `interp_max_deviation`. The
+    // reference the lanes match bit for bit is a plain `FleetGroup` of
+    // the same hardware built as `PowerUnit`s (slower).
     let config =
         FleetConfig::over(Seconds::from_hours(hours)).with_dense_tier(DenseSolveTier::Batched);
     let out = run_fleet(&spec, config);

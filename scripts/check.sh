@@ -89,7 +89,7 @@ awk -v q="$fleet_quick" -v b="$fleet_baseline" 'BEGIN {
 echo "==> dense-supercap regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
 # The batched struct-of-arrays tier's headline. Same 30% floor and
 # rationale as the fleet gate above; a real regression (losing the
-# batched tier and falling back to per-lane scalar Newton) costs ~10x.
+# batched lanes and falling back to boxed per-node stepping) costs ~10x.
 cap_baseline="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
 cap_quick="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
 awk -v q="$cap_quick" -v b="$cap_baseline" 'BEGIN {
@@ -105,7 +105,7 @@ echo "==> dense-battery regression gate (quick batched node-steps/s vs committed
 # The battery-store batched lane (lane-shared keep-fraction powf plus
 # the uniform fast path). Same 30% floor and rationale as the gates
 # above; a real regression (losing the batched gate and falling back to
-# per-node scalar stepping) costs >10x.
+# boxed per-node stepping) costs >10x.
 batt_baseline="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
 batt_quick="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
 awk -v q="$batt_quick" -v b="$batt_baseline" 'BEGIN {
@@ -163,25 +163,26 @@ grep -q '"arena_boxed_lanes_match_independent_runs": true' target/BENCH_sim_quic
 }
 echo "ok: all boxed arena lanes bit-identical to independent runs"
 
-echo "==> batched-solve bit-identity smoke (supercap lane, batched vs scalar tier)"
-# The harness asserts full summary equality (cache counters included)
-# before writing the flag.
-grep -q '"dense_supercap_batched_matches_scalar": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: batched supercap tier diverged from the scalar reference"
+echo "==> lane bit-identity smoke (supercap lanes vs boxed PowerUnits of the same hardware)"
+# The harness asserts summary equality on every physical quantity
+# (modulo the kernel-cache counters the lanes synthesize) before
+# writing the flag.
+grep -q '"dense_supercap_matches_boxed": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: batched supercap lanes diverged from the boxed PowerUnit reference"
     exit 1
 }
-echo "ok: batched supercap tier bit-identical to scalar tier"
+echo "ok: batched supercap lanes bit-identical to boxed PowerUnits modulo cache counters"
 
-echo "==> batched-solve bit-identity smoke (battery lane, batched vs scalar tier)"
-grep -q '"dense_battery_batched_matches_scalar": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: batched battery tier diverged from the scalar reference"
+echo "==> lane bit-identity smoke (battery lanes vs boxed PowerUnits of the same hardware)"
+grep -q '"dense_battery_matches_boxed": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: batched battery lanes diverged from the boxed PowerUnit reference"
     exit 1
 }
 grep -q '"matches_plain_boxed_modulo_cache": true' target/BENCH_sim_quick.json || {
     echo "FAIL: opted-in boxed group diverged from the plain boxed path"
     exit 1
 }
-echo "ok: batched battery tier bit-identical to scalar tier; boxed opt-in matches plain boxed"
+echo "ok: batched battery lanes bit-identical to boxed PowerUnits modulo cache counters; boxed opt-in matches plain boxed"
 
 echo "==> fleet bit-identity smoke (one-node fleet vs run_simulation)"
 # The harness asserts the equality before writing the flag, alongside
