@@ -228,43 +228,6 @@ fn dense_supercap_fleet_spec(count: usize) -> FleetSpec {
     spec
 }
 
-/// Boxed PV + NiMH fleet matching `dense_battery_group`'s class. With
-/// `opt_in` the group declares that class via `with_dense_class`, so
-/// the engine steps the members on the lane kernels while keeping
-/// boxed per-node bookkeeping; without it the same factories run
-/// through plain boxed `Platform::step` calls.
-fn boxed_battery_fleet_spec(count: usize, opt_in: bool) -> FleetSpec {
-    let mut spec = FleetSpec::new();
-    let site = spec.add_site(Environment::outdoor_temperate(42));
-    let mut group = FleetGroup::new(
-        "boxed solar+NiMH",
-        count,
-        site,
-        SensorNode::submilliwatt_class(),
-        |_| {
-            Box::new(pv_unit(
-                "boxed solar+NiMH",
-                Box::new(nimh_half()),
-                MonitoringLevel::None,
-            ))
-        },
-        battery_class_policy,
-    )
-    .with_seed(6);
-    if opt_in {
-        group = group.with_dense_class(
-            DenseClass::new(
-                pv_channel,
-                DcDcConverter::buck_boost_3v3(),
-                DenseStore::Battery(nimh_half()),
-            )
-            .with_monitoring(MonitoringLevel::None),
-        );
-    }
-    spec.add_group(group);
-    spec
-}
-
 /// The arena scenario's store: 22 F EDLC pre-charged to 1.8 V.
 fn arena_cap() -> Supercap {
     let mut cap = Supercap::edlc_22f();
@@ -980,39 +943,6 @@ fn main() {
         batt_boxed_rate / 1e6,
     );
 
-    // --- Boxed opt-in: the same battery class via with_dense_class. --
-    // The opted-in group must agree with the plain boxed path on every
-    // physical quantity (cache counters are synthesized on the lane
-    // side, so the comparison is modulo kernel_cache).
-    let (opt_n, opt_h) = if quick { (2_000, 2.0) } else { (20_000, 6.0) };
-    let opt_horizon = Seconds::from_hours(opt_h);
-    let (optin_secs, optin_summary) = time_fleet(
-        &boxed_battery_fleet_spec(opt_n, true),
-        FleetConfig::over(opt_horizon),
-    );
-    let (plainbox_secs, plainbox_summary) = time_fleet(
-        &boxed_battery_fleet_spec(opt_n, false),
-        FleetConfig::over(opt_horizon),
-    );
-    assert_eq!(
-        modulo_cache(optin_summary.clone()),
-        modulo_cache(plainbox_summary.clone()),
-        "opted-in boxed group diverged from the plain boxed path"
-    );
-    assert!(optin_summary.audit_relative < 1e-6);
-    assert!(optin_summary.worst_node_audit < 1e-6);
-    let optin_population = optin_summary.population;
-    let optin_rate = optin_summary.node_steps as f64 / optin_secs;
-    let plainbox_rate = plainbox_summary.node_steps as f64 / plainbox_secs;
-    let optin_speedup = optin_rate / plainbox_rate;
-    println!(
-        "fleet      : boxed solar+NiMH opt-in: {optin_population} nodes, opted-in {:.2} M \
-         node-steps/s vs plain boxed {:.2} M (\u{d7}{optin_speedup:.1}), \
-         opted-in \u{2261} boxed modulo cache counters",
-        optin_rate / 1e6,
-        plainbox_rate / 1e6,
-    );
-
     // --- Policy arena: lockstep amortization over one shared trace. -
     // The headline claim: stepping 32 policy lanes against one shared
     // environment trace costs a small multiple of ONE standalone run,
@@ -1193,7 +1123,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v10\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v11\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1375,24 +1305,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "      \"dense_battery_batched_speedup_vs_boxed\": {batt_speedup:.2},"
+        "      \"dense_battery_batched_speedup_vs_boxed\": {batt_speedup:.2}"
     );
-    let _ = writeln!(json, "      \"boxed_opt_in\": {{");
-    let _ = writeln!(json, "        \"population\": {optin_population},");
-    let _ = writeln!(json, "        \"matches_plain_boxed_modulo_cache\": true,");
-    let _ = writeln!(
-        json,
-        "        \"boxed_opt_in_node_steps_per_sec\": {optin_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "        \"boxed_plain_node_steps_per_sec\": {plainbox_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "        \"boxed_opt_in_speedup_vs_plain\": {optin_speedup:.2}"
-    );
-    let _ = writeln!(json, "      }}");
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"arena\": {{");

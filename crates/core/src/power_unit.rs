@@ -350,26 +350,6 @@ impl PowerUnit {
         self.shared_ports
     }
 
-    /// Whether this unit's shape matches the fleet engine's
-    /// monomorphized dense-lane class: exactly one channel-backed
-    /// harvester port, exactly one populated primary-buffer store port,
-    /// no shared-port fabric, and no sense-ADC quantization on the
-    /// status path (a store-voltage-only supervisor with an ADC reports
-    /// quantized readings the lane kernels do not model). Units of this
-    /// shape may borrow the batched struct-of-arrays kernels via the
-    /// fleet engine's boxed-lane opt-in while keeping boxed per-node
-    /// bookkeeping.
-    pub fn supports_dense_kernels(&self) -> bool {
-        self.shared_ports.is_none()
-            && self.harvester_ports.len() == 1
-            && self.harvester_ports[0].channel.is_some()
-            && self.store_ports.len() == 1
-            && self.store_ports[0].device.is_some()
-            && self.store_ports[0].role == StoreRole::PrimaryBuffer
-            && (self.sense_adc.is_none()
-                || self.supervisor.monitoring != MonitoringLevel::StoreVoltage)
-    }
-
     /// The harvester ports.
     pub fn harvester_ports(&self) -> &[HarvesterPort] {
         &self.harvester_ports

@@ -12,12 +12,15 @@
 //! harvest **once**, and steps all N policy lanes in lockstep against
 //! it. One extra platform per seed harvests each control window
 //! ([`Platform::harvest`]) and every lane settles against it
-//! ([`Platform::settle`]). A scenario declared with a dense class
-//! ([`ArenaSpec::dense`]) goes further: one channel builds the per-step
-//! harvest table (the fleet engine's replay machinery) and the lanes
-//! step on the fleet's struct-of-arrays lane kernels
-//! ([`mseh_storage::SupercapLanes`], [`mseh_storage::BatteryLanes`]),
-//! applied across policy lanes exactly as across fleet nodes.
+//! ([`Platform::settle`]), window by window, through the same boxed
+//! stepper a single run uses. A platform that only steps whole keeps
+//! the lockstep but steps each lane on the seed's conditions. A
+//! scenario declared with a dense class ([`ArenaSpec::dense`]) goes
+//! further: one channel builds the per-step harvest table (the fleet
+//! engine's replay machinery) and the lanes step on the fleet's
+//! struct-of-arrays lane kernels ([`mseh_storage::SupercapLanes`],
+//! [`mseh_storage::BatteryLanes`]) in their exact batched tier, applied
+//! across policy lanes exactly as across fleet nodes.
 //!
 //! # Bit-identity
 //!
@@ -72,17 +75,17 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_lanes, LaneHarvest};
 use crate::fleet::{
-    build_harvest_table, simulate_node, DenseClass, DenseSolveTier, EnvCadence, FleetControl,
-    HarvestTable, PlatformFactory, PolicyFactory,
+    build_harvest_table, DenseClass, DenseSolveTier, EnvCadence, FleetControl, HarvestTable,
+    PlatformFactory, PolicyFactory,
 };
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 #[cfg(doc)]
 use crate::runner::run_simulation;
 use crate::runner::{SimConfig, SimResult};
-use crate::steps::{NodeBooks, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
+use crate::steps::{Ambient, BoxedRun, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
 use mseh_core::BusHarvest;
-use mseh_env::{EnvConditions, EnvSampler, Environment, JitterFactors};
+use mseh_env::{EnvConditions, EnvSampler, Environment};
 use mseh_harvesters::CacheStats;
 use mseh_node::{
     DayProfileForecast, DutyCyclePolicy, EnergyNeutral, FailoverPolicy, FixedDuty,
@@ -262,10 +265,6 @@ pub struct ArenaConfig {
     /// replayable channel, as a dense fleet group's does; rows without
     /// one settle boxed).
     pub cadence: EnvCadence,
-    /// Lane-kernel solve tier for dense scenarios (default
-    /// [`DenseSolveTier::Batched`], bit-identical to the boxed lockstep
-    /// on the class's `PowerUnit`).
-    pub dense_tier: DenseSolveTier,
     /// Also return a full [`SimResult`] per lane, in seed-major lane
     /// order (`seed_index × contenders + contender_index`).
     pub keep_lane_results: bool,
@@ -274,13 +273,12 @@ pub struct ArenaConfig {
 impl ArenaConfig {
     /// Arena defaults over `duration`: 60 s steps, 10-minute control
     /// windows, per-step cadence (standalone-run bit-identity), auto
-    /// threads, batched dense tier.
+    /// threads.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             threads: 0,
             cadence: EnvCadence::PerStep,
-            dense_tier: DenseSolveTier::Batched,
             keep_lane_results: false,
         }
     }
@@ -295,12 +293,6 @@ impl ArenaConfig {
     /// semantic; no longer bit-identical to standalone runs).
     pub fn windowed_env(mut self) -> Self {
         self.cadence = EnvCadence::PerWindow;
-        self
-    }
-
-    /// Sets the dense-lane solve tier.
-    pub fn with_dense_tier(mut self, tier: DenseSolveTier) -> Self {
-        self.dense_tier = tier;
         self
     }
 
@@ -379,9 +371,6 @@ pub struct ArenaSummary {
     /// only settle or replay its harvest. Dense lanes add one
     /// synthesized hit per table replay, as dense fleet nodes do.
     pub kernel_cache: CacheStats,
-    /// Worst interpolation-table voltage deviation recorded by any
-    /// lane (`0` unless [`DenseSolveTier::Interpolated`] is active).
-    pub interp_max_deviation: f64,
     /// Arena-aggregated conservation residual: |Σ signed per-lane
     /// residuals| over total storage throughput (≈0; a run at or above
     /// 1e-6 is an error, never a summary).
@@ -430,75 +419,6 @@ pub fn default_contenders() -> Vec<Contender> {
     ]
 }
 
-/// How a boxed seed row's lockstep run ended.
-enum Lockstep {
-    /// Every lane's outcome, in lane order.
-    Settled(Vec<NodeOutcome>),
-    /// The cancel token tripped.
-    Cancelled,
-    /// The platform only steps whole; nothing was touched.
-    WholeSteps,
-}
-
-/// Runs one boxed seed row with the channels solved once: per control
-/// window `driver` harvests every step into a reusable buffer, then each
-/// lane picks its duty and settles the window against that buffer.
-/// A lane's harvest never depends on its load, so every lane ends
-/// exactly where stepping its own channels would have left it. Lanes
-/// must be built like `driver` ([`ArenaSpec::boxed`]'s rule).
-fn settle_lanes_in_lockstep(
-    driver: &mut dyn Platform,
-    lanes: &mut [Box<dyn Platform>],
-    policies: &mut [Box<dyn DutyCyclePolicy>],
-    node: &SensorNode,
-    rows: &[EnvConditions],
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-) -> Lockstep {
-    let mut books: Vec<NodeBooks> = lanes
-        .iter()
-        .map(|lane| NodeBooks::open(lane.total_stored_energy(), lane.storage_losses()))
-        .collect();
-    let mut harvests: Vec<BusHarvest> = Vec::with_capacity(plan.max_window_len());
-    for window in plan.windows() {
-        if tripped(cancel) {
-            return Lockstep::Cancelled;
-        }
-        harvests.clear();
-        for step in window.steps() {
-            match driver.harvest(window.row(rows, &step), step.dt) {
-                Some(harvest) => harvests.push(harvest),
-                None if step.index == 0 => return Lockstep::WholeSteps,
-                None => panic!("{} stopped splitting its step mid-run", driver.name()),
-            }
-        }
-
-        for ((lane, policy), books) in lanes.iter_mut().zip(policies.iter_mut()).zip(&mut books) {
-            let duty = policy.choose(node, &lane.energy_status().at(plan.time_at(window.start)));
-            let load = window.load(node, duty);
-            for (step, harvest) in window.steps().zip(&harvests) {
-                let report = lane.settle(harvest, step.dt, load.power);
-                books.record(&report, &load, &step);
-            }
-        }
-    }
-
-    Lockstep::Settled(
-        lanes
-            .iter()
-            .zip(books)
-            .map(|(lane, books)| {
-                books.close(
-                    lane.total_stored_energy(),
-                    lane.storage_losses(),
-                    lane.stranded_energy(),
-                    lane.kernel_cache_stats(),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// Runs the tournament described by `spec` under `config`.
 ///
 /// # Panics
@@ -537,31 +457,7 @@ pub fn run_arena_controlled(
     if spec.seeds.is_empty() {
         return Err("arena needs at least one seed".into());
     }
-    let sim = config.sim;
-    if !(sim.dt.value().is_finite() && sim.dt.value() > 0.0) {
-        return Err(format!("dt must be positive and finite, got {}", sim.dt));
-    }
-    if !sim.duration.value().is_finite() || sim.duration < sim.dt {
-        return Err(format!(
-            "duration must cover at least one step and be finite, got {} at dt {}",
-            sim.duration, sim.dt
-        ));
-    }
-    if !(sim.control_interval.value().is_finite() && sim.control_interval.value() > 0.0) {
-        return Err(format!(
-            "control interval must be positive and finite, got {}",
-            sim.control_interval
-        ));
-    }
-    if let DenseSolveTier::Interpolated { samples } = config.dense_tier {
-        if samples < 2 {
-            return Err(format!(
-                "interpolation tier needs at least 2 knots, got {samples}"
-            ));
-        }
-    }
-
-    let plan = StepPlan::from_sim(sim, config.cadence);
+    let plan = StepPlan::new(config.sim, config.cadence)?;
     let times = plan.table_times();
     let lanes_total = spec.lanes();
     let threads = if config.threads == 0 {
@@ -586,15 +482,7 @@ pub fn run_arena_controlled(
         env.conditions_into(&times, &mut rows);
         let mut policies: Vec<Box<dyn DutyCyclePolicy>> =
             spec.contenders.iter().map(|c| (c.policy)(seed)).collect();
-        let (lanes, driver_cache) = run_seed_row(
-            spec,
-            config.dense_tier,
-            seed,
-            &rows,
-            &mut policies,
-            &plan,
-            cancel,
-        )?;
+        let (lanes, driver_cache) = run_seed_row(spec, seed, &rows, &mut policies, &plan, cancel)?;
         if let Some(report) = control.progress {
             let done =
                 n as u64 + done_lanes.fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
@@ -686,7 +574,6 @@ pub fn run_arena_controlled(
             duration: plan.duration,
             standings,
             kernel_cache: arena.cache,
-            interp_max_deviation: arena.interp_max_deviation,
             audit_relative,
         },
         lane_results,
@@ -703,12 +590,20 @@ struct RowOutcome {
 
 /// Steps one seed row's lanes against the row's conditions: on the lane
 /// kernels over one shared harvest table when the spec declares a dense
-/// class whose table replays, else settled boxed in lockstep. Returns
-/// the lanes' outcomes and the harvest driver's cache counters, or
-/// `None` when `cancel` trips.
+/// class whose table replays, else boxed in lockstep. Returns the lanes'
+/// outcomes and the harvest driver's cache counters, or `None` when
+/// `cancel` trips.
+///
+/// The boxed lockstep solves the channels once: per control window one
+/// more platform, built like every lane ([`ArenaSpec::boxed`]'s rule),
+/// harvests every step into a window-sized buffer, then each lane picks
+/// its duty and settles the window against that buffer. A lane's harvest
+/// never depends on its load, so every lane ends exactly where stepping
+/// its own channels would have left it. A platform that only steps whole
+/// (its harvest is `None` at the first step) leaves the driver untouched,
+/// and its lanes step whole on the row's conditions.
 fn run_seed_row(
     spec: &ArenaSpec,
-    tier: DenseSolveTier,
     seed: u64,
     rows: &[EnvConditions],
     policies: &mut [Box<dyn DutyCyclePolicy>],
@@ -721,7 +616,14 @@ fn run_seed_row(
                 let mut out = Vec::with_capacity(policies.len());
                 let harvest = LaneHarvest::Shared(&table);
                 return run_lanes(
-                    class, tier, &spec.node, policies, harvest, plan, cancel, &mut out,
+                    class,
+                    DenseSolveTier::Batched,
+                    &spec.node,
+                    policies,
+                    harvest,
+                    plan,
+                    cancel,
+                    &mut out,
                 )
                 .then_some((out, driver_cache));
             }
@@ -729,42 +631,52 @@ fn run_seed_row(
             HarvestTable::Cancelled => return None,
         }
     }
-    // One more platform, built like every lane, solves the channels;
-    // the lanes only settle.
     let mut driver = (spec.platform)(seed);
     let mut lanes: Vec<Box<dyn Platform>> =
         (0..policies.len()).map(|_| (spec.platform)(seed)).collect();
-    match settle_lanes_in_lockstep(
-        driver.as_mut(),
-        &mut lanes,
-        policies,
-        &spec.node,
-        rows,
-        plan,
-        cancel,
-    ) {
-        Lockstep::Settled(outcomes) => Some((outcomes, driver.kernel_cache_stats())),
-        Lockstep::Cancelled => None,
-        Lockstep::WholeSteps => {
-            let outcomes = lanes
-                .iter_mut()
-                .zip(policies.iter_mut())
-                .map(|(platform, policy)| {
-                    simulate_node(
-                        platform.as_mut(),
-                        &spec.node,
-                        policy.as_mut(),
-                        rows,
-                        &JitterFactors::IDENTITY,
-                        false,
-                        plan,
-                        cancel,
-                    )
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some((outcomes, CacheStats::default()))
+    let mut runs: Vec<BoxedRun<'_>> = lanes
+        .iter_mut()
+        .zip(policies.iter_mut())
+        .map(|(lane, policy)| BoxedRun::open(lane.as_mut(), policy.as_mut(), &spec.node))
+        .collect();
+    let mut harvests: Vec<BusHarvest> = Vec::with_capacity(plan.max_window_len());
+    let mut whole = false;
+    for window in plan.windows() {
+        if tripped(cancel) {
+            return None;
+        }
+        if !whole {
+            harvests.clear();
+            for step in window.steps() {
+                match driver.harvest(window.row(rows, &step), step.dt) {
+                    Some(harvest) => harvests.push(harvest),
+                    None if step.index == 0 => {
+                        whole = true;
+                        break;
+                    }
+                    None => panic!("{} stopped splitting its step mid-run", driver.name()),
+                }
+            }
+        }
+        let ambient = if whole {
+            window.ambient(rows)
+        } else {
+            Ambient::Settle(&harvests)
+        };
+        for run in &mut runs {
+            let load = run.decide(plan, &window);
+            run.step(&window, &load, ambient, |_, _| {});
         }
     }
+    let driver_cache = if whole {
+        CacheStats::default()
+    } else {
+        driver.kernel_cache_stats()
+    };
+    Some((
+        runs.into_iter().map(BoxedRun::close).collect(),
+        driver_cache,
+    ))
 }
 
 #[cfg(test)]
@@ -988,6 +900,14 @@ mod tests {
             FleetControl::default(),
         )
         .is_err());
+        // More 60 s steps than a u64 counts: no silent zero-step run.
+        let err = run_arena_controlled(
+            &dense_spec(),
+            ArenaConfig::over(Seconds::new(1e22)),
+            FleetControl::default(),
+        )
+        .expect_err("step count overflows");
+        assert!(err.contains("more than a run can count"), "{err}");
     }
 
     /// A unit whose books claim twice the energy its stores hold.

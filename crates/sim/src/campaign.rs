@@ -19,11 +19,12 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
+use crate::fleet::EnvCadence;
 use crate::observe::{AuditReport, ConservationAuditor, SimObserver};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{run_simulation_core, SimConfig};
-use crate::steps::served_fraction;
+use crate::steps::{served_fraction, StepPlan};
 use mseh_env::Environment;
 use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{DutyCycle, Joules, Seconds};
@@ -322,7 +323,8 @@ fn run_scenario<P: Platform>(
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty.
+/// Panics if `seeds` is empty or `config.sim` cannot run (see
+/// [`run_resilience_campaign_with_threads`]).
 ///
 /// # Examples
 ///
@@ -390,7 +392,11 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty or `threads` is zero.
+/// Panics, before any scenario runs, if `seeds` is empty, `threads` is
+/// zero, or `config.sim` cannot run: a `dt` that is not positive and
+/// finite, a horizon that is not finite, shorter than one step or more
+/// steps than fit in a `u64`, or a control interval that is not positive
+/// and finite.
 pub fn run_resilience_campaign_with_threads<P, F>(
     threads: usize,
     seeds: &[u64],
@@ -403,6 +409,9 @@ where
     F: Fn(u64) -> FaultScenario<P> + Sync,
 {
     assert!(!seeds.is_empty(), "need at least one seed");
+    // Checked before any segment runs: the segment loop never covers
+    // an endless horizon.
+    StepPlan::from_sim(config.sim, EnvCadence::PerStep);
     let outcomes = par_map_with(threads, seeds, |&seed| {
         run_scenario(seed, make_scenario(seed), node, config, None)
             .expect("a run without a cancel token cannot be cancelled")
@@ -436,16 +445,7 @@ where
     if seeds.is_empty() {
         return Err("campaign needs at least one seed".into());
     }
-    let sim = config.sim;
-    if !(sim.dt.value().is_finite() && sim.dt.value() > 0.0) {
-        return Err(format!("dt must be positive and finite, got {}", sim.dt));
-    }
-    if !sim.duration.value().is_finite() || sim.duration < sim.dt {
-        return Err(format!(
-            "duration {} must be finite and cover at least one step of {}",
-            sim.duration, sim.dt
-        ));
-    }
+    StepPlan::new(config.sim, EnvCadence::PerStep)?;
     if !(config.check_interval.value().is_finite() && config.check_interval.value() > 0.0) {
         return Err(format!(
             "check interval must be positive and finite, got {}",
@@ -627,6 +627,30 @@ mod tests {
             None,
         );
         assert!(empty.is_err());
+
+        let endless = run_resilience_campaign_cancellable(
+            1,
+            &[7],
+            scenario,
+            &node,
+            CampaignConfig::over(Seconds::new(f64::INFINITY)),
+            &CancelToken::new(),
+            None,
+        )
+        .expect_err("an endless horizon cannot run");
+        assert!(endless.contains("be finite"), "{endless}");
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must cover at least one step and be finite")]
+    fn rejects_an_endless_horizon() {
+        run_resilience_campaign_with_threads(
+            1,
+            &[3],
+            scenario,
+            &SensorNode::submilliwatt_class(),
+            CampaignConfig::over(Seconds::new(f64::INFINITY)),
+        );
     }
 
     #[test]

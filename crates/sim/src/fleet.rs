@@ -41,11 +41,10 @@
 //! converter. A [`DenseClass`] declares that shape with concrete types.
 //! It is a declaration, not a second platform model: the class builds
 //! the boxed [`mseh_core::PowerUnit`] it describes, and every group is a
-//! boxed [`FleetGroup`]. A [`DenseGroup`] is a group of its class's
-//! units; any other group may declare the class its members match
-//! ([`FleetGroup::with_dense_class`]).
+//! boxed [`FleetGroup`]. A [`DenseGroup`] is the group of its class's
+//! units, and the one way into the lanes.
 //!
-//! A group with a class lets its members borrow the **lane kernels**
+//! A dense group's members borrow the **lane kernels**
 //! while the gate is open ([`DenseSolveTier`]). Contiguous runs of
 //! members become lanes of one [`mseh_storage::SupercapLanes`] or
 //! [`mseh_storage::BatteryLanes`] population, whose per-step store
@@ -59,7 +58,8 @@
 //! [`mseh_units::BatchSolve`]), so the lanes only remove redundant work:
 //! every physical result equals the boxed path's, and only the
 //! kernel-cache counters are synthesized ([`FleetSummary::kernel_cache`]).
-//! With the gate closed the group runs its units on the boxed path.
+//! With the gate closed the group runs its units on the boxed path,
+//! where each node steps one window at a time like a single run.
 //!
 //! # Examples
 //!
@@ -108,7 +108,7 @@ use crate::cancel::{tripped, CancelToken};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
-use crate::steps::{NodeBooks, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
+use crate::steps::{Ambient, BoxedRun, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
 use dense_lanes::LaneHarvest;
 use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::rng::{Noise, StreamId};
@@ -154,11 +154,10 @@ pub enum EnvCadence {
 /// [`FleetSummary::interp_max_deviation`], and the conservation audit
 /// still closes exactly (table residuals are charged to losses).
 ///
-/// The tier governs every group with a [`DenseClass`]: each
-/// [`DenseGroup`], and each boxed [`FleetGroup`] opted in via
-/// [`FleetGroup::with_dense_class`]. Battery lanes have no iterative
-/// inversion to interpolate, so they step the exact batched kernels
-/// under [`Interpolated`](Self::Interpolated) too. Groups the lane gate
+/// The tier governs every [`DenseGroup`]; the policy arena's dense
+/// scenarios always run [`Batched`](Self::Batched). Battery lanes have
+/// no iterative inversion to interpolate, so they step the exact batched
+/// kernels under [`Interpolated`](Self::Interpolated) too. Groups the lane gate
 /// cannot cover run their units on the boxed path — same physics, boxed
 /// speed. They are jittered groups under per-step cadence, jittered
 /// groups whose channel has no window-lane support, and groups whose
@@ -236,30 +235,6 @@ impl FleetGroup {
         self
     }
 
-    /// Opts the group's members into the lane kernels by declaring the
-    /// dense class they all match (see [`DenseClass`]). While the lane
-    /// gate is open (un-jittered groups whose channel replays; jittered
-    /// groups under per-window cadence on a window-batchable channel,
-    /// see [`DenseSolveTier`]) the engine steps the members on the
-    /// struct-of-arrays kernels instead of boxed [`Platform::step`]
-    /// calls. Per-node seeds, policies and jitter factors are derived
-    /// exactly as the boxed path derives them.
-    ///
-    /// The declaration is a contract: every member the factory builds
-    /// must match the class. The engine verifies the first member at
-    /// run start — the platform must report
-    /// [`Platform::supports_dense_kernels`] and its storage books must
-    /// match the declared template bit for bit — and rejects the run
-    /// otherwise; heterogeneity beyond member 0 is the caller's
-    /// responsibility. The lanes synthesize their kernel-cache counters
-    /// from the replay pattern instead of reading member channels, so
-    /// summaries match the plain boxed path everywhere except
-    /// [`FleetSummary::kernel_cache`].
-    pub fn with_dense_class(mut self, class: DenseClass) -> Self {
-        self.dense_class = Some(Arc::new(class));
-        self
-    }
-
     /// The group's display name.
     pub fn name(&self) -> &str {
         &self.name
@@ -309,15 +284,14 @@ pub enum DenseStore {
 /// channel, one buffer, one output converter — declared with concrete
 /// types, plus the supervisor overhead and monitoring tier. The class
 /// stands for the boxed [`mseh_core::PowerUnit`] of exactly those parts
-/// with a default supervisor carrying that overhead and tier. Declaring
-/// it lets units of that shape borrow the batched struct-of-arrays lane
-/// kernels: build a group of the class's own units with
-/// [`DenseGroup`], or opt in a boxed group whose factory builds them by
-/// hand with [`FleetGroup::with_dense_class`].
+/// with a default supervisor carrying that overhead and tier. A
+/// [`DenseGroup`] of the class's units, or an arena scenario declared
+/// with it ([`crate::ArenaSpec::dense`]), borrows the batched
+/// struct-of-arrays lane kernels.
 ///
 /// Defaults match [`DenseGroup::new`]: zero supervisor overhead and
-/// [`MonitoringLevel::Full`] reporting; override with the builders to
-/// mirror the members' actual supervisor.
+/// [`MonitoringLevel::Full`] reporting; override them with the
+/// builders.
 pub struct DenseClass {
     pub(crate) channel: Box<ChannelFactory>,
     pub(crate) output: DcDcConverter,
@@ -327,11 +301,9 @@ pub struct DenseClass {
 }
 
 impl DenseClass {
-    /// Declares a class from its concrete parts. The channel factory
-    /// must build the same channel every member's platform carries;
-    /// the store template must match each member's device bit for bit
-    /// (the engine cross-checks capacity, stored energy and losses
-    /// against member 0 at run start).
+    /// Declares a class from its concrete parts. Every unit of the class
+    /// gets a fresh channel from the factory and a copy of the store
+    /// template, initial state of charge included.
     pub fn new(
         channel: impl Fn() -> InputChannel + Send + Sync + 'static,
         output: DcDcConverter,
@@ -353,9 +325,9 @@ impl DenseClass {
         self
     }
 
-    /// Sets the monitoring tier (the members' `Supervisor::monitoring`;
-    /// the lane kernels model no sense-ADC quantization, which the
-    /// platform probe enforces).
+    /// Sets the monitoring tier (the units' `Supervisor::monitoring`;
+    /// the units carry no sense ADC, so their status is never
+    /// quantized).
     pub fn with_monitoring(mut self, monitoring: MonitoringLevel) -> Self {
         self.monitoring = monitoring;
         self
@@ -705,7 +677,8 @@ pub struct FleetSummary {
     /// Kernel-cache counters summed across all node platforms. Cache
     /// state never crosses nodes, so these are deterministic too. Lane
     /// groups count their table driver's solves once and synthesize each
-    /// lane's replays (see [`FleetGroup::with_dense_class`]).
+    /// lane's replays, so a dense group's counters differ from a boxed
+    /// group of the same units while every physical quantity agrees.
     pub kernel_cache: CacheStats,
     /// Worst interpolation-table voltage deviation recorded by any
     /// batched run (`0` unless [`DenseSolveTier::Interpolated`] is
@@ -725,53 +698,6 @@ pub struct FleetResult {
     /// Per-node results when [`FleetConfig::keep_node_results`] is set
     /// (global node order; `traces` always `None`).
     pub node_results: Option<Vec<SimResult>>,
-}
-
-/// Runs one node's full trajectory: `run_simulation`'s unobserved hot
-/// path over a pre-sampled condition table, so a per-step-cadence fleet
-/// node is bit-identical to a standalone run. Returns `None` when
-/// `cancel` trips, checked once per control window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_node(
-    platform: &mut dyn Platform,
-    node: &SensorNode,
-    policy: &mut dyn DutyCyclePolicy,
-    rows: &[EnvConditions],
-    factors: &JitterFactors,
-    jittered: bool,
-    plan: &StepPlan,
-    cancel: Option<&CancelToken>,
-) -> Option<NodeOutcome> {
-    let mut books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
-    for window in plan.windows() {
-        if tripped(cancel) {
-            return None;
-        }
-        let duty = policy.choose(
-            node,
-            &platform.energy_status().at(plan.time_at(window.start)),
-        );
-        let load = window.load(node, duty);
-        for step in window.steps() {
-            let base = window.row(rows, &step);
-            let local;
-            let env = if jittered {
-                local = factors.apply(base);
-                &local
-            } else {
-                base
-            };
-            let report = platform.step(env, step.dt, load.power);
-            books.record(&report, &load, &step);
-        }
-    }
-
-    Some(books.close(
-        platform.total_stored_energy(),
-        platform.storage_losses(),
-        platform.stranded_energy(),
-        platform.kernel_cache_stats(),
-    ))
 }
 
 /// How a class-wide harvest table build ended.
@@ -874,61 +800,6 @@ pub fn run_fleet(spec: &FleetSpec, config: FleetConfig) -> FleetResult {
     }
 }
 
-/// Verifies a group's declared [`DenseClass`] against its member-0
-/// platform before the lane gate opens: the platform must report the
-/// dense-kernel shape ([`Platform::supports_dense_kernels`]) and its
-/// storage books must match the class's unit bit for bit. Factories
-/// receive per-node seeds, so the engine can only spot-check the first
-/// member cheaply; the opt-in contract is that every member matches the
-/// class.
-fn validate_dense_class(g: &FleetGroup, class: &DenseClass) -> Result<(), String> {
-    let platform = (g.platform)(g.node_seed(0));
-    if !platform.supports_dense_kernels() {
-        return Err(format!(
-            "group '{}': platform '{}' cannot borrow the dense kernels (the class needs exactly \
-             one channel-backed harvester port, one primary-buffer store, no shared ports and no \
-             sense-ADC status quantization)",
-            g.name,
-            platform.name(),
-        ));
-    }
-    let declared = class.unit();
-    let checks = [
-        (
-            "capacity",
-            platform.storage_capacity(),
-            declared.storage_capacity(),
-        ),
-        (
-            "stored energy",
-            platform.total_stored_energy(),
-            declared.total_stored_energy(),
-        ),
-        (
-            "losses",
-            platform.storage_losses(),
-            declared.storage_losses(),
-        ),
-    ];
-    for (what, got, want) in checks {
-        if got.value().to_bits() != want.value().to_bits() {
-            return Err(format!(
-                "group '{}': declared dense-class store {what} {want} does not match the member \
-                 platform's {got}",
-                g.name,
-            ));
-        }
-    }
-    if platform.fault_counts() != (0, 0) || platform.stranded_energy() != Joules::ZERO {
-        return Err(format!(
-            "group '{}': platforms with active fault-injection wrappers cannot borrow the dense \
-             kernels",
-            g.name,
-        ));
-    }
-    Ok(())
-}
-
 /// How a group's members step.
 enum GroupLanes<'a> {
     /// One boxed platform per node.
@@ -958,22 +829,7 @@ pub fn run_fleet_controlled(
     if population == 0 {
         return Err("fleet population must be non-empty".into());
     }
-    let sim = config.sim;
-    if !(sim.dt.value().is_finite() && sim.dt.value() > 0.0) {
-        return Err(format!("dt must be positive and finite, got {}", sim.dt));
-    }
-    if !sim.duration.value().is_finite() || sim.duration < sim.dt {
-        return Err(format!(
-            "duration must cover at least one step and be finite, got {} at dt {}",
-            sim.duration, sim.dt
-        ));
-    }
-    if !(sim.control_interval.value().is_finite() && sim.control_interval.value() > 0.0) {
-        return Err(format!(
-            "control interval must be positive and finite, got {}",
-            sim.control_interval
-        ));
-    }
+    let plan = StepPlan::new(config.sim, config.cadence)?;
     if let DenseSolveTier::Interpolated { samples } = config.dense_tier {
         if samples < 2 {
             return Err(format!(
@@ -981,7 +837,6 @@ pub fn run_fleet_controlled(
             ));
         }
     }
-    let plan = StepPlan::from_sim(sim, config.cadence);
 
     // One contiguous condition table per site, sampled through the same
     // batched `conditions_into` contract the single-run kernel uses
@@ -1011,8 +866,7 @@ pub fn run_fleet_controlled(
     // harvest table once for the whole group, unless the channel cannot
     // be replayed under per-window cadence — or when jittered under
     // per-window cadence on a window-batchable channel. Every other
-    // group runs boxed. A declared class its member platform
-    // contradicts is a spec error, caught here before any node steps.
+    // group runs boxed.
     let mut lanes: Vec<GroupLanes<'_>> = Vec::with_capacity(spec.groups.len());
     for g in &spec.groups {
         let class = g.dense_class.as_deref().filter(|class| {
@@ -1022,20 +876,12 @@ pub fn run_fleet_controlled(
         });
         lanes.push(match class {
             None => GroupLanes::Boxed,
-            Some(class) => {
-                validate_dense_class(g, class)?;
-                if !g.jitter.is_none() {
-                    GroupLanes::Jittered(class)
-                } else {
-                    match build_harvest_table(class, &tables[g.site], &plan, cancel) {
-                        HarvestTable::Built(table, driver) => {
-                            GroupLanes::Shared(class, table, driver)
-                        }
-                        HarvestTable::NotReplayable => GroupLanes::Boxed,
-                        HarvestTable::Cancelled => return Ok(None),
-                    }
-                }
-            }
+            Some(class) if !g.jitter.is_none() => GroupLanes::Jittered(class),
+            Some(class) => match build_harvest_table(class, &tables[g.site], &plan, cancel) {
+                HarvestTable::Built(table, driver) => GroupLanes::Shared(class, table, driver),
+                HarvestTable::NotReplayable => GroupLanes::Boxed,
+                HarvestTable::Cancelled => return Ok(None),
+            },
         });
     }
 
@@ -1079,23 +925,36 @@ pub fn run_fleet_controlled(
             // so shard and thread geometry stay bit-irrelevant.
             let (class, harvest) = match &lanes[gi] {
                 GroupLanes::Boxed => {
+                    // Jittered snapshots: one per window under per-window
+                    // cadence, one per step (staged per window) otherwise.
+                    let jittered = !g.jitter.is_none();
+                    let mut staged = Vec::new();
                     for node_seed in node_seeds {
                         let factors = JitterFactors::derive(g.jitter, node_seed);
                         let mut platform = (g.platform)(node_seed);
                         let mut policy = (g.policy)(node_seed);
-                        match simulate_node(
-                            platform.as_mut(),
-                            &g.node,
-                            policy.as_mut(),
-                            &tables[g.site],
-                            &factors,
-                            !g.jitter.is_none(),
-                            &plan,
-                            cancel,
-                        ) {
-                            Some(outcome) => out.push(outcome),
-                            None => return out,
+                        let mut run = BoxedRun::open(platform.as_mut(), policy.as_mut(), &g.node);
+                        for window in plan.windows() {
+                            if tripped(cancel) {
+                                return out;
+                            }
+                            let load = run.decide(&plan, &window);
+                            let held;
+                            let ambient = match window.ambient(&tables[g.site]) {
+                                Ambient::Held(row) if jittered => {
+                                    held = factors.apply(row);
+                                    Ambient::Held(&held)
+                                }
+                                Ambient::PerStep(rows) if jittered => {
+                                    staged.clear();
+                                    staged.extend(rows.iter().map(|row| factors.apply(row)));
+                                    Ambient::PerStep(&staged)
+                                }
+                                ambient => ambient,
+                            };
+                            run.step(&window, &load, ambient, |_, _| {});
                         }
+                        out.push(run.close());
                     }
                     cursor = run_end;
                     continue;
@@ -1346,6 +1205,90 @@ mod tests {
         assert_eq!(*node, reference);
         assert_eq!(out.summary.harvested, reference.harvested);
         assert_eq!(out.summary.uptime.mean, reference.uptime);
+    }
+
+    /// The site's conditions at each control window's first step,
+    /// jittered by one node's factors and held for the whole window:
+    /// what a per-window-cadence fleet node sees.
+    struct HeldWindows {
+        site: Environment,
+        factors: JitterFactors,
+        sim: SimConfig,
+    }
+
+    impl EnvSampler for HeldWindows {
+        fn conditions(&self, t: Seconds) -> EnvConditions {
+            let (dt, control) = (self.sim.dt.value(), self.sim.control_interval.value());
+            let step = ((t - self.sim.start_at).value() / dt).round() as u64;
+            let every = (control / dt).round().max(1.0) as u64;
+            let start = self.sim.start_at + Seconds::new((step - step % every) as f64 * dt);
+            self.factors.apply(&self.site.conditions(start))
+        }
+    }
+
+    #[test]
+    fn jittered_per_window_node_matches_an_independent_run() {
+        let horizon = Seconds::from_hours(12.0);
+        let mut nimh = Battery::nimh_aa_pair();
+        nimh.set_soc(0.5);
+        for battery in [false, true] {
+            let unit = {
+                let nimh = nimh.clone();
+                move || -> PowerUnit {
+                    if battery {
+                        solar_battery_unit(&nimh)
+                    } else {
+                        solar_unit()
+                    }
+                }
+            };
+            for jitter in [
+                EnvJitter::NONE,
+                EnvJitter::relative(0.15),
+                EnvJitter::relative(0.3),
+            ] {
+                for seed in [1, 7, 42] {
+                    let group = {
+                        let unit = unit.clone();
+                        FleetGroup::new(
+                            "pv",
+                            1,
+                            0,
+                            SensorNode::submilliwatt_class(),
+                            move |_| Box::new(unit()),
+                            |_| Box::new(VoltageThreshold::supercap_ladder()),
+                        )
+                        .with_seed(seed)
+                        .with_jitter(jitter)
+                    };
+                    let factors = JitterFactors::derive(jitter, group.node_seed(0));
+                    let mut spec = FleetSpec::new();
+                    spec.add_site(Environment::outdoor_temperate(seed));
+                    spec.add_group(group);
+                    let config = FleetConfig {
+                        keep_node_results: true,
+                        ..FleetConfig::over(horizon)
+                    };
+                    let out = run_fleet(&spec, config);
+                    let reference = run_simulation(
+                        &mut unit(),
+                        &HeldWindows {
+                            site: Environment::outdoor_temperate(seed),
+                            factors,
+                            sim: config.sim,
+                        },
+                        &SensorNode::submilliwatt_class(),
+                        &mut VoltageThreshold::supercap_ladder(),
+                        config.sim,
+                    );
+                    assert_eq!(
+                        out.node_results.expect("kept")[0],
+                        reference,
+                        "battery {battery}, {jitter:?}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1686,157 +1629,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_group_with_dense_class_matches_plain_boxed() {
-        let horizon = Seconds::from_hours(4.0);
-        let build = |opt_in: bool, jitter: EnvJitter| {
-            let mut spec = FleetSpec::new();
-            let site = spec.add_site(Environment::outdoor_temperate(11));
-            let mut group = FleetGroup::new(
-                "pv",
-                6,
-                site,
-                SensorNode::submilliwatt_class(),
-                |_| Box::new(solar_unit()),
-                |_| Box::new(FixedDuty::new(duty())),
-            )
-            .with_seed(5)
-            .with_jitter(jitter);
-            if opt_in {
-                group = group.with_dense_class(
-                    DenseClass::new(
-                        solar_channel,
-                        DcDcConverter::buck_boost_3v3(),
-                        DenseStore::Supercap(solar_cap()),
-                    )
-                    .with_monitoring(MonitoringLevel::None),
-                );
-            }
-            spec.add_group(group);
-            run_fleet(&spec, FleetConfig::over(horizon)).summary
-        };
-        for jitter in [EnvJitter::NONE, EnvJitter::relative(0.2)] {
-            assert_eq!(
-                modulo_cache(build(true, jitter)),
-                modulo_cache(build(false, jitter)),
-                "{jitter:?}"
-            );
-        }
-        // Non-vacuity: the un-jittered opted-in group really took the
-        // lane kernels — its synthesized cache counters differ from the
-        // boxed channels' real ones.
-        assert_ne!(
-            build(true, EnvJitter::NONE).kernel_cache,
-            build(false, EnvJitter::NONE).kernel_cache
-        );
-    }
-
-    #[test]
-    fn boxed_battery_opt_in_matches_plain_boxed() {
-        let mut nimh = Battery::nimh_aa_pair();
-        nimh.set_soc(0.6);
-        let horizon = Seconds::from_hours(3.0);
-        let build = |opt_in: bool| {
-            let template = nimh.clone();
-            let mut spec = FleetSpec::new();
-            let site = spec.add_site(Environment::outdoor_temperate(17));
-            let mut group = FleetGroup::new(
-                "pv + nimh",
-                5,
-                site,
-                SensorNode::submilliwatt_class(),
-                move |_| Box::new(solar_battery_unit(&template)),
-                |_| Box::new(FixedDuty::new(duty())),
-            )
-            .with_seed(3);
-            if opt_in {
-                let template = nimh.clone();
-                group = group.with_dense_class(
-                    DenseClass::new(
-                        solar_channel,
-                        DcDcConverter::buck_boost_3v3(),
-                        DenseStore::Battery(template),
-                    )
-                    .with_monitoring(MonitoringLevel::None),
-                );
-            }
-            spec.add_group(group);
-            run_fleet(&spec, FleetConfig::over(horizon)).summary
-        };
-        assert_eq!(modulo_cache(build(true)), modulo_cache(build(false)));
-        assert_ne!(build(true).kernel_cache, build(false).kernel_cache);
-    }
-
-    #[test]
-    fn dense_class_contradictions_are_spec_errors() {
-        let config = FleetConfig::over(Seconds::from_hours(1.0));
-        // Probe failure: a store-only unit has no channel-backed
-        // harvester port, so it cannot match any dense class.
-        let mut spec = FleetSpec::new();
-        let site = spec.add_site(Environment::outdoor_temperate(11));
-        spec.add_group(
-            FleetGroup::new(
-                "no harvester",
-                2,
-                site,
-                SensorNode::submilliwatt_class(),
-                |_| {
-                    Box::new(
-                        PowerUnit::builder("store only")
-                            .store_port(
-                                PortRequirement::any_in_window("b", Volts::ZERO, Volts::new(3.0)),
-                                Some(Box::new(solar_cap())),
-                                StoreRole::PrimaryBuffer,
-                                true,
-                            )
-                            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-                            .build(),
-                    )
-                },
-                |_| Box::new(FixedDuty::new(duty())),
-            )
-            .with_dense_class(
-                DenseClass::new(
-                    solar_channel,
-                    DcDcConverter::buck_boost_3v3(),
-                    DenseStore::Supercap(solar_cap()),
-                )
-                .with_monitoring(MonitoringLevel::None),
-            ),
-        );
-        let err = run_fleet_controlled(&spec, config, FleetControl::default())
-            .expect_err("probe must reject the shape");
-        assert!(err.contains("cannot borrow the dense kernels"), "{err}");
-
-        // Book mismatch: a declared template at a different state of
-        // charge than the members' actual device.
-        let mut spec = FleetSpec::new();
-        let site = spec.add_site(Environment::outdoor_temperate(11));
-        let mut wrong = solar_cap();
-        wrong.set_voltage(Volts::new(2.5));
-        spec.add_group(
-            FleetGroup::new(
-                "pv",
-                2,
-                site,
-                SensorNode::submilliwatt_class(),
-                |_| Box::new(solar_unit()),
-                |_| Box::new(FixedDuty::new(duty())),
-            )
-            .with_dense_class(
-                DenseClass::new(
-                    solar_channel,
-                    DcDcConverter::buck_boost_3v3(),
-                    DenseStore::Supercap(wrong),
-                )
-                .with_monitoring(MonitoringLevel::None),
-            ),
-        );
-        let err = run_fleet_controlled(&spec, config, FleetControl::default())
-            .expect_err("book mismatch must reject");
-        assert!(err.contains("does not match"), "{err}");
-    }
-
-    #[test]
     fn mid_run_fault_fire_cannot_replay_stale_battery_keep_fraction() {
         use crate::fault::{FaultSchedule, IntermittentStorage};
         use mseh_storage::BatteryLanes;
@@ -1976,6 +1768,12 @@ mod tests {
         let err =
             run_fleet_controlled(&spec, bad_dt, FleetControl::default()).expect_err("zero dt");
         assert!(err.contains("dt must be positive"), "{err}");
+
+        // More 60 s steps than a u64 counts: no silent zero-step run.
+        let endless = FleetConfig::over(Seconds::new(1e22));
+        let err = run_fleet_controlled(&spec, endless, FleetControl::default())
+            .expect_err("step count overflows");
+        assert!(err.contains("more than a run can count"), "{err}");
     }
 
     /// A unit whose books claim twice the energy its stores hold.

@@ -19,18 +19,21 @@ pub trait Platform {
     /// The harvest half of [`step`](Self::step), for platforms whose
     /// harvest never depends on the load: solves the input channels and
     /// returns what they put on the bus. `None` (the default) means the
-    /// platform only steps whole and nothing was touched; a platform
-    /// that returns `Some` once must keep doing so.
+    /// platform only steps whole and nothing was touched, so the policy
+    /// arena steps such lanes whole on their seed row's conditions. A
+    /// platform that returns `Some` once must keep doing so: the arena
+    /// panics on one that stops splitting its step mid-run.
     fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> Option<BusHarvest> {
         let _ = (env, dt);
         None
     }
 
     /// The settle half of [`step`](Self::step): serves `load` and
-    /// balances a [`harvest`](Self::harvest) against the stores. The
-    /// harvest may come from an identically built platform stepped
-    /// through the same conditions, which is how the policy arena solves
-    /// a seed's channels once for every lane.
+    /// balances a [`harvest`](Self::harvest) against the stores;
+    /// `settle(harvest(..))` is exactly `step`. The harvest may come from
+    /// an identically built platform stepped through the same
+    /// conditions, which is how the policy arena solves a seed's
+    /// channels once per control window for every lane.
     ///
     /// # Panics
     ///
@@ -90,17 +93,6 @@ pub trait Platform {
     fn set_kernel_cache_enabled(&mut self, enabled: bool) {
         let _ = enabled;
     }
-
-    /// Whether this platform's shape matches the fleet engine's
-    /// monomorphized dense-lane class (one channel-backed harvester
-    /// port, one primary-buffer store, no shared-port fabric), so a
-    /// boxed [`crate::FleetGroup`] may opt its members into the batched
-    /// struct-of-arrays kernels via [`crate::FleetGroup::with_dense_class`].
-    /// Default: `false` — only shapes the lane kernels provably
-    /// replicate may opt in.
-    fn supports_dense_kernels(&self) -> bool {
-        false
-    }
 }
 
 impl Platform for PowerUnit {
@@ -150,10 +142,6 @@ impl Platform for PowerUnit {
 
     fn set_kernel_cache_enabled(&mut self, enabled: bool) {
         PowerUnit::set_kernel_cache_enabled(self, enabled)
-    }
-
-    fn supports_dense_kernels(&self) -> bool {
-        PowerUnit::supports_dense_kernels(self)
     }
 }
 

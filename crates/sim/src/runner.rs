@@ -6,7 +6,7 @@ use crate::fleet::EnvCadence;
 use crate::metrics::MetricsRegistry;
 use crate::observe::{SimEvent, SimObserver, StepEnergies};
 use crate::platform::Platform;
-use crate::steps::{NodeBooks, StepPlan};
+use crate::steps::{Ambient, BoxedRun, StepPlan};
 use mseh_env::{EnvConditions, EnvSampler, Trace};
 use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{DutyCycle, Joules, Seconds, Volts};
@@ -238,7 +238,6 @@ pub(crate) fn run_simulation_core(
     cancel: Option<&CancelToken>,
 ) -> Option<SimResult> {
     let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
-    let mut books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
 
     fn emit(observers: &mut [&mut dyn SimObserver], event: SimEvent) {
         for obs in observers.iter_mut() {
@@ -252,6 +251,7 @@ pub(crate) fn run_simulation_core(
     let mut prev_capacity = platform.storage_capacity();
     let mut prev_faults = platform.fault_counts();
     let mut prev_failovers = policy.failover_count();
+    let mut run = BoxedRun::open(platform, policy, node);
 
     // Polls the platform's fault counters (and capacity, as a fallback
     // signal for unscheduled degradation) and emits the FaultFire /
@@ -345,10 +345,11 @@ pub(crate) fn run_simulation_core(
             return None;
         }
         let t_win = plan.time_at(window.start);
-        let duty = policy.choose(node, &platform.energy_status().at(t_win));
-        let load = window.load(node, duty);
+        let load = run.decide(&plan, &window);
+        let duty = load.duty;
 
         if observing {
+            let platform = run.platform();
             emit(
                 observers,
                 SimEvent::WindowStart {
@@ -380,7 +381,7 @@ pub(crate) fn run_simulation_core(
                 &mut prev_capacity,
                 &mut prev_faults,
             );
-            let failovers = policy.failover_count();
+            let failovers = run.policy().failover_count();
             if failovers > prev_failovers {
                 emit(observers, SimEvent::FailoverEngaged { time: t_win, duty });
                 prev_failovers = failovers;
@@ -392,28 +393,31 @@ pub(crate) fn run_simulation_core(
         times.extend(window.steps().map(|step| plan.time_at(step.index)));
         env.conditions_into(&times, &mut conditions);
 
-        for ((step, &t), env_now) in window.steps().zip(&times).zip(&conditions) {
-            let report = platform.step(env_now, step.dt, load.power);
-            books.record(&report, &load, &step);
-
-            if observing {
-                step_records.push(StepEnergies {
-                    time: t,
-                    harvested: report.harvested,
-                    converter_loss: report.converter_loss,
-                    overhead: report.overhead,
-                    charged: report.charged,
-                    discharged: report.discharged,
-                    shortfall: report.shortfall,
-                });
-            }
-            if let Some(tr) = traces.as_mut() {
-                tr.store_voltage.push(t, report.store_voltage.value());
-                tr.harvest_power
-                    .push(t, (report.harvested / step.dt).value());
-                tr.duty.push(t, duty.value());
-            }
-        }
+        run.step(
+            &window,
+            &load,
+            Ambient::PerStep(&conditions),
+            |step, report| {
+                let t = plan.time_at(step.index);
+                if observing {
+                    step_records.push(StepEnergies {
+                        time: t,
+                        harvested: report.harvested,
+                        converter_loss: report.converter_loss,
+                        overhead: report.overhead,
+                        charged: report.charged,
+                        discharged: report.discharged,
+                        shortfall: report.shortfall,
+                    });
+                }
+                if let Some(tr) = traces.as_mut() {
+                    tr.store_voltage.push(t, report.store_voltage.value());
+                    tr.harvest_power
+                        .push(t, (report.harvested / step.dt).value());
+                    tr.duty.push(t, duty.value());
+                }
+            },
+        );
 
         if observing {
             // Flush the window's buffered step records before closing
@@ -427,8 +431,8 @@ pub(crate) fn run_simulation_core(
                 observers,
                 SimEvent::WindowEnd {
                     time: plan.window_end_time(&window),
-                    stored: platform.total_stored_energy(),
-                    losses: platform.storage_losses(),
+                    stored: run.platform().total_stored_energy(),
+                    losses: run.platform().storage_losses(),
                 },
             );
         }
@@ -439,24 +443,19 @@ pub(crate) fn run_simulation_core(
         // Catch faults and failovers during the final window.
         poll_faults(
             observers,
-            platform,
+            run.platform(),
             t_end,
             &mut prev_capacity,
             &mut prev_faults,
         );
-        if policy.failover_count() > prev_failovers {
+        if run.policy().failover_count() > prev_failovers {
             let duty = prev_duty.unwrap_or(DutyCycle::ZERO);
             emit(observers, SimEvent::FailoverEngaged { time: t_end, duty });
         }
         emit(observers, SimEvent::RunEnd { time: t_end });
     }
 
-    let outcome = books.close(
-        platform.total_stored_energy(),
-        platform.storage_losses(),
-        platform.stranded_energy(),
-        platform.kernel_cache_stats(),
-    );
+    let outcome = run.close();
     debug_assert!(
         outcome.audit_residual < 1e-6,
         "storage conservation violated: residual {} J",
@@ -686,6 +685,20 @@ mod tests {
             &token,
         )
         .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "duration must cover at least one step and be finite")]
+    fn rejects_an_endless_horizon() {
+        let mut unit = solar_unit();
+        let mut policy = FixedDuty::new(DutyCycle::ZERO);
+        run_simulation(
+            &mut unit,
+            &Environment::outdoor_temperate(1),
+            &SensorNode::submilliwatt_class(),
+            &mut policy,
+            SimConfig::over(Seconds::new(f64::INFINITY)),
+        );
     }
 
     #[test]

@@ -1,21 +1,27 @@
 //! The step arithmetic, the control-window walk and the energy books
-//! that every step loop shares: the single-run kernel, the boxed fleet
-//! node, the dense lane populations and the arena's boxed lockstep;
-//! plus the one fold that sums closed books into fleet and arena
-//! summaries.
+//! that every step loop shares, plus the one fold that sums closed books
+//! into fleet and arena summaries.
 //!
 //! A run is whole `dt` steps plus, when the horizon is not a multiple
 //! of `dt`, one fractional closing step, grouped into control windows
 //! of `control_interval / dt` steps (rounded, at least one). Each
 //! window's policy decision fixes its load; the books record every
 //! step's power flow and close with the storage conservation audit.
+//!
+//! A boxed platform steps through one [`BoxedRun`]: the single-run
+//! kernel ([`crate::run_simulation`]) wraps its observer events around
+//! it, each boxed fleet node steps one over its site's condition table,
+//! and each boxed arena lane settles one against its seed row's shared
+//! harvests. The dense lane populations keep one [`NodeBooks`] per lane
+//! instead.
 
 use crate::fleet::EnvCadence;
+use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
-use mseh_core::StepReport;
+use mseh_core::{BusHarvest, StepReport};
 use mseh_env::EnvConditions;
 use mseh_harvesters::CacheStats;
-use mseh_node::SensorNode;
+use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts};
 
 /// The step and window geometry of one run, derived from its
@@ -33,18 +39,41 @@ pub(crate) struct StepPlan {
 }
 
 impl StepPlan {
-    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
-        assert!(sim.dt.value() > 0.0, "dt must be positive");
-        assert!(
-            sim.duration >= sim.dt,
-            "duration must cover at least one step"
-        );
+    /// The plan of `sim` under `cadence`, or why `sim` cannot run: a
+    /// `dt` that is not positive and finite, a duration that is not
+    /// finite or shorter than one step, a control interval that is not
+    /// positive and finite, or more whole steps than fit in a `u64`.
+    pub(crate) fn new(sim: SimConfig, cadence: EnvCadence) -> Result<Self, String> {
+        if !(sim.dt.value().is_finite() && sim.dt.value() > 0.0) {
+            return Err(format!("dt must be positive and finite, got {}", sim.dt));
+        }
+        if !sim.duration.value().is_finite() || sim.duration < sim.dt {
+            return Err(format!(
+                "duration must cover at least one step and be finite, got {} at dt {}",
+                sim.duration, sim.dt
+            ));
+        }
+        if !(sim.control_interval.value().is_finite() && sim.control_interval.value() > 0.0) {
+            return Err(format!(
+                "control interval must be positive and finite, got {}",
+                sim.control_interval
+            ));
+        }
         // Truncate to whole steps and close the horizon with an explicit
         // fractional step: rounding the count would simulate up to half a
         // step past (or short of) the requested span, and ceiling always
         // overshoots. The dust guard keeps exact multiples (e.g. one day of
         // 60 s steps) from growing a ~1e-13 s ghost step.
-        let full_steps = (sim.duration.value() / sim.dt.value()).floor() as u64;
+        let whole = (sim.duration.value() / sim.dt.value()).floor();
+        // `u64::MAX as f64` is 2^64; anything below it converts exactly
+        // and leaves room for the closer.
+        if whole >= u64::MAX as f64 {
+            return Err(format!(
+                "duration {} at dt {} is {whole:e} whole steps, more than a run can count",
+                sim.duration, sim.dt
+            ));
+        }
+        let full_steps = whole as u64;
         let frac_dt = {
             let rem = sim.duration.value() - full_steps as f64 * sim.dt.value();
             (rem > sim.dt.value() * 1e-9).then(|| Seconds::new(rem))
@@ -52,7 +81,7 @@ impl StepPlan {
         let control_every = (sim.control_interval.value() / sim.dt.value())
             .round()
             .max(1.0) as u64;
-        Self {
+        Ok(Self {
             dt: sim.dt,
             start_at: sim.start_at,
             duration: sim.duration,
@@ -61,7 +90,17 @@ impl StepPlan {
             full_steps,
             frac_dt,
             control_every,
-        }
+        })
+    }
+
+    /// [`StepPlan::new`] for callers whose contract is to panic on a
+    /// config that cannot run.
+    ///
+    /// # Panics
+    ///
+    /// With [`StepPlan::new`]'s message when `sim` cannot run.
+    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
+        Self::new(sim, cadence).unwrap_or_else(|message| panic!("{message}"))
     }
 
     #[inline]
@@ -172,10 +211,20 @@ impl Window {
         }
     }
 
+    /// The conditions this window's steps run on, from a condition
+    /// table sampled at the plan's cadence.
+    pub(crate) fn ambient<'r>(&self, rows: &'r [EnvConditions]) -> Ambient<'r> {
+        match self.cadence {
+            EnvCadence::PerStep => Ambient::PerStep(&rows[self.start as usize..self.end as usize]),
+            EnvCadence::PerWindow => Ambient::Held(&rows[self.index]),
+        }
+    }
+
     /// What `duty` draws in this window.
     pub(crate) fn load(&self, node: &SensorNode, duty: DutyCycle) -> WindowLoad {
         let power = node.average_power(duty);
         WindowLoad {
+            duty,
             power,
             samples: node.step(duty, self.dt).samples,
             energy: power * self.dt,
@@ -186,10 +235,11 @@ impl Window {
     }
 }
 
-/// One window's load: the power its duty draws, and the samples and
-/// load energy of a fully served whole step and closer.
+/// One window's load: its duty, the power that duty draws, and the
+/// samples and load energy of a fully served whole step and closer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WindowLoad {
+    pub(crate) duty: DutyCycle,
     pub(crate) power: Watts,
     samples: f64,
     energy: Joules,
@@ -203,6 +253,107 @@ impl WindowLoad {
             Some(closer) if step.closer => closer,
             _ => (self.samples, self.energy),
         }
+    }
+}
+
+/// The conditions a window's steps run on.
+#[derive(Clone, Copy)]
+pub(crate) enum Ambient<'a> {
+    /// One snapshot per step.
+    PerStep(&'a [EnvConditions]),
+    /// One snapshot held for every step.
+    Held(&'a EnvConditions),
+    /// One harvest per step, solved by an identically built platform,
+    /// to [`Platform::settle`] against.
+    Settle(&'a [BusHarvest]),
+}
+
+/// One boxed platform stepped window by window: [`decide`](Self::decide)
+/// fixes the window's load, [`step`](Self::step) runs its steps and
+/// books them, [`close`](Self::close) closes the books.
+pub(crate) struct BoxedRun<'a> {
+    platform: &'a mut dyn Platform,
+    policy: &'a mut dyn DutyCyclePolicy,
+    node: &'a SensorNode,
+    books: NodeBooks,
+}
+
+impl<'a> BoxedRun<'a> {
+    /// Opens the books on `platform` as it stands.
+    pub(crate) fn open(
+        platform: &'a mut dyn Platform,
+        policy: &'a mut dyn DutyCyclePolicy,
+        node: &'a SensorNode,
+    ) -> Self {
+        let books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
+        Self {
+            platform,
+            policy,
+            node,
+            books,
+        }
+    }
+
+    /// The platform, for reads between windows.
+    pub(crate) fn platform(&self) -> &dyn Platform {
+        &*self.platform
+    }
+
+    /// The policy, for reads between windows.
+    pub(crate) fn policy(&self) -> &dyn DutyCyclePolicy {
+        &*self.policy
+    }
+
+    /// The policy's duty for `window`, from the platform's energy status
+    /// at the window's first step, and the load it draws.
+    pub(crate) fn decide(&mut self, plan: &StepPlan, window: &Window) -> WindowLoad {
+        let status = self.platform.energy_status().at(plan.time_at(window.start));
+        window.load(self.node, self.policy.choose(self.node, &status))
+    }
+
+    /// Steps `window` under `load` on `ambient`, booking each step and
+    /// then handing its report to `hook`.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        window: &Window,
+        load: &WindowLoad,
+        ambient: Ambient<'_>,
+        mut hook: impl FnMut(&Step, &StepReport),
+    ) {
+        let (platform, books) = (&mut *self.platform, &mut self.books);
+        let mut book = |step: &Step, report: StepReport| {
+            books.record(&report, load, step);
+            hook(step, &report);
+        };
+        match ambient {
+            Ambient::PerStep(rows) => {
+                for (step, env) in window.steps().zip(rows) {
+                    book(&step, platform.step(env, step.dt, load.power));
+                }
+            }
+            Ambient::Held(env) => {
+                for step in window.steps() {
+                    book(&step, platform.step(env, step.dt, load.power));
+                }
+            }
+            Ambient::Settle(harvests) => {
+                for (step, harvest) in window.steps().zip(harvests) {
+                    book(&step, platform.settle(harvest, step.dt, load.power));
+                }
+            }
+        }
+    }
+
+    /// Closes the books against the platform's final state.
+    pub(crate) fn close(self) -> NodeOutcome {
+        let platform = self.platform;
+        self.books.close(
+            platform.total_stored_energy(),
+            platform.storage_losses(),
+            platform.stranded_energy(),
+            platform.kernel_cache_stats(),
+        )
     }
 }
 

@@ -18,6 +18,7 @@ use mseh::env::Environment;
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::sim::serve::{serve, ServeConfig};
 use mseh::sim::{run_arena, run_simulation, ArenaConfig, SimConfig};
+use mseh::systems::resilience::natural_node;
 use mseh::systems::{all_systems, SystemId};
 use mseh::units::{DutyCycle, Seconds};
 
@@ -249,10 +250,7 @@ fn run(cmd: Command) -> Result<(), String> {
             let environment = make_env(&env, seed)?;
             let mut policy_box = make_policy(&policy)?;
             let mut unit = system.build();
-            let node = match system {
-                SystemId::A | SystemId::C | SystemId::D => SensorNode::milliwatt_class(),
-                _ => SensorNode::submilliwatt_class(),
-            };
+            let node = natural_node(system);
             let mut config = SimConfig::over(Seconds::from_days(days));
             config.record = record.is_some();
             println!("{system} in {env} for {days} days (seed {seed}, policy {policy})");

@@ -222,7 +222,6 @@ pub fn digest_arena(summary: &ArenaSummary) -> u64 {
         .u64(summary.lanes)
         .u64(summary.steps_per_lane)
         .f64(summary.duration.value())
-        .f64(summary.interp_max_deviation)
         .f64(summary.audit_relative);
     for s in &summary.standings {
         digest = digest
