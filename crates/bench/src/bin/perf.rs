@@ -39,8 +39,8 @@ use mseh_sim::{
     default_contenders, run_arena, run_fleet, run_resilience_campaign_with_threads,
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
-    DenseSolveTier, DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver,
-    Platform, SimConfig, SimResult, Tandem,
+    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, Platform,
+    SimConfig, SimResult, Tandem,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -824,13 +824,14 @@ fn main() {
     // --- Dense supercap lane: batched vs the boxed PowerUnit. -------
     // The batched struct-of-arrays lanes must reproduce a boxed group of
     // hand-built units on every physical quantity (the check.sh identity
-    // smoke rides on this assert); the interpolated tier is reported
-    // alongside with the worst-case table deviation it recorded against
-    // the exact solve.
+    // smoke rides on this assert).
     let (cap_n, cap_h) = if quick { (5_000, 2.0) } else { (10_000, 24.0) };
-    let cap_spec = dense_supercap_fleet_spec(cap_n);
     let cap_horizon = Seconds::from_hours(cap_h);
-    let cap_summary = run_fleet(&cap_spec, FleetConfig::over(cap_horizon)).summary;
+    let cap_summary = run_fleet(
+        &dense_supercap_fleet_spec(cap_n),
+        FleetConfig::over(cap_horizon),
+    )
+    .summary;
     let (cap_boxed_secs, cap_boxed_summary) = time_fleet(
         &boxed_twin_spec(
             DENSE_SUPERCAP_GROUP,
@@ -848,21 +849,14 @@ fn main() {
     );
     assert!(cap_summary.audit_relative < 1e-6);
     assert!(cap_summary.worst_node_audit < 1e-6);
-    let (cap_interp_secs, cap_interp_summary) = time_fleet(
-        &cap_spec,
-        FleetConfig::over(cap_horizon)
-            .with_dense_tier(DenseSolveTier::Interpolated { samples: 4096 }),
-    );
-    assert!(cap_interp_summary.audit_relative < 1e-6);
-    assert!(cap_interp_summary.worst_node_audit < 1e-6);
     // The gated rate row runs at the fixed baseline scale in both modes
     // (see BATCHED_RATE_NODES) so check.sh compares identical specs;
-    // the equality assert and the boxed/interp references above stay
-    // at the mode's budget, the boxed one being per-node-bound.
+    // the equality assert and the boxed reference above stay at the
+    // mode's budget, the boxed one being per-node-bound.
     let cap_rate_horizon = Seconds::from_hours(BATCHED_RATE_HOURS);
     let (cap_rate_secs, cap_rate_summary) = time_fleet_reps(
         &dense_supercap_fleet_spec(BATCHED_RATE_NODES),
-        FleetConfig::over(cap_rate_horizon).with_dense_tier(DenseSolveTier::Batched),
+        FleetConfig::over(cap_rate_horizon),
         RATE_ROW_REPS,
     );
     assert!(cap_rate_summary.audit_relative < 1e-6);
@@ -871,17 +865,13 @@ fn main() {
     let cap_steps_per_node = cap_rate_summary.steps_per_node;
     let cap_rate = cap_rate_summary.node_steps as f64 / cap_rate_secs;
     let cap_boxed_rate = cap_boxed_summary.node_steps as f64 / cap_boxed_secs;
-    let cap_interp_rate = cap_interp_summary.node_steps as f64 / cap_interp_secs;
     let cap_speedup = cap_rate / cap_boxed_rate;
     println!(
         "fleet      : dense solar+EDLC (supercap class): {cap_population} nodes \u{d7} \
          {cap_steps_per_node} steps, batched {:.2} M node-steps/s vs boxed {:.2} M \
-         (\u{d7}{cap_speedup:.1}), interp {:.2} M at {:.2e} max deviation, batched \u{2261} \
-         boxed modulo cache counters",
+         (\u{d7}{cap_speedup:.1}), batched \u{2261} boxed modulo cache counters",
         cap_rate / 1e6,
         cap_boxed_rate / 1e6,
-        cap_interp_rate / 1e6,
-        cap_interp_summary.interp_max_deviation,
     );
     fleet_rows.push(FleetRow {
         name: "dense solar+EDLC (supercap class)",
@@ -925,7 +915,7 @@ fn main() {
     let batt_rate_horizon = Seconds::from_hours(BATCHED_RATE_HOURS);
     let (batt_rate_secs, batt_rate_summary) = time_fleet_reps(
         &dense_fleet_spec(BATCHED_RATE_NODES, None),
-        FleetConfig::over(batt_rate_horizon).with_dense_tier(DenseSolveTier::Batched),
+        FleetConfig::over(batt_rate_horizon),
         RATE_ROW_REPS,
     );
     assert!(batt_rate_summary.audit_relative < 1e-6);
@@ -1123,7 +1113,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v11\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v12\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1272,16 +1262,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "      \"dense_supercap_speedup_vs_boxed\": {cap_speedup:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"interpolated_node_steps_per_sec\": {cap_interp_rate:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "      \"interp_max_deviation\": {:.3e}",
-        cap_interp_summary.interp_max_deviation
+        "      \"dense_supercap_speedup_vs_boxed\": {cap_speedup:.2}"
     );
     let _ = writeln!(json, "    }},");
     let _ = writeln!(json, "    \"dense_battery_batched\": {{");

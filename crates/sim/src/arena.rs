@@ -75,8 +75,8 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_lanes, LaneHarvest};
 use crate::fleet::{
-    build_harvest_table, DenseClass, DenseSolveTier, EnvCadence, FleetControl, HarvestTable,
-    PlatformFactory, PolicyFactory,
+    build_harvest_table, DenseClass, EnvCadence, FleetControl, HarvestTable, PlatformFactory,
+    PolicyFactory,
 };
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
@@ -615,17 +615,8 @@ fn run_seed_row(
             HarvestTable::Built(table, driver_cache) => {
                 let mut out = Vec::with_capacity(policies.len());
                 let harvest = LaneHarvest::Shared(&table);
-                return run_lanes(
-                    class,
-                    DenseSolveTier::Batched,
-                    &spec.node,
-                    policies,
-                    harvest,
-                    plan,
-                    cancel,
-                    &mut out,
-                )
-                .then_some((out, driver_cache));
+                return run_lanes(class, &spec.node, policies, harvest, plan, cancel, &mut out)
+                    .then_some((out, driver_cache));
             }
             HarvestTable::NotReplayable => {}
             HarvestTable::Cancelled => return None,

@@ -10,21 +10,25 @@
 //! time-to-recover, energy stranded, longest outage — bit-identical at
 //! any thread count.
 //!
-//! Each scenario runs in segments of
-//! [`CampaignConfig::check_interval`]; between segments an optional
-//! recovery hook can repair the platform (hot-swap a spare store
-//! through the management path), modelling a maintenance visit or an
-//! autonomous re-route.
+//! Each scenario is one kernel run, booked like a single run: its
+//! uptime, totals and longest outage (one definition, the step books')
+//! are exactly what [`crate::run_simulation`] reports for the same
+//! scenario, and a horizon that is not a whole number of steps closes
+//! with the same fractional step. Every
+//! [`CampaignConfig::check_interval`] an optional recovery hook can
+//! repair the platform (hot-swap a spare store through the management
+//! path), modelling a maintenance visit or an autonomous re-route. Check
+//! boundaries fall on control-window edges: the hook runs at the first
+//! edge at or after each boundary, before the policy decides that
+//! window.
 
 use crate::cancel::{tripped, CancelToken};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
-use crate::fleet::EnvCadence;
 use crate::observe::{AuditReport, ConservationAuditor, SimObserver};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{run_simulation_core, SimConfig};
-use crate::steps::{served_fraction, StepPlan};
 use mseh_env::Environment;
 use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{DutyCycle, Joules, Seconds};
@@ -34,9 +38,10 @@ use mseh_units::{DutyCycle, Joules, Seconds};
 pub struct CampaignConfig {
     /// The per-scenario simulation configuration (shared by all seeds).
     pub sim: SimConfig,
-    /// Segment length between recovery-hook invocations. Should divide
-    /// the duration evenly; a final remainder shorter than one step is
-    /// dropped.
+    /// Time between recovery checks. Checks fall on control-window
+    /// edges: each runs at the first edge at or after its boundary, at
+    /// most once per edge, so an interval shorter than a window checks
+    /// at every edge. No check runs at the horizon end.
     pub check_interval: Seconds,
 }
 
@@ -50,22 +55,40 @@ impl CampaignConfig {
         }
     }
 
-    /// Sets the recovery-check segment length.
+    /// Sets the time between recovery checks.
     ///
     /// # Panics
     ///
-    /// Panics if `interval` is not positive.
+    /// Panics if `interval` is not positive and finite.
     pub fn with_check_interval(mut self, interval: Seconds) -> Self {
-        assert!(interval.value() > 0.0, "check interval must be positive");
+        check_interval(interval).unwrap_or_else(|message| panic!("{message}"));
         self.check_interval = interval;
         self
+    }
+
+    /// Why the campaign cannot run, if it cannot: `sim` fails
+    /// [`SimConfig::check`] or the check interval is not positive and
+    /// finite.
+    fn check(&self) -> Result<(), String> {
+        self.sim.check()?;
+        check_interval(self.check_interval)
+    }
+}
+
+fn check_interval(interval: Seconds) -> Result<(), String> {
+    if interval.value().is_finite() && interval.value() > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "check interval must be positive and finite, got {interval}"
+        ))
     }
 }
 
 /// One seeded fault scenario: a prepared platform (fault wrappers
 /// already injected), its environment and policy, the injected fault
-/// timeline (for detection-latency metrics), and an optional
-/// between-segments recovery hook.
+/// timeline (for detection-latency metrics), and an optional recovery
+/// hook.
 pub struct FaultScenario<P> {
     /// The platform under test, with fault wrappers installed.
     pub platform: P,
@@ -76,7 +99,7 @@ pub struct FaultScenario<P> {
     /// The injected fault timeline, referenced when computing
     /// time-to-detect (the platform wrappers hold clones of it).
     pub schedule: FaultSchedule,
-    /// Invoked between segments with the platform and the current
+    /// Invoked at each recovery check with the platform and the current
     /// simulation time; returns `true` when it performed a repair
     /// (counted as a recovery and as a recovery signal for
     /// time-to-recover).
@@ -101,7 +124,7 @@ impl<P> FaultScenario<P> {
         }
     }
 
-    /// Attaches a between-segments recovery hook.
+    /// Attaches a recovery hook, run at each recovery check.
     pub fn with_recovery(mut self, hook: impl FnMut(&mut P, Seconds) -> bool + 'static) -> Self {
         self.recovery = Some(Box::new(hook));
         self
@@ -135,10 +158,13 @@ pub struct ScenarioOutcome {
     /// (`FaultClear`, `FailoverEngaged`, or a hook repair); `None` when
     /// nothing recovered.
     pub time_to_recover: Option<Seconds>,
-    /// Peak energy stranded by active faults (sampled at segment
-    /// boundaries).
+    /// Peak energy stranded by active faults, sampled at each recovery
+    /// check (before the hook runs) and at the horizon end.
     pub energy_stranded: Joules,
-    /// Longest contiguous run of shortfall steps.
+    /// Longest run of brown-out steps times `dt`: the single run's
+    /// `longest_outage_steps`, where a step browns out when its
+    /// shortfall exceeds 1e-12 J. The fractional closing step, when the
+    /// horizon has one, counts as one step.
     pub longest_outage: Seconds,
     /// The per-window conservation audit across the whole scenario,
     /// held through every fault and recovery.
@@ -174,31 +200,15 @@ pub struct CampaignSummary {
     pub worst_audit_relative: f64,
 }
 
-/// Tracks availability signals from the event stream: first detection,
-/// first recovery signal, and outage runs stitched across segment
-/// boundaries (the campaign re-enters the runner per segment, so
-/// contiguity is judged by event-time gaps, not per-run step counts).
-struct AvailabilityTracker {
-    dt: f64,
+/// The first fault observation and the first recovery signal after it
+/// (`FaultClear` or `FailoverEngaged`), from the event stream.
+#[derive(Default)]
+struct FaultEdges {
     first_fire: Option<f64>,
     first_recovery: Option<f64>,
-    outage_start: Option<f64>,
-    last_shortfall: f64,
-    longest_outage: f64,
 }
 
-impl AvailabilityTracker {
-    fn new(dt: Seconds) -> Self {
-        Self {
-            dt: dt.value(),
-            first_fire: None,
-            first_recovery: None,
-            outage_start: None,
-            last_shortfall: f64::NEG_INFINITY,
-            longest_outage: 0.0,
-        }
-    }
-
+impl FaultEdges {
     fn note_recovery(&mut self, t: Seconds) {
         if self.first_fire.is_some() && self.first_recovery.is_none() {
             self.first_recovery = Some(t.value());
@@ -206,11 +216,9 @@ impl AvailabilityTracker {
     }
 }
 
-impl SimObserver for AvailabilityTracker {
+impl SimObserver for FaultEdges {
     fn on_fault_fire(&mut self, time: Seconds, _lost: Joules) {
-        if self.first_fire.is_none() {
-            self.first_fire = Some(time.value());
-        }
+        self.first_fire.get_or_insert(time.value());
     }
 
     fn on_fault_clear(&mut self, time: Seconds, _restored: Joules) {
@@ -220,23 +228,12 @@ impl SimObserver for AvailabilityTracker {
     fn on_failover_engaged(&mut self, time: Seconds, _duty: DutyCycle) {
         self.note_recovery(time);
     }
-
-    fn on_shortfall(&mut self, time: Seconds, _energy: Joules) {
-        let t = time.value();
-        // Steps are dt apart; a gap beyond 1.5 dt means served steps
-        // (or a fractional final step) separated two outages.
-        if self.outage_start.is_none() || t - self.last_shortfall > 1.5 * self.dt {
-            self.outage_start = Some(t);
-        }
-        self.last_shortfall = t;
-        let start = self.outage_start.expect("set above");
-        self.longest_outage = self.longest_outage.max(t + self.dt - start);
-    }
 }
 
-/// Runs one prepared scenario through the segmented kernel. Returns
-/// `None` when `cancel` trips mid-scenario (checked between segments
-/// and, via the kernel checkpoint, once per control window).
+/// Runs one prepared scenario as one kernel run, sampling stranded
+/// energy and calling the recovery hook at each check edge. Returns
+/// `None` when `cancel` trips mid-scenario (checked once per control
+/// window).
 fn run_scenario<P: Platform>(
     seed: u64,
     mut scenario: FaultScenario<P>,
@@ -245,70 +242,72 @@ fn run_scenario<P: Platform>(
     cancel: Option<&CancelToken>,
 ) -> Option<ScenarioOutcome> {
     let sim = config.sim;
-    let mut tracker = AvailabilityTracker::new(sim.dt);
-    let mut auditor = ConservationAuditor::new();
-    let mut delivered = Joules::ZERO;
-    let mut shortfall = Joules::ZERO;
-    let mut recoveries = 0u64;
-    let mut peak_stranded = Joules::ZERO;
-
-    let total = sim.duration.value();
     let check = config.check_interval.value();
-    let mut covered = 0.0;
-    while total - covered >= sim.dt.value() {
-        let seg = check.min(total - covered);
-        let seg_config = SimConfig {
-            duration: Seconds::new(seg),
-            ..sim.starting_at(sim.start_at + Seconds::new(covered))
-        };
-        let result = run_simulation_core(
-            &mut scenario.platform,
-            &scenario.env,
-            node,
-            scenario.policy.as_mut(),
-            seg_config,
-            &mut [&mut tracker, &mut auditor],
-            cancel,
-        )?;
-        delivered += result.delivered;
-        shortfall += result.shortfall;
-        covered += seg;
-        peak_stranded = peak_stranded.max(scenario.platform.stranded_energy());
-        if covered < total {
-            if let Some(hook) = scenario.recovery.as_mut() {
-                let now = sim.start_at + Seconds::new(covered);
-                if hook(&mut scenario.platform, now) {
-                    recoveries += 1;
-                    tracker.note_recovery(now);
+    let mut edges = FaultEdges::default();
+    let mut auditor = ConservationAuditor::new();
+    let mut next_check = check;
+    let mut peak_stranded = Joules::ZERO;
+    let mut repairs: Vec<f64> = Vec::new();
+    let recovery = &mut scenario.recovery;
+    let result = run_simulation_core(
+        &mut scenario.platform,
+        &scenario.env,
+        node,
+        scenario.policy.as_mut(),
+        sim,
+        &mut [&mut edges, &mut auditor],
+        cancel,
+        Some(&mut |platform: &mut P, now: Seconds| {
+            let elapsed = (now - sim.start_at).value();
+            if elapsed < next_check {
+                return;
+            }
+            // The first boundary after this edge: one edge serves every
+            // boundary it passed.
+            next_check = elapsed - elapsed % check + check;
+            peak_stranded = peak_stranded.max(platform.stranded_energy());
+            if let Some(hook) = recovery.as_mut() {
+                if hook(platform, now) {
+                    repairs.push(now.value());
                 }
             }
-        }
-    }
+        }),
+    )?;
+    peak_stranded = peak_stranded.max(scenario.platform.stranded_energy());
 
-    let uptime = served_fraction(shortfall, delivered + shortfall);
     let (faults_fired, faults_cleared) = scenario.platform.fault_counts();
-    let time_to_detect = match (scenario.schedule.first_fault(), tracker.first_fire) {
+    let time_to_detect = match (scenario.schedule.first_fault(), edges.first_fire) {
         (Some(injected), Some(seen)) => Some(Seconds::new((seen - injected.value()).max(0.0))),
         _ => None,
     };
-    let time_to_recover = match (tracker.first_fire, tracker.first_recovery) {
+    // A repair is a recovery signal once a fault has been seen: the
+    // hook runs after its edge's fault poll.
+    let first_repair = edges
+        .first_fire
+        .and_then(|fire| repairs.iter().copied().find(|&t| t >= fire));
+    let first_recovery = edges
+        .first_recovery
+        .into_iter()
+        .chain(first_repair)
+        .reduce(f64::min);
+    let time_to_recover = match (edges.first_fire, first_recovery) {
         (Some(fire), Some(rec)) => Some(Seconds::new((rec - fire).max(0.0))),
         _ => None,
     };
 
     Some(ScenarioOutcome {
         seed,
-        uptime,
-        delivered,
-        shortfall,
+        uptime: result.uptime,
+        delivered: result.delivered,
+        shortfall: result.shortfall,
         faults_fired,
         faults_cleared,
         failovers: scenario.policy.failover_count(),
-        recoveries,
+        recoveries: repairs.len() as u64,
         time_to_detect,
         time_to_recover,
         energy_stranded: peak_stranded,
-        longest_outage: Seconds::new(tracker.longest_outage),
+        longest_outage: Seconds::new(result.longest_outage_steps as f64 * sim.dt.value()),
         audit: auditor.report(),
     })
 }
@@ -323,7 +322,7 @@ fn run_scenario<P: Platform>(
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty or `config.sim` cannot run (see
+/// Panics if `seeds` is empty or `config` cannot run (see
 /// [`run_resilience_campaign_with_threads`]).
 ///
 /// # Examples
@@ -393,10 +392,8 @@ where
 /// # Panics
 ///
 /// Panics, before any scenario runs, if `seeds` is empty, `threads` is
-/// zero, or `config.sim` cannot run: a `dt` that is not positive and
-/// finite, a horizon that is not finite, shorter than one step or more
-/// steps than fit in a `u64`, or a control interval that is not positive
-/// and finite.
+/// zero, `config.sim` cannot run (see [`SimConfig::check`]) or the check
+/// interval is not positive and finite.
 pub fn run_resilience_campaign_with_threads<P, F>(
     threads: usize,
     seeds: &[u64],
@@ -409,9 +406,7 @@ where
     F: Fn(u64) -> FaultScenario<P> + Sync,
 {
     assert!(!seeds.is_empty(), "need at least one seed");
-    // Checked before any segment runs: the segment loop never covers
-    // an endless horizon.
-    StepPlan::from_sim(config.sim, EnvCadence::PerStep);
+    config.check().unwrap_or_else(|message| panic!("{message}"));
     let outcomes = par_map_with(threads, seeds, |&seed| {
         run_scenario(seed, make_scenario(seed), node, config, None)
             .expect("a run without a cancel token cannot be cancelled")
@@ -445,13 +440,7 @@ where
     if seeds.is_empty() {
         return Err("campaign needs at least one seed".into());
     }
-    StepPlan::new(config.sim, EnvCadence::PerStep)?;
-    if !(config.check_interval.value().is_finite() && config.check_interval.value() > 0.0) {
-        return Err(format!(
-            "check interval must be positive and finite, got {}",
-            config.check_interval
-        ));
-    }
+    config.check()?;
     let threads = if threads == 0 {
         thread_count()
     } else {
@@ -585,8 +574,8 @@ mod tests {
     #[test]
     fn recovery_hook_runs_between_segments() {
         let mut summary_recoveries = 0;
-        // A hook that always claims a repair: one call per interior
-        // segment boundary.
+        // A hook that always claims a repair: one call per check
+        // boundary before the horizon end.
         let summary = run_resilience_campaign_with_threads(
             1,
             &[3],
@@ -639,6 +628,61 @@ mod tests {
         )
         .expect_err("an endless horizon cannot run");
         assert!(endless.contains("be finite"), "{endless}");
+
+        // An interval shorter than a window checks at every window edge
+        // after the first: 17 of a 3 h run's 18 ten-minute windows.
+        let every_edge = CampaignConfig {
+            check_interval: Seconds::new(30.0),
+            ..config
+        };
+        let repaired = |seed| scenario(seed).with_recovery(|_unit, _now| true);
+        let summary = run_resilience_campaign_cancellable(
+            1,
+            &[7],
+            repaired,
+            &node,
+            every_edge,
+            &CancelToken::new(),
+            None,
+        )
+        .expect("a sub-window interval is valid")
+        .expect("token never tripped");
+        assert_eq!(summary.total_recoveries, 17);
+        assert_eq!(
+            summary,
+            run_resilience_campaign_with_threads(1, &[7], repaired, &node, every_edge)
+        );
+
+        // Invalid intervals are refused before any scenario runs: as an
+        // `Err` here, as a panic from the plain entry points.
+        for bad in [0.0, -60.0, f64::NAN, f64::INFINITY] {
+            let config = CampaignConfig {
+                check_interval: Seconds::new(bad),
+                ..config
+            };
+            let err = run_resilience_campaign_cancellable(
+                1,
+                &[7],
+                scenario,
+                &node,
+                config,
+                &CancelToken::new(),
+                None,
+            )
+            .expect_err("invalid check interval");
+            assert!(
+                err.contains("check interval must be positive and finite"),
+                "{err}"
+            );
+            let panic = std::panic::catch_unwind(|| {
+                run_resilience_campaign_with_threads(1, &[7], scenario, &node, config)
+            })
+            .expect_err("invalid check interval");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&err));
+            assert!(
+                std::panic::catch_unwind(|| config.with_check_interval(Seconds::new(bad))).is_err()
+            );
+        }
     }
 
     #[test]

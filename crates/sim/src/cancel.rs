@@ -1,8 +1,8 @@
 //! Cooperative cancellation for long-running simulation work.
 //!
 //! A [`CancelToken`] is a cheap shared flag threaded through the
-//! kernel's window loops: the single-run kernel, the resilience
-//! campaign's segment loop, and every fleet lane check it at
+//! kernel's window loops: the single-run kernel (which also runs each
+//! resilience campaign scenario), and every fleet lane check it at
 //! control-window granularity, so a cancelled run stops within one
 //! control window of compute per in-flight node and never mid-window
 //! (results are either complete or discarded, never torn).

@@ -45,8 +45,8 @@
 //! units, and the one way into the lanes.
 //!
 //! A dense group's members borrow the **lane kernels**
-//! while the gate is open ([`DenseSolveTier`]). Contiguous runs of
-//! members become lanes of one [`mseh_storage::SupercapLanes`] or
+//! while the gate is open. Contiguous runs of members become lanes of
+//! one [`mseh_storage::SupercapLanes`] or
 //! [`mseh_storage::BatteryLanes`] population, whose per-step store
 //! updates run as masked whole-lane passes over contiguous `f64`
 //! arrays. The operating-point solve leaves the per-node loop too: an
@@ -59,7 +59,10 @@
 //! every physical result equals the boxed path's, and only the
 //! kernel-cache counters are synthesized ([`FleetSummary::kernel_cache`]).
 //! With the gate closed the group runs its units on the boxed path,
-//! where each node steps one window at a time like a single run.
+//! where each node steps one window at a time like a single run: a
+//! jittered group under per-step cadence, a jittered group whose channel
+//! has no window-lane support, and a group whose channel cannot be
+//! replayed under per-window cadence.
 //!
 //! # Examples
 //!
@@ -139,42 +142,6 @@ pub enum EnvCadence {
     /// caches replay the window's first operating-point solve for the
     /// remaining steps.
     PerWindow,
-}
-
-/// How the lane kernels solve a dense class's storage updates.
-///
-/// [`Batched`](Self::Batched) is bit-identical to the boxed
-/// [`mseh_core::PowerUnit`] the class declares: the batch kernels
-/// replicate its iterate sequence under a convergence mask instead of
-/// inventing a new numerical scheme (see [`mseh_units::BatchSolve`]),
-/// and the tests assert it against groups of hand-built units.
-/// [`Interpolated`](Self::Interpolated) trades exact supercap voltages
-/// for a per-run interpolation table sampled from the exact solver; its
-/// recorded worst-case voltage deviation surfaces as
-/// [`FleetSummary::interp_max_deviation`], and the conservation audit
-/// still closes exactly (table residuals are charged to losses).
-///
-/// The tier governs every [`DenseGroup`]; the policy arena's dense
-/// scenarios always run [`Batched`](Self::Batched). Battery lanes have
-/// no iterative inversion to interpolate, so they step the exact batched
-/// kernels under [`Interpolated`](Self::Interpolated) too. Groups the lane gate
-/// cannot cover run their units on the boxed path — same physics, boxed
-/// speed. They are jittered groups under per-step cadence, jittered
-/// groups whose channel has no window-lane support, and groups whose
-/// channel cannot be replayed under per-window cadence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseSolveTier {
-    /// Struct-of-arrays Newton passes over contiguous lanes (fixed
-    /// iteration schedule under a convergence mask, no per-node early
-    /// exit). Bit-identical to the boxed `PowerUnit`.
-    Batched,
-    /// Batched stepping with the supercap energy→voltage inversion
-    /// replaced by a per-run interpolation table.
-    Interpolated {
-        /// Number of equally-spaced energy knots (min 2); deviation
-        /// shrinks quadratically with the count.
-        samples: usize,
-    },
 }
 
 /// Builds one node's platform from its per-node seed.
@@ -570,10 +537,6 @@ pub struct FleetConfig {
     /// How many worst-uptime nodes to list in
     /// [`FleetSummary::stragglers`].
     pub stragglers: usize,
-    /// Lane-kernel solve tier for groups with a [`DenseClass`] (default
-    /// [`DenseSolveTier::Batched`], bit-identical to the boxed
-    /// `PowerUnit` path).
-    pub dense_tier: DenseSolveTier,
 }
 
 impl FleetConfig {
@@ -588,7 +551,6 @@ impl FleetConfig {
             cadence: EnvCadence::PerWindow,
             keep_node_results: false,
             stragglers: 8,
-            dense_tier: DenseSolveTier::Batched,
         }
     }
 
@@ -608,12 +570,6 @@ impl FleetConfig {
     /// Sets the shard width in nodes.
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size;
-        self
-    }
-
-    /// Sets the dense-lane solve tier.
-    pub fn with_dense_tier(mut self, tier: DenseSolveTier) -> Self {
-        self.dense_tier = tier;
         self
     }
 }
@@ -680,11 +636,6 @@ pub struct FleetSummary {
     /// lane's replays, so a dense group's counters differ from a boxed
     /// group of the same units while every physical quantity agrees.
     pub kernel_cache: CacheStats,
-    /// Worst interpolation-table voltage deviation recorded by any
-    /// batched run (`0` unless [`DenseSolveTier::Interpolated`] is
-    /// active): the maximum |exact − interpolated| terminal voltage
-    /// probed when each run's table was built.
-    pub interp_max_deviation: f64,
     /// The `config.stragglers` worst-uptime nodes, worst first (ties by
     /// node index).
     pub stragglers: Vec<Straggler>,
@@ -830,13 +781,6 @@ pub fn run_fleet_controlled(
         return Err("fleet population must be non-empty".into());
     }
     let plan = StepPlan::new(config.sim, config.cadence)?;
-    if let DenseSolveTier::Interpolated { samples } = config.dense_tier {
-        if samples < 2 {
-            return Err(format!(
-                "interpolation tier needs at least 2 knots, got {samples}"
-            ));
-        }
-    }
 
     // One contiguous condition table per site, sampled through the same
     // batched `conditions_into` contract the single-run kernel uses
@@ -975,7 +919,6 @@ pub fn run_fleet_controlled(
             let mut policies: Vec<Box<dyn DutyCyclePolicy>> = node_seeds.map(&g.policy).collect();
             if !dense_lanes::run_lanes(
                 class,
-                config.dense_tier,
                 &g.node,
                 &mut policies,
                 harvest,
@@ -1067,7 +1010,6 @@ pub fn run_fleet_controlled(
             audit_relative,
             worst_node_audit: totals.worst_audit,
             kernel_cache: totals.cache,
-            interp_max_deviation: totals.interp_max_deviation,
             stragglers,
         },
         node_results,

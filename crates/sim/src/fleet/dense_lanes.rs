@@ -11,9 +11,9 @@
 //! channel's [`mseh_power::InputChannel::window_lanes`] once per control
 //! window across every lane's jittered snapshot.
 //!
-//! [`run_lanes`] is the one entry: it takes the [`DenseClass`], the
-//! solve tier, one policy per lane and a [`LaneHarvest`], and steps the
-//! lanes generically over the store lane type ([`StoreLanes`]). The
+//! [`run_lanes`] is the one entry: it takes the [`DenseClass`], one
+//! policy per lane and a [`LaneHarvest`], and steps the lanes
+//! generically over the store lane type ([`StoreLanes`]). The
 //! fleet derives the policies from a group factory and per-node seeds;
 //! the arena supplies one per contender.
 //!
@@ -43,7 +43,7 @@
 //! iterates equal any lane of a wider one. The fleet and differential
 //! tests assert all of it.
 
-use super::{DenseClass, DenseSolveTier, DenseStore};
+use super::{DenseClass, DenseStore};
 use crate::cancel::{tripped, CancelToken};
 use crate::steps::{NodeBooks, NodeOutcome, StepPlan, WindowLoad};
 use mseh_core::{load_draw, shortfall_split, StepReport};
@@ -141,18 +141,14 @@ impl StoreLanes for BatteryLanes {
 }
 
 /// The one entry to the lane kernels: steps one lane per policy of
-/// `class` under `tier`, pushing one [`NodeOutcome`] per lane onto `out`
-/// in lane order. Battery lanes have no iterative inversion to
-/// interpolate, so every tier steps the exact [`BatteryLanes`] kernels
-/// (the one lane-wide `powf` per distinct idle `dt` is already the cheap
-/// path) and record no deviation.
+/// `class`, pushing one [`NodeOutcome`] per lane onto `out` in lane
+/// order.
 ///
 /// Returns `false` — with no outcomes pushed — when `cancel` trips,
 /// checked once per control window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_lanes(
     class: &DenseClass,
-    tier: DenseSolveTier,
     node: &SensorNode,
     policies: &mut [Box<dyn DutyCyclePolicy>],
     harvest: LaneHarvest<'_>,
@@ -161,25 +157,17 @@ pub(crate) fn run_lanes(
     out: &mut Vec<NodeOutcome>,
 ) -> bool {
     match &class.store {
-        DenseStore::Supercap(template) => {
-            let mut solo = SupercapLanes::from_template(template, 1);
-            let interp_deviation = match tier {
-                DenseSolveTier::Interpolated { samples } => solo.set_interpolation(samples),
-                DenseSolveTier::Batched => 0.0,
-            };
-            run_lane_population(
-                class,
-                node,
-                policies,
-                harvest,
-                plan,
-                cancel,
-                out,
-                solo,
-                template,
-                interp_deviation,
-            )
-        }
+        DenseStore::Supercap(template) => run_lane_population(
+            class,
+            node,
+            policies,
+            harvest,
+            plan,
+            cancel,
+            out,
+            SupercapLanes::from_template(template, 1),
+            template,
+        ),
         DenseStore::Battery(template) => run_lane_population(
             class,
             node,
@@ -190,7 +178,6 @@ pub(crate) fn run_lanes(
             out,
             BatteryLanes::from_template(template, 1),
             template,
-            0.0,
         ),
     }
 }
@@ -215,7 +202,6 @@ fn run_lane_population<L: StoreLanes>(
     out: &mut Vec<NodeOutcome>,
     solo: L,
     template: &dyn Storage,
-    interp_deviation: f64,
 ) -> bool {
     let lanes_n = policies.len();
     let (output, monitoring) = (&class.output, class.monitoring);
@@ -440,7 +426,7 @@ fn run_lane_population<L: StoreLanes>(
         ..CacheStats::default()
     };
     let close = |books: NodeBooks, i: usize| {
-        let mut outcome = books.close(
+        let outcome = books.close(
             Joules::new(lanes.stored_energy(i)),
             Joules::new(lanes.losses(i)),
             Joules::ZERO,
@@ -451,7 +437,6 @@ fn run_lane_population<L: StoreLanes>(
             "dense lane violated storage conservation: residual {} J",
             outcome.residual_signed
         );
-        outcome.interp_deviation = interp_deviation;
         outcome
     };
 

@@ -94,9 +94,9 @@ pub use fault::{
     DegradingHarvester, FailingStorage, FaultSchedule, GlitchingHarvester, IntermittentStorage,
 };
 pub use fleet::{
-    run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseSolveTier,
-    DenseStore, EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec,
-    FleetSummary, PlatformFactory, PolicyFactory, Straggler,
+    run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseStore,
+    EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec, FleetSummary,
+    PlatformFactory, PolicyFactory, Straggler,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry,

@@ -59,6 +59,15 @@ impl SimConfig {
         self.start_at = start;
         self
     }
+
+    /// Why this config cannot run, if it cannot: a `dt` that is not
+    /// positive and finite, a duration that is not finite or shorter
+    /// than one step, a control interval that is not positive and
+    /// finite, or more whole steps than fit in a `u64`. Every run kind
+    /// applies this check.
+    pub fn check(&self) -> Result<(), String> {
+        StepPlan::new(*self, EnvCadence::PerStep).map(|_| ())
+    }
 }
 
 /// Recorded time series from a run (present when
@@ -203,7 +212,7 @@ pub fn run_simulation_observed(
     config: SimConfig,
     observers: &mut [&mut dyn SimObserver],
 ) -> SimResult {
-    run_simulation_core(platform, env, node, policy, config, observers, None)
+    run_simulation_core(platform, env, node, policy, config, observers, None, None)
         .expect("a run without a cancel token cannot be cancelled")
 }
 
@@ -224,18 +233,33 @@ pub fn run_simulation_cancellable(
     observers: &mut [&mut dyn SimObserver],
     cancel: &CancelToken,
 ) -> Option<SimResult> {
-    run_simulation_core(platform, env, node, policy, config, observers, Some(cancel))
+    run_simulation_core(
+        platform,
+        env,
+        node,
+        policy,
+        config,
+        observers,
+        Some(cancel),
+        None,
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_simulation_core(
-    platform: &mut dyn Platform,
+/// The kernel behind every single run and campaign scenario. `edge`, when
+/// given, runs at every control-window edge with the platform, as the
+/// caller's own type, and the edge's time: after the edge's fault poll,
+/// before the policy decides. The poll is then re-baselined on the
+/// platform the hook leaves, so a repair is not reported as a fault.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
+    platform: &mut P,
     env: &dyn EnvSampler,
     node: &SensorNode,
     policy: &mut dyn DutyCyclePolicy,
     config: SimConfig,
     observers: &mut [&mut dyn SimObserver],
     cancel: Option<&CancelToken>,
+    mut edge: Option<&mut dyn FnMut(&mut P, Seconds)>,
 ) -> Option<SimResult> {
     let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
 
@@ -258,9 +282,9 @@ pub(crate) fn run_simulation_core(
     // FaultClear events accrued since the previous poll. Count-based
     // reporting catches faults that fire *and* clear inside one control
     // window, which a capacity-drop check alone cannot see.
-    fn poll_faults(
+    fn poll_faults<P: Platform + ?Sized>(
         observers: &mut [&mut dyn SimObserver],
-        platform: &dyn Platform,
+        platform: &P,
         t: Seconds,
         prev_capacity: &mut Joules,
         prev_faults: &mut (u64, u64),
@@ -345,6 +369,22 @@ pub(crate) fn run_simulation_core(
             return None;
         }
         let t_win = plan.time_at(window.start);
+        if let Some(edge) = edge.as_mut() {
+            // Faults accrued up to this edge are reported before the
+            // hook runs, and what it changes is not reported as one.
+            if observing {
+                poll_faults(
+                    observers,
+                    run.platform(),
+                    t_win,
+                    &mut prev_capacity,
+                    &mut prev_faults,
+                );
+            }
+            run.edit(|platform| edge(platform, t_win));
+            prev_capacity = run.platform().storage_capacity();
+            prev_faults = run.platform().fault_counts();
+        }
         let load = run.decide(&plan, &window);
         let duty = load.duty;
 

@@ -9,11 +9,11 @@
 //! step's power flow and close with the storage conservation audit.
 //!
 //! A boxed platform steps through one [`BoxedRun`]: the single-run
-//! kernel ([`crate::run_simulation`]) wraps its observer events around
-//! it, each boxed fleet node steps one over its site's condition table,
-//! and each boxed arena lane settles one against its seed row's shared
-//! harvests. The dense lane populations keep one [`NodeBooks`] per lane
-//! instead.
+//! kernel ([`crate::run_simulation`], which also runs each campaign
+//! scenario) wraps its observer events around it, each boxed fleet
+//! node steps one over its site's condition table, and each boxed arena
+//! lane settles one against its seed row's shared harvests. The dense
+//! lane populations keep one [`NodeBooks`] per lane instead.
 
 use crate::fleet::EnvCadence;
 use crate::platform::Platform;
@@ -270,18 +270,20 @@ pub(crate) enum Ambient<'a> {
 
 /// One boxed platform stepped window by window: [`decide`](Self::decide)
 /// fixes the window's load, [`step`](Self::step) runs its steps and
-/// books them, [`close`](Self::close) closes the books.
-pub(crate) struct BoxedRun<'a> {
-    platform: &'a mut dyn Platform,
+/// books them, [`close`](Self::close) closes the books. Between windows,
+/// [`edit`](Self::edit) hands the platform, as the caller's own type, to
+/// a repair.
+pub(crate) struct BoxedRun<'a, P: Platform + ?Sized = dyn Platform> {
+    platform: &'a mut P,
     policy: &'a mut dyn DutyCyclePolicy,
     node: &'a SensorNode,
     books: NodeBooks,
 }
 
-impl<'a> BoxedRun<'a> {
+impl<'a, P: Platform + ?Sized> BoxedRun<'a, P> {
     /// Opens the books on `platform` as it stands.
     pub(crate) fn open(
-        platform: &'a mut dyn Platform,
+        platform: &'a mut P,
         policy: &'a mut dyn DutyCyclePolicy,
         node: &'a SensorNode,
     ) -> Self {
@@ -295,8 +297,21 @@ impl<'a> BoxedRun<'a> {
     }
 
     /// The platform, for reads between windows.
-    pub(crate) fn platform(&self) -> &dyn Platform {
+    pub(crate) fn platform(&self) -> &P {
         &*self.platform
+    }
+
+    /// Runs `edit` on the platform between windows. Stored energy and
+    /// losses that the edit adds or removes (a store swapped out, say)
+    /// move the books' opening balance, so the audit still closes.
+    pub(crate) fn edit(&mut self, edit: impl FnOnce(&mut P)) {
+        let (stored, losses) = (
+            self.platform.total_stored_energy(),
+            self.platform.storage_losses(),
+        );
+        edit(self.platform);
+        self.books.initial_stored += self.platform.total_stored_energy() - stored;
+        self.books.initial_losses += self.platform.storage_losses() - losses;
     }
 
     /// The policy, for reads between windows.
@@ -376,7 +391,6 @@ pub(crate) struct NodeOutcome {
     pub(crate) throughput: f64,
     pub(crate) stranded: Joules,
     pub(crate) cache: CacheStats,
-    pub(crate) interp_deviation: f64,
 }
 
 impl NodeOutcome {
@@ -508,7 +522,6 @@ impl NodeBooks {
             throughput,
             stranded,
             cache,
-            interp_deviation: 0.0,
         }
     }
 }
@@ -574,7 +587,6 @@ pub(crate) struct OutcomeTotals {
     pub(crate) energy_neutral: u64,
     pub(crate) worst_audit: f64,
     pub(crate) cache: CacheStats,
-    pub(crate) interp_max_deviation: f64,
     /// Each outcome's uptime, in order.
     pub(crate) uptimes: Vec<f64>,
     residual_signed: f64,
@@ -597,7 +609,6 @@ impl OutcomeTotals {
             energy_neutral: 0,
             worst_audit: 0.0,
             cache: CacheStats::default(),
-            interp_max_deviation: 0.0,
             uptimes: Vec::new(),
             residual_signed: 0.0,
             throughput: 0.0,
@@ -618,7 +629,6 @@ impl OutcomeTotals {
         self.energy_neutral += u64::from(o.brownout_steps == 0);
         self.worst_audit = self.worst_audit.max(o.audit_residual);
         self.cache.merge(o.cache);
-        self.interp_max_deviation = self.interp_max_deviation.max(o.interp_deviation);
         self.uptimes.push(o.uptime);
         self.residual_signed += o.residual_signed;
         self.throughput += o.throughput;

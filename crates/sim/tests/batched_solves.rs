@@ -12,8 +12,7 @@
 //! agrees with the boxed reference on every physical quantity. Cache
 //! counters may differ where the lanes run, because the lanes synthesize
 //! theirs; jittered per-step cells close the lane gate and run boxed,
-//! so they agree in full. The interpolated tier is checked against its
-//! deviation bound instead.
+//! so they agree in full.
 
 use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::{EnvJitter, Environment};
@@ -28,8 +27,8 @@ use mseh_power::{
 };
 use mseh_sim::{
     run_arena_controlled, run_fleet, run_fleet_controlled, ArenaConfig, ArenaResult, ArenaSpec,
-    Contender, DenseClass, DenseGroup, DenseSolveTier, DenseStore, EnvCadence, FleetConfig,
-    FleetControl, FleetGroup, FleetSpec, FleetSummary,
+    Contender, DenseClass, DenseGroup, DenseStore, EnvCadence, FleetConfig, FleetControl,
+    FleetGroup, FleetSpec, FleetSummary,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_units::{DutyCycle, Seconds, Volts};
@@ -283,7 +282,6 @@ impl Cell {
         } else {
             assert_eq!(modulo_cache(dense.clone()), modulo_cache(boxed), "{self:?}");
         }
-        assert_eq!(dense.interp_max_deviation, 0.0, "{self:?}");
     }
 }
 
@@ -319,10 +317,6 @@ fn assert_presets_take_window_lanes() {
 /// interval so the hold path of the batched closer is exercised too.
 fn horizon() -> Seconds {
     Seconds::from_hours(2.0) + Seconds::new(10.0)
-}
-
-fn run_tier(spec: &FleetSpec, tier: DenseSolveTier) -> FleetSummary {
-    run_fleet(spec, FleetConfig::over(horizon()).with_dense_tier(tier)).summary
 }
 
 /// Cache counters aside (the lanes book synthesized replay counts, the
@@ -506,18 +500,6 @@ fn battery_batched_tier_is_invariant_to_run_geometry() {
 }
 
 #[test]
-fn interpolated_tier_is_exact_for_battery_stores() {
-    // Battery lanes have no iterative inversion to tabulate, so the
-    // interpolated tier steps the exact batched kernels: full equality
-    // and a zero recorded deviation.
-    let spec = Cell::preset(3, Store::Battery, 5, EnvJitter::relative(0.15)).dense(6);
-    let batched = run_tier(&spec, DenseSolveTier::Batched);
-    let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
-    assert_eq!(interp, batched);
-    assert_eq!(interp.interp_max_deviation, 0.0);
-}
-
-#[test]
 fn batched_tier_is_invariant_to_run_geometry() {
     // Shard size 1 forces single-lane runs, 3 splits the group mid-run,
     // 1024 gives one run for the whole group: the lane population's
@@ -543,62 +525,30 @@ fn batched_tier_is_invariant_to_run_geometry() {
 }
 
 #[test]
-fn interpolated_tier_records_its_deviation_and_still_audits() {
-    let spec = Cell::preset(3, Store::Supercap, 5, EnvJitter::relative(0.15)).dense(6);
-    let exact = run_tier(&spec, DenseSolveTier::Batched);
-    let interp = run_tier(&spec, DenseSolveTier::Interpolated { samples: 4096 });
-
-    assert!(
-        interp.interp_max_deviation > 0.0,
-        "interpolation tier must record its probed deviation"
-    );
-    assert!(
-        interp.interp_max_deviation < 1e-3,
-        "4096-knot table should deviate below a millivolt, got {}",
-        interp.interp_max_deviation
-    );
-    // Conservation closes exactly — table residuals are charged to
-    // losses, not dropped.
-    assert!(interp.audit_relative < 1e-6);
-    assert!(interp.worst_node_audit < 1e-6);
-    // Physics stays close to the exact tier.
-    let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-    assert!(rel(interp.harvested.value(), exact.harvested.value()) < 1e-6);
-    assert!(rel(interp.delivered.value(), exact.delivered.value()) < 1e-3);
-    assert!((interp.uptime.mean - exact.uptime.mean).abs() < 1e-3);
-}
-
-#[test]
 fn percentiles_and_stragglers_stay_ordered_on_every_tier() {
-    for tier in [
-        DenseSolveTier::Batched,
-        DenseSolveTier::Interpolated { samples: 1024 },
-    ] {
-        let spec = Cell::preset(0, Store::Supercap, 23, EnvJitter::relative(0.3)).dense(17);
-        let s = run_fleet(
-            &spec,
-            FleetConfig {
-                stragglers: 6,
-                ..FleetConfig::over(horizon())
-            }
-            .with_dense_tier(tier),
-        )
-        .summary;
-        let u = &s.uptime;
-        let ladder = [u.min, u.p05, u.p25, u.p50, u.p75, u.p95, u.max];
-        assert!(
-            ladder.windows(2).all(|w| w[0] <= w[1]),
-            "{tier:?}: percentile ladder not monotone: {ladder:?}"
-        );
-        assert!(u.min <= u.mean && u.mean <= u.max, "{tier:?}");
-        assert_eq!(s.stragglers.len(), 6, "{tier:?}");
-        assert!(
-            s.stragglers
-                .windows(2)
-                .all(|w| (w[0].uptime, w[0].node) < (w[1].uptime, w[1].node)
-                    || (w[0].uptime == w[1].uptime && w[0].node < w[1].node)),
-            "{tier:?}: stragglers must be sorted by (uptime, node index)"
-        );
-        assert_eq!(s.stragglers[0].uptime, u.min, "{tier:?}");
-    }
+    let spec = Cell::preset(0, Store::Supercap, 23, EnvJitter::relative(0.3)).dense(17);
+    let s = run_fleet(
+        &spec,
+        FleetConfig {
+            stragglers: 6,
+            ..FleetConfig::over(horizon())
+        },
+    )
+    .summary;
+    let u = &s.uptime;
+    let ladder = [u.min, u.p05, u.p25, u.p50, u.p75, u.p95, u.max];
+    assert!(
+        ladder.windows(2).all(|w| w[0] <= w[1]),
+        "percentile ladder not monotone: {ladder:?}"
+    );
+    assert!(u.min <= u.mean && u.mean <= u.max);
+    assert_eq!(s.stragglers.len(), 6);
+    assert!(
+        s.stragglers
+            .windows(2)
+            .all(|w| (w[0].uptime, w[0].node) < (w[1].uptime, w[1].node)
+                || (w[0].uptime == w[1].uptime && w[0].node < w[1].node)),
+        "stragglers must be sorted by (uptime, node index)"
+    );
+    assert_eq!(s.stragglers[0].uptime, u.min);
 }

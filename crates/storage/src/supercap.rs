@@ -494,56 +494,6 @@ impl BatchSolve for SupercapSolver {
     }
 }
 
-/// Per-run linear interpolation table over the exact inversion — the
-/// opt-in second tier of the batched dense lane. Knots are sampled from
-/// [`SupercapSolver::solve_one`]; the recorded max deviation (probed at
-/// knot midpoints) bounds how far a lookup can sit from the exact root.
-#[derive(Debug, Clone)]
-struct InterpTable {
-    /// Voltages at the equally-spaced energy knots `e_j = j·step`.
-    knots: Vec<f64>,
-    /// Energy spacing between knots, joules.
-    step: f64,
-    /// Max |lookup − exact| observed at knot midpoints, volts.
-    max_deviation: f64,
-}
-
-impl InterpTable {
-    fn build(solver: &SupercapSolver, samples: usize) -> Self {
-        let samples = samples.max(2);
-        let capacity = solver.energy_between(solver.a, solver.v_max);
-        let step = capacity / (samples - 1) as f64;
-        let knots: Vec<f64> = (0..samples)
-            .map(|j| solver.solve_one(step * j as f64))
-            .collect();
-        let mut table = Self {
-            knots,
-            step,
-            max_deviation: 0.0,
-        };
-        let mut dev = 0.0f64;
-        for j in 0..samples - 1 {
-            let e_mid = step * (j as f64 + 0.5);
-            let exact = solver.solve_one(e_mid);
-            dev = dev.max((table.lookup(solver, e_mid) - exact).abs());
-        }
-        table.max_deviation = dev;
-        table
-    }
-
-    #[inline]
-    fn lookup(&self, solver: &SupercapSolver, e: f64) -> f64 {
-        if e <= 0.0 {
-            return solver.a;
-        }
-        let x = (e / self.step).min((self.knots.len() - 1) as f64);
-        let j = (x as usize).min(self.knots.len() - 2);
-        let t = x - j as f64;
-        let v = self.knots[j] + t * (self.knots[j + 1] - self.knots[j]);
-        v.clamp(solver.a, solver.v_max)
-    }
-}
-
 /// Struct-of-arrays state for a population of identical-parameter
 /// supercapacitors — the storage side of the fleet's batched dense lane.
 ///
@@ -557,11 +507,7 @@ impl InterpTable {
 /// After any sequence of [`step`](Self::step) calls, lane `i`'s voltage,
 /// losses and returned energies are bit-identical to driving a private
 /// clone of the template through the scalar [`Storage`] calls
-/// `charge`/`discharge`/`idle` with the same per-step requests — unless
-/// the interpolation tier is enabled, in which case results are
-/// deviation-bounded (see [`set_interpolation`](Self::set_interpolation))
-/// and the energy books are closed exactly by charging the interpolation
-/// residual to the lane's losses.
+/// `charge`/`discharge`/`idle` with the same per-step requests.
 #[derive(Debug, Clone)]
 pub struct SupercapLanes {
     solver: SupercapSolver,
@@ -579,8 +525,6 @@ pub struct SupercapLanes {
     targets: Vec<f64>,
     /// Per-step solve mask (scratch, reused across steps).
     active: Vec<bool>,
-    /// Interpolation tier, off by default.
-    interp: Option<InterpTable>,
 }
 
 impl SupercapLanes {
@@ -596,7 +540,6 @@ impl SupercapLanes {
             losses: vec![template.losses.value(); lanes],
             targets: vec![0.0; lanes],
             active: vec![false; lanes],
-            interp: None,
         }
     }
 
@@ -648,26 +591,8 @@ impl SupercapLanes {
         &self.solver
     }
 
-    /// Enables the interpolation tier: both per-step inversions answer
-    /// from a `samples`-knot linear table sampled off the exact solver.
-    /// Returns the recorded max deviation (volts, probed at knot
-    /// midpoints). Conservation stays exact: the signed energy residual
-    /// between the lookup voltage and the Newton target is charged to the
-    /// lane's losses.
-    pub fn set_interpolation(&mut self, samples: usize) -> f64 {
-        let table = InterpTable::build(&self.solver, samples);
-        let dev = table.max_deviation;
-        self.interp = Some(table);
-        dev
-    }
-
-    /// Recorded max deviation of the interpolation tier, if enabled.
-    pub fn interpolation_deviation(&self) -> Option<f64> {
-        self.interp.as_ref().map(|t| t.max_deviation)
-    }
-
     /// A new population of `lanes` copies of lane 0's state (solver
-    /// parameters and interpolation table carried over). Used by the
+    /// parameters carried over). Used by the
     /// dense runner's uniform fast path: while every lane provably
     /// shares lane 0's inputs only lane 0 is stepped, and the full
     /// population is materialized from it on the first divergence.
@@ -678,29 +603,6 @@ impl SupercapLanes {
         copy.targets = vec![0.0; lanes];
         copy.active = vec![false; lanes];
         copy
-    }
-
-    /// Solves the staged targets into `self.v`, batched or via the
-    /// interpolation table.
-    fn solve_staged(&mut self) {
-        match &self.interp {
-            None => self
-                .solver
-                .solve_lanes(&self.targets, &self.active, &mut self.v),
-            Some(table) => {
-                for i in 0..self.v.len() {
-                    if !self.active[i] {
-                        continue;
-                    }
-                    let v_new = table.lookup(&self.solver, self.targets[i]);
-                    // Close the books: the table voltage stores slightly
-                    // more or less energy than the Newton target, so the
-                    // signed residual becomes a (possibly negative) loss.
-                    self.losses[i] += self.targets[i] - self.solver.stored_energy(v_new);
-                    self.v[i] = v_new;
-                }
-            }
-        }
     }
 
     /// One fleet step across all lanes: lane `i` charges at `charge_w[i]`
@@ -784,7 +686,8 @@ impl SupercapLanes {
             }
         }
         // Pass 2 — batched transfer inversion over the staged lanes.
-        self.solve_staged();
+        self.solver
+            .solve_lanes(&self.targets, &self.active, &mut self.v);
         // Pass 3 — idle-leak prologue: every lane leaks V²/R_leak·dt off
         // its post-transfer state, exactly as `Supercap::idle`.
         for i in 0..n {
@@ -797,7 +700,8 @@ impl SupercapLanes {
             self.active[i] = true;
         }
         // Pass 4 — batched leak inversion over all lanes.
-        self.solve_staged();
+        self.solver
+            .solve_lanes(&self.targets, &self.active, &mut self.v);
     }
 }
 
@@ -1035,59 +939,6 @@ mod tests {
                     "step {step} lane {i} losses"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn interpolation_tier_is_deviation_bounded_and_conserves() {
-        let mut template = Supercap::edlc_22f();
-        template.set_voltage(Volts::new(1.9));
-        let n = 16;
-        let mut lanes = SupercapLanes::from_template(&template, n);
-        let dev = lanes.set_interpolation(4096);
-        assert!(dev > 0.0, "a finite table must deviate somewhere");
-        assert!(dev < 1e-3, "4096 knots over a 1.9 V window: {dev} V");
-        assert_eq!(lanes.interpolation_deviation(), Some(dev));
-        let mut exact = SupercapLanes::from_template(&template, n);
-        let initial = lanes.stored_energy(0);
-        let mut state = 7u64;
-        let dt = 60.0;
-        let (mut cw, mut dw) = (vec![0.0; n], vec![0.0; n]);
-        let (mut ch, mut dis) = (vec![0.0; n], vec![0.0; n]);
-        let (mut taken, mut given) = (vec![0.0; n], vec![0.0; n]);
-        for _ in 0..200 {
-            for i in 0..n {
-                cw[i] = 0.0;
-                dw[i] = 0.0;
-                let r = splitmix(&mut state);
-                if r < 0.5 {
-                    cw[i] = splitmix(&mut state) * 0.4;
-                } else {
-                    dw[i] = splitmix(&mut state) * 0.4;
-                }
-            }
-            lanes.step(&cw, &dw, dt, &mut ch, &mut dis);
-            for i in 0..n {
-                taken[i] += ch[i];
-                given[i] += dis[i];
-            }
-            exact.step(&cw, &dw, dt, &mut ch, &mut dis);
-        }
-        for i in 0..n {
-            // Books close exactly despite the lookup: the residual was
-            // charged to losses.
-            let residual = initial + taken[i]
-                - given[i]
-                - (lanes.losses(i) - template.losses().value())
-                - lanes.stored_energy(i);
-            assert!(residual.abs() < 1e-6, "lane {i} residual {residual}");
-            // And the trajectory stays near the exact tier.
-            assert!(
-                (lanes.voltage(i) - exact.voltage(i)).abs() < 5e-2,
-                "lane {i}: {} vs {}",
-                lanes.voltage(i),
-                exact.voltage(i)
-            );
         }
     }
 

@@ -62,66 +62,62 @@ echo "==> perf smoke (reduced budget, perf profile, writes target/BENCH_sim_quic
 # regression gate below compares like with like.
 cargo run --profile perf -q -p mseh-bench --bin perf -- --quick
 
+# Prints the value of KEY in JSON FILE: the first occurrence, or the
+# first after the line holding ANCHOR when one is given. A key or anchor
+# that is missing fails the gate, so a renamed or dropped key can never
+# gate against a floor of 0.
+read_key() {
+    local file="$1" key="$2" anchor="${3:-}" value
+    value="$(awk -F': ' -v key="\"$key\"" -v anchor="$anchor" '
+        anchor != "" && !seen { if (index($0, anchor)) seen = 1; next }
+        { k = $1; gsub(/^[ \t]+/, "", k) }
+        k == key { v = $2; gsub(/[ ,]/, "", v); print v; exit }' "$file")"
+    if [ -z "$value" ]; then
+        echo "FAIL: no \"$key\" in $file${anchor:+ after $anchor}" >&2
+        return 1
+    fi
+    echo "$value"
+}
+
+# Fails when the quick run's KEY is below FLOOR times the committed
+# baseline's (both read through read_key, after ANCHOR if given).
+floor_gate() {
+    local label="$1" key="$2" floor="$3" anchor="${4:-}" baseline quick
+    baseline="$(read_key BENCH_sim.json "$key" "$anchor")" || exit 1
+    quick="$(read_key target/BENCH_sim_quick.json "$key" "$anchor")" || exit 1
+    awk -v q="$quick" -v b="$baseline" -v f="$floor" -v label="$label" 'BEGIN {
+        if (q + 0 < b * f) {
+            printf "FAIL: %s %.1f is >%.0f%% below committed baseline %.1f (floor %.1f)\n", label, q, (1 - f) * 100, b, b * f
+            exit 1
+        }
+        printf "ok: %s %.1f vs committed %.1f (floor %.1f)\n", label, q, b, b * f
+    }'
+}
+
 echo "==> perf regression gate (quick steps/s vs committed BENCH_sim.json)"
-baseline="$(awk -F': ' '/"steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-quick="$(awk -F': ' '/"steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$quick" -v b="$baseline" 'BEGIN {
-    floor = b * 0.8
-    if (q + 0 < floor) {
-        printf "FAIL: steps_per_sec %.1f is >20%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate steps_per_sec steps_per_sec 0.8
 
 echo "==> fleet regression gate (quick node-steps/s vs committed BENCH_sim.json)"
-# First "node_steps_per_sec" in both files is the dense battery-class
-# headline row, so the gate compares the same lane at quick vs full
-# scale. The floor is 30% (vs 20% for the hot loop): the quick fleet
-# row is seconds long and its rate swings ~±15% with host load, while
-# a real dense-lane regression (losing the shared table or the store
-# monomorphization) costs 5-8x.
-fleet_baseline="$(awk -F': ' '/"node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-fleet_quick="$(awk -F': ' '/"node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$fleet_quick" -v b="$fleet_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: fleet node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: fleet node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+# The dense battery-class headline row, read by its name, so the gate
+# compares the same lane at quick vs full scale. The floor is 30% (vs
+# 20% for the hot loop): the quick fleet row is seconds long and its
+# rate swings ~±15% with host load, while a real dense-lane regression
+# (losing the shared table or the store monomorphization) costs 5-8x.
+floor_gate "fleet node_steps_per_sec" node_steps_per_sec 0.7 \
+    '"name": "dense solar+NiMH (battery class)"'
 
 echo "==> dense-supercap regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
-# The batched struct-of-arrays tier's headline. Same 30% floor and
+# The batched struct-of-arrays lanes' headline. Same 30% floor and
 # rationale as the fleet gate above; a real regression (losing the
 # batched lanes and falling back to boxed per-node stepping) costs ~10x.
-cap_baseline="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-cap_quick="$(awk -F': ' '/"dense_supercap_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$cap_quick" -v b="$cap_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: dense_supercap_node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: dense_supercap_node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate dense_supercap_node_steps_per_sec dense_supercap_node_steps_per_sec 0.7
 
 echo "==> dense-battery regression gate (quick batched node-steps/s vs committed BENCH_sim.json)"
 # The battery-store batched lane (lane-shared keep-fraction powf plus
 # the uniform fast path). Same 30% floor and rationale as the gates
 # above; a real regression (losing the batched gate and falling back to
 # boxed per-node stepping) costs >10x.
-batt_baseline="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-batt_quick="$(awk -F': ' '/"dense_battery_batched_node_steps_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$batt_quick" -v b="$batt_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: dense_battery_batched_node_steps_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: dense_battery_batched_node_steps_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate dense_battery_batched_node_steps_per_sec dense_battery_batched_node_steps_per_sec 0.7
 
 echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.json)"
 # The policy-arena throughput headline. The arena times a fixed spec
@@ -129,22 +125,13 @@ echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.jso
 # identically; same 30% floor rationale as the fleet gates — a real
 # regression (losing the shared harvest table and re-solving per lane)
 # costs ~6x.
-arena_baseline="$(awk -F': ' '/"policy_evals_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' BENCH_sim.json)"
-arena_quick="$(awk -F': ' '/"policy_evals_per_sec"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
-awk -v q="$arena_quick" -v b="$arena_baseline" 'BEGIN {
-    floor = b * 0.7
-    if (q + 0 < floor) {
-        printf "FAIL: arena policy_evals_per_sec %.1f is >30%% below committed baseline %.1f (floor %.1f)\n", q, b, floor
-        exit 1
-    }
-    printf "ok: arena policy_evals_per_sec %.1f vs committed %.1f (floor %.1f)\n", q, b, floor
-}'
+floor_gate "arena policy_evals_per_sec" policy_evals_per_sec 0.7
 
 echo "==> arena amortization gate (32 lanes vs one standalone run)"
 # The tentpole claim: 32 policy lanes over one shared trace must cost
 # no more than 6x a single run — i.e. the shared-environment lockstep
 # amortization factor (32 x single / arena) stays >= 5.
-arena_amort="$(awk -F': ' '/"amortization_factor"/ { gsub(/[ ,]/, "", $2); print $2; exit }' target/BENCH_sim_quick.json)"
+arena_amort="$(read_key target/BENCH_sim_quick.json amortization_factor)" || exit 1
 awk -v a="$arena_amort" 'BEGIN {
     if (a + 0 < 5.0) {
         printf "FAIL: arena amortization factor %.2f below the 5x floor\n", a

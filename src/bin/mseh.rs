@@ -22,6 +22,9 @@ use mseh::systems::resilience::natural_node;
 use mseh::systems::{all_systems, SystemId};
 use mseh::units::{DutyCycle, Seconds};
 
+/// The site survey's sampling step.
+const SURVEY_STEP: Seconds = Seconds::new(600.0);
+
 const USAGE: &str = "\
 mseh — multi-source energy harvesting systems (Weddell et al., DATE 2013)
 
@@ -133,16 +136,22 @@ fn parse(args: &[String]) -> Result<Command, String> {
         }
         i += 2;
     }
-    let days = |default: f64| -> Result<f64, String> {
+    // A horizon the subcommand can run at its step (see
+    // `SimConfig::check`).
+    let days = |default: f64, step: Seconds| -> Result<f64, String> {
         let days: f64 = match opts.get("days") {
             None => default,
             Some(v) => v.parse().map_err(|e| format!("--days: {e}"))?,
         };
-        if !days.is_finite() || days <= 0.0 {
-            return Err(format!("--days must be positive and finite, got {days}"));
+        SimConfig {
+            dt: step,
+            ..SimConfig::over(Seconds::from_days(days))
         }
+        .check()
+        .map_err(|e| format!("--days {days}: {e}"))?;
         Ok(days)
     };
+    let sim_step = SimConfig::week().dt;
     let seed = || -> Result<u64, String> {
         opts.get("seed")
             .map_or(Ok(42), |v| v.parse().map_err(|e| format!("--seed: {e}")))
@@ -155,7 +164,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Simulate {
                 system,
                 env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
-                days: days(7.0)?,
+                days: days(7.0, sim_step)?,
                 seed: seed()?,
                 policy: opts
                     .get("policy")
@@ -165,12 +174,12 @@ fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "sweep-buffer" => Ok(Command::SweepBuffer {
-            days: days(14.0)?,
+            days: days(14.0, sim_step)?,
             seed: seed()?,
         }),
         "survey" => Ok(Command::Survey {
             env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
-            days: days(3.0)?,
+            days: days(3.0, SURVEY_STEP)?,
             seed: seed()?,
         }),
         "arena" => {
@@ -185,7 +194,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Arena {
                 system,
                 env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
-                days: days(2.0)?,
+                days: days(2.0, sim_step)?,
                 seed: seed()?,
                 seeds,
                 roster: opts
@@ -279,11 +288,8 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Survey { env, days, seed } => {
             let environment = make_env(&env, seed)?;
-            let report = mseh::systems::site_survey(
-                &environment,
-                Seconds::from_days(days),
-                Seconds::from_minutes(10.0),
-            );
+            let report =
+                mseh::systems::site_survey(&environment, Seconds::from_days(days), SURVEY_STEP);
             println!("{report}");
         }
         Command::SweepBuffer { days, seed } => {
@@ -522,6 +528,13 @@ mod tests {
         assert!(parse(&argv("simulate --days -1")).is_err());
         assert!(parse(&argv("simulate --days nan")).is_err());
         assert!(parse(&argv("simulate --days inf")).is_err());
+        // Shorter than one 60 s step, or than the survey's 10-minute step.
+        assert!(parse(&argv("simulate --days 0.0001")).is_err());
+        assert!(parse(&argv("arena --days 0.0001")).is_err());
+        assert!(parse(&argv("sweep-buffer --days 0.0001")).is_err());
+        assert!(parse(&argv("survey --days 0.0001")).is_err());
+        assert!(parse(&argv("survey --days 0.005")).is_err());
+        assert!(parse(&argv("simulate --days 0.005")).is_ok());
     }
 
     #[test]

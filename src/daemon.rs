@@ -208,7 +208,6 @@ pub fn digest_fleet(summary: &FleetSummary) -> u64 {
         .f64(summary.demanded.value())
         .f64(summary.converter_losses.value())
         .f64(summary.min_store_voltage.value())
-        .f64(summary.interp_max_deviation)
         .f64(summary.audit_relative)
         .finish()
 }
@@ -304,14 +303,19 @@ fn reject_unknown_fields(spec: &JobSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// The job's horizon in days: one every job kind can run at its 60 s
+/// step (see [`SimConfig::check`]), and at most [`MAX_DAYS`].
 fn parse_days(spec: &JobSpec, default: f64) -> Result<f64, String> {
     let days: f64 = match spec.get("days") {
         None => default,
         Some(v) => v.parse().map_err(|e| format!("days: {e}"))?,
     };
-    if !days.is_finite() || days <= 0.0 || days > MAX_DAYS {
-        return Err(format!("days must be in (0, {MAX_DAYS}], got {days}"));
+    if days > MAX_DAYS {
+        return Err(format!("days must be at most {MAX_DAYS}, got {days}"));
     }
+    SimConfig::over(Seconds::from_days(days))
+        .check()
+        .map_err(|e| format!("days {days}: {e}"))?;
     Ok(days)
 }
 
@@ -675,6 +679,10 @@ mod tests {
             .is_err());
         assert!(catalog
             .prepare(&spec("single", &[("system", "A"), ("days", "nan")]))
+            .is_err());
+        // Shorter than one 60 s step.
+        assert!(catalog
+            .prepare(&spec("single", &[("system", "A"), ("days", "0.0001")]))
             .is_err());
         assert!(catalog
             .prepare(&spec("single", &[("system", "A"), ("env", "mars")]))

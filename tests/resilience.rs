@@ -11,7 +11,7 @@ use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
     run_resilience_campaign_with_threads, run_simulation, run_simulation_observed, CampaignConfig,
     ConservationAuditor, DegradingHarvester, FailingStorage, FaultScenario, FaultSchedule,
-    IntermittentStorage, RingRecorder, SimConfig,
+    IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimObserver,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -360,30 +360,33 @@ fn campaign_metrics_are_thread_count_invariant_for_every_system() {
     }
 }
 
+/// The hot-swap rig: a one-shot primary fault, and a recovery hook that
+/// re-routes to a fresh store through the existing management path,
+/// detaching whatever sits on the secondary port and hot-swapping in a
+/// charged spare.
+fn hot_swap_scenario(seed: u64) -> FaultScenario<PowerUnit> {
+    let schedule = FaultSchedule::one_shot(Seconds::from_hours(1.0));
+    FaultScenario::new(
+        failover_rig(schedule.clone()),
+        Environment::outdoor_temperate(seed),
+        Box::new(FixedDuty::new(DutyCycle::saturating(0.2))),
+        schedule,
+    )
+    .with_recovery(|unit: &mut PowerUnit, _now| {
+        let mut spare = Supercap::edlc_22f();
+        spare.set_voltage(Volts::new(2.5));
+        unit.detach_storage(1);
+        unit.attach_storage(1, Box::new(spare), None).is_ok()
+    })
+}
+
 #[test]
 fn campaign_counts_recoveries_made_through_the_hot_swap_path() {
-    // A recovery hook that re-routes to a fresh store through the
-    // existing management path: detach whatever sits on the secondary
-    // port and hot-swap in a charged spare.
-    let schedule = FaultSchedule::one_shot(Seconds::from_hours(1.0));
     let horizon = Seconds::from_hours(4.0);
     let summary = run_resilience_campaign_with_threads(
         1,
         &[5],
-        |seed| {
-            FaultScenario::new(
-                failover_rig(schedule.clone()),
-                Environment::outdoor_temperate(seed),
-                Box::new(FixedDuty::new(DutyCycle::saturating(0.2))),
-                schedule.clone(),
-            )
-            .with_recovery(|unit: &mut PowerUnit, _now| {
-                let mut spare = Supercap::edlc_22f();
-                spare.set_voltage(Volts::new(2.5));
-                unit.detach_storage(1);
-                unit.attach_storage(1, Box::new(spare), None).is_ok()
-            })
-        },
+        hot_swap_scenario,
         &SensorNode::submilliwatt_class(),
         CampaignConfig::over(horizon).with_check_interval(Seconds::from_hours(1.0)),
     );
@@ -397,4 +400,183 @@ fn campaign_counts_recoveries_made_through_the_hot_swap_path() {
     );
     assert!(outcome.energy_stranded > Joules::ZERO, "{outcome:?}");
     assert!(summary.worst_audit_relative < 1e-6, "{summary:?}");
+}
+
+/// One scenario's outcome from a one-seed campaign.
+fn campaign_outcome(
+    scenario: impl Fn(u64) -> FaultScenario<PowerUnit> + Sync,
+    seed: u64,
+    node: &SensorNode,
+    config: CampaignConfig,
+) -> ScenarioOutcome {
+    run_resilience_campaign_with_threads(1, &[seed], scenario, node, config)
+        .outcomes
+        .remove(0)
+}
+
+#[test]
+fn a_campaign_scenario_books_exactly_like_a_single_run() {
+    let horizon = Seconds::from_days(2.0);
+    let config = CampaignConfig::over(horizon);
+    for id in SystemId::ALL {
+        let node = resilience::natural_node(id);
+        for seed in [1u64, 7, 42] {
+            let scenario = |s| resilience::resilience_scenario(id, s, horizon);
+            let outcome = campaign_outcome(scenario, seed, &node, config);
+            let mut alone = scenario(seed);
+            let single = run_simulation(
+                &mut alone.platform,
+                &alone.env,
+                &node,
+                alone.policy.as_mut(),
+                config.sim,
+            );
+            let outage = Seconds::new(single.longest_outage_steps as f64 * config.sim.dt.value());
+            assert_eq!(
+                (
+                    outcome.uptime,
+                    outcome.delivered,
+                    outcome.shortfall,
+                    outcome.longest_outage
+                ),
+                (single.uptime, single.delivered, single.shortfall, outage),
+                "{id} seed {seed}"
+            );
+        }
+    }
+}
+
+/// The first fault observation and the first recovery signal after it.
+#[derive(Default)]
+struct FirstSignals {
+    fire: Option<f64>,
+    recovery: Option<f64>,
+}
+
+impl FirstSignals {
+    fn recovered(&mut self, t: Seconds) {
+        if self.fire.is_some() && self.recovery.is_none() {
+            self.recovery = Some(t.value());
+        }
+    }
+}
+
+impl SimObserver for FirstSignals {
+    fn on_fault_fire(&mut self, time: Seconds, _lost: Joules) {
+        self.fire.get_or_insert(time.value());
+    }
+
+    fn on_fault_clear(&mut self, time: Seconds, _restored: Joules) {
+        self.recovered(time);
+    }
+
+    fn on_failover_engaged(&mut self, time: Seconds, _duty: DutyCycle) {
+        self.recovered(time);
+    }
+}
+
+/// The fault metrics of `scenario` run in segments of the check
+/// interval, one `run_simulation_observed` per segment with the
+/// recovery hook called between segments: fault, clear, failover and
+/// recovery counts, time to detect, time to recover and peak stranded
+/// energy, in `ScenarioOutcome`'s units.
+#[allow(clippy::type_complexity)]
+fn segmented_fault_metrics(
+    mut scenario: FaultScenario<PowerUnit>,
+    node: &SensorNode,
+    config: CampaignConfig,
+) -> (u64, u64, u64, u64, Option<Seconds>, Option<Seconds>, Joules) {
+    let sim = config.sim;
+    let mut signals = FirstSignals::default();
+    let (mut recoveries, mut stranded) = (0, Joules::ZERO);
+    let total = sim.duration.value();
+    let mut covered = 0.0;
+    while total - covered >= sim.dt.value() {
+        let segment = SimConfig {
+            duration: Seconds::new(config.check_interval.value().min(total - covered)),
+            ..sim.starting_at(sim.start_at + Seconds::new(covered))
+        };
+        run_simulation_observed(
+            &mut scenario.platform,
+            &scenario.env,
+            node,
+            scenario.policy.as_mut(),
+            segment,
+            &mut [&mut signals],
+        );
+        covered += segment.duration.value();
+        stranded = stranded.max(scenario.platform.stranded_energy());
+        if covered < total {
+            if let Some(hook) = scenario.recovery.as_mut() {
+                let now = sim.start_at + Seconds::new(covered);
+                if hook(&mut scenario.platform, now) {
+                    recoveries += 1;
+                    signals.recovered(now);
+                }
+            }
+        }
+    }
+    let (fired, cleared) = scenario.platform.fault_counts();
+    let detect = scenario
+        .schedule
+        .first_fault()
+        .zip(signals.fire)
+        .map(|(injected, seen)| Seconds::new((seen - injected.value()).max(0.0)));
+    let recover = signals
+        .fire
+        .zip(signals.recovery)
+        .map(|(fire, rec)| Seconds::new((rec - fire).max(0.0)));
+    let failovers = scenario.policy.failover_count();
+    (
+        fired, cleared, failovers, recoveries, detect, recover, stranded,
+    )
+}
+
+/// Asserts that a one-seed campaign of `scenario` reports the fault
+/// metrics of [`segmented_fault_metrics`].
+fn assert_matches_segmented(
+    name: &str,
+    scenario: impl Fn(u64) -> FaultScenario<PowerUnit> + Sync,
+    seed: u64,
+    node: &SensorNode,
+    config: CampaignConfig,
+) {
+    let o = campaign_outcome(&scenario, seed, node, config);
+    assert_eq!(
+        (
+            o.faults_fired,
+            o.faults_cleared,
+            o.failovers,
+            o.recoveries,
+            o.time_to_detect,
+            o.time_to_recover,
+            o.energy_stranded
+        ),
+        segmented_fault_metrics(scenario(seed), node, config),
+        "{name}"
+    );
+}
+
+#[test]
+fn campaign_fault_metrics_match_a_segmented_run() {
+    let horizon = Seconds::from_days(2.0);
+    let config = CampaignConfig::over(horizon);
+    for id in SystemId::ALL {
+        for seed in [1u64, 7, 42] {
+            assert_matches_segmented(
+                &format!("{id} seed {seed}"),
+                |s| resilience::resilience_scenario(id, s, horizon),
+                seed,
+                &resilience::natural_node(id),
+                config,
+            );
+        }
+    }
+    assert_matches_segmented(
+        "hot-swap rig",
+        hot_swap_scenario,
+        5,
+        &SensorNode::submilliwatt_class(),
+        config,
+    );
 }

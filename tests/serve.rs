@@ -403,6 +403,11 @@ fn malformed_specs_get_protocol_errors_and_daemon_survives() {
         "submit kind=fleet;system=A;jitter=2",
         "submit kind=campaign;system=A;seeds=0",
         "submit kind=single;system=A;days=-1",
+        // Horizons shorter than one step, for every job kind.
+        "submit kind=single;system=A;days=0.0001",
+        "submit kind=campaign;system=A;days=0.0001",
+        "submit kind=fleet;system=A;days=0.0001",
+        "submit kind=arena;system=A;days=0.0001",
         // Shard knob out of range or on the wrong kind; no solve tier.
         "submit kind=fleet;system=A;shard_size=0",
         "submit kind=single;system=A;shard_size=8",
