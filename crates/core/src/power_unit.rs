@@ -142,43 +142,46 @@ impl StepReport {
     }
 }
 
-/// Channel overheads a [`BusHarvest`] holds without allocating: every
-/// Table-I platform fits (System B's six slots at most); larger units
-/// spill the rest to the heap.
+/// Channels a [`BusHarvest`] holds without allocating: every Table-I
+/// platform fits (System B's six slots at most); larger units spill the
+/// rest to the heap.
 const INLINE_CHANNELS: usize = 6;
 
-/// The harvest half of one [`PowerUnit::step`]: what the input channels
-/// put on the bus, solved before any load or store is consulted.
+/// The harvest half of one [`PowerUnit::step`] or
+/// [`SmartNetwork::step`](crate::SmartNetwork::step): what the input
+/// channels put on the bus, solved before any load or store is
+/// consulted.
 ///
 /// Each channel sees only the ambient conditions and the step width, so
-/// identically built units stepped through the same conditions produce
-/// identical harvests. That lets one unit [`harvest`](PowerUnit::harvest)
-/// and many [`settle`](PowerUnit::settle) against the result, bit for bit
-/// as if each had stepped its own channels.
+/// identically built platforms stepped through the same conditions
+/// produce identical harvests. That lets one platform
+/// [`harvest`](PowerUnit::harvest) and many [`settle`](PowerUnit::settle)
+/// against the result, bit for bit as if each had stepped its own
+/// channels.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BusHarvest {
     /// Power delivered onto the bus, summed over channels in port order.
     pub delivered: Watts,
-    inline: [Watts; INLINE_CHANNELS],
+    inline: [(Watts, Watts); INLINE_CHANNELS],
     channels: usize,
-    spill: Vec<Watts>,
+    spill: Vec<(Watts, Watts)>,
 }
 
 impl BusHarvest {
-    fn push(&mut self, delivered: Watts, overhead: Watts) {
+    pub(crate) fn push(&mut self, delivered: Watts, overhead: Watts) {
         self.delivered += delivered;
         match self.inline.get_mut(self.channels) {
-            Some(slot) => *slot = overhead,
-            None => self.spill.push(overhead),
+            Some(slot) => *slot = (delivered, overhead),
+            None => self.spill.push((delivered, overhead)),
         }
         self.channels += 1;
     }
 
-    /// Each channel's housekeeping draw, in port order. They stay
-    /// separate because [`PowerUnit::settle`] folds them one by one onto
-    /// the supervisor and output-stage draw, the order a full step has
-    /// always summed them in.
-    pub fn overheads(&self) -> impl Iterator<Item = Watts> + '_ {
+    /// Each channel's `(delivered, overhead)`, in port order. The
+    /// overheads stay separate because a settle folds them one by one
+    /// onto the platform's own draw, the order a full step has always
+    /// summed them in.
+    pub fn channels(&self) -> impl Iterator<Item = (Watts, Watts)> + '_ {
         self.inline[..self.channels.min(INLINE_CHANNELS)]
             .iter()
             .chain(&self.spill)
@@ -858,7 +861,7 @@ impl PowerUnit {
         // 1. Harvest and housekeeping.
         let harvested_w = harvest.delivered;
         let mut overhead_w = self.supervisor.overhead + self.output.quiescent();
-        for overhead in harvest.overheads() {
+        for (_, overhead) in harvest.channels() {
             overhead_w += overhead;
         }
         self.last_harvest = harvested_w;
@@ -1281,7 +1284,7 @@ mod tests {
         for env in [sunny(), EnvConditions::quiescent(Seconds::ZERO)] {
             let expected = whole.step(&env, dt, Watts::from_milli(2.0));
             let harvest = split.harvest(&env, dt);
-            assert_eq!(harvest.overheads().count(), 8);
+            assert_eq!(harvest.channels().count(), 8);
             assert_eq!(split.settle(&harvest, dt, Watts::from_milli(2.0)), expected);
         }
     }
@@ -1346,7 +1349,8 @@ mod tests {
         assert_ne!(folded, base + (tiny + tiny), "the case must discriminate");
         let night = EnvConditions::quiescent(Seconds::ZERO);
         let harvest = unit.harvest(&night, dt);
-        assert_eq!(harvest.overheads().collect::<Vec<_>>(), vec![tiny, tiny]);
+        let overheads: Vec<Watts> = harvest.channels().map(|(_, o)| o).collect();
+        assert_eq!(overheads, vec![tiny, tiny]);
         assert_eq!(unit.settle(&harvest, dt, Watts::ZERO).overhead, folded * dt);
     }
 

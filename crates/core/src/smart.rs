@@ -14,7 +14,7 @@
 //! experiment E8 weighs against the reactivity gained.
 
 use crate::datasheet::ElectronicDatasheet;
-use crate::power_unit::StepReport;
+use crate::power_unit::{load_draw, shortfall_split, BusHarvest, StepReport};
 use mseh_env::EnvConditions;
 use mseh_power::InputChannel;
 use mseh_storage::Storage;
@@ -240,43 +240,57 @@ impl SmartNetwork {
         )
     }
 
-    /// Advances the network one interval, serving `load` at the output.
-    ///
-    /// Harvester modules track locally every step (the scheme's
-    /// reactivity); modules whose output moved more than the report
-    /// threshold push a status event.
+    /// Advances the network one interval, serving `load` at the output:
+    /// exactly [`settle`](Self::settle) applied to
+    /// [`harvest`](Self::harvest).
     pub fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
-        let mut harvested_w = Watts::ZERO;
-        let mut overhead_w = self.output.quiescent();
+        let harvest = self.harvest(env, dt);
+        self.settle(&harvest, dt, load)
+    }
 
+    /// The harvest half of [`step`](Self::step): every harvester module
+    /// tracks locally through `env` for `dt` (the scheme's reactivity),
+    /// in attachment order. Touches nothing but the channels.
+    pub fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        let mut harvest = BusHarvest::default();
         for module in &mut self.modules {
-            overhead_w += module.mcu_overhead;
             if let SmartPayload::Harvester(channel) = &mut module.payload {
                 let step = channel.step(env, dt);
-                harvested_w += step.delivered;
-                overhead_w += step.overhead;
-                // Event-driven reporting on significant change.
-                let prev = module.last_reported.value();
-                let now = step.delivered.value();
-                let scale = prev.abs().max(1e-9);
-                if (now - prev).abs() / scale > self.report_threshold {
-                    self.status_events += 1;
-                    module.last_reported = step.delivered;
-                }
+                harvest.push(step.delivered, step.overhead);
+            }
+        }
+        harvest
+    }
+
+    /// The settle half of [`step`](Self::step): harvester modules whose
+    /// output in `harvest` moved more than the report threshold push a
+    /// status event, then the network serves `load` and balances the
+    /// harvest against its storage modules. The harvest may come from
+    /// this network or from an identically built one stepped through the
+    /// same conditions; the channels here are left untouched.
+    pub fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        let harvested_w = harvest.delivered;
+        let mut overhead_w = self.output.quiescent();
+        let mut channels = harvest.channels();
+        for module in &mut self.modules {
+            overhead_w += module.mcu_overhead;
+            let SmartPayload::Harvester(_) = module.payload else {
+                continue;
+            };
+            let Some((delivered, overhead)) = channels.next() else {
+                continue;
+            };
+            overhead_w += overhead;
+            // Event-driven reporting on significant change.
+            let prev = module.last_reported.value();
+            let scale = prev.abs().max(1e-9);
+            if (delivered.value() - prev).abs() / scale > self.report_threshold {
+                self.status_events += 1;
+                module.last_reported = delivered;
             }
         }
 
-        let store_v = self.store_voltage();
-        let (load_in_w, servable) = if load.value() > 0.0 {
-            if self.output.accepts_input_voltage(store_v) {
-                (self.output.input_for_output(load, store_v), true)
-            } else {
-                (Watts::ZERO, false)
-            }
-        } else {
-            (Watts::ZERO, true)
-        };
-
+        let (load_in_w, servable) = load_draw(&*self.output, load, self.store_voltage());
         let e_h = harvested_w * dt;
         let e_load_in = load_in_w * dt;
         let e_ov = overhead_w * dt;
@@ -321,22 +335,8 @@ impl SmartNetwork {
             }
         }
 
-        let (delivered, shortfall, converter_loss) = if !servable {
-            (Joules::ZERO, load * dt, Joules::ZERO)
-        } else if e_load_in.value() > 0.0 {
-            let load_unmet = unmet.min(e_load_in);
-            let served_in = e_load_in - load_unmet;
-            let served = (served_in / e_load_in).clamp(0.0, 1.0);
-            let full = load * dt;
-            let delivered = full * served;
-            (
-                delivered,
-                full * (1.0 - served),
-                (served_in - delivered).max(Joules::ZERO),
-            )
-        } else {
-            (Joules::ZERO, Joules::ZERO, Joules::ZERO)
-        };
+        let (delivered, shortfall, converter_loss) =
+            shortfall_split(load, dt, servable, e_load_in, unmet);
 
         StepReport {
             harvested: e_h,

@@ -43,16 +43,22 @@ impl EnvJitter {
     ///
     /// # Panics
     ///
-    /// Panics if `relative` is not in `[0, 1)`.
+    /// Panics if `relative` is not in `[0, 1)`; see
+    /// [`try_relative`](Self::try_relative).
     pub fn relative(relative: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&relative),
-            "relative jitter must be in [0, 1)"
-        );
-        Self {
+        Self::try_relative(relative).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`relative`](Self::relative), or why `relative` is not in
+    /// `[0, 1)`.
+    pub fn try_relative(relative: f64) -> Result<Self, String> {
+        if !(0.0..1.0).contains(&relative) {
+            return Err(format!("relative jitter must be in [0, 1), got {relative}"));
+        }
+        Ok(Self {
             relative,
             temperature: 0.0,
-        }
+        })
     }
 
     /// Adds a peak temperature offset (°C).

@@ -13,26 +13,24 @@
 //! it. One extra platform per seed harvests each control window
 //! ([`Platform::harvest`]) and every lane settles against it
 //! ([`Platform::settle`]), window by window, through the same boxed
-//! stepper a single run uses. A platform that only steps whole keeps
-//! the lockstep but steps each lane on the seed's conditions. A
-//! scenario declared with a dense class ([`ArenaSpec::dense`]) goes
-//! further: one channel builds the per-step harvest table (the fleet
-//! engine's replay machinery) and the lanes step on the fleet's
-//! struct-of-arrays lane kernels ([`mseh_storage::SupercapLanes`],
-//! [`mseh_storage::BatteryLanes`]) in their exact batched tier, applied
-//! across policy lanes exactly as across fleet nodes.
+//! stepper a single run uses. A scenario declared with a dense class
+//! ([`ArenaSpec::dense`]) goes further: one channel builds the per-step
+//! harvest table (the fleet engine's replay machinery) and the lanes
+//! step on the fleet's struct-of-arrays lane kernels
+//! ([`mseh_storage::SupercapLanes`], [`mseh_storage::BatteryLanes`]) in
+//! their exact batched tier, applied across policy lanes exactly as
+//! across fleet nodes.
 //!
 //! # Bit-identity
 //!
-//! Under the default per-step cadence every lane's trajectory is
+//! Lanes sample the scenario every step, so every lane's trajectory is
 //! bit-identical to an independent [`run_simulation`] of that policy
 //! against the same scenario — same iterate sequence, full-summary
-//! equality — because the lockstep settles the very `PowerUnit`
-//! arithmetic a standalone run steps, and the lane kernels replicate
-//! it. Seeds fan out across threads via the
-//! sharded [`par_map_with`] merge and fold in seed order, so results
-//! are bit-identical at any thread count. Rankings therefore reflect
-//! policy behaviour alone, never scheduling.
+//! equality — because the lockstep settles exactly as a standalone
+//! run's `step` does, and the lane kernels replicate it. Seeds fan out
+//! across threads via the sharded [`par_map_with`] merge and fold in
+//! seed order, so results are bit-identical at any thread count.
+//! Rankings therefore reflect policy behaviour alone, never scheduling.
 //!
 //! # Examples
 //!
@@ -181,9 +179,7 @@ impl ArenaSpec {
 
     /// A scenario on the units of a dense class: the boxed scenario of
     /// the class's `PowerUnit`, declaring the class. Seed rows replay
-    /// one shared harvest table on the batched lane kernels; a row whose
-    /// table cannot replay (per-window cadence on a channel with
-    /// history) settles boxed in lockstep instead.
+    /// one shared harvest table on the batched lane kernels.
     pub fn dense(
         name: &str,
         node: SensorNode,
@@ -249,7 +245,9 @@ impl core::fmt::Debug for ArenaSpec {
     }
 }
 
-/// Configuration of one arena run.
+/// Configuration of one arena run. Lanes sample the scenario's
+/// conditions every step, so each lane is bit-identical to a standalone
+/// [`run_simulation`] of its policy.
 #[derive(Debug, Clone, Copy)]
 pub struct ArenaConfig {
     /// Per-lane stepping parameters. `record` is ignored: lanes never
@@ -258,13 +256,6 @@ pub struct ArenaConfig {
     /// Worker threads fanning out over seeds (`0` = [`thread_count`]).
     /// Results are bit-identical at any value.
     pub threads: usize,
-    /// How often lanes re-sample scenario conditions. The default
-    /// [`EnvCadence::PerStep`] is bit-identical to standalone
-    /// [`run_simulation`] runs; [`EnvCadence::PerWindow`] is the
-    /// fleet-scale semantic (a dense scenario's table then needs a
-    /// replayable channel, as a dense fleet group's does; rows without
-    /// one settle boxed).
-    pub cadence: EnvCadence,
     /// Also return a full [`SimResult`] per lane, in seed-major lane
     /// order (`seed_index × contenders + contender_index`).
     pub keep_lane_results: bool,
@@ -272,13 +263,11 @@ pub struct ArenaConfig {
 
 impl ArenaConfig {
     /// Arena defaults over `duration`: 60 s steps, 10-minute control
-    /// windows, per-step cadence (standalone-run bit-identity), auto
-    /// threads.
+    /// windows, auto threads.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             threads: 0,
-            cadence: EnvCadence::PerStep,
             keep_lane_results: false,
         }
     }
@@ -286,13 +275,6 @@ impl ArenaConfig {
     /// Sets an explicit worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Switches to per-window condition sampling (the fleet-scale
-    /// semantic; no longer bit-identical to standalone runs).
-    pub fn windowed_env(mut self) -> Self {
-        self.cadence = EnvCadence::PerWindow;
         self
     }
 
@@ -457,7 +439,7 @@ pub fn run_arena_controlled(
     if spec.seeds.is_empty() {
         return Err("arena needs at least one seed".into());
     }
-    let plan = StepPlan::new(config.sim, config.cadence)?;
+    let plan = StepPlan::new(config.sim, EnvCadence::PerStep)?;
     let times = plan.table_times();
     let lanes_total = spec.lanes();
     let threads = if config.threads == 0 {
@@ -590,18 +572,15 @@ struct RowOutcome {
 
 /// Steps one seed row's lanes against the row's conditions: on the lane
 /// kernels over one shared harvest table when the spec declares a dense
-/// class whose table replays, else boxed in lockstep. Returns the lanes'
-/// outcomes and the harvest driver's cache counters, or `None` when
-/// `cancel` trips.
+/// class, else boxed in lockstep. Returns the lanes' outcomes and the
+/// harvest driver's cache counters, or `None` when `cancel` trips.
 ///
 /// The boxed lockstep solves the channels once: per control window one
 /// more platform, built like every lane ([`ArenaSpec::boxed`]'s rule),
 /// harvests every step into a window-sized buffer, then each lane picks
 /// its duty and settles the window against that buffer. A lane's harvest
 /// never depends on its load, so every lane ends exactly where stepping
-/// its own channels would have left it. A platform that only steps whole
-/// (its harvest is `None` at the first step) leaves the driver untouched,
-/// and its lanes step whole on the row's conditions.
+/// its own channels would have left it.
 fn run_seed_row(
     spec: &ArenaSpec,
     seed: u64,
@@ -618,6 +597,8 @@ fn run_seed_row(
                 return run_lanes(class, &spec.node, policies, harvest, plan, cancel, &mut out)
                     .then_some((out, driver_cache));
             }
+            // Never under the arena's per-step cadence; boxed is exact
+            // regardless.
             HarvestTable::NotReplayable => {}
             HarvestTable::Cancelled => return None,
         }
@@ -631,42 +612,22 @@ fn run_seed_row(
         .map(|(lane, policy)| BoxedRun::open(lane.as_mut(), policy.as_mut(), &spec.node))
         .collect();
     let mut harvests: Vec<BusHarvest> = Vec::with_capacity(plan.max_window_len());
-    let mut whole = false;
     for window in plan.windows() {
         if tripped(cancel) {
             return None;
         }
-        if !whole {
-            harvests.clear();
-            for step in window.steps() {
-                match driver.harvest(window.row(rows, &step), step.dt) {
-                    Some(harvest) => harvests.push(harvest),
-                    None if step.index == 0 => {
-                        whole = true;
-                        break;
-                    }
-                    None => panic!("{} stopped splitting its step mid-run", driver.name()),
-                }
-            }
+        harvests.clear();
+        for step in window.steps() {
+            harvests.push(driver.harvest(window.row(rows, &step), step.dt));
         }
-        let ambient = if whole {
-            window.ambient(rows)
-        } else {
-            Ambient::Settle(&harvests)
-        };
         for run in &mut runs {
             let load = run.decide(plan, &window);
-            run.step(&window, &load, ambient, |_, _| {});
+            run.step(&window, &load, Ambient::Settle(&harvests), |_, _| {});
         }
     }
-    let driver_cache = if whole {
-        CacheStats::default()
-    } else {
-        driver.kernel_cache_stats()
-    };
     Some((
         runs.into_iter().map(BoxedRun::close).collect(),
-        driver_cache,
+        driver.kernel_cache_stats(),
     ))
 }
 
@@ -908,13 +869,16 @@ mod tests {
         fn name(&self) -> &str {
             self.0.name()
         }
-        fn step(
+        fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+            self.0.harvest(env, dt)
+        }
+        fn settle(
             &mut self,
-            env: &EnvConditions,
+            harvest: &BusHarvest,
             dt: Seconds,
             load: mseh_units::Watts,
         ) -> mseh_core::StepReport {
-            self.0.step(env, dt, load)
+            self.0.settle(harvest, dt, load)
         }
         fn energy_status(&self) -> mseh_node::EnergyStatus {
             self.0.energy_status()

@@ -130,6 +130,9 @@ pub(crate) mod dense_lanes;
 /// streams 100+, which run on the *node* seed).
 const NODE_SEED_STREAM: StreamId = StreamId(90);
 
+/// How many worst-uptime nodes [`FleetSummary::stragglers`] lists.
+const STRAGGLERS: usize = 8;
+
 /// How often member nodes re-sample their site's conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvCadence {
@@ -534,15 +537,11 @@ pub struct FleetConfig {
     /// Also return a full [`SimResult`] per node (memory scales with
     /// population).
     pub keep_node_results: bool,
-    /// How many worst-uptime nodes to list in
-    /// [`FleetSummary::stragglers`].
-    pub stragglers: usize,
 }
 
 impl FleetConfig {
     /// Fleet defaults over `duration`: 60 s steps, 10-minute control
-    /// windows, per-window cadence, auto threads, 1024-node shards,
-    /// 8 stragglers.
+    /// windows, per-window cadence, auto threads, 1024-node shards.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
@@ -550,7 +549,6 @@ impl FleetConfig {
             shard_size: 0,
             cadence: EnvCadence::PerWindow,
             keep_node_results: false,
-            stragglers: 8,
         }
     }
 
@@ -636,8 +634,8 @@ pub struct FleetSummary {
     /// lane's replays, so a dense group's counters differ from a boxed
     /// group of the same units while every physical quantity agrees.
     pub kernel_cache: CacheStats,
-    /// The `config.stragglers` worst-uptime nodes, worst first (ties by
-    /// node index).
+    /// The eight worst-uptime nodes (all of a smaller fleet), worst
+    /// first (ties by node index).
     pub stragglers: Vec<Straggler>,
 }
 
@@ -977,7 +975,7 @@ pub fn run_fleet_controlled(
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let stragglers = ranked
         .iter()
-        .take(config.stragglers.min(population as usize))
+        .take(STRAGGLERS)
         .map(|&(u, n)| {
             let g = &spec.groups[spans.partition_point(|&(_, end)| end <= n)];
             let outcome = &shard_outcomes[(n / shard_size) as usize][(n % shard_size) as usize];
@@ -1020,7 +1018,7 @@ pub fn run_fleet_controlled(
 mod tests {
     use super::*;
     use crate::runner::run_simulation;
-    use mseh_core::StepReport;
+    use mseh_core::{BusHarvest, StepReport};
     use mseh_harvesters::PvModule;
     use mseh_node::{EnergyStatus, FixedDuty, VoltageThreshold};
     use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
@@ -1276,7 +1274,7 @@ mod tests {
         // Milliwatt loads indoors brown out; submilliwatt outdoors don't.
         spec.add_group(FleetGroup::new(
             "starved",
-            3,
+            STRAGGLERS,
             dark,
             SensorNode::milliwatt_class(),
             |_| Box::new(solar_unit()),
@@ -1290,14 +1288,8 @@ mod tests {
             |_| Box::new(solar_unit()),
             |_| Box::new(FixedDuty::new(duty())),
         ));
-        let out = run_fleet(
-            &spec,
-            FleetConfig {
-                stragglers: 3,
-                ..FleetConfig::over(Seconds::from_hours(6.0))
-            },
-        );
-        assert_eq!(out.summary.stragglers.len(), 3);
+        let out = run_fleet(&spec, FleetConfig::over(Seconds::from_hours(6.0)));
+        assert_eq!(out.summary.stragglers.len(), STRAGGLERS);
         for s in &out.summary.stragglers {
             assert_eq!(s.group, "starved", "{s:?}");
             assert!(s.uptime < 1.0);
@@ -1725,8 +1717,11 @@ mod tests {
         fn name(&self) -> &str {
             self.0.name()
         }
-        fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
-            self.0.step(env, dt, load)
+        fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+            self.0.harvest(env, dt)
+        }
+        fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+            self.0.settle(harvest, dt, load)
         }
         fn energy_status(&self) -> EnergyStatus {
             self.0.energy_status()

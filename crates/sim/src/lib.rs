@@ -109,8 +109,8 @@ pub use observe::{
 pub use parallel::{par_map, par_map_instrumented, par_map_with, thread_count};
 pub use platform::Platform;
 pub use runner::{
-    publish_kernel_cache_stats, run_simulation, run_simulation_cancellable,
-    run_simulation_observed, SimConfig, SimResult, SimTraces,
+    run_simulation, run_simulation_cancellable, run_simulation_observed, SimConfig, SimResult,
+    SimTraces,
 };
 pub use steps::UptimePercentiles;
 pub use sweep::{

@@ -159,7 +159,8 @@ pub struct GaugeHandle(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramHandle(usize);
 
-/// A registry of labeled metric series. See the [module docs](self).
+/// A registry of labeled metric series: counters, gauges and
+/// histograms, snapshotable to JSON and mergeable across workers.
 ///
 /// Series live in a flat slot vector; the [`BTreeMap`] only maps keys to
 /// slot indices. Name-based methods pay one map lookup per call; the

@@ -379,11 +379,10 @@ pub trait SimObserver {
     /// from each record exactly the events the runner would have
     /// emitted one at a time — `Harvest` and `ConversionLoss` always,
     /// `StoreCharge`/`StoreDischarge`/`Shortfall` when positive, in
-    /// that order — and feeds them to [`on_event`]
-    /// (SimObserver::on_event), statically dispatched inside the
-    /// implementor's instantiation (so the construction optimizes away
-    /// against the body). Overriding observers must preserve that
-    /// per-event equivalence.
+    /// that order — and feeds them to [`on_event`](Self::on_event),
+    /// statically dispatched inside the implementor's instantiation (so
+    /// the construction optimizes away against the body). Overriding
+    /// observers must preserve that per-event equivalence.
     #[inline]
     fn on_step_records(&mut self, records: &[StepEnergies]) {
         for r in records {

@@ -9,42 +9,33 @@ use mseh_units::{Joules, Seconds, Watts};
 /// A complete energy platform the kernel can step: the conventional
 /// [`PowerUnit`] and the future-work [`SmartNetwork`] both qualify, so
 /// every experiment can run against either architecture unchanged.
+///
+/// A step is two halves: [`harvest`](Self::harvest) solves the input
+/// channels, which never depend on the load, and
+/// [`settle`](Self::settle) serves the load and balances the stores.
+/// The policy arena relies on the split to solve a seed's channels once
+/// for every lane.
 pub trait Platform {
     /// The platform's name.
     fn name(&self) -> &str;
 
-    /// Advances one interval, serving `load` at the output rail.
-    fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport;
-
-    /// The harvest half of [`step`](Self::step), for platforms whose
-    /// harvest never depends on the load: solves the input channels and
-    /// returns what they put on the bus. `None` (the default) means the
-    /// platform only steps whole and nothing was touched, so the policy
-    /// arena steps such lanes whole on their seed row's conditions. A
-    /// platform that returns `Some` once must keep doing so: the arena
-    /// panics on one that stops splitting its step mid-run.
-    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> Option<BusHarvest> {
-        let _ = (env, dt);
-        None
-    }
+    /// The harvest half of [`step`](Self::step): solves the input
+    /// channels through `env` for `dt` and returns what they put on the
+    /// bus. Touches nothing but the channels.
+    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest;
 
     /// The settle half of [`step`](Self::step): serves `load` and
-    /// balances a [`harvest`](Self::harvest) against the stores;
-    /// `settle(harvest(..))` is exactly `step`. The harvest may come from
+    /// balances `harvest` against the stores. The harvest may come from
     /// an identically built platform stepped through the same
     /// conditions, which is how the policy arena solves a seed's
     /// channels once per control window for every lane.
-    ///
-    /// # Panics
-    ///
-    /// The default panics: only platforms whose `harvest` returns `Some`
-    /// may be settled.
-    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
-        let _ = (harvest, dt, load);
-        panic!(
-            "{} steps whole and cannot settle a shared harvest",
-            self.name()
-        )
+    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport;
+
+    /// Advances one interval, serving `load` at the output rail:
+    /// exactly `settle(harvest(..))`.
+    fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
+        let harvest = self.harvest(env, dt);
+        self.settle(&harvest, dt, load)
     }
 
     /// The energy status visible to the node (clamped to the platform's
@@ -100,12 +91,8 @@ impl Platform for PowerUnit {
         PowerUnit::name(self)
     }
 
-    fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
-        PowerUnit::step(self, env, dt, load)
-    }
-
-    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> Option<BusHarvest> {
-        Some(PowerUnit::harvest(self, env, dt))
+    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        PowerUnit::harvest(self, env, dt)
     }
 
     fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
@@ -150,8 +137,12 @@ impl Platform for SmartNetwork {
         "smart harvester network"
     }
 
-    fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
-        SmartNetwork::step(self, env, dt, load)
+    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        SmartNetwork::harvest(self, env, dt)
+    }
+
+    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
+        SmartNetwork::settle(self, harvest, dt, load)
     }
 
     fn energy_status(&self) -> EnergyStatus {

@@ -3,7 +3,6 @@
 
 use crate::cancel::{tripped, CancelToken};
 use crate::fleet::EnvCadence;
-use crate::metrics::MetricsRegistry;
 use crate::observe::{SimEvent, SimObserver, StepEnergies};
 use crate::platform::Platform;
 use crate::steps::{Ambient, BoxedRun, StepPlan};
@@ -169,26 +168,6 @@ pub fn run_simulation(
     config: SimConfig,
 ) -> SimResult {
     run_simulation_observed(platform, env, node, policy, config, &mut [])
-}
-
-/// Copies a platform's operating-point kernel-cache counters into
-/// `metrics` as the `sim_kernel_cache_{hits,misses,invalidations}_total`
-/// counters, plus the `sim_kernel_cache_hit_rate` gauge.
-///
-/// Cache counters are platform state, not run results — they are kept
-/// out of [`SimResult`] (so cached and uncached runs of the same
-/// scenario compare equal) and surfaced here instead: call this after a
-/// run to fold the platform's counters into a registry snapshot.
-pub fn publish_kernel_cache_stats(platform: &dyn Platform, metrics: &mut MetricsRegistry) {
-    let stats = platform.kernel_cache_stats();
-    metrics.counter_add("sim_kernel_cache_hits_total", &[], stats.hits as f64);
-    metrics.counter_add("sim_kernel_cache_misses_total", &[], stats.misses as f64);
-    metrics.counter_add(
-        "sim_kernel_cache_invalidations_total",
-        &[],
-        stats.invalidations as f64,
-    );
-    metrics.gauge_set("sim_kernel_cache_hit_rate", &[], stats.hit_rate());
 }
 
 /// [`run_simulation`] with an attached set of [`SimObserver`]s.

@@ -1,14 +1,19 @@
-//! `PowerUnit::step` ≡ `settle(harvest(..))`, bit for bit.
+//! `Platform::step` ≡ `settle(harvest(..))`, bit for bit.
 //!
-//! The policy arena solves a seed's channels on one driver unit and
+//! The policy arena solves a seed's channels on one driver platform and
 //! settles every lane against that harvest, so the split must reproduce
 //! a full step exactly: same reports, same totals, same status. Checked
 //! over one day for all seven Table-I systems, for a unit settling its
 //! own harvest and for one settling a twin's, plus one unit whose output
-//! stage browns out on a schedule (its stage ages inside `settle`).
+//! stage browns out on a schedule (its stage ages inside `settle`), and
+//! a `SmartNetwork` whose modules report status from the harvest.
 
-use mseh_core::PowerUnit;
-use mseh_power::BrownoutConverter;
+use mseh_core::{ElectronicDatasheet, PowerUnit, SmartModule, SmartNetwork};
+use mseh_env::Environment;
+use mseh_harvesters::{HarvesterKind, PvModule, Teg, Transducer};
+use mseh_power::{BrownoutConverter, DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+use mseh_sim::Platform;
+use mseh_storage::{Battery, Storage, StorageKind, Supercap};
 use mseh_systems::{resilience, SystemId};
 use mseh_units::{Seconds, Watts};
 
@@ -18,8 +23,16 @@ fn bits<T: core::fmt::Debug>(value: &T) -> String {
     format!("{value:?}")
 }
 
-fn assert_split_matches_step(name: &str, build: impl Fn() -> PowerUnit, seed: u64, id: SystemId) {
-    let env = resilience::natural_environment(id, seed);
+/// Steps three builds through one day of `env`: one whole, one split,
+/// and a twin settling the split one's harvests. Every report, and
+/// after every step the `state` each build reports, must match.
+/// Returns the whole-stepped build.
+fn assert_split_matches_step<P: Platform, S: core::fmt::Debug>(
+    name: &str,
+    env: &Environment,
+    build: impl Fn() -> P,
+    state: impl Fn(&P) -> S,
+) -> P {
     let dt = Seconds::new(60.0);
     let mut whole = build();
     let mut split = build();
@@ -35,26 +48,26 @@ fn assert_split_matches_step(name: &str, build: impl Fn() -> PowerUnit, seed: u6
         let shared = twin.settle(&harvest, dt, load);
         assert_eq!(bits(&got), bits(&expected), "{name} step {i}");
         assert_eq!(bits(&shared), bits(&expected), "{name} twin step {i}");
+        let expected = bits(&state(&whole));
+        assert_eq!(bits(&state(&split)), expected, "{name} state {i}");
+        assert_eq!(bits(&state(&twin)), expected, "{name} twin state {i}");
     }
-    for unit in [&split, &twin] {
-        assert_eq!(bits(&unit.totals()), bits(&whole.totals()), "{name} totals");
-        assert_eq!(
-            bits(&unit.energy_status()),
-            bits(&whole.energy_status()),
-            "{name} status"
-        );
-        assert_eq!(
-            bits(&unit.total_stored_energy()),
-            bits(&whole.total_stored_energy()),
-            "{name} stored"
-        );
-    }
+    whole
+}
+
+fn unit_state(unit: &PowerUnit) -> impl core::fmt::Debug {
+    (
+        unit.totals(),
+        unit.energy_status(),
+        unit.total_stored_energy(),
+    )
 }
 
 #[test]
 fn settle_of_harvest_equals_step_for_every_table_i_system() {
     for id in SystemId::ALL {
-        assert_split_matches_step(id.display_name(), || id.build(), 17, id);
+        let env = resilience::natural_environment(id, 17);
+        assert_split_matches_step(id.display_name(), &env, || id.build(), unit_state);
     }
 }
 
@@ -73,5 +86,63 @@ fn settle_of_harvest_equals_step_through_a_brownout() {
         });
         unit
     };
-    assert_split_matches_step("System C with brownouts", build, 5, SystemId::C);
+    let env = resilience::natural_environment(SystemId::C, 5);
+    assert_split_matches_step("System C with brownouts", &env, build, unit_state);
+}
+
+/// Two harvester modules (PV and TEG, each under perturb-and-observe)
+/// and two storage modules (an EDLC, then a NiMH pair).
+fn smart_network() -> SmartNetwork {
+    let harvester = |model: &str, kind, rated, transducer: Box<dyn Transducer>| {
+        SmartModule::harvester(
+            ElectronicDatasheet::harvester(model, kind, rated),
+            InputChannel::new(
+                transducer,
+                Box::new(PerturbObserve::new()),
+                Box::new(IdealDiode::nanopower()),
+                Box::new(DcDcConverter::mppt_front_end_5v()),
+            ),
+        )
+    };
+    let store = |model: &str, kind, device: Box<dyn Storage>| {
+        let sheet =
+            ElectronicDatasheet::storage(model, kind, Watts::from_milli(500.0), device.capacity());
+        SmartModule::storage(sheet, device)
+    };
+    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
+    net.attach(harvester(
+        "PV",
+        HarvesterKind::Photovoltaic,
+        Watts::from_milli(500.0),
+        Box::new(PvModule::outdoor_panel_half_watt()),
+    ));
+    net.attach(harvester(
+        "TEG",
+        HarvesterKind::Thermoelectric,
+        Watts::from_milli(25.0),
+        Box::new(Teg::module_40mm()),
+    ));
+    net.attach(store(
+        "EDLC",
+        StorageKind::Supercapacitor,
+        Box::new(Supercap::edlc_22f()),
+    ));
+    net.attach(store(
+        "NiMH",
+        StorageKind::NiMh,
+        Box::new(Battery::nimh_aa_pair()),
+    ));
+    net
+}
+
+#[test]
+fn settle_of_harvest_equals_step_for_a_smart_network() {
+    for env in [
+        Environment::outdoor_temperate(17),
+        Environment::indoor_industrial(17),
+    ] {
+        let state = |net: &SmartNetwork| (net.status_events(), net.energy_status());
+        let net = assert_split_matches_step("smart network", &env, smart_network, state);
+        assert!(net.status_events() > 0, "no status event to compare");
+    }
 }

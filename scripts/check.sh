@@ -209,4 +209,9 @@ else
     echo "==> cargo clippy not installed; skipping"
 fi
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# A doc link to a deleted or private item fails here instead of
+# rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> all checks passed"

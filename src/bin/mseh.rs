@@ -13,7 +13,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mseh::core::{classify, render_table};
-use mseh::daemon::{build_arena_spec, make_env, make_policy, parse_system, SystemCatalog};
+use mseh::daemon::{
+    build_arena_spec, check_seed_count, make_env, make_policy, parse_system, SystemCatalog,
+};
 use mseh::env::Environment;
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::sim::serve::{serve, ServeConfig};
@@ -188,9 +190,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 None => 4,
                 Some(v) => v.parse().map_err(|e| format!("--seeds: {e}"))?,
             };
-            if seeds == 0 {
-                return Err("--seeds must be at least 1".into());
-            }
+            check_seed_count(seeds).map_err(|e| format!("--{e}"))?;
             Ok(Command::Arena {
                 system,
                 env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
@@ -575,6 +575,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("arena --seeds 0")).is_err());
+        assert!(parse(&argv("arena --seeds 18446744073709551615")).is_err());
         assert!(parse(&argv("arena --system Z")).is_err());
         assert!(parse(&argv("arena --population 4")).is_err());
     }

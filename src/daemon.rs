@@ -45,7 +45,7 @@ use mseh_units::{DutyCycle, Joules, Seconds};
 const MAX_DAYS: f64 = 3660.0;
 /// Largest accepted fleet population per job.
 const MAX_POPULATION: u64 = 1_000_000;
-/// Largest accepted campaign seed count.
+/// Largest accepted campaign or arena seed count.
 const MAX_SEEDS: u64 = 4096;
 /// Largest accepted fleet shard size (one shard is one worker task; a
 /// larger value degrades progress streaming, not correctness).
@@ -417,9 +417,7 @@ fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
     let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
     let seed = parse_u64_field(spec, "seed", 1)?;
     let count = parse_u64_field(spec, "seeds", 4)?;
-    if count == 0 || count > MAX_SEEDS {
-        return Err(format!("seeds must be in 1..={MAX_SEEDS}, got {count}"));
-    }
+    check_seed_count(count)?;
     let days = parse_days(spec, 1.0)?;
 
     Ok(PreparedJob {
@@ -484,9 +482,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
         None => 0.0,
         Some(v) => v.parse().map_err(|e| format!("jitter: {e}"))?,
     };
-    if !jitter.is_finite() || !(0.0..=1.0).contains(&jitter) {
-        return Err(format!("jitter must be in 0..=1, got {jitter}"));
-    }
+    EnvJitter::try_relative(jitter)?;
     let shard_size = parse_u64_field(spec, "shard_size", 16)?;
     if shard_size == 0 || shard_size > MAX_SHARD_SIZE {
         return Err(format!(
@@ -538,20 +534,14 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
     let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
     let seed = parse_u64_field(spec, "seed", 17)?;
     let count = parse_u64_field(spec, "seeds", 4)?;
-    if count == 0 || count > MAX_SEEDS {
-        return Err(format!("seeds must be in 1..={MAX_SEEDS}, got {count}"));
-    }
     let days = parse_days(spec, 1.0)?;
-    let env_kind = spec.get("env").unwrap_or("outdoor").to_string();
-    make_env(&env_kind, seed)?;
-    let roster_spec = spec.get("roster").unwrap_or("default").to_string();
-    make_roster(&roster_spec)?;
+    let env_kind = spec.get("env").unwrap_or("outdoor");
+    let roster_spec = spec.get("roster").unwrap_or("default");
+    let arena = build_arena_spec(system, env_kind, seed, count, roster_spec)?;
 
     Ok(PreparedJob {
         seed,
         run: Box::new(move |ctx| {
-            let arena = build_arena_spec(system, &env_kind, seed, count, &roster_spec)
-                .expect("validated in prepare");
             let Some(result) = run_arena_controlled(
                 &arena,
                 ArenaConfig::over(Seconds::from_days(days)),
@@ -589,11 +579,20 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
     })
 }
 
+/// Checks a campaign or arena seed count: at least one, and at most
+/// 4096 so that a job's seed list stays small.
+pub fn check_seed_count(count: u64) -> Result<(), String> {
+    if count == 0 || count > MAX_SEEDS {
+        return Err(format!("seeds must be in 1..={MAX_SEEDS}, got {count}"));
+    }
+    Ok(())
+}
+
 /// The exact [`ArenaSpec`] an `arena` job runs — public so tests and
 /// the CLI can reproduce a wire job via [`mseh_sim::run_arena`]
 /// directly and assert digest equality. Scenario seeds are the `count`
-/// consecutive values from `seed`; each lane's platform is a fresh
-/// build of the surveyed system.
+/// consecutive values from `seed` ([`check_seed_count`] bounds them);
+/// each lane's platform is a fresh build of the surveyed system.
 pub fn build_arena_spec(
     system: SystemId,
     env_kind: &str,
@@ -601,6 +600,7 @@ pub fn build_arena_spec(
     count: u64,
     roster: &str,
 ) -> Result<ArenaSpec, String> {
+    check_seed_count(count)?;
     let contenders = make_roster(roster)?;
     make_env(env_kind, seed)?;
     let env_kind = env_kind.to_string();
@@ -701,6 +701,10 @@ mod tests {
             .is_err());
         assert!(catalog
             .prepare(&spec("fleet", &[("system", "A"), ("population", "0")]))
+            .is_err());
+        // `EnvJitter::relative`'s bound: 1 would panic the worker.
+        assert!(catalog
+            .prepare(&spec("fleet", &[("system", "A"), ("jitter", "1")]))
             .is_err());
         assert!(catalog
             .prepare(&spec("campaign", &[("system", "A"), ("seeds", "0")]))

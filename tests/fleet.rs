@@ -2,11 +2,14 @@
 //! contracts, checked against the single-run kernel and across every
 //! execution geometry (threads × shard sizes).
 
-use mseh::env::{EnvJitter, Environment};
+use mseh::env::{EnvJitter, Environment, JitterFactors, JitteredEnv};
 use mseh::node::{FixedDuty, SensorNode, VoltageThreshold};
-use mseh::sim::{run_fleet, run_simulation, FleetConfig, FleetGroup, FleetSpec, SimConfig};
+use mseh::sim::{
+    run_fleet, run_simulation, FleetConfig, FleetGroup, FleetSpec, SimConfig, SimResult,
+};
 use mseh::systems::SystemId;
-use mseh::units::{DutyCycle, Seconds};
+use mseh::units::{DutyCycle, Joules, Seconds, Volts};
+use std::sync::{Arc, Mutex};
 
 /// The environment each platform was designed for (same mapping as the
 /// all-systems suite).
@@ -29,47 +32,78 @@ fn duty() -> DutyCycle {
     DutyCycle::saturating(0.05)
 }
 
-/// (a) A one-node per-step fleet is bit-identical to `run_simulation`
-/// for every Table-I system in its natural deployment.
+/// (a) Every node of a per-step fleet is bit-identical to
+/// `run_simulation` on its own view of the site — the site jittered by
+/// the node's factors, as `JitteredEnv` gives it — for every Table-I
+/// system in its natural deployment, un-jittered and at two spreads.
 #[test]
 fn one_node_fleet_matches_single_run_for_all_systems() {
     let horizon = Seconds::from_hours(6.0);
     for id in SystemId::ALL {
-        let mut spec = FleetSpec::new();
-        let site = spec.add_site(natural_environment(id));
-        spec.add_group(FleetGroup::new(
-            id.display_name(),
-            1,
-            site,
-            natural_node(id),
-            move |_| Box::new(id.build()),
-            |_| Box::new(FixedDuty::new(duty())),
-        ));
-        let fleet = run_fleet(
-            &spec,
-            FleetConfig {
-                keep_node_results: true,
-                ..FleetConfig::over(horizon)
-            }
-            .exact_env(),
-        );
+        for jitter in [
+            EnvJitter::NONE,
+            EnvJitter::relative(0.15),
+            EnvJitter::relative(0.3),
+        ] {
+            let node_seeds = Arc::new(Mutex::new(Vec::new()));
+            let captured = Arc::clone(&node_seeds);
+            let mut spec = FleetSpec::new();
+            let site = spec.add_site(natural_environment(id));
+            spec.add_group(
+                FleetGroup::new(
+                    id.display_name(),
+                    3,
+                    site,
+                    natural_node(id),
+                    move |node_seed| {
+                        captured.lock().unwrap().push(node_seed);
+                        Box::new(id.build())
+                    },
+                    |_| Box::new(FixedDuty::new(duty())),
+                )
+                .with_seed(5)
+                .with_jitter(jitter),
+            );
+            let fleet = run_fleet(
+                &spec,
+                FleetConfig {
+                    keep_node_results: true,
+                    ..FleetConfig::over(horizon)
+                }
+                .exact_env(),
+            );
 
-        let mut unit = id.build();
-        let mut policy = FixedDuty::new(duty());
-        let reference = run_simulation(
-            &mut unit,
-            &natural_environment(id),
-            &natural_node(id),
-            &mut policy,
-            SimConfig::over(horizon),
-        );
-
-        let node = &fleet.node_results.expect("kept")[0];
-        assert_eq!(*node, reference, "{}", id.display_name());
-        assert_eq!(fleet.summary.harvested, reference.harvested);
-        assert_eq!(fleet.summary.shortfall, reference.shortfall);
-        assert_eq!(fleet.summary.uptime.mean, reference.uptime);
-        assert_eq!(fleet.summary.min_store_voltage, reference.min_store_voltage);
+            // Three nodes make one shard, so the factory saw them in
+            // node order.
+            let node_seeds = node_seeds.lock().unwrap();
+            let references: Vec<SimResult> = node_seeds
+                .iter()
+                .map(|&node_seed| {
+                    let factors = JitterFactors::derive(jitter, node_seed);
+                    run_simulation(
+                        &mut id.build(),
+                        &JitteredEnv::new(&natural_environment(id), factors),
+                        &natural_node(id),
+                        &mut FixedDuty::new(duty()),
+                        SimConfig::over(horizon),
+                    )
+                })
+                .collect();
+            let cell = format!("{} at {jitter:?}", id.display_name());
+            assert_eq!(fleet.node_results.expect("kept"), references, "{cell}");
+            let s = &fleet.summary;
+            let sum = |f: fn(&SimResult) -> Joules| references.iter().map(f).sum::<Joules>();
+            assert_eq!(s.harvested, sum(|r| r.harvested), "{cell}");
+            assert_eq!(s.shortfall, sum(|r| r.shortfall), "{cell}");
+            let mean = references.iter().map(|r| r.uptime).sum::<f64>() / 3.0;
+            assert_eq!(s.uptime.mean, mean, "{cell}");
+            let min_v = references.iter().map(|r| r.min_store_voltage);
+            assert_eq!(
+                Some(s.min_store_voltage),
+                min_v.reduce(Volts::min),
+                "{cell}"
+            );
+        }
     }
 }
 

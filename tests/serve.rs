@@ -400,6 +400,7 @@ fn malformed_specs_get_protocol_errors_and_daemon_survives() {
         "submit kind=fleet;system=A;population=0",
         "submit kind=fleet;system=A;days=0",
         "submit kind=fleet;system=A;days=nan",
+        "submit kind=fleet;system=A;jitter=1",
         "submit kind=fleet;system=A;jitter=2",
         "submit kind=campaign;system=A;seeds=0",
         "submit kind=single;system=A;days=-1",
