@@ -30,7 +30,7 @@ use mseh_core::{
     IntelligenceLocation, InterfaceKind, PortRequirement, PowerUnit, StoreRole, Supervisor,
 };
 use mseh_env::{EnvJitter, Environment};
-use mseh_harvesters::PvModule;
+use mseh_harvesters::{CacheStats, PvModule};
 use mseh_node::{
     DutyCyclePolicy, FixedDuty, HillClimbDuty, MonitoringLevel, SensorNode, VoltageThreshold,
 };
@@ -39,8 +39,8 @@ use mseh_sim::{
     default_contenders, run_arena, run_fleet, run_resilience_campaign_with_threads,
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
-    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, Platform,
-    SimConfig, SimResult, Tandem,
+    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, SimConfig,
+    SimResult, Tandem,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -529,10 +529,9 @@ fn main() {
     // noise. Every rep runs a fresh unit; results are identical by
     // determinism, so only the timing varies.
     let mut single_secs = f64::INFINITY;
-    let mut unit = SystemId::C.build();
     let mut result = None;
     for _ in 0..5 {
-        unit = SystemId::C.build();
+        let mut unit = SystemId::C.build();
         let mut policy = duty();
         let start = Instant::now();
         let rep = run_simulation(&mut unit, &env, &node, &mut policy, single_cfg);
@@ -545,38 +544,63 @@ fn main() {
     let result = result.expect("at least one rep ran");
     assert!(result.audit_residual < 1e-6);
     let steps_per_sec = steps as f64 / single_secs;
-    let cache_stats = Platform::kernel_cache_stats(&unit);
     println!(
         "single run : {single_days} days, {steps} steps in {single_secs:.3} s \
          ({steps_per_sec:.0} steps/s, recording on)"
     );
+
+    // --- Exactness gate: cached ≡ uncached, bit for bit. ------------
+    // Replaying the channels' solve memos must be invisible in the
+    // results. Per-step runs never repeat a key, so the gate runs small
+    // per-window fleets, whose held windows replay through both memos:
+    // System C's fractional-V_oc channels through the step memo, System
+    // A's perturb-and-observe channel through the open-circuit-voltage
+    // memo. The reference disables every cache.
+    let mut cache_stats = CacheStats::default();
+    for id in [SystemId::C, SystemId::A] {
+        let fleet = |cached: bool| {
+            let mut spec = FleetSpec::new();
+            let site = spec.add_site(Environment::outdoor_temperate(42));
+            spec.add_group(
+                FleetGroup::new(
+                    "memo gate",
+                    16,
+                    site,
+                    node.clone(),
+                    move |_| {
+                        let mut unit = id.build();
+                        unit.set_kernel_cache_enabled(cached);
+                        Box::new(unit)
+                    },
+                    |_| Box::new(duty()),
+                )
+                .with_seed(5)
+                .with_jitter(EnvJitter::relative(0.1)),
+            );
+            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(12.0))).summary
+        };
+        let (warm, cold) = (fleet(true), fleet(false));
+        assert_eq!(
+            cold.kernel_cache,
+            CacheStats::default(),
+            "disabled cache still counted"
+        );
+        assert!(warm.kernel_cache.hits > 0, "System {id}: no memo hit");
+        assert_eq!(
+            modulo_cache(warm.clone()),
+            cold,
+            "kernel cache changed System {id} fleet results"
+        );
+        cache_stats.merge(warm.kernel_cache);
+    }
     println!(
-        "kernelcache: {} hits / {} misses / {} invalidations (hit rate {:.3})",
+        "kernelcache: {} hits / {} misses / {} invalidations (hit rate {:.3}); \
+         per-window System C and A fleets bit-identical to uncached references",
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.invalidations,
         cache_stats.hit_rate()
     );
-
-    // --- Exactness gate: cached ≡ uncached, bit for bit. ------------
-    // Replaying the operating-point kernel cache must be invisible in
-    // the results; a fresh unit with caching disabled is the reference.
-    {
-        let mut cold = SystemId::C.build();
-        Platform::set_kernel_cache_enabled(&mut cold, false);
-        let mut cold_policy = duty();
-        let cold_result = run_simulation(&mut cold, &env, &node, &mut cold_policy, single_cfg);
-        assert_eq!(
-            Platform::kernel_cache_stats(&cold),
-            Default::default(),
-            "disabled cache still counted"
-        );
-        assert_eq!(
-            result, cold_result,
-            "kernel cache changed simulation results"
-        );
-        println!("determinism: cached run bit-identical to uncached reference (System C)");
-    }
 
     // --- Observability overhead: bare vs no-op vs instrumented. -----
     // Attachments are interleaved per rep so host-load drift hits all

@@ -714,7 +714,8 @@ impl PowerUnit {
     }
 
     /// Aggregated operating-point kernel-cache counters across every
-    /// input channel (channel step memos plus harvester solve caches).
+    /// input channel (each channel's step and open-circuit-voltage
+    /// memos).
     pub fn kernel_cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         for port in &self.harvester_ports {

@@ -79,7 +79,7 @@ impl EnvConditions {
     ///
     /// Two snapshots with equal signatures are indistinguishable to any
     /// quasi-static transducer model, which makes this the memo key for
-    /// the operating-point solve caches: equal bits guarantee a replayed
+    /// the input channels' solve memos: equal bits guarantee a replayed
     /// result is bit-identical to a fresh solve.
     #[inline]
     pub fn ambient_bits(&self) -> [u64; 9] {

@@ -1,22 +1,9 @@
-//! The operating-point solve cache: exact-key memos for the expensive
-//! per-step harvest solves (open-circuit voltage, maximum power point).
+//! Counters of the operating-point kernel cache.
 //!
-//! Harvest solves are pure functions of the ambient conditions a
-//! transducer senses: identical inputs must produce identical outputs.
-//! [`SolveCache`] exploits that by memoizing the last solve keyed on the
-//! *exact IEEE-754 bit pattern* of the sensed fields — a hit returns the
-//! stored `f64`s verbatim, so cached results are bit-identical to the
-//! solve they replaced by construction. Near-identical inputs miss and
-//! re-solve; there is no tolerance, no interpolation, no drift.
-//!
-//! The cache can be disabled (for the uncached reference path the perf
-//! harness compares against) and invalidated (on hot-swap and on fault
-//! fire/clear transitions, where the surrounding wrapper changes what
-//! the same key would produce). Hit/miss/invalidation counters are
-//! lock-free and surfaced through the simulation metrics registry.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+//! The memos themselves live in `mseh_power::InputChannel`: an exact
+//! step memo and an exact open-circuit-voltage memo, both keyed on the
+//! IEEE-754 bit pattern of the ambient fields. [`CacheStats`] is the
+//! snapshot they report, merged across channels, platforms and fleets.
 
 /// Snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,9 +11,9 @@ pub struct CacheStats {
     /// Solves answered from the memo.
     pub hits: u64,
     /// Solves that ran because the key did not match (or the cache was
-    /// empty or disabled).
+    /// empty).
     pub misses: u64,
-    /// Explicit invalidations (hot-swap, fault fire/clear).
+    /// Explicit invalidations (hot-swap, instrumentation wrap).
     pub invalidations: u64,
 }
 
@@ -49,218 +36,9 @@ impl CacheStats {
     }
 }
 
-/// One memo slot: the exact-bit key and the stored solver output.
-type MemoSlot<T> = Mutex<Option<([u64; 4], T)>>;
-
-/// A single-slot memo cache for a transducer's operating-point solves.
-///
-/// Keys are `[u64; 4]` bit-pattern signatures of the sensed ambient
-/// fields (see `Transducer::env_signature`); values are the raw solver
-/// outputs. One slot suffices: the simulation presents each harvester a
-/// time-ordered stream of conditions, and the win is the long runs of
-/// identical conditions (night, indoor-constant, steady-TEG spans).
-///
-/// Interior mutability (`Mutex` slots, atomic counters) keeps the cache
-/// usable through `&self` — solves happen inside `&dyn Transducer`
-/// calls. The mutex is uncontended in practice (one platform steps on
-/// one thread; ensembles clone platforms per worker) and `Clone` hands
-/// the new owner a *fresh, empty* cache so clones never share state.
-#[derive(Debug)]
-pub struct SolveCache {
-    voc: MemoSlot<f64>,
-    mpp: MemoSlot<(f64, f64)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    enabled: AtomicBool,
-}
-
-impl SolveCache {
-    /// A fresh, empty, enabled cache.
-    pub fn new() -> Self {
-        Self {
-            voc: Mutex::new(None),
-            mpp: Mutex::new(None),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    /// Looks up or computes the open-circuit voltage for `key`.
-    ///
-    /// A hit returns the stored value verbatim (bit-identical); a miss
-    /// runs `solve` and stores the result. With the cache disabled the
-    /// solve always runs and nothing is stored or counted.
-    pub fn voc(&self, key: [u64; 4], solve: impl FnOnce() -> f64) -> f64 {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return solve();
-        }
-        let mut slot = self.voc.lock().expect("solve cache poisoned");
-        if let Some((k, v)) = *slot {
-            if k == key {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return v;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = solve();
-        *slot = Some((key, v));
-        v
-    }
-
-    /// Looks up or computes the maximum power point `(voltage, current)`
-    /// for `key`. Same contract as [`voc`](Self::voc).
-    pub fn mpp(&self, key: [u64; 4], solve: impl FnOnce() -> (f64, f64)) -> (f64, f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return solve();
-        }
-        let mut slot = self.mpp.lock().expect("solve cache poisoned");
-        if let Some((k, v)) = *slot {
-            if k == key {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return v;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = solve();
-        *slot = Some((key, v));
-        v
-    }
-
-    /// Drops both memo slots (hot-swap, fault fire/clear). Counters are
-    /// kept — an invalidation is an event worth observing, not a reset.
-    pub fn invalidate(&self) {
-        *self.voc.lock().expect("solve cache poisoned") = None;
-        *self.mpp.lock().expect("solve cache poisoned") = None;
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Enables or disables the cache. Disabling also drops the memo
-    /// slots so a later re-enable cannot serve stale entries.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            *self.voc.lock().expect("solve cache poisoned") = None;
-            *self.mpp.lock().expect("solve cache poisoned") = None;
-        }
-    }
-
-    /// Whether the cache currently serves memoized results.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Whether either memo slot currently holds an entry.
-    pub fn is_warm(&self) -> bool {
-        self.voc.lock().expect("solve cache poisoned").is_some()
-            || self.mpp.lock().expect("solve cache poisoned").is_some()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Default for SolveCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Clones start cold: a cloned harvester is a new device, and sharing
-/// memo slots across clones would let one platform's history leak into
-/// another's (breaking seed-purity of ensemble runs).
-impl Clone for SolveCache {
-    fn clone(&self) -> Self {
-        let fresh = Self::new();
-        fresh
-            .enabled
-            .store(self.enabled.load(Ordering::Relaxed), Ordering::Relaxed);
-        fresh
-    }
-}
-
-/// Caches are invisible to equality: two harvesters with identical
-/// device parameters are the same device regardless of what either has
-/// memoized. This keeps `PartialEq` derives on the harvester structs
-/// meaning what they meant before the cache existed.
-impl PartialEq for SolveCache {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hit_returns_stored_bits_without_solving() {
-        let cache = SolveCache::new();
-        let key = [1, 2, 3, 4];
-        let first = cache.voc(key, || 1.234_567_890_123);
-        // A hit must not invoke the solver at all.
-        let second = cache.voc(key, || unreachable!("must hit"));
-        assert_eq!(first.to_bits(), second.to_bits());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn different_key_misses_and_replaces() {
-        let cache = SolveCache::new();
-        assert_eq!(cache.voc([1, 0, 0, 0], || 1.0), 1.0);
-        assert_eq!(cache.voc([2, 0, 0, 0], || 2.0), 2.0);
-        // The single slot now holds key 2; key 1 must re-solve.
-        assert_eq!(cache.voc([1, 0, 0, 0], || 3.0), 3.0);
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
-    fn invalidate_forces_resolve() {
-        let cache = SolveCache::new();
-        cache.mpp([7, 7, 7, 7], || (1.0, 2.0));
-        assert!(cache.is_warm());
-        cache.invalidate();
-        assert!(!cache.is_warm());
-        let (v, i) = cache.mpp([7, 7, 7, 7], || (3.0, 4.0));
-        assert_eq!((v, i), (3.0, 4.0));
-        let s = cache.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!((s.hits, s.misses), (0, 2));
-    }
-
-    #[test]
-    fn disabled_cache_always_solves_and_never_counts() {
-        let cache = SolveCache::new();
-        cache.voc([1, 0, 0, 0], || 1.0);
-        cache.set_enabled(false);
-        assert_eq!(cache.voc([1, 0, 0, 0], || 9.0), 9.0);
-        assert_eq!(cache.voc([1, 0, 0, 0], || 8.0), 8.0);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 1));
-        // Re-enabling starts cold: the pre-disable entry is gone.
-        cache.set_enabled(true);
-        assert_eq!(cache.voc([1, 0, 0, 0], || 5.0), 5.0);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn clones_are_cold_and_equal() {
-        let cache = SolveCache::new();
-        cache.voc([1, 0, 0, 0], || 1.0);
-        let copy = cache.clone();
-        assert!(!copy.is_warm());
-        assert_eq!(copy.stats(), CacheStats::default());
-        assert_eq!(cache, copy);
-    }
 
     #[test]
     fn stats_merge_and_hit_rate() {

@@ -53,7 +53,7 @@ mod wind;
 
 pub use acdc::AcDcInput;
 pub use batch::VocBatch;
-pub use cache::{CacheStats, SolveCache};
+pub use cache::CacheStats;
 pub use kind::HarvesterKind;
 pub use mseh_units::BatchSolve;
 pub use pv::{PvModule, PvVocSolver};

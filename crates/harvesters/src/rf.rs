@@ -1,7 +1,6 @@
 //! RF rectenna: antenna plus rectifier with power-dependent conversion
 //! efficiency.
 
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use crate::thevenin::Thevenin;
 use crate::transducer::Transducer;
@@ -39,8 +38,6 @@ pub struct Rectenna {
     steepness: f64,
     /// Output-side internal resistance.
     r_int: Ohms,
-    /// Operating-point solve cache (equality- and clone-transparent).
-    cache: SolveCache,
 }
 
 impl Rectenna {
@@ -75,7 +72,6 @@ impl Rectenna {
             half_power,
             steepness,
             r_int,
-            cache: SolveCache::new(),
         }
     }
 
@@ -125,14 +121,6 @@ impl Transducer for Rectenna {
 
     fn open_circuit_voltage(&self, env: &EnvConditions) -> Volts {
         self.source(env).voc
-    }
-
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        Some(&self.cache)
-    }
-
-    fn env_signature(&self, env: &EnvConditions) -> [u64; 4] {
-        [env.rf_incident.value().to_bits(), 0, 0, 0]
     }
 }
 

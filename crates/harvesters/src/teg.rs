@@ -1,7 +1,6 @@
 //! Thermoelectric generator: Seebeck voltage behind an internal resistance.
 
 use crate::batch::VocBatch;
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use crate::thevenin::Thevenin;
 use crate::transducer::Transducer;
@@ -37,8 +36,6 @@ pub struct Teg {
     r_int: Ohms,
     /// Fraction of the ambient gradient appearing across the junctions.
     thermal_coupling: f64,
-    /// Operating-point solve cache (equality- and clone-transparent).
-    cache: SolveCache,
 }
 
 impl Teg {
@@ -60,7 +57,6 @@ impl Teg {
             seebeck,
             r_int,
             thermal_coupling,
-            cache: SolveCache::new(),
         }
     }
 
@@ -106,22 +102,8 @@ impl Transducer for Teg {
         self.source(env).voc
     }
 
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        Some(&self.cache)
-    }
-
     fn voc_batch(&self) -> Option<&dyn VocBatch> {
         Some(self)
-    }
-
-    fn env_signature(&self, env: &EnvConditions) -> [u64; 4] {
-        // The gradient is hot_surface − ambient; both enter the key.
-        [
-            env.hot_surface.value().to_bits(),
-            env.ambient.value().to_bits(),
-            0,
-            0,
-        ]
     }
 }
 

@@ -2,7 +2,6 @@
 //! current source, with derived operating-point analysis.
 
 use crate::batch::VocBatch;
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use mseh_env::EnvConditions;
 use mseh_units::{Amps, Volts, Watts};
@@ -37,6 +36,10 @@ impl OperatingPoint {
 ///   voltage;
 /// * all outputs are finite.
 ///
+/// Transducers carry no memo of their own. The input channel that owns
+/// one (`mseh_power::InputChannel`) memoizes its solves when
+/// [`is_time_invariant`](Self::is_time_invariant) holds.
+///
 /// The trait is object-safe; platforms store harvesters as
 /// `Box<dyn Transducer>`.
 pub trait Transducer: Send + Sync {
@@ -55,35 +58,12 @@ pub trait Transducer: Send + Sync {
     /// `current_at` reaches zero).
     fn open_circuit_voltage(&self, env: &EnvConditions) -> Volts;
 
-    /// The harvester's operating-point solve cache, when it carries one.
-    ///
-    /// Implementations that return `Some` MUST also override
-    /// [`env_signature`](Self::env_signature) to cover *every* ambient
-    /// field their I–V curve reads — the cache serves any key match
-    /// verbatim, so a field missing from the signature silently aliases
-    /// distinct conditions. Wrappers whose output depends on anything
-    /// beyond the inner device's sensed fields (fault injectors reading
-    /// `env.time`) must NOT forward the inner cache.
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        None
-    }
-
-    /// The exact bit-pattern key identifying `env` for this harvester:
-    /// the IEEE-754 bits of the ambient fields its curve depends on
-    /// (never `env.time`, which changes every step). Only meaningful on
-    /// implementations that return `Some` from
-    /// [`solve_cache`](Self::solve_cache).
-    fn env_signature(&self, _env: &EnvConditions) -> [u64; 4] {
-        [0; 4]
-    }
-
     /// The harvester's batched open-circuit-voltage kernel, when it has
     /// one. Lanes produced through it are bit-identical to
-    /// [`open_circuit_voltage`](Self::open_circuit_voltage) but bypass
-    /// the solve cache; the fleet engine's struct-of-arrays tier only
-    /// engages for harvesters that return `Some`. Wrappers that perturb
-    /// the inner device's output (fault injection, degradation) must NOT
-    /// forward the inner kernel.
+    /// [`open_circuit_voltage`](Self::open_circuit_voltage); the fleet
+    /// engine's struct-of-arrays tier only engages for harvesters that
+    /// return `Some`. Wrappers that perturb the inner device's output
+    /// (fault injection, degradation) must NOT forward the inner kernel.
     fn voc_batch(&self) -> Option<&dyn VocBatch> {
         None
     }
@@ -91,8 +71,8 @@ pub trait Transducer: Send + Sync {
     /// Whether this harvester's output is a pure function of the sensed
     /// ambient fields — i.e. independent of `env.time` and of any hidden
     /// internal state. Fault-injection and degradation wrappers override
-    /// this to `false`; the channel-level memo refuses to reuse a solve
-    /// across steps when any component in the chain is time-varying.
+    /// this to `false`; the input channel's memos never reuse a solve of
+    /// a time-varying harvester.
     fn is_time_invariant(&self) -> bool {
         true
     }
@@ -108,74 +88,22 @@ pub trait Transducer: Send + Sync {
     }
 
     /// The maximum-power point under `env`, found by golden-section search
-    /// over `[0, Voc]` (memoized through [`solve_cache`](Self::solve_cache)
-    /// when the harvester carries one — a repeat of the exact same
-    /// conditions returns the stored point bit-identically).
+    /// over `[0, Voc]`.
     ///
     /// For a concave power curve this converges to the true MPP; for the
     /// piecewise curves used here it lands within the numeric tolerance.
     /// Returns a zero point when the source is dead. The result is a pure
     /// function of `env` — never of solve history.
     fn mpp(&self, env: &EnvConditions) -> OperatingPoint {
-        let solve = || {
-            let voc = self.open_circuit_voltage(env);
-            if voc <= Volts::ZERO {
-                return (0.0, 0.0);
-            }
-            let v = golden_section_max(
-                |v| self.power_at(Volts::new(v), env).value(),
-                0.0,
-                voc.value(),
-            );
-            (v, self.current_at(Volts::new(v), env).value())
-        };
-        let (v, i) = match self.solve_cache() {
-            Some(cache) => cache.mpp(self.env_signature(env), solve),
-            None => solve(),
-        };
-        OperatingPoint {
-            voltage: Volts::new(v),
-            current: Amps::new(i),
-        }
-    }
-
-    /// The maximum-power point with a warm start: brackets the
-    /// golden-section search around `hint` (the previous step's operating
-    /// point) when a probe verifies the narrow bracket still contains an
-    /// interior maximum, falling back to the full `[0, Voc]` search
-    /// otherwise. In steady regimes the narrow bracket converges in a
-    /// fraction of the full search's iterations.
-    ///
-    /// The answer agrees with [`mpp`](Self::mpp) to within the search
-    /// tolerance but is *not* guaranteed bit-identical to it (the bracket
-    /// differs), so this entry point is for explicit analysis sweeps —
-    /// the simulation hot path uses the history-independent `mpp`.
-    fn mpp_hinted(&self, env: &EnvConditions, hint: Volts) -> OperatingPoint {
         let voc = self.open_circuit_voltage(env);
         if voc <= Volts::ZERO {
             return OperatingPoint::default();
         }
-        let span = voc.value();
-        let f = |v: f64| self.power_at(Volts::new(v), env).value();
-        let half = 0.1 * span;
-        let (lo, hi) = (
-            (hint.value() - half).max(0.0),
-            (hint.value() + half).min(span),
-        );
-        let warm_ok = hint.value() > 0.0 && hint.value() < span && hi > lo && {
-            // The narrow bracket is only trustworthy when an interior
-            // probe beats both edges (verified unimodality); a hint that
-            // drifted off the peak fails this and triggers the fallback.
-            let mid = 0.5 * (lo + hi);
-            let fm = f(mid);
-            fm >= f(lo) && fm >= f(hi)
-        };
-        let v = if warm_ok {
-            golden_section_max(f, lo, hi)
-        } else {
-            golden_section_max(f, 0.0, span)
-        };
-        let v = Volts::new(v);
+        let v = Volts::new(golden_section_max(
+            |v| self.power_at(Volts::new(v), env).value(),
+            0.0,
+            voc.value(),
+        ));
         OperatingPoint {
             voltage: v,
             current: self.current_at(v, env),
@@ -317,23 +245,6 @@ mod tests {
             ((peak - voc / 2.0) / voc).abs() < 1e-8,
             "relative error too large: {peak}"
         );
-    }
-
-    #[test]
-    fn mpp_hinted_agrees_with_full_search() {
-        let s = TestSource;
-        let full = s.mpp(&env());
-        // Warm start near the true peak converges to the same point.
-        let warm = s.mpp_hinted(&env(), Volts::new(0.98));
-        assert!((warm.voltage - full.voltage).abs().value() < 1e-6);
-        assert!((warm.power() - full.power()).abs().value() < 1e-9);
-        // A hint far off the peak fails the unimodality probe and falls
-        // back to the full bracket — still the right answer.
-        let cold = s.mpp_hinted(&env(), Volts::new(1.9));
-        assert!((cold.voltage - full.voltage).abs().value() < 1e-6);
-        // Degenerate hints (≤0, ≥Voc) also fall back safely.
-        let edge = s.mpp_hinted(&env(), Volts::ZERO);
-        assert!((edge.voltage - full.voltage).abs().value() < 1e-6);
     }
 
     #[test]

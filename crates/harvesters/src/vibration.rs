@@ -6,7 +6,6 @@
 //! behaviour that makes vibration harvesting strongly deployment-specific
 //! (the survey's motivation for interface circuits in System B).
 
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use crate::thevenin::Thevenin;
 use crate::transducer::Transducer;
@@ -50,8 +49,6 @@ pub struct VibrationHarvester {
     q: f64,
     /// Rectified-side internal resistance.
     r_int: Ohms,
-    /// Operating-point solve cache (equality- and clone-transparent).
-    cache: SolveCache,
 }
 
 impl VibrationHarvester {
@@ -87,7 +84,6 @@ impl VibrationHarvester {
             resonance,
             q,
             r_int,
-            cache: SolveCache::new(),
         }
     }
 
@@ -159,19 +155,6 @@ impl Transducer for VibrationHarvester {
 
     fn open_circuit_voltage(&self, env: &EnvConditions) -> Volts {
         self.source(env).voc
-    }
-
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        Some(&self.cache)
-    }
-
-    fn env_signature(&self, env: &EnvConditions) -> [u64; 4] {
-        [
-            env.vibration_amp.value().to_bits(),
-            env.vibration_freq.value().to_bits(),
-            0,
-            0,
-        ]
     }
 }
 

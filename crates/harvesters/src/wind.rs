@@ -4,7 +4,6 @@
 //! Follows the design of the high-efficiency micro turbine of Carli et al.
 //! (SPEEDAM 2010), reference [7] of the survey, which System A uses.
 
-use crate::cache::SolveCache;
 use crate::kind::HarvesterKind;
 use crate::thevenin::Thevenin;
 use crate::transducer::Transducer;
@@ -52,8 +51,6 @@ pub struct FlowTurbine {
     cut_out: MetersPerSecond,
     /// Open-circuit volts per m/s of flow speed.
     volts_per_speed: f64,
-    /// Operating-point solve cache (equality- and clone-transparent).
-    cache: SolveCache,
 }
 
 impl FlowTurbine {
@@ -71,7 +68,6 @@ impl FlowTurbine {
             rated_speed: MetersPerSecond::new(9.0),
             cut_out: MetersPerSecond::new(15.0),
             volts_per_speed: 0.8,
-            cache: SolveCache::new(),
         }
     }
 
@@ -89,7 +85,6 @@ impl FlowTurbine {
             rated_speed: MetersPerSecond::new(2.0),
             cut_out: MetersPerSecond::new(5.0),
             volts_per_speed: 3.0,
-            cache: SolveCache::new(),
         }
     }
 
@@ -147,15 +142,6 @@ impl Transducer for FlowTurbine {
 
     fn open_circuit_voltage(&self, env: &EnvConditions) -> Volts {
         self.source(env).voc
-    }
-
-    fn solve_cache(&self) -> Option<&SolveCache> {
-        Some(&self.cache)
-    }
-
-    fn env_signature(&self, env: &EnvConditions) -> [u64; 4] {
-        // Only the flow channel this turbine's kind responds to.
-        [self.flow_speed(env).value().to_bits(), 0, 0, 0]
     }
 }
 

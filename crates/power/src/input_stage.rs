@@ -37,6 +37,23 @@ impl HarvestStep {
 /// bus, while controller and converter housekeeping are charged against
 /// it.
 ///
+/// The channel is the platform's one solve memo owner. It keeps two
+/// exact single-slot memos, both keyed on the IEEE-754 bit pattern of
+/// the ambient fields ([`EnvConditions::ambient_bits`]), so a hit is
+/// bit-identical to the solve it replaces:
+///
+/// * the **step memo** replays a whole [`HarvestStep`] when the
+///   controller's choice is a pure function of `(env, dt)` and every
+///   block is time-invariant (see [`step`](Self::step));
+/// * the **open-circuit-voltage memo** answers the controller's
+///   [`Source::open_circuit_voltage`] reads when the harvester is
+///   time-invariant — what a perturb-and-observe tracker, which the step
+///   memo never replays, re-reads on every step of a held window.
+///
+/// Both are flushed on [`swap_harvester`](Self::swap_harvester) and the
+/// wrap methods, switched by [`set_cache_enabled`](Self::set_cache_enabled)
+/// and counted in [`kernel_cache_stats`](Self::kernel_cache_stats).
+///
 /// # Examples
 ///
 /// ```
@@ -65,24 +82,87 @@ pub struct InputChannel {
     controller: Box<dyn OperatingPointController>,
     protection: Box<dyn PowerStage>,
     converter: Box<dyn PowerStage>,
-    /// Memoised result of the last fully-solved replayable step, keyed on
-    /// the exact ambient bit pattern and the step width.
-    memo: Option<ChannelMemo>,
+    /// The last fully-solved replayable step, keyed on the ambient bits
+    /// and the step width.
+    step_memo: Memo<([u64; 9], u64), HarvestStep>,
+    /// The last open-circuit-voltage solve, keyed on the ambient bits.
+    voc_memo: Memo<[u64; 9], Volts>,
     cache_enabled: bool,
-    memo_hits: u64,
-    memo_misses: u64,
-    memo_invalidations: u64,
     /// Scratch for batched window solves: per-lane open-circuit voltages.
     lane_voc: Vec<f64>,
 }
 
-/// One memoised channel step. Replaying it is sound only when the
-/// controller's choice is a pure function of `(env, dt)` and every block
-/// in the chain is time-invariant — `step` checks both before looking.
-#[derive(Debug, Clone, Copy)]
-struct ChannelMemo {
-    key: ([u64; 9], u64),
-    step: HarvestStep,
+/// One exact single-slot memo and its counters.
+#[derive(Default)]
+struct Memo<K, T> {
+    last: Option<(K, T)>,
+    stats: CacheStats,
+}
+
+impl<K: PartialEq, T: Copy> Memo<K, T> {
+    /// The stored value when `key` matches it exactly (one hit).
+    fn get(&mut self, key: &K) -> Option<T> {
+        match &self.last {
+            Some((k, value)) if k == key => {
+                self.stats.hits += 1;
+                Some(*value)
+            }
+            _ => None,
+        }
+    }
+
+    /// Stores a fresh solve for `key` (one miss).
+    fn put(&mut self, key: K, value: T) {
+        self.stats.misses += 1;
+        self.last = Some((key, value));
+    }
+
+    /// Drops the stored solve, counting an invalidation when there was
+    /// one.
+    fn flush(&mut self) {
+        if self.last.take().is_some() {
+            self.stats.invalidations += 1;
+        }
+    }
+}
+
+/// The live source a controller reads in
+/// [`choose_voltage`](OperatingPointController::choose_voltage): a
+/// harvester, behind its channel's open-circuit-voltage memo when the
+/// channel supplies one.
+///
+/// [`Source::new`] wraps a bare device and solves on every call, for
+/// tests and analysis. Inside an [`InputChannel`] a repeat of the exact
+/// ambient bit pattern returns the stored voltage verbatim.
+pub struct Source<'a> {
+    device: &'a dyn Transducer,
+    memo: Option<&'a mut Memo<[u64; 9], Volts>>,
+}
+
+impl<'a> Source<'a> {
+    /// A source that solves on every call.
+    pub fn new(device: &'a dyn Transducer) -> Self {
+        Self { device, memo: None }
+    }
+
+    /// The open-circuit voltage under `env`.
+    pub fn open_circuit_voltage(&mut self, env: &EnvConditions) -> Volts {
+        let Some(memo) = self.memo.as_deref_mut() else {
+            return self.device.open_circuit_voltage(env);
+        };
+        let key = env.ambient_bits();
+        if let Some(voc) = memo.get(&key) {
+            return voc;
+        }
+        let voc = self.device.open_circuit_voltage(env);
+        memo.put(key, voc);
+        voc
+    }
+
+    /// Power delivered at terminal voltage `v` under `env`.
+    pub fn power_at(&self, v: Volts, env: &EnvConditions) -> Watts {
+        self.device.power_at(v, env)
+    }
 }
 
 impl InputChannel {
@@ -98,11 +178,9 @@ impl InputChannel {
             controller,
             protection,
             converter,
-            memo: None,
+            step_memo: Memo::default(),
+            voc_memo: Memo::default(),
             cache_enabled: true,
-            memo_hits: 0,
-            memo_misses: 0,
-            memo_invalidations: 0,
             lane_voc: Vec::new(),
         }
     }
@@ -118,39 +196,27 @@ impl InputChannel {
     }
 
     /// Replaces the harvester (a hardware swap), returning the old one.
-    /// Flushes every solve memo: results solved for the old device must
+    /// Flushes both solve memos: results solved for the old device must
     /// not answer for the new one.
     pub fn swap_harvester(&mut self, new: Box<dyn Transducer>) -> Box<dyn Transducer> {
         let old = core::mem::replace(&mut self.harvester, new);
-        self.invalidate_solve_memos();
+        self.flush_memos();
         old
     }
 
-    /// Drops the channel memo and the harvester's operating-point cache
-    /// (hot-swap, instrumentation wrap, fault fire/clear).
-    pub fn invalidate_solve_memos(&mut self) {
-        if self.memo.take().is_some() {
-            self.memo_invalidations += 1;
-        }
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.invalidate();
-        }
-        // Propagate the enabled switch to whatever is now in the slot so a
-        // disabled channel stays fully disabled across swaps.
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.set_enabled(self.cache_enabled);
-        }
+    /// Drops both solve memos (hot-swap, instrumentation wrap).
+    fn flush_memos(&mut self) {
+        self.step_memo.flush();
+        self.voc_memo.flush();
     }
 
-    /// Enables or disables both layers of the channel's kernel cache
-    /// (the step memo and the harvester's solve cache). Disabling drops
-    /// any stored entries so a later re-enable starts cold.
+    /// Enables or disables both solve memos. Disabling drops any stored
+    /// entries so a later re-enable starts cold; a disabled channel
+    /// solves every step from scratch and counts nothing.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
-        self.memo = None;
-        if let Some(cache) = self.harvester.solve_cache() {
-            cache.set_enabled(enabled);
-        }
+        self.step_memo.last = None;
+        self.voc_memo.last = None;
     }
 
     /// Whether the channel's kernel cache is serving memoized results.
@@ -158,42 +224,16 @@ impl InputChannel {
         self.cache_enabled
     }
 
-    /// Whether, *from the channel's current state*, a repeat [`step`]
-    /// under identical conditions and the same `dt` is guaranteed to be a
-    /// memo replay (bit-identical, no fresh solve).
-    ///
-    /// This holds when the cache is enabled, the controller's choice is a
-    /// pure function of `(env, dt)` in its current state, and every block
-    /// in the chain is time-invariant. The fleet engine's dense lane uses
-    /// this to prove that driving one representative channel once per
-    /// control window reproduces each member node's per-step channel
-    /// outputs exactly.
-    ///
-    /// [`step`]: InputChannel::step
-    pub fn is_replayable(&self, dt: Seconds) -> bool {
-        self.cache_enabled
-            && self.controller.is_env_pure(dt)
-            && self.harvester.is_time_invariant()
-            && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant()
-    }
-
-    /// Counters for the channel step memo alone (no harvester cache).
+    /// Counters for the channel step memo alone.
     pub fn memo_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.memo_hits,
-            misses: self.memo_misses,
-            invalidations: self.memo_invalidations,
-        }
+        self.step_memo.stats
     }
 
-    /// Combined kernel-cache counters: the channel step memo plus the
-    /// harvester's operating-point solve cache.
+    /// Kernel-cache counters of both solve memos: the step memo plus the
+    /// open-circuit-voltage memo.
     pub fn kernel_cache_stats(&self) -> CacheStats {
-        let mut stats = self.memo_stats();
-        if let Some(cache) = self.harvester.solve_cache() {
-            stats.merge(cache.stats());
-        }
+        let mut stats = self.step_memo.stats;
+        stats.merge(self.voc_memo.stats);
         stats
     }
 
@@ -223,7 +263,7 @@ impl InputChannel {
         }
         let old = core::mem::replace(&mut self.harvester, Box::new(Placeholder));
         self.harvester = wrap(old);
-        self.invalidate_solve_memos();
+        self.flush_memos();
     }
 
     /// Rebuilds the front-end converter in place through `wrap` (e.g.
@@ -255,7 +295,7 @@ impl InputChannel {
         }
         let old = core::mem::replace(&mut self.converter, Box::new(Placeholder));
         self.converter = wrap(old);
-        self.invalidate_solve_memos();
+        self.flush_memos();
     }
 
     /// Cumulative `(fired, cleared)` fault counts across the channel's
@@ -292,42 +332,37 @@ impl InputChannel {
         // by operating time.
         self.protection.advance(dt);
         self.converter.advance(dt);
-        if self.cache_enabled
+        if !(self.cache_enabled
             && self.controller.is_env_pure(dt)
             && self.harvester.is_time_invariant()
             && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant()
+            && self.converter.is_time_invariant())
         {
-            return self.memo_step(env, dt);
+            return self.solve_step(env, dt);
         }
-        self.solve_step(env, dt)
-    }
-
-    /// The memoized step path: replay on a key match, otherwise solve
-    /// `env` and store the result.
-    fn memo_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
         let key = (env.ambient_bits(), dt.value().to_bits());
-        if let Some(memo) = self.memo {
-            if memo.key == key {
-                self.memo_hits += 1;
-                // The controller still has to land in the same state a
-                // real choose_voltage would have left it in.
-                self.controller
-                    .reuse_voltage(memo.step.operating_voltage, dt);
-                return memo.step;
-            }
+        if let Some(step) = self.step_memo.get(&key) {
+            // The controller still has to land in the same state a real
+            // choose_voltage would have left it in.
+            self.controller.reuse_voltage(step.operating_voltage, dt);
+            return step;
         }
-        self.memo_misses += 1;
         let step = self.solve_step(env, dt);
-        self.memo = Some(ChannelMemo { key, step });
+        self.step_memo.put(key, step);
         step
     }
 
-    /// The full per-step solve (no memo consulted).
+    /// The full per-step solve (no step memo consulted). The controller
+    /// reads the harvester through the open-circuit-voltage memo unless
+    /// the cache is off or the harvester is time-varying.
     fn solve_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        let v_op = self
-            .controller
-            .choose_voltage(self.harvester.as_ref(), env, dt);
+        let memo = (self.cache_enabled && self.harvester.is_time_invariant())
+            .then_some(&mut self.voc_memo);
+        let source = Source {
+            device: self.harvester.as_ref(),
+            memo,
+        };
+        let v_op = self.controller.choose_voltage(source, env, dt);
         self.finish_step(v_op, env)
     }
 
@@ -427,7 +462,7 @@ impl InputChannel {
     /// narrow window; otherwise each lane holds `held[i]` — its own
     /// previous window's operating voltage — exactly as the scalar
     /// controller's stale-hold contract does (the scalar fractional step
-    /// bypasses the memo).
+    /// bypasses the step memo).
     ///
     /// # Panics
     ///
@@ -583,10 +618,73 @@ mod tests {
             last = step.operating_voltage;
         }
         assert!(moved, "P&O should keep perturbing under constant sun");
-        // The step memo never engages (the harvester's own pure-solve
-        // cache may still hit — that layer is history-free).
+        // The step memo never engages (the open-circuit-voltage memo may
+        // still hit — that layer is history-free).
         let memo = ch.memo_stats();
         assert_eq!((memo.hits, memo.misses), (0, 0));
+    }
+
+    /// Held conditions with changes in between, as a per-window fleet
+    /// presents them.
+    fn held_windows() -> Vec<EnvConditions> {
+        [800.0, 800.0, 800.0, 0.0, 0.0, 350.0, 350.0, 800.0, 800.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
+                env.irradiance = WattsPerSqM::new(g);
+                env
+            })
+            .collect()
+    }
+
+    #[test]
+    fn voltage_memo_matches_fresh_source_solves_bitwise() {
+        let pv = PvModule::outdoor_panel_half_watt();
+        let mut memoized = pv_channel(Box::new(PerturbObserve::new()));
+        let mut tracker = PerturbObserve::new();
+        let dt = Seconds::new(60.0);
+        for (i, env) in held_windows().iter().enumerate() {
+            let step = memoized.step(env, dt);
+            let v = tracker.choose_voltage(Source::new(&pv), env, dt);
+            assert_eq!(
+                step.operating_voltage.value().to_bits(),
+                v.value().to_bits(),
+                "step {i}"
+            );
+        }
+        // Every repeat of a held snapshot was a memo answer.
+        let stats = memoized.kernel_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (5, 4), "{stats:?}");
+    }
+
+    #[test]
+    fn swap_and_wrap_flush_the_voltage_memo() {
+        let mut ch = pv_channel(Box::new(PerturbObserve::new()));
+        let env = sunny();
+        let dt = Seconds::new(1.0);
+        ch.step(&env, dt);
+        ch.step(&env, dt);
+        assert_eq!(ch.kernel_cache_stats().hits, 1);
+        ch.swap_harvester(Box::new(PvModule::outdoor_panel_two_watt()));
+        ch.step(&env, dt);
+        let swapped = ch.kernel_cache_stats();
+        assert_eq!((swapped.hits, swapped.invalidations), (1, 1));
+        ch.wrap_harvester(|inner| inner);
+        ch.step(&env, dt);
+        let wrapped = ch.kernel_cache_stats();
+        assert_eq!((wrapped.hits, wrapped.invalidations), (1, 2));
+        assert_eq!(wrapped.misses, 3);
+    }
+
+    #[test]
+    fn disabled_cache_counts_no_voltage_lookups() {
+        let mut ch = pv_channel(Box::new(PerturbObserve::new()));
+        ch.set_cache_enabled(false);
+        for env in held_windows() {
+            ch.step(&env, Seconds::new(60.0));
+        }
+        assert_eq!(ch.kernel_cache_stats(), CacheStats::default());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use brownout::BrownoutConverter;
 pub use converter::{DcDcConverter, Topology};
 pub use diode::{DiodeStage, IdealDiode};
 pub use efficiency::EfficiencyCurve;
-pub use input_stage::{HarvestStep, InputChannel};
+pub use input_stage::{HarvestStep, InputChannel, Source};
 pub use ldo::LinearRegulator;
 pub use ledger::{LedgerEntry, QuiescentLedger};
 pub use mppt::{

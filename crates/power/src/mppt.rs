@@ -9,8 +9,8 @@
 
 use core::fmt;
 
+use crate::input_stage::Source;
 use mseh_env::EnvConditions;
-use mseh_harvesters::Transducer;
 use mseh_units::{Seconds, Volts, Watts};
 
 /// The tracking strategy a controller implements (a taxonomy axis).
@@ -65,12 +65,7 @@ pub trait OperatingPointController: Send + Sync {
 
     /// Picks the terminal voltage to hold the harvester at for the next
     /// `dt`, given the live source and conditions.
-    fn choose_voltage(
-        &mut self,
-        source: &dyn Transducer,
-        env: &EnvConditions,
-        dt: Seconds,
-    ) -> Volts;
+    fn choose_voltage(&mut self, source: Source<'_>, env: &EnvConditions, dt: Seconds) -> Volts;
 
     /// Fraction of the step's harvest lost to the controller's sampling
     /// action (e.g. FOCV's periodic disconnection). Defaults to zero.
@@ -80,11 +75,11 @@ pub trait OperatingPointController: Send + Sync {
 
     /// Whether a `choose_voltage(source, env, dt)` call *right now* would
     /// be a pure function of `(env, dt)` — same voltage out, same
-    /// controller state after — so the channel memo may replay a stored
-    /// result instead of calling it. Controllers with hidden dither state
-    /// (P&O) answer `false` unconditionally; FOCV answers `true` exactly
-    /// when the call would land on a fresh resample. Defaults to `false`
-    /// (never replayable), which is always safe.
+    /// controller state after — so the channel's step memo may replay a
+    /// stored result instead of calling it. Controllers with hidden
+    /// dither state (P&O) answer `false` unconditionally; FOCV answers
+    /// `true` exactly when the call would land on a fresh resample.
+    /// Defaults to `false` (never replayable), which is always safe.
     fn is_env_pure(&self, _dt: Seconds) -> bool {
         false
     }
@@ -119,7 +114,7 @@ pub trait OperatingPointController: Send + Sync {
 /// # Examples
 ///
 /// ```
-/// use mseh_power::{PerturbObserve, OperatingPointController};
+/// use mseh_power::{PerturbObserve, OperatingPointController, Source};
 /// use mseh_harvesters::{PvModule, Transducer};
 /// use mseh_env::EnvConditions;
 /// use mseh_units::{Seconds, WattsPerSqM};
@@ -130,7 +125,7 @@ pub trait OperatingPointController: Send + Sync {
 /// let mut tracker = PerturbObserve::new();
 /// let mut v = mseh_units::Volts::ZERO;
 /// for _ in 0..200 {
-///     v = tracker.choose_voltage(&pv, &env, Seconds::new(1.0));
+///     v = tracker.choose_voltage(Source::new(&pv), &env, Seconds::new(1.0));
 /// }
 /// let mpp = pv.mpp(&env);
 /// assert!((v - mpp.voltage).abs().value() < 0.3);
@@ -193,7 +188,7 @@ impl OperatingPointController for PerturbObserve {
 
     fn choose_voltage(
         &mut self,
-        source: &dyn Transducer,
+        mut source: Source<'_>,
         env: &EnvConditions,
         _dt: Seconds,
     ) -> Volts {
@@ -291,7 +286,7 @@ impl OperatingPointController for FractionalVoc {
 
     fn choose_voltage(
         &mut self,
-        source: &dyn Transducer,
+        mut source: Source<'_>,
         env: &EnvConditions,
         dt: Seconds,
     ) -> Volts {
@@ -364,12 +359,7 @@ impl OperatingPointController for FixedPoint {
         self.overhead
     }
 
-    fn choose_voltage(
-        &mut self,
-        _source: &dyn Transducer,
-        _env: &EnvConditions,
-        _dt: Seconds,
-    ) -> Volts {
+    fn choose_voltage(&mut self, _source: Source<'_>, _env: &EnvConditions, _dt: Seconds) -> Volts {
         self.v
     }
 
@@ -386,7 +376,7 @@ impl OperatingPointController for FixedPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mseh_harvesters::PvModule;
+    use mseh_harvesters::{PvModule, Transducer};
     use mseh_units::WattsPerSqM;
 
     fn sunny() -> EnvConditions {
@@ -403,7 +393,7 @@ mod tests {
     ) -> Volts {
         let mut v = Volts::ZERO;
         for _ in 0..steps {
-            v = tracker.choose_voltage(pv, env, Seconds::new(1.0));
+            v = tracker.choose_voltage(Source::new(pv), env, Seconds::new(1.0));
         }
         v
     }
@@ -433,7 +423,7 @@ mod tests {
         // Night: tracker resets.
         let dark = EnvConditions::quiescent(Seconds::ZERO);
         assert_eq!(
-            po.choose_voltage(&pv, &dark, Seconds::new(1.0)),
+            po.choose_voltage(Source::new(&pv), &dark, Seconds::new(1.0)),
             Volts::ZERO
         );
         // Morning: converges again.
@@ -447,11 +437,11 @@ mod tests {
         let pv = PvModule::outdoor_panel_half_watt();
         let env = sunny();
         let mut focv = FractionalVoc::pv_standard();
-        let v = focv.choose_voltage(&pv, &env, Seconds::new(1.0));
+        let v = focv.choose_voltage(Source::new(&pv), &env, Seconds::new(1.0));
         let voc = pv.open_circuit_voltage(&env);
         assert!((v.value() - 0.76 * voc.value()).abs() < 1e-9);
         // Between samples the held voltage does not move.
-        let v2 = focv.choose_voltage(&pv, &env, Seconds::new(1.0));
+        let v2 = focv.choose_voltage(Source::new(&pv), &env, Seconds::new(1.0));
         assert_eq!(v, v2);
     }
 
@@ -459,14 +449,14 @@ mod tests {
     fn focv_resamples_after_interval() {
         let pv = PvModule::outdoor_panel_half_watt();
         let mut focv = FractionalVoc::pv_standard();
-        let v_bright = focv.choose_voltage(&pv, &sunny(), Seconds::new(1.0));
+        let v_bright = focv.choose_voltage(Source::new(&pv), &sunny(), Seconds::new(1.0));
         // Light collapses; held value persists until the next sample...
         let mut dim = sunny();
         dim.irradiance = WattsPerSqM::new(50.0);
-        let v_stale = focv.choose_voltage(&pv, &dim, Seconds::new(1.0));
+        let v_stale = focv.choose_voltage(Source::new(&pv), &dim, Seconds::new(1.0));
         assert_eq!(v_stale, v_bright);
         // ...after which it adapts.
-        let v_fresh = focv.choose_voltage(&pv, &dim, Seconds::new(30.0));
+        let v_fresh = focv.choose_voltage(Source::new(&pv), &dim, Seconds::new(30.0));
         assert!(v_fresh < v_bright);
     }
 
@@ -475,7 +465,7 @@ mod tests {
         let pv = PvModule::outdoor_panel_half_watt();
         let env = sunny();
         let mut focv = FractionalVoc::pv_standard();
-        let v = focv.choose_voltage(&pv, &env, Seconds::new(1.0));
+        let v = focv.choose_voltage(Source::new(&pv), &env, Seconds::new(1.0));
         let mpp = pv.mpp(&env);
         let ratio = pv.power_at(v, &env).value() / mpp.power().value();
         assert!(ratio > 0.9, "FOCV captures {ratio} of MPP");
@@ -518,7 +508,7 @@ mod tests {
         let mut focv = FractionalVoc::pv_standard();
         assert!(!focv.is_env_pure(dt));
         // … pure in the steady state where every step resamples …
-        focv.choose_voltage(&pv, &sunny(), dt);
+        focv.choose_voltage(Source::new(&pv), &sunny(), dt);
         assert!(focv.is_env_pure(dt));
         // … and impure for steps shorter than the sample interval.
         assert!(!focv.is_env_pure(Seconds::new(1.0)));
@@ -554,21 +544,21 @@ mod tests {
         let env = sunny();
         let dt = Seconds::new(60.0);
         let mut live = FractionalVoc::pv_standard();
-        let v1 = live.choose_voltage(&pv, &env, dt);
-        let v2 = live.choose_voltage(&pv, &env, dt);
+        let v1 = live.choose_voltage(Source::new(&pv), &env, dt);
+        let v2 = live.choose_voltage(Source::new(&pv), &env, dt);
         assert_eq!(v1, v2);
 
         // A replayed controller must behave identically afterwards —
         // including on a subsequent *fractional* step that returns the
         // stale held value.
         let mut replayed = FractionalVoc::pv_standard();
-        replayed.choose_voltage(&pv, &env, dt);
+        replayed.choose_voltage(Source::new(&pv), &env, dt);
         replayed.reuse_voltage(v2, dt);
         let frac = Seconds::new(1.0);
         let mut dim = env;
         dim.irradiance = WattsPerSqM::new(50.0);
-        let from_live = live.choose_voltage(&pv, &dim, frac);
-        let from_replayed = replayed.choose_voltage(&pv, &dim, frac);
+        let from_live = live.choose_voltage(Source::new(&pv), &dim, frac);
+        let from_replayed = replayed.choose_voltage(Source::new(&pv), &dim, frac);
         assert_eq!(from_live, from_replayed);
         assert_eq!(from_live, v2, "fractional step must return the held value");
     }

@@ -73,8 +73,7 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::fleet::dense_lanes::{run_lanes, LaneHarvest};
 use crate::fleet::{
-    build_harvest_table, DenseClass, EnvCadence, FleetControl, HarvestTable, PlatformFactory,
-    PolicyFactory,
+    build_harvest_table, DenseClass, EnvCadence, FleetControl, PlatformFactory, PolicyFactory,
 };
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
@@ -590,18 +589,11 @@ fn run_seed_row(
     cancel: Option<&CancelToken>,
 ) -> Option<(Vec<NodeOutcome>, CacheStats)> {
     if let Some(class) = spec.dense_class.as_deref() {
-        match build_harvest_table(class, rows, plan, cancel) {
-            HarvestTable::Built(table, driver_cache) => {
-                let mut out = Vec::with_capacity(policies.len());
-                let harvest = LaneHarvest::Shared(&table);
-                return run_lanes(class, &spec.node, policies, harvest, plan, cancel, &mut out)
-                    .then_some((out, driver_cache));
-            }
-            // Never under the arena's per-step cadence; boxed is exact
-            // regardless.
-            HarvestTable::NotReplayable => {}
-            HarvestTable::Cancelled => return None,
-        }
+        let (table, driver_cache) = build_harvest_table(class, rows, plan, cancel)?;
+        let mut out = Vec::with_capacity(policies.len());
+        let harvest = LaneHarvest::Shared(&table);
+        return run_lanes(class, &spec.node, policies, harvest, plan, cancel, &mut out)
+            .then_some((out, driver_cache));
     }
     let mut driver = (spec.platform)(seed);
     let mut lanes: Vec<Box<dyn Platform>> =

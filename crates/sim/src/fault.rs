@@ -22,7 +22,7 @@ use mseh_env::EnvConditions;
 use mseh_harvesters::{HarvesterKind, Transducer};
 use mseh_storage::{Storage, StorageKind};
 use mseh_units::{Amps, Joules, Seconds, Volts, Watts};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The noise stream used for stochastic fault timelines (disjoint from
 /// the environment's streams, so fault draws never perturb weather).
@@ -570,6 +570,11 @@ impl Storage for IntermittentStorage {
 /// time). During a dropout both the I–V curve and the open-circuit
 /// voltage collapse to zero, so MPPT controllers see a dead source and
 /// the input channel goes to sleep.
+///
+/// The wrapper reports itself time-varying
+/// ([`Transducer::is_time_invariant`] is `false`), so the input channel's
+/// solve memos never answer for it and a fire or clear edge has nothing
+/// to flush.
 pub struct GlitchingHarvester {
     inner: Box<dyn Transducer>,
     name: String,
@@ -579,9 +584,6 @@ pub struct GlitchingHarvester {
     /// non-negative floats the IEEE-754 bit pattern orders like the
     /// value, so `fetch_max` on bits tracks the latest time observed.
     seen_bits: AtomicU64,
-    /// Down-state as of the last observation, for edge detection: each
-    /// fire and each clear flushes the wrapped harvester's solve cache.
-    last_down: AtomicBool,
 }
 
 impl GlitchingHarvester {
@@ -593,7 +595,6 @@ impl GlitchingHarvester {
             name,
             schedule,
             seen_bits: AtomicU64::new(0),
-            last_down: AtomicBool::new(false),
         }
     }
 
@@ -607,19 +608,7 @@ impl GlitchingHarvester {
         if v > 0.0 {
             self.seen_bits.fetch_max(v.to_bits(), Ordering::Relaxed);
         }
-        let down = self.schedule.is_down(t);
-        // On every fire and clear edge, flush the wrapped harvester's
-        // operating-point cache: the wrapper changes what the same
-        // ambient key produces, so no pre-edge solve may answer a
-        // post-edge lookup. (Exact keys make stale answers impossible
-        // anyway — the flush keeps the invalidation observable and the
-        // contract explicit.)
-        if self.last_down.swap(down, Ordering::Relaxed) != down {
-            if let Some(cache) = self.inner.solve_cache() {
-                cache.invalidate();
-            }
-        }
-        down
+        self.schedule.is_down(t)
     }
 
     fn seen(&self) -> Seconds {
@@ -963,5 +952,39 @@ mod tests {
         assert!(pv.mpp(&env).power().value() > 0.0);
         assert_eq!(pv.fault_clear_count(), 1);
         assert!(pv.name().contains("glitching"));
+    }
+
+    #[test]
+    fn time_varying_wrappers_never_consult_the_voltage_memo() {
+        use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+        let pv = || Box::new(PvModule::outdoor_panel_half_watt());
+        let schedule = FaultSchedule::one_shot_recovering(Seconds::new(100.0), Seconds::new(50.0));
+        let wrapped: [Box<dyn Transducer>; 2] = [
+            Box::new(GlitchingHarvester::new(pv(), schedule)),
+            Box::new(DegradingHarvester::new(pv(), Seconds::from_days(1.0), 0.5)),
+        ];
+        for harvester in wrapped {
+            let mut channel = InputChannel::new(
+                harvester,
+                Box::new(PerturbObserve::new()),
+                Box::new(IdealDiode::nanopower()),
+                Box::new(DcDcConverter::mppt_front_end_5v()),
+            );
+            // One held snapshot across the dropout: a memo keyed on the
+            // ambient fields alone would answer every step after the
+            // first.
+            let mut env = EnvConditions::quiescent(Seconds::ZERO);
+            env.irradiance = WattsPerSqM::new(800.0);
+            for i in 0..20 {
+                env.time = Seconds::new(10.0 * i as f64);
+                channel.step(&env, Seconds::new(10.0));
+            }
+            assert_eq!(
+                channel.kernel_cache_stats(),
+                Default::default(),
+                "{}",
+                channel.harvester().name()
+            );
+        }
     }
 }

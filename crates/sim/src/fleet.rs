@@ -30,9 +30,9 @@
 //! bit-identical to running [`crate::run_simulation`] once per node.
 //! [`EnvCadence::PerWindow`] samples each site once per control window
 //! and holds that snapshot (including its `time` field) for every step in
-//! the window — the fleet-scale semantic from the issue: condition fields
-//! move at control cadence, and the operating-point kernel caches replay
-//! the window's first solve for the remaining steps.
+//! the window — the fleet-scale semantic: condition fields move at
+//! control cadence, and each input channel's solve memos answer the
+//! window's remaining steps from its first solve.
 //!
 //! # The dense lane
 //!
@@ -50,9 +50,9 @@
 //! [`mseh_storage::BatteryLanes`] population, whose per-step store
 //! updates run as masked whole-lane passes over contiguous `f64`
 //! arrays. The operating-point solve leaves the per-node loop too: an
-//! un-jittered group replays one group-wide harvest table (exact because
-//! a member channel's repeat steps are memo replays, see
-//! [`InputChannel::is_replayable`]), and a jittered group solves each
+//! un-jittered group replays one group-wide harvest table, stepped by
+//! one driver channel exactly as each member's channel would step (so
+//! it is exact for any controller), and a jittered group solves each
 //! window across every lane's snapshot at once. The kernels replicate
 //! the `PowerUnit` arithmetic and iterate sequence exactly (see
 //! [`mseh_units::BatchSolve`]), so the lanes only remove redundant work:
@@ -60,9 +60,9 @@
 //! kernel-cache counters are synthesized ([`FleetSummary::kernel_cache`]).
 //! With the gate closed the group runs its units on the boxed path,
 //! where each node steps one window at a time like a single run: a
-//! jittered group under per-step cadence, a jittered group whose channel
-//! has no window-lane support, and a group whose channel cannot be
-//! replayed under per-window cadence.
+//! jittered group under per-step cadence, and a jittered group whose
+//! channel has no window-lane support (such as perturb-and-observe, or
+//! fractional-V_oc on a harvester without a batched V_oc kernel).
 //!
 //! # Examples
 //!
@@ -649,56 +649,31 @@ pub struct FleetResult {
     pub node_results: Option<Vec<SimResult>>,
 }
 
-/// How a class-wide harvest table build ended.
-pub(crate) enum HarvestTable {
-    /// The per-step table, and the driver channel's cache counters.
-    Built(Vec<HarvestStep>, CacheStats),
-    /// Under per-window cadence the channel's repeat steps are not memo
-    /// replays (a controller with history, or the cache off), so a
-    /// table cannot stand in for it: the caller steps boxed.
-    NotReplayable,
-    /// The cancel token tripped.
-    Cancelled,
-}
-
 /// Drives one channel of `class` through the run's full step sequence,
-/// materializing the per-step [`HarvestStep`] table every lane replays.
+/// materializing the per-step [`HarvestStep`] table every lane replays,
+/// with the driver channel's cache counters; `None` when `cancel` trips
+/// (checked once per control window).
 ///
-/// Soundness: under [`EnvCadence::PerStep`] the driver performs exactly
-/// a member's step sequence. Under [`EnvCadence::PerWindow`] a member
-/// channel's within-window repeat steps are memo hits — probed via
-/// [`InputChannel::is_replayable`] once the controller has settled after
-/// its first solve, and reported as [`HarvestTable::NotReplayable`]
-/// otherwise — and a hit leaves controller state exactly where the
-/// window's first solve left it. So skipping the repeats preserves both
-/// the per-step outputs and the channel state bit for bit. The
-/// fractional closing step always gets its own call (its `dt` differs).
-/// The cancel token is checked once per control window.
+/// The driver performs exactly a member's step sequence, so the table
+/// is exact for any controller: a held window's repeat steps are
+/// whatever the member's channel would return, memo hits included.
 pub(crate) fn build_harvest_table(
     class: &DenseClass,
     rows: &[EnvConditions],
     plan: &StepPlan,
     cancel: Option<&CancelToken>,
-) -> HarvestTable {
+) -> Option<(Vec<HarvestStep>, CacheStats)> {
     let mut channel = (class.channel)();
     let mut table = Vec::with_capacity(plan.steps as usize);
-    let windowed = plan.cadence == EnvCadence::PerWindow;
     for window in plan.windows() {
         if tripped(cancel) {
-            return HarvestTable::Cancelled;
+            return None;
         }
         for step in window.steps() {
-            if windowed && step.index > window.start && step.dt == plan.dt {
-                table.push(table[window.start as usize]);
-                continue;
-            }
             table.push(channel.step(window.row(rows, &step), step.dt));
-            if windowed && step.index == 0 && !channel.is_replayable(plan.dt) {
-                return HarvestTable::NotReplayable;
-            }
         }
     }
-    HarvestTable::Built(table, channel.kernel_cache_stats())
+    Some((table, channel.kernel_cache_stats()))
 }
 
 /// External control of a [`run_fleet_controlled`] run: a cooperative
@@ -805,8 +780,7 @@ pub fn run_fleet_controlled(
 
     // The lane gate. A group with a dense class steps on the lane
     // kernels when un-jittered — its driver channel solves the shared
-    // harvest table once for the whole group, unless the channel cannot
-    // be replayed under per-window cadence — or when jittered under
+    // harvest table once for the whole group — or when jittered under
     // per-window cadence on a window-batchable channel. Every other
     // group runs boxed.
     let mut lanes: Vec<GroupLanes<'_>> = Vec::with_capacity(spec.groups.len());
@@ -820,9 +794,8 @@ pub fn run_fleet_controlled(
             None => GroupLanes::Boxed,
             Some(class) if !g.jitter.is_none() => GroupLanes::Jittered(class),
             Some(class) => match build_harvest_table(class, &tables[g.site], &plan, cancel) {
-                HarvestTable::Built(table, driver) => GroupLanes::Shared(class, table, driver),
-                HarvestTable::NotReplayable => GroupLanes::Boxed,
-                HarvestTable::Cancelled => return Ok(None),
+                Some((table, driver)) => GroupLanes::Shared(class, table, driver),
+                None => return Ok(None),
             },
         });
     }

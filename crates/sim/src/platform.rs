@@ -71,9 +71,9 @@ pub trait Platform {
         Joules::ZERO
     }
 
-    /// Aggregated operating-point kernel-cache counters (channel step
-    /// memos plus harvester solve caches). Platforms without caches
-    /// report all-zero stats.
+    /// Aggregated operating-point kernel-cache counters (each input
+    /// channel's step and open-circuit-voltage memos). Platforms without
+    /// caches report all-zero stats.
     fn kernel_cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }

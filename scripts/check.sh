@@ -186,14 +186,15 @@ grep -q '"thread_shard_invariant": true' target/BENCH_sim_quick.json || {
 }
 echo "ok: one-node fleet bit-identical to run_simulation; geometry invariant"
 
-echo "==> kernel-cache bit-identity smoke (System C, cached vs uncached)"
-# The harness itself asserts bit-identity before writing the flag; the
-# grep makes the gate visible even when the JSON came from an older run.
+echo "==> kernel-cache bit-identity smoke (per-window System C and A fleets, cached vs uncached)"
+# The harness asserts bit-identity, and that the cached runs hit, before
+# writing the flag; the grep makes the gate visible even when the JSON
+# came from an older run.
 grep -q '"cached_matches_uncached": true' target/BENCH_sim_quick.json || {
-    echo "FAIL: cached System C trace diverged from the uncached reference"
+    echo "FAIL: cached per-window fleets diverged from the uncached references"
     exit 1
 }
-echo "ok: cached System C trace bit-identical to uncached reference"
+echo "ok: cached per-window System C and A fleets bit-identical to uncached references"
 
 if cargo fmt --version >/dev/null 2>&1; then
     echo "==> cargo fmt --check"

@@ -14,7 +14,8 @@ use std::sync::Arc;
 
 use mseh::core::{classify, render_table};
 use mseh::daemon::{
-    build_arena_spec, check_seed_count, make_env, make_policy, parse_system, SystemCatalog,
+    build_arena_spec, check_days, check_seed_count, make_env, make_policy, parse_system,
+    SystemCatalog,
 };
 use mseh::env::Environment;
 use mseh::node::{FixedDuty, SensorNode};
@@ -138,19 +139,14 @@ fn parse(args: &[String]) -> Result<Command, String> {
         }
         i += 2;
     }
-    // A horizon the subcommand can run at its step (see
-    // `SimConfig::check`).
+    // A horizon the subcommand can run at its step, within the daemon's
+    // bound (see `check_days`).
     let days = |default: f64, step: Seconds| -> Result<f64, String> {
         let days: f64 = match opts.get("days") {
             None => default,
             Some(v) => v.parse().map_err(|e| format!("--days: {e}"))?,
         };
-        SimConfig {
-            dt: step,
-            ..SimConfig::over(Seconds::from_days(days))
-        }
-        .check()
-        .map_err(|e| format!("--days {days}: {e}"))?;
+        check_days(days, step).map_err(|e| format!("--{e}"))?;
         Ok(days)
     };
     let sim_step = SimConfig::week().dt;
@@ -535,6 +531,13 @@ mod tests {
         assert!(parse(&argv("survey --days 0.0001")).is_err());
         assert!(parse(&argv("survey --days 0.005")).is_err());
         assert!(parse(&argv("simulate --days 0.005")).is_ok());
+        // Horizons past the daemon's bound are usage errors: an arena's
+        // condition table that long cannot be allocated, and the other
+        // runs would not finish.
+        for sub in ["simulate", "arena", "sweep-buffer", "survey"] {
+            let err = parse(&argv(&format!("{sub} --days 1e9"))).unwrap_err();
+            assert!(err.starts_with("--days"), "{sub}: {err}");
+        }
     }
 
     #[test]

@@ -304,19 +304,29 @@ fn reject_unknown_fields(spec: &JobSpec) -> Result<(), String> {
 }
 
 /// The job's horizon in days: one every job kind can run at its 60 s
-/// step (see [`SimConfig::check`]), and at most [`MAX_DAYS`].
+/// step (see [`check_days`]).
 fn parse_days(spec: &JobSpec, default: f64) -> Result<f64, String> {
     let days: f64 = match spec.get("days") {
         None => default,
         Some(v) => v.parse().map_err(|e| format!("days: {e}"))?,
     };
+    check_days(days, SimConfig::week().dt)?;
+    Ok(days)
+}
+
+/// Checks a horizon of `days` run at step `dt`: one the run can take
+/// (see [`SimConfig::check`]), and at most 3660 days, so that neither a
+/// job nor a CLI run occupies a worker or allocates its tables for ever.
+pub fn check_days(days: f64, dt: Seconds) -> Result<(), String> {
     if days > MAX_DAYS {
         return Err(format!("days must be at most {MAX_DAYS}, got {days}"));
     }
-    SimConfig::over(Seconds::from_days(days))
-        .check()
-        .map_err(|e| format!("days {days}: {e}"))?;
-    Ok(days)
+    SimConfig {
+        dt,
+        ..SimConfig::over(Seconds::from_days(days))
+    }
+    .check()
+    .map_err(|e| format!("days {days}: {e}"))
 }
 
 fn parse_u64_field(spec: &JobSpec, key: &str, default: u64) -> Result<u64, String> {

@@ -5,22 +5,23 @@
 //! 1. **Parallel-engine determinism** — fanning an ensemble across
 //!    worker threads must be observationally invisible: bit-for-bit the
 //!    same `SimResult`s, in the same seed order, as the sequential path.
-//! 2. **Kernel-cache transparency** — the operating-point solve caches
-//!    (channel step memos + harvester solve caches) must be bit-exact
-//!    replay, never approximation: a cached run equals the uncached
-//!    reference for every surveyed system, and hot-swap / fault edges
-//!    flush the affected memos so no stale answer survives a hardware
-//!    or fault transition.
+//! 2. **Kernel-cache transparency** — the input channels' solve memos
+//!    (the step memo and the open-circuit-voltage memo) must be
+//!    bit-exact replay, never approximation: a cached run equals the
+//!    uncached reference for every surveyed system, per step and over
+//!    held windows; hot-swap and wrap flush both memos, and fault
+//!    wrappers are never memoized, so no stale answer survives a
+//!    hardware or fault transition.
 
 use mseh::core::{PortRequirement, PowerUnit, StoreRole};
-use mseh::env::Environment;
+use mseh::env::{EnvJitter, Environment};
 use mseh::harvesters::{CacheStats, FlowTurbine, HarvesterKind, PvModule};
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
-    run_seed_ensemble, run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation,
-    run_simulation_observed, ConservationAuditor, FaultSchedule, GlitchingHarvester, SimConfig,
-    SimResult,
+    run_fleet, run_seed_ensemble, run_seed_ensemble_seq, run_seed_ensemble_with_threads,
+    run_simulation, run_simulation_observed, ConservationAuditor, FaultSchedule, FleetConfig,
+    FleetGroup, FleetSpec, GlitchingHarvester, SimConfig, SimResult,
 };
 use mseh::storage::Supercap;
 use mseh::systems::{system_b, SystemId};
@@ -199,6 +200,52 @@ fn cached_runs_are_bit_identical_to_uncached_for_all_seven_systems() {
     }
 }
 
+/// Per-step runs almost never repeat a key, so the test above cannot
+/// show a replay. Held windows can: every surveyed system, as a small
+/// jittered fleet under per-window cadence, equals its uncached
+/// reference on every physical quantity, the reference counts nothing,
+/// and the cached fleet hits (the step memo on environment-pure
+/// controllers, the open-circuit-voltage memo under perturb-and-observe).
+#[test]
+fn held_window_replays_match_uncached_fleets_for_all_seven_systems() {
+    for id in SystemId::ALL {
+        let fleet = |cached: bool| {
+            let mut spec = FleetSpec::new();
+            let site = spec.add_site(Environment::outdoor_temperate(42));
+            spec.add_group(
+                FleetGroup::new(
+                    "held windows",
+                    6,
+                    site,
+                    SensorNode::submilliwatt_class(),
+                    move |_| {
+                        let mut unit = id.build();
+                        unit.set_kernel_cache_enabled(cached);
+                        Box::new(unit)
+                    },
+                    |_| Box::new(FixedDuty::new(DutyCycle::saturating(0.05))),
+                )
+                .with_seed(11)
+                .with_jitter(EnvJitter::relative(0.1)),
+            );
+            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(12.0))).summary
+        };
+        let (mut warm, cold) = (fleet(true), fleet(false));
+        assert_eq!(
+            cold.kernel_cache,
+            CacheStats::default(),
+            "{id}: uncached reference touched a cache"
+        );
+        assert!(
+            warm.kernel_cache.hits > 0,
+            "{id}: cached fleet never replayed: {:?}",
+            warm.kernel_cache
+        );
+        warm.kernel_cache = CacheStats::default();
+        assert_eq!(warm, cold, "{id}: cached fleet diverged");
+    }
+}
+
 /// Runs System B for six hours, hot-swaps the wind module for a second
 /// PV module on the plug-and-play port, rebuilds the remaining channel
 /// through the wrap path (which must flush its memos), then continues
@@ -217,8 +264,8 @@ fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
     };
     let before = run_simulation(&mut b, &env, &node, &mut policy, config);
 
-    // Hot-swap: the wind module leaves — and its warmed cache leaves
-    // with it — and a fresh (cold) PV module takes the port.
+    // Hot-swap: the wind module leaves — and its channel's warmed memos
+    // leave with it — and a fresh (cold) PV module takes the port.
     b.detach_harvester(1).expect("wind module attached");
     let (channel, sheet) = system_b::harvester_module(HarvesterKind::Photovoltaic);
     b.attach_harvester(1, channel, Volts::new(4.1), Some(&sheet))
@@ -243,9 +290,9 @@ fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
     (before, after, b.kernel_cache_stats())
 }
 
-/// Hot-swapping a harvester mid-run flushes the swapped component's
-/// solve memos: both the segment before and the segment after the swap
-/// are bit-identical to a reference that never cached anything, and the
+/// Hot-swapping a harvester mid-run leaves no memo of the old device
+/// behind: both the segment before and the segment after the swap are
+/// bit-identical to a reference that never cached anything, and the
 /// wrap path's flush shows up in the invalidation counters.
 #[test]
 fn hot_swap_mid_run_flushes_memos_and_matches_cold_run() {
@@ -287,10 +334,10 @@ fn glitching_run(cached: bool) -> (SimResult, (u64, u64), f64) {
     (result, unit.fault_counts(), auditor.report().worst_relative)
 }
 
-/// A fault firing and clearing mid-run flushes the wrapped harvester's
-/// solve cache on each edge: the cached faulted run is bit-identical to
-/// the uncached faulted run, and the books stay closed through both
-/// transitions.
+/// A fault firing and clearing mid-run: the glitching wrapper reports
+/// itself time-varying, so no memo answers for it on either side of an
+/// edge. The cached faulted run is bit-identical to the uncached
+/// faulted run, and the books stay closed through both transitions.
 #[test]
 fn fault_fire_and_clear_flush_matches_cold_run() {
     let (warm, warm_faults, warm_audit) = glitching_run(true);
