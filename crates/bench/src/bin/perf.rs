@@ -1,5 +1,6 @@
 //! Std-only performance harness: measures simulator hot-loop speed
-//! (steps/second), observability overhead (bare vs no-op-observed vs
+//! (steps/second), environment sampling per instant and batched,
+//! observability overhead (bare vs no-op-observed vs
 //! fully instrumented), ensemble throughput at 1/2/4/N worker threads,
 //! and fleet-engine throughput (node-steps/second, dense and mixed
 //! lanes), then writes `BENCH_sim.json` at the repo root — the tracked
@@ -29,7 +30,7 @@ use std::time::Instant;
 use mseh_core::{
     IntelligenceLocation, InterfaceKind, PortRequirement, PowerUnit, StoreRole, Supervisor,
 };
-use mseh_env::{EnvJitter, Environment};
+use mseh_env::{EnvConditions, EnvJitter, EnvSampler, Environment};
 use mseh_harvesters::{CacheStats, PvModule};
 use mseh_node::{
     DutyCyclePolicy, FixedDuty, HillClimbDuty, MonitoringLevel, SensorNode, VoltageThreshold,
@@ -361,6 +362,79 @@ fn time_fleet_reps(spec: &FleetSpec, config: FleetConfig, reps: usize) -> (f64, 
     (best, first)
 }
 
+/// Horizon of the `env_sampling` rows: a week of 60 s instants.
+const ENV_SAMPLING_DAYS: f64 = 7.0;
+/// Instants per batch in the `env_sampling` rows: the single run's
+/// control window of ten 60 s steps.
+const ENV_SAMPLING_BATCH: usize = 10;
+/// Scenario seed of the `env_sampling` rows.
+const ENV_SAMPLING_SEED: u64 = 42;
+
+/// One preset's sampling cost: nanoseconds per instant sampled one at a
+/// time (`conditions`) and batched by control window (`conditions_into`).
+struct EnvSamplingRow {
+    name: &'static str,
+    per_instant_ns: f64,
+    batched_ns: f64,
+}
+
+/// Times every preset's sampler over [`ENV_SAMPLING_DAYS`] of 60 s
+/// instants, one at a time and in [`ENV_SAMPLING_BATCH`]-instant
+/// batches, keeping the best of `reps` interleaved reps of each. Panics
+/// unless every batched row equals its per-instant row bit for bit.
+fn time_env_sampling(reps: usize) -> Vec<EnvSamplingRow> {
+    type Preset = fn(u64) -> Environment;
+    let presets: [(&str, Preset); 5] = [
+        ("outdoor temperate", Environment::outdoor_temperate),
+        ("outdoor winter", Environment::outdoor_winter),
+        ("indoor industrial", Environment::indoor_industrial),
+        ("indoor office", Environment::indoor_office),
+        ("agricultural", Environment::agricultural),
+    ];
+    let times: Vec<Seconds> = (0..(ENV_SAMPLING_DAYS * 1440.0) as usize)
+        .map(|i| Seconds::new(i as f64 * 60.0))
+        .collect();
+    let bits = |c: &EnvConditions| (c.time.value().to_bits(), c.ambient_bits());
+    presets
+        .into_iter()
+        .map(|(name, preset)| {
+            let env = preset(ENV_SAMPLING_SEED);
+            let mut window = Vec::with_capacity(ENV_SAMPLING_BATCH);
+            let (mut one_secs, mut batch_secs) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps {
+                let start = Instant::now();
+                for &t in &times {
+                    std::hint::black_box(env.conditions(t));
+                }
+                one_secs = one_secs.min(start.elapsed().as_secs_f64());
+                let start = Instant::now();
+                for batch in times.chunks(ENV_SAMPLING_BATCH) {
+                    env.conditions_into(batch, &mut window);
+                    std::hint::black_box(&window);
+                }
+                batch_secs = batch_secs.min(start.elapsed().as_secs_f64());
+            }
+            for batch in times.chunks(ENV_SAMPLING_BATCH) {
+                env.conditions_into(batch, &mut window);
+                for (row, &t) in window.iter().zip(batch) {
+                    assert_eq!(
+                        bits(row),
+                        bits(&env.conditions(t)),
+                        "{name}: batched sample differs at t = {} s",
+                        t.value()
+                    );
+                }
+            }
+            let per_ns = |secs: f64| secs * 1e9 / times.len() as f64;
+            EnvSamplingRow {
+                name,
+                per_instant_ns: per_ns(one_secs),
+                batched_ns: per_ns(batch_secs),
+            }
+        })
+        .collect()
+}
+
 /// Step count for a config, matching the runner's truncate-plus-
 /// fractional-final-step policy.
 fn step_count(config: SimConfig) -> u64 {
@@ -548,6 +622,17 @@ fn main() {
         "single run : {single_days} days, {steps} steps in {single_secs:.3} s \
          ({steps_per_sec:.0} steps/s, recording on)"
     );
+
+    // --- Environment sampling: per instant vs batched, bit for bit. --
+    let env_reps = if quick { 5 } else { 9 };
+    let env_rows = time_env_sampling(env_reps);
+    for row in &env_rows {
+        println!(
+            "env sample : {:<17} {:>6.1} ns/instant one at a time, {:>6.1} ns batched \
+             by {ENV_SAMPLING_BATCH} (bit-identical)",
+            row.name, row.per_instant_ns, row.batched_ns
+        );
+    }
 
     // --- Exactness gate: cached ≡ uncached, bit for bit. ------------
     // Replaying the channels' solve memos must be invisible in the
@@ -1137,7 +1222,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v12\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v13\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1155,6 +1240,28 @@ fn main() {
     let _ = writeln!(json, "    \"steps\": {steps},");
     let _ = writeln!(json, "    \"seconds\": {single_secs:.6},");
     let _ = writeln!(json, "    \"steps_per_sec\": {steps_per_sec:.1}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"env_sampling\": {{");
+    let _ = writeln!(json, "    \"days\": {ENV_SAMPLING_DAYS},");
+    let _ = writeln!(json, "    \"step_s\": 60,");
+    let _ = writeln!(json, "    \"batch\": {ENV_SAMPLING_BATCH},");
+    let _ = writeln!(json, "    \"seed\": {ENV_SAMPLING_SEED},");
+    let _ = writeln!(json, "    \"reps\": {env_reps},");
+    let _ = writeln!(json, "    \"batched_matches_per_instant\": true,");
+    let _ = writeln!(json, "    \"presets\": [");
+    for (i, row) in env_rows.iter().enumerate() {
+        let comma = if i + 1 < env_rows.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "      {{ \"name\": \"{}\", \"per_instant_ns\": {:.1}, \"batched_ns\": {:.1}, \
+             \"speedup\": {:.2} }}{comma}",
+            row.name,
+            row.per_instant_ns,
+            row.batched_ns,
+            row.per_instant_ns / row.batched_ns
+        );
+    }
+    let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"kernel_cache\": {{");
     let _ = writeln!(json, "    \"hits\": {},", cache_stats.hits);

@@ -1,7 +1,7 @@
 //! Indoor environment models: office/industrial lighting schedules and
 //! machinery vibration — the sources System B of the survey targets.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{BlendCursor, Noise, StreamId};
 use mseh_units::{GAccel, Hertz, Lux, Seconds};
 
 /// Artificial-lighting schedule with occupancy jitter.
@@ -78,10 +78,20 @@ impl IndoorLightModel {
 
     /// Illuminance at `t`.
     pub fn illuminance(&self, t: Seconds, noise: Noise) -> Lux {
+        self.illuminance_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`IndoorLightModel::illuminance`] on the occupancy blend's `cursor`.
+    pub(crate) fn illuminance_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> Lux {
         if !self.scheduled_on(t) {
             return self.residual;
         }
-        let occupancy = bucket_blend(t.value(), self.occupancy_bucket.value(), |bucket| {
+        let occupancy = cursor.blend(t.value(), self.occupancy_bucket.value(), |bucket| {
             if noise.chance(StreamId::OCCUPANCY, bucket, 0.08) {
                 0.0 // space momentarily dark
             } else {
@@ -153,10 +163,20 @@ impl VibrationModel {
 
     /// Vibration amplitude at `t` (zero when the machine is off).
     pub fn amplitude_at(&self, t: Seconds, noise: Noise) -> GAccel {
+        self.amplitude_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`VibrationModel::amplitude_at`] on the jitter blend's `cursor`.
+    pub(crate) fn amplitude_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> GAccel {
         if !self.running(t) {
             return GAccel::ZERO;
         }
-        let jitter = bucket_blend(t.value(), self.jitter_bucket.value(), |bucket| {
+        let jitter = cursor.blend(t.value(), self.jitter_bucket.value(), |bucket| {
             noise.normal(StreamId::VIBRATION, bucket)
         });
         GAccel::new((self.amplitude.value() * (1.0 + self.jitter * jitter)).max(0.0))

@@ -26,21 +26,24 @@ pub trait EnvSampler {
     /// instant; samplers with per-call overhead that can be shared
     /// across a batch (trig tables, noise streams, trace cursors) may
     /// override this to amortize it. The simulation kernel batches one
-    /// control window at a time through this path.
+    /// control window at a time through this path, the fleet one site
+    /// table and the arena one seed row.
+    ///
+    /// [`Environment`] shares its slow noise buckets across the batch:
+    /// each blend site (cloud state, wind mean level, weather, occupancy,
+    /// vibration, RF bursts, water jitter) keeps the last bucket it drew,
+    /// so instants that share a bucket, or step into the next one, reuse
+    /// its draws. [`ReplayEnvironment`] samples its base in one batch and
+    /// overlays the traces row by row.
     ///
     /// Implementations must be observationally identical to the
-    /// per-instant path: `conditions_into(&[t]) == [conditions(t)]`
-    /// bit-for-bit, or parallel/sequential ensemble equivalence breaks.
+    /// per-instant path: `conditions_into(times)[i] == conditions(times[i])`
+    /// bit-for-bit for any `times`, sorted or not, or parallel/sequential
+    /// ensemble equivalence breaks.
     fn conditions_into(&self, times: &[Seconds], out: &mut Vec<EnvConditions>) {
         out.clear();
         out.reserve(times.len());
         out.extend(times.iter().map(|&t| self.conditions(t)));
-    }
-}
-
-impl EnvSampler for Environment {
-    fn conditions(&self, t: Seconds) -> EnvConditions {
-        Environment::conditions(self, t)
     }
 }
 
@@ -141,11 +144,11 @@ impl ReplayEnvironment {
         self.water_flow = Some(trace);
         self
     }
-}
 
-impl EnvSampler for ReplayEnvironment {
-    fn conditions(&self, t: Seconds) -> EnvConditions {
-        let mut c = self.base.conditions(t);
+    /// Replaces the traced channels of one base sample, at the sample's
+    /// own time.
+    fn overlay(&self, c: &mut EnvConditions) {
+        let t = c.time;
         if let Some(tr) = &self.irradiance {
             c.irradiance = WattsPerSqM::new(tr.sample(t).max(0.0));
         }
@@ -175,7 +178,21 @@ impl EnvSampler for ReplayEnvironment {
         if let Some(tr) = &self.water_flow {
             c.water_flow = MetersPerSecond::new(tr.sample(t).max(0.0));
         }
+    }
+}
+
+impl EnvSampler for ReplayEnvironment {
+    fn conditions(&self, t: Seconds) -> EnvConditions {
+        let mut c = self.base.conditions(t);
+        self.overlay(&mut c);
         c
+    }
+
+    fn conditions_into(&self, times: &[Seconds], out: &mut Vec<EnvConditions>) {
+        self.base.conditions_into(times, out);
+        for c in out.iter_mut() {
+            self.overlay(c);
+        }
     }
 }
 

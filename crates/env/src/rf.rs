@@ -1,6 +1,6 @@
 //! Ambient / dedicated RF power model for rectenna harvesting.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{BlendCursor, Noise, StreamId};
 use mseh_units::{Seconds, Watts};
 
 /// RF power incident at the reference antenna aperture.
@@ -58,8 +58,18 @@ impl RfModel {
 
     /// Incident RF power at `t`.
     pub fn incident(&self, t: Seconds, noise: Noise) -> Watts {
+        self.incident_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`RfModel::incident`] on the burst blend's `cursor`.
+    pub(crate) fn incident_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> Watts {
         let burst = if self.burst_power > Watts::ZERO {
-            let factor = bucket_blend(t.value(), self.burst_bucket.value(), |bucket| {
+            let factor = cursor.blend(t.value(), self.burst_bucket.value(), |bucket| {
                 if noise.chance(StreamId::RF, bucket, self.burst_duty) {
                     noise.uniform_in(StreamId::RF, bucket.wrapping_add(1 << 34), 0.8, 1.0)
                 } else {

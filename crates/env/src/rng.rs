@@ -138,13 +138,48 @@ pub fn smoothstep(x: f64) -> f64 {
 /// `bucket_s` get independent draws via `draw(counter)`, blended with
 /// [`smoothstep`] so the process is continuous in time.
 pub fn bucket_blend(time_s: f64, bucket_s: f64, draw: impl Fn(u64) -> f64) -> f64 {
-    let pos = time_s / bucket_s;
-    let idx = pos.floor();
-    let frac = pos - idx;
-    let idx = idx as i64 as u64; // negative times wrap; simulation time is non-negative
-    let a = draw(idx);
-    let b = draw(idx.wrapping_add(1));
-    a + smoothstep(frac) * (b - a)
+    BlendCursor::default().blend(time_s, bucket_s, draw)
+}
+
+/// The last bucket one blend site looked at, and that bucket's two draws.
+///
+/// A batch of instants that walks forward in time mostly stays in one
+/// bucket or steps into the next, so the cursor reuses what it drew: both
+/// draws in the same bucket, the old upper draw as the new lower one in
+/// the next bucket. Any other move draws both afresh. Every draw is a pure
+/// function of its bucket, so a reused draw has the same bits as a fresh
+/// one. A cursor is keyed by bucket index alone: one cursor serves one
+/// blend site (one bucket width, one `draw`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BlendCursor {
+    /// The bucket whose lower and upper draws `lo` and `hi` hold.
+    bucket: Option<u64>,
+    lo: f64,
+    hi: f64,
+}
+
+impl BlendCursor {
+    /// [`bucket_blend`] at `time_s`, drawing only what the cursor does not
+    /// already hold.
+    pub(crate) fn blend(&mut self, time_s: f64, bucket_s: f64, draw: impl Fn(u64) -> f64) -> f64 {
+        let pos = time_s / bucket_s;
+        let idx = pos.floor();
+        let frac = pos - idx;
+        let idx = idx as i64 as u64; // negative times wrap; simulation time is non-negative
+        match self.bucket {
+            Some(held) if held == idx => {}
+            Some(held) if held.wrapping_add(1) == idx => {
+                self.lo = self.hi;
+                self.hi = draw(idx.wrapping_add(1));
+            }
+            _ => {
+                self.lo = draw(idx);
+                self.hi = draw(idx.wrapping_add(1));
+            }
+        }
+        self.bucket = Some(idx);
+        self.lo + smoothstep(frac) * (self.hi - self.lo)
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +287,48 @@ mod tests {
             assert!((v - prev).abs() < 0.05, "jump at t={t}: {prev} -> {v}");
             prev = v;
         }
+    }
+
+    #[test]
+    fn cursor_blend_matches_bucket_blend_bit_for_bit() {
+        let n = Noise::new(31);
+        let draw = |c: u64| n.normal(StreamId::WEATHER_TEMP, c);
+        // Stays in bucket 0, steps into 1 and 2, lands on an edge, jumps
+        // ahead, goes back, repeats an instant, and wraps below zero.
+        let times = [
+            0.0, 12.5, 59.9, 60.0, 61.0, 119.0, 120.0, 120.0, 3_000.0, 3_059.0, 30.0, 0.0, -1.0,
+            -0.0, 7.3e6, 1e9,
+        ];
+        let mut cursor = BlendCursor::default();
+        for &t in &times {
+            let fresh = bucket_blend(t, 60.0, draw);
+            assert_eq!(
+                cursor.blend(t, 60.0, draw).to_bits(),
+                fresh.to_bits(),
+                "t={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn cursor_draws_only_what_it_does_not_hold() {
+        use core::cell::Cell;
+        let calls = Cell::new(0u32);
+        let draw = |c: u64| {
+            calls.set(calls.get() + 1);
+            c as f64
+        };
+        let mut cursor = BlendCursor::default();
+        let mut drawn = |t: f64| {
+            let before = calls.get();
+            cursor.blend(t, 60.0, draw);
+            calls.get() - before
+        };
+        assert_eq!(drawn(10.0), 2, "an empty cursor draws both ends");
+        assert_eq!(drawn(50.0), 0, "same bucket");
+        assert_eq!(drawn(70.0), 1, "next bucket");
+        assert_eq!(drawn(300.0), 2, "jump ahead");
+        assert_eq!(drawn(10.0), 2, "go back");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 
 use crate::conditions::EnvConditions;
 use crate::indoor::{IndoorLightModel, VibrationModel};
+use crate::replay::EnvSampler;
 use crate::rf::RfModel;
-use crate::rng::Noise;
+use crate::rng::{BlendCursor, Noise};
 use crate::solar::{SeasonalSolarModel, SolarModel};
 use crate::thermal::{AmbientModel, GradientSource};
 use crate::water::WaterFlowModel;
@@ -125,36 +126,74 @@ impl Environment {
 
     /// Samples every channel at `t`.
     pub fn conditions(&self, t: Seconds) -> EnvConditions {
+        self.sample(t, &mut Cursors::default())
+    }
+
+    /// Samples every channel at `t`, each blend site on its own cursor.
+    fn sample(&self, t: Seconds, cursors: &mut Cursors) -> EnvConditions {
         let mut c = EnvConditions::quiescent(t);
-        c.ambient = self.ambient.temperature(t, self.noise);
+        c.ambient = self
+            .ambient
+            .temperature_with(t, self.noise, &mut cursors.ambient);
         c.hot_surface = c.ambient;
         if let Some(solar) = &self.solar {
-            c.irradiance = solar.irradiance(t, self.noise);
+            c.irradiance = solar.irradiance_with(t, self.noise, &mut cursors.solar);
         }
         if let Some(seasonal) = &self.seasonal_solar {
-            c.irradiance = seasonal.irradiance(t, self.noise);
+            c.irradiance = seasonal.irradiance_with(t, self.noise, &mut cursors.seasonal_solar);
         }
         if let Some(wind) = &self.wind {
-            c.wind = wind.speed(t, self.noise);
+            c.wind = wind.speed_with(t, self.noise, &mut cursors.wind);
         }
         if let Some(light) = &self.indoor_light {
-            c.illuminance = light.illuminance(t, self.noise);
+            c.illuminance = light.illuminance_with(t, self.noise, &mut cursors.indoor_light);
         }
         if let Some(gradient) = &self.gradient {
             c.hot_surface = gradient.surface(t, c.ambient);
         }
         if let Some(vibration) = &self.vibration {
-            c.vibration_amp = vibration.amplitude_at(t, self.noise);
+            c.vibration_amp = vibration.amplitude_with(t, self.noise, &mut cursors.vibration);
             c.vibration_freq = vibration.frequency;
         }
         if let Some(rf) = &self.rf {
-            c.rf_incident = rf.incident(t, self.noise);
+            c.rf_incident = rf.incident_with(t, self.noise, &mut cursors.rf);
         }
         if let Some(water) = &self.water {
-            c.water_flow = water.flow(t, self.noise);
+            c.water_flow = water.flow_with(t, self.noise, &mut cursors.water);
         }
         c
     }
+}
+
+impl EnvSampler for Environment {
+    fn conditions(&self, t: Seconds) -> EnvConditions {
+        Environment::conditions(self, t)
+    }
+
+    /// Samples the whole slice on one set of cursors, so each slow noise
+    /// bucket is drawn once per batch instead of at both ends on every
+    /// instant. Every row is bit-identical to [`Environment::conditions`].
+    fn conditions_into(&self, times: &[Seconds], out: &mut Vec<EnvConditions>) {
+        out.clear();
+        out.reserve(times.len());
+        let mut cursors = Cursors::default();
+        out.extend(times.iter().map(|&t| self.sample(t, &mut cursors)));
+    }
+}
+
+/// One [`BlendCursor`] per blend site of an [`Environment`]. The plain
+/// and seasonal solar channels each get one: both draw the cloud stream,
+/// at different bucket widths.
+#[derive(Debug, Default)]
+struct Cursors {
+    ambient: BlendCursor,
+    solar: BlendCursor,
+    seasonal_solar: BlendCursor,
+    wind: BlendCursor,
+    indoor_light: BlendCursor,
+    vibration: BlendCursor,
+    rf: BlendCursor,
+    water: BlendCursor,
 }
 
 /// Builder for a custom [`Environment`].

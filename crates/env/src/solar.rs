@@ -1,7 +1,7 @@
 //! Outdoor solar-irradiance model: clear-sky diurnal curve modulated by a
 //! stochastic cloud-cover process.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{BlendCursor, Noise, StreamId};
 use mseh_units::{Seconds, WattsPerSqM};
 
 /// Parameters of the diurnal solar model.
@@ -82,6 +82,16 @@ impl SolarModel {
     /// Cloud transmission factor at `t` in `[overcast_transmission, 1]`,
     /// smooth in time and deterministic in the scenario seed.
     pub fn cloud_transmission(&self, t: Seconds, noise: Noise) -> f64 {
+        self.cloud_transmission_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`SolarModel::cloud_transmission`] on the cloud blend's `cursor`.
+    pub(crate) fn cloud_transmission_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> f64 {
         let draw = |bucket: u64| {
             if noise.chance(StreamId::CLOUDS, bucket, self.overcast_prob) {
                 // Overcast spell: transmission near the floor, jittered.
@@ -92,12 +102,24 @@ impl SolarModel {
                 noise.uniform_in(StreamId::CLOUDS, bucket.wrapping_add(1 << 32), 0.85, 1.0)
             }
         };
-        bucket_blend(t.value(), self.cloud_bucket.value(), draw).clamp(0.0, 1.0)
+        cursor
+            .blend(t.value(), self.cloud_bucket.value(), draw)
+            .clamp(0.0, 1.0)
     }
 
     /// Irradiance at `t` including cloud attenuation.
     pub fn irradiance(&self, t: Seconds, noise: Noise) -> WattsPerSqM {
-        self.clear_sky(t) * self.cloud_transmission(t, noise)
+        self.irradiance_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`SolarModel::irradiance`] on the cloud blend's `cursor`.
+    pub(crate) fn irradiance_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> WattsPerSqM {
+        self.clear_sky(t) * self.cloud_transmission_with(t, noise, cursor)
     }
 }
 
@@ -204,7 +226,17 @@ impl SeasonalSolarModel {
 
     /// Irradiance at `t` including the template's cloud process.
     pub fn irradiance(&self, t: Seconds, noise: Noise) -> WattsPerSqM {
-        self.model_for(t).irradiance(t, noise)
+        self.irradiance_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`SeasonalSolarModel::irradiance`] on the cloud blend's `cursor`.
+    pub(crate) fn irradiance_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> WattsPerSqM {
+        self.model_for(t).irradiance_with(t, noise, cursor)
     }
 }
 

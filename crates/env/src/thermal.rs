@@ -1,7 +1,7 @@
 //! Thermal models: diurnal ambient temperature with weather deviation, and
 //! hot-surface gradient sources for thermoelectric harvesting.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{BlendCursor, Noise, StreamId};
 use mseh_units::{Celsius, Seconds};
 
 /// Diurnal ambient-temperature model.
@@ -55,12 +55,22 @@ impl AmbientModel {
 
     /// Ambient temperature at `t`.
     pub fn temperature(&self, t: Seconds, noise: Noise) -> Celsius {
+        self.temperature_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`AmbientModel::temperature`] on the weather blend's `cursor`.
+    pub(crate) fn temperature_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> Celsius {
         let h = t.time_of_day().as_hours();
         let mid = (self.night_low.value() + self.day_high.value()) / 2.0;
         let amp = (self.day_high.value() - self.night_low.value()) / 2.0;
         // Maximum at 15:00 (minimum 12 h opposite, near 03:00).
         let diurnal = mid + amp * (core::f64::consts::TAU * (h - 15.0) / 24.0).cos();
-        let weather = bucket_blend(t.value(), self.weather_bucket.value(), |bucket| {
+        let weather = cursor.blend(t.value(), self.weather_bucket.value(), |bucket| {
             noise.normal(StreamId::WEATHER_TEMP, bucket) * self.weather_sigma
         });
         Celsius::new(diurnal + weather)

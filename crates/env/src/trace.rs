@@ -256,7 +256,9 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`ParseTraceError`] when a line is malformed, a number fails
-    /// to parse, or timestamps are out of order.
+    /// to parse or is not finite, timestamps are out of order, or no line
+    /// holds a sample, so every parsed trace can be
+    /// [sampled](Trace::sample).
     pub fn from_csv(text: &str) -> Result<Self, ParseTraceError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(ParseTraceError {
@@ -273,7 +275,9 @@ impl Trace {
             .trim()
             .to_owned();
         let mut trace = Trace::new(name);
+        let mut last_line = 1;
         for (idx, line) in lines {
+            last_line = idx + 1;
             if line.trim().is_empty() {
                 continue;
             }
@@ -292,6 +296,12 @@ impl Trace {
             };
             let t = parse(parts.next())?;
             let v = parse(parts.next())?;
+            if !t.is_finite() || !v.is_finite() {
+                return Err(ParseTraceError {
+                    line: idx + 1,
+                    reason: format!("sample ({t}, {v}) is not finite"),
+                });
+            }
             if let Some(&(last, _)) = trace.samples.last() {
                 if t < last {
                     return Err(ParseTraceError {
@@ -301,6 +311,12 @@ impl Trace {
                 }
             }
             trace.samples.push((t, v));
+        }
+        if trace.is_empty() {
+            return Err(ParseTraceError {
+                line: last_line + 1,
+                reason: "no samples: expected `time_s,value` lines after the header".into(),
+            });
         }
         Ok(trace)
     }
@@ -394,6 +410,32 @@ mod tests {
         let err = Trace::from_csv("time_s,x\n5,1\n2,1\n").unwrap_err();
         assert!(err.to_string().contains("before previous"), "{err}");
         assert!(Trace::from_csv("").is_err());
+    }
+
+    #[test]
+    fn csv_without_samples_is_an_error() {
+        let err = Trace::from_csv("time_s,irr\n").unwrap_err();
+        assert!(err.to_string().contains("line 2: no samples"), "{err}");
+        let err = Trace::from_csv("time_s,irr\n\n\n").unwrap_err();
+        assert!(err.to_string().contains("line 4: no samples"), "{err}");
+    }
+
+    #[test]
+    fn csv_rejects_a_nan_time() {
+        // NaN passes the order check, and sampling the trace would panic.
+        let err = Trace::from_csv("time_s,irr\n0,1\nnan,5\n100,3\n").unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
+        assert!(err.to_string().contains("not finite"), "{err}");
+    }
+
+    #[test]
+    fn csv_rejects_non_finite_values() {
+        let err = Trace::from_csv("time_s,irr\n0,nan\n100,inf\n").unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        let err = Trace::from_csv("time_s,irr\n0,1\n100,inf\n").unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
+        let err = Trace::from_csv("time_s,irr\n-inf,1\n").unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! survey): water flows through a pipe or channel during scheduled
 //! irrigation windows, with flow-rate variation.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{BlendCursor, Noise, StreamId};
 use mseh_units::{MetersPerSecond, Seconds};
 
 /// Scheduled water-flow model.
@@ -64,10 +64,20 @@ impl WaterFlowModel {
 
     /// Flow speed at `t` (zero outside the windows).
     pub fn flow(&self, t: Seconds, noise: Noise) -> MetersPerSecond {
+        self.flow_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`WaterFlowModel::flow`] on the jitter blend's `cursor`.
+    pub(crate) fn flow_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> MetersPerSecond {
         if !self.active(t) {
             return MetersPerSecond::ZERO;
         }
-        let jitter = bucket_blend(t.value(), self.jitter_bucket.value(), |bucket| {
+        let jitter = cursor.blend(t.value(), self.jitter_bucket.value(), |bucket| {
             noise.normal(StreamId::WATER, bucket)
         });
         MetersPerSecond::new((self.nominal.value() * (1.0 + self.jitter * jitter)).max(0.0))

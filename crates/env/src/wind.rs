@@ -1,7 +1,7 @@
 //! Wind-speed model: slowly-drifting Weibull mean level with short-period
 //! gust turbulence, the standard statistical description of surface wind.
 
-use crate::rng::{bucket_blend, Noise, StreamId};
+use crate::rng::{bucket_blend, BlendCursor, Noise, StreamId};
 use mseh_units::{MetersPerSecond, Seconds};
 
 /// Parameters of the stochastic wind model.
@@ -68,7 +68,17 @@ impl WindModel {
 
     /// The smoothly-varying hourly mean level at `t`.
     pub fn mean_level(&self, t: Seconds, noise: Noise) -> MetersPerSecond {
-        let level = bucket_blend(t.value(), self.weather_bucket.value(), |bucket| {
+        self.mean_level_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`WindModel::mean_level`] on the weather blend's `cursor`.
+    pub(crate) fn mean_level_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> MetersPerSecond {
+        let level = cursor.blend(t.value(), self.weather_bucket.value(), |bucket| {
             noise.weibull(
                 StreamId::WIND_MEAN,
                 bucket,
@@ -85,7 +95,19 @@ impl WindModel {
     /// Instantaneous wind speed at `t` (mean level plus gust turbulence,
     /// floored at zero).
     pub fn speed(&self, t: Seconds, noise: Noise) -> MetersPerSecond {
-        let mean = self.mean_level(t, noise).value();
+        self.speed_with(t, noise, &mut BlendCursor::default())
+    }
+
+    /// [`WindModel::speed`] on the weather blend's `cursor`. The gust blend
+    /// draws afresh: at the usual steps no two instants share a gust
+    /// bucket.
+    pub(crate) fn speed_with(
+        &self,
+        t: Seconds,
+        noise: Noise,
+        cursor: &mut BlendCursor,
+    ) -> MetersPerSecond {
+        let mean = self.mean_level_with(t, noise, cursor).value();
         let gust = bucket_blend(t.value(), self.gust_bucket.value(), |bucket| {
             noise.normal(StreamId::WIND_GUST, bucket)
         });

@@ -91,6 +91,10 @@ impl fmt::Display for SurveyReport {
     }
 }
 
+/// Instants sampled per [`EnvSampler::conditions_into`] call, so a long
+/// survey holds one batch of rows, not the whole window.
+const SURVEY_BATCH: usize = 1440;
+
 /// Surveys `env` over `window` at `step` resolution with one stock device
 /// per harvester class (the external AC/DC input is excluded — it is a
 /// commissioning aid, not an ambient source).
@@ -111,26 +115,36 @@ pub fn site_survey(env: &dyn EnvSampler, window: Seconds, step: Seconds) -> Surv
         harvesters::hydro(),
     ];
     let steps = (window.value() / step.value()).ceil() as usize;
-    let mut rows: Vec<SurveyRow> = devices
-        .into_iter()
-        .map(|device| {
-            let mut energy = Joules::ZERO;
-            let mut live = 0usize;
-            for i in 0..steps {
-                let t = Seconds::new(i as f64 * step.value());
-                let conditions = env.conditions(t);
-                let p = device.mpp(&conditions).power();
-                energy += p * step;
+    // Each instant is sampled once, in batches, and every device is
+    // evaluated on the batch's rows; a device still sums its instants in
+    // time order.
+    let mut totals = vec![(Joules::ZERO, 0usize); devices.len()];
+    let mut times = Vec::with_capacity(steps.min(SURVEY_BATCH));
+    let mut samples = Vec::with_capacity(times.capacity());
+    for first in (0..steps).step_by(SURVEY_BATCH) {
+        times.clear();
+        times.extend(
+            (first..steps.min(first + SURVEY_BATCH)).map(|i| Seconds::new(i as f64 * step.value())),
+        );
+        env.conditions_into(&times, &mut samples);
+        for (device, (energy, live)) in devices.iter().zip(&mut totals) {
+            for conditions in &samples {
+                let p = device.mpp(conditions).power();
+                *energy += p * step;
                 if p > Watts::from_micro(1.0) {
-                    live += 1;
+                    *live += 1;
                 }
             }
-            SurveyRow {
-                kind: device.kind(),
-                device: device.name().to_owned(),
-                energy,
-                availability: live as f64 / steps as f64,
-            }
+        }
+    }
+    let mut rows: Vec<SurveyRow> = devices
+        .iter()
+        .zip(totals)
+        .map(|(device, (energy, live))| SurveyRow {
+            kind: device.kind(),
+            device: device.name().to_owned(),
+            energy,
+            availability: live as f64 / steps as f64,
         })
         .collect();
     rows.sort_by(|a, b| b.energy.total_cmp(&a.energy));

@@ -140,6 +140,15 @@ awk -v a="$arena_amort" 'BEGIN {
     printf "ok: arena amortization factor %.2f (floor 5.0)\n", a
 }'
 
+echo "==> environment sampling bit-identity smoke (batched vs per-instant rows)"
+# The harness compares every preset's batched rows with its per-instant
+# rows, bit for bit, before writing the flag.
+grep -q '"batched_matches_per_instant": true' target/BENCH_sim_quick.json || {
+    echo "FAIL: batched environment samples diverged from per-instant samples"
+    exit 1
+}
+echo "ok: batched environment samples bit-identical to per-instant samples"
+
 echo "==> arena bit-identity smoke (every lane vs its independent run)"
 # The harness asserts full SimResult equality for all 32 lanes against
 # fresh run_simulation runs before writing the flag.
