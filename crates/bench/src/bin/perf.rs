@@ -277,6 +277,25 @@ fn arena_class() -> DenseClass {
     )
 }
 
+/// Scenario seeds of the boxed arena: its bit-identity gate and its
+/// rate row.
+const BOXED_ARENA_SEEDS: [u64; 2] = [9, 10];
+
+/// The boxed arena: System B lanes, each on a fresh build, settling one
+/// shared harvest per seed outdoors, with the stock tournament roster —
+/// the shape of the benchmark's arena-tournament.
+fn boxed_arena_spec() -> ArenaSpec {
+    let id = SystemId::B;
+    ArenaSpec::boxed(
+        "perf boxed arena",
+        resilience::natural_node(id),
+        move |_| Box::new(id.build()),
+        Environment::outdoor_temperate,
+    )
+    .with_contenders(default_contenders())
+    .with_seeds(&BOXED_ARENA_SEEDS)
+}
+
 /// The stock tournament roster padded to [`ARENA_CONTENDERS`] with a
 /// fixed-duty ladder and independently-seeded hill-climb variants.
 fn arena_roster() -> Vec<Contender> {
@@ -1089,21 +1108,14 @@ fn main() {
     }
     // The boxed path: System B lanes settle against one shared harvest
     // per seed, and each must still equal its own independent run.
+    let boxed_arena = boxed_arena_spec();
     {
         let id = SystemId::B;
-        let seeds = [arena_seed, arena_seed + 1];
+        let spec = &boxed_arena;
         let horizon = Seconds::from_days(2.0);
-        let spec = ArenaSpec::boxed(
-            "perf boxed arena",
-            resilience::natural_node(id),
-            move |_| Box::new(id.build()),
-            Environment::outdoor_temperate,
-        )
-        .with_contenders(default_contenders())
-        .with_seeds(&seeds);
-        let kept = run_arena(&spec, ArenaConfig::over(horizon).keep_lane_results());
+        let kept = run_arena(spec, ArenaConfig::over(horizon).keep_lane_results());
         let lanes = kept.lane_results.expect("kept");
-        for (si, &seed) in seeds.iter().enumerate() {
+        for (si, &seed) in BOXED_ARENA_SEEDS.iter().enumerate() {
             for (ci, contender) in spec.contenders().iter().enumerate() {
                 let mut policy = contender.build(seed);
                 let reference = run_simulation(
@@ -1177,6 +1189,33 @@ fn main() {
         arena_cost_vs_single <= 6.0,
         "32-lane arena cost {arena_cost_vs_single:.2}\u{d7} a single run (budget: 6\u{d7})"
     );
+    // The boxed arena's rate: lane-steps per second over the same fixed
+    // spec in both modes, so check.sh's quick-vs-committed floor compares
+    // like with like. Nearly all of a lane's time is `settle`, the store
+    // step included, because each seed row harvests once for every lane.
+    let boxed_arena_cfg = ArenaConfig::over(arena_horizon);
+    let mut boxed_arena_secs = f64::INFINITY;
+    let mut boxed_arena_summary = None;
+    for _ in 0..RATE_ROW_REPS {
+        let start = Instant::now();
+        let out = run_arena(&boxed_arena, boxed_arena_cfg);
+        boxed_arena_secs = boxed_arena_secs.min(start.elapsed().as_secs_f64());
+        if let Some(prev) = &boxed_arena_summary {
+            assert_eq!(prev, &out.summary, "boxed arena reps must be bit-identical");
+        }
+        boxed_arena_summary = Some(out.summary);
+    }
+    let boxed_arena_summary = boxed_arena_summary.expect("ran");
+    assert!(boxed_arena_summary.audit_relative < 1e-6);
+    let boxed_lane_steps = boxed_arena_summary.lanes * boxed_arena_summary.steps_per_lane;
+    let boxed_lane_steps_per_sec = boxed_lane_steps as f64 / boxed_arena_secs;
+    println!(
+        "arena      : boxed System B, {} lanes \u{d7} {} steps in {boxed_arena_secs:.3} s \
+         ({:.2} M lane-steps/s)",
+        boxed_arena_summary.lanes,
+        boxed_arena_summary.steps_per_lane,
+        boxed_lane_steps_per_sec / 1e6,
+    );
 
     // --- Resilience campaign: fault-injection throughput + summary. -
     // System D (MPWiNode) in its agricultural deployment, primary store
@@ -1222,7 +1261,7 @@ fn main() {
     // --- Emit BENCH_sim.json. ---------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v13\",");
+    let _ = writeln!(json, "  \"schema\": \"mseh-bench/perf/v14\",");
     let _ = writeln!(
         json,
         "  \"scenario\": \"System C, outdoor temperate, 60 s steps, fixed 5% duty\","
@@ -1451,6 +1490,18 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"arena_boxed_lanes_match_independent_runs\": true,"
+    );
+    let _ = writeln!(
+        json,
+        "    \"boxed_scenario\": \"System B, outdoor temperate seeds 9 and 10, default \
+         roster, {ARENA_DAYS} days\","
+    );
+    let _ = writeln!(json, "    \"boxed_lanes\": {},", boxed_arena_summary.lanes);
+    let _ = writeln!(json, "    \"boxed_lane_steps\": {boxed_lane_steps},");
+    let _ = writeln!(json, "    \"boxed_seconds\": {boxed_arena_secs:.6},");
+    let _ = writeln!(
+        json,
+        "    \"boxed_lane_steps_per_sec\": {boxed_lane_steps_per_sec:.1},"
     );
     let _ = writeln!(json, "    \"winner\": \"{arena_winner}\",");
     let _ = writeln!(

@@ -13,7 +13,9 @@
 //! agrees with the boxed reference on every physical quantity. Cache
 //! counters may differ where the lanes run, because the lanes synthesize
 //! theirs; jittered per-step cells close the lane gate and run boxed,
-//! so they agree in full.
+//! so they agree in full. A daylight fleet and arena hold the EDLC at its
+//! rated voltage, where the boxed store replays its inversion memo and
+//! the lanes, which keep none, solve every target.
 
 use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::{EnvJitter, Environment};
@@ -29,10 +31,12 @@ use mseh_power::{
 use mseh_sim::{
     run_arena_controlled, run_fleet, run_fleet_controlled, ArenaConfig, ArenaResult, ArenaSpec,
     Contender, DenseClass, DenseGroup, DenseStore, EnvCadence, FleetConfig, FleetControl,
-    FleetGroup, FleetSpec, FleetSummary,
+    FleetGroup, FleetSpec, FleetSummary, SimConfig,
 };
-use mseh_storage::{Battery, Storage, Supercap};
-use mseh_units::{DutyCycle, Seconds, Volts};
+use mseh_storage::{Battery, Storage, StorageKind, Supercap};
+use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// One dense platform preset per Table-I system: the seven surveyed
 /// harvester-class / controller / buffer combinations, reduced to the
@@ -166,6 +170,11 @@ fn unit_for(preset: usize, ctl: Ctl, store: Store) -> PowerUnit {
         Store::Supercap => Box::new(cap_for(preset)),
         Store::Battery => Box::new(batt_for(preset)),
     };
+    unit_with(preset, ctl, device)
+}
+
+/// [`unit_for`] around a given store device.
+fn unit_with(preset: usize, ctl: Ctl, device: Box<dyn Storage>) -> PowerUnit {
     PowerUnit::builder("preset")
         .harvester_port(
             PortRequirement::any_in_window("in", Volts::ZERO, Volts::new(50.0)),
@@ -408,6 +417,23 @@ fn arena_roster() -> Vec<Contender> {
 /// An arena cell run as `ArenaSpec::dense` and as `ArenaSpec::boxed`
 /// on the hand-built unit, per-lane results kept.
 fn arena_pair(preset: usize, ctl: Ctl, store: Store) -> (ArenaResult, ArenaResult) {
+    arena_pair_with(
+        preset,
+        ctl,
+        store,
+        move || unit_for(preset, ctl, store),
+        ArenaConfig::over(horizon()),
+    )
+}
+
+/// [`arena_pair`] with the boxed side's unit and the run config given.
+fn arena_pair_with(
+    preset: usize,
+    ctl: Ctl,
+    store: Store,
+    unit: impl Fn() -> PowerUnit + Send + Sync + 'static,
+    config: ArenaConfig,
+) -> (ArenaResult, ArenaResult) {
     let env = move |seed| site_for(preset, seed);
     let dense = ArenaSpec::dense(
         "preset",
@@ -423,10 +449,10 @@ fn arena_pair(preset: usize, ctl: Ctl, store: Store) -> (ArenaResult, ArenaResul
     let boxed = ArenaSpec::boxed(
         "preset",
         SensorNode::submilliwatt_class(),
-        move |_| Box::new(unit_for(preset, ctl, store)),
+        move |_| Box::new(unit()),
         env,
     );
-    let config = ArenaConfig::over(horizon()).keep_lane_results();
+    let config = config.keep_lane_results();
     let run = |spec: ArenaSpec| {
         let spec = spec.with_contenders(arena_roster()).with_seeds(&[3, 17]);
         run_arena_controlled(&spec, config, FleetControl::default())
@@ -448,6 +474,167 @@ fn arena_dense_lanes_match_boxed_lanes() {
             assert_eq!(dense.summary, boxed.summary, "{cell}");
         }
     }
+}
+
+/// The daylight preset: half-watt PV on a 22 F EDLC at 70 % of its
+/// window, outdoors from 10:00 for 4 h, which fills the buffer within
+/// minutes.
+const DAYLIGHT_PRESET: usize = 3;
+
+fn daylight_sim() -> SimConfig {
+    SimConfig::over(Seconds::from_hours(4.0)).starting_at(Seconds::from_hours(10.0))
+}
+
+fn two_percent(_: u64) -> Box<dyn DutyCyclePolicy> {
+    Box::new(FixedDuty::new(DutyCycle::saturating(0.02)))
+}
+
+/// A boxed store that records whether it ever sat at its rated voltage
+/// and otherwise is the supercap it wraps.
+struct RailWatch {
+    cap: Supercap,
+    at_rail: Arc<AtomicBool>,
+}
+
+impl RailWatch {
+    /// The daylight preset's EDLC, reporting to `at_rail`.
+    fn daylight(at_rail: &Arc<AtomicBool>) -> Box<dyn Storage> {
+        Box::new(Self {
+            cap: cap_for(DAYLIGHT_PRESET),
+            at_rail: Arc::clone(at_rail),
+        })
+    }
+
+    fn watch<T>(&mut self, moved: T) -> T {
+        if self.cap.voltage() >= self.cap.max_voltage() {
+            self.at_rail.store(true, Ordering::Relaxed);
+        }
+        moved
+    }
+}
+
+impl Storage for RailWatch {
+    fn name(&self) -> &str {
+        self.cap.name()
+    }
+    fn kind(&self) -> StorageKind {
+        self.cap.kind()
+    }
+    fn voltage(&self) -> Volts {
+        self.cap.voltage()
+    }
+    fn stored_energy(&self) -> Joules {
+        self.cap.stored_energy()
+    }
+    fn capacity(&self) -> Joules {
+        self.cap.capacity()
+    }
+    fn min_voltage(&self) -> Volts {
+        self.cap.min_voltage()
+    }
+    fn max_voltage(&self) -> Volts {
+        self.cap.max_voltage()
+    }
+    fn max_charge_power(&self) -> Watts {
+        self.cap.max_charge_power()
+    }
+    fn max_discharge_power(&self) -> Watts {
+        self.cap.max_discharge_power()
+    }
+    fn charge(&mut self, power: Watts, dt: Seconds) -> Joules {
+        let moved = self.cap.charge(power, dt);
+        self.watch(moved)
+    }
+    fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
+        let moved = self.cap.discharge(power, dt);
+        self.watch(moved)
+    }
+    fn idle(&mut self, dt: Seconds) {
+        self.cap.idle(dt);
+        self.watch(());
+    }
+    fn losses(&self) -> Joules {
+        self.cap.losses()
+    }
+}
+
+#[test]
+fn daylight_pinned_supercap_fleet_matches_boxed() {
+    let preset = DAYLIGHT_PRESET;
+    for cadence in CADENCES {
+        for jitter in [EnvJitter::NONE, EnvJitter::relative(0.1)] {
+            let at_rail = Arc::new(AtomicBool::new(false));
+            let watch = Arc::clone(&at_rail);
+            let run = |spec: FleetSpec| {
+                let config = FleetConfig {
+                    sim: daylight_sim(),
+                    cadence,
+                    ..FleetConfig::over(Seconds::ZERO)
+                };
+                run_fleet(&spec, config).summary
+            };
+            let mut dense = FleetSpec::new();
+            let site = dense.add_site(site_for(preset, 5));
+            dense.add_dense_group(
+                DenseGroup::new(
+                    "daylight",
+                    8,
+                    site,
+                    SensorNode::submilliwatt_class(),
+                    move || channel_for(preset, Ctl::Preset),
+                    DcDcConverter::buck_boost_3v3(),
+                    dense_store(preset, Store::Supercap),
+                    two_percent,
+                )
+                .with_seed(0xDA7)
+                .with_jitter(jitter)
+                .with_monitoring(MonitoringLevel::Full),
+            );
+            let mut boxed = FleetSpec::new();
+            let site = boxed.add_site(site_for(preset, 5));
+            boxed.add_group(
+                FleetGroup::new(
+                    "daylight",
+                    8,
+                    site,
+                    SensorNode::submilliwatt_class(),
+                    move |_| {
+                        let store = RailWatch::daylight(&watch);
+                        Box::new(unit_with(preset, Ctl::Preset, store))
+                    },
+                    two_percent,
+                )
+                .with_seed(0xDA7)
+                .with_jitter(jitter),
+            );
+            let (dense, boxed) = (run(dense), run(boxed));
+            let cell = format!("{cadence:?}, {jitter:?}");
+            assert!(at_rail.load(Ordering::Relaxed), "{cell}: never at the rail");
+            assert_eq!(modulo_cache(dense), modulo_cache(boxed), "{cell}");
+        }
+    }
+}
+
+#[test]
+fn daylight_pinned_supercap_arena_matches_boxed() {
+    // Arenas sample every step: one cadence.
+    let at_rail = Arc::new(AtomicBool::new(false));
+    let watch = Arc::clone(&at_rail);
+    let (mut dense, mut boxed) = arena_pair_with(
+        DAYLIGHT_PRESET,
+        Ctl::Preset,
+        Store::Supercap,
+        move || unit_with(DAYLIGHT_PRESET, Ctl::Preset, RailWatch::daylight(&watch)),
+        ArenaConfig {
+            sim: daylight_sim(),
+            ..ArenaConfig::over(Seconds::ZERO)
+        },
+    );
+    assert!(at_rail.load(Ordering::Relaxed), "never at the rail");
+    assert_eq!(dense.lane_results, boxed.lane_results);
+    dense.summary.kernel_cache = Default::default();
+    boxed.summary.kernel_cache = Default::default();
+    assert_eq!(dense.summary, boxed.summary);
 }
 
 #[test]

@@ -127,6 +127,14 @@ echo "==> arena regression gate (quick policy-evals/s vs committed BENCH_sim.jso
 # costs ~6x.
 floor_gate "arena policy_evals_per_sec" policy_evals_per_sec 0.7
 
+echo "==> boxed arena regression gate (quick lane-steps/s vs committed BENCH_sim.json)"
+# System B lanes settling one shared harvest per seed, the shape of the
+# benchmark's arena-tournament, on the same fixed spec (2 seeds, 7 days)
+# in both modes. Nearly all of its time is the store step, so losing the
+# supercap's inversion memo (settle re-running Newton at the rail) costs
+# ~1.5x here; same 30% floor as the arena gate above.
+floor_gate "arena boxed_lane_steps_per_sec" boxed_lane_steps_per_sec 0.7
+
 echo "==> arena amortization gate (32 lanes vs one standalone run)"
 # The tentpole claim: 32 policy lanes over one shared trace must cost
 # no more than 6x a single run — i.e. the shared-environment lockstep
