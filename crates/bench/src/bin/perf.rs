@@ -41,7 +41,7 @@ use mseh_sim::{
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
     DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, SimConfig,
-    SimResult, Tandem,
+    SimResult,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -505,16 +505,13 @@ fn time_attach_once(attach: Attach, config: SimConfig, node: &SensorNode) -> (f6
         Attach::Instrumented => {
             let mut meter = MetricsObserver::new();
             let mut auditor = ConservationAuditor::new();
-            // One dynamic dispatch per delivery instead of two: the
-            // pair rides in a `Tandem`, as the experiments attach them.
-            let mut both = Tandem(&mut meter, &mut auditor);
             let result = run_simulation_observed(
                 &mut unit,
                 &env,
                 node,
                 &mut policy,
                 config,
-                &mut [&mut both],
+                &mut [&mut meter, &mut auditor],
             );
             assert!(auditor.report().worst_relative < 1e-6);
             result

@@ -598,10 +598,12 @@ fn run_seed_row(
     let mut driver = (spec.platform)(seed);
     let mut lanes: Vec<Box<dyn Platform>> =
         (0..policies.len()).map(|_| (spec.platform)(seed)).collect();
-    let mut runs: Vec<BoxedRun<'_>> = lanes
+    let mut runs: Vec<BoxedRun<'_, '_>> = lanes
         .iter_mut()
         .zip(policies.iter_mut())
-        .map(|(lane, policy)| BoxedRun::open(lane.as_mut(), policy.as_mut(), &spec.node))
+        .map(|(lane, policy)| {
+            BoxedRun::open(lane.as_mut(), policy.as_mut(), &spec.node, plan, &mut [])
+        })
         .collect();
     let mut harvests: Vec<BusHarvest> = Vec::with_capacity(plan.max_window_len());
     for window in plan.windows() {
@@ -613,7 +615,7 @@ fn run_seed_row(
             harvests.push(driver.harvest(window.row(rows, &step), step.dt));
         }
         for run in &mut runs {
-            let load = run.decide(plan, &window);
+            let load = run.decide(&window);
             run.step(&window, &load, Ambient::Settle(&harvests), |_, _| {});
         }
     }

@@ -25,13 +25,13 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
-use crate::observe::{AuditReport, ConservationAuditor, SimObserver};
+use crate::observe::{AuditReport, ConservationAuditor, SimEvent, SimObserver};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{run_simulation_core, SimConfig};
 use mseh_env::Environment;
 use mseh_node::{DutyCyclePolicy, SensorNode};
-use mseh_units::{DutyCycle, Joules, Seconds};
+use mseh_units::{Joules, Seconds};
 
 /// Configuration of a resilience campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,25 +208,19 @@ struct FaultEdges {
     first_recovery: Option<f64>,
 }
 
-impl FaultEdges {
-    fn note_recovery(&mut self, t: Seconds) {
-        if self.first_fire.is_some() && self.first_recovery.is_none() {
-            self.first_recovery = Some(t.value());
-        }
-    }
-}
-
 impl SimObserver for FaultEdges {
-    fn on_fault_fire(&mut self, time: Seconds, _lost: Joules) {
-        self.first_fire.get_or_insert(time.value());
-    }
-
-    fn on_fault_clear(&mut self, time: Seconds, _restored: Joules) {
-        self.note_recovery(time);
-    }
-
-    fn on_failover_engaged(&mut self, time: Seconds, _duty: DutyCycle) {
-        self.note_recovery(time);
+    fn on_event(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::FaultFire { time, .. } => {
+                self.first_fire.get_or_insert(time.value());
+            }
+            SimEvent::FaultClear { time, .. } | SimEvent::FailoverEngaged { time, .. }
+                if self.first_fire.is_some() =>
+            {
+                self.first_recovery.get_or_insert(time.value());
+            }
+            _ => {}
+        }
     }
 }
 

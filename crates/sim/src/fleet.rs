@@ -848,12 +848,18 @@ pub fn run_fleet_controlled(
                         let factors = JitterFactors::derive(g.jitter, node_seed);
                         let mut platform = (g.platform)(node_seed);
                         let mut policy = (g.policy)(node_seed);
-                        let mut run = BoxedRun::open(platform.as_mut(), policy.as_mut(), &g.node);
+                        let mut run = BoxedRun::open(
+                            platform.as_mut(),
+                            policy.as_mut(),
+                            &g.node,
+                            &plan,
+                            &mut [],
+                        );
                         for window in plan.windows() {
                             if tripped(cancel) {
                                 return out;
                             }
-                            let load = run.decide(&plan, &window);
+                            let load = run.decide(&window);
                             let held;
                             let ambient = match window.ambient(&tables[g.site]) {
                                 Ambient::Held(row) if jittered => {

@@ -104,7 +104,7 @@ pub use metrics::{
 };
 pub use observe::{
     AuditReport, ConservationAuditor, EventSink, MetricsObserver, RingRecorder, SimEvent,
-    SimObserver, SinkFormat, StepEnergies, Tandem,
+    SimObserver, SinkFormat, WindowBooks,
 };
 pub use parallel::{par_map, par_map_instrumented, par_map_with, thread_count};
 pub use platform::Platform;

@@ -1,13 +1,18 @@
-//! Structured step-event tracing for the simulation kernel: the
-//! [`SimObserver`] trait, ready-made recorders (ring buffer, CSV/JSONL
-//! sink, metrics bridge) and the energy-conservation auditor.
+//! Structured tracing for the simulation kernel: the [`SimObserver`]
+//! trait, the per-window [`WindowBooks`] record, ready-made recorders
+//! (ring buffer, CSV/JSONL sink, metrics bridge) and the
+//! energy-conservation auditor.
 //!
-//! The kernel ([`crate::run_simulation_observed`]) emits a [`SimEvent`]
-//! stream — run/window boundaries, per-step harvest, conversion loss,
-//! store charge/discharge, policy changes, fault firings — to every
-//! attached observer. When no observer is attached the kernel skips
-//! event construction entirely, so the bare hot loop pays only a branch
-//! (measured, not assumed: `cargo run -p mseh-bench --bin perf` reports
+//! An observed run ([`crate::run_simulation_observed`]) emits its edge
+//! events — run and window boundaries, policy changes, fault firings
+//! and clears, failovers — to every attached observer, and sums each
+//! control window's flows once into a [`WindowBooks`] that every
+//! observer receives when the window closes. Per-step events
+//! (`Harvest`, `ConversionLoss`, `StoreCharge`, `StoreDischarge`,
+//! `Shortfall`) go only to the observers that ask for them, as each
+//! step happens. When no observer is attached the kernel builds neither
+//! events nor window books, so the bare hot loop pays nothing (measured,
+//! not assumed: `cargo run -p mseh-bench --bin perf` reports
 //! instrumented-vs-bare throughput in `BENCH_sim.json`).
 //!
 //! # Examples
@@ -46,13 +51,14 @@
 //! ```
 
 use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
+use mseh_core::StepReport;
 use mseh_units::{DutyCycle, Joules, Seconds, Watts};
 
 /// One structured event from a simulation run.
 ///
-/// Energy events carry per-step energies; window events carry the
-/// platform's storage inventory at the boundary, which is what lets the
-/// [`ConservationAuditor`] close the books window by window.
+/// Energy events carry one step's energies and reach only the observers
+/// that ask for them (see [`SimObserver::wants_step_events`]); window
+/// events carry the platform's storage inventory at the boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimEvent {
     /// The run begins.
@@ -244,6 +250,38 @@ impl SimEvent {
         }
     }
 
+    /// The events of one step that began at `time`: `Harvest` and
+    /// `ConversionLoss`, then `StoreCharge`, `StoreDischarge` and
+    /// `Shortfall` when positive.
+    pub(crate) fn of_step(time: Seconds, r: &StepReport) -> impl Iterator<Item = SimEvent> {
+        let positive = |energy: Joules| energy.value() > 0.0;
+        [
+            Some(SimEvent::Harvest {
+                time,
+                energy: r.harvested,
+            }),
+            Some(SimEvent::ConversionLoss {
+                time,
+                converter: r.converter_loss,
+                overhead: r.overhead,
+            }),
+            positive(r.charged).then_some(SimEvent::StoreCharge {
+                time,
+                energy: r.charged,
+            }),
+            positive(r.discharged).then_some(SimEvent::StoreDischarge {
+                time,
+                energy: r.discharged,
+            }),
+            positive(r.shortfall).then_some(SimEvent::Shortfall {
+                time,
+                energy: r.shortfall,
+            }),
+        ]
+        .into_iter()
+        .flatten()
+    }
+
     /// One CSV row (`time_s,event,v1,v2,v3,v4`; unused columns empty).
     pub fn to_csv_row(&self) -> String {
         let vs = self.values();
@@ -287,144 +325,28 @@ impl SimEvent {
     }
 }
 
-/// An observer of simulation events.
+/// The floor applied to a window's energy turnover when normalizing the
+/// residual, so near-idle windows (turnover → 0) don't divide floating
+/// point dust by itself and report phantom violations.
+const MIN_WINDOW_ENERGY: f64 = 1e-9;
+
+/// One closed control window's energy books: each flow summed over the
+/// window's steps in step order, the steps whose load went unserved,
+/// and the platform's stored energy and cumulative storage losses at
+/// both edges.
 ///
-/// Implement [`on_event`](SimObserver::on_event) for generic recorders
-/// (ring buffers, sinks), or override the fine-grained hooks — the
-/// default `on_event` dispatches to them — for semantic consumers like
-/// the [`ConservationAuditor`].
-#[allow(unused_variables)]
-pub trait SimObserver {
-    /// The run begins.
-    fn on_run_start(&mut self, time: Seconds) {}
-    /// A control window opens with the policy's choice for it.
-    fn on_window_start(
-        &mut self,
-        time: Seconds,
-        duty: DutyCycle,
-        load: Watts,
-        stored: Joules,
-        losses: Joules,
-    ) {
-    }
-    /// The policy's duty choice changed between windows.
-    fn on_policy_change(&mut self, time: Seconds, from: DutyCycle, to: DutyCycle) {}
-    /// Bus energy harvested this step.
-    fn on_harvest(&mut self, time: Seconds, energy: Joules) {}
-    /// Conversion + housekeeping losses this step.
-    fn on_conversion_loss(&mut self, time: Seconds, converter: Joules, overhead: Joules) {}
-    /// Bus energy into stores this step.
-    fn on_store_charge(&mut self, time: Seconds, energy: Joules) {}
-    /// Bus energy out of stores this step.
-    fn on_store_discharge(&mut self, time: Seconds, energy: Joules) {}
-    /// Unserved load energy this step.
-    fn on_shortfall(&mut self, time: Seconds, energy: Joules) {}
-    /// Storage capacity dropped — a device failed or degraded.
-    fn on_fault_fire(&mut self, time: Seconds, lost_capacity: Joules) {}
-    /// A fired fault cleared — the device recovered.
-    fn on_fault_clear(&mut self, time: Seconds, restored_capacity: Joules) {}
-    /// The policy engaged its failover path.
-    fn on_failover_engaged(&mut self, time: Seconds, duty: DutyCycle) {}
-    /// A control window closes.
-    fn on_window_end(&mut self, time: Seconds, stored: Joules, losses: Joules) {}
-    /// The run is over.
-    fn on_run_end(&mut self, time: Seconds) {}
-
-    /// Receives every event; the default implementation dispatches to
-    /// the fine-grained hooks above.
-    fn on_event(&mut self, event: &SimEvent) {
-        match *event {
-            SimEvent::RunStart { time } => self.on_run_start(time),
-            SimEvent::WindowStart {
-                time,
-                duty,
-                load,
-                stored,
-                losses,
-            } => self.on_window_start(time, duty, load, stored, losses),
-            SimEvent::PolicyChange { time, from, to } => self.on_policy_change(time, from, to),
-            SimEvent::Harvest { time, energy } => self.on_harvest(time, energy),
-            SimEvent::ConversionLoss {
-                time,
-                converter,
-                overhead,
-            } => self.on_conversion_loss(time, converter, overhead),
-            SimEvent::StoreCharge { time, energy } => self.on_store_charge(time, energy),
-            SimEvent::StoreDischarge { time, energy } => self.on_store_discharge(time, energy),
-            SimEvent::Shortfall { time, energy } => self.on_shortfall(time, energy),
-            SimEvent::FaultFire {
-                time,
-                lost_capacity,
-            } => self.on_fault_fire(time, lost_capacity),
-            SimEvent::FaultClear {
-                time,
-                restored_capacity,
-            } => self.on_fault_clear(time, restored_capacity),
-            SimEvent::FailoverEngaged { time, duty } => self.on_failover_engaged(time, duty),
-            SimEvent::WindowEnd {
-                time,
-                stored,
-                losses,
-            } => self.on_window_end(time, stored, losses),
-            SimEvent::RunEnd { time } => self.on_run_end(time),
-        }
-    }
-
-    /// Receives a control window's worth of per-step records.
-    ///
-    /// The runner buffers one compact [`StepEnergies`] record per step
-    /// and delivers the window's records through a single call, so an
-    /// observer behind a `dyn` pointer pays one dynamic dispatch per
-    /// window instead of several per step. The default body derives
-    /// from each record exactly the events the runner would have
-    /// emitted one at a time — `Harvest` and `ConversionLoss` always,
-    /// `StoreCharge`/`StoreDischarge`/`Shortfall` when positive, in
-    /// that order — and feeds them to [`on_event`](Self::on_event),
-    /// statically dispatched inside the implementor's instantiation (so
-    /// the construction optimizes away against the body). Overriding
-    /// observers must preserve that per-event equivalence.
-    #[inline]
-    fn on_step_records(&mut self, records: &[StepEnergies]) {
-        for r in records {
-            self.on_event(&SimEvent::Harvest {
-                time: r.time,
-                energy: r.harvested,
-            });
-            self.on_event(&SimEvent::ConversionLoss {
-                time: r.time,
-                converter: r.converter_loss,
-                overhead: r.overhead,
-            });
-            if r.charged.value() > 0.0 {
-                self.on_event(&SimEvent::StoreCharge {
-                    time: r.time,
-                    energy: r.charged,
-                });
-            }
-            if r.discharged.value() > 0.0 {
-                self.on_event(&SimEvent::StoreDischarge {
-                    time: r.time,
-                    energy: r.discharged,
-                });
-            }
-            if r.shortfall.value() > 0.0 {
-                self.on_event(&SimEvent::Shortfall {
-                    time: r.time,
-                    energy: r.shortfall,
-                });
-            }
-        }
-    }
-}
-
-/// One simulation step's energy flows, as buffered by the runner for
-/// batched observer delivery (see
-/// [`SimObserver::on_step_records`]): the step's events are derived
-/// from this record, not stored individually.
+/// An observed run sums every window once into this record and hands it
+/// to each observer's [`on_window`](SimObserver::on_window), so the
+/// metrics bridge, the conservation auditor and any other consumer of
+/// window totals fold the same sums instead of re-adding step events.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepEnergies {
-    /// Step start time.
-    pub time: Seconds,
+pub struct WindowBooks {
+    /// Window start time.
+    pub start: Seconds,
+    /// Duty cycle the policy chose for the window.
+    pub duty: DutyCycle,
+    /// Steps in the window.
+    pub steps: u64,
     /// Harvested bus energy.
     pub harvested: Joules,
     /// Output-stage conversion loss.
@@ -437,47 +359,111 @@ pub struct StepEnergies {
     pub discharged: Joules,
     /// Unserved load energy.
     pub shortfall: Joules,
+    /// Steps whose load was not fully served.
+    pub brownout_steps: u64,
+    /// Platform stored energy entering the window.
+    pub stored_start: Joules,
+    /// Cumulative storage losses entering the window.
+    pub losses_start: Joules,
+    /// Platform stored energy leaving the window.
+    pub stored_end: Joules,
+    /// Cumulative storage losses leaving the window.
+    pub losses_end: Joules,
 }
 
-/// Fans each event out to two observers through a single dynamic
-/// dispatch.
-///
-/// The runner calls `on_event` once per observer per event through a
-/// vtable; attaching several observers multiplies that cost. `Tandem`
-/// folds a pair into one slot: the runner makes one virtual call and
-/// the two inner `on_event` bodies are statically dispatched (and
-/// inlinable) from it. Event order and content are exactly as if both
-/// observers were attached separately, so results are unchanged — this
-/// is purely a hot-loop optimisation. Nest tandems for three or more.
-///
-/// # Examples
-///
-/// ```
-/// use mseh_sim::{ConservationAuditor, MetricsObserver, Tandem};
-///
-/// let mut meter = MetricsObserver::new();
-/// let mut auditor = ConservationAuditor::new();
-/// let mut both = Tandem(&mut meter, &mut auditor);
-/// # let _ = &mut both;
-/// // run_simulation_observed(..., &mut [&mut both])
-/// ```
-pub struct Tandem<'a, A: SimObserver, B: SimObserver>(pub &'a mut A, pub &'a mut B);
-
-impl<A: SimObserver, B: SimObserver> SimObserver for Tandem<'_, A, B> {
-    #[inline]
-    fn on_event(&mut self, event: &SimEvent) {
-        self.0.on_event(event);
-        self.1.on_event(event);
+impl WindowBooks {
+    /// Books for a window opening at `start` under `duty` on a platform
+    /// holding `stored` with `losses` dissipated so far: no steps yet,
+    /// and the closing edge equal to the opening one.
+    pub fn open(start: Seconds, duty: DutyCycle, stored: Joules, losses: Joules) -> Self {
+        Self {
+            start,
+            duty,
+            steps: 0,
+            harvested: Joules::ZERO,
+            converter_loss: Joules::ZERO,
+            overhead: Joules::ZERO,
+            charged: Joules::ZERO,
+            discharged: Joules::ZERO,
+            shortfall: Joules::ZERO,
+            brownout_steps: 0,
+            stored_start: stored,
+            losses_start: losses,
+            stored_end: stored,
+            losses_end: losses,
+        }
     }
 
-    // Forward the whole batch to each half in turn (two small loops)
-    // rather than interleaving per record (one fused body): each
-    // observer still sees the window's records in order, which is all
-    // the batch contract promises.
+    /// Adds one step's flows.
     #[inline]
-    fn on_step_records(&mut self, records: &[StepEnergies]) {
-        self.0.on_step_records(records);
-        self.1.on_step_records(records);
+    pub(crate) fn record(&mut self, report: &StepReport) {
+        self.steps += 1;
+        self.harvested += report.harvested;
+        self.converter_loss += report.converter_loss;
+        self.overhead += report.overhead;
+        self.charged += report.charged;
+        self.discharged += report.discharged;
+        self.shortfall += report.shortfall;
+        self.brownout_steps += u64::from(report.shortfall.value() > 0.0);
+    }
+
+    /// The storage conservation residual in joules,
+    /// `charged − discharged − Δlosses − Δstored` (≈ 0 when no model
+    /// leaks or mints energy).
+    pub fn residual(&self) -> f64 {
+        let (d_stored, d_losses) = self.deltas();
+        self.charged.value() - self.discharged.value() - d_losses - d_stored
+    }
+
+    /// The window's energy turnover in joules, which normalizes
+    /// [`residual`](Self::residual): every flow through the window, or
+    /// the storage movement when idle self-discharge moved stored energy
+    /// and losses without any flow (so its floating-point dust is not
+    /// divided by ~nothing), and never less than 1 nJ.
+    pub fn turnover(&self) -> f64 {
+        let (d_stored, d_losses) = self.deltas();
+        (self.harvested.value()
+            + self.charged.value()
+            + self.discharged.value()
+            + self.converter_loss.value()
+            + self.overhead.value())
+        .max(d_stored.abs() + d_losses.abs())
+        .max(MIN_WINDOW_ENERGY)
+    }
+
+    fn deltas(&self) -> (f64, f64) {
+        (
+            self.stored_end.value() - self.stored_start.value(),
+            self.losses_end.value() - self.losses_start.value(),
+        )
+    }
+}
+
+/// An observer of simulation runs.
+///
+/// A run reports to its observers in two ways:
+///
+/// - [`on_event`](Self::on_event) receives the edge events in order:
+///   run start, each window's start, policy change, fault firings and
+///   clears, failover and end, and the run end. An observer whose
+///   [`wants_step_events`](Self::wants_step_events) is `true` also
+///   receives each step's `Harvest` and `ConversionLoss`, then
+///   `StoreCharge`, `StoreDischarge` and `Shortfall` when positive, as
+///   the step happens;
+/// - [`on_window`](Self::on_window) receives each closed window's
+///   [`WindowBooks`], just before its `WindowEnd` event.
+#[allow(unused_variables)]
+pub trait SimObserver {
+    /// Receives one event.
+    fn on_event(&mut self, event: &SimEvent) {}
+
+    /// Receives a closed control window's books.
+    fn on_window(&mut self, books: &WindowBooks) {}
+
+    /// Whether this observer receives the per-step events too. Checked
+    /// once, when the run opens.
+    fn wants_step_events(&self) -> bool {
+        false
     }
 }
 
@@ -551,6 +537,10 @@ impl SimObserver for RingRecorder {
         }
         self.next = (self.next + 1) % self.capacity;
         self.total += 1;
+    }
+
+    fn wants_step_events(&self) -> bool {
+        true
     }
 }
 
@@ -641,6 +631,10 @@ impl<W: std::io::Write> SimObserver for EventSink<W> {
             Err(e) => self.error = Some(e),
         }
     }
+
+    fn wants_step_events(&self) -> bool {
+        true
+    }
 }
 
 impl<W: std::io::Write> Drop for EventSink<W> {
@@ -649,20 +643,20 @@ impl<W: std::io::Write> Drop for EventSink<W> {
     }
 }
 
-/// Bridges the event stream into a [`MetricsRegistry`]: cumulative
-/// energy counters per flow (`sim_harvested_joules_total`, charge,
-/// discharge, conversion loss, overhead, shortfall), step/window/fault
-/// counters, duty and stored-energy gauges, and a per-window harvest
-/// histogram.
+/// Bridges a run into a [`MetricsRegistry`]: cumulative energy counters
+/// per flow (`sim_harvested_joules_total`, charge, discharge, conversion
+/// loss, overhead, shortfall), step/window/brown-out counters from each
+/// window's [`WindowBooks`], policy-change, fault and failover counters
+/// from the edge events, duty and stored-energy gauges, and a per-window
+/// harvest histogram.
 ///
 /// Every series is interned into a pre-resolved handle at construction,
-/// so the per-event cost is one O(1) slot update — no name hashing, no
-/// label allocation, no map walk on the hot path. The series therefore
-/// exist (at zero) from the moment the observer is built.
+/// so each update is one O(1) slot write — no name hashing, no label
+/// allocation, no map walk. The series therefore exist (at zero) from
+/// the moment the observer is built.
 #[derive(Debug, Clone)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
-    window_harvest: f64,
     windows: CounterHandle,
     duty: GaugeHandle,
     stored: GaugeHandle,
@@ -707,7 +701,6 @@ impl MetricsObserver {
             failovers: registry.handle_counter("sim_failovers_total", &[]),
             window_harvest_hist: registry.handle_histogram("sim_window_harvest_joules", &[]),
             registry,
-            window_harvest: 0.0,
         }
     }
 
@@ -720,42 +713,6 @@ impl MetricsObserver {
     pub fn into_registry(self) -> MetricsRegistry {
         self.registry
     }
-
-    /// Folds a batch's worth of step-event sums into the registry.
-    fn flush_steps(&mut self, acc: StepAccumulator) {
-        if acc.steps == 0.0 {
-            return;
-        }
-        self.registry.counter_add_handle(self.steps, acc.steps);
-        self.registry
-            .counter_add_handle(self.harvested, acc.harvested);
-        self.window_harvest += acc.harvested;
-        self.registry
-            .counter_add_handle(self.conversion_loss, acc.converter);
-        self.registry
-            .counter_add_handle(self.overhead, acc.overhead);
-        self.registry.counter_add_handle(self.charged, acc.charged);
-        self.registry
-            .counter_add_handle(self.discharged, acc.discharged);
-        self.registry
-            .counter_add_handle(self.shortfall, acc.shortfall);
-        self.registry
-            .counter_add_handle(self.brownout_steps, acc.brownouts);
-    }
-}
-
-/// Local sums of one batch's step events, flushed to the registry in a
-/// single round of handle updates.
-#[derive(Default)]
-struct StepAccumulator {
-    steps: f64,
-    harvested: f64,
-    converter: f64,
-    overhead: f64,
-    charged: f64,
-    discharged: f64,
-    shortfall: f64,
-    brownouts: f64,
 }
 
 impl Default for MetricsObserver {
@@ -765,103 +722,41 @@ impl Default for MetricsObserver {
 }
 
 impl SimObserver for MetricsObserver {
-    // One direct match instead of the default hook dispatch: the per-step
-    // events (harvest, conversion loss, charge/discharge) dominate, and
-    // each lands on a handle update. Inline so a statically-dispatched
-    // wrapper (e.g. `Tandem`) absorbs the whole body.
-    #[inline]
     fn on_event(&mut self, event: &SimEvent) {
+        let r = &mut self.registry;
         match *event {
-            SimEvent::Harvest { energy, .. } => {
-                self.registry.counter_add_handle(self.steps, 1.0);
-                self.registry
-                    .counter_add_handle(self.harvested, energy.value());
-                self.window_harvest += energy.value();
-            }
-            SimEvent::ConversionLoss {
-                converter,
-                overhead,
-                ..
-            } => {
-                self.registry
-                    .counter_add_handle(self.conversion_loss, converter.value());
-                self.registry
-                    .counter_add_handle(self.overhead, overhead.value());
-            }
-            SimEvent::StoreCharge { energy, .. } => {
-                self.registry
-                    .counter_add_handle(self.charged, energy.value());
-            }
-            SimEvent::StoreDischarge { energy, .. } => {
-                self.registry
-                    .counter_add_handle(self.discharged, energy.value());
-            }
-            SimEvent::Shortfall { energy, .. } => {
-                self.registry
-                    .counter_add_handle(self.shortfall, energy.value());
-                self.registry.counter_add_handle(self.brownout_steps, 1.0);
-            }
-            SimEvent::WindowStart { duty, stored, .. } => {
-                self.registry.counter_add_handle(self.windows, 1.0);
-                self.registry.gauge_set_handle(self.duty, duty.value());
-                self.registry.gauge_set_handle(self.stored, stored.value());
-                self.window_harvest = 0.0;
-            }
-            SimEvent::WindowEnd { stored, .. } => {
-                self.registry.gauge_set_handle(self.stored, stored.value());
-                self.registry
-                    .histogram_observe_handle(self.window_harvest_hist, self.window_harvest);
-            }
-            SimEvent::PolicyChange { .. } => {
-                self.registry.counter_add_handle(self.policy_changes, 1.0);
-            }
+            SimEvent::PolicyChange { .. } => r.counter_add_handle(self.policy_changes, 1.0),
             SimEvent::FaultFire { lost_capacity, .. } => {
-                self.registry.counter_add_handle(self.faults, 1.0);
-                self.registry
-                    .counter_add_handle(self.lost_capacity, lost_capacity.value());
+                r.counter_add_handle(self.faults, 1.0);
+                r.counter_add_handle(self.lost_capacity, lost_capacity.value());
             }
             SimEvent::FaultClear {
                 restored_capacity, ..
             } => {
-                self.registry.counter_add_handle(self.fault_clears, 1.0);
-                self.registry
-                    .counter_add_handle(self.restored_capacity, restored_capacity.value());
+                r.counter_add_handle(self.fault_clears, 1.0);
+                r.counter_add_handle(self.restored_capacity, restored_capacity.value());
             }
-            SimEvent::FailoverEngaged { .. } => {
-                self.registry.counter_add_handle(self.failovers, 1.0);
-            }
-            SimEvent::RunStart { .. } | SimEvent::RunEnd { .. } => {}
+            SimEvent::FailoverEngaged { .. } => r.counter_add_handle(self.failovers, 1.0),
+            _ => {}
         }
     }
 
-    // Sum the window's records in locals and land them with one round
-    // of handle updates. Counter totals match per-event updates up to
-    // floating-point association (count-valued counters exactly).
-    // Charge/discharge are summed unconditionally: the runner's events
-    // gate on `> 0`, and adding a zero leaves the same sum.
-    #[inline]
-    fn on_step_records(&mut self, records: &[StepEnergies]) {
-        let mut acc = StepAccumulator::default();
-        for r in records {
-            acc.steps += 1.0;
-            acc.harvested += r.harvested.value();
-            acc.converter += r.converter_loss.value();
-            acc.overhead += r.overhead.value();
-            acc.charged += r.charged.value();
-            acc.discharged += r.discharged.value();
-            if r.shortfall.value() > 0.0 {
-                acc.shortfall += r.shortfall.value();
-                acc.brownouts += 1.0;
-            }
-        }
-        self.flush_steps(acc);
+    fn on_window(&mut self, w: &WindowBooks) {
+        let r = &mut self.registry;
+        r.counter_add_handle(self.windows, 1.0);
+        r.gauge_set_handle(self.duty, w.duty.value());
+        r.gauge_set_handle(self.stored, w.stored_end.value());
+        r.counter_add_handle(self.steps, w.steps as f64);
+        r.counter_add_handle(self.harvested, w.harvested.value());
+        r.counter_add_handle(self.conversion_loss, w.converter_loss.value());
+        r.counter_add_handle(self.overhead, w.overhead.value());
+        r.counter_add_handle(self.charged, w.charged.value());
+        r.counter_add_handle(self.discharged, w.discharged.value());
+        r.counter_add_handle(self.shortfall, w.shortfall.value());
+        r.counter_add_handle(self.brownout_steps, w.brownout_steps as f64);
+        r.histogram_observe_handle(self.window_harvest_hist, w.harvested.value());
     }
 }
-
-/// The floor applied to a window's energy turnover when normalizing the
-/// residual, so near-idle windows (turnover → 0) don't divide floating
-/// point dust by itself and report phantom violations.
-const MIN_WINDOW_ENERGY: f64 = 1e-9;
 
 /// Summary of a [`ConservationAuditor`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -898,7 +793,7 @@ impl core::fmt::Display for AuditReport {
 }
 
 /// An observer that cross-checks the storage conservation identity
-/// every control window:
+/// every control window, from its [`WindowBooks`]:
 ///
 /// ```text
 /// charged − discharged − Δlosses − Δstored ≈ 0
@@ -908,20 +803,11 @@ impl core::fmt::Display for AuditReport {
 /// the load/overheads, spills, or dies in a converter — is the
 /// windowed form of *harvested − losses − consumed − Δstored ≈ 0* with
 /// the unobservable bus terms cancelled out. The worst residual,
-/// normalized by the window's energy turnover, is tracked with its
-/// timestamp; anything above ~1e-6 means a model is leaking or minting
-/// energy.
+/// normalized by the window's [`turnover`](WindowBooks::turnover), is
+/// tracked with its timestamp; anything above ~1e-6 means a model is
+/// leaking or minting energy.
 #[derive(Debug, Clone, Default)]
 pub struct ConservationAuditor {
-    start_stored: f64,
-    start_losses: f64,
-    window_start: f64,
-    win_charged: f64,
-    win_discharged: f64,
-    win_harvested: f64,
-    win_converter: f64,
-    win_overhead: f64,
-    in_window: bool,
     windows: u64,
     worst_residual: f64,
     worst_relative: f64,
@@ -946,91 +832,14 @@ impl ConservationAuditor {
 }
 
 impl SimObserver for ConservationAuditor {
-    fn on_window_start(
-        &mut self,
-        time: Seconds,
-        _duty: DutyCycle,
-        _load: Watts,
-        stored: Joules,
-        losses: Joules,
-    ) {
-        self.start_stored = stored.value();
-        self.start_losses = losses.value();
-        self.window_start = time.value();
-        self.win_charged = 0.0;
-        self.win_discharged = 0.0;
-        self.win_harvested = 0.0;
-        self.win_converter = 0.0;
-        self.win_overhead = 0.0;
-        self.in_window = true;
-    }
-
-    fn on_harvest(&mut self, _time: Seconds, energy: Joules) {
-        self.win_harvested += energy.value();
-    }
-
-    fn on_conversion_loss(&mut self, _time: Seconds, converter: Joules, overhead: Joules) {
-        self.win_converter += converter.value();
-        self.win_overhead += overhead.value();
-    }
-
-    fn on_store_charge(&mut self, _time: Seconds, energy: Joules) {
-        self.win_charged += energy.value();
-    }
-
-    fn on_store_discharge(&mut self, _time: Seconds, energy: Joules) {
-        self.win_discharged += energy.value();
-    }
-
-    // Branchless window sums: the per-event path gates charge/discharge
-    // on `> 0`, and adding the zeroes those gates skip leaves the same
-    // sums.
-    #[inline]
-    fn on_step_records(&mut self, records: &[StepEnergies]) {
-        let mut harvested = 0.0;
-        let mut converter = 0.0;
-        let mut overhead = 0.0;
-        let mut charged = 0.0;
-        let mut discharged = 0.0;
-        for r in records {
-            harvested += r.harvested.value();
-            converter += r.converter_loss.value();
-            overhead += r.overhead.value();
-            charged += r.charged.value();
-            discharged += r.discharged.value();
-        }
-        self.win_harvested += harvested;
-        self.win_converter += converter;
-        self.win_overhead += overhead;
-        self.win_charged += charged;
-        self.win_discharged += discharged;
-    }
-
-    fn on_window_end(&mut self, _time: Seconds, stored: Joules, losses: Joules) {
-        if !self.in_window {
-            return;
-        }
-        self.in_window = false;
-        let d_stored = stored.value() - self.start_stored;
-        let d_losses = losses.value() - self.start_losses;
-        let residual = self.win_charged - self.win_discharged - d_losses - d_stored;
-        // Normalize by the window's energy turnover; idle self-discharge
-        // moves Δstored/Δlosses without any charge/discharge flow, so
-        // those deltas count as turnover too (otherwise their fp dust
-        // would be divided by ~nothing and read as a violation).
-        let window_energy = (self.win_harvested
-            + self.win_charged
-            + self.win_discharged
-            + self.win_converter
-            + self.win_overhead)
-            .max(d_stored.abs() + d_losses.abs())
-            .max(MIN_WINDOW_ENERGY);
-        let relative = residual.abs() / window_energy;
+    fn on_window(&mut self, books: &WindowBooks) {
+        let residual = books.residual().abs();
+        let relative = residual / books.turnover();
         self.windows += 1;
         if relative > self.worst_relative {
             self.worst_relative = relative;
-            self.worst_residual = residual.abs();
-            self.worst_at = self.window_start;
+            self.worst_residual = residual;
+            self.worst_at = books.start.value();
         }
     }
 }
@@ -1038,6 +847,7 @@ impl SimObserver for ConservationAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mseh_units::Volts;
 
     fn harvest_at(t: f64, e: f64) -> SimEvent {
         SimEvent::Harvest {
@@ -1103,31 +913,64 @@ mod tests {
         );
     }
 
+    /// A window opening at `start` on `stored` joules with no losses,
+    /// closing at `stored_end` after `charged` joules in.
+    fn window(start: f64, stored: f64, charged: f64, stored_end: f64) -> WindowBooks {
+        WindowBooks {
+            harvested: Joules::new(charged),
+            charged: Joules::new(charged),
+            steps: 1,
+            stored_end: Joules::new(stored_end),
+            ..WindowBooks::open(
+                Seconds::new(start),
+                DutyCycle::saturating(0.1),
+                Joules::new(stored),
+                Joules::ZERO,
+            )
+        }
+    }
+
+    fn report(harvested: f64, charged: f64, shortfall: f64) -> StepReport {
+        StepReport {
+            harvested: Joules::new(harvested),
+            delivered: Joules::ZERO,
+            shortfall: Joules::new(shortfall),
+            overhead: Joules::ZERO,
+            charged: Joules::new(charged),
+            discharged: Joules::ZERO,
+            spilled: Joules::ZERO,
+            converter_loss: Joules::ZERO,
+            store_voltage: Volts::new(2.5),
+        }
+    }
+
     #[test]
     fn metrics_observer_accumulates_flows() {
+        let mut books = WindowBooks::open(
+            Seconds::ZERO,
+            DutyCycle::saturating(0.1),
+            Joules::new(10.0),
+            Joules::ZERO,
+        );
+        books.record(&report(0.5, 0.3, 0.0));
+        books.record(&report(0.25, 0.0, 0.125));
+        books.stored_end = Joules::new(10.3);
         let mut m = MetricsObserver::new();
-        m.on_event(&SimEvent::WindowStart {
+        m.on_event(&SimEvent::PolicyChange {
             time: Seconds::ZERO,
-            duty: DutyCycle::saturating(0.1),
-            load: Watts::from_milli(1.0),
-            stored: Joules::new(10.0),
-            losses: Joules::ZERO,
+            from: DutyCycle::ZERO,
+            to: DutyCycle::saturating(0.1),
         });
-        m.on_event(&harvest_at(0.0, 0.5));
-        m.on_event(&harvest_at(60.0, 0.25));
-        m.on_event(&SimEvent::StoreCharge {
-            time: Seconds::ZERO,
-            energy: Joules::new(0.3),
-        });
-        m.on_event(&SimEvent::WindowEnd {
-            time: Seconds::new(120.0),
-            stored: Joules::new(10.3),
-            losses: Joules::ZERO,
-        });
+        m.on_window(&books);
         let r = m.registry();
+        assert_eq!(r.counter("sim_windows_total", &[]), Some(1.0));
+        assert_eq!(r.counter("sim_policy_changes_total", &[]), Some(1.0));
         assert_eq!(r.counter("sim_steps_total", &[]), Some(2.0));
         assert_eq!(r.counter("sim_harvested_joules_total", &[]), Some(0.75));
         assert_eq!(r.counter("sim_charged_joules_total", &[]), Some(0.3));
+        assert_eq!(r.counter("sim_shortfall_joules_total", &[]), Some(0.125));
+        assert_eq!(r.counter("sim_brownout_steps_total", &[]), Some(1.0));
+        assert_eq!(r.gauge("sim_duty_cycle", &[]), Some(0.1));
         assert_eq!(r.gauge("sim_stored_joules", &[]), Some(10.3));
         let h = r.histogram("sim_window_harvest_joules", &[]).unwrap();
         assert_eq!(h.count, 1);
@@ -1138,44 +981,12 @@ mod tests {
     fn auditor_flags_a_leaky_window() {
         let mut a = ConservationAuditor::new();
         // Window 1: books balance (charged 1 J, stored rose 1 J).
-        a.on_event(&SimEvent::WindowStart {
-            time: Seconds::ZERO,
-            duty: DutyCycle::saturating(0.1),
-            load: Watts::ZERO,
-            stored: Joules::new(5.0),
-            losses: Joules::ZERO,
-        });
-        a.on_event(&harvest_at(0.0, 1.0));
-        a.on_event(&SimEvent::StoreCharge {
-            time: Seconds::ZERO,
-            energy: Joules::new(1.0),
-        });
-        a.on_event(&SimEvent::WindowEnd {
-            time: Seconds::new(600.0),
-            stored: Joules::new(6.0),
-            losses: Joules::ZERO,
-        });
+        a.on_window(&window(0.0, 5.0, 1.0, 6.0));
         assert!(a.report().conserved_within(1e-9));
 
         // Window 2: claims 1 J charged but stored only rose 0.5 J and no
         // losses explain the gap — half a joule vanished.
-        a.on_event(&SimEvent::WindowStart {
-            time: Seconds::new(600.0),
-            duty: DutyCycle::saturating(0.1),
-            load: Watts::ZERO,
-            stored: Joules::new(6.0),
-            losses: Joules::ZERO,
-        });
-        a.on_event(&harvest_at(600.0, 1.0));
-        a.on_event(&SimEvent::StoreCharge {
-            time: Seconds::new(600.0),
-            energy: Joules::new(1.0),
-        });
-        a.on_event(&SimEvent::WindowEnd {
-            time: Seconds::new(1200.0),
-            stored: Joules::new(6.5),
-            losses: Joules::ZERO,
-        });
+        a.on_window(&window(600.0, 6.0, 1.0, 6.5));
         let report = a.report();
         assert_eq!(report.windows, 2);
         assert!(!report.conserved_within(1e-6), "{report}");
@@ -1188,18 +999,18 @@ mod tests {
     fn auditor_survives_idle_leakage() {
         // Self-discharge: stored falls, losses rise equally — conserved.
         let mut a = ConservationAuditor::new();
-        a.on_event(&SimEvent::WindowStart {
-            time: Seconds::ZERO,
-            duty: DutyCycle::ZERO,
-            load: Watts::ZERO,
-            stored: Joules::new(5.0),
-            losses: Joules::new(0.1),
+        a.on_window(&WindowBooks {
+            stored_end: Joules::new(4.8),
+            losses_end: Joules::new(0.3),
+            ..WindowBooks::open(
+                Seconds::ZERO,
+                DutyCycle::ZERO,
+                Joules::new(5.0),
+                Joules::new(0.1),
+            )
         });
-        a.on_event(&SimEvent::WindowEnd {
-            time: Seconds::new(600.0),
-            stored: Joules::new(4.8),
-            losses: Joules::new(0.3),
-        });
-        assert!(a.report().conserved_within(1e-12));
+        let report = a.report();
+        assert_eq!(report.windows, 1);
+        assert!(report.conserved_within(1e-12), "{report}");
     }
 }

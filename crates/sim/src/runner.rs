@@ -1,14 +1,18 @@
 //! The simulation runner: drives a [`Platform`] + node + policy against an
-//! environment, recording time series and enforcing energy conservation.
+//! environment, sampling its conditions window by window, recording time
+//! series and enforcing energy conservation. The stepping, the books and
+//! the observers' window edge belong to [`crate::steps`]'s `BoxedRun`;
+//! the runner adds the condition sampling, the traces, cancellation and
+//! the campaign's edge hook.
 
 use crate::cancel::{tripped, CancelToken};
 use crate::fleet::EnvCadence;
-use crate::observe::{SimEvent, SimObserver, StepEnergies};
+use crate::observe::SimObserver;
 use crate::platform::Platform;
 use crate::steps::{Ambient, BoxedRun, StepPlan};
 use mseh_env::{EnvConditions, EnvSampler, Trace};
 use mseh_node::{DutyCyclePolicy, SensorNode};
-use mseh_units::{DutyCycle, Joules, Seconds, Volts};
+use mseh_units::{Joules, Seconds, Volts};
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,17 +176,23 @@ pub fn run_simulation(
 
 /// [`run_simulation`] with an attached set of [`SimObserver`]s.
 ///
-/// Every observer receives the full [`SimEvent`] stream: run and
-/// control-window boundaries, per-step `Harvest`/`ConversionLoss`,
-/// `StoreCharge`/`StoreDischarge`/`Shortfall` when non-zero, a
-/// `PolicyChange` whenever the duty choice moves between windows, and a
-/// `FaultFire` when the platform's storage capacity drops (checked at
-/// window granularity, so a mid-window failure is reported at the next
-/// window edge or at run end).
+/// Every observer receives the edge events through
+/// [`on_event`](SimObserver::on_event): run and control-window
+/// boundaries, a `PolicyChange` whenever the duty choice moves between
+/// windows, `FaultFire`/`FaultClear` from the platform's fault counters
+/// and storage capacity, and `FailoverEngaged` when the policy's
+/// failover count moves (all polled at window granularity, so a
+/// mid-window fault is reported at the next window edge or at run end).
+/// Each closed window's flows arrive once, summed, through
+/// [`on_window`](SimObserver::on_window). Observers whose
+/// [`wants_step_events`](SimObserver::wants_step_events) is `true` also
+/// receive each step's `Harvest`/`ConversionLoss`, and
+/// `StoreCharge`/`StoreDischarge`/`Shortfall` when non-zero, as the step
+/// happens.
 ///
 /// Passing an empty slice is exactly [`run_simulation`]: the kernel
-/// skips event construction entirely, so the bare hot loop pays one
-/// branch per step.
+/// builds no events and no window books, so the bare hot loop pays
+/// nothing for observability.
 pub fn run_simulation_observed(
     platform: &mut dyn Platform,
     env: &dyn EnvSampler,
@@ -241,81 +251,7 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
     mut edge: Option<&mut dyn FnMut(&mut P, Seconds)>,
 ) -> Option<SimResult> {
     let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
-
-    fn emit(observers: &mut [&mut dyn SimObserver], event: SimEvent) {
-        for obs in observers.iter_mut() {
-            obs.on_event(&event);
-        }
-    }
-    // When nobody is listening the hot loop must stay bare: events are
-    // only constructed behind this flag.
-    let observing = !observers.is_empty();
-    let mut prev_duty: Option<DutyCycle> = None;
-    let mut prev_capacity = platform.storage_capacity();
-    let mut prev_faults = platform.fault_counts();
-    let mut prev_failovers = policy.failover_count();
-    let mut run = BoxedRun::open(platform, policy, node);
-
-    // Polls the platform's fault counters (and capacity, as a fallback
-    // signal for unscheduled degradation) and emits the FaultFire /
-    // FaultClear events accrued since the previous poll. Count-based
-    // reporting catches faults that fire *and* clear inside one control
-    // window, which a capacity-drop check alone cannot see.
-    fn poll_faults<P: Platform + ?Sized>(
-        observers: &mut [&mut dyn SimObserver],
-        platform: &P,
-        t: Seconds,
-        prev_capacity: &mut Joules,
-        prev_faults: &mut (u64, u64),
-    ) {
-        let capacity = platform.storage_capacity();
-        let (fires, clears) = platform.fault_counts();
-        let lost = (*prev_capacity - capacity).max(Joules::ZERO);
-        let restored = (capacity - *prev_capacity).max(Joules::ZERO);
-        if fires > prev_faults.0 {
-            // The capacity drop (if any) is attributed to the first new
-            // firing; a same-window fire+clear nets to zero capacity
-            // change and reports zero.
-            for k in 0..fires - prev_faults.0 {
-                for obs in observers.iter_mut() {
-                    obs.on_event(&SimEvent::FaultFire {
-                        time: t,
-                        lost_capacity: if k == 0 { lost } else { Joules::ZERO },
-                    });
-                }
-            }
-        } else if capacity.value() < prev_capacity.value() {
-            // No counter moved but capacity still fell: unscheduled
-            // degradation (e.g. a bare FailingStorage), reported as
-            // before.
-            for obs in observers.iter_mut() {
-                obs.on_event(&SimEvent::FaultFire {
-                    time: t,
-                    lost_capacity: lost,
-                });
-            }
-        }
-        if clears > prev_faults.1 {
-            for k in 0..clears - prev_faults.1 {
-                for obs in observers.iter_mut() {
-                    obs.on_event(&SimEvent::FaultClear {
-                        time: t,
-                        restored_capacity: if k == 0 { restored } else { Joules::ZERO },
-                    });
-                }
-            }
-        }
-        *prev_capacity = capacity;
-        *prev_faults = (fires, clears);
-    }
-    if observing {
-        emit(
-            observers,
-            SimEvent::RunStart {
-                time: config.start_at,
-            },
-        );
-    }
+    let mut run = BoxedRun::open(platform, policy, node, &plan, observers);
 
     let mut traces = config.record.then(|| SimTraces {
         store_voltage: Trace::with_capacity("store_voltage_v", plan.steps as usize),
@@ -333,12 +269,6 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
     let window_cap = plan.max_window_len();
     let mut times: Vec<Seconds> = Vec::with_capacity(window_cap);
     let mut conditions: Vec<EnvConditions> = Vec::with_capacity(window_cap);
-    // One compact record per step accumulates here for the whole window
-    // and goes out in one `on_step_records` call per observer — a
-    // single dynamic dispatch per window, from which each observer
-    // derives exactly the per-step events of one-at-a-time emission.
-    let mut step_records: Vec<StepEnergies> =
-        Vec::with_capacity(if observing { window_cap } else { 0 });
 
     for window in plan.windows() {
         // Cancellation checkpoint: at most one control window of work
@@ -347,66 +277,10 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
         if tripped(cancel) {
             return None;
         }
-        let t_win = plan.time_at(window.start);
         if let Some(edge) = edge.as_mut() {
-            // Faults accrued up to this edge are reported before the
-            // hook runs, and what it changes is not reported as one.
-            if observing {
-                poll_faults(
-                    observers,
-                    run.platform(),
-                    t_win,
-                    &mut prev_capacity,
-                    &mut prev_faults,
-                );
-            }
-            run.edit(|platform| edge(platform, t_win));
-            prev_capacity = run.platform().storage_capacity();
-            prev_faults = run.platform().fault_counts();
+            run.edit(&window, edge);
         }
-        let load = run.decide(&plan, &window);
-        let duty = load.duty;
-
-        if observing {
-            let platform = run.platform();
-            emit(
-                observers,
-                SimEvent::WindowStart {
-                    time: t_win,
-                    duty,
-                    load: load.power,
-                    stored: platform.total_stored_energy(),
-                    losses: platform.storage_losses(),
-                },
-            );
-            if let Some(prev) = prev_duty {
-                if prev != duty {
-                    emit(
-                        observers,
-                        SimEvent::PolicyChange {
-                            time: t_win,
-                            from: prev,
-                            to: duty,
-                        },
-                    );
-                }
-            }
-            // Fault counters and capacity are polled at window
-            // granularity so the hot loop stays untouched.
-            poll_faults(
-                observers,
-                platform,
-                t_win,
-                &mut prev_capacity,
-                &mut prev_faults,
-            );
-            let failovers = run.policy().failover_count();
-            if failovers > prev_failovers {
-                emit(observers, SimEvent::FailoverEngaged { time: t_win, duty });
-                prev_failovers = failovers;
-            }
-        }
-        prev_duty = Some(duty);
+        let load = run.decide(&window);
 
         times.clear();
         times.extend(window.steps().map(|step| plan.time_at(step.index)));
@@ -417,61 +291,15 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
             &load,
             Ambient::PerStep(&conditions),
             |step, report| {
-                let t = plan.time_at(step.index);
-                if observing {
-                    step_records.push(StepEnergies {
-                        time: t,
-                        harvested: report.harvested,
-                        converter_loss: report.converter_loss,
-                        overhead: report.overhead,
-                        charged: report.charged,
-                        discharged: report.discharged,
-                        shortfall: report.shortfall,
-                    });
-                }
                 if let Some(tr) = traces.as_mut() {
+                    let t = plan.time_at(step.index);
                     tr.store_voltage.push(t, report.store_voltage.value());
                     tr.harvest_power
                         .push(t, (report.harvested / step.dt).value());
-                    tr.duty.push(t, duty.value());
+                    tr.duty.push(t, load.duty.value());
                 }
             },
         );
-
-        if observing {
-            // Flush the window's buffered step records before closing
-            // it, so every observer sees the step events ahead of the
-            // WindowEnd edge, exactly as with per-event emission.
-            for obs in observers.iter_mut() {
-                obs.on_step_records(&step_records);
-            }
-            step_records.clear();
-            emit(
-                observers,
-                SimEvent::WindowEnd {
-                    time: plan.window_end_time(&window),
-                    stored: run.platform().total_stored_energy(),
-                    losses: run.platform().storage_losses(),
-                },
-            );
-        }
-    }
-
-    if observing {
-        let t_end = config.start_at + config.duration;
-        // Catch faults and failovers during the final window.
-        poll_faults(
-            observers,
-            run.platform(),
-            t_end,
-            &mut prev_capacity,
-            &mut prev_faults,
-        );
-        if run.policy().failover_count() > prev_failovers {
-            let duty = prev_duty.unwrap_or(DutyCycle::ZERO);
-            emit(observers, SimEvent::FailoverEngaged { time: t_end, duty });
-        }
-        emit(observers, SimEvent::RunEnd { time: t_end });
     }
 
     let outcome = run.close();

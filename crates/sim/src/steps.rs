@@ -10,12 +10,15 @@
 //!
 //! A boxed platform steps through one [`BoxedRun`]: the single-run
 //! kernel ([`crate::run_simulation`], which also runs each campaign
-//! scenario) wraps its observer events around it, each boxed fleet
+//! scenario) steps one over its sampled conditions, each boxed fleet
 //! node steps one over its site's condition table, and each boxed arena
-//! lane settles one against its seed row's shared harvests. The dense
-//! lane populations keep one [`NodeBooks`] per lane instead.
+//! lane settles one against its seed row's shared harvests. A run
+//! opened with observers also reports its window edges and window books
+//! to them. The dense lane populations keep one [`NodeBooks`] per lane
+//! instead.
 
 use crate::fleet::EnvCadence;
+use crate::observe::{SimEvent, SimObserver, WindowBooks};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
 use mseh_core::{BusHarvest, StepReport};
@@ -32,7 +35,7 @@ pub(crate) struct StepPlan {
     /// Steps per run, the fractional closer included.
     pub(crate) steps: u64,
     pub(crate) cadence: EnvCadence,
-    start_at: Seconds,
+    pub(crate) start_at: Seconds,
     full_steps: u64,
     frac_dt: Option<Seconds>,
     control_every: u64,
@@ -146,10 +149,15 @@ impl StepPlan {
     /// When `window` ends: the next window's start, or the horizon.
     pub(crate) fn window_end_time(&self, window: &Window) -> Seconds {
         if window.end == self.steps {
-            self.start_at + self.duration
+            self.end_time()
         } else {
             self.time_at(window.end)
         }
+    }
+
+    /// The horizon: when the run ends.
+    pub(crate) fn end_time(&self) -> Seconds {
+        self.start_at + self.duration
     }
 }
 
@@ -268,66 +276,95 @@ pub(crate) enum Ambient<'a> {
     Settle(&'a [BusHarvest]),
 }
 
-/// One boxed platform stepped window by window: [`decide`](Self::decide)
-/// fixes the window's load, [`step`](Self::step) runs its steps and
-/// books them, [`close`](Self::close) closes the books. Between windows,
+/// One boxed platform stepped window by window over its plan:
+/// [`decide`](Self::decide) opens a window and fixes its load,
+/// [`step`](Self::step) runs the window's steps, books them and closes
+/// the window, [`close`](Self::close) closes the books. Between windows,
 /// [`edit`](Self::edit) hands the platform, as the caller's own type, to
 /// a repair.
-pub(crate) struct BoxedRun<'a, P: Platform + ?Sized = dyn Platform> {
+///
+/// A run opened with observers also reports to them: `RunStart`; each
+/// window's `WindowStart`, `PolicyChange`, fault poll and
+/// `FailoverEngaged` when it opens; the per-step events to the
+/// observers that ask; the window's [`WindowBooks`] and `WindowEnd`
+/// when it closes; and the run-end fault poll, `FailoverEngaged` and
+/// `RunEnd`. A run opened with none builds no events and no window
+/// books.
+pub(crate) struct BoxedRun<'a, 'o, P: Platform + ?Sized = dyn Platform> {
     platform: &'a mut P,
     policy: &'a mut dyn DutyCyclePolicy,
     node: &'a SensorNode,
+    plan: &'a StepPlan,
     books: NodeBooks,
+    watch: Option<Watch<'a, 'o>>,
 }
 
-impl<'a, P: Platform + ?Sized> BoxedRun<'a, P> {
-    /// Opens the books on `platform` as it stands.
+impl<'a, 'o, P: Platform + ?Sized> BoxedRun<'a, 'o, P> {
+    /// Opens the books on `platform` as it stands, reporting to
+    /// `observers` (none for a bare run).
     pub(crate) fn open(
         platform: &'a mut P,
         policy: &'a mut dyn DutyCyclePolicy,
         node: &'a SensorNode,
+        plan: &'a StepPlan,
+        observers: &'a mut [&'o mut dyn SimObserver],
     ) -> Self {
         let books = NodeBooks::open(platform.total_stored_energy(), platform.storage_losses());
+        let watch = (!observers.is_empty()).then(|| {
+            Watch::open(
+                observers,
+                &*platform,
+                policy.failover_count(),
+                plan.start_at,
+            )
+        });
         Self {
             platform,
             policy,
             node,
+            plan,
             books,
+            watch,
         }
     }
 
-    /// The platform, for reads between windows.
-    pub(crate) fn platform(&self) -> &P {
-        &*self.platform
-    }
-
-    /// Runs `edit` on the platform between windows. Stored energy and
-    /// losses that the edit adds or removes (a store swapped out, say)
-    /// move the books' opening balance, so the audit still closes.
-    pub(crate) fn edit(&mut self, edit: impl FnOnce(&mut P)) {
+    /// Runs `edit` on the platform between windows, before `window`
+    /// opens, with the window's start time. Faults accrued up to this
+    /// edge are reported before the edit, and what the edit changes is
+    /// not reported as one. Stored energy and losses that the edit adds
+    /// or removes (a store swapped out, say) move the books' opening
+    /// balance, so the audit still closes.
+    pub(crate) fn edit(&mut self, window: &Window, edit: impl FnOnce(&mut P, Seconds)) {
+        let t = self.plan.time_at(window.start);
+        if let Some(watch) = self.watch.as_mut() {
+            watch.poll_faults(&*self.platform, t);
+        }
         let (stored, losses) = (
             self.platform.total_stored_energy(),
             self.platform.storage_losses(),
         );
-        edit(self.platform);
+        edit(self.platform, t);
         self.books.initial_stored += self.platform.total_stored_energy() - stored;
         self.books.initial_losses += self.platform.storage_losses() - losses;
-    }
-
-    /// The policy, for reads between windows.
-    pub(crate) fn policy(&self) -> &dyn DutyCyclePolicy {
-        &*self.policy
+        if let Some(watch) = self.watch.as_mut() {
+            watch.rebaseline(&*self.platform);
+        }
     }
 
     /// The policy's duty for `window`, from the platform's energy status
     /// at the window's first step, and the load it draws.
-    pub(crate) fn decide(&mut self, plan: &StepPlan, window: &Window) -> WindowLoad {
-        let status = self.platform.energy_status().at(plan.time_at(window.start));
-        window.load(self.node, self.policy.choose(self.node, &status))
+    pub(crate) fn decide(&mut self, window: &Window) -> WindowLoad {
+        let t = self.plan.time_at(window.start);
+        let status = self.platform.energy_status().at(t);
+        let load = window.load(self.node, self.policy.choose(self.node, &status));
+        if let Some(watch) = self.watch.as_mut() {
+            watch.open_window(&*self.platform, self.policy.failover_count(), t, &load);
+        }
+        load
     }
 
     /// Steps `window` under `load` on `ambient`, booking each step and
-    /// then handing its report to `hook`.
+    /// then handing its report to `hook`, and closes the window.
     #[inline]
     pub(crate) fn step(
         &mut self,
@@ -336,32 +373,40 @@ impl<'a, P: Platform + ?Sized> BoxedRun<'a, P> {
         ambient: Ambient<'_>,
         mut hook: impl FnMut(&Step, &StepReport),
     ) {
-        let (platform, books) = (&mut *self.platform, &mut self.books);
-        let mut book = |step: &Step, report: StepReport| {
-            books.record(&report, load, step);
-            hook(step, &report);
-        };
-        match ambient {
-            Ambient::PerStep(rows) => {
-                for (step, env) in window.steps().zip(rows) {
-                    book(&step, platform.step(env, step.dt, load.power));
-                }
-            }
-            Ambient::Held(env) => {
-                for step in window.steps() {
-                    book(&step, platform.step(env, step.dt, load.power));
-                }
-            }
-            Ambient::Settle(harvests) => {
-                for (step, harvest) in window.steps().zip(harvests) {
-                    book(&step, platform.settle(harvest, step.dt, load.power));
-                }
+        let Self {
+            platform,
+            plan,
+            books,
+            watch,
+            ..
+        } = self;
+        // The watch is tested once per window, so an unobserved step
+        // pays nothing for it.
+        match watch {
+            None => step_window(&mut **platform, window, load, ambient, |step, report| {
+                books.record(report, load, step);
+                hook(step, report);
+            }),
+            Some(watch) => {
+                step_window(&mut **platform, window, load, ambient, |step, report| {
+                    books.record(report, load, step);
+                    watch.record(plan.time_at(step.index), report);
+                    hook(step, report);
+                });
+                watch.close_window(&**platform, plan.window_end_time(window));
             }
         }
     }
 
     /// Closes the books against the platform's final state.
-    pub(crate) fn close(self) -> NodeOutcome {
+    pub(crate) fn close(mut self) -> NodeOutcome {
+        if let Some(watch) = self.watch.as_mut() {
+            watch.close_run(
+                &*self.platform,
+                self.policy.failover_count(),
+                self.plan.end_time(),
+            );
+        }
         let platform = self.platform;
         self.books.close(
             platform.total_stored_energy(),
@@ -369,6 +414,201 @@ impl<'a, P: Platform + ?Sized> BoxedRun<'a, P> {
             platform.stranded_energy(),
             platform.kernel_cache_stats(),
         )
+    }
+}
+
+/// Steps `window` under `load` on `ambient`, handing each step's report
+/// to `book`.
+#[inline]
+fn step_window<P: Platform + ?Sized>(
+    platform: &mut P,
+    window: &Window,
+    load: &WindowLoad,
+    ambient: Ambient<'_>,
+    mut book: impl FnMut(&Step, &StepReport),
+) {
+    match ambient {
+        Ambient::PerStep(rows) => {
+            for (step, env) in window.steps().zip(rows) {
+                book(&step, &platform.step(env, step.dt, load.power));
+            }
+        }
+        Ambient::Held(env) => {
+            for step in window.steps() {
+                book(&step, &platform.step(env, step.dt, load.power));
+            }
+        }
+        Ambient::Settle(harvests) => {
+            for (step, harvest) in window.steps().zip(harvests) {
+                book(&step, &platform.settle(harvest, step.dt, load.power));
+            }
+        }
+    }
+}
+
+/// A [`BoxedRun`]'s observers, the open window's books, and what the
+/// window edge compares against: the previous window's duty, and the
+/// platform's storage capacity, fault counts and the policy's failover
+/// count at the last poll.
+struct Watch<'a, 'o> {
+    observers: &'a mut [&'o mut dyn SimObserver],
+    /// The observers that take per-step events, by position.
+    stepped: Vec<usize>,
+    window: WindowBooks,
+    duty: Option<DutyCycle>,
+    capacity: Joules,
+    faults: (u64, u64),
+    failovers: u64,
+}
+
+impl<'a, 'o> Watch<'a, 'o> {
+    /// Baselines the polls on `platform` and reports `RunStart`.
+    fn open<P: Platform + ?Sized>(
+        observers: &'a mut [&'o mut dyn SimObserver],
+        platform: &P,
+        failovers: u64,
+        start: Seconds,
+    ) -> Self {
+        let stepped = (0..observers.len())
+            .filter(|&i| observers[i].wants_step_events())
+            .collect();
+        let mut watch = Self {
+            observers,
+            stepped,
+            window: WindowBooks::open(start, DutyCycle::ZERO, Joules::ZERO, Joules::ZERO),
+            duty: None,
+            capacity: platform.storage_capacity(),
+            faults: platform.fault_counts(),
+            failovers,
+        };
+        watch.emit(SimEvent::RunStart { time: start });
+        watch
+    }
+
+    fn emit(&mut self, event: SimEvent) {
+        for obs in self.observers.iter_mut() {
+            obs.on_event(&event);
+        }
+    }
+
+    /// Reports the `FaultFire` and `FaultClear` events accrued since the
+    /// last poll, from the platform's fault counters, with its storage
+    /// capacity as a fallback signal for unscheduled degradation.
+    /// Count-based reporting catches faults that fire *and* clear
+    /// inside one control window, which a capacity-drop check alone
+    /// cannot see.
+    fn poll_faults<P: Platform + ?Sized>(&mut self, platform: &P, t: Seconds) {
+        let capacity = platform.storage_capacity();
+        let (fires, clears) = platform.fault_counts();
+        let lost = (self.capacity - capacity).max(Joules::ZERO);
+        let restored = (capacity - self.capacity).max(Joules::ZERO);
+        if fires > self.faults.0 {
+            // The capacity drop (if any) is attributed to the first new
+            // firing; a same-window fire+clear nets to zero capacity
+            // change and reports zero.
+            for k in 0..fires - self.faults.0 {
+                let lost_capacity = if k == 0 { lost } else { Joules::ZERO };
+                self.emit(SimEvent::FaultFire {
+                    time: t,
+                    lost_capacity,
+                });
+            }
+        } else if capacity.value() < self.capacity.value() {
+            // No counter moved but capacity still fell: unscheduled
+            // degradation (e.g. a bare FailingStorage).
+            self.emit(SimEvent::FaultFire {
+                time: t,
+                lost_capacity: lost,
+            });
+        }
+        for k in 0..clears.saturating_sub(self.faults.1) {
+            let restored_capacity = if k == 0 { restored } else { Joules::ZERO };
+            self.emit(SimEvent::FaultClear {
+                time: t,
+                restored_capacity,
+            });
+        }
+        self.capacity = capacity;
+        self.faults = (fires, clears);
+    }
+
+    /// Takes the platform as it stands as the next poll's baseline.
+    fn rebaseline<P: Platform + ?Sized>(&mut self, platform: &P) {
+        self.capacity = platform.storage_capacity();
+        self.faults = platform.fault_counts();
+    }
+
+    /// Reports a window opening at `t` under `load`, and opens its
+    /// books.
+    fn open_window<P: Platform + ?Sized>(
+        &mut self,
+        platform: &P,
+        failovers: u64,
+        t: Seconds,
+        load: &WindowLoad,
+    ) {
+        let duty = load.duty;
+        let (stored, losses) = (platform.total_stored_energy(), platform.storage_losses());
+        self.emit(SimEvent::WindowStart {
+            time: t,
+            duty,
+            load: load.power,
+            stored,
+            losses,
+        });
+        if let Some(from) = self.duty.filter(|&from| from != duty) {
+            self.emit(SimEvent::PolicyChange {
+                time: t,
+                from,
+                to: duty,
+            });
+        }
+        self.poll_faults(platform, t);
+        if failovers > self.failovers {
+            self.emit(SimEvent::FailoverEngaged { time: t, duty });
+            self.failovers = failovers;
+        }
+        self.duty = Some(duty);
+        self.window = WindowBooks::open(t, duty, stored, losses);
+    }
+
+    /// Books one step that began at `time`, and reports its events to
+    /// the observers that take them.
+    #[inline]
+    fn record(&mut self, time: Seconds, report: &StepReport) {
+        self.window.record(report);
+        for &i in &self.stepped {
+            for event in SimEvent::of_step(time, report) {
+                self.observers[i].on_event(&event);
+            }
+        }
+    }
+
+    /// Closes the open window at `end` against the platform's storage.
+    fn close_window<P: Platform + ?Sized>(&mut self, platform: &P, end: Seconds) {
+        let books = &mut self.window;
+        books.stored_end = platform.total_stored_energy();
+        books.losses_end = platform.storage_losses();
+        let event = SimEvent::WindowEnd {
+            time: end,
+            stored: books.stored_end,
+            losses: books.losses_end,
+        };
+        for obs in self.observers.iter_mut() {
+            obs.on_window(books);
+            obs.on_event(&event);
+        }
+    }
+
+    /// Reports the faults and failovers of the final window, then
+    /// `RunEnd`.
+    fn close_run<P: Platform + ?Sized>(&mut self, platform: &P, failovers: u64, end: Seconds) {
+        self.poll_faults(platform, end);
+        if failovers > self.failovers {
+            let duty = self.duty.unwrap_or(DutyCycle::ZERO);
+            self.emit(SimEvent::FailoverEngaged { time: end, duty });
+        }
+        self.emit(SimEvent::RunEnd { time: end });
     }
 }
 

@@ -34,11 +34,11 @@ use mseh_sim::{
     default_contenders, run_arena_controlled, run_fleet_controlled,
     run_resilience_campaign_cancellable, run_simulation_cancellable, ArenaConfig, ArenaSpec,
     ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetControl,
-    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult,
+    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult, WindowBooks,
 };
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
-use mseh_units::{DutyCycle, Joules, Seconds};
+use mseh_units::{DutyCycle, Seconds};
 
 /// Longest accepted job horizon, days — a guard against jobs sized to
 /// occupy a worker forever.
@@ -337,8 +337,7 @@ fn parse_u64_field(spec: &JobSpec, key: &str, default: u64) -> Result<u64, Strin
 }
 
 /// Window-batched progress events for `single` jobs: one `event` line
-/// every `every` control windows (the kernel already batches its
-/// observer callbacks at window edges).
+/// every `every` control windows, counted from the windows' books.
 struct ProgressEmitter<'a> {
     ctx: &'a JobContext,
     windows: u64,
@@ -347,7 +346,7 @@ struct ProgressEmitter<'a> {
 }
 
 impl SimObserver for ProgressEmitter<'_> {
-    fn on_window_end(&mut self, _time: Seconds, _stored: Joules, _losses: Joules) {
+    fn on_window(&mut self, _books: &WindowBooks) {
         self.windows += 1;
         if self.windows.is_multiple_of(self.every) {
             self.ctx.emit(&[

@@ -11,7 +11,7 @@ use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
     run_resilience_campaign_with_threads, run_simulation, run_simulation_observed, CampaignConfig,
     ConservationAuditor, DegradingHarvester, FailingStorage, FaultScenario, FaultSchedule,
-    IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimObserver,
+    IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimEvent, SimObserver,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -462,16 +462,16 @@ impl FirstSignals {
 }
 
 impl SimObserver for FirstSignals {
-    fn on_fault_fire(&mut self, time: Seconds, _lost: Joules) {
-        self.fire.get_or_insert(time.value());
-    }
-
-    fn on_fault_clear(&mut self, time: Seconds, _restored: Joules) {
-        self.recovered(time);
-    }
-
-    fn on_failover_engaged(&mut self, time: Seconds, _duty: DutyCycle) {
-        self.recovered(time);
+    fn on_event(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::FaultFire { time, .. } => {
+                self.fire.get_or_insert(time.value());
+            }
+            SimEvent::FaultClear { time, .. } | SimEvent::FailoverEngaged { time, .. } => {
+                self.recovered(time);
+            }
+            _ => {}
+        }
     }
 }
 
