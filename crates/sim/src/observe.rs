@@ -404,7 +404,7 @@ impl WindowBooks {
         self.charged += report.charged;
         self.discharged += report.discharged;
         self.shortfall += report.shortfall;
-        self.brownout_steps += u64::from(report.shortfall.value() > 0.0);
+        self.brownout_steps += u64::from(!report.fully_served());
     }
 
     /// The storage conservation residual in joules,

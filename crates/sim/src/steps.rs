@@ -720,7 +720,7 @@ impl NodeBooks {
         };
         self.samples += step_samples * served_fraction;
 
-        if report.shortfall.value() > 1e-12 {
+        if !report.fully_served() {
             self.brownout_steps += 1;
             self.outage_run += 1;
             self.longest_outage = self.longest_outage.max(self.outage_run);

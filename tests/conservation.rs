@@ -16,7 +16,7 @@ use mseh::sim::{
     SimConfig,
 };
 use mseh::storage::{Battery, FuelCell, Storage, Supercap};
-use mseh::systems::SystemId;
+use mseh::systems::{resilience, SystemId};
 use mseh::units::fuzz::Rng;
 use mseh::units::{DutyCycle, Seconds, Volts};
 
@@ -214,6 +214,32 @@ fn auditor_closes_the_books_on_all_table_one_systems() {
             config,
         );
         assert_eq!(bare, observed, "{id}");
+    }
+}
+
+/// The metrics bridge counts a brown-out step exactly when the run's
+/// books do: `sim_brownout_steps_total` equals
+/// `SimResult::brownout_steps` on every Table-I system in its natural
+/// deployment over a week, including runs whose only shortfalls are
+/// rounding dust below the 1 pJ threshold.
+#[test]
+fn brownout_metric_matches_the_run_books() {
+    for id in SystemId::ALL {
+        let mut unit = id.build();
+        let mut meter = MetricsObserver::new();
+        let result = run_simulation_observed(
+            &mut unit,
+            &resilience::natural_environment(id, 7),
+            &resilience::natural_node(id),
+            resilience::natural_policy(id).as_mut(),
+            SimConfig::over(Seconds::from_days(7.0)),
+            &mut [&mut meter],
+        );
+        assert_eq!(
+            meter.registry().counter("sim_brownout_steps_total", &[]),
+            Some(result.brownout_steps as f64),
+            "{id}"
+        );
     }
 }
 
