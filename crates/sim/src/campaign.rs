@@ -25,7 +25,7 @@
 use crate::cancel::{tripped, CancelToken};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
-use crate::observe::{AuditReport, ConservationAuditor, SimEvent, SimObserver};
+use crate::observe::{worst_relative, AuditReport, ConservationAuditor, SimEvent, SimObserver};
 use crate::parallel::{par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{run_simulation_core, SimConfig};
@@ -196,7 +196,8 @@ pub struct CampaignSummary {
     pub total_failovers: u64,
     /// Hook repairs, summed over all scenarios.
     pub total_recoveries: u64,
-    /// The worst per-window audit residual across all scenarios.
+    /// The worst per-window audit residual across all scenarios (NaN
+    /// when any window's books could not be closed).
     pub worst_audit_relative: f64,
 }
 
@@ -491,10 +492,7 @@ fn summarize_campaign(seeds: &[u64], outcomes: Vec<ScenarioOutcome>) -> Campaign
         total_clears: outcomes.iter().map(|o| o.faults_cleared).sum(),
         total_failovers: outcomes.iter().map(|o| o.failovers).sum(),
         total_recoveries: outcomes.iter().map(|o| o.recoveries).sum(),
-        worst_audit_relative: outcomes
-            .iter()
-            .map(|o| o.audit.worst_relative)
-            .fold(0.0, f64::max),
+        worst_audit_relative: worst_relative(outcomes.iter().map(|o| &o.audit)),
         outcomes,
     }
 }
@@ -562,6 +560,24 @@ mod tests {
                 outcome.faults_fired,
                 outcome.faults_cleared + u64::from(outcome.faults_fired > outcome.faults_cleared)
             );
+        }
+    }
+
+    #[test]
+    fn worst_audit_is_nan_when_any_scenario_is() {
+        let summary = run_resilience_campaign_with_threads(
+            1,
+            &[7, 8, 9],
+            scenario,
+            &SensorNode::submilliwatt_class(),
+            CampaignConfig::over(Seconds::from_hours(2.0)),
+        );
+        assert!(summary.worst_audit_relative < 1e-6);
+        for poisoned in 0..3 {
+            let mut outcomes = summary.outcomes.clone();
+            outcomes[poisoned].audit.worst_relative = f64::NAN;
+            let summary = summarize_campaign(&summary.seeds, outcomes);
+            assert!(summary.worst_audit_relative.is_nan(), "seed {poisoned}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! `EXPERIMENTS.md`.
 
 use crate::metrics::MetricsRegistry;
-use crate::observe::{AuditReport, ConservationAuditor, MetricsObserver};
+use crate::observe::{worst_relative, AuditReport, ConservationAuditor, MetricsObserver};
 use crate::parallel::{par_map_instrumented, par_map_with, thread_count};
 use crate::platform::Platform;
 use crate::runner::{run_simulation, run_simulation_observed, SimConfig, SimResult};
@@ -244,12 +244,10 @@ pub struct InstrumentedEnsemble {
 
 impl InstrumentedEnsemble {
     /// The worst per-window conservation residual across every seed,
-    /// as a fraction of that window's energy turnover.
+    /// as a fraction of that window's energy turnover (NaN when any
+    /// window's books could not be closed).
     pub fn worst_audit_relative(&self) -> f64 {
-        self.audits
-            .iter()
-            .map(|a| a.worst_relative)
-            .fold(0.0, f64::max)
+        worst_relative(&self.audits)
     }
 }
 
@@ -403,6 +401,25 @@ mod tests {
         // Every run's books balance.
         for run in &summary.runs {
             assert!(run.audit_residual < 1e-6);
+        }
+    }
+
+    #[test]
+    fn worst_audit_is_nan_when_any_seed_is() {
+        let out = run_seed_ensemble_instrumented(
+            1,
+            &[1, 2, 3],
+            |_| solar_rig(),
+            Environment::outdoor_temperate,
+            |_| FixedDuty::new(DutyCycle::saturating(0.05)),
+            &mseh_node::SensorNode::submilliwatt_class(),
+            SimConfig::over(Seconds::from_hours(2.0)),
+        );
+        assert!(out.worst_audit_relative() < 1e-6);
+        for poisoned in 0..3 {
+            let mut out = out.clone();
+            out.audits[poisoned].worst_relative = f64::NAN;
+            assert!(out.worst_audit_relative().is_nan(), "seed {poisoned}");
         }
     }
 

@@ -530,7 +530,7 @@ impl PartialEq for MetricsRegistry {
 
 /// Formats a float as a JSON-legal number (JSON has no Inf/NaN; those
 /// serialize as null).
-fn json_num(v: f64) -> String {
+pub(crate) fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -50,7 +50,7 @@
 //! assert!(report.worst_relative < 1e-6, "{report}");
 //! ```
 
-use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
+use crate::metrics::{json_num, CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
 use mseh_core::StepReport;
 use mseh_units::{DutyCycle, Joules, Seconds, Watts};
 
@@ -298,6 +298,8 @@ impl SimEvent {
     }
 
     /// One JSON object (a JSONL line, without the trailing newline).
+    /// Non-finite values, which JSON cannot spell, are written as
+    /// `null`.
     pub fn to_jsonl(&self) -> String {
         let names: &[&str] = match self {
             SimEvent::WindowStart { .. } => &["duty", "load_w", "stored_j", "losses_j"],
@@ -317,7 +319,7 @@ impl SimEvent {
         );
         for (name, v) in names.iter().zip(self.values().iter()) {
             if let Some(v) = v {
-                out.push_str(&format!(",\"{name}\":{v}"));
+                out.push_str(&format!(",\"{name}\":{}", json_num(*v)));
             }
         }
         out.push('}');
@@ -759,6 +761,10 @@ impl SimObserver for MetricsObserver {
 }
 
 /// Summary of a [`ConservationAuditor`] pass.
+///
+/// A NaN `worst_relative` means some window's books could not be closed
+/// at all; [`conserved_within`](Self::conserved_within) is then false
+/// for every tolerance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditReport {
     /// Control windows audited.
@@ -805,7 +811,8 @@ impl core::fmt::Display for AuditReport {
 /// the unobservable bus terms cancelled out. The worst residual,
 /// normalized by the window's [`turnover`](WindowBooks::turnover), is
 /// tracked with its timestamp; anything above ~1e-6 means a model is
-/// leaking or minting energy.
+/// leaking or minting energy. A window whose residual is NaN is the
+/// worst there can be: the first one sticks, and the audit fails.
 #[derive(Debug, Clone, Default)]
 pub struct ConservationAuditor {
     windows: u64,
@@ -836,12 +843,27 @@ impl SimObserver for ConservationAuditor {
         let residual = books.residual().abs();
         let relative = residual / books.turnover();
         self.windows += 1;
-        if relative > self.worst_relative {
+        if worse(self.worst_relative, relative) {
             self.worst_relative = relative;
             self.worst_residual = residual;
             self.worst_at = books.start.value();
         }
     }
+}
+
+/// Whether `candidate` is a worse relative residual than `worst`: larger,
+/// or NaN where `worst` is not. A NaN worst stays worst.
+fn worse(worst: f64, candidate: f64) -> bool {
+    !worst.is_nan() && (candidate.is_nan() || candidate > worst)
+}
+
+/// The worst relative residual across `audits` (`0` for none), NaN when
+/// any audit is NaN.
+pub(crate) fn worst_relative<'a>(audits: impl IntoIterator<Item = &'a AuditReport>) -> f64 {
+    audits
+        .into_iter()
+        .map(|a| a.worst_relative)
+        .fold(0.0, |worst, r| if worse(worst, r) { r } else { worst })
 }
 
 #[cfg(test)]
@@ -993,6 +1015,40 @@ mod tests {
         assert!((report.worst_residual.value() - 0.5).abs() < 1e-12);
         assert_eq!(report.worst_at, Seconds::new(600.0));
         assert!(report.to_string().contains("2 windows"));
+    }
+
+    #[test]
+    fn auditor_fails_on_a_nan_window_and_keeps_it() {
+        let mut a = ConservationAuditor::new();
+        a.on_window(&window(0.0, 5.0, 1.0, 6.0));
+        // Stored energy that closes as NaN cannot balance.
+        a.on_window(&window(600.0, 6.0, 1.0, f64::NAN));
+        // A later leak, however large, does not displace it.
+        a.on_window(&window(1200.0, 6.0, 1.0, 2.0));
+        let report = a.report();
+        assert_eq!(report.windows, 3);
+        assert!(report.worst_relative.is_nan(), "{report}");
+        assert_eq!(report.worst_at, Seconds::new(600.0));
+        assert!(!report.conserved_within(1e-6));
+        assert!(!report.conserved_within(f64::INFINITY));
+
+        let clean = ConservationAuditor::new().report();
+        assert!(worst_relative([&clean, &report, &clean]).is_nan());
+        assert_eq!(worst_relative([&clean]), 0.0);
+    }
+
+    #[test]
+    fn jsonl_writes_non_finite_values_as_null() {
+        let line = SimEvent::WindowEnd {
+            time: Seconds::new(600.0),
+            stored: Joules::new(f64::NAN),
+            losses: Joules::new(f64::INFINITY),
+        }
+        .to_jsonl();
+        assert_eq!(
+            line,
+            "{\"t\":600,\"event\":\"window_end\",\"stored_j\":null,\"losses_j\":null}"
+        );
     }
 
     #[test]
