@@ -12,6 +12,7 @@ use mseh::sim::{
     run_resilience_campaign_with_threads, run_simulation, run_simulation_observed, CampaignConfig,
     ConservationAuditor, DegradingHarvester, FailingStorage, FaultScenario, FaultSchedule,
     IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimEvent, SimObserver,
+    WindowBooks,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -579,4 +580,129 @@ fn campaign_fault_metrics_match_a_segmented_run() {
         &SensorNode::submilliwatt_class(),
         config,
     );
+}
+
+/// Keeps everything one observer is sent.
+struct Log {
+    steps: bool,
+    events: Vec<SimEvent>,
+    windows: Vec<WindowBooks>,
+}
+
+impl Log {
+    fn new(steps: bool) -> Self {
+        Self {
+            steps,
+            events: Vec::new(),
+            windows: Vec::new(),
+        }
+    }
+}
+
+impl SimObserver for Log {
+    fn on_event(&mut self, event: &SimEvent) {
+        self.events.push(*event);
+    }
+
+    fn on_window(&mut self, books: &WindowBooks) {
+        self.windows.push(*books);
+    }
+
+    fn wants_step_events(&self) -> bool {
+        self.steps
+    }
+}
+
+/// The rank of a per-step event in a step's order, `None` for an
+/// edge event.
+fn step_rank(event: &SimEvent) -> Option<usize> {
+    match event {
+        SimEvent::Harvest { .. } => Some(0),
+        SimEvent::ConversionLoss { .. } => Some(1),
+        SimEvent::StoreCharge { .. } => Some(2),
+        SimEvent::StoreDischarge { .. } => Some(3),
+        SimEvent::Shortfall { .. } => Some(4),
+        _ => None,
+    }
+}
+
+/// Per-step events go only to an observer that asks for them, as each
+/// step happens and in a fixed order; the edge events and window books
+/// are the same for every observer.
+#[test]
+fn step_events_reach_only_the_observers_that_ask() {
+    let horizon = Seconds::from_days(2.0);
+    let mut scenario = resilience::resilience_scenario(SystemId::B, 7, horizon);
+    let (mut edges, mut stepped) = (Log::new(false), Log::new(true));
+    run_simulation_observed(
+        &mut scenario.platform,
+        &scenario.env,
+        &resilience::natural_node(SystemId::B),
+        scenario.policy.as_mut(),
+        SimConfig::over(horizon),
+        &mut [&mut edges, &mut stepped],
+    );
+
+    // Both observers see the same edge events and window books; only
+    // the one that asked sees step events.
+    assert!(edges.events.iter().all(|e| step_rank(e).is_none()));
+    let stepped_edges: Vec<SimEvent> = (stepped.events.iter())
+        .filter(|e| step_rank(e).is_none())
+        .copied()
+        .collect();
+    assert_eq!(edges.events, stepped_edges);
+    assert_eq!(edges.windows, stepped.windows);
+    assert_eq!(edges.windows.len(), 288);
+    for kind in ["policy_change", "fault_fire", "fault_clear", "run_end"] {
+        assert!(edges.events.iter().any(|e| e.kind() == kind), "no {kind}");
+    }
+
+    // Each step is one Harvest, one ConversionLoss, then StoreCharge,
+    // StoreDischarge and Shortfall in that order when positive; a
+    // window's step events sum to its books.
+    let mut seen = [0u64; 5];
+    let mut books = stepped.windows.iter();
+    // Each flow's sum in step-event order, the overhead last.
+    let mut sums = [0.0f64; 6];
+    let mut last: Option<(usize, Seconds)> = None;
+    for event in &stepped.events {
+        let Some(rank) = step_rank(event) else {
+            if let SimEvent::WindowEnd { .. } = event {
+                let w = books.next().expect("one books per window");
+                let booked = [
+                    w.harvested,
+                    w.converter_loss,
+                    w.charged,
+                    w.discharged,
+                    w.shortfall,
+                    w.overhead,
+                ];
+                assert_eq!(sums, booked.map(|e| e.value()));
+                sums = [0.0; 6];
+            }
+            continue;
+        };
+        let (t, energy) = (event.time(), event.values()[0].unwrap());
+        match (rank, last) {
+            // A step opens once the previous one has its ConversionLoss.
+            (0, None) => {}
+            (0, Some((prev, _))) => assert!(prev >= 1, "{event:?}"),
+            (1, prev) => assert_eq!(prev, Some((0, t)), "{event:?}"),
+            (_, Some((prev, at))) => {
+                assert!((1..rank).contains(&prev) && at == t, "{event:?}");
+                assert!(energy > 0.0, "{event:?}");
+            }
+            (_, None) => panic!("{event:?} opens the stream"),
+        }
+        sums[rank] += energy;
+        if let SimEvent::ConversionLoss { overhead, .. } = event {
+            sums[5] += overhead.value();
+        }
+        seen[rank] += 1;
+        last = Some((rank, t));
+    }
+    assert!(books.next().is_none());
+    assert_eq!(seen[0], 2880);
+    assert_eq!(seen[1], 2880);
+    assert!(seen[2..].iter().all(|&n| n > 0), "{seen:?}");
 }
