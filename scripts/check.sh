@@ -13,6 +13,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> pinned receipts in release (a digest that moves with the optimisation level fails)"
+cargo test --release -q --test receipts
+
 echo "==> benchmark package tests (mseh-benchmark, shared target dir)"
 # The benchmark of record is its own workspace on the public API; a
 # change that breaks it fails here rather than in the benchmark run.
