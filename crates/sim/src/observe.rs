@@ -377,7 +377,7 @@ impl WindowBooks {
     /// Books for a window opening at `start` under `duty` on a platform
     /// holding `stored` with `losses` dissipated so far: no steps yet,
     /// and the closing edge equal to the opening one.
-    pub fn open(start: Seconds, duty: DutyCycle, stored: Joules, losses: Joules) -> Self {
+    pub(crate) fn open(start: Seconds, duty: DutyCycle, stored: Joules, losses: Joules) -> Self {
         Self {
             start,
             duty,
