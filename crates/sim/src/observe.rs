@@ -418,10 +418,11 @@ impl WindowBooks {
     }
 
     /// The window's energy turnover in joules, which normalizes
-    /// [`residual`](Self::residual): every flow through the window, or
-    /// the storage movement when idle self-discharge moved stored energy
-    /// and losses without any flow (so its floating-point dust is not
-    /// divided by ~nothing), and never less than 1 nJ.
+    /// [`residual`](Self::residual): the larger of the sum of every flow
+    /// through the window and the storage movement `|Δstored| +
+    /// |Δlosses|` (idle self-discharge moves both without any flow, and
+    /// its floating-point dust must not be divided by ~nothing), and
+    /// never less than 1 nJ.
     pub fn turnover(&self) -> f64 {
         let (d_stored, d_losses) = self.deltas();
         (self.harvested.value()

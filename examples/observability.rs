@@ -47,8 +47,9 @@ fn main() {
     );
     drop(sink);
 
-    // 4. The metrics registry: every energy flow as a counter, current
-    //    state as gauges, snapshotable to JSON for dashboards.
+    // 4. The metrics registry: every energy flow as a counter, folded
+    //    from each window's books, current state as gauges,
+    //    snapshotable to JSON for dashboards.
     println!("\n=== metrics snapshot ===");
     let m = meter.registry();
     for name in [
