@@ -4,9 +4,9 @@
 //! case name, its digest in hex and, where it helps a reader of a
 //! diff, a few plain fields. `tests/receipts.txt` holds the blessed
 //! lines. A change that moves any bit of a single run, a campaign, a
-//! fleet, an arena, a metrics snapshot, an audit report or an event
-//! stream changes a line here, and the test prints only the lines that
-//! changed.
+//! fleet, an arena, a metrics snapshot, an audit report, an event
+//! stream, the smart harvester, a trace replay or a site survey changes
+//! a line here, and the test prints only the lines that changed.
 //!
 //! The digests depend on the target's `libm`, so the file records the
 //! architecture and OS it was blessed on; on any other target the test
@@ -21,21 +21,27 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use mseh::core::{ElectronicDatasheet, SmartModule, SmartNetwork};
 use mseh::daemon::{
     build_arena_spec, build_fleet_spec, digest_arena, digest_campaign, digest_fleet, digest_single,
-    fleet_config, make_env,
+    fleet_config, make_env, make_policy,
 };
+use mseh::env::{Environment, ReplayEnvironment, Trace};
+use mseh::harvesters::{HarvesterKind, PvModule, Teg, Transducer};
+use mseh::node::SensorNode;
+use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
 use mseh::sim::serve::protocol::Digest;
 use mseh::sim::{
     run_arena, run_fleet, run_resilience_campaign_with_threads, run_simulation,
     run_simulation_observed, ArenaConfig, CampaignConfig, ConservationAuditor, EventSink,
     MetricsObserver, SimConfig, SinkFormat,
 };
+use mseh::storage::{Storage, StorageKind, Supercap};
 use mseh::systems::resilience::{
     natural_environment, natural_node, natural_policy, resilience_scenario,
 };
-use mseh::systems::SystemId;
-use mseh::units::Seconds;
+use mseh::systems::{site_survey, SystemId};
+use mseh::units::{Seconds, Volts, Watts};
 
 const RECEIPTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/receipts.txt");
 const BLESS_VAR: &str = "MSEH_BLESS_RECEIPTS";
@@ -174,12 +180,130 @@ fn fleet_and_arena(out: &mut Vec<(String, String)>) {
     ));
 }
 
+/// A smart-harvester module's channel: PV or TEG behind a
+/// perturb-and-observe tracker, as in `tests/smart_network.rs`.
+fn smart_channel(transducer: Box<dyn Transducer>) -> InputChannel {
+    InputChannel::new(
+        transducer,
+        Box::new(PerturbObserve::new()),
+        Box::new(IdealDiode::nanopower()),
+        Box::new(DcDcConverter::mppt_front_end_5v()),
+    )
+}
+
+/// The smart harvester of `tests/smart_network.rs` (PV and TEG modules,
+/// a 22 F EDLC at 2.0 V) over two outdoor days, with its status-event
+/// count.
+fn smart_network(out: &mut Vec<(String, String)>) {
+    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
+    net.attach(SmartModule::harvester(
+        ElectronicDatasheet::harvester("PV", HarvesterKind::Photovoltaic, Watts::from_milli(500.0)),
+        smart_channel(Box::new(PvModule::outdoor_panel_half_watt())),
+    ));
+    net.attach(SmartModule::harvester(
+        ElectronicDatasheet::harvester(
+            "TEG",
+            HarvesterKind::Thermoelectric,
+            Watts::from_milli(25.0),
+        ),
+        smart_channel(Box::new(Teg::module_40mm())),
+    ));
+    let mut cap = Supercap::edlc_22f();
+    cap.set_voltage(Volts::new(2.0));
+    let capacity = cap.capacity();
+    net.attach(SmartModule::storage(
+        ElectronicDatasheet::storage(
+            "SC",
+            StorageKind::Supercapacitor,
+            Watts::from_milli(500.0),
+            capacity,
+        ),
+        Box::new(cap),
+    ));
+    let mut policy = make_policy("ladder").expect("policy");
+    let result = run_simulation(
+        &mut net,
+        &Environment::outdoor_temperate(7),
+        &SensorNode::submilliwatt_class(),
+        policy.as_mut(),
+        SimConfig::over(Seconds::from_days(2.0)),
+    );
+    out.push((
+        "smart/outdoor/7".into(),
+        format!(
+            "{:016x} events={}",
+            digest_single(&result),
+            net.status_events()
+        ),
+    ));
+}
+
+/// System D over two days of `agricultural(7)` with its irradiance
+/// replaced by a trace built here: an hourly clear-sky arch whose peak
+/// steps through five levels from day to day and hour to hour.
+fn replay_run(out: &mut Vec<(String, String)>) {
+    let mut log = Trace::new("irradiance");
+    for hour in 0..=48u32 {
+        let arch = (std::f64::consts::PI * (f64::from(hour % 24) - 6.0) / 12.0).sin();
+        let level = 0.6 + 0.1 * f64::from(hour * 7 % 5);
+        log.push(
+            Seconds::from_hours(f64::from(hour)),
+            900.0 * level * arch.max(0.0),
+        );
+    }
+    let env = ReplayEnvironment::new(Environment::agricultural(7)).with_irradiance(log);
+    let id = SystemId::D;
+    let mut unit = id.build();
+    let mut policy = natural_policy(id);
+    let result = run_simulation(
+        &mut unit,
+        &env,
+        &natural_node(id),
+        policy.as_mut(),
+        SimConfig::over(Seconds::from_days(2.0)),
+    );
+    let cache = unit.kernel_cache_stats();
+    out.push((
+        "replay/D/agricultural/7".into(),
+        format!(
+            "{:016x} cache={}/{}/{}",
+            digest_single(&result),
+            cache.hits,
+            cache.misses,
+            cache.invalidations
+        ),
+    ));
+}
+
+/// `site_survey` of each preset over one day at the CLI's 10-minute
+/// step: every row's class, energy and availability, in rank order.
+fn surveys(out: &mut Vec<(String, String)>) {
+    for env_kind in ENVS {
+        let env = make_env(env_kind, 7).expect("preset");
+        let report = site_survey(&env, Seconds::from_days(1.0), Seconds::from_minutes(10.0));
+        let mut digest = Digest::new();
+        for row in &report.rows {
+            digest = digest
+                .str(&format!("{:?}", row.kind))
+                .f64(row.energy.value())
+                .f64(row.availability);
+        }
+        out.push((
+            format!("survey/{env_kind}/7"),
+            format!("{:016x} best={:?}", digest.finish(), report.best()),
+        ));
+    }
+}
+
 fn compute() -> Vec<(String, String)> {
     let mut out = Vec::new();
     single_runs(&mut out);
     observed_runs(&mut out);
     campaigns(&mut out);
     fleet_and_arena(&mut out);
+    smart_network(&mut out);
+    replay_run(&mut out);
+    surveys(&mut out);
     out
 }
 
