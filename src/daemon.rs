@@ -34,7 +34,7 @@ use mseh_sim::{
     default_contenders, run_arena_controlled, run_fleet_controlled,
     run_resilience_campaign_cancellable, run_simulation_cancellable, ArenaConfig, ArenaSpec,
     ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetControl,
-    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult, WindowBooks,
+    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult, Spread, WindowBooks,
 };
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
@@ -166,14 +166,29 @@ pub fn digest_single(result: &SimResult) -> u64 {
 }
 
 /// Bit-exact digest of a campaign summary (receipt `digest` for
-/// `campaign` jobs).
+/// `campaign` jobs): every field of the summary and of each outcome,
+/// audit reports included. A time that never happened folds in as NaN
+/// bits.
 pub fn digest_campaign(summary: &CampaignSummary) -> u64 {
-    let mut digest = Digest::new()
-        .f64(summary.uptime.mean)
-        .f64(summary.uptime.min)
-        .f64(summary.uptime.max)
-        .f64(summary.longest_outage_s.mean)
-        .f64(summary.stranded_j.max)
+    let time = |t: Option<Seconds>| t.map_or(f64::NAN, Seconds::value);
+    let spread = |d: Digest, s: &Spread| {
+        d.f64(s.mean)
+            .f64(s.min)
+            .f64(s.max)
+            .f64(s.std_dev)
+            .f64(s.median)
+    };
+    let mut digest = Digest::new();
+    for s in [
+        &summary.uptime,
+        &summary.longest_outage_s,
+        &summary.stranded_j,
+    ] {
+        digest = spread(digest, s);
+    }
+    digest = digest
+        .f64(time(summary.mean_time_to_detect))
+        .f64(time(summary.mean_time_to_recover))
         .u64(summary.total_faults)
         .u64(summary.total_clears)
         .u64(summary.total_failovers)
@@ -184,7 +199,19 @@ pub fn digest_campaign(summary: &CampaignSummary) -> u64 {
             .u64(outcome.seed)
             .f64(outcome.uptime)
             .f64(outcome.delivered.value())
-            .f64(outcome.shortfall.value());
+            .f64(outcome.shortfall.value())
+            .u64(outcome.faults_fired)
+            .u64(outcome.faults_cleared)
+            .u64(outcome.failovers)
+            .u64(outcome.recoveries)
+            .f64(time(outcome.time_to_detect))
+            .f64(time(outcome.time_to_recover))
+            .f64(outcome.energy_stranded.value())
+            .f64(outcome.longest_outage.value())
+            .u64(outcome.audit.windows)
+            .f64(outcome.audit.worst_residual.value())
+            .f64(outcome.audit.worst_relative)
+            .f64(outcome.audit.worst_at.value());
     }
     digest.finish()
 }
@@ -791,6 +818,87 @@ mod tests {
         let mut tweaked = out.summary;
         tweaked.standings[0].served_fraction += 1e-12;
         assert_ne!(d1, digest_arena(&tweaked));
+    }
+
+    #[test]
+    fn campaign_digest_covers_every_field() {
+        let horizon = Seconds::from_hours(2.0);
+        let summary = mseh_sim::run_resilience_campaign_with_threads(
+            1,
+            &[3, 4],
+            |seed| resilience_scenario(SystemId::A, seed, horizon),
+            &natural_node(SystemId::A),
+            CampaignConfig::over(horizon),
+        );
+        fn ulp(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() ^ 1);
+        }
+        fn time(t: &mut Option<Seconds>) {
+            *t = match *t {
+                Some(_) => None,
+                None => Some(Seconds::ZERO),
+            };
+        }
+        fn joules(j: &mut mseh_units::Joules) {
+            let mut v = j.value();
+            ulp(&mut v);
+            *j = mseh_units::Joules::new(v);
+        }
+        fn seconds(t: &mut Seconds) {
+            let mut v = t.value();
+            ulp(&mut v);
+            *t = Seconds::new(v);
+        }
+        type Tweak = fn(&mut CampaignSummary);
+        let tweaks: [Tweak; 40] = [
+            |s| ulp(&mut s.uptime.mean),
+            |s| ulp(&mut s.uptime.min),
+            |s| ulp(&mut s.uptime.max),
+            |s| ulp(&mut s.uptime.std_dev),
+            |s| ulp(&mut s.uptime.median),
+            |s| ulp(&mut s.longest_outage_s.mean),
+            |s| ulp(&mut s.longest_outage_s.min),
+            |s| ulp(&mut s.longest_outage_s.max),
+            |s| ulp(&mut s.longest_outage_s.std_dev),
+            |s| ulp(&mut s.longest_outage_s.median),
+            |s| ulp(&mut s.stranded_j.mean),
+            |s| ulp(&mut s.stranded_j.min),
+            |s| ulp(&mut s.stranded_j.max),
+            |s| ulp(&mut s.stranded_j.std_dev),
+            |s| ulp(&mut s.stranded_j.median),
+            |s| time(&mut s.mean_time_to_detect),
+            |s| time(&mut s.mean_time_to_recover),
+            |s| s.total_faults += 1,
+            |s| s.total_clears += 1,
+            |s| s.total_failovers += 1,
+            |s| s.total_recoveries += 1,
+            |s| ulp(&mut s.worst_audit_relative),
+            |s| s.outcomes[1].seed += 1,
+            |s| ulp(&mut s.outcomes[1].uptime),
+            |s| joules(&mut s.outcomes[1].delivered),
+            |s| joules(&mut s.outcomes[1].shortfall),
+            |s| s.outcomes[1].faults_fired += 1,
+            |s| s.outcomes[1].faults_cleared += 1,
+            |s| s.outcomes[1].failovers += 1,
+            |s| s.outcomes[1].recoveries += 1,
+            |s| time(&mut s.outcomes[1].time_to_detect),
+            |s| time(&mut s.outcomes[1].time_to_recover),
+            |s| joules(&mut s.outcomes[1].energy_stranded),
+            |s| seconds(&mut s.outcomes[1].longest_outage),
+            |s| s.outcomes[1].audit.windows += 1,
+            |s| joules(&mut s.outcomes[1].audit.worst_residual),
+            |s| ulp(&mut s.outcomes[1].audit.worst_relative),
+            |s| seconds(&mut s.outcomes[1].audit.worst_at),
+            |s| s.outcomes.truncate(1),
+            |s| s.outcomes.swap(0, 1),
+        ];
+        let base = digest_campaign(&summary);
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut tweaked = summary.clone();
+            tweak(&mut tweaked);
+            assert_ne!(tweaked, summary, "tweak {i} changed nothing");
+            assert_ne!(digest_campaign(&tweaked), base, "tweak {i}");
+        }
     }
 
     #[test]
