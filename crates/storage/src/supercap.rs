@@ -30,33 +30,29 @@ use mseh_units::{BatchSolve, Farads, Joules, Ohms, Seconds, Volts, Watts};
 pub struct Supercap {
     name: String,
     kind: StorageKind,
-    /// Base capacitance C₀.
-    c0: Farads,
-    /// Voltage-dependence slope, F/V.
-    k_v: f64,
+    /// The capacitance law and voltage window (C₀, slope, `v_min`,
+    /// `v_max`), with the constants of the energy→voltage inversion.
+    solver: SupercapSolver,
     /// Equivalent series resistance.
     esr: Ohms,
     /// Leakage resistance (leakage current = V / R_leak).
     r_leak: Ohms,
-    /// Discharge cutoff voltage.
-    v_min: Volts,
-    /// Rated (maximum) voltage.
-    v_max: Volts,
     /// Present terminal voltage.
     v: Volts,
     /// Accumulated internal dissipation.
     losses: Joules,
     /// The last [`INVERSION_SLOTS`] energy→voltage inversions, most
-    /// recent first, as `(target bits, voltage)`. An inversion is a pure
-    /// function of its target and of `v_min`, `c0`, `k_v` and `v_max`,
-    /// which nothing changes after construction (`set_voltage` moves
-    /// only `v`, which the inversion never reads), so replaying an entry
-    /// is bit-identical to solving again. A buffer held at its rated
-    /// voltage repeats the same two or three targets every step. Any
-    /// future setter of those four parameters must reset this memo.
-    /// Seeded with the inversion of zero energy, the cutoff voltage.
+    /// recent first, as `(target bits, start bits, voltage)`. An
+    /// inversion is a pure function of its target, of the voltage its
+    /// Newton iteration starts from (the cell's own voltage when it is
+    /// called) and of the solver, which nothing changes after
+    /// construction, so replaying an entry is bit-identical to solving
+    /// again. A buffer held at its rated voltage repeats the same two or
+    /// three (target, start) pairs every step. Any future setter of the
+    /// solver's parameters must reset this memo. Seeded with the
+    /// inversion of zero energy from the cutoff, the cutoff voltage.
     /// Excluded from equality: it is a cache, not state.
-    inversions: [(u64, f64); INVERSION_SLOTS],
+    inversions: [(u64, u64, f64); INVERSION_SLOTS],
 }
 
 /// Entries in [`Supercap`]'s inversion memo. System B's pinned step
@@ -68,12 +64,9 @@ impl PartialEq for Supercap {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.kind == other.kind
-            && self.c0 == other.c0
-            && self.k_v == other.k_v
+            && self.solver == other.solver
             && self.esr == other.esr
             && self.r_leak == other.r_leak
-            && self.v_min == other.v_min
-            && self.v_max == other.v_max
             && self.v == other.v
             && self.losses == other.losses
     }
@@ -105,18 +98,24 @@ impl Supercap {
             v_max.value() > v_min.value() && v_min.value() >= 0.0,
             "voltage window must satisfy 0 <= v_min < v_max"
         );
+        let (a, v_max) = (v_min.value(), v_max.value());
         Self {
             name: name.into(),
             kind: StorageKind::Supercapacitor,
-            c0,
-            k_v,
+            solver: SupercapSolver {
+                a,
+                c0: c0.value(),
+                k: k_v,
+                v_max,
+                half_c0: 0.5 * c0.value(),
+                k3: k_v / 3.0,
+                e_min: (0.5 * c0.value() + k_v / 3.0 * a) * a * a,
+            },
             esr,
             r_leak,
-            v_min,
-            v_max,
             v: v_min,
             losses: Joules::ZERO,
-            inversions: [(0.0f64.to_bits(), v_min.value()); INVERSION_SLOTS],
+            inversions: [(0.0f64.to_bits(), a.to_bits(), a); INVERSION_SLOTS],
         }
     }
 
@@ -165,7 +164,7 @@ impl Supercap {
 
     /// Capacitance at voltage `v`.
     pub fn capacitance_at(&self, v: Volts) -> Farads {
-        Farads::new(self.c0.value() + self.k_v * v.value())
+        Farads::new(self.solver.c0 + self.solver.k * v.value())
     }
 
     /// The energy↔voltage inversion kernel for this capacitor's
@@ -173,38 +172,35 @@ impl Supercap {
     /// standalone or across struct-of-arrays lanes (see [`BatchSolve`]).
     #[inline]
     pub fn solver(&self) -> SupercapSolver {
-        SupercapSolver {
-            a: self.v_min.value(),
-            c0: self.c0.value(),
-            k: self.k_v,
-            v_max: self.v_max.value(),
-        }
+        self.solver
     }
 
-    /// Usable energy between `v_min` and `v`:
-    /// `∫ C(u)·u du = C₀(v²−v_min²)/2 + k(v³−v_min³)/3`.
+    /// Usable energy between `lo` and `hi`:
+    /// `∫ C(u)·u du = C₀(hi²−lo²)/2 + k(hi³−lo³)/3`.
     #[inline]
     fn energy_between(&self, lo: Volts, hi: Volts) -> Joules {
-        Joules::new(self.solver().energy_between(lo.value(), hi.value()))
+        Joules::new(self.solver.energy_between(lo.value(), hi.value()))
     }
 
     /// Inverts the energy integral: the voltage at which the usable energy
-    /// above `v_min` equals `e`. A target the memo holds replays its
+    /// above `v_min` equals `e`, by Newton from the cell's present
+    /// voltage. A (target, start) pair the memo holds replays its
     /// voltage; any other is solved by [`SupercapSolver::solve_one`], the
     /// kernel the batched lanes share, and evicts the oldest entry. Either
     /// way the entry moves to the front.
     #[inline]
     fn voltage_for_energy(&mut self, e: Joules) -> Volts {
-        let key = e.value().to_bits();
-        let slot = self.inversions.iter().position(|&(k, _)| k == key);
+        let (target, start) = (e.value(), self.v.value());
+        let key = (target.to_bits(), start.to_bits());
+        let slot = self.inversions.iter().position(|&(t, s, _)| (t, s) == key);
         let entry = match slot {
             Some(i) => self.inversions[i],
-            None => (key, self.solver().solve_one(e.value())),
+            None => (key.0, key.1, self.solver.solve_one((target, start))),
         };
         self.inversions
             .copy_within(..slot.unwrap_or(INVERSION_SLOTS - 1), 1);
         self.inversions[0] = entry;
-        Volts::new(entry.1)
+        Volts::new(entry.2)
     }
 
     /// Fraction of transferred power lost in the ESR at the present
@@ -219,7 +215,7 @@ impl Supercap {
     /// Sets the state of charge directly (clamped to the voltage window) —
     /// for initializing scenarios.
     pub fn set_voltage(&mut self, v: Volts) {
-        self.v = v.clamp(self.v_min, self.v_max);
+        self.v = v.clamp(self.min_voltage(), self.max_voltage());
     }
 }
 
@@ -239,29 +235,29 @@ impl Storage for Supercap {
 
     #[inline]
     fn stored_energy(&self) -> Joules {
-        self.energy_between(self.v_min, self.v)
+        Joules::new(self.solver.stored_energy(self.v.value()))
     }
 
     #[inline]
     fn capacity(&self) -> Joules {
-        self.energy_between(self.v_min, self.v_max)
+        Joules::new(self.solver.stored_energy(self.solver.v_max))
     }
 
     fn min_voltage(&self) -> Volts {
-        self.v_min
+        Volts::new(self.solver.a)
     }
 
     fn max_voltage(&self) -> Volts {
-        self.v_max
+        Volts::new(self.solver.v_max)
     }
 
     fn max_charge_power(&self) -> Watts {
-        if self.v >= self.v_max {
+        if self.v.value() >= self.solver.v_max {
             return Watts::ZERO;
         }
         // Current limit set by ESR heating: allow up to 2 A-equivalent
         // scaled by capacitance (small caps accept less).
-        let i_max = (self.c0.value() / 10.0).clamp(0.05, 2.0);
+        let i_max = (self.solver.c0 / 10.0).clamp(0.05, 2.0);
         Volts::new(self.v.value().max(0.2)) * mseh_units::Amps::new(i_max)
     }
 
@@ -269,7 +265,7 @@ impl Storage for Supercap {
         if self.stored_energy().value() <= 0.0 {
             return Watts::ZERO;
         }
-        let i_max = (self.c0.value() / 10.0).clamp(0.05, 2.0);
+        let i_max = (self.solver.c0 / 10.0).clamp(0.05, 2.0);
         self.v * mseh_units::Amps::new(i_max)
     }
 
@@ -282,7 +278,7 @@ impl Storage for Supercap {
         let ratio = self.esr_loss_ratio(p);
         let gross = p * dt;
         let mut net = gross * (1.0 - ratio);
-        let headroom = self.energy_between(self.v, self.v_max);
+        let headroom = self.energy_between(self.v, self.max_voltage());
         let mut taken = gross;
         if net > headroom {
             net = headroom;
@@ -333,28 +329,49 @@ impl Storage for Supercap {
 
 /// Newton iteration budget shared by the scalar and batched solvers.
 const NEWTON_ITERS: usize = 64;
+/// Newton stops once a step moves the iterate by at most this fraction
+/// of it; see [`SupercapSolver`] for why the iterate is then exact.
+const NEWTON_RTOL: f64 = 1e-8;
 /// Bisection iteration budget for the non-convergence fallback.
 const BISECT_ITERS: usize = 64;
 /// Lanes per batch block — sized so the convergence mask fits one `u64`.
 const LANE_BLOCK: usize = 64;
 
 /// The energy→voltage inversion for one supercapacitor parameter set:
-/// given a usable energy above `v_min`, find the terminal voltage.
+/// given a usable energy above `v_min` and the voltage to start from,
+/// find the terminal voltage.
 ///
-/// The integral is convex and increasing (`k_v ≥ 0`), so Newton from the
-/// flat-capacitance estimate `√(v_min² + 2e/C₀)` converges monotonically
-/// after at most one overshoot for realistic parameters. Degenerate
-/// parameter sets (a vanishing `C₀` under a dominant `k_v` slope puts the
-/// starting estimate orders of magnitude above the root) can exhaust the
-/// iteration budget or trip the derivative guard; those lanes fall back
-/// to bracketed bisection over the full voltage window instead of
-/// silently clamping a non-converged iterate. The result is clamped to
-/// the voltage window, matching the old bisection's behaviour for
-/// energies beyond the capacity.
+/// With `F(v) = (C₀/2 + (k/3)·v)·v²`, the energy integral from zero,
+/// the solver finds the root of the residual `F(v) − (F(v_min) + e)` by
+/// Newton. `C₀/2`, `k/3` and `F(v_min)` are fixed per solver, so each
+/// iteration costs one division, the Newton step's own `r / F'` with
+/// `F'(v) = (C₀ + k·v)·v`. The iteration starts from the given voltage,
+/// the cell's present one, which a storage step moves by a small
+/// fraction; a start outside `(v_min, v_max]` (an empty cell, or no cell)
+/// falls back to the flat-capacitance estimate `√(v_min² + 2e/C₀)`.
 ///
-/// The batched path ([`BatchSolve::solve_lanes`]) replicates this exact
-/// per-lane iterate sequence under a convergence mask, so batched and
-/// scalar results are bit-identical by construction.
+/// Newton stops as soon as a step `Δ` satisfies `|Δ| ≤ 10⁻⁸·v`. That
+/// test is enough because the iteration converges quadratically: the
+/// error after a step is about `F''/(2F')·Δ²`, so its relative size is
+/// `(v·F''/(2F'))·(Δ/v)²`. For `k ≥ 0` and `C₀ > 0`,
+/// `v·F''/(2F') = (C₀ + 2k·v)/(2C₀ + 2k·v) < 1`, so the iterate the test
+/// accepts carries a relative error below `(10⁻⁸)² = 10⁻¹⁶`, less than
+/// one ulp. (Anywhere on the convex cubic a Newton step covers at least a
+/// third of the distance to the root, so a small step cannot stop the
+/// iteration early.) A start near the root therefore takes one or two
+/// iterations.
+///
+/// Degenerate parameter sets (a vanishing `C₀` under a dominant `k_v`
+/// slope puts the flat start orders of magnitude above the root) can
+/// exhaust the iteration budget or trip the derivative guard; those
+/// fall back to bracketed bisection over the full voltage window instead
+/// of silently clamping a non-converged iterate. The result is clamped
+/// to the voltage window, so energies beyond the capacity read `v_max`.
+///
+/// The batched path ([`BatchSolve::solve_lanes`]) runs the same
+/// per-lane iterate sequence, through the same step function, under a
+/// convergence mask, so batched and scalar results are bit-identical by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupercapSolver {
     /// Discharge cutoff voltage (the energy zero).
@@ -365,6 +382,12 @@ pub struct SupercapSolver {
     k: f64,
     /// Rated voltage (clamp ceiling).
     v_max: f64,
+    /// `C₀/2`.
+    half_c0: f64,
+    /// `k/3`.
+    k3: f64,
+    /// `F(v_min) = (C₀/2 + (k/3)·v_min)·v_min²`, the residual's offset.
+    e_min: f64,
 }
 
 impl SupercapSolver {
@@ -396,24 +419,53 @@ impl SupercapSolver {
         0.5 * (lo + hi)
     }
 
+    /// Newton's first iterate for `target` from `start`: the start itself
+    /// inside `(v_min, v_max]`, else the flat-capacitance estimate.
+    #[inline]
+    fn first_iterate(&self, target: f64, start: f64) -> f64 {
+        if start > self.a && start <= self.v_max {
+            start
+        } else {
+            (self.a * self.a + 2.0 * target / self.c0).sqrt()
+        }
+    }
+
+    /// One Newton step from `v` towards `F(v) = goal`: the next iterate
+    /// and whether it passes the convergence test, or `None` when the
+    /// derivative guard trips or the step leaves the finite numbers.
+    #[inline]
+    fn newton_step(&self, v: f64, goal: f64) -> Option<(f64, bool)> {
+        let fp = (self.c0 + self.k * v) * v;
+        if fp <= 0.0 || !fp.is_finite() {
+            return None;
+        }
+        let step = ((self.half_c0 + self.k3 * v) * v * v - goal) / fp;
+        let next = v - step;
+        next.is_finite()
+            .then(|| (next, step.abs() <= NEWTON_RTOL * next))
+    }
+
     /// One batch block of at most [`LANE_BLOCK`] lanes: masked Newton with
     /// a fixed iteration budget. Lanes freeze at the iterate where the
     /// scalar early-exit would fire; there is no per-lane exit from the
     /// round loop, only the all-lanes-retired condition.
-    fn solve_block(&self, xs: &[f64], active: &[bool], out: &mut [f64]) {
+    fn solve_block(&self, xs: &[(f64, f64)], active: &[bool], out: &mut [f64]) {
         debug_assert!(xs.len() <= LANE_BLOCK);
         let n = xs.len();
         let mut v = [0.0f64; LANE_BLOCK];
+        let mut goal = [0.0f64; LANE_BLOCK];
         let mut pending: u64 = 0;
         let mut needs_bisect: u64 = 0;
         for i in 0..n {
             if !active[i] {
                 continue;
             }
-            if xs[i] <= 0.0 {
+            let (target, start) = xs[i];
+            if target <= 0.0 {
                 v[i] = self.a;
             } else {
-                v[i] = (self.a * self.a + 2.0 * xs[i] / self.c0).sqrt();
+                v[i] = self.first_iterate(target, start);
+                goal[i] = self.e_min + target;
                 pending |= 1 << i;
             }
         }
@@ -424,22 +476,17 @@ impl SupercapSolver {
                 if pending & bit == 0 {
                     continue;
                 }
-                let vi = v[i];
-                let fp = (self.c0 + self.k * vi) * vi;
-                if fp <= 0.0 || !fp.is_finite() {
-                    pending &= !bit;
-                    needs_bisect |= bit;
-                    continue;
-                }
-                let next = vi - (self.stored_energy(vi) - xs[i]) / fp;
-                if !next.is_finite() {
-                    pending &= !bit;
-                    needs_bisect |= bit;
-                    continue;
-                }
-                v[i] = next;
-                if (next - vi).abs() <= 2.0 * f64::EPSILON * vi.abs() {
-                    pending &= !bit;
+                match self.newton_step(v[i], goal[i]) {
+                    Some((next, done)) => {
+                        v[i] = next;
+                        if done {
+                            pending &= !bit;
+                        }
+                    }
+                    None => {
+                        pending &= !bit;
+                        needs_bisect |= bit;
+                    }
                 }
             }
             round += 1;
@@ -451,7 +498,7 @@ impl SupercapSolver {
                 continue;
             }
             let vi = if needs_bisect & (1 << i) != 0 {
-                self.bisect(xs[i])
+                self.bisect(xs[i].0)
             } else {
                 v[i]
             };
@@ -461,66 +508,44 @@ impl SupercapSolver {
 }
 
 impl BatchSolve for SupercapSolver {
-    type Input = f64;
+    /// `(target energy above v_min, start voltage)`.
+    type Input = (f64, f64);
 
-    fn solve_one(&self, target: f64) -> f64 {
+    fn solve_one(&self, (target, start): (f64, f64)) -> f64 {
         if target <= 0.0 {
             return self.a;
         }
-        let mut v = (self.a * self.a + 2.0 * target / self.c0).sqrt();
-        let mut converged = false;
+        let goal = self.e_min + target;
+        let mut v = self.first_iterate(target, start);
         for _ in 0..NEWTON_ITERS {
-            let fp = (self.c0 + self.k * v) * v;
-            if fp <= 0.0 || !fp.is_finite() {
-                break;
-            }
-            let next = v - (self.stored_energy(v) - target) / fp;
-            if !next.is_finite() {
-                break;
-            }
-            if (next - v).abs() <= 2.0 * f64::EPSILON * v.abs() {
-                v = next;
-                converged = true;
-                break;
-            }
-            v = next;
-        }
-        if !converged {
-            v = self.bisect(target);
-        }
-        v.clamp(self.a, self.v_max)
-    }
-
-    fn solve_lanes(&self, xs: &[f64], active: &[bool], out: &mut [f64]) {
-        assert_eq!(xs.len(), active.len());
-        assert_eq!(xs.len(), out.len());
-        // Uniform broadcast: a homogeneous population (unjittered fleet
-        // lanes under a seed-independent policy) presents one distinct
-        // target per step, so one solve serves every lane. Same input →
-        // same bits, so the bit-identity contract holds trivially.
-        let mut first = None;
-        let mut uniform = true;
-        for i in 0..xs.len() {
-            if !active[i] {
-                continue;
-            }
-            match first {
-                None => first = Some(i),
-                Some(f0) => {
-                    if xs[i].to_bits() != xs[f0].to_bits() {
-                        uniform = false;
-                        break;
+            match self.newton_step(v, goal) {
+                Some((next, done)) => {
+                    v = next;
+                    if done {
+                        return v.clamp(self.a, self.v_max);
                     }
                 }
+                None => break,
             }
         }
-        let Some(f0) = first else { return };
-        if uniform {
+        self.bisect(target).clamp(self.a, self.v_max)
+    }
+
+    fn solve_lanes(&self, xs: &[(f64, f64)], active: &[bool], out: &mut [f64]) {
+        assert_eq!(xs.len(), active.len());
+        assert_eq!(xs.len(), out.len());
+        // Uniform broadcast: lanes that carry identical state (a jittered
+        // PV fleet at night, before any daylight has told its nodes
+        // apart) present one (target, start) pair, so one solve serves
+        // every lane. Same input → same bits, so the bit-identity
+        // contract holds trivially.
+        let mut lanes = (0..xs.len()).filter(|&i| active[i]);
+        let Some(f0) = lanes.next() else { return };
+        let key = |(t, s): (f64, f64)| (t.to_bits(), s.to_bits());
+        if lanes.all(|i| key(xs[i]) == key(xs[f0])) {
             let v = self.solve_one(xs[f0]);
-            for i in 0..xs.len() {
-                if active[i] {
-                    out[i] = v;
-                }
+            for (o, _) in out.iter_mut().zip(active).filter(|(_, &a)| a) {
+                *o = v;
             }
             return;
         }
@@ -544,6 +569,9 @@ impl BatchSolve for SupercapSolver {
 /// `Vec<f64>` slices and applies one fleet step (charge **or** discharge,
 /// then idle leakage) across all lanes at once, batching the two
 /// `voltage_for_energy` Newton inversions through [`SupercapSolver`].
+/// Each lane's inversion starts from that lane's own voltage, as the
+/// scalar cell's does: the pre-transfer voltage for the transfer, the
+/// post-transfer voltage for the leak.
 ///
 /// # Bit-identity contract
 ///
@@ -564,8 +592,9 @@ pub struct SupercapLanes {
     v: Vec<f64>,
     /// Per-lane accumulated internal dissipation, joules.
     losses: Vec<f64>,
-    /// Per-step solve targets (scratch, reused across steps).
-    targets: Vec<f64>,
+    /// Per-step solve inputs, `(target, start voltage)` (scratch,
+    /// reused across steps).
+    targets: Vec<(f64, f64)>,
     /// Per-step solve mask (scratch, reused across steps).
     active: Vec<bool>,
 }
@@ -578,10 +607,10 @@ impl SupercapLanes {
             solver: template.solver(),
             esr: template.esr.value(),
             r_leak: template.r_leak.value(),
-            i_max: (template.c0.value() / 10.0).clamp(0.05, 2.0),
+            i_max: (template.solver.c0 / 10.0).clamp(0.05, 2.0),
             v: vec![template.v.value(); lanes],
             losses: vec![template.losses.value(); lanes],
-            targets: vec![0.0; lanes],
+            targets: vec![(0.0, 0.0); lanes],
             active: vec![false; lanes],
         }
     }
@@ -643,7 +672,7 @@ impl SupercapLanes {
         let mut copy = self.clone();
         copy.v = vec![self.v[0]; lanes];
         copy.losses = vec![self.losses[0]; lanes];
-        copy.targets = vec![0.0; lanes];
+        copy.targets = vec![(0.0, 0.0); lanes];
         copy.active = vec![false; lanes];
         copy
     }
@@ -699,7 +728,7 @@ impl SupercapLanes {
                     net = headroom;
                     taken = net / (1.0 - ratio);
                 }
-                self.targets[i] = self.solver.stored_energy(v) + net;
+                self.targets[i] = (self.solver.stored_energy(v) + net, v);
                 self.active[i] = true;
                 self.losses[i] += taken - net;
                 charged[i] = taken;
@@ -722,7 +751,7 @@ impl SupercapLanes {
                     internal = available;
                 }
                 let delivered = internal * (1.0 - ratio);
-                self.targets[i] = available - internal;
+                self.targets[i] = (available - internal, v);
                 self.active[i] = true;
                 self.losses[i] += internal - delivered;
                 discharged[i] = delivered;
@@ -739,7 +768,7 @@ impl SupercapLanes {
             let stored = self.solver.stored_energy(v);
             let remaining = (stored - leak).max(0.0);
             self.losses[i] += stored - remaining;
-            self.targets[i] = remaining;
+            self.targets[i] = (remaining, v);
             self.active[i] = true;
         }
         // Pass 4 — batched leak inversion over all lanes.
@@ -840,7 +869,7 @@ mod tests {
         let mut cap = Supercap::edlc_22f();
         for i in 0..20 {
             let v = Volts::new(0.8 + i as f64 * 0.095);
-            let e = cap.energy_between(cap.v_min, v);
+            let e = cap.energy_between(cap.min_voltage(), v);
             let back = cap.voltage_for_energy(e);
             assert!((back - v).abs().value() < 1e-6, "{back} vs {v}");
         }
@@ -882,7 +911,7 @@ mod tests {
             "got {v}, expected {expected}"
         );
         // The inversion must roundtrip, not saturate at the rail.
-        let back = cap.energy_between(cap.v_min, v);
+        let back = cap.energy_between(cap.min_voltage(), v);
         assert!((back.value() - 1.0).abs() < 1e-6, "roundtrip {back}");
         assert!(v.value() < 4.9, "must not clamp to v_max");
     }
@@ -896,18 +925,41 @@ mod tests {
         ] {
             let solver = cap.solver();
             let capacity = cap.capacity().value();
+            let (lo, hi) = (cap.min_voltage().value(), cap.max_voltage().value());
             let mut state = 0x00C0_FFEE_u64;
             // Random targets spanning empty, negative, in-window, and
-            // beyond-capacity, plus a masked-off lane pattern.
-            let xs: Vec<f64> = (0..257)
-                .map(|i| match i % 7 {
-                    0 => 0.0,
-                    1 => -0.25 * capacity,
-                    2 => 1.5 * capacity,
-                    _ => splitmix(&mut state) * capacity,
+            // beyond-capacity, from starts in the window, at its edges
+            // and outside it, plus a masked-off lane pattern.
+            let xs: Vec<(f64, f64)> = (0..257)
+                .map(|i| {
+                    let target = match i % 7 {
+                        0 => 0.0,
+                        1 => -0.25 * capacity,
+                        2 => 1.5 * capacity,
+                        _ => splitmix(&mut state) * capacity,
+                    };
+                    let start = match i % 5 {
+                        0 => lo,
+                        1 => hi,
+                        2 => 0.5 * lo,
+                        _ => lo + splitmix(&mut state) * (hi - lo),
+                    };
+                    (target, start)
                 })
                 .collect();
             let active: Vec<bool> = (0..xs.len()).map(|i| i % 11 != 3).collect();
+            // Uniform lanes take the broadcast: one solve for them all.
+            let uniform = vec![xs[3]; xs.len()];
+            let mut out = vec![f64::NAN; xs.len()];
+            solver.solve_lanes(&uniform, &active, &mut out);
+            for i in 0..xs.len() {
+                let want = if active[i] {
+                    solver.solve_one(xs[3]).to_bits()
+                } else {
+                    f64::NAN.to_bits()
+                };
+                assert_eq!(out[i].to_bits(), want, "uniform lane {i}");
+            }
             let mut out = vec![f64::NAN; xs.len()];
             solver.solve_lanes(&xs, &active, &mut out);
             for i in 0..xs.len() {
@@ -915,7 +967,7 @@ mod tests {
                     assert_eq!(
                         out[i].to_bits(),
                         solver.solve_one(xs[i]).to_bits(),
-                        "{}: lane {i} target {}",
+                        "{}: lane {i} (target, start) {:?}",
                         cap.name(),
                         xs[i]
                     );
@@ -923,6 +975,101 @@ mod tests {
                     assert!(out[i].is_nan(), "inactive lane {i} touched");
                 }
             }
+        }
+    }
+
+    /// The root of `stored_energy(v) = target` by bisection carried
+    /// until the bracket's ends are adjacent floats, clamped to the
+    /// window as the solver clamps.
+    fn bisection_reference(solver: &SupercapSolver, target: f64) -> f64 {
+        if target <= 0.0 {
+            return solver.a;
+        }
+        if target >= solver.stored_energy(solver.v_max) {
+            return solver.v_max;
+        }
+        let (mut lo, mut hi) = (solver.a, solver.v_max);
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if solver.stored_energy(mid) > target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        lo
+    }
+
+    /// Distance in ulps between two positive finite floats.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn warm_started_inversion_is_within_two_ulp_of_bisection() {
+        for cap in [
+            Supercap::edlc_22f(),
+            Supercap::edlc_1f(),
+            Supercap::lithium_ion_capacitor_40f(),
+        ] {
+            let solver = cap.solver();
+            let capacity = cap.capacity().value();
+            let (lo, hi) = (solver.a, solver.v_max);
+            let mut state = 0x5EED_u64;
+            let mut pairs = Vec::new();
+            // A storage step: the target lies a relative step of 1e-7 to
+            // 1e-1 above or below the start's own energy.
+            for _ in 0..4000 {
+                let start = lo + splitmix(&mut state) * (hi - lo);
+                let step = 10f64.powf(-7.0 + 6.0 * splitmix(&mut state));
+                let sign = if splitmix(&mut state) < 0.5 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                pairs.push((solver.stored_energy(start) * (1.0 + sign * step), start));
+            }
+            // Starts at both edges and outside the window, targets of
+            // zero, below zero and beyond capacity.
+            let starts = [lo, hi, 0.5 * lo, 1.5 * hi, -1.0, f64::NAN, 0.5 * (lo + hi)];
+            let targets = [
+                0.0,
+                -1e-3,
+                -capacity,
+                1e-12,
+                0.5 * capacity,
+                capacity,
+                1.01 * capacity,
+                10.0 * capacity,
+            ];
+            for &start in &starts {
+                for &target in &targets {
+                    pairs.push((target, start));
+                }
+                for _ in 0..200 {
+                    pairs.push((splitmix(&mut state) * capacity, start));
+                }
+            }
+            let mut worst = 0;
+            for &(target, start) in &pairs {
+                let v = solver.solve_one((target, start));
+                assert!(
+                    (lo..=hi).contains(&v),
+                    "{}: {v} outside the window",
+                    cap.name()
+                );
+                let d = ulps(v, bisection_reference(&solver, target));
+                assert!(
+                    d <= 2,
+                    "{}: target {target:e} from {start}: {v} is {d} ulp off",
+                    cap.name()
+                );
+                worst = worst.max(d);
+            }
+            assert!(worst > 0, "{}: the reference never differs", cap.name());
         }
     }
 
@@ -1060,9 +1207,9 @@ mod tests {
             for &call in cycle {
                 let held = cap.inversions;
                 check_against_cold_twin(&mut cap, call);
-                let (front, v) = cap.inversions[0];
+                let (target, start, v) = cap.inversions[0];
                 assert_eq!(v.to_bits(), cap.voltage().value().to_bits(), "{call:?}");
-                if step >= 50 && held.iter().any(|&(k, _)| k == front) {
+                if step >= 50 && held.iter().any(|&(t, s, _)| (t, s) == (target, start)) {
                     hits += 1;
                 }
             }
@@ -1107,18 +1254,52 @@ mod tests {
         // target's voltage for the second, which differs from its own
         // solve from a few ulps apart on.
         let mut cap = Supercap::edlc_22f();
+        cap.set_voltage(Volts::new(1.9));
         let solver = cap.solver();
+        let start = cap.voltage().value();
         let held = (0.5 * cap.capacity().value()).to_bits() & !((1 << 20) - 1);
         for k in 0..20 {
             for bits in [held, held + (1 << k)] {
                 let e = f64::from_bits(bits);
                 assert_eq!(
                     cap.voltage_for_energy(Joules::new(e)).value().to_bits(),
-                    solver.solve_one(e).to_bits(),
+                    solver.solve_one((e, start)).to_bits(),
                     "2^{k} ulps"
                 );
             }
         }
+    }
+
+    #[test]
+    fn memo_keys_on_the_start_voltage() {
+        // Two caps at different voltages invert one target: the second,
+        // a clone of the first that holds its memo entry, must solve from
+        // its own voltage, not replay the entry solved from the other.
+        // Newton from two starts lands on the same root within an ulp or
+        // two, so some of these pairs differ in the last bits, and a memo
+        // keyed on the target alone replays the wrong ones.
+        let template = Supercap::edlc_22f();
+        let solver = template.solver();
+        let capacity = template.capacity().value();
+        let mut state = 0xFACE_u64;
+        let mut differing = 0;
+        for _ in 0..400 {
+            let target = Joules::new((0.05 + 0.9 * splitmix(&mut state)) * capacity);
+            let mut first = template.clone();
+            first.set_voltage(Volts::new(0.8 + 1.9 * splitmix(&mut state)));
+            let from_first = first.voltage_for_energy(target).value();
+            let mut second = first.clone();
+            second.set_voltage(Volts::new(0.8 + 1.9 * splitmix(&mut state)));
+            let own = solver.solve_one((target.value(), second.voltage().value()));
+            assert_eq!(
+                second.voltage_for_energy(target).value().to_bits(),
+                own.to_bits()
+            );
+            if from_first.to_bits() != own.to_bits() {
+                differing += 1;
+            }
+        }
+        assert!(differing > 0, "no pair tells the starts apart");
     }
 
     #[test]

@@ -28,9 +28,9 @@
 
 /// A solver that can run one input or a whole lane batch.
 ///
-/// `Input` is the per-lane problem statement — a target energy for the
-/// supercapacitor inversion, a `(photocurrent, thermal voltage)` pair for
-/// the PV diode — and the output is always the solved `f64` (a voltage in
+/// `Input` is the per-lane problem statement — a `(target energy, start
+/// voltage)` pair for the supercapacitor inversion, a `(photocurrent,
+/// thermal voltage)` pair for the PV diode — and the output is always the solved `f64` (a voltage in
 /// every current implementor).
 pub trait BatchSolve {
     /// Per-lane problem statement.
