@@ -10,8 +10,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --no-fail-fast"
+# --no-fail-fast: one failing test binary must not hide the results of
+# the binaries after it; the step still fails on any failure.
+cargo test -q --no-fail-fast
 
 echo "==> pinned receipts in release (a digest that moves with the optimisation level fails)"
 cargo test --release -q --test receipts
