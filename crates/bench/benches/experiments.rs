@@ -17,8 +17,10 @@ use mseh_core::classify;
 use mseh_env::Environment;
 use mseh_node::{FixedDuty, SensorNode};
 use mseh_sim::{run_simulation, SimConfig};
+use mseh_storage::{Storage, Supercap};
 use mseh_systems::SystemId;
-use mseh_units::{DutyCycle, Seconds};
+use mseh_units::fuzz::Rng;
+use mseh_units::{BatchSolve, DutyCycle, Seconds};
 
 /// Times `f` over `samples` iterations after `warmup` iterations and
 /// prints a one-line summary.
@@ -122,6 +124,35 @@ fn main() {
                 ));
             }
             unit
+        });
+    }
+    {
+        // The supercap inversion on storage-step inputs: a start in the
+        // 22 F EDLC's window, a target a relative step of 1e-7..1e-1
+        // away from the start's energy.
+        let cap = Supercap::edlc_22f();
+        let solver = cap.solver();
+        let (lo, hi) = (cap.min_voltage().value(), cap.max_voltage().value());
+        let mut rng = Rng::new(0x71);
+        let pairs: Vec<(f64, f64)> = (0..4096)
+            .map(|_| {
+                let start = rng.in_range(lo, hi);
+                let step = 10f64.powf(rng.in_range(-7.0, -1.0));
+                let sign = if rng.unit() < 0.5 { -1.0 } else { 1.0 };
+                (solver.stored_energy(start) * (1.0 + sign * step), start)
+            })
+            .collect();
+        time_it("kernel_supercap_solve_x4096", 2, 10, || {
+            pairs
+                .iter()
+                .map(|&p| solver.solve_one(black_box(p)))
+                .sum::<f64>()
+        });
+        let active = vec![true; pairs.len()];
+        let mut out = vec![0.0; pairs.len()];
+        time_it("kernel_supercap_lanes_x4096", 2, 10, || {
+            solver.solve_lanes(black_box(&pairs), &active, &mut out);
+            out[0]
         });
     }
     {
