@@ -32,6 +32,30 @@ for ex in examples/*.rs; do
     cargo run --release -q -p mseh --example "$name" >/dev/null
 done
 
+echo "==> experiments pin (the survey's tables byte for byte against crates/bench/experiments.txt)"
+# The file's first line names the target it was blessed on (the last
+# digits depend on the target's libm); on another target this step says
+# so and skips. After a deliberate change of results, re-bless by
+# overwriting the file and list the moved rows in CHANGES.md:
+#   { echo "target $(uname -m) $(uname -s | tr '[:upper:]' '[:lower:]')"; \
+#     ./target/release/experiments; } > crates/bench/experiments.txt
+pinned=crates/bench/experiments.txt
+here="target $(uname -m) $(uname -s | tr '[:upper:]' '[:lower:]')"
+blessed="$(head -n 1 "$pinned")"
+if [ "$blessed" != "$here" ]; then
+    echo "skip: $pinned was blessed on '${blessed#target }', this is '${here#target }'"
+else
+    experiments_out="$(mktemp)"
+    ./target/release/experiments > "$experiments_out"
+    if ! diff -u <(tail -n +2 "$pinned") "$experiments_out"; then
+        echo "FAIL: experiments output differs from $pinned (diff above)"
+        rm -f "$experiments_out"
+        exit 1
+    fi
+    rm -f "$experiments_out"
+    echo "ok: experiments output matches $pinned"
+fi
+
 echo "==> serve smoke (release daemon on an ephemeral port, driven by the example client)"
 # The daemon prints its bound address on the first stdout line; the
 # client submits, streams, cancels a running fleet job, then sends the
