@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use mseh_core::{classify, ElectronicDatasheet, SmartModule, SmartNetwork};
+use mseh_core::{classify, ElectronicDatasheet, PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::{EnvConditions, Environment};
 use mseh_harvesters::{HarvesterKind, PvModule, Transducer};
 use mseh_node::{DutyCyclePolicy, EnergyNeutral, FixedDuty, SensorNode, VoltageThreshold};
@@ -12,7 +12,7 @@ use mseh_power::{
     DcDcConverter, FractionalVoc, IdealDiode, InputChannel, PerturbObserve, PowerStage,
 };
 use mseh_sim::{run_simulation, SimConfig};
-use mseh_storage::{Storage, StorageKind, Supercap};
+use mseh_storage::{Storage, Supercap};
 use mseh_systems::SystemId;
 use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts};
 
@@ -505,39 +505,40 @@ pub fn e8_smart_harvester() -> E8Result {
     //    reporting.
     let mut smart_channel = placement_channel(Seconds::new(1.0), true);
     let smart_capture = step_response(&mut smart_channel);
-    let smart_net = {
-        let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-        net.attach(SmartModule::harvester(
-            ElectronicDatasheet::harvester(
-                "PV",
-                HarvesterKind::Photovoltaic,
-                Watts::from_milli(500.0),
-            ),
-            placement_channel(Seconds::new(1.0), true),
-        ));
-        let mut cap = Supercap::edlc_22f();
-        cap.set_voltage(Volts::new(2.0));
-        let capacity = cap.capacity();
-        net.attach(SmartModule::storage(
-            ElectronicDatasheet::storage(
-                "SC",
-                StorageKind::Supercapacitor,
-                Watts::from_milli(500.0),
-                capacity,
-            ),
-            Box::new(cap),
-        ));
-        net
-    };
-    // Its management traffic over one day: event-driven pushes.
-    let mut net = smart_net;
+    let mut cap = Supercap::edlc_22f();
+    cap.set_voltage(Volts::new(2.0));
+    let mut unit = PowerUnit::builder("smart harvester")
+        .harvester_port(
+            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(8.0)),
+            Some(placement_channel(Seconds::new(1.0), true)),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("SC", Volts::ZERO, Volts::new(3.0)),
+            Some(Box::new(cap)),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor::devolved())
+        .build();
+    // Its management traffic over one day: one announcement per module,
+    // then event-driven pushes.
     let env = Environment::outdoor_temperate(6);
     for minute in 0..(24 * 60) {
         let t = Seconds::from_minutes(minute as f64);
-        net.step(&env.conditions(t), Seconds::new(60.0), Watts::ZERO);
+        unit.step(&env.conditions(t), Seconds::new(60.0), Watts::ZERO);
     }
-    let smart_events = net.status_events() + net.announcements();
-    let smart_standing = net.standing_overhead();
+    let smart_events = unit.status_events() + unit.occupied_ports() as u64;
+    // The scheme's own standing draw: everything but the channel
+    // electronics, which all three placements share.
+    let channels: Watts = unit
+        .harvester_ports()
+        .iter()
+        .filter_map(|p| p.channel())
+        .map(InputChannel::idle_overhead)
+        .sum();
+    let smart_standing = unit.quiescent_power() - channels;
 
     // 2. Power-unit-hosted: dedicated MCU polls/tracks at 30 s.
     let mut pu_channel = placement_channel(Seconds::new(30.0), false);

@@ -21,10 +21,13 @@
 //! * **The digital interface** ([`EnergyBus`]): the I²C-style link of
 //!   Systems A and F, with NAK behaviour matching each platform's
 //!   capability tier and a traffic-energy meter.
-//! * **The "smart harvester" scheme** ([`SmartNetwork`]): the survey's
-//!   proposed future direction — per-device micro-managers with
-//!   zero-latency discovery and event-driven reporting — implemented so
-//!   its costs and benefits are measurable (experiment E8).
+//! * **The "smart harvester" scheme** ([`Supervisor::devolved`]): the
+//!   survey's proposed future direction is one point on the intelligence
+//!   axis, [`IntelligenceLocation::EnergyDevices`]. A `PowerUnit` placed
+//!   there gives every module a micro-manager with zero-latency
+//!   discovery and event-driven reporting, so its costs and benefits are
+//!   measurable on the same hardware as every other placement
+//!   (experiment E8).
 //! * **The classifier** ([`classify`], [`render_table`]): Table I is
 //!   *computed* from live platform models, not transcribed.
 //!
@@ -86,7 +89,6 @@ mod classify;
 mod compat;
 mod datasheet;
 mod power_unit;
-mod smart;
 mod taxonomy;
 
 pub use adc::AdcModel;
@@ -98,5 +100,4 @@ pub use power_unit::{
     load_draw, shortfall_split, BusHarvest, EnergyTotals, HarvesterPort, PowerUnit,
     PowerUnitBuilder, StepReport, StorePort, StoreRole, Supervisor,
 };
-pub use smart::{SmartModule, SmartNetwork, SmartPayload};
 pub use taxonomy::{ConditioningPlacement, Exchangeability, IntelligenceLocation, InterfaceKind};

@@ -71,13 +71,72 @@ impl Supervisor {
             overhead: Watts::ZERO,
         }
     }
+
+    /// The survey's "smart harvester": intelligence devolved to the
+    /// energy devices ([`IntelligenceLocation::EnergyDevices`]). Every
+    /// occupied port carries a module micro-manager drawing
+    /// [`PowerUnit::MODULE_DRAW`] that pushes its status over a digital
+    /// link, so the node sees everything and no central supervisor
+    /// draws anything.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
+    /// use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+    /// use mseh_harvesters::PvModule;
+    /// use mseh_storage::Supercap;
+    /// use mseh_env::EnvConditions;
+    /// use mseh_units::{Seconds, Volts, Watts, WattsPerSqM};
+    ///
+    /// let pv = InputChannel::new(
+    ///     Box::new(PvModule::outdoor_panel_half_watt()),
+    ///     Box::new(PerturbObserve::new()),
+    ///     Box::new(IdealDiode::nanopower()),
+    ///     Box::new(DcDcConverter::mppt_front_end_5v()),
+    /// );
+    /// let mut unit = PowerUnit::builder("smart harvester")
+    ///     .harvester_port(
+    ///         PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(8.0)),
+    ///         Some(pv), true)
+    ///     .store_port(
+    ///         PortRequirement::any_in_window("SC", Volts::ZERO, Volts::new(3.0)),
+    ///         Some(Box::new(Supercap::edlc_22f())), StoreRole::PrimaryBuffer, true)
+    ///     .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+    ///     .supervisor(Supervisor::devolved())
+    ///     .build();
+    /// // Discovery is immediate: two modules announced, no polling.
+    /// assert_eq!(unit.occupied_ports(), 2);
+    ///
+    /// // The sun comes out: the PV module pushes its new output.
+    /// let mut sun = EnvConditions::quiescent(Seconds::ZERO);
+    /// sun.irradiance = WattsPerSqM::new(800.0);
+    /// unit.step(&sun, Seconds::new(60.0), Watts::ZERO);
+    /// assert_eq!(unit.status_events(), 1);
+    /// assert!(unit.energy_status().harvest_power.unwrap() > Watts::ZERO);
+    /// ```
+    pub fn devolved() -> Self {
+        Self {
+            location: IntelligenceLocation::EnergyDevices,
+            monitoring: MonitoringLevel::Full,
+            interface: InterfaceKind::Digital { two_way: true },
+            overhead: Watts::ZERO,
+        }
+    }
 }
+
+/// Relative change of a harvester module's delivered power that makes a
+/// devolved unit's module push a status event.
+const REPORT_THRESHOLD: f64 = 0.2;
 
 /// One harvester input port.
 pub struct HarvesterPort {
     requirement: PortRequirement,
     channel: Option<InputChannel>,
     swappable: bool,
+    /// The delivered power this port's module last pushed (devolved
+    /// units only; zero until the first push).
+    reported: Watts,
 }
 
 /// One storage port.
@@ -147,10 +206,8 @@ impl StepReport {
 /// rest to the heap.
 const INLINE_CHANNELS: usize = 6;
 
-/// The harvest half of one [`PowerUnit::step`] or
-/// [`SmartNetwork::step`](crate::SmartNetwork::step): what the input
-/// channels put on the bus, solved before any load or store is
-/// consulted.
+/// The harvest half of one [`PowerUnit::step`]: what the input channels
+/// put on the bus, solved before any load or store is consulted.
 ///
 /// Each channel sees only the ambient conditions and the step width, so
 /// identically built platforms stepped through the same conditions
@@ -245,6 +302,15 @@ pub fn shortfall_split(
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
 /// `mseh-systems` are preconfigured instances of this type.
 ///
+/// A unit whose supervisor sits on [`IntelligenceLocation::EnergyDevices`]
+/// ([`Supervisor::devolved`]) is the survey's future-work "smart
+/// harvester": every occupied port carries a module micro-manager
+/// drawing [`MODULE_DRAW`](Self::MODULE_DRAW), each harvester module
+/// pushes a status event when its delivered power moves by more than a
+/// fifth of its last pushed value ([`status_events`](Self::status_events)),
+/// and the node reads the pushed values as the harvest power. Attaching
+/// a module announces it: discovery is the port count, with no polling.
+///
 /// # Examples
 ///
 /// ```
@@ -295,9 +361,14 @@ pub struct PowerUnit {
     sense_adc: Option<AdcModel>,
     totals: EnergyTotals,
     last_harvest: Watts,
+    status_events: u64,
 }
 
 impl PowerUnit {
+    /// The standing draw of one module micro-manager on a devolved unit:
+    /// 3 µW, a sleepy sub-threshold MCU.
+    pub const MODULE_DRAW: Watts = Watts::new(3e-6);
+
     /// Starts building a unit.
     pub fn builder(name: impl Into<String>) -> PowerUnitBuilder {
         PowerUnitBuilder {
@@ -368,14 +439,52 @@ impl PowerUnit {
         self.totals
     }
 
+    /// Ports holding a device: occupied harvester ports plus occupied
+    /// store ports. On a devolved unit, each is one announced module.
+    pub fn occupied_ports(&self) -> usize {
+        self.modules().count()
+    }
+
+    /// The occupied ports' requirements, harvesters first, each kind in
+    /// port order: a devolved unit's modules.
+    fn modules(&self) -> impl Iterator<Item = &PortRequirement> {
+        let harvesters = self.harvester_ports.iter().filter(|p| p.channel.is_some());
+        let stores = self.store_ports.iter().filter(|p| p.device.is_some());
+        harvesters
+            .map(|p| &p.requirement)
+            .chain(stores.map(|p| &p.requirement))
+    }
+
+    /// Status events the harvester modules of a devolved unit have
+    /// pushed so far; always zero on any other unit.
+    pub fn status_events(&self) -> u64 {
+        self.status_events
+    }
+
+    fn devolved(&self) -> bool {
+        self.supervisor.location == IntelligenceLocation::EnergyDevices
+    }
+
+    /// The module micro-managers' standing draw: one
+    /// [`MODULE_DRAW`](Self::MODULE_DRAW) per occupied port on a
+    /// devolved unit, zero on any other.
+    fn module_draws(&self) -> Watts {
+        if self.devolved() {
+            Self::MODULE_DRAW * self.occupied_ports() as f64
+        } else {
+            Watts::ZERO
+        }
+    }
+
     /// The regulated output rail voltage.
     pub fn output_rail(&self) -> Volts {
         self.output.output_voltage()
     }
 
     /// Standing power draw with every source dead: channel idle
-    /// overheads + supervisor + output-stage quiescent. Divided by the
-    /// output rail this is Table I's "Quiescent Current Draw".
+    /// overheads + supervisor + output-stage quiescent, plus a devolved
+    /// unit's module micro-managers. Divided by the output rail this is
+    /// Table I's "Quiescent Current Draw".
     pub fn quiescent_power(&self) -> Watts {
         let channels: Watts = self
             .harvester_ports
@@ -383,16 +492,17 @@ impl PowerUnit {
             .filter_map(|p| p.channel.as_ref())
             .map(InputChannel::idle_overhead)
             .sum();
-        channels + self.supervisor.overhead + self.output.quiescent()
+        channels + self.supervisor.overhead + self.output.quiescent() + self.module_draws()
     }
 
     /// The standing draw itemized per component as a
     /// [`mseh_power::QuiescentLedger`] referenced to the output rail:
     /// one entry per occupied harvester channel (its idle front-end
-    /// overhead), the supervisor, and the output stage. The ledger's
-    /// total equals [`quiescent_power`](Self::quiescent_power), so the
-    /// observability layer can report not just Table I's µA figure but
-    /// *which* component is drawing it.
+    /// overhead), the supervisor, and the output stage, plus on a
+    /// devolved unit one module-MCU entry per occupied port. The
+    /// ledger's total equals [`quiescent_power`](Self::quiescent_power),
+    /// so the observability layer can report not just Table I's µA
+    /// figure but *which* component is drawing it.
     pub fn quiescent_ledger(&self) -> mseh_power::QuiescentLedger {
         let mut ledger = mseh_power::QuiescentLedger::new(self.output_rail());
         for port in &self.harvester_ports {
@@ -405,6 +515,11 @@ impl PowerUnit {
         }
         ledger.add("supervisor", self.supervisor.overhead);
         ledger.add("output stage", self.output.quiescent());
+        if self.devolved() {
+            for module in self.modules() {
+                ledger.add(format!("{} module MCU", module.label), Self::MODULE_DRAW);
+            }
+        }
         ledger
     }
 
@@ -492,7 +607,9 @@ impl PowerUnit {
 
     /// The energy status as reported to the node, clamped to the
     /// supervisor's monitoring level, with stored energy scaled by the
-    /// *recognized* (believed) capacities.
+    /// *recognized* (believed) capacities. A devolved unit reports the
+    /// sum of its harvester modules' last pushed values as the harvest
+    /// power.
     pub fn energy_status(&self) -> EnergyStatus {
         let soc_actual = {
             let cap: Joules = self
@@ -509,11 +626,16 @@ impl PowerUnit {
             }
         };
         let believed_stored = self.recognized_capacity() * soc_actual;
+        let harvest = if self.devolved() {
+            self.harvester_ports.iter().map(|p| p.reported).sum()
+        } else {
+            self.last_harvest
+        };
         let mut status = EnergyStatus::full(
             self.store_voltage(),
             Ratio::new(soc_actual),
             believed_stored,
-            self.last_harvest,
+            harvest,
         )
         .clamped_to(self.supervisor.monitoring);
         // A store-voltage-only tier reads through the analog sense line's
@@ -566,9 +688,13 @@ impl PowerUnit {
         Ok(())
     }
 
-    /// Detaches the harvester channel at `port`, if any.
+    /// Detaches the harvester channel at `port`, if any. On a devolved
+    /// unit its module's last pushed value goes with it, so the next
+    /// module attached there starts unreported.
     pub fn detach_harvester(&mut self, port: usize) -> Option<InputChannel> {
-        self.harvester_ports.get_mut(port)?.channel.take()
+        let slot = self.harvester_ports.get_mut(port)?;
+        slot.reported = Watts::ZERO;
+        slot.channel.take()
     }
 
     /// Attaches a storage device to port `port`.
@@ -862,8 +988,12 @@ impl PowerUnit {
         // 1. Harvest and housekeeping.
         let harvested_w = harvest.delivered;
         let mut overhead_w = self.supervisor.overhead + self.output.quiescent();
-        for (_, overhead) in harvest.channels() {
-            overhead_w += overhead;
+        if self.devolved() {
+            overhead_w = self.fold_modules(harvest, overhead_w);
+        } else {
+            for (_, overhead) in harvest.channels() {
+                overhead_w += overhead;
+            }
         }
         self.last_harvest = harvested_w;
 
@@ -960,6 +1090,33 @@ impl PowerUnit {
         self.totals.spilled += report.spilled;
         report
     }
+
+    /// A devolved unit's housekeeping fold: each occupied harvester
+    /// port, in port order, adds its module's draw and then its
+    /// channel's overhead from `harvest`, and pushes a status event when
+    /// its delivered power moved by more than [`REPORT_THRESHOLD`] of
+    /// its last pushed value (floored at 1 nW); then each occupied store
+    /// port adds its module's draw. Returns `overhead_w` with all of it
+    /// folded on.
+    fn fold_modules(&mut self, harvest: &BusHarvest, mut overhead_w: Watts) -> Watts {
+        let ports = self
+            .harvester_ports
+            .iter_mut()
+            .filter(|p| p.channel.is_some());
+        for (port, (delivered, overhead)) in ports.zip(harvest.channels()) {
+            overhead_w += Self::MODULE_DRAW;
+            overhead_w += overhead;
+            let last = port.reported.value();
+            if (delivered.value() - last).abs() / last.abs().max(1e-9) > REPORT_THRESHOLD {
+                self.status_events += 1;
+                port.reported = delivered;
+            }
+        }
+        for _ in self.store_ports.iter().filter(|p| p.device.is_some()) {
+            overhead_w += Self::MODULE_DRAW;
+        }
+        overhead_w
+    }
 }
 
 impl core::fmt::Debug for PowerUnit {
@@ -1045,6 +1202,7 @@ impl PowerUnitBuilder {
             requirement,
             channel,
             swappable,
+            reported: Watts::ZERO,
         });
         self
     }
@@ -1146,6 +1304,7 @@ impl PowerUnitBuilder {
             sense_adc: self.sense_adc,
             totals: EnergyTotals::default(),
             last_harvest: Watts::ZERO,
+            status_events: 0,
         }
     }
 }

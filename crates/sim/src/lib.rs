@@ -1,7 +1,7 @@
 //! Discrete-time simulation kernel for multi-source harvesting platforms.
 //!
-//! The kernel drives a [`Platform`] (a [`mseh_core::PowerUnit`] or
-//! [`mseh_core::SmartNetwork`]) against a seeded
+//! The kernel drives a [`Platform`] (a [`mseh_core::PowerUnit`], the
+//! smart harvester included) against a seeded
 //! [`mseh_env::Environment`], with a [`mseh_node::SensorNode`] as the
 //! load and a [`mseh_node::DutyCyclePolicy`] closing the energy-awareness
 //! loop. Power flow is solved quasi-statically per step (the standard

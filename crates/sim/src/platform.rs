@@ -1,14 +1,19 @@
 //! The [`Platform`] abstraction: anything the simulation kernel can drive.
 
-use mseh_core::{BusHarvest, PowerUnit, SmartNetwork, StepReport};
+use mseh_core::{BusHarvest, PowerUnit, StepReport};
 use mseh_env::EnvConditions;
 use mseh_harvesters::CacheStats;
 use mseh_node::EnergyStatus;
 use mseh_units::{Joules, Seconds, Watts};
 
-/// A complete energy platform the kernel can step: the conventional
-/// [`PowerUnit`] and the future-work [`SmartNetwork`] both qualify, so
-/// every experiment can run against either architecture unchanged.
+/// A complete energy platform the kernel can step. [`PowerUnit`] is the
+/// one implementor outside tests: every surveyed platform and the
+/// future-work smart harvester ([`mseh_core::Supervisor::devolved`]) is
+/// a `PowerUnit`. The trait stays because the benchmark package names
+/// it: its layer replay takes `&mut dyn Platform`, its CLI and daemon
+/// workloads call `Platform::kernel_cache_stats`, and its fleet
+/// factories build `Box<dyn Platform>`. The two test-only misreporting
+/// platforms in the fleet and arena tests implement it too.
 ///
 /// A step is two halves: [`harvest`](Self::harvest) solves the input
 /// channels, which never depend on the load, and
@@ -132,36 +137,6 @@ impl Platform for PowerUnit {
     }
 }
 
-impl Platform for SmartNetwork {
-    fn name(&self) -> &str {
-        "smart harvester network"
-    }
-
-    fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
-        SmartNetwork::harvest(self, env, dt)
-    }
-
-    fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
-        SmartNetwork::settle(self, harvest, dt, load)
-    }
-
-    fn energy_status(&self) -> EnergyStatus {
-        SmartNetwork::energy_status(self)
-    }
-
-    fn total_stored_energy(&self) -> Joules {
-        SmartNetwork::stored_energy(self)
-    }
-
-    fn storage_losses(&self) -> Joules {
-        SmartNetwork::storage_losses(self)
-    }
-
-    fn storage_capacity(&self) -> Joules {
-        SmartNetwork::storage_capacity(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +165,5 @@ mod tests {
         let r = p.step(&env, Seconds::new(1.0), Watts::ZERO);
         assert_eq!(r.harvested, Joules::ZERO);
         assert_eq!(p.total_stored_energy(), Joules::ZERO);
-    }
-
-    #[test]
-    fn smart_network_is_a_platform() {
-        let net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-        let p: Box<dyn Platform> = Box::new(net);
-        assert_eq!(p.name(), "smart harvester network");
     }
 }

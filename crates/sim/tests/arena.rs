@@ -10,20 +10,21 @@
 //!
 //! Every boxed lane settles against a shared harvest: one extra
 //! platform per seed solves the channels. The checks below therefore
-//! cover that shared path for all seven systems and for a
-//! `SmartNetwork`.
+//! cover that shared path for all seven systems and for a smart
+//! harvester (a `PowerUnit` with its intelligence on the energy
+//! devices).
 
-use mseh_core::{ElectronicDatasheet, SmartModule, SmartNetwork};
+use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::Environment;
-use mseh_harvesters::{HarvesterKind, PvModule};
+use mseh_harvesters::PvModule;
 use mseh_node::{FixedDuty, HillClimbDuty, SensorNode, VoltageThreshold};
 use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
 use mseh_sim::{
     run_arena, run_simulation, ArenaConfig, ArenaSpec, Contender, SimConfig, SimResult,
 };
-use mseh_storage::{Storage, StorageKind, Supercap};
+use mseh_storage::Supercap;
 use mseh_systems::{resilience, SystemId};
-use mseh_units::{DutyCycle, Seconds, Watts};
+use mseh_units::{DutyCycle, Seconds, Volts};
 
 fn roster(id: SystemId) -> Vec<Contender> {
     vec![
@@ -84,30 +85,27 @@ fn shared_trace_matches_per_run_sampling_for_every_table_i_system() {
     }
 }
 
-fn smart_network() -> SmartNetwork {
-    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester(
-            "PV-07",
-            HarvesterKind::Photovoltaic,
-            Watts::from_milli(500.0),
-        ),
-        InputChannel::new(
-            Box::new(PvModule::outdoor_panel_half_watt()),
-            Box::new(PerturbObserve::new()),
-            Box::new(IdealDiode::nanopower()),
-            Box::new(DcDcConverter::mppt_front_end_5v()),
-        ),
-    ));
-    let cap = Supercap::edlc_22f();
-    let sheet = ElectronicDatasheet::storage(
-        "SC-22",
-        StorageKind::Supercapacitor,
-        Watts::from_milli(500.0),
-        cap.capacity(),
-    );
-    net.attach(SmartModule::storage(sheet, Box::new(cap)));
-    net
+fn smart_network() -> PowerUnit {
+    PowerUnit::builder("smart network")
+        .harvester_port(
+            PortRequirement::any_in_window("PV-07", Volts::ZERO, Volts::new(8.0)),
+            Some(InputChannel::new(
+                Box::new(PvModule::outdoor_panel_half_watt()),
+                Box::new(PerturbObserve::new()),
+                Box::new(IdealDiode::nanopower()),
+                Box::new(DcDcConverter::mppt_front_end_5v()),
+            )),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("SC-22", Volts::ZERO, Volts::new(3.0)),
+            Some(Box::new(Supercap::edlc_22f())),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor::devolved())
+        .build()
 }
 
 #[test]

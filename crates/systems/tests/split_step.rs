@@ -6,16 +6,16 @@
 //! over one day for all seven Table-I systems, for a unit settling its
 //! own harvest and for one settling a twin's, plus one unit whose output
 //! stage browns out on a schedule (its stage ages inside `settle`), and
-//! a `SmartNetwork` whose modules report status from the harvest.
+//! a smart harvester whose modules report status from the harvest.
 
-use mseh_core::{ElectronicDatasheet, PowerUnit, SmartModule, SmartNetwork};
+use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::Environment;
-use mseh_harvesters::{HarvesterKind, PvModule, Teg, Transducer};
+use mseh_harvesters::{PvModule, Teg, Transducer};
 use mseh_power::{BrownoutConverter, DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
 use mseh_sim::Platform;
-use mseh_storage::{Battery, Storage, StorageKind, Supercap};
+use mseh_storage::{Battery, Supercap};
 use mseh_systems::{resilience, SystemId};
-use mseh_units::{Seconds, Watts};
+use mseh_units::{Seconds, Volts, Watts};
 
 /// Debug output prints the shortest round-trip form of every float, so
 /// equal strings mean equal bits (signed zeros included).
@@ -90,49 +90,41 @@ fn settle_of_harvest_equals_step_through_a_brownout() {
     assert_split_matches_step("System C with brownouts", &env, build, unit_state);
 }
 
-/// Two harvester modules (PV and TEG, each under perturb-and-observe)
-/// and two storage modules (an EDLC, then a NiMH pair).
-fn smart_network() -> SmartNetwork {
-    let harvester = |model: &str, kind, rated, transducer: Box<dyn Transducer>| {
-        SmartModule::harvester(
-            ElectronicDatasheet::harvester(model, kind, rated),
-            InputChannel::new(
-                transducer,
-                Box::new(PerturbObserve::new()),
-                Box::new(IdealDiode::nanopower()),
-                Box::new(DcDcConverter::mppt_front_end_5v()),
-            ),
+/// A smart harvester: two harvester modules (PV and TEG, each under
+/// perturb-and-observe) and two storage modules (an EDLC, then a NiMH
+/// pair).
+fn smart_network() -> PowerUnit {
+    let port = |label: &str| PortRequirement::any_in_window(label, Volts::ZERO, Volts::new(8.0));
+    let channel = |transducer: Box<dyn Transducer>| {
+        Some(InputChannel::new(
+            transducer,
+            Box::new(PerturbObserve::new()),
+            Box::new(IdealDiode::nanopower()),
+            Box::new(DcDcConverter::mppt_front_end_5v()),
+        ))
+    };
+    PowerUnit::builder("smart network")
+        .harvester_port(
+            port("PV"),
+            channel(Box::new(PvModule::outdoor_panel_half_watt())),
+            true,
         )
-    };
-    let store = |model: &str, kind, device: Box<dyn Storage>| {
-        let sheet =
-            ElectronicDatasheet::storage(model, kind, Watts::from_milli(500.0), device.capacity());
-        SmartModule::storage(sheet, device)
-    };
-    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-    net.attach(harvester(
-        "PV",
-        HarvesterKind::Photovoltaic,
-        Watts::from_milli(500.0),
-        Box::new(PvModule::outdoor_panel_half_watt()),
-    ));
-    net.attach(harvester(
-        "TEG",
-        HarvesterKind::Thermoelectric,
-        Watts::from_milli(25.0),
-        Box::new(Teg::module_40mm()),
-    ));
-    net.attach(store(
-        "EDLC",
-        StorageKind::Supercapacitor,
-        Box::new(Supercap::edlc_22f()),
-    ));
-    net.attach(store(
-        "NiMH",
-        StorageKind::NiMh,
-        Box::new(Battery::nimh_aa_pair()),
-    ));
-    net
+        .harvester_port(port("TEG"), channel(Box::new(Teg::module_40mm())), true)
+        .store_port(
+            port("EDLC"),
+            Some(Box::new(Supercap::edlc_22f())),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .store_port(
+            port("NiMH"),
+            Some(Box::new(Battery::nimh_aa_pair())),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor::devolved())
+        .build()
 }
 
 #[test]
@@ -141,8 +133,8 @@ fn settle_of_harvest_equals_step_for_a_smart_network() {
         Environment::outdoor_temperate(17),
         Environment::indoor_industrial(17),
     ] {
-        let state = |net: &SmartNetwork| (net.status_events(), net.energy_status());
-        let net = assert_split_matches_step("smart network", &env, smart_network, state);
-        assert!(net.status_events() > 0, "no status event to compare");
+        let state = |unit: &PowerUnit| (unit.status_events(), unit_state(unit));
+        let unit = assert_split_matches_step("smart network", &env, smart_network, state);
+        assert!(unit.status_events() > 0, "no status event to compare");
     }
 }

@@ -1,6 +1,7 @@
 //! The survey's future-work proposal in action: a "smart harvester"
-//! network where every energy device carries its own micro-manager —
-//! compared against the same hardware under a conventional power unit.
+//! where every energy device carries its own micro-manager. It is an
+//! ordinary `PowerUnit` whose intelligence sits on the energy devices
+//! (`Supervisor::devolved`).
 //!
 //! Demonstrates the three measurable properties experiment E8 quantifies:
 //! zero-latency discovery on attach, event-driven status reporting, and
@@ -10,7 +11,9 @@
 //! cargo run --example smart_harvester
 //! ```
 
-use mseh::core::{ElectronicDatasheet, SmartModule, SmartNetwork};
+use mseh::core::{
+    ConditioningPlacement, ElectronicDatasheet, PortRequirement, PowerUnit, StoreRole, Supervisor,
+};
 use mseh::env::Environment;
 use mseh::harvesters::{HarvesterKind, PvModule, Teg, VibrationHarvester};
 use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
@@ -27,7 +30,18 @@ fn smart_channel(h: Box<dyn mseh::harvesters::Transducer>) -> InputChannel {
 }
 
 fn main() {
-    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
+    // Empty slots; each module brings its own conditioning and datasheet.
+    let slot = |label: &str| PortRequirement::any_in_window(label, Volts::ZERO, Volts::new(20.0));
+    let mut unit = PowerUnit::builder("smart harvester")
+        .harvester_port(slot("slot 1"), None, true)
+        .harvester_port(slot("slot 2"), None, true)
+        .harvester_port(slot("slot 3"), None, true)
+        .store_port(slot("store"), None, StoreRole::PrimaryBuffer, true)
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor::devolved())
+        .conditioning(ConditioningPlacement::EnergyModules)
+        .datasheet_capable(true)
+        .build();
     println!("smart harvester network (survey §IV future work)\n");
 
     // Modules announce themselves the instant they are attached — no
@@ -37,13 +51,16 @@ fn main() {
         HarvesterKind::Photovoltaic,
         Watts::from_milli(500.0),
     );
-    net.attach(SmartModule::harvester(
-        pv_sheet,
+    unit.attach_harvester(
+        0,
         smart_channel(Box::new(PvModule::outdoor_panel_half_watt())),
-    ));
+        Volts::new(6.0),
+        Some(&pv_sheet),
+    )
+    .expect("slot 1 is free");
     println!(
         "attach PV module        -> announcements: {}",
-        net.announcements()
+        unit.occupied_ports()
     );
 
     let teg_sheet = ElectronicDatasheet::harvester(
@@ -51,36 +68,38 @@ fn main() {
         HarvesterKind::Thermoelectric,
         Watts::from_milli(25.0),
     );
-    net.attach(SmartModule::harvester(
-        teg_sheet,
+    unit.attach_harvester(
+        1,
         smart_channel(Box::new(Teg::module_40mm())),
-    ));
+        Volts::new(1.0),
+        Some(&teg_sheet),
+    )
+    .expect("slot 2 is free");
     println!(
         "attach TEG module       -> announcements: {}",
-        net.announcements()
+        unit.occupied_ports()
     );
 
     let mut cap = Supercap::edlc_22f();
     cap.set_voltage(Volts::new(2.0));
-    let cap_capacity = cap.capacity();
-    net.attach(SmartModule::storage(
-        ElectronicDatasheet::storage(
-            "SMART-SC",
-            StorageKind::Supercapacitor,
-            Watts::from_milli(500.0),
-            cap_capacity,
-        ),
-        Box::new(cap),
-    ));
+    let cap_sheet = ElectronicDatasheet::storage(
+        "SMART-SC",
+        StorageKind::Supercapacitor,
+        Watts::from_milli(500.0),
+        cap.capacity(),
+    );
+    unit.attach_storage(0, Box::new(cap), Some(&cap_sheet))
+        .expect("the store slot is free");
     println!(
         "attach supercap module  -> announcements: {}",
-        net.announcements()
+        unit.occupied_ports()
     );
 
     println!(
-        "\nstanding overhead of the scheme: {} ({} per module MCU)",
-        net.standing_overhead(),
-        SmartModule::DEFAULT_MCU_OVERHEAD
+        "\nstanding draw of the platform: {}, of which module MCUs {} ({} each)",
+        unit.quiescent_power(),
+        PowerUnit::MODULE_DRAW * unit.occupied_ports() as f64,
+        PowerUnit::MODULE_DRAW
     );
 
     // Run a day outdoors; every module tracks locally, and status events
@@ -89,7 +108,7 @@ fn main() {
     let mut served = 0.0f64;
     for minute in 0..(24 * 60) {
         let t = Seconds::from_minutes(minute as f64);
-        let report = net.step(
+        let report = unit.step(
             &env.conditions(t),
             Seconds::new(60.0),
             Watts::from_milli(1.0),
@@ -98,10 +117,10 @@ fn main() {
     }
     println!("\nafter one simulated day:");
     println!("  delivered to load : {:.1} J", served);
-    println!("  stored energy     : {}", net.stored_energy());
+    println!("  stored energy     : {}", unit.stored_energy());
     println!(
         "  status events     : {} (event-driven — pushed only on change)",
-        net.status_events()
+        unit.status_events()
     );
     println!(
         "  the equivalent polled design issues {} transactions at 1/min",
@@ -109,21 +128,25 @@ fn main() {
     );
 
     // A fourth module can join mid-deployment with zero ceremony.
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester(
-            "SMART-PZ",
-            HarvesterKind::Piezoelectric,
-            Watts::from_micro(250.0),
-        ),
+    let piezo_sheet = ElectronicDatasheet::harvester(
+        "SMART-PZ",
+        HarvesterKind::Piezoelectric,
+        Watts::from_micro(250.0),
+    );
+    unit.attach_harvester(
+        2,
         smart_channel(Box::new(VibrationHarvester::piezo_cantilever())),
-    ));
+        Volts::new(3.0),
+        Some(&piezo_sheet),
+    )
+    .expect("slot 3 is free");
     println!(
         "\nhot-attach piezo module -> announcements: {} (discovery latency: none)",
-        net.announcements()
+        unit.occupied_ports()
     );
     println!(
-        "network status now: {:?} modules, store at {}",
-        net.modules().len(),
-        net.store_voltage()
+        "network status now: {} modules, store at {}",
+        unit.occupied_ports(),
+        unit.store_voltage()
     );
 }

@@ -21,13 +21,13 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mseh::core::{ElectronicDatasheet, SmartModule, SmartNetwork};
+use mseh::core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh::daemon::{
     build_arena_spec, build_fleet_spec, digest_arena, digest_campaign, digest_fleet, digest_single,
     fleet_config, make_env, make_policy,
 };
 use mseh::env::{Environment, ReplayEnvironment, Trace};
-use mseh::harvesters::{HarvesterKind, PvModule, Teg, Transducer};
+use mseh::harvesters::{PvModule, Teg, Transducer};
 use mseh::node::SensorNode;
 use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
 use mseh::sim::serve::protocol::Digest;
@@ -36,12 +36,12 @@ use mseh::sim::{
     run_simulation_observed, ArenaConfig, CampaignConfig, ConservationAuditor, EventSink,
     MetricsObserver, SimConfig, SinkFormat,
 };
-use mseh::storage::{Storage, StorageKind, Supercap};
+use mseh::storage::Supercap;
 use mseh::systems::resilience::{
     natural_environment, natural_node, natural_policy, resilience_scenario,
 };
 use mseh::systems::{site_survey, SystemId};
-use mseh::units::{Seconds, Volts, Watts};
+use mseh::units::{Seconds, Volts};
 
 const RECEIPTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/receipts.txt");
 const BLESS_VAR: &str = "MSEH_BLESS_RECEIPTS";
@@ -179,34 +179,31 @@ fn smart_channel(transducer: Box<dyn Transducer>) -> InputChannel {
 /// a 22 F EDLC at 2.0 V) over two outdoor days, with its status-event
 /// count.
 fn smart_network(out: &mut Vec<(String, String)>) {
-    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester("PV", HarvesterKind::Photovoltaic, Watts::from_milli(500.0)),
-        smart_channel(Box::new(PvModule::outdoor_panel_half_watt())),
-    ));
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester(
-            "TEG",
-            HarvesterKind::Thermoelectric,
-            Watts::from_milli(25.0),
-        ),
-        smart_channel(Box::new(Teg::module_40mm())),
-    ));
     let mut cap = Supercap::edlc_22f();
     cap.set_voltage(Volts::new(2.0));
-    let capacity = cap.capacity();
-    net.attach(SmartModule::storage(
-        ElectronicDatasheet::storage(
-            "SC",
-            StorageKind::Supercapacitor,
-            Watts::from_milli(500.0),
-            capacity,
-        ),
-        Box::new(cap),
-    ));
+    let mut unit = PowerUnit::builder("smart harvester")
+        .harvester_port(
+            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(8.0)),
+            Some(smart_channel(Box::new(PvModule::outdoor_panel_half_watt()))),
+            true,
+        )
+        .harvester_port(
+            PortRequirement::any_in_window("TEG", Volts::ZERO, Volts::new(2.0)),
+            Some(smart_channel(Box::new(Teg::module_40mm()))),
+            true,
+        )
+        .store_port(
+            PortRequirement::any_in_window("SC", Volts::ZERO, Volts::new(3.0)),
+            Some(Box::new(cap)),
+            StoreRole::PrimaryBuffer,
+            true,
+        )
+        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(Supervisor::devolved())
+        .build();
     let mut policy = make_policy("ladder").expect("policy");
     let result = run_simulation(
-        &mut net,
+        &mut unit,
         &Environment::outdoor_temperate(7),
         &SensorNode::submilliwatt_class(),
         policy.as_mut(),
@@ -217,7 +214,7 @@ fn smart_network(out: &mut Vec<(String, String)>) {
         format!(
             "{:016x} events={}",
             digest_single(&result),
-            net.status_events()
+            unit.status_events()
         ),
     ));
 }

@@ -1,14 +1,13 @@
 //! Integration: the "smart harvester" scheme (survey §IV) against a
-//! conventional centrally-managed platform on identical hardware.
+//! conventional centrally-managed platform on identical hardware. Both
+//! are `PowerUnit`s; the smart one places its intelligence on the energy
+//! devices (`Supervisor::devolved`).
 
-use mseh::core::{
-    ElectronicDatasheet, PortRequirement, PowerUnit, SmartModule, SmartNetwork, StoreRole,
-};
+use mseh::core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh::env::Environment;
-use mseh::harvesters::{HarvesterKind, PvModule, Teg};
-use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve, PowerStage};
-use mseh::sim::Platform;
-use mseh::storage::{Storage, StorageKind, Supercap};
+use mseh::harvesters::{PvModule, Teg};
+use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+use mseh::storage::Supercap;
 use mseh::units::{Seconds, Volts, Watts};
 
 fn channel(pv: bool) -> InputChannel {
@@ -25,42 +24,12 @@ fn channel(pv: bool) -> InputChannel {
     )
 }
 
-fn charged_cap() -> Supercap {
+/// PV and TEG ports under perturb-and-observe, a spare harvester port
+/// and a 22 F EDLC at 2.0 V, managed by `supervisor`.
+fn twin(name: &str, supervisor: Supervisor) -> PowerUnit {
     let mut cap = Supercap::edlc_22f();
     cap.set_voltage(Volts::new(2.0));
-    cap
-}
-
-fn smart() -> SmartNetwork {
-    let mut net = SmartNetwork::new(Box::new(DcDcConverter::buck_boost_3v3()));
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester("PV", HarvesterKind::Photovoltaic, Watts::from_milli(500.0)),
-        channel(true),
-    ));
-    net.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester(
-            "TEG",
-            HarvesterKind::Thermoelectric,
-            Watts::from_milli(25.0),
-        ),
-        channel(false),
-    ));
-    let cap = charged_cap();
-    let capacity = cap.capacity();
-    net.attach(SmartModule::storage(
-        ElectronicDatasheet::storage(
-            "SC",
-            StorageKind::Supercapacitor,
-            Watts::from_milli(500.0),
-            capacity,
-        ),
-        Box::new(cap),
-    ));
-    net
-}
-
-fn central() -> PowerUnit {
-    PowerUnit::builder("central twin")
+    PowerUnit::builder(name)
         .harvester_port(
             PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(8.0)),
             Some(channel(true)),
@@ -71,17 +40,31 @@ fn central() -> PowerUnit {
             Some(channel(false)),
             true,
         )
+        .harvester_port(
+            PortRequirement::any_in_window("spare", Volts::ZERO, Volts::new(8.0)),
+            None,
+            true,
+        )
         .store_port(
             PortRequirement::any_in_window("cap", Volts::ZERO, Volts::new(3.0)),
-            Some(Box::new(charged_cap())),
+            Some(Box::new(cap)),
             StoreRole::PrimaryBuffer,
             true,
         )
         .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+        .supervisor(supervisor)
         .build()
 }
 
-fn run_day(platform: &mut dyn Platform, seed: u64) -> (f64, f64) {
+fn smart() -> PowerUnit {
+    twin("smart twin", Supervisor::devolved())
+}
+
+fn central() -> PowerUnit {
+    twin("central twin", Supervisor::none())
+}
+
+fn run_day(platform: &mut PowerUnit, seed: u64) -> (f64, f64) {
     let env = Environment::outdoor_temperate(seed);
     let mut harvested = 0.0;
     let mut delivered = 0.0;
@@ -116,37 +99,30 @@ fn same_hardware_similar_harvest() {
 fn smart_scheme_pays_a_standing_overhead() {
     let s = smart();
     let c = central();
-    // The channel electronics are identical in both schemes; the smart
-    // network's *additional* structural cost is one micro-manager per
-    // module, on top of the shared output stage.
-    let per_module = SmartModule::DEFAULT_MCU_OVERHEAD;
-    let output_q = DcDcConverter::buck_boost_3v3().quiescent();
-    let expected = per_module * 3.0 + output_q;
+    // The channel and output electronics are identical in both schemes;
+    // the smart unit's *additional* structural cost is one micro-manager
+    // per module: PV, TEG and the supercap.
+    assert_eq!(s.occupied_ports(), 3);
+    let extra = s.quiescent_power() - c.quiescent_power();
+    let expected = PowerUnit::MODULE_DRAW * 3.0;
     assert!(
-        (s.standing_overhead() - expected).abs() < Watts::from_nano(1.0),
-        "smart standing {} vs expected {}",
-        s.standing_overhead(),
-        expected
+        (extra - expected).abs() < Watts::from_nano(1.0),
+        "smart pays {extra} more than central, expected {expected}"
     );
-    // The conventional twin has no per-device MCUs: its standing draw is
-    // channel + output electronics only.
-    assert!(c.supervisor().overhead == Watts::ZERO);
+    // Neither twin has a central supervisor drawing anything.
+    assert_eq!(s.supervisor().overhead, Watts::ZERO);
+    assert_eq!(c.supervisor().overhead, Watts::ZERO);
 }
 
 #[test]
 fn discovery_is_event_driven_not_polled() {
     let mut s = smart();
-    let before = s.announcements();
-    s.attach(SmartModule::harvester(
-        ElectronicDatasheet::harvester(
-            "PV2",
-            HarvesterKind::Photovoltaic,
-            Watts::from_milli(500.0),
-        ),
-        channel(true),
-    ));
-    // One announcement, zero polling transactions.
-    assert_eq!(s.announcements(), before + 1);
+    let before = s.occupied_ports();
+    s.attach_harvester(2, channel(true), Volts::new(6.0), None)
+        .expect("the spare port is free");
+    // One more announced module, zero polling transactions.
+    assert_eq!(s.occupied_ports(), before + 1);
+    assert_eq!(s.status_events(), 0);
 }
 
 #[test]
@@ -154,7 +130,7 @@ fn status_events_track_environment_dynamics() {
     let mut s = smart();
     let env = Environment::outdoor_temperate(8);
     // A stable hour produces few events; sunrise produces a burst.
-    let count_events = |net: &mut SmartNetwork, from_h: f64| {
+    let count_events = |net: &mut PowerUnit, from_h: f64| {
         let before = net.status_events();
         for minute in 0..60 {
             let t = Seconds::from_hours(from_h) + Seconds::from_minutes(minute as f64);
@@ -165,22 +141,4 @@ fn status_events_track_environment_dynamics() {
     let night = count_events(&mut s, 2.0); // dead of night: nothing changes
     let sunrise = count_events(&mut s, 6.0); // irradiance ramps
     assert!(sunrise > night, "sunrise {sunrise} vs night {night}");
-}
-
-#[test]
-fn platform_trait_unifies_both_schemes() {
-    // The same experiment code drives either architecture — the library
-    // property that makes E8's comparison fair.
-    let platforms: Vec<Box<dyn Platform>> = vec![Box::new(smart()), Box::new(central())];
-    for mut p in platforms {
-        let status = p.energy_status();
-        assert!(status.store_voltage.is_some() || p.name() == "central twin");
-        let env = Environment::outdoor_temperate(1);
-        let r = p.step(
-            &env.conditions(Seconds::from_hours(12.0)),
-            Seconds::new(60.0),
-            Watts::ZERO,
-        );
-        assert!(r.harvested.value() >= 0.0);
-    }
 }
