@@ -4,11 +4,16 @@
 //! devices (`Supervisor::devolved`).
 
 use mseh::core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
+use mseh::daemon::digest_single;
 use mseh::env::Environment;
 use mseh::harvesters::{PvModule, Teg};
-use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+use mseh::node::{SensorNode, VoltageThreshold};
+use mseh::power::{
+    BrownoutConverter, DcDcConverter, FractionalVoc, IdealDiode, InputChannel, PerturbObserve,
+};
+use mseh::sim::{run_simulation, FaultSchedule, IntermittentStorage, Platform, SimConfig};
 use mseh::storage::Supercap;
-use mseh::units::{Seconds, Volts, Watts};
+use mseh::units::{Joules, Seconds, Volts, Watts};
 
 fn channel(pv: bool) -> InputChannel {
     let h: Box<dyn mseh::harvesters::Transducer> = if pv {
@@ -141,4 +146,89 @@ fn status_events_track_environment_dynamics() {
     let night = count_events(&mut s, 2.0); // dead of night: nothing changes
     let sunrise = count_events(&mut s, 6.0); // irradiance ramps
     assert!(sunrise > night, "sunrise {sunrise} vs night {night}");
+}
+
+/// The smart twin with its PV module tracking at a fixed fraction of
+/// the open-circuit voltage instead of perturb-and-observe.
+fn smart_fractional_voc() -> PowerUnit {
+    let mut unit = smart();
+    unit.detach_harvester(0).expect("PV attached");
+    let pv = InputChannel::new(
+        Box::new(PvModule::outdoor_panel_half_watt()),
+        Box::new(FractionalVoc::pv_standard()),
+        Box::new(IdealDiode::nanopower()),
+        Box::new(DcDcConverter::mppt_front_end_5v()),
+    );
+    unit.attach_harvester(0, pv, Volts::new(6.0), None)
+        .expect("PV port free again");
+    unit
+}
+
+#[test]
+fn kernel_caches_are_counted_and_switchable_through_the_platform() {
+    let run = |cached: bool| {
+        let mut unit = smart_fractional_voc();
+        Platform::set_kernel_cache_enabled(&mut unit, cached);
+        let result = run_simulation(
+            &mut unit,
+            &Environment::outdoor_temperate(7),
+            &SensorNode::submilliwatt_class(),
+            &mut VoltageThreshold::supercap_ladder(),
+            SimConfig::over(Seconds::from_days(2.0)),
+        );
+        (digest_single(&result), Platform::kernel_cache_stats(&unit))
+    };
+    let (cached_digest, cached) = run(true);
+    let (uncached_digest, uncached) = run(false);
+    assert!(
+        cached.hits + cached.misses > 0,
+        "no lookup counted: {cached:?}"
+    );
+    assert_eq!(uncached.hits + uncached.misses, 0, "{uncached:?}");
+    assert_eq!(cached_digest, uncached_digest);
+}
+
+#[test]
+fn store_faults_are_counted_and_strand_energy_through_the_platform() {
+    let mut unit = smart();
+    let schedule =
+        FaultSchedule::one_shot_recovering(Seconds::from_hours(1.0), Seconds::from_hours(1.0));
+    assert!(
+        unit.instrument_store(0, |inner| Box::new(IntermittentStorage::new(
+            inner, schedule
+        )))
+    );
+    let night = Environment::outdoor_temperate(3);
+    let dt = Seconds::new(60.0);
+    let mut stranded_while_down = Joules::ZERO;
+    for minute in 0..240 {
+        let t = Seconds::from_minutes(f64::from(minute));
+        unit.step(&night.conditions(t), dt, Watts::from_milli(0.1));
+        if Platform::fault_counts(&unit) == (1, 0) {
+            stranded_while_down = stranded_while_down.max(Platform::stranded_energy(&unit));
+        }
+    }
+    assert!(stranded_while_down > Joules::ZERO);
+    assert_eq!(Platform::fault_counts(&unit), (1, 1));
+    assert_eq!(Platform::stranded_energy(&unit), Joules::ZERO);
+}
+
+#[test]
+fn settle_ages_a_browning_output_stage() {
+    let mut unit = smart();
+    let (start, end) = (Seconds::from_hours(1.0), Seconds::from_hours(2.0));
+    unit.instrument_output_stage(|stage| {
+        Box::new(BrownoutConverter::new(stage, vec![(start, end)]))
+    });
+    let night = Environment::outdoor_temperate(3);
+    let dt = Seconds::new(60.0);
+    for minute in 0..180u32 {
+        let t = Seconds::from_minutes(f64::from(minute));
+        let report = unit.step(&night.conditions(t), dt, Watts::from_milli(0.1));
+        // The stage ages by `dt` before serving, so step `minute` sees
+        // the stage as it is at `t + dt`.
+        let down = t + dt >= start && t + dt < end;
+        assert_eq!(report.fully_served(), !down, "minute {minute}");
+    }
+    assert_eq!(Platform::fault_counts(&unit), (1, 1));
 }
