@@ -176,8 +176,8 @@ fn smart_channel(transducer: Box<dyn Transducer>) -> InputChannel {
 }
 
 /// The smart harvester of `tests/smart_network.rs` (PV and TEG modules,
-/// a 22 F EDLC at 2.0 V) over two outdoor days, with its status-event
-/// count.
+/// a 22 F EDLC at 2.0 V) over two outdoor days, with its kernel-cache
+/// counters and status-event count.
 fn smart_network(out: &mut Vec<(String, String)>) {
     let mut cap = Supercap::edlc_22f();
     cap.set_voltage(Volts::new(2.0));
@@ -209,11 +209,15 @@ fn smart_network(out: &mut Vec<(String, String)>) {
         policy.as_mut(),
         SimConfig::over(Seconds::from_days(2.0)),
     );
+    let cache = unit.kernel_cache_stats();
     out.push((
         "smart/outdoor/7".into(),
         format!(
-            "{:016x} events={}",
+            "{:016x} cache={}/{}/{} events={}",
             digest_single(&result),
+            cache.hits,
+            cache.misses,
+            cache.invalidations,
             unit.status_events()
         ),
     ));
