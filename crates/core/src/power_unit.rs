@@ -1515,6 +1515,74 @@ mod tests {
     }
 
     #[test]
+    fn devolved_unit_sits_on_energy_devices_in_the_taxonomy() {
+        use mseh_storage::FuelCell;
+        let build = |conditioning| {
+            PowerUnit::builder("smart")
+                .harvester_port(
+                    PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+                    Some(pv_channel()),
+                    true,
+                )
+                .harvester_port(
+                    PortRequirement::any_in_window("spare", Volts::ZERO, Volts::new(7.0)),
+                    None,
+                    true,
+                )
+                .store_port(
+                    PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(3.0)),
+                    Some(Box::new(Supercap::edlc_22f())),
+                    StoreRole::PrimaryBuffer,
+                    true,
+                )
+                .store_port(
+                    PortRequirement::any_in_window("backup", Volts::ZERO, Volts::new(4.0)),
+                    Some(Box::new(FuelCell::hydrogen_cartridge())),
+                    StoreRole::Backup,
+                    false,
+                )
+                .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+                .supervisor(Supervisor::devolved())
+                .conditioning(conditioning)
+                .build()
+        };
+        let unit = build(ConditioningPlacement::PowerUnit);
+        let record = crate::classify(&unit);
+        assert_eq!(record.intelligence.to_string(), "on energy devices");
+        assert_eq!(record.energy_monitoring, MonitoringLevel::Full);
+        assert!(record.digital_interface);
+        let modular = crate::classify(&build(ConditioningPlacement::EnergyModules));
+        assert_eq!(
+            modular.exchangeability(),
+            crate::taxonomy::Exchangeability::CompletelyFlexible
+        );
+        // One module micro-manager per occupied port, the backup included
+        // and the empty spare left out, and the ledger totals the draw.
+        let ledger = unit.quiescent_ledger();
+        let modules: Vec<_> = ledger
+            .iter()
+            .filter(|e| e.component.ends_with("module MCU"))
+            .map(|e| (e.component.as_str(), e.power))
+            .collect();
+        let draw = PowerUnit::MODULE_DRAW;
+        assert_eq!(
+            modules,
+            [
+                ("PV module MCU", draw),
+                ("buffer module MCU", draw),
+                ("backup module MCU", draw)
+            ]
+        );
+        assert_eq!(unit.occupied_ports(), 3);
+        let total = ledger.total_power();
+        assert!(
+            (total - unit.quiescent_power()).abs().value() <= 1e-15,
+            "ledger {total:?} vs quiescent {:?}",
+            unit.quiescent_power()
+        );
+    }
+
+    #[test]
     fn quiescent_power_sums_components() {
         let unit = small_unit();
         let q = unit.quiescent_power();

@@ -3,7 +3,7 @@
 //! Inputs come from the deterministic [`mseh::units::fuzz::Rng`]
 //! (seeds fixed, failures reproduce exactly).
 
-use mseh::core::{PortRequirement, PowerUnit, StoreRole};
+use mseh::core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh::env::Environment;
 use mseh::harvesters::{FlowTurbine, PvModule, Rectenna, Teg, VibrationHarvester};
 use mseh::node::{FixedDuty, SensorNode};
@@ -18,7 +18,7 @@ use mseh::sim::{
 use mseh::storage::{Battery, FuelCell, Storage, Supercap};
 use mseh::systems::{resilience, SystemId};
 use mseh::units::fuzz::Rng;
-use mseh::units::{DutyCycle, Seconds, Volts};
+use mseh::units::{DutyCycle, Seconds, Volts, Watts};
 
 /// Builds the i-th harvester flavour.
 fn harvester(i: u8) -> Box<dyn mseh::harvesters::Transducer> {
@@ -65,8 +65,12 @@ fn storage(i: u8, soc: f64) -> Box<dyn Storage> {
     }
 }
 
-fn build_platform(harvesters: &[(u8, u8)], stores: &[(u8, f64)]) -> PowerUnit {
-    let mut builder = PowerUnit::builder("prop platform");
+fn build_platform(
+    harvesters: &[(u8, u8)],
+    stores: &[(u8, f64)],
+    supervisor: Supervisor,
+) -> PowerUnit {
+    let mut builder = PowerUnit::builder("prop platform").supervisor(supervisor);
     for (i, &(h, c)) in harvesters.iter().enumerate() {
         let protection: Box<dyn PowerStage> = if h % 2 == 0 {
             Box::new(IdealDiode::nanopower())
@@ -119,7 +123,9 @@ fn random_stores(rng: &mut Rng) -> Vec<(u8, f64)> {
 }
 
 /// Storage-side conservation closes for any platform shape, any
-/// environment, any duty cycle.
+/// environment, any duty cycle, with the intelligence on no device or
+/// devolved to every energy device (a module draw on each occupied
+/// port, backups included).
 #[test]
 fn conservation_closes_for_arbitrary_platforms() {
     let mut rng = Rng::new(0xC0);
@@ -131,29 +137,39 @@ fn conservation_closes_for_arbitrary_platforms() {
         let seed = rng.index(1000) as u64;
         let hours = rng.in_range(2.0, 24.0);
 
-        let mut unit = build_platform(&harvesters, &stores);
-        let env = match env_kind {
-            0 => Environment::outdoor_temperate(seed),
-            1 => Environment::indoor_industrial(seed),
-            2 => Environment::agricultural(seed),
-            _ => Environment::outdoor_winter(seed),
-        };
-        let result = run_simulation(
-            &mut unit,
-            &env,
-            &SensorNode::submilliwatt_class(),
-            &mut FixedDuty::new(DutyCycle::saturating(duty)),
-            SimConfig::over(Seconds::from_hours(hours)),
-        );
+        let central = build_platform(&harvesters, &stores, Supervisor::none());
+        let devolved = build_platform(&harvesters, &stores, Supervisor::devolved());
+        let modules = (harvesters.len() + stores.len()) as f64;
+        let extra = devolved.quiescent_power() - central.quiescent_power();
         assert!(
-            result.audit_residual < 1e-6,
-            "residual {} (harvesters {harvesters:?}, stores {stores:?})",
-            result.audit_residual
+            (extra - PowerUnit::MODULE_DRAW * modules).abs() < Watts::from_nano(1.0),
+            "module draws {extra} (harvesters {harvesters:?}, stores {stores:?})"
         );
-        // Uptime and samples are well-formed.
-        assert!((0.0..=1.0).contains(&result.uptime));
-        assert!(result.samples >= 0.0);
-        assert!(result.harvested.value() >= 0.0);
+        for mut unit in [central, devolved] {
+            let env = match env_kind {
+                0 => Environment::outdoor_temperate(seed),
+                1 => Environment::indoor_industrial(seed),
+                2 => Environment::agricultural(seed),
+                _ => Environment::outdoor_winter(seed),
+            };
+            let result = run_simulation(
+                &mut unit,
+                &env,
+                &SensorNode::submilliwatt_class(),
+                &mut FixedDuty::new(DutyCycle::saturating(duty)),
+                SimConfig::over(Seconds::from_hours(hours)),
+            );
+            let location = unit.supervisor().location;
+            assert!(
+                result.audit_residual < 1e-6,
+                "residual {} (harvesters {harvesters:?}, stores {stores:?}, intelligence {location})",
+                result.audit_residual
+            );
+            // Uptime and samples are well-formed.
+            assert!((0.0..=1.0).contains(&result.uptime));
+            assert!(result.samples >= 0.0);
+            assert!(result.harvested.value() >= 0.0);
+        }
     }
 }
 
@@ -251,7 +267,7 @@ fn simulation_is_deterministic() {
         let seed = rng.index(500) as u64;
         let duty = rng.in_range(0.0, 1.0);
         let run = || {
-            let mut unit = build_platform(&[(0, 1), (1, 2)], &[(0, 0.5)]);
+            let mut unit = build_platform(&[(0, 1), (1, 2)], &[(0, 0.5)], Supervisor::none());
             run_simulation(
                 &mut unit,
                 &Environment::outdoor_temperate(seed),
@@ -276,7 +292,7 @@ fn duty_monotonicity() {
     for _ in 0..8 {
         let seed = rng.index(200) as u64;
         let run_at = |duty: f64| {
-            let mut unit = build_platform(&[(0, 1)], &[(0, 0.6)]);
+            let mut unit = build_platform(&[(0, 1)], &[(0, 0.6)], Supervisor::none());
             run_simulation(
                 &mut unit,
                 &Environment::outdoor_winter(seed),
