@@ -22,12 +22,9 @@
 //!   Systems A and F, with NAK behaviour matching each platform's
 //!   capability tier and a traffic-energy meter.
 //! * **The "smart harvester" scheme** ([`Supervisor::devolved`]): the
-//!   survey's proposed future direction is one point on the intelligence
-//!   axis, [`IntelligenceLocation::EnergyDevices`]. A `PowerUnit` placed
-//!   there gives every module a micro-manager with zero-latency
-//!   discovery and event-driven reporting, so its costs and benefits are
-//!   measurable on the same hardware as every other placement
-//!   (experiment E8).
+//!   survey's proposed future direction as a `PowerUnit` whose per-device
+//!   micro-managers announce on attach and report on change, so its
+//!   costs and benefits are measurable on the same hardware (E8).
 //! * **The classifier** ([`classify`], [`render_table`]): Table I is
 //!   *computed* from live platform models, not transcribed.
 //!

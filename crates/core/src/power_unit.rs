@@ -72,49 +72,10 @@ impl Supervisor {
         }
     }
 
-    /// The survey's "smart harvester": intelligence devolved to the
-    /// energy devices ([`IntelligenceLocation::EnergyDevices`]). Every
-    /// occupied port carries a module micro-manager drawing
-    /// [`PowerUnit::MODULE_DRAW`] that pushes its status over a digital
-    /// link, so the node sees everything and no central supervisor
-    /// draws anything.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
-    /// use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
-    /// use mseh_harvesters::PvModule;
-    /// use mseh_storage::Supercap;
-    /// use mseh_env::EnvConditions;
-    /// use mseh_units::{Seconds, Volts, Watts, WattsPerSqM};
-    ///
-    /// let pv = InputChannel::new(
-    ///     Box::new(PvModule::outdoor_panel_half_watt()),
-    ///     Box::new(PerturbObserve::new()),
-    ///     Box::new(IdealDiode::nanopower()),
-    ///     Box::new(DcDcConverter::mppt_front_end_5v()),
-    /// );
-    /// let mut unit = PowerUnit::builder("smart harvester")
-    ///     .harvester_port(
-    ///         PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(8.0)),
-    ///         Some(pv), true)
-    ///     .store_port(
-    ///         PortRequirement::any_in_window("SC", Volts::ZERO, Volts::new(3.0)),
-    ///         Some(Box::new(Supercap::edlc_22f())), StoreRole::PrimaryBuffer, true)
-    ///     .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-    ///     .supervisor(Supervisor::devolved())
-    ///     .build();
-    /// // Discovery is immediate: two modules announced, no polling.
-    /// assert_eq!(unit.occupied_ports(), 2);
-    ///
-    /// // The sun comes out: the PV module pushes its new output.
-    /// let mut sun = EnvConditions::quiescent(Seconds::ZERO);
-    /// sun.irradiance = WattsPerSqM::new(800.0);
-    /// unit.step(&sun, Seconds::new(60.0), Watts::ZERO);
-    /// assert_eq!(unit.status_events(), 1);
-    /// assert!(unit.energy_status().harvest_power.unwrap() > Watts::ZERO);
-    /// ```
+    /// The survey's "smart harvester": intelligence on the energy devices
+    /// ([`IntelligenceLocation::EnergyDevices`]), one module micro-manager
+    /// per occupied port ([`PowerUnit::MODULE_DRAW`]) pushing status over
+    /// a digital link, and no central supervisor drawing anything.
     pub fn devolved() -> Self {
         Self {
             location: IntelligenceLocation::EnergyDevices,
@@ -134,8 +95,7 @@ pub struct HarvesterPort {
     requirement: PortRequirement,
     channel: Option<InputChannel>,
     swappable: bool,
-    /// The delivered power this port's module last pushed (devolved
-    /// units only; zero until the first push).
+    /// What this port's module last pushed (devolved units only).
     reported: Watts,
 }
 
@@ -302,14 +262,11 @@ pub fn shortfall_split(
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
 /// `mseh-systems` are preconfigured instances of this type.
 ///
-/// A unit whose supervisor sits on [`IntelligenceLocation::EnergyDevices`]
-/// ([`Supervisor::devolved`]) is the survey's future-work "smart
-/// harvester": every occupied port carries a module micro-manager
-/// drawing [`MODULE_DRAW`](Self::MODULE_DRAW), each harvester module
-/// pushes a status event when its delivered power moves by more than a
-/// fifth of its last pushed value ([`status_events`](Self::status_events)),
-/// and the node reads the pushed values as the harvest power. Attaching
-/// a module announces it: discovery is the port count, with no polling.
+/// A unit placed on [`IntelligenceLocation::EnergyDevices`]
+/// ([`Supervisor::devolved`]) is the survey's "smart harvester": each
+/// occupied port is a module drawing [`MODULE_DRAW`](Self::MODULE_DRAW),
+/// and each harvester module pushes its delivered power to the node
+/// when it moves by more than a fifth ([`status_events`](Self::status_events)).
 ///
 /// # Examples
 ///
@@ -465,17 +422,6 @@ impl PowerUnit {
         self.supervisor.location == IntelligenceLocation::EnergyDevices
     }
 
-    /// The module micro-managers' standing draw: one
-    /// [`MODULE_DRAW`](Self::MODULE_DRAW) per occupied port on a
-    /// devolved unit, zero on any other.
-    fn module_draws(&self) -> Watts {
-        if self.devolved() {
-            Self::MODULE_DRAW * self.occupied_ports() as f64
-        } else {
-            Watts::ZERO
-        }
-    }
-
     /// The regulated output rail voltage.
     pub fn output_rail(&self) -> Volts {
         self.output.output_voltage()
@@ -492,7 +438,9 @@ impl PowerUnit {
             .filter_map(|p| p.channel.as_ref())
             .map(InputChannel::idle_overhead)
             .sum();
-        channels + self.supervisor.overhead + self.output.quiescent() + self.module_draws()
+        let mcus =
+            Self::MODULE_DRAW * (usize::from(self.devolved()) * self.occupied_ports()) as f64;
+        channels + self.supervisor.overhead + self.output.quiescent() + mcus
     }
 
     /// The standing draw itemized per component as a
@@ -1091,13 +1039,10 @@ impl PowerUnit {
         report
     }
 
-    /// A devolved unit's housekeeping fold: each occupied harvester
-    /// port, in port order, adds its module's draw and then its
-    /// channel's overhead from `harvest`, and pushes a status event when
-    /// its delivered power moved by more than [`REPORT_THRESHOLD`] of
-    /// its last pushed value (floored at 1 nW); then each occupied store
-    /// port adds its module's draw. Returns `overhead_w` with all of it
-    /// folded on.
+    /// A devolved unit's housekeeping onto `overhead_w`: per occupied
+    /// harvester port its module's draw, its channel's overhead and a
+    /// status push on a change above [`REPORT_THRESHOLD`] (1 nW floor),
+    /// then one module draw per occupied store port.
     fn fold_modules(&mut self, harvest: &BusHarvest, mut overhead_w: Watts) -> Watts {
         let ports = self
             .harvester_ports
