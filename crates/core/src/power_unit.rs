@@ -1049,6 +1049,7 @@ impl PowerUnit {
             .iter_mut()
             .filter(|p| p.channel.is_some());
         for (port, (delivered, overhead)) in ports.zip(harvest.channels()) {
+            // One add per draw, in this order: the receipts pin the bits.
             overhead_w += Self::MODULE_DRAW;
             overhead_w += overhead;
             let last = port.reported.value();
