@@ -126,7 +126,8 @@ fn observed_runs(out: &mut Vec<(String, String)>) {
 }
 
 /// `digest_campaign` of each system's resilience preset over seeds 1
-/// and 7.
+/// and 7, with the fired/cleared fault totals and the mean time to
+/// detect in seconds.
 fn campaigns(out: &mut Vec<(String, String)>) {
     let horizon = Seconds::from_days(2.0);
     for id in SystemId::ALL {
@@ -137,9 +138,17 @@ fn campaigns(out: &mut Vec<(String, String)>) {
             &natural_node(id),
             CampaignConfig::over(horizon),
         );
+        let detect = summary
+            .mean_time_to_detect
+            .map_or("none".into(), |t| format!("{:.1}", t.value()));
         out.push((
             format!("campaign/{id:?}"),
-            format!("{:016x}", digest_campaign(&summary)),
+            format!(
+                "{:016x} faults={}/{} detect_s={detect}",
+                digest_campaign(&summary),
+                summary.total_faults,
+                summary.total_clears,
+            ),
         ));
     }
 }
