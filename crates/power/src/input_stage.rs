@@ -852,13 +852,32 @@ mod tests {
         disabled.set_cache_enabled(false);
         assert!(!disabled.supports_window_lanes(dt));
         // Time-varying stages (scheduled brownouts) break replayability.
+        struct Clocked;
+        impl PowerStage for Clocked {
+            fn name(&self) -> &str {
+                "clocked"
+            }
+            fn quiescent(&self) -> Watts {
+                Watts::ZERO
+            }
+            fn accepts_input_voltage(&self, _v: Volts) -> bool {
+                true
+            }
+            fn output_voltage(&self) -> Volts {
+                Volts::new(3.3)
+            }
+            fn output_for_input(&self, p_in: Watts, _v: Volts) -> Watts {
+                p_in
+            }
+            fn input_for_output(&self, p_out: Watts, _v: Volts) -> Watts {
+                p_out
+            }
+            fn is_time_invariant(&self) -> bool {
+                false
+            }
+        }
         let mut wrapped = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        wrapped.wrap_converter(|inner| {
-            Box::new(crate::BrownoutConverter::new(
-                inner,
-                vec![(Seconds::from_hours(1.0), Seconds::from_hours(1.1))],
-            ))
-        });
+        wrapped.wrap_converter(|_| Box::new(Clocked));
         assert!(!wrapped.supports_window_lanes(dt));
     }
 

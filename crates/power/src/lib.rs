@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod brownout;
 mod converter;
 mod diode;
 mod efficiency;
@@ -53,7 +52,6 @@ mod ledger;
 mod mppt;
 mod stage;
 
-pub use brownout::BrownoutConverter;
 pub use converter::{DcDcConverter, Topology};
 pub use diode::{DiodeStage, IdealDiode};
 pub use efficiency::EfficiencyCurve;

@@ -12,14 +12,14 @@
 //! list of `(fire, clear)` windows built deterministically (one-shot,
 //! periodic, or seeded-stochastic — the stochastic variant precomputes
 //! its draws at construction so runs stay bit-identical). The schedule
-//! drives [`IntermittentStorage`] (fails open, then recovers),
-//! [`GlitchingHarvester`] (output dropouts) and — in `mseh_power`,
-//! which cannot see this crate — the converter brownout wrapper, via
-//! [`FaultSchedule::windows`].
+//! drives every scheduled wrapper: [`IntermittentStorage`] (a store
+//! fails open, then recovers), [`BrownoutConverter`] (a power stage goes
+//! dark) and [`GlitchingHarvester`] (output dropouts).
 
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::EnvConditions;
 use mseh_harvesters::{HarvesterKind, Transducer};
+use mseh_power::PowerStage;
 use mseh_storage::{Storage, StorageKind};
 use mseh_units::{Amps, Joules, Seconds, Volts, Watts};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,170 +202,6 @@ impl FaultSchedule {
     /// Whether the schedule contains no faults.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
-    }
-}
-
-/// A storage device that fails open at a scheduled point in its service
-/// life: after `fails_after` of accumulated operating time it stops
-/// accepting and delivering energy (its content is stranded).
-///
-/// Time accrues through [`charge`](Storage::charge),
-/// [`discharge`](Storage::discharge) and [`idle`](Storage::idle) calls,
-/// so wall-clock in the simulation is what ages it.
-///
-/// # Examples
-///
-/// ```
-/// use mseh_sim::FailingStorage;
-/// use mseh_storage::{Supercap, Storage};
-/// use mseh_units::{Seconds, Volts, Watts};
-///
-/// let mut cap = Supercap::edlc_22f();
-/// cap.set_voltage(Volts::new(2.5));
-/// let mut device = FailingStorage::new(Box::new(cap), Seconds::from_hours(1.0));
-/// assert!(!device.has_failed());
-/// device.idle(Seconds::from_hours(2.0));
-/// assert!(device.has_failed());
-/// assert_eq!(device.discharge(Watts::new(1.0), Seconds::new(10.0)).value(), 0.0);
-/// ```
-pub struct FailingStorage {
-    inner: Box<dyn Storage>,
-    name: String,
-    fails_after: Seconds,
-    age: Seconds,
-}
-
-impl FailingStorage {
-    /// Wraps `inner` with a scheduled open-circuit failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fails_after` is not positive.
-    pub fn new(inner: Box<dyn Storage>, fails_after: Seconds) -> Self {
-        assert!(fails_after.value() > 0.0, "failure time must be positive");
-        let name = format!("{} (fails at {fails_after})", inner.name());
-        Self {
-            inner,
-            name,
-            fails_after,
-            age: Seconds::ZERO,
-        }
-    }
-
-    /// Whether the device has failed.
-    pub fn has_failed(&self) -> bool {
-        self.age >= self.fails_after
-    }
-
-    fn advance(&mut self, dt: Seconds) {
-        self.age += dt;
-    }
-}
-
-impl Storage for FailingStorage {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn kind(&self) -> StorageKind {
-        self.inner.kind()
-    }
-
-    fn voltage(&self) -> Volts {
-        if self.has_failed() {
-            Volts::ZERO
-        } else {
-            self.inner.voltage()
-        }
-    }
-
-    fn stored_energy(&self) -> Joules {
-        // Stranded energy still physically exists; report zero *usable*
-        // energy so SoC-driven policies see the loss.
-        if self.has_failed() {
-            Joules::ZERO
-        } else {
-            self.inner.stored_energy()
-        }
-    }
-
-    fn capacity(&self) -> Joules {
-        if self.has_failed() {
-            Joules::ZERO
-        } else {
-            self.inner.capacity()
-        }
-    }
-
-    fn min_voltage(&self) -> Volts {
-        self.inner.min_voltage()
-    }
-
-    fn max_voltage(&self) -> Volts {
-        self.inner.max_voltage()
-    }
-
-    fn max_charge_power(&self) -> Watts {
-        if self.has_failed() {
-            Watts::ZERO
-        } else {
-            self.inner.max_charge_power()
-        }
-    }
-
-    fn max_discharge_power(&self) -> Watts {
-        if self.has_failed() {
-            Watts::ZERO
-        } else {
-            self.inner.max_discharge_power()
-        }
-    }
-
-    fn charge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        self.advance(dt);
-        if self.has_failed() {
-            Joules::ZERO
-        } else {
-            self.inner.charge(power, dt)
-        }
-    }
-
-    fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        self.advance(dt);
-        if self.has_failed() {
-            Joules::ZERO
-        } else {
-            self.inner.discharge(power, dt)
-        }
-    }
-
-    fn idle(&mut self, dt: Seconds) {
-        self.advance(dt);
-        if !self.has_failed() {
-            self.inner.idle(dt);
-        }
-    }
-
-    fn losses(&self) -> Joules {
-        // On failure the stranded content becomes a permanent loss; fold
-        // it into the ledger so the conservation audit still closes.
-        if self.has_failed() {
-            self.inner.losses() + self.inner.stored_energy()
-        } else {
-            self.inner.losses()
-        }
-    }
-
-    fn fault_fire_count(&self) -> u64 {
-        u64::from(self.has_failed())
-    }
-
-    fn stranded_energy(&self) -> Joules {
-        if self.has_failed() {
-            self.inner.stored_energy()
-        } else {
-            Joules::ZERO
-        }
     }
 }
 
@@ -560,6 +396,121 @@ impl Storage for IntermittentStorage {
     }
 }
 
+/// A power stage that browns out on a [`FaultSchedule`]: inside each
+/// window it refuses every input voltage and passes no power, modelling
+/// a converter whose controller resets, latches off under a transient,
+/// or loses its bias supply.
+///
+/// The schedule runs on *operating time* accumulated through
+/// [`advance`](PowerStage::advance) — the platform forwards its step
+/// width there — so windows are relative to the run that ages the
+/// stage.
+///
+/// Quiescent draw persists through a brownout: the dead converter's
+/// bias network still loads the bus.
+///
+/// # Examples
+///
+/// ```
+/// use mseh_power::{DcDcConverter, PowerStage};
+/// use mseh_sim::{BrownoutConverter, FaultSchedule};
+/// use mseh_units::{Seconds, Volts};
+///
+/// let schedule = FaultSchedule::one_shot_recovering(Seconds::new(100.0), Seconds::new(60.0));
+/// let mut stage = BrownoutConverter::new(Box::new(DcDcConverter::buck_boost_3v3()), schedule);
+/// assert!(stage.accepts_input_voltage(Volts::new(2.5)));
+/// stage.advance(Seconds::new(100.0));
+/// assert!(stage.is_down());
+/// assert!(!stage.accepts_input_voltage(Volts::new(2.5)));
+/// stage.advance(Seconds::new(60.0));
+/// assert!(stage.accepts_input_voltage(Volts::new(2.5)));
+/// assert_eq!(stage.fault_fire_count(), 1);
+/// assert_eq!(stage.fault_clear_count(), 1);
+/// ```
+pub struct BrownoutConverter {
+    inner: Box<dyn PowerStage>,
+    name: String,
+    schedule: FaultSchedule,
+    age: Seconds,
+}
+
+impl BrownoutConverter {
+    /// Wraps `inner` with scheduled brownouts.
+    pub fn new(inner: Box<dyn PowerStage>, schedule: FaultSchedule) -> Self {
+        let name = format!("{} (brownout-scheduled)", inner.name());
+        Self {
+            inner,
+            name,
+            schedule,
+            age: Seconds::ZERO,
+        }
+    }
+
+    /// Whether the stage is currently inside a brownout window.
+    pub fn is_down(&self) -> bool {
+        self.schedule.is_down(self.age)
+    }
+
+    /// The injected brownout timeline.
+    pub fn schedule(&self) -> &FaultSchedule {
+        &self.schedule
+    }
+}
+
+impl PowerStage for BrownoutConverter {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn quiescent(&self) -> Watts {
+        self.inner.quiescent()
+    }
+
+    fn accepts_input_voltage(&self, v_in: Volts) -> bool {
+        !self.is_down() && self.inner.accepts_input_voltage(v_in)
+    }
+
+    fn output_voltage(&self) -> Volts {
+        self.inner.output_voltage()
+    }
+
+    fn output_for_input(&self, p_in: Watts, v_in: Volts) -> Watts {
+        if self.is_down() {
+            Watts::ZERO
+        } else {
+            self.inner.output_for_input(p_in, v_in)
+        }
+    }
+
+    fn input_for_output(&self, p_out: Watts, v_in: Volts) -> Watts {
+        if self.is_down() {
+            Watts::ZERO
+        } else {
+            self.inner.input_for_output(p_out, v_in)
+        }
+    }
+
+    fn advance(&mut self, dt: Seconds) {
+        self.age += dt;
+        self.inner.advance(dt);
+    }
+
+    fn fault_fire_count(&self) -> u64 {
+        self.schedule.fired_by(self.age)
+    }
+
+    fn fault_clear_count(&self) -> u64 {
+        self.schedule.cleared_by(self.age)
+    }
+
+    fn is_time_invariant(&self) -> bool {
+        // The transfer function flips with operating time as windows fire
+        // and clear, so memoised channel results must never replay across
+        // an `advance`.
+        false
+    }
+}
+
 /// A harvester whose output drops to zero during scheduled windows — a
 /// shaded panel, an unplugged turbine, a vibration source whose machine
 /// was switched off.
@@ -723,6 +674,7 @@ impl Transducer for DegradingHarvester {
 mod tests {
     use super::*;
     use mseh_harvesters::PvModule;
+    use mseh_power::DcDcConverter;
     use mseh_storage::Supercap;
     use mseh_units::WattsPerSqM;
 
@@ -734,12 +686,15 @@ mod tests {
 
     #[test]
     fn storage_works_until_the_scheduled_failure() {
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::from_hours(1.0));
+        let mut dev = IntermittentStorage::new(
+            charged_cap(),
+            FaultSchedule::one_shot(Seconds::from_hours(1.0)),
+        );
         let got = dev.discharge(Watts::from_milli(100.0), Seconds::new(60.0));
         assert!(got.value() > 0.0);
-        assert!(!dev.has_failed());
+        assert!(!dev.is_down());
         dev.idle(Seconds::from_hours(1.0));
-        assert!(dev.has_failed());
+        assert!(dev.is_down());
         assert_eq!(
             dev.charge(Watts::new(1.0), Seconds::new(60.0)),
             Joules::ZERO
@@ -751,7 +706,8 @@ mod tests {
 
     #[test]
     fn stranded_energy_lands_in_losses() {
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::new(10.0));
+        let mut dev =
+            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(10.0)));
         let stored_before = dev.stored_energy();
         assert!(stored_before.value() > 0.0);
         let losses_before = dev.losses();
@@ -787,7 +743,8 @@ mod tests {
     fn age_accrues_across_mixed_operations() {
         // Service life is wall-clock through *any* operation: charge,
         // discharge and idle all age the device by their dt.
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::new(100.0));
+        let mut dev =
+            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(100.0)));
         assert!(
             dev.charge(Watts::from_milli(10.0), Seconds::new(30.0))
                 .value()
@@ -801,13 +758,13 @@ mod tests {
         dev.idle(Seconds::new(30.0));
         // 30 + 30 + 30 = 90 s of the 100 s life: still healthy and
         // still serving energy.
-        assert!(!dev.has_failed());
+        assert!(!dev.is_down());
         assert!(dev.voltage().value() > 0.0);
         assert!(dev.capacity().value() > 0.0);
 
         // The next 10 s discharge crosses the line mid-operation.
         let last = dev.discharge(Watts::from_milli(10.0), Seconds::new(10.0));
-        assert!(dev.has_failed());
+        assert!(dev.is_down());
         assert_eq!(last, Joules::ZERO);
         assert_eq!(dev.voltage(), Volts::ZERO);
     }
@@ -818,32 +775,29 @@ mod tests {
         // dt lands age exactly on `fails_after` already sees a failed
         // device: the step *containing* the failure delivers nothing,
         // rather than one full step of post-mortem service.
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::new(60.0));
+        let mut dev =
+            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
         assert_eq!(
             dev.charge(Watts::from_milli(10.0), Seconds::new(60.0)),
             Joules::ZERO
         );
-        assert!(dev.has_failed());
+        assert!(dev.is_down());
 
         // Same boundary via discharge.
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::new(60.0));
+        let mut dev =
+            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
         assert_eq!(
             dev.discharge(Watts::from_milli(10.0), Seconds::new(60.0)),
             Joules::ZERO
         );
-        assert!(dev.has_failed());
+        assert!(dev.is_down());
 
         // One femtosecond short of the boundary still works.
-        let mut dev = FailingStorage::new(charged_cap(), Seconds::new(60.0));
+        let mut dev =
+            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
         let got = dev.discharge(Watts::from_milli(10.0), Seconds::new(60.0 - 1e-9));
-        assert!(!dev.has_failed());
+        assert!(!dev.is_down());
         assert!(got.value() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure time")]
-    fn rejects_zero_failure_time() {
-        FailingStorage::new(charged_cap(), Seconds::ZERO);
     }
 
     #[test]
@@ -933,6 +887,45 @@ mod tests {
         assert_eq!(dev.fault_clear_count(), 1);
     }
 
+    fn brownout_stage() -> BrownoutConverter {
+        BrownoutConverter::new(
+            Box::new(DcDcConverter::buck_boost_3v3()),
+            FaultSchedule::from_windows(vec![
+                (Seconds::new(10.0), Seconds::new(20.0)),
+                (Seconds::new(50.0), Seconds::new(55.0)),
+            ]),
+        )
+    }
+
+    #[test]
+    fn brownout_passes_power_outside_windows_and_none_inside() {
+        let mut s = brownout_stage();
+        let v = Volts::new(2.5);
+        let p = Watts::from_milli(10.0);
+        let healthy = s.output_for_input(p, v);
+        assert!(healthy.value() > 0.0);
+        s.advance(Seconds::new(12.0));
+        assert!(s.is_down());
+        assert_eq!(s.output_for_input(p, v), Watts::ZERO);
+        assert_eq!(s.input_for_output(p, v), Watts::ZERO);
+        assert!(!s.accepts_input_voltage(v));
+        // Housekeeping persists through the brownout.
+        assert!(s.quiescent().value() > 0.0);
+        s.advance(Seconds::new(10.0));
+        assert!(!s.is_down());
+        assert_eq!(s.output_for_input(p, v), healthy);
+    }
+
+    #[test]
+    fn brownout_counts_fires_and_clears() {
+        let mut s = brownout_stage();
+        assert_eq!((s.fault_fire_count(), s.fault_clear_count()), (0, 0));
+        s.advance(Seconds::new(15.0));
+        assert_eq!((s.fault_fire_count(), s.fault_clear_count()), (1, 0));
+        s.advance(Seconds::new(45.0)); // past both windows
+        assert_eq!((s.fault_fire_count(), s.fault_clear_count()), (2, 2));
+    }
+
     #[test]
     fn glitching_harvester_drops_out_and_counts() {
         let schedule = FaultSchedule::one_shot_recovering(Seconds::new(100.0), Seconds::new(50.0));
@@ -956,7 +949,7 @@ mod tests {
 
     #[test]
     fn time_varying_wrappers_never_consult_the_voltage_memo() {
-        use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+        use mseh_power::{IdealDiode, InputChannel, PerturbObserve};
         let pv = || Box::new(PvModule::outdoor_panel_half_watt());
         let schedule = FaultSchedule::one_shot_recovering(Seconds::new(100.0), Seconds::new(50.0));
         let wrapped: [Box<dyn Transducer>; 2] = [

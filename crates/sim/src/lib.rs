@@ -91,7 +91,7 @@ pub use ensemble::{
     run_seed_ensemble_with_threads, EnsembleSummary, InstrumentedEnsemble, Spread,
 };
 pub use fault::{
-    DegradingHarvester, FailingStorage, FaultSchedule, GlitchingHarvester, IntermittentStorage,
+    BrownoutConverter, DegradingHarvester, FaultSchedule, GlitchingHarvester, IntermittentStorage,
 };
 pub use fleet::{
     run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseStore,

@@ -515,7 +515,7 @@ impl<'a, 'o> Watch<'a, 'o> {
             }
         } else if capacity.value() < self.capacity.value() {
             // No counter moved but capacity still fell: unscheduled
-            // degradation (e.g. a bare FailingStorage).
+            // degradation that no fault counter reports.
             self.emit(SimEvent::FaultFire {
                 time: t,
                 lost_capacity: lost,

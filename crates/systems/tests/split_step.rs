@@ -11,8 +11,8 @@
 use mseh_core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
 use mseh_env::Environment;
 use mseh_harvesters::{PvModule, Teg, Transducer};
-use mseh_power::{BrownoutConverter, DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
-use mseh_sim::Platform;
+use mseh_power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
+use mseh_sim::{BrownoutConverter, FaultSchedule, Platform};
 use mseh_storage::{Battery, Supercap};
 use mseh_systems::{resilience, SystemId};
 use mseh_units::{Seconds, Volts, Watts};
@@ -78,10 +78,10 @@ fn settle_of_harvest_equals_step_through_a_brownout() {
         unit.instrument_output_stage(|stage| {
             Box::new(BrownoutConverter::new(
                 stage,
-                vec![
+                FaultSchedule::from_windows(vec![
                     (Seconds::from_hours(7.0), Seconds::from_hours(7.5)),
                     (Seconds::from_hours(20.0), Seconds::from_hours(21.0)),
-                ],
+                ]),
             ))
         });
         unit

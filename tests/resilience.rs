@@ -10,9 +10,8 @@ use mseh::node::{DutyCyclePolicy, FailoverPolicy, FixedDuty, SensorNode, Voltage
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
     run_resilience_campaign_with_threads, run_simulation, run_simulation_observed, CampaignConfig,
-    ConservationAuditor, DegradingHarvester, FailingStorage, FaultScenario, FaultSchedule,
-    IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimEvent, SimObserver,
-    WindowBooks,
+    ConservationAuditor, DegradingHarvester, FaultScenario, FaultSchedule, IntermittentStorage,
+    RingRecorder, ScenarioOutcome, SimConfig, SimEvent, SimObserver, WindowBooks,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -42,7 +41,10 @@ fn charged_lipo() -> Battery {
 /// A solar rig whose primary buffer fails open after `fail_h` hours;
 /// optionally a healthy secondary battery backs it up.
 fn rig(fail_h: f64, with_backup: bool) -> PowerUnit {
-    let failing = FailingStorage::new(Box::new(charged_cap()), Seconds::from_hours(fail_h));
+    let failing = IntermittentStorage::new(
+        Box::new(charged_cap()),
+        FaultSchedule::one_shot(Seconds::from_hours(fail_h)),
+    );
     let mut builder = PowerUnit::builder("resilience rig")
         .harvester_port(
             PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),

@@ -8,10 +8,10 @@ use mseh::daemon::digest_single;
 use mseh::env::Environment;
 use mseh::harvesters::{PvModule, Teg};
 use mseh::node::{SensorNode, VoltageThreshold};
-use mseh::power::{
-    BrownoutConverter, DcDcConverter, FractionalVoc, IdealDiode, InputChannel, PerturbObserve,
+use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel, PerturbObserve};
+use mseh::sim::{
+    run_simulation, BrownoutConverter, FaultSchedule, IntermittentStorage, Platform, SimConfig,
 };
-use mseh::sim::{run_simulation, FaultSchedule, IntermittentStorage, Platform, SimConfig};
 use mseh::storage::Supercap;
 use mseh::units::{Joules, Seconds, Volts, Watts};
 
@@ -218,7 +218,10 @@ fn settle_ages_a_browning_output_stage() {
     let mut unit = smart();
     let (start, end) = (Seconds::from_hours(1.0), Seconds::from_hours(2.0));
     unit.instrument_output_stage(|stage| {
-        Box::new(BrownoutConverter::new(stage, vec![(start, end)]))
+        Box::new(BrownoutConverter::new(
+            stage,
+            FaultSchedule::from_windows(vec![(start, end)]),
+        ))
     });
     let night = Environment::outdoor_temperate(3);
     let dt = Seconds::new(60.0);
