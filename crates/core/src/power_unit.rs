@@ -928,11 +928,6 @@ impl PowerUnit {
     /// stepped through the same conditions; the channels here are left
     /// untouched.
     pub fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
-        // 0. Age stages with internal clocks (scheduled-brownout
-        //    wrappers) before serving, so the step containing a brownout
-        //    start already sees the stage down.
-        self.output.advance(dt);
-
         // 1. Harvest and housekeeping.
         let harvested_w = harvest.delivered;
         let mut overhead_w = self.supervisor.overhead + self.output.quiescent();
@@ -1011,12 +1006,15 @@ impl PowerUnit {
         let (delivered, shortfall, converter_loss) =
             shortfall_split(load, dt, servable, e_load_in, unmet);
 
-        // 5. Storage self-discharge.
+        // 5. Storage self-discharge, then the output stage's clock: each
+        //    clock ticks once per step, after it, so a scheduled fault
+        //    is down for exactly the steps that start inside a window.
         for port in &mut self.store_ports {
             if let Some(device) = port.device.as_mut() {
                 device.idle(dt);
             }
         }
+        self.output.advance(dt);
 
         let report = StepReport {
             harvested: e_h,

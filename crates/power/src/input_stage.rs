@@ -328,28 +328,39 @@ impl InputChannel {
     /// of the same conditions replays the stored step verbatim
     /// (bit-identical by construction) instead of re-solving.
     pub fn step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        // Stages with internal clocks (scheduled-brownout wrappers) age
-        // by operating time.
-        self.protection.advance(dt);
-        self.converter.advance(dt);
-        if !(self.cache_enabled
+        let step = if !(self.cache_enabled
             && self.controller.is_env_pure(dt)
             && self.harvester.is_time_invariant()
             && self.protection.is_time_invariant()
             && self.converter.is_time_invariant())
         {
-            return self.solve_step(env, dt);
-        }
-        let key = (env.ambient_bits(), dt.value().to_bits());
-        if let Some(step) = self.step_memo.get(&key) {
-            // The controller still has to land in the same state a real
-            // choose_voltage would have left it in.
-            self.controller.reuse_voltage(step.operating_voltage, dt);
-            return step;
-        }
-        let step = self.solve_step(env, dt);
-        self.step_memo.put(key, step);
+            self.solve_step(env, dt)
+        } else {
+            let key = (env.ambient_bits(), dt.value().to_bits());
+            match self.step_memo.get(&key) {
+                Some(step) => {
+                    // The controller still has to land in the same state
+                    // a real choose_voltage would have left it in.
+                    self.controller.reuse_voltage(step.operating_voltage, dt);
+                    step
+                }
+                None => {
+                    let step = self.solve_step(env, dt);
+                    self.step_memo.put(key, step);
+                    step
+                }
+            }
+        };
+        self.advance_stages(dt);
         step
+    }
+
+    /// Ticks the protection and converter clocks (scheduled-brownout
+    /// wrappers) once per step, after it, so a stage is down for exactly
+    /// the steps that start inside its fault windows.
+    fn advance_stages(&mut self, dt: Seconds) {
+        self.protection.advance(dt);
+        self.converter.advance(dt);
     }
 
     /// The full per-step solve (no step memo consulted). The controller
@@ -430,9 +441,6 @@ impl InputChannel {
             .controller
             .window_choice(dt)
             .expect("window_lanes requires a source-free window choice");
-        // Mirror the per-window `step` call the scalar driver makes.
-        self.protection.advance(dt);
-        self.converter.advance(dt);
         match choice {
             WindowChoice::Fixed(v) => {
                 for (slot, env) in out.iter_mut().zip(envs) {
@@ -454,6 +462,8 @@ impl InputChannel {
                 self.lane_voc = lane_voc;
             }
         }
+        // Mirror the per-window `step` call the scalar driver makes.
+        self.advance_stages(dt);
     }
 
     /// The fractional closer step for a whole population: a step of width
@@ -480,11 +490,10 @@ impl InputChannel {
             self.window_lanes(envs, frac, out);
             return;
         }
-        self.protection.advance(frac);
-        self.converter.advance(frac);
         for i in 0..envs.len() {
             out[i] = self.finish_step(held[i], &envs[i]);
         }
+        self.advance_stages(frac);
     }
 }
 

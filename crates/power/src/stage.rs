@@ -40,7 +40,9 @@ pub trait PowerStage: Send + Sync {
     ///
     /// Most stages are stateless and ignore this; scheduled-fault
     /// wrappers (converter brownouts) use it to track operating time.
-    /// Callers that step a platform should forward their step width here.
+    /// Callers that step a platform forward each step's width here once,
+    /// after the step, so such a wrapper is down for exactly the steps
+    /// that start inside its fault windows.
     fn advance(&mut self, dt: Seconds) {
         let _ = dt;
     }

@@ -31,12 +31,14 @@ const FAULT_STREAM: StreamId = StreamId(64);
 /// A deterministic fault timeline: sorted, non-overlapping
 /// `(fire, clear)` windows during which the wrapped device is down.
 ///
-/// Time is whatever clock the consuming wrapper runs on —
-/// [`IntermittentStorage`] accumulates *operating time* from its
-/// `charge`/`discharge`/`idle` calls (so a schedule is relative to the
-/// run that ages it), while [`GlitchingHarvester`] reads the *absolute
-/// simulation timestamp* from the sampled conditions (transducers are
-/// stateless). A permanent fault has an infinite clear time.
+/// Every wrapper reads the schedule at the start of a step, so it is
+/// down for exactly the steps that start inside a window.
+/// [`IntermittentStorage`] and [`BrownoutConverter`] count *operating
+/// time* from the run start, ticked once per step after the step (by
+/// `Storage::idle` and `PowerStage::advance`), while
+/// [`GlitchingHarvester`] reads the *absolute simulation timestamp* from
+/// the sampled conditions (transducers are stateless); the two agree
+/// when a run starts at 0. A permanent fault has an infinite clear time.
 ///
 /// # Examples
 ///
@@ -164,9 +166,9 @@ impl FaultSchedule {
         Self { windows }
     }
 
-    /// Whether the device is down at `t` (the fire instant is down; the
-    /// clear instant is back up, matching the wrappers' age-then-check
-    /// convention).
+    /// Whether the device is down at `t`: the fire instant is down and
+    /// the clear instant is back up, so a wrapper whose clock reads `t`
+    /// at the start of a step is down for that step.
     pub fn is_down(&self, t: Seconds) -> bool {
         self.windows
             .iter()
@@ -210,18 +212,23 @@ impl FaultSchedule {
 /// intermittent internal open, a connector that thermal cycling
 /// reseats.
 ///
-/// The schedule runs on *operating time* accumulated through
-/// [`charge`](Storage::charge), [`discharge`](Storage::discharge) and
-/// [`idle`](Storage::idle), so a schedule built for a run measures time
-/// from that run's start regardless of `SimConfig::start_at`.
+/// The schedule runs on *operating time*, which only
+/// [`idle`](Storage::idle) advances. A platform idles each store once
+/// per step, after the step's transfers, so the device is down for
+/// exactly the steps that start inside a window, and a schedule built
+/// for a run measures time from that run's start regardless of
+/// `SimConfig::start_at`.
 ///
 /// While down the device reports zero voltage, stored energy and
-/// capacity, and refuses all transfer; the stranded content is folded
-/// into [`losses`](Storage::losses) so the conservation audit keeps
-/// closing (when the fault clears the fold reverses — a legal negative
-/// loss delta — and the surviving content is usable again). Leakage
-/// continues throughout: the cell doesn't stop self-discharging just
-/// because its terminal went open.
+/// capacity, and refuses all transfer: [`charge`](Storage::charge) and
+/// [`discharge`](Storage::discharge) move nothing and leave the cell
+/// alone. The stranded content is folded into
+/// [`losses`](Storage::losses) so the conservation audit keeps closing
+/// (when the fault clears the fold reverses — a legal negative loss
+/// delta — and the surviving content is usable again). Leakage continues
+/// throughout, through `idle`: the cell doesn't stop self-discharging
+/// just because its terminal went open. On [`FaultSchedule::one_shot`]
+/// the cell fails open for good.
 ///
 /// # Examples
 ///
@@ -240,7 +247,7 @@ impl FaultSchedule {
 /// dev.idle(Seconds::new(100.0));
 /// assert!(dev.is_down());
 /// assert_eq!(dev.discharge(Watts::new(1.0), Seconds::new(10.0)).value(), 0.0);
-/// dev.idle(Seconds::new(40.0));
+/// dev.idle(Seconds::new(50.0));
 /// assert!(!dev.is_down());
 /// assert!(dev.stored_energy().value() > 0.0);
 /// assert_eq!(dev.fault_fire_count(), 1);
@@ -278,10 +285,6 @@ impl IntermittentStorage {
     /// The injected fault timeline.
     pub fn schedule(&self) -> &FaultSchedule {
         &self.schedule
-    }
-
-    fn advance(&mut self, dt: Seconds) {
-        self.age += dt;
     }
 }
 
@@ -343,9 +346,7 @@ impl Storage for IntermittentStorage {
     }
 
     fn charge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        self.advance(dt);
         if self.is_down() {
-            self.inner.idle(dt);
             Joules::ZERO
         } else {
             self.inner.charge(power, dt)
@@ -353,9 +354,7 @@ impl Storage for IntermittentStorage {
     }
 
     fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        self.advance(dt);
         if self.is_down() {
-            self.inner.idle(dt);
             Joules::ZERO
         } else {
             self.inner.discharge(power, dt)
@@ -363,8 +362,8 @@ impl Storage for IntermittentStorage {
     }
 
     fn idle(&mut self, dt: Seconds) {
-        self.advance(dt);
         self.inner.idle(dt);
+        self.age += dt;
     }
 
     fn losses(&self) -> Joules {
@@ -402,9 +401,10 @@ impl Storage for IntermittentStorage {
 /// or loses its bias supply.
 ///
 /// The schedule runs on *operating time* accumulated through
-/// [`advance`](PowerStage::advance) — the platform forwards its step
-/// width there — so windows are relative to the run that ages the
-/// stage.
+/// [`advance`](PowerStage::advance). A platform forwards each step's
+/// width there after the step, so the stage is down for exactly the
+/// steps that start inside a window, and windows are relative to the
+/// run that ages the stage.
 ///
 /// Quiescent draw persists through a brownout: the dead converter's
 /// bias network still loads the bus.
@@ -741,62 +741,69 @@ mod tests {
 
     #[test]
     fn age_accrues_across_mixed_operations() {
-        // Service life is wall-clock through *any* operation: charge,
-        // discharge and idle all age the device by their dt.
+        // Operating time accrues in `idle` only: a platform idles every
+        // store once per step, so a store the balance also charges or
+        // discharges in that step still ages one `dt`.
         let mut dev =
             IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(100.0)));
-        assert!(
-            dev.charge(Watts::from_milli(10.0), Seconds::new(30.0))
-                .value()
-                > 0.0
-        );
-        assert!(
-            dev.discharge(Watts::from_milli(10.0), Seconds::new(30.0))
-                .value()
-                > 0.0
-        );
-        dev.idle(Seconds::new(30.0));
-        // 30 + 30 + 30 = 90 s of the 100 s life: still healthy and
+        for _ in 0..3 {
+            assert!(
+                dev.charge(Watts::from_milli(10.0), Seconds::new(30.0))
+                    .value()
+                    > 0.0
+            );
+            assert!(
+                dev.discharge(Watts::from_milli(10.0), Seconds::new(30.0))
+                    .value()
+                    > 0.0
+            );
+            dev.idle(Seconds::new(30.0));
+        }
+        // Three 30 s steps = 90 s of the 100 s life: still healthy and
         // still serving energy.
+        assert_eq!(dev.age(), Seconds::new(90.0));
         assert!(!dev.is_down());
         assert!(dev.voltage().value() > 0.0);
         assert!(dev.capacity().value() > 0.0);
 
-        // The next 10 s discharge crosses the line mid-operation.
-        let last = dev.discharge(Watts::from_milli(10.0), Seconds::new(10.0));
+        // The next step crosses the line; the one after it is dead.
+        assert!(
+            dev.discharge(Watts::from_milli(10.0), Seconds::new(10.0))
+                .value()
+                > 0.0
+        );
+        dev.idle(Seconds::new(10.0));
         assert!(dev.is_down());
-        assert_eq!(last, Joules::ZERO);
+        assert_eq!(
+            dev.discharge(Watts::from_milli(10.0), Seconds::new(10.0)),
+            Joules::ZERO
+        );
         assert_eq!(dev.voltage(), Volts::ZERO);
     }
 
     #[test]
     fn operation_landing_exactly_on_the_boundary_is_dead() {
-        // Aging happens before the failure check, so the operation whose
-        // dt lands age exactly on `fails_after` already sees a failed
-        // device: the step *containing* the failure delivers nothing,
-        // rather than one full step of post-mortem service.
+        // The fire instant is down: once the clock lands exactly on it,
+        // the step that starts there delivers and accepts nothing.
         let mut dev =
             IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
+        dev.idle(Seconds::new(60.0));
+        assert!(dev.is_down());
         assert_eq!(
             dev.charge(Watts::from_milli(10.0), Seconds::new(60.0)),
             Joules::ZERO
         );
-        assert!(dev.is_down());
-
-        // Same boundary via discharge.
-        let mut dev =
-            IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
         assert_eq!(
             dev.discharge(Watts::from_milli(10.0), Seconds::new(60.0)),
             Joules::ZERO
         );
-        assert!(dev.is_down());
 
-        // One femtosecond short of the boundary still works.
+        // One nanosecond short of the boundary still works.
         let mut dev =
             IntermittentStorage::new(charged_cap(), FaultSchedule::one_shot(Seconds::new(60.0)));
-        let got = dev.discharge(Watts::from_milli(10.0), Seconds::new(60.0 - 1e-9));
+        dev.idle(Seconds::new(60.0 - 1e-9));
         assert!(!dev.is_down());
+        let got = dev.discharge(Watts::from_milli(10.0), Seconds::new(60.0));
         assert!(got.value() > 0.0);
     }
 
@@ -863,18 +870,28 @@ mod tests {
         let healthy = book(&dev);
         assert!((before.value() - got.value() - healthy.value()).abs() < 1e-9);
 
-        // Into the fault window: refuses service, strands the content in
-        // the loss ledger, books unchanged apart from ongoing leakage.
-        assert_eq!(
-            dev.charge(Watts::new(1.0), Seconds::new(40.0)),
-            Joules::ZERO
-        );
+        // Into the fault window: strands the content in the loss ledger,
+        // books unchanged apart from ongoing leakage.
+        dev.idle(Seconds::new(60.0));
         assert!(dev.is_down());
         assert_eq!(dev.stored_energy(), Joules::ZERO);
         assert_eq!(dev.voltage(), Volts::ZERO);
         assert_eq!(dev.capacity(), Joules::ZERO);
-        assert!(dev.stranded_energy().value() > 0.0);
+        let stranded = dev.stranded_energy();
+        assert!(stranded.value() > 0.0);
         assert!((book(&dev).value() - healthy.value()).abs() < 1e-6);
+
+        // A refused transfer leaves the cell alone: it leaks only
+        // through `idle`, once per step.
+        assert_eq!(
+            dev.charge(Watts::new(1.0), Seconds::new(30.0)),
+            Joules::ZERO
+        );
+        assert_eq!(
+            dev.discharge(Watts::new(1.0), Seconds::new(30.0)),
+            Joules::ZERO
+        );
+        assert_eq!(dev.stranded_energy(), stranded);
 
         // Past the clear: content comes back, stranded returns to zero,
         // and the ledger delta reverses (legal negative Δlosses).

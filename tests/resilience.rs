@@ -4,18 +4,19 @@
 use mseh::core::{
     IntelligenceLocation, InterfaceKind, PortRequirement, PowerUnit, StoreRole, Supervisor,
 };
-use mseh::env::{EnvSampler, Environment, ReplayEnvironment, Trace};
+use mseh::env::{EnvConditions, EnvSampler, Environment, ReplayEnvironment, Trace};
 use mseh::harvesters::PvModule;
 use mseh::node::{DutyCyclePolicy, FailoverPolicy, FixedDuty, SensorNode, VoltageThreshold};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
-    run_resilience_campaign_with_threads, run_simulation, run_simulation_observed, CampaignConfig,
-    ConservationAuditor, DegradingHarvester, FaultScenario, FaultSchedule, IntermittentStorage,
-    RingRecorder, ScenarioOutcome, SimConfig, SimEvent, SimObserver, WindowBooks,
+    run_resilience_campaign_with_threads, run_simulation, run_simulation_observed,
+    BrownoutConverter, CampaignConfig, ConservationAuditor, DegradingHarvester, FaultScenario,
+    FaultSchedule, GlitchingHarvester, IntermittentStorage, RingRecorder, ScenarioOutcome,
+    SimConfig, SimEvent, SimObserver, WindowBooks,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
-use mseh::units::{DutyCycle, Joules, Seconds, Volts, Watts};
+use mseh::units::{DutyCycle, Joules, Seconds, Volts, Watts, WattsPerSqM};
 
 fn pv_channel() -> InputChannel {
     InputChannel::new(
@@ -332,6 +333,76 @@ fn fault_fire_and_clear_inside_one_window_both_surface() {
     assert!(result.audit_residual < 1e-6);
     let (fires, clears) = unit.fault_counts();
     assert_eq!((fires, clears), (1, 1));
+}
+
+/// One convention for every scheduled wrapper: a primary store, an
+/// output stage and a lead harvester on one schedule, one wrapper per
+/// unit, are each down for exactly the steps that start inside a
+/// window, and at every window edge the store's and the stage's fault
+/// counts are the schedule's counts at that edge.
+#[test]
+fn every_wrapper_is_down_for_exactly_the_steps_starting_in_its_windows() {
+    // No edge falls on a step edge; the middle window sits inside one
+    // step, so no step starts in it but both its edges are counted.
+    let schedule = FaultSchedule::from_windows(vec![
+        (Seconds::new(1_234.5), Seconds::new(2_345.6)),
+        (Seconds::new(5_000.25), Seconds::new(5_030.75)),
+        (Seconds::new(7_777.7), Seconds::new(10_901.1)),
+    ]);
+    let unit = |channel: Option<InputChannel>| {
+        let mut builder = PowerUnit::builder("convention rig");
+        if channel.is_some() {
+            builder = builder.harvester_port(
+                PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+                channel,
+                true,
+            );
+        }
+        builder
+            .store_port(
+                PortRequirement::any_in_window("cap", Volts::ZERO, Volts::new(3.0)),
+                Some(Box::new(charged_cap())),
+                StoreRole::PrimaryBuffer,
+                true,
+            )
+            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+            .build()
+    };
+    // With no harvester the load draws on the store every step.
+    let mut store = unit(None);
+    assert!(store.instrument_store(0, |inner| {
+        Box::new(IntermittentStorage::new(inner, schedule.clone()))
+    }));
+    let mut stage = unit(None);
+    stage
+        .instrument_output_stage(|inner| Box::new(BrownoutConverter::new(inner, schedule.clone())));
+    let mut lead = unit(Some(pv_channel()));
+    assert!(lead.instrument_harvester(0, |inner| {
+        Box::new(GlitchingHarvester::new(inner, schedule.clone()))
+    }));
+
+    let (dt, steps_per_window) = (Seconds::new(60.0), 10);
+    let load = Watts::from_milli(1.0);
+    for k in 0..240 {
+        let t = Seconds::new(60.0 * f64::from(k));
+        if k % steps_per_window == 0 {
+            let counts = (schedule.fired_by(t), schedule.cleared_by(t));
+            assert_eq!(store.fault_counts(), counts, "store counts at {t}");
+            assert_eq!(stage.fault_counts(), counts, "stage counts at {t}");
+        }
+        let mut daylight = EnvConditions::quiescent(t);
+        daylight.irradiance = WattsPerSqM::new(800.0);
+        let up = !schedule.is_down(t);
+        let drawn = store.step(&daylight, dt, load).discharged;
+        assert_eq!(drawn > Joules::ZERO, up, "store, step at {t}");
+        let served = stage.step(&daylight, dt, load).fully_served();
+        assert_eq!(served, up, "stage, step at {t}");
+        let harvested = lead.step(&daylight, dt, load).harvested;
+        assert_eq!(harvested > Joules::ZERO, up, "harvester, step at {t}");
+    }
+    assert_eq!(store.fault_counts(), (3, 3));
+    assert_eq!(stage.fault_counts(), (3, 3));
+    assert_eq!(lead.fault_counts(), (3, 3));
 }
 
 #[test]

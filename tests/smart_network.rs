@@ -228,9 +228,9 @@ fn settle_ages_a_browning_output_stage() {
     for minute in 0..180u32 {
         let t = Seconds::from_minutes(f64::from(minute));
         let report = unit.step(&night.conditions(t), dt, Watts::from_milli(0.1));
-        // The stage ages by `dt` before serving, so step `minute` sees
-        // the stage as it is at `t + dt`.
-        let down = t + dt >= start && t + dt < end;
+        // The stage's clock ticks after each step, so step `minute`
+        // sees the stage as it is at `t`.
+        let down = t >= start && t < end;
         assert_eq!(report.fully_served(), !down, "minute {minute}");
     }
     assert_eq!(Platform::fault_counts(&unit), (1, 1));
