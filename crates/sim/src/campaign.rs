@@ -150,13 +150,16 @@ pub struct ScenarioOutcome {
     pub failovers: u64,
     /// Times the recovery hook reported a repair.
     pub recoveries: u64,
-    /// Delay from the first injected fault to its first observation
-    /// (`FaultFire` at a control-window edge); `None` when the schedule
-    /// is empty or nothing was detected.
+    /// Delay from the first injected fault to its detection: the first
+    /// `FaultFire` at or after the fault's fire time, which the runner
+    /// reports at the first control-window edge (or the run end) at or
+    /// after it. Earlier `FaultFire`s come from other wrappers and are
+    /// ignored. `None` when the schedule is empty or nothing was
+    /// detected.
     pub time_to_detect: Option<Seconds>,
-    /// Delay from the first detection to the first recovery signal
-    /// (`FaultClear`, `FailoverEngaged`, or a hook repair); `None` when
-    /// nothing recovered.
+    /// Delay from the detection to the first recovery signal at or after
+    /// it (`FaultClear`, `FailoverEngaged`, or a hook repair); `None`
+    /// when nothing recovered.
     pub time_to_recover: Option<Seconds>,
     /// Peak energy stranded by active faults, sampled at each recovery
     /// check (before the hook runs) and at the horizon end.
@@ -201,22 +204,24 @@ pub struct CampaignSummary {
     pub worst_audit_relative: f64,
 }
 
-/// The first fault observation and the first recovery signal after it
-/// (`FaultClear` or `FailoverEngaged`), from the event stream.
-#[derive(Default)]
+/// The detection of the injected fault — the first `FaultFire` at or
+/// after `injected`, its absolute fire time — and the first recovery
+/// signal after it (`FaultClear` or `FailoverEngaged`), from the event
+/// stream.
 struct FaultEdges {
-    first_fire: Option<f64>,
+    injected: f64,
+    detected: Option<f64>,
     first_recovery: Option<f64>,
 }
 
 impl SimObserver for FaultEdges {
     fn on_event(&mut self, event: &SimEvent) {
         match *event {
-            SimEvent::FaultFire { time, .. } => {
-                self.first_fire.get_or_insert(time.value());
+            SimEvent::FaultFire { time, .. } if time.value() >= self.injected => {
+                self.detected.get_or_insert(time.value());
             }
             SimEvent::FaultClear { time, .. } | SimEvent::FailoverEngaged { time, .. }
-                if self.first_fire.is_some() =>
+                if self.detected.is_some() =>
             {
                 self.first_recovery.get_or_insert(time.value());
             }
@@ -238,7 +243,15 @@ fn run_scenario<P: Platform>(
 ) -> Option<ScenarioOutcome> {
     let sim = config.sim;
     let check = config.check_interval.value();
-    let mut edges = FaultEdges::default();
+    let injected = scenario
+        .schedule
+        .first_fault()
+        .map_or(f64::INFINITY, |fire| (sim.start_at + fire).value());
+    let mut edges = FaultEdges {
+        injected,
+        detected: None,
+        first_recovery: None,
+    };
     let mut auditor = ConservationAuditor::new();
     let mut next_check = check;
     let mut peak_stranded = Joules::ZERO;
@@ -271,24 +284,21 @@ fn run_scenario<P: Platform>(
     peak_stranded = peak_stranded.max(scenario.platform.stranded_energy());
 
     let (faults_fired, faults_cleared) = scenario.platform.fault_counts();
-    let time_to_detect = match (scenario.schedule.first_fault(), edges.first_fire) {
-        (Some(injected), Some(seen)) => Some(Seconds::new((seen - injected.value()).max(0.0))),
-        _ => None,
-    };
-    // A repair is a recovery signal once a fault has been seen: the
-    // hook runs after its edge's fault poll.
+    let time_to_detect = edges.detected.map(|seen| Seconds::new(seen - injected));
+    // A repair is a recovery signal once the fault has been detected:
+    // the hook runs after its edge's fault poll.
     let first_repair = edges
-        .first_fire
-        .and_then(|fire| repairs.iter().copied().find(|&t| t >= fire));
+        .detected
+        .and_then(|seen| repairs.iter().copied().find(|&t| t >= seen));
     let first_recovery = edges
         .first_recovery
         .into_iter()
         .chain(first_repair)
         .reduce(f64::min);
-    let time_to_recover = match (edges.first_fire, first_recovery) {
-        (Some(fire), Some(rec)) => Some(Seconds::new((rec - fire).max(0.0))),
-        _ => None,
-    };
+    let time_to_recover = edges
+        .detected
+        .zip(first_recovery)
+        .map(|(seen, rec)| Seconds::new(rec - seen));
 
     Some(ScenarioOutcome {
         seed,

@@ -520,9 +520,11 @@ fn a_campaign_scenario_books_exactly_like_a_single_run() {
     }
 }
 
-/// The first fault observation and the first recovery signal after it.
-#[derive(Default)]
+/// The detection of the injected fault — the first fault observation
+/// at or after `injected`, its absolute fire time — and the first
+/// recovery signal after it.
 struct FirstSignals {
+    injected: f64,
     fire: Option<f64>,
     recovery: Option<f64>,
 }
@@ -538,7 +540,7 @@ impl FirstSignals {
 impl SimObserver for FirstSignals {
     fn on_event(&mut self, event: &SimEvent) {
         match *event {
-            SimEvent::FaultFire { time, .. } => {
+            SimEvent::FaultFire { time, .. } if time.value() >= self.injected => {
                 self.fire.get_or_insert(time.value());
             }
             SimEvent::FaultClear { time, .. } | SimEvent::FailoverEngaged { time, .. } => {
@@ -561,7 +563,15 @@ fn segmented_fault_metrics(
     config: CampaignConfig,
 ) -> (u64, u64, u64, u64, Option<Seconds>, Option<Seconds>, Joules) {
     let sim = config.sim;
-    let mut signals = FirstSignals::default();
+    let injected = scenario
+        .schedule
+        .first_fault()
+        .map_or(f64::INFINITY, |fire| (sim.start_at + fire).value());
+    let mut signals = FirstSignals {
+        injected,
+        fire: None,
+        recovery: None,
+    };
     let (mut recoveries, mut stranded) = (0, Joules::ZERO);
     let total = sim.duration.value();
     let mut covered = 0.0;
@@ -591,15 +601,11 @@ fn segmented_fault_metrics(
         }
     }
     let (fired, cleared) = scenario.platform.fault_counts();
-    let detect = scenario
-        .schedule
-        .first_fault()
-        .zip(signals.fire)
-        .map(|(injected, seen)| Seconds::new((seen - injected.value()).max(0.0)));
+    let detect = signals.fire.map(|seen| Seconds::new(seen - injected));
     let recover = signals
         .fire
         .zip(signals.recovery)
-        .map(|(fire, rec)| Seconds::new((rec - fire).max(0.0)));
+        .map(|(fire, rec)| Seconds::new(rec - fire));
     let failovers = scenario.policy.failover_count();
     (
         fired, cleared, failovers, recoveries, detect, recover, stranded,
@@ -653,6 +659,35 @@ fn campaign_fault_metrics_match_a_segmented_run() {
         &SensorNode::submilliwatt_class(),
         config,
     );
+}
+
+/// A campaign detects its injected fault at the first control-window
+/// edge at or after the fault fires: never before it, and less than one
+/// window after it, whatever the other wrappers fired first.
+#[test]
+fn time_to_detect_is_under_one_control_window() {
+    let horizon = Seconds::from_days(2.0);
+    let config = CampaignConfig::over(horizon);
+    let interval = config.sim.control_interval.value();
+    for id in SystemId::ALL {
+        let scenario = |s| resilience::resilience_scenario(id, s, horizon);
+        for seed in [1u64, 7, 42] {
+            let injected = (scenario(seed).schedule.first_fault())
+                .expect("two days draw a store fault")
+                .value();
+            let outcome = campaign_outcome(scenario, seed, &resilience::natural_node(id), config);
+            let detect = outcome
+                .time_to_detect
+                .expect("the fault is detected")
+                .value();
+            let edge = (injected / interval).ceil() * interval;
+            assert_eq!(detect, edge - injected, "{id} seed {seed}");
+            assert!(
+                (0.0..interval).contains(&detect),
+                "{id} seed {seed}: {detect}"
+            );
+        }
+    }
 }
 
 /// Keeps everything one observer is sent.
