@@ -32,6 +32,7 @@ use crate::runner::{run_simulation_core, SimConfig};
 use mseh_env::Environment;
 use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_units::{Joules, Seconds};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a resilience campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -412,11 +413,8 @@ where
 {
     assert!(!seeds.is_empty(), "need at least one seed");
     config.check().unwrap_or_else(|message| panic!("{message}"));
-    let outcomes = par_map_with(threads, seeds, |&seed| {
-        run_scenario(seed, make_scenario(seed), node, config, None)
-            .expect("a run without a cancel token cannot be cancelled")
-    });
-    summarize_campaign(seeds, outcomes)
+    run_campaign_core(threads, seeds, make_scenario, node, config, None, None)
+        .expect("a run without a cancel token cannot be cancelled")
 }
 
 /// [`run_resilience_campaign`] as a daemon-facing entry point:
@@ -451,23 +449,48 @@ where
     } else {
         threads
     };
-    let done = std::sync::atomic::AtomicU64::new(0);
+    Ok(run_campaign_core(
+        threads,
+        seeds,
+        make_scenario,
+        node,
+        config,
+        Some(cancel),
+        progress,
+    ))
+}
+
+/// The seed fan-out behind both campaign entry points, on checked
+/// inputs: runs `make_scenario(seed)` for every seed on `threads`
+/// workers, reports `(completed, total)` to `progress` as each scenario
+/// finishes, and summarizes in seed order. `None` when `cancel` trips.
+fn run_campaign_core<P, F>(
+    threads: usize,
+    seeds: &[u64],
+    make_scenario: F,
+    node: &SensorNode,
+    config: CampaignConfig,
+    cancel: Option<&CancelToken>,
+    progress: Option<&(dyn Fn(u64, u64) + Sync)>,
+) -> Option<CampaignSummary>
+where
+    P: Platform,
+    F: Fn(u64) -> FaultScenario<P> + Sync,
+{
+    let done = AtomicU64::new(0);
     let total = seeds.len() as u64;
     let outcomes = par_map_with(threads, seeds, |&seed| {
-        if tripped(Some(cancel)) {
+        if tripped(cancel) {
             return None;
         }
-        let outcome = run_scenario(seed, make_scenario(seed), node, config, Some(cancel));
-        if outcome.is_some() {
-            let k = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            if let Some(report) = progress {
-                report(k, total);
-            }
+        let outcome = run_scenario(seed, make_scenario(seed), node, config, cancel)?;
+        if let Some(report) = progress {
+            report(done.fetch_add(1, Ordering::Relaxed) + 1, total);
         }
-        outcome
+        Some(outcome)
     });
     let outcomes: Option<Vec<ScenarioOutcome>> = outcomes.into_iter().collect();
-    Ok(outcomes.map(|outcomes| summarize_campaign(seeds, outcomes)))
+    outcomes.map(|outcomes| summarize_campaign(seeds, outcomes))
 }
 
 fn summarize_campaign(seeds: &[u64], outcomes: Vec<ScenarioOutcome>) -> CampaignSummary {
