@@ -12,8 +12,8 @@ use mseh::power::{
     OperatingPointController, PerturbObserve, PowerStage,
 };
 use mseh::sim::{
-    run_simulation, run_simulation_observed, ConservationAuditor, MetricsObserver, RingRecorder,
-    SimConfig,
+    run_simulation, run_simulation_observed, BrownoutConverter, ConservationAuditor, FaultSchedule,
+    IntermittentStorage, MetricsObserver, RingRecorder, SimConfig,
 };
 use mseh::storage::{Battery, FuelCell, Storage, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -125,10 +125,12 @@ fn random_stores(rng: &mut Rng) -> Vec<(u8, f64)> {
 /// Storage-side conservation closes for any platform shape, any
 /// environment, any duty cycle, with the intelligence on no device or
 /// devolved to every energy device (a module draw on each occupied
-/// port, backups included).
+/// port, backups included), while the first store fails open and the
+/// output stage browns out on seeded timelines.
 #[test]
 fn conservation_closes_for_arbitrary_platforms() {
     let mut rng = Rng::new(0xC0);
+    let mut fired_total = 0;
     for _ in 0..24 {
         let harvesters = random_harvesters(&mut rng);
         let stores = random_stores(&mut rng);
@@ -145,7 +147,30 @@ fn conservation_closes_for_arbitrary_platforms() {
             (extra - PowerUnit::MODULE_DRAW * modules).abs() < Watts::from_nano(1.0),
             "module draws {extra} (harvesters {harvesters:?}, stores {stores:?})"
         );
+        // Two timelines from the drawn seed, so the draws above stay as
+        // they were, over twice the horizon.
+        let horizon = Seconds::from_hours(hours);
+        let timeline = |salt: u64| {
+            FaultSchedule::stochastic(
+                seed ^ salt,
+                Seconds::from_hours(3.0),
+                Seconds::from_minutes(30.0),
+                Seconds::from_hours(2.0 * hours),
+            )
+        };
+        let (store_faults, stage_faults) = (timeline(0), timeline(1 << 32));
+        let scheduled = (
+            store_faults.fired_by(horizon) + stage_faults.fired_by(horizon),
+            store_faults.cleared_by(horizon) + stage_faults.cleared_by(horizon),
+        );
+        fired_total += scheduled.0;
         for mut unit in [central, devolved] {
+            assert!(unit.instrument_store(0, |inner| {
+                Box::new(IntermittentStorage::new(inner, store_faults.clone()))
+            }));
+            unit.instrument_output_stage(|inner| {
+                Box::new(BrownoutConverter::new(inner, stage_faults.clone()))
+            });
             let env = match env_kind {
                 0 => Environment::outdoor_temperate(seed),
                 1 => Environment::indoor_industrial(seed),
@@ -157,7 +182,7 @@ fn conservation_closes_for_arbitrary_platforms() {
                 &env,
                 &SensorNode::submilliwatt_class(),
                 &mut FixedDuty::new(DutyCycle::saturating(duty)),
-                SimConfig::over(Seconds::from_hours(hours)),
+                SimConfig::over(horizon),
             );
             let location = unit.supervisor().location;
             assert!(
@@ -165,12 +190,14 @@ fn conservation_closes_for_arbitrary_platforms() {
                 "residual {} (harvesters {harvesters:?}, stores {stores:?}, intelligence {location})",
                 result.audit_residual
             );
+            assert_eq!(unit.fault_counts(), scheduled, "{hours} h, seed {seed}");
             // Uptime and samples are well-formed.
             assert!((0.0..=1.0).contains(&result.uptime));
             assert!(result.samples >= 0.0);
             assert!(result.harvested.value() >= 0.0);
         }
     }
+    assert!(fired_total > 0, "no draw injected a fault");
 }
 
 /// The conservation auditor closes the per-window energy books on every
