@@ -351,16 +351,12 @@ impl InputChannel {
                 }
             }
         };
-        self.advance_stages(dt);
-        step
-    }
-
-    /// Ticks the protection and converter clocks (scheduled-brownout
-    /// wrappers) once per step, after it, so a stage is down for exactly
-    /// the steps that start inside its fault windows.
-    fn advance_stages(&mut self, dt: Seconds) {
+        // Stages with internal clocks (scheduled-brownout wrappers) tick
+        // once per step, after it, so a stage is down for exactly the
+        // steps that start inside its fault windows.
         self.protection.advance(dt);
         self.converter.advance(dt);
+        step
     }
 
     /// The full per-step solve (no step memo consulted). The controller
@@ -463,7 +459,8 @@ impl InputChannel {
             }
         }
         // Mirror the per-window `step` call the scalar driver makes.
-        self.advance_stages(dt);
+        self.protection.advance(dt);
+        self.converter.advance(dt);
     }
 
     /// The fractional closer step for a whole population: a step of width
@@ -493,7 +490,8 @@ impl InputChannel {
         for i in 0..envs.len() {
             out[i] = self.finish_step(held[i], &envs[i]);
         }
-        self.advance_stages(frac);
+        self.protection.advance(frac);
+        self.converter.advance(frac);
     }
 }
 

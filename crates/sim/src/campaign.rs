@@ -97,8 +97,9 @@ pub struct FaultScenario<P> {
     pub env: Environment,
     /// The duty-cycle policy (possibly a `FailoverPolicy` wrapper).
     pub policy: Box<dyn DutyCyclePolicy>,
-    /// The injected fault timeline, referenced when computing
-    /// time-to-detect (the platform wrappers hold clones of it).
+    /// The injected fault timeline, counted from the run start: its
+    /// first fault is the one time-to-detect measures (the platform
+    /// wrappers hold clones of it).
     pub schedule: FaultSchedule,
     /// Invoked at each recovery check with the platform and the current
     /// simulation time; returns `true` when it performed a repair
@@ -209,6 +210,7 @@ pub struct CampaignSummary {
 /// after `injected`, its absolute fire time — and the first recovery
 /// signal after it (`FaultClear` or `FailoverEngaged`), from the event
 /// stream.
+#[derive(Default)]
 struct FaultEdges {
     injected: f64,
     detected: Option<f64>,
@@ -250,8 +252,7 @@ fn run_scenario<P: Platform>(
         .map_or(f64::INFINITY, |fire| (sim.start_at + fire).value());
     let mut edges = FaultEdges {
         injected,
-        detected: None,
-        first_recovery: None,
+        ..FaultEdges::default()
     };
     let mut auditor = ConservationAuditor::new();
     let mut next_check = check;

@@ -523,6 +523,7 @@ fn a_campaign_scenario_books_exactly_like_a_single_run() {
 /// The detection of the injected fault — the first fault observation
 /// at or after `injected`, its absolute fire time — and the first
 /// recovery signal after it.
+#[derive(Default)]
 struct FirstSignals {
     injected: f64,
     fire: Option<f64>,
@@ -569,8 +570,7 @@ fn segmented_fault_metrics(
         .map_or(f64::INFINITY, |fire| (sim.start_at + fire).value());
     let mut signals = FirstSignals {
         injected,
-        fire: None,
-        recovery: None,
+        ..FirstSignals::default()
     };
     let (mut recoveries, mut stranded) = (0, Joules::ZERO);
     let total = sim.duration.value();
