@@ -14,7 +14,9 @@
 //! its draws at construction so runs stay bit-identical). The schedule
 //! drives every scheduled wrapper: [`IntermittentStorage`] (a store
 //! fails open, then recovers), [`BrownoutConverter`] (a power stage goes
-//! dark) and [`GlitchingHarvester`] (output dropouts).
+//! dark) and [`GlitchingHarvester`] (output dropouts). Each is down for
+//! exactly the steps that start inside a window (see [`FaultSchedule`]
+//! for the clocks they read).
 
 use mseh_env::rng::{Noise, StreamId};
 use mseh_env::EnvConditions;

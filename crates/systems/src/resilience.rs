@@ -108,8 +108,9 @@ pub fn harvester_glitch_plan(seed: u64, horizon: Seconds) -> FaultSchedule {
 /// its primary store and lead harvester instrumented, its natural
 /// environment, and a [`FailoverPolicy`] around its natural policy.
 ///
-/// Scenarios assume the campaign starts at `t = 0` (the store wrapper's
-/// fault clock is run-relative operating time).
+/// Scenarios assume the campaign starts at `t = 0`: the store wrapper
+/// counts its fault clock from the run start while the harvester
+/// wrapper reads the absolute timestamp, and the two agree only there.
 ///
 /// # Panics
 ///
