@@ -39,8 +39,10 @@ const FAULT_STREAM: StreamId = StreamId(64);
 /// time* from the run start, ticked once per step after the step (by
 /// `Storage::idle` and `PowerStage::advance`), while
 /// [`GlitchingHarvester`] reads the *absolute simulation timestamp* from
-/// the sampled conditions (transducers are stateless); the two agree
-/// when a run starts at 0. A permanent fault has an infinite clear time.
+/// the sampled conditions (transducers are stateless; a snapshot held
+/// for a whole control window carries the window's start); the two
+/// agree when a run starts at 0. A permanent fault has an infinite clear
+/// time.
 ///
 /// # Examples
 ///
