@@ -94,7 +94,7 @@ pub use classify::{classify, render_table, TaxonomyRecord};
 pub use compat::{CompatError, PortRequirement};
 pub use datasheet::{DeviceClass, ElectronicDatasheet};
 pub use power_unit::{
-    load_draw, shortfall_split, BusHarvest, EnergyTotals, HarvesterPort, PowerUnit,
-    PowerUnitBuilder, StepReport, StorePort, StoreRole, Supervisor,
+    BusBalance, BusHarvest, HarvesterPort, PowerUnit, PowerUnitBuilder, StepReport, StorePort,
+    StoreRole, Supervisor,
 };
 pub use taxonomy::{ConditioningPlacement, Exchangeability, IntelligenceLocation, InterfaceKind};

@@ -111,25 +111,6 @@ pub struct StorePort {
     recognized_capacity: Joules,
 }
 
-/// Cumulative energy totals since construction (all bus-side joules).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyTotals {
-    /// Energy delivered onto the bus by all input channels.
-    pub harvested: Joules,
-    /// Energy delivered to the load at the output rail.
-    pub delivered: Joules,
-    /// Load energy that could not be served (brown-out).
-    pub shortfall: Joules,
-    /// Housekeeping energy (channels + supervisor + output stage).
-    pub overhead: Joules,
-    /// Energy pushed into stores (bus side).
-    pub charged: Joules,
-    /// Energy drawn from stores (bus side).
-    pub discharged: Joules,
-    /// Surplus harvest no store could accept (dumped).
-    pub spilled: Joules,
-}
-
 /// The outcome of one [`PowerUnit::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepReport {
@@ -206,54 +187,155 @@ impl BusHarvest {
     }
 }
 
-/// What `load` draws through the output stage at store voltage
-/// `store_v`: the bus-side input power, and whether the stage can serve
-/// the load at all. An idle load draws nothing and counts as served.
+/// One step's energy balance on a unit's bus: [`PowerUnit::settle`]'s
+/// arithmetic from the load's draw to the [`StepReport`], shared with
+/// the simulator's lane kernels so the two cannot drift apart.
 ///
-/// This and [`shortfall_split`] are [`PowerUnit::settle`]'s load
-/// arithmetic, shared with the simulator's lane kernels so the two
-/// cannot drift apart.
-#[inline]
-pub fn load_draw<S: PowerStage + ?Sized>(output: &S, load: Watts, store_v: Volts) -> (Watts, bool) {
-    if load.value() > 0.0 {
-        if output.accepts_input_voltage(store_v) {
-            (output.input_for_output(load, store_v), true)
-        } else {
-            (Watts::ZERO, false)
-        }
-    } else {
-        (Watts::ZERO, true)
-    }
+/// [`new`](Self::new) draws the load through the output stage at the
+/// store voltage and balances the harvest against the load and the
+/// housekeeping draw, leaving a surplus or a deficit. The stores work it
+/// down, each one offered [`charge_request`](Self::charge_request) or
+/// [`discharge_request`](Self::discharge_request) and its answer booked
+/// with [`book`](Self::book); [`report`](Self::report) then lands what
+/// is left of a deficit on the load first (the node browns out before
+/// the power unit's own electronics) and spills what is left of a
+/// surplus.
+///
+/// A lane population holds one balance per lane across its batched
+/// store step, so the balance keeps one remainder and one booked total
+/// for whichever direction the step runs in, not one of each.
+#[derive(Debug, Clone, Copy)]
+pub struct BusBalance {
+    dt: Seconds,
+    /// The load's energy at the output rail.
+    full_load: Joules,
+    harvested: Joules,
+    /// The load's bus-side draw.
+    load_in: Joules,
+    overhead: Joules,
+    /// What the stores still have to take (a surplus) or give (a
+    /// deficit).
+    remainder: Joules,
+    /// What the stores have taken or given so far.
+    moved: Joules,
+    /// Whether the harvest covers the demand, so the stores charge.
+    surplus: bool,
+    /// Whether the output stage can serve the load at the store
+    /// voltage (an idle load counts as served).
+    servable: bool,
 }
 
-/// Splits one step's load energy once the bus has balanced: the load's
-/// bus-side draw `e_load_in` takes the `unmet` energy first, and the
-/// served fraction scales what reaches the rail. Returns `(delivered,
-/// shortfall, converter_loss)`; an unservable load (see [`load_draw`])
-/// is short in full.
-#[inline]
-pub fn shortfall_split(
-    load: Watts,
-    dt: Seconds,
-    servable: bool,
-    e_load_in: Joules,
-    unmet: Joules,
-) -> (Joules, Joules, Joules) {
-    if !servable {
-        (Joules::ZERO, load * dt, Joules::ZERO)
-    } else if e_load_in.value() > 0.0 {
-        let load_unmet = unmet.min(e_load_in);
-        let served_in = e_load_in - load_unmet;
-        let served_fraction = (served_in / e_load_in).clamp(0.0, 1.0);
-        let full_load = load * dt;
-        let delivered = full_load * served_fraction;
-        (
+impl BusBalance {
+    /// Balances `harvested` against `load`, drawn through `output` at
+    /// store voltage `store_v`, and the `overhead` draw, over `dt`.
+    #[inline]
+    pub fn new<S: PowerStage + ?Sized>(
+        output: &S,
+        harvested: Watts,
+        overhead: Watts,
+        load: Watts,
+        store_v: Volts,
+        dt: Seconds,
+    ) -> Self {
+        let (load_in_w, servable) = if load.value() > 0.0 {
+            if output.accepts_input_voltage(store_v) {
+                (output.input_for_output(load, store_v), true)
+            } else {
+                (Watts::ZERO, false)
+            }
+        } else {
+            (Watts::ZERO, true)
+        };
+        let harvested = harvested * dt;
+        let load_in = load_in_w * dt;
+        let overhead = overhead * dt;
+        let demand = load_in + overhead;
+        let surplus = harvested >= demand;
+        Self {
+            dt,
+            full_load: load * dt,
+            harvested,
+            load_in,
+            overhead,
+            remainder: if surplus {
+                harvested - demand
+            } else {
+                demand - harvested
+            },
+            moved: Joules::ZERO,
+            surplus,
+            servable,
+        }
+    }
+
+    /// The power to offer the next store while a surplus is left.
+    #[inline]
+    pub fn charge_request(&self) -> Option<Watts> {
+        self.request(self.surplus)
+    }
+
+    /// The power to ask of the next store while a deficit is left.
+    #[inline]
+    pub fn discharge_request(&self) -> Option<Watts> {
+        self.request(!self.surplus)
+    }
+
+    #[inline]
+    fn request(&self, this_way: bool) -> Option<Watts> {
+        if !this_way || self.remainder.value() <= 0.0 {
+            None
+        } else {
+            Some(self.remainder / self.dt)
+        }
+    }
+
+    /// Books `moved`, the bus energy a store took from the surplus or
+    /// gave to the deficit.
+    #[inline]
+    pub fn book(&mut self, moved: Joules) {
+        self.moved += moved;
+        self.remainder -= moved;
+    }
+
+    /// The step's report once the stores have answered, with the
+    /// primary store's voltage after the step. The unmet demand lands on
+    /// the load first: its bus-side draw takes the shortfall, and the
+    /// served fraction scales what reaches the rail; an unservable load
+    /// is short in full.
+    #[inline]
+    pub fn report(&self, store_voltage: Volts) -> StepReport {
+        let left = self.remainder.max(Joules::ZERO);
+        let (charged, discharged, spilled, unmet) = if self.surplus {
+            (self.moved, Joules::ZERO, left, Joules::ZERO)
+        } else {
+            (Joules::ZERO, self.moved, Joules::ZERO, left)
+        };
+        let (delivered, shortfall, converter_loss) = if !self.servable {
+            (Joules::ZERO, self.full_load, Joules::ZERO)
+        } else if self.load_in.value() > 0.0 {
+            let load_unmet = unmet.min(self.load_in);
+            let served_in = self.load_in - load_unmet;
+            let served_fraction = (served_in / self.load_in).clamp(0.0, 1.0);
+            let delivered = self.full_load * served_fraction;
+            (
+                delivered,
+                self.full_load * (1.0 - served_fraction),
+                (served_in - delivered).max(Joules::ZERO),
+            )
+        } else {
+            (Joules::ZERO, Joules::ZERO, Joules::ZERO)
+        };
+        StepReport {
+            harvested: self.harvested,
             delivered,
-            full_load * (1.0 - served_fraction),
-            (served_in - delivered).max(Joules::ZERO),
-        )
-    } else {
-        (Joules::ZERO, Joules::ZERO, Joules::ZERO)
+            shortfall,
+            overhead: self.overhead,
+            charged,
+            discharged,
+            spilled,
+            converter_loss,
+            store_voltage,
+        }
     }
 }
 
@@ -316,7 +398,6 @@ pub struct PowerUnit {
     datasheet_capable: bool,
     shared_ports: Option<usize>,
     sense_adc: Option<AdcModel>,
-    totals: EnergyTotals,
     last_harvest: Watts,
     status_events: u64,
 }
@@ -389,11 +470,6 @@ impl PowerUnit {
     /// The storage ports.
     pub fn store_ports(&self) -> &[StorePort] {
         &self.store_ports
-    }
-
-    /// Cumulative energy totals.
-    pub fn totals(&self) -> EnergyTotals {
-        self.totals
     }
 
     /// Ports holding a device: occupied harvester ports plus occupied
@@ -754,9 +830,6 @@ impl PowerUnit {
             Some(d) => d.charge(offered / window, window),
             None => Joules::ZERO,
         };
-        // Management-path dissipation (drawn − deposited beyond device
-        // losses) accrues to the unit's overhead ledger.
-        self.totals.overhead += drawn - deposited;
         Ok(deposited)
     }
 
@@ -940,73 +1013,55 @@ impl PowerUnit {
         }
         self.last_harvest = harvested_w;
 
-        // 2. Load demand through the output stage at the store voltage.
-        let (load_in_w, servable) = load_draw(&*self.output, load, self.store_voltage());
+        // 2. Load demand through the output stage at the store voltage,
+        //    balanced on the bus.
+        let mut bus = BusBalance::new(
+            &*self.output,
+            harvested_w,
+            overhead_w,
+            load,
+            self.store_voltage(),
+            dt,
+        );
 
-        // 3. Balance on the bus.
-        let e_h = harvested_w * dt;
-        let e_load_in = load_in_w * dt;
-        let e_ov = overhead_w * dt;
-        let demand = e_load_in + e_ov;
-
-        let mut charged = Joules::ZERO;
-        let mut discharged = Joules::ZERO;
-        let mut spilled = Joules::ZERO;
-        let mut unmet = Joules::ZERO;
-
-        // Both balance directions visit occupied ports in role priority.
-        // Rank-outer/declaration-inner iteration reproduces the stable
-        // sort-by-role order bit for bit without allocating a sorted
-        // port list per step (this runs once per node-step across the
-        // whole fleet).
-        if e_h >= demand {
-            let mut surplus = e_h - demand;
-            // Charge buffers in role priority; backups are never charged.
-            'charge: for role in StoreRole::PRIORITY {
-                if role == StoreRole::Backup {
+        // 3. The stores work the surplus or the deficit down. Both
+        //    cascades visit occupied ports in role priority, and only
+        //    one finds anything to do. Rank-outer/declaration-inner
+        //    iteration reproduces the stable sort-by-role order bit for
+        //    bit without allocating a sorted port list per step (this
+        //    runs once per node-step across the whole fleet).
+        'charge: for role in StoreRole::PRIORITY {
+            // Backups are never charged.
+            if role == StoreRole::Backup {
+                continue;
+            }
+            for port in &mut self.store_ports {
+                if port.role != role {
                     continue;
                 }
-                for port in &mut self.store_ports {
-                    if port.role != role {
-                        continue;
-                    }
-                    if surplus.value() <= 0.0 {
-                        break 'charge;
-                    }
-                    if let Some(device) = port.device.as_mut() {
-                        let taken = device.charge(surplus / dt, dt);
-                        charged += taken;
-                        surplus -= taken;
-                    }
+                let Some(power) = bus.charge_request() else {
+                    break 'charge;
+                };
+                if let Some(device) = port.device.as_mut() {
+                    bus.book(device.charge(power, dt));
                 }
             }
-            spilled = surplus.max(Joules::ZERO);
-        } else {
-            let mut deficit = demand - e_h;
-            'discharge: for role in StoreRole::PRIORITY {
-                for port in &mut self.store_ports {
-                    if port.role != role {
-                        continue;
-                    }
-                    if deficit.value() <= 0.0 {
-                        break 'discharge;
-                    }
-                    if let Some(device) = port.device.as_mut() {
-                        let got = device.discharge(deficit / dt, dt);
-                        discharged += got;
-                        deficit -= got;
-                    }
+        }
+        'discharge: for role in StoreRole::PRIORITY {
+            for port in &mut self.store_ports {
+                if port.role != role {
+                    continue;
+                }
+                let Some(power) = bus.discharge_request() else {
+                    break 'discharge;
+                };
+                if let Some(device) = port.device.as_mut() {
+                    bus.book(device.discharge(power, dt));
                 }
             }
-            unmet = deficit.max(Joules::ZERO);
         }
 
-        // 4. Shortfall lands on the load first (the node browns out
-        //    before the power unit's own electronics).
-        let (delivered, shortfall, converter_loss) =
-            shortfall_split(load, dt, servable, e_load_in, unmet);
-
-        // 5. Storage self-discharge, then the output stage's clock: each
+        // 4. Storage self-discharge, then the output stage's clock: each
         //    clock ticks once per step, after it, so a scheduled fault
         //    is down for exactly the steps that start inside a window.
         for port in &mut self.store_ports {
@@ -1016,25 +1071,8 @@ impl PowerUnit {
         }
         self.output.advance(dt);
 
-        let report = StepReport {
-            harvested: e_h,
-            delivered,
-            shortfall,
-            overhead: e_ov,
-            charged,
-            discharged,
-            spilled,
-            converter_loss,
-            store_voltage: self.store_voltage(),
-        };
-        self.totals.harvested += report.harvested;
-        self.totals.delivered += report.delivered;
-        self.totals.shortfall += report.shortfall;
-        self.totals.overhead += report.overhead;
-        self.totals.charged += report.charged;
-        self.totals.discharged += report.discharged;
-        self.totals.spilled += report.spilled;
-        report
+        // 5. The shortfall lands on the load first.
+        bus.report(self.store_voltage())
     }
 
     /// A devolved unit's housekeeping onto `overhead_w`: per occupied
@@ -1246,7 +1284,6 @@ impl PowerUnitBuilder {
             datasheet_capable: self.datasheet_capable,
             shared_ports: self.shared_ports,
             sense_adc: self.sense_adc,
-            totals: EnergyTotals::default(),
             last_harvest: Watts::ZERO,
             status_events: 0,
         }
@@ -1349,17 +1386,6 @@ mod tests {
         assert!(!report.fully_served());
         assert!(report.shortfall.value() > 0.0);
         assert_eq!(report.delivered.value(), 0.0);
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let mut unit = small_unit();
-        for _ in 0..10 {
-            unit.step(&sunny(), Seconds::new(60.0), Watts::from_milli(1.0));
-        }
-        let t = unit.totals();
-        assert!(t.harvested.value() > 0.0);
-        assert!(t.overhead.value() > 0.0);
     }
 
     #[test]

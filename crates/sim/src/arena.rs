@@ -27,7 +27,7 @@
 //! bit-identical to an independent [`run_simulation`] of that policy
 //! against the same scenario — same iterate sequence, full-summary
 //! equality — because the lockstep settles exactly as a standalone
-//! run's `step` does, and the lane kernels replicate it. Seeds fan out
+//! run's `step` does, and the lane kernels run its arithmetic. Seeds fan out
 //! across threads via the sharded [`par_map_with`] merge and fold in
 //! seed order, so results are bit-identical at any thread count.
 //! Rankings therefore reflect policy behaviour alone, never scheduling.

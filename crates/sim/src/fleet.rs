@@ -53,11 +53,14 @@
 //! un-jittered group replays one group-wide harvest table, stepped by
 //! one driver channel exactly as each member's channel would step (so
 //! it is exact for any controller), and a jittered group solves each
-//! window across every lane's snapshot at once. The kernels replicate
-//! the `PowerUnit` arithmetic and iterate sequence exactly (see
-//! [`mseh_units::BatchSolve`]), so the lanes only remove redundant work:
-//! every physical result equals the boxed path's, and only the
-//! kernel-cache counters are synthesized ([`FleetSummary::kernel_cache`]).
+//! window across every lane's snapshot at once. The kernels share the
+//! `PowerUnit`'s arithmetic rather than copy it: each lane-step
+//! balances its bus through [`mseh_core::BusBalance`], the store lanes
+//! run the scalar stores' per-cell functions, and the batched solves
+//! run the scalar iterate sequence (see [`mseh_units::BatchSolve`]). So
+//! the lanes only remove redundant work: every physical result equals
+//! the boxed path's, and only the kernel-cache counters are synthesized
+//! ([`FleetSummary::kernel_cache`]).
 //! With the gate closed the group runs its units on the boxed path,
 //! where each node steps one window at a time like a single run: a
 //! jittered group under per-step cadence, and a jittered group whose
@@ -120,7 +123,7 @@ use mseh_harvesters::CacheStats;
 use mseh_node::{DutyCyclePolicy, MonitoringLevel, SensorNode};
 use mseh_power::{DcDcConverter, HarvestStep, InputChannel};
 use mseh_storage::{Battery, Storage, Supercap};
-use mseh_units::{Joules, Seconds, Volts, Watts};
+use mseh_units::{Joules, Seconds, Volts};
 use std::sync::Arc;
 
 pub(crate) mod dense_lanes;
@@ -252,21 +255,20 @@ pub enum DenseStore {
 
 /// The dense class: the survey's most common shape — one harvester
 /// channel, one buffer, one output converter — declared with concrete
-/// types, plus the supervisor overhead and monitoring tier. The class
-/// stands for the boxed [`mseh_core::PowerUnit`] of exactly those parts
-/// with a default supervisor carrying that overhead and tier. A
+/// types, plus the monitoring tier. The class stands for the boxed
+/// [`mseh_core::PowerUnit`] of exactly those parts with a default
+/// supervisor (no standing draw) reporting at that tier. A
 /// [`DenseGroup`] of the class's units, or an arena scenario declared
 /// with it ([`crate::ArenaSpec::dense`]), borrows the batched
 /// struct-of-arrays lane kernels.
 ///
-/// Defaults match [`DenseGroup::new`]: zero supervisor overhead and
-/// [`MonitoringLevel::Full`] reporting; override them with the
-/// builders.
+/// The tier defaults to [`MonitoringLevel::Full`], as in
+/// [`DenseGroup::new`]; override it with
+/// [`with_monitoring`](Self::with_monitoring).
 pub struct DenseClass {
     pub(crate) channel: Box<ChannelFactory>,
     pub(crate) output: DcDcConverter,
     pub(crate) store: DenseStore,
-    pub(crate) supervisor_overhead: Watts,
     pub(crate) monitoring: MonitoringLevel,
 }
 
@@ -283,16 +285,8 @@ impl DenseClass {
             channel: Box::new(channel),
             output,
             store,
-            supervisor_overhead: Watts::ZERO,
             monitoring: MonitoringLevel::Full,
         }
-    }
-
-    /// Sets the supervisory standing draw (the members'
-    /// `Supervisor::overhead`).
-    pub fn with_supervisor_overhead(mut self, overhead: Watts) -> Self {
-        self.supervisor_overhead = overhead;
-        self
     }
 
     /// Sets the monitoring tier (the units' `Supervisor::monitoring`;
@@ -305,8 +299,8 @@ impl DenseClass {
 
     /// The unit the class declares: one harvester port with the class
     /// channel, one primary-buffer store port holding a copy of the
-    /// template, the output converter, and a supervisor with the class's
-    /// overhead and monitoring tier.
+    /// template, the output converter, and a default supervisor at the
+    /// class's monitoring tier.
     pub(crate) fn unit(&self) -> PowerUnit {
         let store: Box<dyn Storage> = match &self.store {
             DenseStore::Supercap(cap) => Box::new(cap.clone()),
@@ -325,7 +319,6 @@ impl DenseClass {
             .output_stage(Box::new(self.output.clone()))
             .supervisor(Supervisor {
                 monitoring: self.monitoring,
-                overhead: self.supervisor_overhead,
                 ..Supervisor::none()
             })
             .build()
@@ -336,7 +329,6 @@ impl core::fmt::Debug for DenseClass {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DenseClass")
             .field("store", &self.store)
-            .field("supervisor_overhead", &self.supervisor_overhead)
             .field("monitoring", &self.monitoring)
             .finish_non_exhaustive()
     }
@@ -347,9 +339,8 @@ impl core::fmt::Debug for DenseClass {
 /// class, so its members step on the lane kernels whenever the gate is
 /// open.
 ///
-/// The supervisor is a default one with zero overhead and
-/// [`MonitoringLevel::Full`] reporting; override them with
-/// [`with_supervisor_overhead`](Self::with_supervisor_overhead) and
+/// The supervisor is a default one with no standing draw and
+/// [`MonitoringLevel::Full`] reporting; override the tier with
 /// [`with_monitoring`](Self::with_monitoring).
 pub struct DenseGroup {
     name: String,
@@ -364,8 +355,8 @@ pub struct DenseGroup {
 
 impl DenseGroup {
     /// A dense group of `count` nodes at site index `site`, with no
-    /// jitter, group seed 0, zero supervisor overhead and
-    /// [`MonitoringLevel::Full`] energy reporting.
+    /// jitter, group seed 0 and [`MonitoringLevel::Full`] energy
+    /// reporting.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
@@ -399,12 +390,6 @@ impl DenseGroup {
     /// own snapshots each window instead of sharing the group table).
     pub fn with_jitter(mut self, jitter: EnvJitter) -> Self {
         self.jitter = jitter;
-        self
-    }
-
-    /// Sets the supervisory standing draw.
-    pub fn with_supervisor_overhead(mut self, overhead: Watts) -> Self {
-        self.class = self.class.with_supervisor_overhead(overhead);
         self
     }
 
@@ -1002,7 +987,7 @@ mod tests {
     use mseh_node::{EnergyStatus, FixedDuty, VoltageThreshold};
     use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
     use mseh_storage::Supercap;
-    use mseh_units::{DutyCycle, Volts};
+    use mseh_units::{DutyCycle, Volts, Watts};
 
     fn duty() -> DutyCycle {
         DutyCycle::saturating(0.05)
@@ -1357,27 +1342,22 @@ mod tests {
 
     #[test]
     fn dense_status_replication_drives_policies_like_boxed() {
-        // Full monitoring plus supervisor overhead: a voltage-threshold
-        // policy must see an identical EnergyStatus on both lanes, and
-        // the overhead must drain the books identically.
+        // Full monitoring: a voltage-threshold policy must see an
+        // identical EnergyStatus on both lanes.
         let horizon = Seconds::from_hours(4.0);
-        let overhead = Watts::new(40e-6);
         let dense = {
             let mut spec = FleetSpec::new();
             let site = spec.add_site(Environment::outdoor_temperate(23));
-            spec.add_dense_group(
-                DenseGroup::new(
-                    "pv supervised",
-                    3,
-                    site,
-                    SensorNode::submilliwatt_class(),
-                    solar_channel,
-                    DcDcConverter::buck_boost_3v3(),
-                    DenseStore::Supercap(solar_cap()),
-                    |_| Box::new(VoltageThreshold::supercap_ladder()),
-                )
-                .with_supervisor_overhead(overhead),
-            );
+            spec.add_dense_group(DenseGroup::new(
+                "pv supervised",
+                3,
+                site,
+                SensorNode::submilliwatt_class(),
+                solar_channel,
+                DcDcConverter::buck_boost_3v3(),
+                DenseStore::Supercap(solar_cap()),
+                |_| Box::new(VoltageThreshold::supercap_ladder()),
+            ));
             run_fleet(&spec, FleetConfig::over(horizon)).summary
         };
         let boxed = {
@@ -1385,7 +1365,6 @@ mod tests {
             let site = spec.add_site(Environment::outdoor_temperate(23));
             let mut supervisor = Supervisor::none();
             supervisor.monitoring = MonitoringLevel::Full;
-            supervisor.overhead = overhead;
             spec.add_group(FleetGroup::new(
                 "pv supervised",
                 3,
@@ -1544,7 +1523,7 @@ mod tests {
     #[test]
     fn mid_run_fault_fire_cannot_replay_stale_battery_keep_fraction() {
         use crate::fault::{FaultSchedule, IntermittentStorage};
-        use mseh_storage::BatteryLanes;
+        use mseh_storage::{BatteryLanes, StoreLanes};
 
         // Sim level: a battery-store node whose cell fails open mid-run
         // and recovers. The battery's memoized idle keep fraction is

@@ -25,7 +25,7 @@
 //! runner steps a single representative lane (every policy is still
 //! driven each window — policy state must evolve exactly as it would
 //! alone) and materializes the full population from it on the first
-//! divergent duty ([`SupercapLanes::replicate_lane0`]). Homogeneous-policy
+//! divergent duty ([`StoreLanes::replicate_lane0`]). Homogeneous-policy
 //! groups collapse to one lane of arithmetic; heterogeneous groups pay at
 //! most one window of single-lane work before falling back to full-width
 //! stepping. Jittered runs never take the fast path (their harvests
@@ -33,25 +33,27 @@
 //!
 //! # Bit-identity
 //!
-//! Every pass replicates the boxed `PowerUnit`'s exact arithmetic —
-//! the same load draw and shortfall split ([`mseh_core::load_draw`],
-//! [`mseh_core::shortfall_split`]), the same operation order, the same
-//! guard branches and books — and each lane's iterates are independent
-//! of its companions. So the result is bit-identical to the boxed
-//! `PowerUnit` *and* independent of how shards split a group into runs.
-//! The uniform fast path preserves this: a one-lane population's
-//! iterates equal any lane of a wider one. The fleet and differential
-//! tests assert all of it.
+//! The lanes keep only the window walk and the batching; every energy
+//! they book comes from a function the boxed `PowerUnit` also calls.
+//! The bus balance of each lane-step is a [`BusBalance`], the type
+//! `PowerUnit::settle` balances with, and the store passes run the same
+//! per-cell arithmetic as the scalar `Storage` calls (see
+//! [`StoreLanes`]). Each lane's iterates are independent of its
+//! companions, so the result is bit-identical to the boxed `PowerUnit`
+//! *and* independent of how shards split a group into runs. The uniform
+//! fast path preserves this: a one-lane population's iterates equal any
+//! lane of a wider one. The fleet and differential tests assert all of
+//! it.
 
 use super::{DenseClass, DenseStore};
 use crate::cancel::{tripped, CancelToken};
 use crate::steps::{NodeBooks, NodeOutcome, StepPlan, WindowLoad};
-use mseh_core::{load_draw, shortfall_split, StepReport};
+use mseh_core::BusBalance;
 use mseh_env::{EnvConditions, JitterFactors};
 use mseh_harvesters::CacheStats;
 use mseh_node::{DutyCyclePolicy, EnergyStatus, SensorNode};
 use mseh_power::{HarvestStep, InputChannel, PowerStage};
-use mseh_storage::{BatteryLanes, Storage, SupercapLanes};
+use mseh_storage::{BatteryLanes, Storage, StoreLanes, SupercapLanes};
 use mseh_units::{DutyCycle, Joules, Ratio, Volts, Watts};
 
 /// Where a lane population's harvests come from.
@@ -70,74 +72,6 @@ pub(crate) enum LaneHarvest<'a> {
         factors: Vec<JitterFactors>,
         rows: &'a [EnvConditions],
     },
-}
-
-/// The store-side lane kernel the generic runner drives: one whole-lane
-/// masked step plus per-lane state reads, bit-identical to the scalar
-/// `Storage` sequence by each implementation's contract.
-trait StoreLanes: Sized {
-    fn voltage(&self, i: usize) -> f64;
-    fn stored_energy(&self, i: usize) -> f64;
-    fn losses(&self, i: usize) -> f64;
-    fn step(
-        &mut self,
-        charge_w: &[f64],
-        discharge_w: &[f64],
-        dt: f64,
-        charged: &mut [f64],
-        discharged: &mut [f64],
-    );
-    fn replicate_lane0(&self, lanes: usize) -> Self;
-}
-
-impl StoreLanes for SupercapLanes {
-    fn voltage(&self, i: usize) -> f64 {
-        SupercapLanes::voltage(self, i)
-    }
-    fn stored_energy(&self, i: usize) -> f64 {
-        SupercapLanes::stored_energy(self, i)
-    }
-    fn losses(&self, i: usize) -> f64 {
-        SupercapLanes::losses(self, i)
-    }
-    fn step(
-        &mut self,
-        charge_w: &[f64],
-        discharge_w: &[f64],
-        dt: f64,
-        charged: &mut [f64],
-        discharged: &mut [f64],
-    ) {
-        SupercapLanes::step(self, charge_w, discharge_w, dt, charged, discharged)
-    }
-    fn replicate_lane0(&self, lanes: usize) -> Self {
-        SupercapLanes::replicate_lane0(self, lanes)
-    }
-}
-
-impl StoreLanes for BatteryLanes {
-    fn voltage(&self, i: usize) -> f64 {
-        BatteryLanes::voltage(self, i)
-    }
-    fn stored_energy(&self, i: usize) -> f64 {
-        BatteryLanes::stored_energy(self, i)
-    }
-    fn losses(&self, i: usize) -> f64 {
-        BatteryLanes::losses(self, i)
-    }
-    fn step(
-        &mut self,
-        charge_w: &[f64],
-        discharge_w: &[f64],
-        dt: f64,
-        charged: &mut [f64],
-        discharged: &mut [f64],
-    ) {
-        BatteryLanes::step(self, charge_w, discharge_w, dt, charged, discharged)
-    }
-    fn replicate_lane0(&self, lanes: usize) -> Self {
-        BatteryLanes::replicate_lane0(self, lanes)
-    }
 }
 
 /// The one entry to the lane kernels: steps one lane per policy of
@@ -205,7 +139,9 @@ fn run_lane_population<L: StoreLanes>(
 ) -> bool {
     let lanes_n = policies.len();
     let (output, monitoring) = (&class.output, class.monitoring);
-    let overhead_w = class.supervisor_overhead + output.quiescent();
+    // The class's supervisor draws nothing, so the unit's housekeeping
+    // is the output stage's quiescent draw plus the channel's overhead.
+    let quiescent_w = output.quiescent();
     let cap = template.capacity();
 
     let empty_rows: &[EnvConditions] = &[];
@@ -266,15 +202,13 @@ fn run_lane_population<L: StoreLanes>(
     // Per-window scratch from the policy prologue.
     let mut duties: Vec<DutyCycle> = vec![DutyCycle::ZERO; lanes_n];
     let mut loads: Vec<WindowLoad> = Vec::with_capacity(lanes_n);
-    // Per-step staging for the batched store transfer.
-    let mut e_h_l = vec![Joules::ZERO; lanes_n];
+    // Per-step staging for the batched store transfer: each lane's bus
+    // balance, and the store requests and answers as plain slices.
+    let mut balances: Vec<BusBalance> = Vec::with_capacity(lanes_n);
     let mut charge_w = vec![0.0f64; lanes_n];
     let mut discharge_w = vec![0.0f64; lanes_n];
     let mut charged_o = vec![0.0f64; lanes_n];
     let mut discharged_o = vec![0.0f64; lanes_n];
-    let mut deficit_l = vec![Joules::ZERO; lanes_n];
-    let mut e_load_in_l = vec![Joules::ZERO; lanes_n];
-    let mut servable_l = vec![true; lanes_n];
 
     for window in plan.windows() {
         if tripped(cancel) {
@@ -339,50 +273,30 @@ fn run_lane_population<L: StoreLanes>(
             }
 
             // Pass A — `PowerUnit::settle` up to the store transfer:
-            // resolve the lane's harvest, draw the load through the
-            // output stage at the store voltage, stage the
-            // charge/discharge request.
+            // resolve the lane's harvest, balance it on the bus, stage
+            // the store request.
+            balances.clear();
             for i in 0..active {
                 let hs: &HarvestStep = match shared {
                     Some(table) => &table[step.index as usize],
                     None if step.closer => &fhs[i],
                     None => &whs[i],
                 };
-                let harvested_w = hs.delivered;
-                let overhead_w = overhead_w + hs.overhead;
-                last_harvest[i] = harvested_w;
-
-                let (load_in_w, servable) =
-                    load_draw(output, loads[i].power, Volts::new(lanes.voltage(i)));
-
-                let e_h = harvested_w * step_dt;
-                let e_load_in = load_in_w * step_dt;
-                let e_ov = overhead_w * step_dt;
-                let step_demand = e_load_in + e_ov;
-
-                charge_w[i] = 0.0;
-                discharge_w[i] = 0.0;
-                deficit_l[i] = Joules::ZERO;
-                if e_h >= step_demand {
-                    let surplus = e_h - step_demand;
-                    if surplus.value() > 0.0 {
-                        charge_w[i] = (surplus / step_dt).value();
-                    }
-                } else {
-                    let deficit = step_demand - e_h;
-                    if deficit.value() > 0.0 {
-                        discharge_w[i] = (deficit / step_dt).value();
-                    }
-                    deficit_l[i] = deficit;
-                }
-                e_h_l[i] = e_h;
-                e_load_in_l[i] = e_load_in;
-                servable_l[i] = servable;
+                last_harvest[i] = hs.delivered;
+                let bus = BusBalance::new(
+                    output,
+                    hs.delivered,
+                    quiescent_w + hs.overhead,
+                    loads[i].power,
+                    Volts::new(lanes.voltage(i)),
+                    step_dt,
+                );
+                charge_w[i] = bus.charge_request().map_or(0.0, Watts::value);
+                discharge_w[i] = bus.discharge_request().map_or(0.0, Watts::value);
+                balances.push(bus);
             }
 
-            // Batched transfer + idle: masked passes over the lanes,
-            // bit-identical to per-lane `charge`/`discharge`/`idle`
-            // (see `SupercapLanes::step` / `BatteryLanes::step`).
+            // Batched transfer + idle: masked passes over the lanes.
             lanes.step(
                 &charge_w[..active],
                 &discharge_w[..active],
@@ -391,28 +305,13 @@ fn run_lane_population<L: StoreLanes>(
                 &mut discharged_o[..active],
             );
 
-            // Pass B — the rest of `settle`: the shortfall split, then
-            // the lane's books.
-            for i in 0..active {
-                let step_discharged = Joules::new(discharged_o[i]);
-                let unmet = (deficit_l[i] - step_discharged).max(Joules::ZERO);
-                let (delivered, shortfall, converter_loss) = shortfall_split(
-                    loads[i].power,
-                    step_dt,
-                    servable_l[i],
-                    e_load_in_l[i],
-                    unmet,
-                );
-                let report = StepReport {
-                    harvested: e_h_l[i],
-                    delivered,
-                    shortfall,
-                    charged: Joules::new(charged_o[i]),
-                    discharged: step_discharged,
-                    converter_loss,
-                    store_voltage: Volts::new(lanes.voltage(i)),
-                    ..StepReport::default()
-                };
+            // Pass B — the rest of `settle`: book the store's answer
+            // (one of the two is zero), report, then the lane's books.
+            for (i, &bus) in balances.iter().enumerate() {
+                let mut bus = bus;
+                bus.book(Joules::new(charged_o[i]));
+                bus.book(Joules::new(discharged_o[i]));
+                let report = bus.report(Volts::new(lanes.voltage(i)));
                 books[i].record(&report, &loads[i], &step);
             }
         }

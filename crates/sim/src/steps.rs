@@ -462,7 +462,11 @@ struct Watch<'a, 'o> {
 }
 
 impl<'a, 'o> Watch<'a, 'o> {
-    /// Baselines the polls on `platform` and reports `RunStart`.
+    /// Baselines the polls on `platform` and reports `RunStart`. The
+    /// fire count's baseline is the clear count, so every fault still
+    /// down as the run opens (one whose window opens at its first
+    /// instant, or one left open by an earlier run of the platform)
+    /// fires at the first window edge.
     fn open<P: Platform + ?Sized>(
         observers: &'a mut [&'o mut dyn SimObserver],
         platform: &P,
@@ -472,13 +476,14 @@ impl<'a, 'o> Watch<'a, 'o> {
         let stepped = (0..observers.len())
             .filter(|&i| observers[i].wants_step_events())
             .collect();
+        let (_, cleared) = platform.fault_counts();
         let mut watch = Self {
             observers,
             stepped,
             window: WindowBooks::open(start, DutyCycle::ZERO, Joules::ZERO, Joules::ZERO),
             duty: None,
             capacity: platform.storage_capacity(),
-            faults: platform.fault_counts(),
+            faults: (cleared, cleared),
             failovers,
         };
         watch.emit(SimEvent::RunStart { time: start });

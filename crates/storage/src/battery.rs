@@ -27,49 +27,21 @@ use mseh_units::{Joules, Seconds, Volts, Watts};
 #[derive(Debug, Clone)]
 pub struct Battery {
     name: String,
-    kind: StorageKind,
-    capacity: Joules,
-    /// OCV curve as (SoC, volts) knots, SoC ascending from 0 to 1.
-    ocv_curve: Vec<(f64, f64)>,
-    /// Fraction of charged energy actually stored.
-    eta_charge: f64,
-    /// Fraction of internal energy delivered on discharge.
-    eta_discharge: f64,
-    /// Self-discharge fraction per 30 days.
-    self_discharge_month: f64,
-    /// Maximum charge rate in C (1 C = full charge in one hour).
-    c_rate_charge: f64,
-    /// Maximum discharge rate in C.
-    c_rate_discharge: f64,
-    /// Present stored energy.
-    energy: Joules,
-    /// Accumulated internal dissipation.
-    losses: Joules,
-    /// Total energy throughput (for cycle counting).
-    throughput: Joules,
-    /// Memoized self-discharge keep factor for the last idle `dt`
-    /// (`(dt bits, rate bits)` → `(1 − r)^months`). `keep` is a pure
-    /// function of `dt` and `self_discharge_month`, so replaying it for a
-    /// repeated step width is bit-identical to recomputing the `powf` —
-    /// fixed-step simulation hits this every step. The key carries the
-    /// rate bits so a mutated rate (datasheet clone-modify via
-    /// [`set_self_discharge_month`](Battery::set_self_discharge_month))
-    /// can never replay a stale factor. Excluded from equality: it is a
-    /// cache, not state.
-    idle_keep_memo: Option<((u64, u64), f64)>,
+    /// The per-cell arithmetic: capacity, OCV curve, efficiencies,
+    /// self-discharge and rate limits.
+    chemistry: Chemistry,
+    /// Present stored energy, joules.
+    energy: f64,
+    /// Accumulated internal dissipation, joules.
+    losses: f64,
+    /// Total energy throughput (for cycle counting), joules.
+    throughput: f64,
 }
 
 impl PartialEq for Battery {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
-            && self.kind == other.kind
-            && self.capacity == other.capacity
-            && self.ocv_curve == other.ocv_curve
-            && self.eta_charge == other.eta_charge
-            && self.eta_discharge == other.eta_discharge
-            && self.self_discharge_month == other.self_discharge_month
-            && self.c_rate_charge == other.c_rate_charge
-            && self.c_rate_discharge == other.c_rate_discharge
+            && self.chemistry == other.chemistry
             && self.energy == other.energy
             && self.losses == other.losses
             && self.throughput == other.throughput
@@ -111,28 +83,28 @@ impl Battery {
             ocv_curve.windows(2).all(|w| w[0].0 < w[1].0),
             "OCV curve knots must be SoC-ascending"
         );
-        assert!(
-            (0.0..1.0).contains(&self_discharge_month),
-            "self-discharge must be a fraction below 1"
-        );
+        let mut chemistry = Chemistry {
+            kind,
+            capacity: capacity.value(),
+            ocv_curve,
+            eta_charge,
+            eta_discharge,
+            self_discharge_month: 0.0,
+            p_charge: c_rate_charge * capacity.value() / 3600.0,
+            p_discharge: c_rate_discharge * capacity.value() / 3600.0,
+            keep_memo: None,
+        };
+        chemistry.set_self_discharge_month(self_discharge_month);
         assert!(
             c_rate_charge > 0.0 && c_rate_discharge > 0.0,
             "C-rates must be positive"
         );
         Self {
             name: name.into(),
-            kind,
-            capacity,
-            ocv_curve,
-            eta_charge,
-            eta_discharge,
-            self_discharge_month,
-            c_rate_charge,
-            c_rate_discharge,
-            energy: Joules::ZERO,
-            losses: Joules::ZERO,
-            throughput: Joules::ZERO,
-            idle_keep_memo: None,
+            chemistry,
+            energy: 0.0,
+            losses: 0.0,
+            throughput: 0.0,
         }
     }
 
@@ -197,13 +169,13 @@ impl Battery {
             1.0, // never used: primaries refuse charge
             0.5,
         );
-        cell.energy = cell.capacity; // primaries ship full
+        cell.energy = cell.chemistry.capacity; // primaries ship full
         cell
     }
 
     /// Sets the state of charge as a fraction of capacity (clamped).
     pub fn set_soc(&mut self, soc: f64) {
-        self.energy = self.capacity * soc.clamp(0.0, 1.0);
+        self.energy = self.chemistry.capacity * soc.clamp(0.0, 1.0);
     }
 
     /// Overrides the self-discharge rate (fraction per 30 days) — the
@@ -217,51 +189,19 @@ impl Battery {
     ///
     /// Panics if `rate` is not a fraction in `[0, 1)`.
     pub fn set_self_discharge_month(&mut self, rate: f64) {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "self-discharge must be a fraction below 1"
-        );
-        self.self_discharge_month = rate;
-        self.idle_keep_memo = None;
+        self.chemistry.set_self_discharge_month(rate);
     }
 
     /// Equivalent full charge/discharge cycles seen so far
     /// (throughput / 2·capacity).
     pub fn equivalent_full_cycles(&self) -> f64 {
-        self.throughput.value() / (2.0 * self.capacity.value())
+        self.throughput / (2.0 * self.chemistry.capacity)
     }
 
-    /// The parameter fields a struct-of-arrays population
-    /// ([`BatteryLanes`](crate::BatteryLanes)) needs to replicate the
-    /// scalar charge/discharge/idle sequence bit for bit:
-    /// `(ocv_curve, eta_charge, eta_discharge, self_discharge_month,
-    /// c_rate_charge, c_rate_discharge)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn lane_params(&self) -> (&[(f64, f64)], f64, f64, f64, f64, f64) {
-        (
-            &self.ocv_curve,
-            self.eta_charge,
-            self.eta_discharge,
-            self.self_discharge_month,
-            self.c_rate_charge,
-            self.c_rate_discharge,
-        )
-    }
-
-    fn ocv_at(&self, soc: f64) -> Volts {
-        let soc = soc.clamp(0.0, 1.0);
-        let first = self.ocv_curve[0];
-        if soc <= first.0 {
-            return Volts::new(first.1);
-        }
-        for pair in self.ocv_curve.windows(2) {
-            let (s0, v0) = pair[0];
-            let (s1, v1) = pair[1];
-            if soc <= s1 {
-                return Volts::new(v0 + (v1 - v0) * (soc - s0) / (s1 - s0));
-            }
-        }
-        Volts::new(self.ocv_curve.last().expect("non-empty curve").1)
+    /// The cell's chemistry, for a struct-of-arrays population
+    /// ([`BatteryLanes`](crate::BatteryLanes)) of clones.
+    pub(crate) fn chemistry(&self) -> &Chemistry {
+        &self.chemistry
     }
 }
 
@@ -271,104 +211,279 @@ impl Storage for Battery {
     }
 
     fn kind(&self) -> StorageKind {
-        self.kind
+        self.chemistry.kind
     }
 
     fn voltage(&self) -> Volts {
-        self.ocv_at(self.soc().value())
+        Volts::new(self.chemistry.voltage(self.energy))
     }
 
     fn stored_energy(&self) -> Joules {
-        self.energy
+        Joules::new(self.energy)
     }
 
     fn capacity(&self) -> Joules {
-        self.capacity
+        Joules::new(self.chemistry.capacity)
     }
 
     fn min_voltage(&self) -> Volts {
-        self.ocv_at(0.0)
+        Volts::new(self.chemistry.ocv_at(0.0))
     }
 
     fn max_voltage(&self) -> Volts {
-        self.ocv_at(1.0)
+        Volts::new(self.chemistry.ocv_at(1.0))
     }
 
     fn max_charge_power(&self) -> Watts {
-        if !self.kind.is_rechargeable() || self.energy >= self.capacity {
-            return Watts::ZERO;
-        }
-        Watts::new(self.c_rate_charge * self.capacity.value() / 3600.0)
+        Watts::new(self.chemistry.max_charge_power(self.energy))
     }
 
     fn max_discharge_power(&self) -> Watts {
-        if self.energy.value() <= 0.0 {
-            return Watts::ZERO;
-        }
-        Watts::new(self.c_rate_discharge * self.capacity.value() / 3600.0)
+        Watts::new(self.chemistry.max_discharge_power(self.energy))
     }
 
     fn charge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        let p = power.min(self.max_charge_power()).max(Watts::ZERO);
-        if p.value() == 0.0 || dt.value() <= 0.0 {
-            return Joules::ZERO;
+        let (p, dt) = (power.value(), dt.value());
+        match self
+            .chemistry
+            .charge(&mut self.energy, &mut self.losses, p, dt)
+        {
+            Some((taken, stored)) => {
+                self.throughput += stored;
+                Joules::new(taken)
+            }
+            None => Joules::ZERO,
+        }
+    }
+
+    fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
+        let (p, dt) = (power.value(), dt.value());
+        match self
+            .chemistry
+            .discharge(&mut self.energy, &mut self.losses, p, dt)
+        {
+            Some((delivered, drawn)) => {
+                self.throughput += drawn;
+                Joules::new(delivered)
+            }
+            None => Joules::ZERO,
+        }
+    }
+
+    fn idle(&mut self, dt: Seconds) {
+        if dt.value() <= 0.0 || self.energy <= 0.0 {
+            return;
+        }
+        let keep = self.chemistry.keep(dt.value());
+        Chemistry::self_discharge(&mut self.energy, &mut self.losses, keep);
+    }
+
+    fn losses(&self) -> Joules {
+        Joules::new(self.losses)
+    }
+}
+
+/// One battery cell's arithmetic: the OCV curve, charge and discharge
+/// under the C-rate limits and efficiencies, and self-discharge, each
+/// acting on a cell's stored energy and losses in joules. [`Battery`]
+/// and [`BatteryLanes`](crate::BatteryLanes) each hold one and run
+/// these functions, so the two agree by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct Chemistry {
+    kind: StorageKind,
+    /// Usable capacity, joules.
+    capacity: f64,
+    /// OCV curve as (SoC, volts) knots, SoC ascending from 0 to 1.
+    ocv_curve: Vec<(f64, f64)>,
+    /// Fraction of charged energy actually stored.
+    eta_charge: f64,
+    /// Fraction of internal energy delivered on discharge.
+    eta_discharge: f64,
+    /// Self-discharge fraction per 30 days.
+    self_discharge_month: f64,
+    /// Charge C-rate as watts (`c_rate · capacity / 3600`; 1 C is a
+    /// full charge in one hour).
+    p_charge: f64,
+    /// Discharge C-rate as watts.
+    p_discharge: f64,
+    /// Memoized self-discharge keep factor for the last idle `dt`
+    /// (`(dt bits, rate bits)` → `(1 − r)^months`). `keep` is a pure
+    /// function of `dt` and `self_discharge_month`, so replaying it for a
+    /// repeated step width is bit-identical to recomputing the `powf` —
+    /// fixed-step simulation hits this every step, and a lane population
+    /// shares one memo. The key carries the rate bits so a mutated rate
+    /// can never replay a stale factor. Excluded from equality: it is a
+    /// cache, not state.
+    keep_memo: Option<((u64, u64), f64)>,
+}
+
+impl PartialEq for Chemistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.capacity == other.capacity
+            && self.ocv_curve == other.ocv_curve
+            && self.eta_charge == other.eta_charge
+            && self.eta_discharge == other.eta_discharge
+            && self.self_discharge_month == other.self_discharge_month
+            && self.p_charge == other.p_charge
+            && self.p_discharge == other.p_discharge
+    }
+}
+
+impl Chemistry {
+    /// Usable capacity, joules.
+    pub(crate) fn capacity(&self) -> f64 {
+        self.capacity
+    }
+
+    /// Sets the self-discharge rate (fraction per 30 days) and drops
+    /// the keep-factor memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is not a fraction in `[0, 1)`.
+    pub(crate) fn set_self_discharge_month(&mut self, rate: f64) {
+        assert!(
+            (0.0..1.0).contains(&rate),
+            "self-discharge must be a fraction below 1"
+        );
+        self.self_discharge_month = rate;
+        self.forget_keep();
+    }
+
+    /// Drops the keep-factor memo: the next idle re-evaluates the
+    /// `powf` from the current rate.
+    pub(crate) fn forget_keep(&mut self) {
+        self.keep_memo = None;
+    }
+
+    /// Piecewise-linear open-circuit voltage at state of charge `soc`.
+    pub(crate) fn ocv_at(&self, soc: f64) -> f64 {
+        let soc = soc.clamp(0.0, 1.0);
+        let first = self.ocv_curve[0];
+        if soc <= first.0 {
+            return first.1;
+        }
+        for pair in self.ocv_curve.windows(2) {
+            let (s0, v0) = pair[0];
+            let (s1, v1) = pair[1];
+            if soc <= s1 {
+                return v0 + (v1 - v0) * (soc - s0) / (s1 - s0);
+            }
+        }
+        self.ocv_curve.last().expect("non-empty curve").1
+    }
+
+    /// Open-circuit voltage of a cell holding `energy`.
+    #[inline]
+    pub(crate) fn voltage(&self, energy: f64) -> f64 {
+        self.ocv_at(energy / self.capacity)
+    }
+
+    /// The power a cell holding `energy` accepts: zero when full or
+    /// non-rechargeable.
+    #[inline]
+    fn max_charge_power(&self, energy: f64) -> f64 {
+        if !self.kind.is_rechargeable() || energy >= self.capacity {
+            0.0
+        } else {
+            self.p_charge
+        }
+    }
+
+    /// The power a cell holding `energy` delivers: zero when empty.
+    #[inline]
+    fn max_discharge_power(&self, energy: f64) -> f64 {
+        if energy <= 0.0 {
+            0.0
+        } else {
+            self.p_discharge
+        }
+    }
+
+    /// Pushes up to `power` watts for `dt` seconds into a cell holding
+    /// `energy`: the energy taken from the bus and the energy stored, or
+    /// `None` when nothing moves. Updates `energy`; the charge loss
+    /// accrues in `losses`.
+    #[inline]
+    pub(crate) fn charge(
+        &self,
+        energy: &mut f64,
+        losses: &mut f64,
+        power: f64,
+        dt: f64,
+    ) -> Option<(f64, f64)> {
+        let p = power.min(self.max_charge_power(*energy)).max(0.0);
+        if p == 0.0 || dt <= 0.0 {
+            return None;
         }
         let gross = p * dt;
         let mut net = gross * self.eta_charge;
-        let headroom = self.capacity - self.energy;
+        let headroom = self.capacity - *energy;
         let mut taken = gross;
         if net > headroom {
             net = headroom;
             taken = net / self.eta_charge;
         }
-        self.energy += net;
-        self.losses += taken - net;
-        self.throughput += net;
-        taken
+        *energy += net;
+        *losses += taken - net;
+        Some((taken, net))
     }
 
-    fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
-        let p = power.min(self.max_discharge_power()).max(Watts::ZERO);
-        if p.value() == 0.0 || dt.value() <= 0.0 {
-            return Joules::ZERO;
+    /// Draws up to `power` watts for `dt` seconds from a cell holding
+    /// `energy`: the energy delivered to the bus and the internal energy
+    /// drawn, or `None` when nothing moves. Updates `energy`; the
+    /// discharge loss accrues in `losses`.
+    #[inline]
+    pub(crate) fn discharge(
+        &self,
+        energy: &mut f64,
+        losses: &mut f64,
+        power: f64,
+        dt: f64,
+    ) -> Option<(f64, f64)> {
+        let p = power.min(self.max_discharge_power(*energy)).max(0.0);
+        if p == 0.0 || dt <= 0.0 {
+            return None;
         }
         let mut internal = (p * dt) / self.eta_discharge;
-        if internal > self.energy {
-            internal = self.energy;
+        if internal > *energy {
+            internal = *energy;
         }
         let delivered = internal * self.eta_discharge;
-        self.energy -= internal;
-        self.losses += internal - delivered;
-        self.throughput += internal;
-        delivered
+        *energy -= internal;
+        *losses += internal - delivered;
+        Some((delivered, internal))
     }
 
-    fn idle(&mut self, dt: Seconds) {
-        if dt.value() <= 0.0 || self.energy.value() <= 0.0 {
-            return;
-        }
-        // Exponential self-discharge with the per-month rate. The keep
-        // factor depends only on `dt` and the rate, so fixed-step
-        // simulation replays the memoized `powf` bit for bit instead of
-        // re-evaluating it. Both inputs sit in the key: a memo keyed on
-        // `dt` alone would replay a stale factor after the rate mutates.
-        let key = (dt.value().to_bits(), self.self_discharge_month.to_bits());
-        let keep = match self.idle_keep_memo {
+    /// The fraction of its content a cell keeps over an idle `dt`
+    /// seconds: `(1 − r)^months` at the per-month rate `r`. The factor
+    /// depends only on `dt` and the rate, so fixed-step simulation
+    /// replays the memoized `powf` bit for bit instead of re-evaluating
+    /// it.
+    #[inline]
+    pub(crate) fn keep(&mut self, dt: f64) -> f64 {
+        // Both inputs sit in the key: a memo keyed on `dt` alone would
+        // replay a stale factor after the rate mutates.
+        let key = (dt.to_bits(), self.self_discharge_month.to_bits());
+        match self.keep_memo {
             Some((memo_key, memo_keep)) if memo_key == key => memo_keep,
             _ => {
-                let months = dt.value() / (30.0 * 86_400.0);
+                let months = dt / (30.0 * 86_400.0);
                 let keep = (1.0 - self.self_discharge_month).powf(months);
-                self.idle_keep_memo = Some((key, keep));
+                self.keep_memo = Some((key, keep));
                 keep
             }
-        };
-        let remaining = self.energy * keep;
-        self.losses += self.energy - remaining;
-        self.energy = remaining;
+        }
     }
 
-    fn losses(&self) -> Joules {
-        self.losses
+    /// Self-discharges a cell holding `energy` by the factor `keep` (see
+    /// [`keep`](Self::keep)); the leaked energy accrues in `losses`.
+    #[inline]
+    pub(crate) fn self_discharge(energy: &mut f64, losses: &mut f64, keep: f64) {
+        let remaining = *energy * keep;
+        *losses += *energy - remaining;
+        *energy = remaining;
     }
 }
 

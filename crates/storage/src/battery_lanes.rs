@@ -1,7 +1,7 @@
 //! Struct-of-arrays battery state for the fleet's batched dense lane.
 
-use crate::battery::Battery;
-use crate::storage::Storage;
+use crate::battery::{Battery, Chemistry};
+use crate::storage::{Storage, StoreLanes};
 
 /// Struct-of-arrays state for a population of identical-parameter
 /// batteries — the storage side of the fleet's batched dense lane for
@@ -9,20 +9,14 @@ use crate::storage::Storage;
 ///
 /// Holds per-lane stored energy and accumulated losses as contiguous
 /// `Vec<f64>` slices and applies one fleet step (charge **or**
-/// discharge, then idle self-discharge) across all lanes at once. The
-/// idle pass shares a single `powf` evaluation per distinct
-/// `(dt, rate)` bit-pattern lane-wide through the same
-/// `(dt bits, rate bits)`-keyed memo the scalar [`Battery::idle`]
-/// carries per device.
-///
-/// # Bit-identity contract
-///
-/// After any sequence of [`step`](Self::step) calls, lane `i`'s
-/// voltage, stored energy, losses and returned energies are
-/// bit-identical to driving a private clone of the template through the
-/// scalar [`Storage`] calls `charge`/`discharge`/`idle` with the same
-/// per-step requests. (Cycle-counting throughput is not tracked per
-/// lane: it is not observable through the fleet kernel.)
+/// discharge, then idle self-discharge) across all lanes at once,
+/// through the same per-cell arithmetic the scalar [`Battery`] runs.
+/// The lanes share one copy of the template's chemistry, so the idle
+/// pass evaluates one `powf` per distinct `(dt, rate)` bit-pattern for
+/// the whole population through the `(dt bits, rate bits)`-keyed memo
+/// that a scalar [`Battery`] carries per device. The bit-identity
+/// contract is [`StoreLanes`]'s. (Cycle-counting throughput is not
+/// tracked per lane: it is not observable through the fleet kernel.)
 ///
 /// # Memo invalidation
 ///
@@ -35,53 +29,23 @@ use crate::storage::Storage;
 /// replay a stale `powf`.
 #[derive(Debug, Clone)]
 pub struct BatteryLanes {
-    /// Usable capacity, joules (shared by every lane).
-    capacity: f64,
-    /// OCV curve as (SoC, volts) knots, SoC ascending.
-    ocv_curve: Vec<(f64, f64)>,
-    /// Fraction of charged energy actually stored.
-    eta_charge: f64,
-    /// Fraction of internal energy delivered on discharge.
-    eta_discharge: f64,
-    /// Self-discharge fraction per 30 days.
-    self_discharge_month: f64,
-    /// Whether the chemistry accepts charge at all.
-    rechargeable: bool,
-    /// C-rate charge limit as watts (`c_rate · capacity / 3600`).
-    p_chg_max: f64,
-    /// C-rate discharge limit as watts.
-    p_dis_max: f64,
+    /// The per-cell arithmetic every lane shares with [`Battery`],
+    /// keep-factor memo included.
+    chemistry: Chemistry,
     /// Per-lane stored energy, joules.
     energy: Vec<f64>,
     /// Per-lane accumulated internal dissipation, joules.
     losses: Vec<f64>,
-    /// Lane-shared keep-factor memo: `(dt bits, rate bits)` →
-    /// `(1 − r)^months`, one `powf` per distinct key for the whole
-    /// population instead of one per device.
-    keep_memo: Option<((u64, u64), f64)>,
 }
 
 impl BatteryLanes {
     /// A population of `lanes` clones of `template`, all starting at the
     /// template's present stored energy and accumulated losses.
     pub fn from_template(template: &Battery, lanes: usize) -> Self {
-        let (curve, eta_c, eta_d, rate, c_chg, c_dis) = template.lane_params();
-        let capacity = template.capacity().value();
         Self {
-            capacity,
-            ocv_curve: curve.to_vec(),
-            eta_charge: eta_c,
-            eta_discharge: eta_d,
-            self_discharge_month: rate,
-            rechargeable: template.is_rechargeable(),
-            // Same expressions as the scalar `max_charge_power` /
-            // `max_discharge_power`, hoisted: the limits depend only on
-            // shared parameters.
-            p_chg_max: c_chg * capacity / 3600.0,
-            p_dis_max: c_dis * capacity / 3600.0,
+            chemistry: template.chemistry().clone(),
             energy: vec![template.stored_energy().value(); lanes],
             losses: vec![template.losses().value(); lanes],
-            keep_memo: None,
         }
     }
 
@@ -95,44 +59,20 @@ impl BatteryLanes {
         self.energy.is_empty()
     }
 
-    /// Lane `i`'s open-circuit terminal voltage, volts (the scalar
-    /// OCV-curve interpolation over state of charge).
-    #[inline]
-    pub fn voltage(&self, i: usize) -> f64 {
-        self.ocv_at(self.energy[i] / self.capacity)
-    }
-
-    /// Lane `i`'s stored energy, joules.
-    #[inline]
-    pub fn stored_energy(&self, i: usize) -> f64 {
-        self.energy[i]
-    }
-
-    /// Lane `i`'s accumulated internal dissipation, joules.
-    #[inline]
-    pub fn losses(&self, i: usize) -> f64 {
-        self.losses[i]
-    }
-
     /// Usable capacity, joules.
     pub fn capacity(&self) -> f64 {
-        self.capacity
+        self.chemistry.capacity()
     }
 
     /// Overrides the self-discharge rate (fraction per 30 days) and
-    /// drops the shared keep-factor memo, mirroring
-    /// [`Battery::set_self_discharge_month`].
+    /// drops the shared keep-factor memo, as
+    /// [`Battery::set_self_discharge_month`] does.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not a fraction in `[0, 1)`.
     pub fn set_self_discharge_month(&mut self, rate: f64) {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "self-discharge must be a fraction below 1"
-        );
-        self.self_discharge_month = rate;
-        self.keep_memo = None;
+        self.chemistry.set_self_discharge_month(rate);
     }
 
     /// Drops the shared keep-factor memo unconditionally — the
@@ -140,61 +80,30 @@ impl BatteryLanes {
     /// edge contract. The next idle pass re-evaluates the `powf` from
     /// the current parameters.
     pub fn invalidate_idle_memo(&mut self) {
-        self.keep_memo = None;
+        self.chemistry.forget_keep();
+    }
+}
+
+impl StoreLanes for BatteryLanes {
+    /// The OCV-curve interpolation over the lane's state of charge.
+    #[inline]
+    fn voltage(&self, i: usize) -> f64 {
+        self.chemistry.voltage(self.energy[i])
     }
 
-    /// A new population of `lanes` copies of lane 0's state (parameters
-    /// and the shared keep-factor memo carried over). Used by the dense
-    /// runner's uniform fast path: while every lane provably shares
-    /// lane 0's inputs only lane 0 is stepped, and the full population
-    /// is materialized from it on the first divergence.
-    pub fn replicate_lane0(&self, lanes: usize) -> Self {
-        let mut copy = self.clone();
-        copy.energy = vec![self.energy[0]; lanes];
-        copy.losses = vec![self.losses[0]; lanes];
-        copy
+    #[inline]
+    fn stored_energy(&self, i: usize) -> f64 {
+        self.energy[i]
     }
 
-    /// Piecewise-linear OCV lookup — the scalar `Battery::ocv_at`
-    /// sequence verbatim.
-    fn ocv_at(&self, soc: f64) -> f64 {
-        let soc = soc.clamp(0.0, 1.0);
-        let first = self.ocv_curve[0];
-        if soc <= first.0 {
-            return first.1;
-        }
-        for pair in self.ocv_curve.windows(2) {
-            let (s0, v0) = pair[0];
-            let (s1, v1) = pair[1];
-            if soc <= s1 {
-                return v0 + (v1 - v0) * (soc - s0) / (s1 - s0);
-            }
-        }
-        self.ocv_curve.last().expect("non-empty curve").1
+    #[inline]
+    fn losses(&self, i: usize) -> f64 {
+        self.losses[i]
     }
 
-    /// The lane-shared keep factor for one idle interval, via the memo.
-    fn keep_for(&mut self, dt: f64) -> f64 {
-        let key = (dt.to_bits(), self.self_discharge_month.to_bits());
-        match self.keep_memo {
-            Some((memo_key, memo_keep)) if memo_key == key => memo_keep,
-            _ => {
-                let months = dt / (30.0 * 86_400.0);
-                let keep = (1.0 - self.self_discharge_month).powf(months);
-                self.keep_memo = Some((key, keep));
-                keep
-            }
-        }
-    }
-
-    /// One fleet step across all lanes: lane `i` charges at
-    /// `charge_w[i]` watts when that is positive, else discharges at
-    /// `discharge_w[i]` watts when positive, then idles for `dt`
-    /// seconds. Accepted charge energy lands in `charged[i]` and
-    /// delivered discharge energy in `discharged[i]` (joules; zero for
-    /// lanes with no request), exactly as the scalar
-    /// `charge`/`discharge` return values.
-    pub fn step(
+    /// A charge pass, then a discharge pass, then the idle pass; a lane
+    /// with both requests positive would charge and then discharge.
+    fn step(
         &mut self,
         charge_w: &[f64],
         discharge_w: &[f64],
@@ -212,73 +121,41 @@ impl BatteryLanes {
         if dt <= 0.0 {
             return;
         }
-        // Pass 1 — charge: the scalar `Battery::charge` sequence per
-        // lane (clamp to the C-rate acceptance, split the coulombic
-        // loss, clamp to headroom).
+        let (energy, losses) = (&mut self.energy, &mut self.losses);
         for i in 0..n {
-            let p_max = if !self.rechargeable || self.energy[i] >= self.capacity {
-                0.0
-            } else {
-                self.p_chg_max
-            };
-            let p = charge_w[i].min(p_max).max(0.0);
-            if p == 0.0 {
-                continue;
+            let moved = self
+                .chemistry
+                .charge(&mut energy[i], &mut losses[i], charge_w[i], dt);
+            if let Some((taken, _)) = moved {
+                charged[i] = taken;
             }
-            let gross = p * dt;
-            let mut net = gross * self.eta_charge;
-            let headroom = self.capacity - self.energy[i];
-            let mut taken = gross;
-            if net > headroom {
-                net = headroom;
-                taken = net / self.eta_charge;
-            }
-            self.energy[i] += net;
-            self.losses[i] += taken - net;
-            charged[i] = taken;
         }
-        // Pass 2 — discharge: the scalar `Battery::discharge` sequence
-        // per lane. The fleet runner stages charge XOR discharge, so at
-        // most one of the two passes touches a given lane.
         for i in 0..n {
-            let p_max = if self.energy[i] <= 0.0 {
-                0.0
-            } else {
-                self.p_dis_max
-            };
-            let p = discharge_w[i].min(p_max).max(0.0);
-            if p == 0.0 {
-                continue;
+            let moved =
+                self.chemistry
+                    .discharge(&mut energy[i], &mut losses[i], discharge_w[i], dt);
+            if let Some((delivered, _)) = moved {
+                discharged[i] = delivered;
             }
-            let mut internal = (p * dt) / self.eta_discharge;
-            if internal > self.energy[i] {
-                internal = self.energy[i];
-            }
-            let delivered = internal * self.eta_discharge;
-            self.energy[i] -= internal;
-            self.losses[i] += internal - delivered;
-            discharged[i] = delivered;
         }
-        // Pass 3 — idle: one `powf` for the whole population per
-        // distinct `(dt, rate)` bit-pattern. The factor is resolved
-        // lazily so an all-empty population never warms the memo (the
-        // scalar guard order).
-        let mut keep_cached: Option<f64> = None;
+        // One keep factor for the whole population, resolved at the
+        // first non-empty lane, so an all-empty population never warms
+        // the memo (the scalar guard order).
+        let mut keep = None;
         for i in 0..n {
-            if self.energy[i] <= 0.0 {
+            if energy[i] <= 0.0 {
                 continue;
             }
-            let keep = match keep_cached {
-                Some(k) => k,
-                None => {
-                    let k = self.keep_for(dt);
-                    keep_cached = Some(k);
-                    k
-                }
-            };
-            let remaining = self.energy[i] * keep;
-            self.losses[i] += self.energy[i] - remaining;
-            self.energy[i] = remaining;
+            let keep = *keep.get_or_insert_with(|| self.chemistry.keep(dt));
+            Chemistry::self_discharge(&mut energy[i], &mut losses[i], keep);
+        }
+    }
+
+    fn replicate_lane0(&self, lanes: usize) -> Self {
+        Self {
+            chemistry: self.chemistry.clone(),
+            energy: vec![self.energy[0]; lanes],
+            losses: vec![self.losses[0]; lanes],
         }
     }
 }

@@ -48,5 +48,5 @@ pub use battery_lanes::BatteryLanes;
 pub use fuel_cell::FuelCell;
 pub use kind::StorageKind;
 pub use mseh_units::BatchSolve;
-pub use storage::Storage;
+pub use storage::{Storage, StoreLanes};
 pub use supercap::{Supercap, SupercapLanes, SupercapSolver};

@@ -109,6 +109,51 @@ pub trait Storage: Send + Sync {
     }
 }
 
+/// A population of identical-parameter stores held as struct-of-arrays
+/// lanes ([`SupercapLanes`](crate::SupercapLanes),
+/// [`BatteryLanes`](crate::BatteryLanes)): per-lane state in contiguous
+/// `f64` slices, stepped by whole-lane passes.
+///
+/// # Bit-identity contract
+///
+/// A lane step runs the per-cell arithmetic the scalar [`Storage`]
+/// calls run, so after any sequence of [`step`](Self::step) calls lane
+/// `i`'s voltage, stored energy, losses and returned energies are
+/// bit-identical to driving a private clone of the template through
+/// `charge`/`discharge`, then `idle`, with the same per-step requests.
+pub trait StoreLanes: Sized {
+    /// Lane `i`'s terminal voltage, volts.
+    fn voltage(&self, i: usize) -> f64;
+
+    /// Lane `i`'s usable stored energy, joules.
+    fn stored_energy(&self, i: usize) -> f64;
+
+    /// Lane `i`'s accumulated internal dissipation, joules.
+    fn losses(&self, i: usize) -> f64;
+
+    /// One step across all lanes: lane `i` charges at `charge_w[i]`
+    /// watts when that is positive, discharges at `discharge_w[i]` watts
+    /// when that is positive (a caller stages at most one of the two),
+    /// then idles for `dt` seconds. Accepted charge energy lands in
+    /// `charged[i]` and delivered discharge energy in `discharged[i]`
+    /// (joules; zero for lanes with no request), exactly as the scalar
+    /// `charge`/`discharge` return values.
+    fn step(
+        &mut self,
+        charge_w: &[f64],
+        discharge_w: &[f64],
+        dt: f64,
+        charged: &mut [f64],
+        discharged: &mut [f64],
+    );
+
+    /// A new population of `lanes` copies of lane 0's state, parameters
+    /// carried over. A runner that knows every lane shares lane 0's
+    /// inputs steps lane 0 alone and materializes the population from
+    /// it on the first divergence.
+    fn replicate_lane0(&self, lanes: usize) -> Self;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,15 +4,16 @@
 //! (seeds fixed, failures reproduce exactly).
 
 use mseh::core::{PortRequirement, PowerUnit, StoreRole, Supervisor};
-use mseh::env::Environment;
+use mseh::env::{EnvJitter, Environment};
 use mseh::harvesters::{FlowTurbine, PvModule, Rectenna, Teg, VibrationHarvester};
-use mseh::node::{FixedDuty, SensorNode};
+use mseh::node::{DutyCyclePolicy, FixedDuty, MonitoringLevel, SensorNode, VoltageThreshold};
 use mseh::power::{
     DcDcConverter, DiodeStage, FixedPoint, FractionalVoc, IdealDiode, InputChannel,
     OperatingPointController, PerturbObserve, PowerStage,
 };
 use mseh::sim::{
-    run_simulation, run_simulation_observed, BrownoutConverter, ConservationAuditor, FaultSchedule,
+    run_fleet, run_simulation, run_simulation_observed, BrownoutConverter, ConservationAuditor,
+    DenseGroup, DenseStore, FaultSchedule, FleetConfig, FleetGroup, FleetSpec, FleetSummary,
     IntermittentStorage, MetricsObserver, RingRecorder, SimConfig,
 };
 use mseh::storage::{Battery, FuelCell, Storage, Supercap};
@@ -72,17 +73,12 @@ fn build_platform(
 ) -> PowerUnit {
     let mut builder = PowerUnit::builder("prop platform").supervisor(supervisor);
     for (i, &(h, c)) in harvesters.iter().enumerate() {
-        let protection: Box<dyn PowerStage> = if h % 2 == 0 {
-            Box::new(IdealDiode::nanopower())
-        } else {
-            Box::new(DiodeStage::schottky_single())
-        };
         builder = builder.harvester_port(
             PortRequirement::any_in_window(format!("h{i}"), Volts::ZERO, Volts::new(20.0)),
             Some(InputChannel::new(
                 harvester(h),
                 controller(c),
-                protection,
+                protection(h),
                 Box::new(DcDcConverter::mppt_front_end_5v()),
             )),
             true,
@@ -104,6 +100,35 @@ fn build_platform(
     builder
         .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
         .build()
+}
+
+/// Builds the i-th protection flavour.
+fn protection(i: u8) -> Box<dyn PowerStage> {
+    if i.is_multiple_of(2) {
+        Box::new(IdealDiode::nanopower())
+    } else {
+        Box::new(DiodeStage::schottky_single())
+    }
+}
+
+/// Builds the i-th environment flavour.
+fn environment(i: usize, seed: u64) -> Environment {
+    match i % 4 {
+        0 => Environment::outdoor_temperate(seed),
+        1 => Environment::indoor_industrial(seed),
+        2 => Environment::agricultural(seed),
+        _ => Environment::outdoor_winter(seed),
+    }
+}
+
+/// The environment flavours in which the i-th harvester flavour finds
+/// its ambient source: sun or wind outdoors, a thermal gradient,
+/// vibration, an RF field or lighting on the industrial site.
+fn sites_for(harvester: u8) -> &'static [usize] {
+    match harvester % 6 {
+        0 | 1 => &[0, 2, 3],
+        _ => &[1],
+    }
 }
 
 /// A random list of `(harvester flavour, controller flavour)` pairs.
@@ -171,15 +196,9 @@ fn conservation_closes_for_arbitrary_platforms() {
             unit.instrument_output_stage(|inner| {
                 Box::new(BrownoutConverter::new(inner, stage_faults.clone()))
             });
-            let env = match env_kind {
-                0 => Environment::outdoor_temperate(seed),
-                1 => Environment::indoor_industrial(seed),
-                2 => Environment::agricultural(seed),
-                _ => Environment::outdoor_winter(seed),
-            };
             let result = run_simulation(
                 &mut unit,
-                &env,
+                &environment(env_kind, seed),
                 &SensorNode::submilliwatt_class(),
                 &mut FixedDuty::new(DutyCycle::saturating(duty)),
                 SimConfig::over(horizon),
@@ -198,6 +217,231 @@ fn conservation_closes_for_arbitrary_platforms() {
         }
     }
     assert!(fired_total > 0, "no draw injected a fault");
+}
+
+/// One dense class, its policy and its fleet's geometry, all drawn
+/// from `seed`.
+#[derive(Debug, Clone, Copy)]
+struct DenseDraw {
+    seed: u64,
+    harvester: u8,
+    controller: u8,
+    protection: u8,
+    /// Which of the seven cell templates, and its state of charge.
+    cell: u8,
+    soc: f64,
+    monitoring: MonitoringLevel,
+    /// A voltage ladder over the cell's window, else a fixed duty that
+    /// half the draws spread over the nodes.
+    ladder: bool,
+    duty: f64,
+    spread: bool,
+    /// One of the harvester's sites (see [`sites_for`]).
+    env: usize,
+    milliwatt_nodes: bool,
+    nodes: usize,
+    start_h: u32,
+    minutes: u32,
+    /// The fractional closer after the whole steps, seconds.
+    closer: Option<f64>,
+    per_step: bool,
+    jitter: bool,
+}
+
+impl DenseDraw {
+    fn new(seed: u64) -> Self {
+        const LEVELS: [MonitoringLevel; 3] = [
+            MonitoringLevel::None,
+            MonitoringLevel::StoreVoltage,
+            MonitoringLevel::Full,
+        ];
+        let mut rng = Rng::new(seed);
+        let harvester = rng.index(6) as u8;
+        let sites = sites_for(harvester);
+        Self {
+            seed,
+            harvester,
+            controller: rng.index(4) as u8,
+            protection: rng.index(2) as u8,
+            cell: rng.index(7) as u8,
+            soc: rng.in_range(0.0, 1.0),
+            monitoring: LEVELS[rng.index(3)],
+            ladder: rng.index(2) == 0,
+            duty: rng.in_range(0.01, 0.5),
+            spread: rng.index(2) == 0,
+            env: sites[rng.index(sites.len())],
+            milliwatt_nodes: rng.index(2) == 0,
+            nodes: 1 + rng.index(8),
+            start_h: rng.index(24) as u32,
+            minutes: 120 + rng.index(480) as u32,
+            closer: (rng.index(2) == 0).then(|| rng.in_range(1.0, 59.0)),
+            per_step: rng.index(2) == 0,
+            jitter: rng.index(2) == 0,
+        }
+    }
+
+    fn channel(&self) -> InputChannel {
+        InputChannel::new(
+            harvester(self.harvester),
+            controller(self.controller),
+            protection(self.protection),
+            Box::new(DcDcConverter::mppt_front_end_5v()),
+        )
+    }
+
+    /// The drawn cell template at the drawn state of charge.
+    fn store(&self) -> DenseStore {
+        let cap = |mut c: Supercap| {
+            c.set_voltage(c.min_voltage().lerp(c.max_voltage(), self.soc));
+            DenseStore::Supercap(c)
+        };
+        let cell = |mut b: Battery| {
+            b.set_soc(self.soc);
+            DenseStore::Battery(b)
+        };
+        match self.cell {
+            0 => cap(Supercap::edlc_22f()),
+            1 => cap(Supercap::edlc_1f()),
+            2 => cap(Supercap::lithium_ion_capacitor_40f()),
+            3 => cell(Battery::lipo_400mah()),
+            4 => cell(Battery::nimh_aa_pair()),
+            5 => cell(Battery::thin_film_50uah()),
+            _ => cell(Battery::li_primary_aa()),
+        }
+    }
+
+    /// [`store`](Self::store) as a boxed device.
+    fn device(&self) -> Box<dyn Storage> {
+        match self.store() {
+            DenseStore::Supercap(c) => Box::new(c),
+            DenseStore::Battery(b) => Box::new(b),
+        }
+    }
+
+    /// The unit the class stands for, built by hand: one harvester
+    /// port, one primary buffer, the output converter and a supervisor
+    /// at the drawn monitoring level.
+    fn unit(&self) -> PowerUnit {
+        PowerUnit::builder("drawn unit")
+            .harvester_port(
+                PortRequirement::any_in_window("h", Volts::ZERO, Volts::new(20.0)),
+                Some(self.channel()),
+                true,
+            )
+            .store_port(
+                PortRequirement::any_in_window("s", Volts::ZERO, Volts::new(6.0)),
+                Some(self.device()),
+                StoreRole::PrimaryBuffer,
+                true,
+            )
+            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+            .supervisor(Supervisor {
+                monitoring: self.monitoring,
+                ..Supervisor::none()
+            })
+            .build()
+    }
+
+    fn policy(&self, node_seed: u64) -> Box<dyn DutyCyclePolicy> {
+        if self.ladder {
+            let device = self.device();
+            let (lo, hi) = (device.min_voltage(), device.max_voltage());
+            Box::new(VoltageThreshold {
+                v_high: lo.lerp(hi, 0.7),
+                v_low: lo.lerp(hi, 0.35),
+                ..VoltageThreshold::supercap_ladder()
+            })
+        } else {
+            let share = if self.spread {
+                (1 + node_seed % 3) as f64 / 3.0
+            } else {
+                1.0
+            };
+            Box::new(FixedDuty::new(DutyCycle::saturating(self.duty * share)))
+        }
+    }
+
+    fn config(&self) -> FleetConfig {
+        let horizon = Seconds::new(f64::from(self.minutes) * 60.0 + self.closer.unwrap_or(0.0));
+        let mut config = FleetConfig::over(horizon);
+        config.sim = config
+            .sim
+            .starting_at(Seconds::from_hours(f64::from(self.start_h)));
+        if self.per_step {
+            config = config.exact_env();
+        }
+        config
+    }
+
+    /// The draw's fleet summary as a dense group and as a boxed group of
+    /// hand-built units, the kernel-cache counters cleared (the lanes
+    /// synthesize theirs).
+    fn run(self) -> (FleetSummary, FleetSummary) {
+        let jitter = if self.jitter {
+            EnvJitter::relative(0.15)
+        } else {
+            EnvJitter::NONE
+        };
+        let node = if self.milliwatt_nodes {
+            SensorNode::milliwatt_class()
+        } else {
+            SensorNode::submilliwatt_class()
+        };
+        let run = |spec: &FleetSpec| {
+            let mut summary = run_fleet(spec, self.config()).summary;
+            summary.kernel_cache = Default::default();
+            summary
+        };
+        let mut dense = FleetSpec::new();
+        let site = dense.add_site(environment(self.env, self.seed));
+        dense.add_dense_group(
+            DenseGroup::new(
+                "drawn",
+                self.nodes,
+                site,
+                node.clone(),
+                move || self.channel(),
+                DcDcConverter::buck_boost_3v3(),
+                self.store(),
+                move |node_seed| self.policy(node_seed),
+            )
+            .with_seed(self.seed)
+            .with_jitter(jitter)
+            .with_monitoring(self.monitoring),
+        );
+        let mut boxed = FleetSpec::new();
+        let site = boxed.add_site(environment(self.env, self.seed));
+        boxed.add_group(
+            FleetGroup::new(
+                "drawn",
+                self.nodes,
+                site,
+                node,
+                move |_| Box::new(self.unit()),
+                move |node_seed| self.policy(node_seed),
+            )
+            .with_seed(self.seed)
+            .with_jitter(jitter),
+        );
+        (run(&dense), run(&boxed))
+    }
+}
+
+/// A drawn dense class — any harvester, controller and protection
+/// flavour, any of the seven cell templates at any state of charge,
+/// each monitoring level, a fixed-duty or voltage-ladder policy, one of
+/// the harvester's sites, 1–8 nodes of either load class, either
+/// cadence, with or without jitter and a fractional closer — steps its
+/// fleet exactly as the boxed units it stands for.
+#[test]
+fn drawn_dense_classes_equal_their_boxed_units() {
+    let mut rng = Rng::new(0xC3);
+    for _ in 0..48 {
+        let draw = DenseDraw::new(rng.next_u64());
+        let (dense, boxed) = draw.run();
+        assert_eq!(dense, boxed, "seed {}: {draw:?}", draw.seed);
+        assert!(dense.audit_relative < 1e-6, "seed {}: {draw:?}", draw.seed);
+    }
 }
 
 /// The conservation auditor closes the per-window energy books on every

@@ -690,6 +690,46 @@ fn time_to_detect_is_under_one_control_window() {
     }
 }
 
+/// A fault already down at the run's first instant is detected at the
+/// first window edge, the run's start, and its recovery at the edge
+/// where it clears.
+#[test]
+fn a_fault_down_at_the_first_instant_is_detected_at_the_start() {
+    let schedule = FaultSchedule::one_shot_recovering(Seconds::ZERO, Seconds::from_hours(1.0));
+    let scenario = |seed| {
+        let store = IntermittentStorage::new(Box::new(charged_cap()), schedule.clone());
+        let unit = PowerUnit::builder("first-instant rig")
+            .harvester_port(
+                PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
+                Some(pv_channel()),
+                true,
+            )
+            .store_port(
+                PortRequirement::any_in_window("cap", Volts::ZERO, Volts::new(3.0)),
+                Some(Box::new(store)),
+                StoreRole::PrimaryBuffer,
+                true,
+            )
+            .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
+            .build();
+        FaultScenario::new(
+            unit,
+            Environment::outdoor_temperate(seed),
+            Box::new(FixedDuty::new(DutyCycle::saturating(0.1))),
+            schedule.clone(),
+        )
+    };
+    let config = CampaignConfig::over(Seconds::from_hours(3.0));
+    let outcome = campaign_outcome(scenario, 3, &SensorNode::submilliwatt_class(), config);
+    assert_eq!((outcome.faults_fired, outcome.faults_cleared), (1, 1));
+    assert_eq!(outcome.time_to_detect, Some(Seconds::ZERO), "{outcome:?}");
+    assert_eq!(
+        outcome.time_to_recover,
+        Some(Seconds::from_hours(1.0)),
+        "{outcome:?}"
+    );
+}
+
 /// Keeps everything one observer is sent.
 struct Log {
     steps: bool,
