@@ -40,8 +40,8 @@ use mseh_sim::{
     default_contenders, run_arena, run_fleet, run_resilience_campaign_with_threads,
     run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
     ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
-    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, MetricsObserver, SimConfig,
-    SimResult,
+    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, HeldWindows, MetricsObserver,
+    SimConfig, SimResult,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -651,53 +651,59 @@ fn main() {
         );
     }
 
-    // --- Exactness gate: cached ≡ uncached, bit for bit. ------------
-    // Replaying the channels' solve memos must be invisible in the
-    // results. Per-step runs never repeat a key, so the gate runs small
-    // per-window fleets, whose held windows replay through both memos:
-    // System C's fractional-V_oc channels through the step memo, System
-    // A's perturb-and-observe channel through the open-circuit-voltage
-    // memo. The reference disables every cache.
+    // --- Exactness gate: held ≡ per step, bit for bit. --------------
+    // The channels consult their solve memos only on held steps, so a
+    // per-window fleet node must equal a single run over a table that
+    // repeats each window's snapshot: that run steps per step and
+    // memoizes nothing. System C's fractional-V_oc channels replay
+    // through the step memo, System A's perturb-and-observe channel
+    // through the open-circuit-voltage memo. The group is un-jittered,
+    // since a node's jitter factors come from its private seed.
     let mut cache_stats = CacheStats::default();
     for id in [SystemId::C, SystemId::A] {
-        let fleet = |cached: bool| {
-            let mut spec = FleetSpec::new();
-            let site = spec.add_site(Environment::outdoor_temperate(42));
-            spec.add_group(
-                FleetGroup::new(
-                    "memo gate",
-                    16,
-                    site,
-                    node.clone(),
-                    move |_| {
-                        let mut unit = id.build();
-                        unit.set_kernel_cache_enabled(cached);
-                        Box::new(unit)
-                    },
-                    |_| Box::new(duty()),
-                )
-                .with_seed(5)
-                .with_jitter(EnvJitter::relative(0.1)),
-            );
-            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(12.0))).summary
+        let mut spec = FleetSpec::new();
+        let site = spec.add_site(Environment::outdoor_temperate(42));
+        spec.add_group(FleetGroup::new(
+            "memo gate",
+            4,
+            site,
+            node.clone(),
+            move |_| Box::new(id.build()),
+            |_| Box::new(duty()),
+        ));
+        let config = FleetConfig {
+            keep_node_results: true,
+            ..FleetConfig::over(Seconds::from_hours(12.0))
         };
-        let (warm, cold) = (fleet(true), fleet(false));
-        assert_eq!(
-            cold.kernel_cache,
-            CacheStats::default(),
-            "disabled cache still counted"
+        let fleet = run_fleet(&spec, config);
+        let mut unit = id.build();
+        let per_step = run_simulation(
+            &mut unit,
+            &HeldWindows::new(Environment::outdoor_temperate(42), config.sim),
+            &node,
+            &mut duty(),
+            config.sim,
         );
-        assert!(warm.kernel_cache.hits > 0, "System {id}: no memo hit");
+        for held in fleet.node_results.expect("node results kept") {
+            assert_eq!(
+                held, per_step,
+                "System {id}: held node diverged from per-step run"
+            );
+        }
         assert_eq!(
-            modulo_cache(warm.clone()),
-            cold,
-            "kernel cache changed System {id} fleet results"
+            unit.kernel_cache_stats().hits,
+            0,
+            "System {id}: per-step run replayed"
         );
-        cache_stats.merge(warm.kernel_cache);
+        assert!(
+            fleet.summary.kernel_cache.hits > 0,
+            "System {id}: no memo hit"
+        );
+        cache_stats.merge(fleet.summary.kernel_cache);
     }
     println!(
         "kernelcache: {} hits / {} misses / {} invalidations (hit rate {:.3}); \
-         per-window System C and A fleets bit-identical to uncached references",
+         per-window System C and A nodes bit-identical to per-step runs over held windows",
         cache_stats.hits,
         cache_stats.misses,
         cache_stats.invalidations,
@@ -874,21 +880,21 @@ fn main() {
     // The headline row is the dense battery-class lane (shared harvest
     // table, monomorphized store loop); the jittered and mixed rows are
     // reported alongside so the headline can't be mistaken for the
-    // engine's universal rate. The jittered EDLC row runs a whole day
-    // at a quarter of the population: the jittered rows start at
-    // midnight, and until daylight tells the nodes apart every lane
-    // carries the same state, so only after sunrise does each supercap
-    // lane run its own inversions. Speedups are against this run's own
-    // single-run steps/s, measured above on the same host and profile.
+    // engine's universal rate. The jittered rows run a whole day at a
+    // quarter of the population: they start at midnight, and until
+    // daylight tells the nodes apart every lane carries the same state,
+    // so only after sunrise does each lane run its own store updates.
+    // Speedups are against this run's own single-run steps/s, measured
+    // above on the same host and profile.
     // The headline dense row is gated by check.sh against the committed
     // baseline, so it runs at the fixed rate scale in both modes; the
     // jittered and mixed rows step per node and stay at the mode's
     // budget.
     let (dense_n, dense_h) = (BATCHED_RATE_NODES, BATCHED_RATE_HOURS);
-    let (jitter_n, jitter_h, mixed_scale, mixed_h) = if quick {
-        (10_000, 2.0, 1_000, 1.0)
+    let (jitter_n, mixed_scale, mixed_h) = if quick {
+        (10_000, 1_000, 1.0)
     } else {
-        (100_000, 6.0, 10_000, 2.0)
+        (100_000, 10_000, 2.0)
     };
     struct FleetRow {
         name: &'static str,
@@ -908,8 +914,8 @@ fn main() {
         (
             "dense solar+NiMH, 15% env jitter",
             "dense (jittered window lanes)",
-            dense_fleet_spec(jitter_n, Some(0.15)),
-            jitter_h,
+            dense_fleet_spec(jitter_n / 4, Some(0.15)),
+            24.0,
             2,
         ),
         (
@@ -1307,7 +1313,7 @@ fn main() {
         cache_stats.invalidations
     );
     let _ = writeln!(json, "    \"hit_rate\": {:.6},", cache_stats.hit_rate());
-    let _ = writeln!(json, "    \"cached_matches_uncached\": true");
+    let _ = writeln!(json, "    \"held_matches_per_step\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"instrumentation\": {{");
     let _ = writeln!(json, "    \"days\": {overhead_days},");

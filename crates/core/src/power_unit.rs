@@ -11,7 +11,7 @@
 use mseh_env::EnvConditions;
 use mseh_harvesters::{CacheStats, Transducer};
 use mseh_node::{EnergyStatus, MonitoringLevel};
-use mseh_power::{InputChannel, PowerStage};
+use mseh_power::{HarvestStep, InputChannel, PowerStage};
 use mseh_storage::Storage;
 use mseh_units::{Joules, Ratio, Seconds, Volts, Watts};
 
@@ -873,18 +873,6 @@ impl PowerUnit {
         stats
     }
 
-    /// Enables or disables the operating-point kernel caches on every
-    /// input channel. Disabling drops all stored entries, so a disabled
-    /// unit solves every step from scratch (the uncached reference path
-    /// the perf harness compares against).
-    pub fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        for port in &mut self.harvester_ports {
-            if let Some(channel) = port.channel.as_mut() {
-                channel.set_cache_enabled(enabled);
-            }
-        }
-    }
-
     /// Energy currently stranded inside attached stores by active faults
     /// (content that physically exists but cannot be delivered).
     pub fn stranded_energy(&self) -> Joules {
@@ -985,10 +973,22 @@ impl PowerUnit {
     /// channel through `env` for `dt` and returns what they put on the
     /// bus. Touches nothing but the channels.
     pub fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        self.harvest_by(|channel| channel.step(env, dt))
+    }
+
+    /// [`harvest`](Self::harvest) under a snapshot the walk holds for a
+    /// whole control window: each channel steps through
+    /// [`InputChannel::step_held`], whose memos may answer the window's
+    /// repeat steps. Returns bit for bit what `harvest` returns.
+    pub fn harvest_held(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        self.harvest_by(|channel| channel.step_held(env, dt))
+    }
+
+    fn harvest_by(&mut self, mut step: impl FnMut(&mut InputChannel) -> HarvestStep) -> BusHarvest {
         let mut harvest = BusHarvest::default();
         for port in &mut self.harvester_ports {
             if let Some(channel) = port.channel.as_mut() {
-                let step = channel.step(env, dt);
+                let step = step(channel);
                 harvest.push(step.delivered, step.overhead);
             }
         }

@@ -95,12 +95,6 @@ impl EnvConditions {
             self.water_flow.value().to_bits(),
         ]
     }
-
-    /// Whether two snapshots agree bit-for-bit on every field except
-    /// `time`.
-    pub fn same_ambient(&self, other: &Self) -> bool {
-        self.ambient_bits() == other.ambient_bits()
-    }
 }
 
 impl Default for EnvConditions {

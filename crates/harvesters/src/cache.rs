@@ -2,18 +2,22 @@
 //!
 //! The memos themselves live in `mseh_power::InputChannel`: an exact
 //! step memo and an exact open-circuit-voltage memo, both keyed on the
-//! IEEE-754 bit pattern of the ambient fields. [`CacheStats`] is the
-//! snapshot they report, merged across channels, platforms and fleets.
+//! IEEE-754 bit pattern of the ambient fields and consulted only on
+//! steps whose snapshot the walk holds for a control window.
+//! [`CacheStats`] is the snapshot they report, merged across channels,
+//! platforms and fleets.
 
 /// Snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Solves answered from the memo.
+    /// Held-snapshot solves answered from a memo.
     pub hits: u64,
-    /// Solves that ran because the key did not match (or the cache was
-    /// empty).
+    /// Solves that ran: on a held snapshot, because the key did not
+    /// match (or the memo was empty); on a per-step snapshot, every
+    /// channel step, which consults no memo and counts one miss.
     pub misses: u64,
-    /// Explicit invalidations (hot-swap, instrumentation wrap).
+    /// Explicit invalidations (hot-swap, instrumentation wrap) of a
+    /// stored solve.
     pub invalidations: u64,
 }
 

@@ -37,22 +37,26 @@ impl HarvestStep {
 /// bus, while controller and converter housekeeping are charged against
 /// it.
 ///
-/// The channel is the platform's one solve memo owner. It keeps two
-/// exact single-slot memos, both keyed on the IEEE-754 bit pattern of
-/// the ambient fields ([`EnvConditions::ambient_bits`]), so a hit is
+/// A walk that reads a fresh snapshot each step calls
+/// [`step`](Self::step), a plain solve. A walk that holds one snapshot
+/// for a whole control window calls [`step_held`](Self::step_held),
+/// which may answer the window's repeat steps from two exact
+/// single-slot memos, both keyed on the IEEE-754 bit pattern of the
+/// ambient fields ([`EnvConditions::ambient_bits`]), so a hit is
 /// bit-identical to the solve it replaces:
 ///
 /// * the **step memo** replays a whole [`HarvestStep`] when the
 ///   controller's choice is a pure function of `(env, dt)` and every
-///   block is time-invariant (see [`step`](Self::step));
+///   block is time-invariant;
 /// * the **open-circuit-voltage memo** answers the controller's
 ///   [`Source::open_circuit_voltage`] reads when the harvester is
 ///   time-invariant — what a perturb-and-observe tracker, which the step
 ///   memo never replays, re-reads on every step of a held window.
 ///
-/// Both are flushed on [`swap_harvester`](Self::swap_harvester) and the
-/// wrap methods, switched by [`set_cache_enabled`](Self::set_cache_enabled)
-/// and counted in [`kernel_cache_stats`](Self::kernel_cache_stats).
+/// Both are flushed on [`swap_harvester`](Self::swap_harvester) and
+/// [`wrap_harvester`](Self::wrap_harvester), and counted in
+/// [`kernel_cache_stats`](Self::kernel_cache_stats). The two paths
+/// return the same steps bit for bit; `step` is the reference.
 ///
 /// # Examples
 ///
@@ -87,7 +91,6 @@ pub struct InputChannel {
     step_memo: Memo<([u64; 9], u64), HarvestStep>,
     /// The last open-circuit-voltage solve, keyed on the ambient bits.
     voc_memo: Memo<[u64; 9], Volts>,
-    cache_enabled: bool,
     /// Scratch for batched window solves: per-lane open-circuit voltages.
     lane_voc: Vec<f64>,
 }
@@ -131,9 +134,10 @@ impl<K: PartialEq, T: Copy> Memo<K, T> {
 /// harvester, behind its channel's open-circuit-voltage memo when the
 /// channel supplies one.
 ///
-/// [`Source::new`] wraps a bare device and solves on every call, for
-/// tests and analysis. Inside an [`InputChannel`] a repeat of the exact
-/// ambient bit pattern returns the stored voltage verbatim.
+/// [`Source::new`] wraps a bare device and solves on every call, as
+/// [`InputChannel::step`] does. On an [`InputChannel::step_held`] step a
+/// repeat of the exact ambient bit pattern returns the stored voltage
+/// verbatim.
 pub struct Source<'a> {
     device: &'a dyn Transducer,
     memo: Option<&'a mut Memo<[u64; 9], Volts>>,
@@ -180,7 +184,6 @@ impl InputChannel {
             converter,
             step_memo: Memo::default(),
             voc_memo: Memo::default(),
-            cache_enabled: true,
             lane_voc: Vec::new(),
         }
     }
@@ -210,27 +213,9 @@ impl InputChannel {
         self.voc_memo.flush();
     }
 
-    /// Enables or disables both solve memos. Disabling drops any stored
-    /// entries so a later re-enable starts cold; a disabled channel
-    /// solves every step from scratch and counts nothing.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        self.step_memo.last = None;
-        self.voc_memo.last = None;
-    }
-
-    /// Whether the channel's kernel cache is serving memoized results.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Counters for the channel step memo alone.
-    pub fn memo_stats(&self) -> CacheStats {
-        self.step_memo.stats
-    }
-
     /// Kernel-cache counters of both solve memos: the step memo plus the
-    /// open-circuit-voltage memo.
+    /// open-circuit-voltage memo, with one miss for each
+    /// [`step`](Self::step).
     pub fn kernel_cache_stats(&self) -> CacheStats {
         let mut stats = self.step_memo.stats;
         stats.merge(self.voc_memo.stats);
@@ -266,38 +251,6 @@ impl InputChannel {
         self.flush_memos();
     }
 
-    /// Rebuilds the front-end converter in place through `wrap` (e.g.
-    /// a scheduled-brownout wrapper).
-    pub fn wrap_converter(
-        &mut self,
-        wrap: impl FnOnce(Box<dyn PowerStage>) -> Box<dyn PowerStage>,
-    ) {
-        struct Placeholder;
-        impl PowerStage for Placeholder {
-            fn name(&self) -> &str {
-                "placeholder"
-            }
-            fn quiescent(&self) -> Watts {
-                Watts::ZERO
-            }
-            fn accepts_input_voltage(&self, _v: Volts) -> bool {
-                false
-            }
-            fn output_voltage(&self) -> Volts {
-                Volts::ZERO
-            }
-            fn output_for_input(&self, _p: Watts, _v: Volts) -> Watts {
-                Watts::ZERO
-            }
-            fn input_for_output(&self, _p: Watts, _v: Volts) -> Watts {
-                Watts::ZERO
-            }
-        }
-        let old = core::mem::replace(&mut self.converter, Box::new(Placeholder));
-        self.converter = wrap(old);
-        self.flush_memos();
-    }
-
     /// Cumulative `(fired, cleared)` fault counts across the channel's
     /// blocks (harvester dropouts + converter/protection brownouts).
     pub fn fault_counts(&self) -> (u64, u64) {
@@ -319,17 +272,34 @@ impl InputChannel {
         self.converter.quiescent() + self.protection.quiescent()
     }
 
-    /// Runs the channel for `dt` under `env`.
+    /// Runs the channel for `dt` under `env`: the controller reads the
+    /// bare harvester, then the chosen point is solved. Consults no memo,
+    /// for a walk that reads a fresh snapshot each step, where the
+    /// ambient bits never repeat. Counts one miss, so a per-step run's
+    /// hit rate reads 0 rather than undefined.
+    pub fn step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
+        self.step_memo.stats.misses += 1;
+        let v_op = self
+            .controller
+            .choose_voltage(Source::new(self.harvester.as_ref()), env, dt);
+        let step = self.finish_step(v_op, env);
+        self.advance_stages(dt);
+        step
+    }
+
+    /// [`step`](Self::step) under a snapshot the walk holds for a whole
+    /// control window, returning the same step bit for bit.
     ///
     /// When every block in the chain is provably quasi-static for this
     /// step — the controller's choice is a pure function of `(env, dt)`
     /// and harvester, protection and converter are time-invariant — the
     /// result is memoised on the exact ambient bit pattern, and a repeat
     /// of the same conditions replays the stored step verbatim
-    /// (bit-identical by construction) instead of re-solving.
-    pub fn step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        let step = if !(self.cache_enabled
-            && self.controller.is_env_pure(dt)
+    /// (bit-identical by construction) instead of re-solving. Otherwise
+    /// the controller reads a time-invariant harvester through the
+    /// open-circuit-voltage memo.
+    pub fn step_held(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
+        let step = if !(self.controller.is_env_pure(dt)
             && self.harvester.is_time_invariant()
             && self.protection.is_time_invariant()
             && self.converter.is_time_invariant())
@@ -351,19 +321,25 @@ impl InputChannel {
                 }
             }
         };
-        // Stages with internal clocks (scheduled-brownout wrappers) tick
-        // once per step, after it, so a stage is down for exactly the
-        // steps that start inside its fault windows.
-        self.protection.advance(dt);
-        self.converter.advance(dt);
+        self.advance_stages(dt);
         step
     }
 
-    /// The full per-step solve (no step memo consulted). The controller
+    /// Stages with internal clocks (scheduled-brownout wrappers) tick
+    /// once per step, after it, so a stage is down for exactly the
+    /// steps that start inside its fault windows.
+    fn advance_stages(&mut self, dt: Seconds) {
+        self.protection.advance(dt);
+        self.converter.advance(dt);
+    }
+
+    /// The full held-step solve (no step memo consulted). The controller
     /// reads the harvester through the open-circuit-voltage memo unless
-    /// the cache is off or the harvester is time-varying.
+    /// the harvester is time-varying.
     fn solve_step(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        let memo = (self.cache_enabled && self.harvester.is_time_invariant())
+        let memo = self
+            .harvester
+            .is_time_invariant()
             .then_some(&mut self.voc_memo);
         let source = Source {
             device: self.harvester.as_ref(),
@@ -374,9 +350,9 @@ impl InputChannel {
     }
 
     /// Completes a step whose operating voltage is already chosen — the
-    /// post-controller half of [`solve_step`](Self::solve_step), shared
-    /// verbatim by the scalar path and the batched window lanes so the
-    /// two stay bit-identical by construction.
+    /// post-controller half of every step, shared verbatim by
+    /// [`step`](Self::step), [`step_held`](Self::step_held) and the
+    /// batched window lanes so they stay bit-identical by construction.
     fn finish_step(&self, v_op: Volts, env: &EnvConditions) -> HarvestStep {
         if v_op.value() <= 0.0 {
             // Dead source: the channel sleeps; only converter housekeeping
@@ -402,9 +378,9 @@ impl InputChannel {
 
     /// Whether [`window_lanes`](Self::window_lanes) can stand in for
     /// per-node [`step`](Self::step) calls at width `dt`: the chain must
-    /// be replayable (cache on, every block time-invariant) *and* the
-    /// controller must state a source-free [`WindowChoice`] — with a
-    /// batch Voc kernel on the harvester when that choice needs one.
+    /// be replayable (every block time-invariant) *and* the controller
+    /// must state a source-free [`WindowChoice`] — with a batch Voc
+    /// kernel on the harvester when that choice needs one.
     pub fn supports_window_lanes(&self, dt: Seconds) -> bool {
         let batchable = match self.controller.window_choice(dt) {
             Some(WindowChoice::FractionOfVoc(_)) => self.harvester.voc_batch().is_some(),
@@ -412,7 +388,6 @@ impl InputChannel {
             None => false,
         };
         batchable
-            && self.cache_enabled
             && self.harvester.is_time_invariant()
             && self.protection.is_time_invariant()
             && self.converter.is_time_invariant()
@@ -459,8 +434,7 @@ impl InputChannel {
             }
         }
         // Mirror the per-window `step` call the scalar driver makes.
-        self.protection.advance(dt);
-        self.converter.advance(dt);
+        self.advance_stages(dt);
     }
 
     /// The fractional closer step for a whole population: a step of width
@@ -490,8 +464,7 @@ impl InputChannel {
         for i in 0..envs.len() {
             out[i] = self.finish_step(held[i], &envs[i]);
         }
-        self.protection.advance(frac);
-        self.converter.advance(frac);
+        self.advance_stages(frac);
     }
 }
 
@@ -591,8 +564,8 @@ mod tests {
         let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
         let env = sunny();
         let dt = Seconds::new(1.0);
-        let first = ch.step(&env, dt);
-        let second = ch.step(&env, dt);
+        let first = ch.step_held(&env, dt);
+        let second = ch.step_held(&env, dt);
         assert_eq!(
             first.extracted.value().to_bits(),
             second.extracted.value().to_bits()
@@ -618,17 +591,18 @@ mod tests {
         let mut last = Volts::ZERO;
         let mut moved = false;
         for _ in 0..10 {
-            let step = ch.step(&env, Seconds::new(1.0));
+            let step = ch.step_held(&env, Seconds::new(1.0));
             if step.operating_voltage != last {
                 moved = last.value() > 0.0 || moved;
             }
             last = step.operating_voltage;
         }
         assert!(moved, "P&O should keep perturbing under constant sun");
-        // The step memo never engages (the open-circuit-voltage memo may
-        // still hit — that layer is history-free).
-        let memo = ch.memo_stats();
-        assert_eq!((memo.hits, memo.misses), (0, 0));
+        // The step memo never engages: the one lookup per step is the
+        // tracker's open-circuit-voltage read, a history-free layer that
+        // hits from the second step on.
+        let stats = ch.kernel_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (9, 1), "{stats:?}");
     }
 
     /// Held conditions with changes in between, as a per-window fleet
@@ -652,7 +626,7 @@ mod tests {
         let mut tracker = PerturbObserve::new();
         let dt = Seconds::new(60.0);
         for (i, env) in held_windows().iter().enumerate() {
-            let step = memoized.step(env, dt);
+            let step = memoized.step_held(env, dt);
             let v = tracker.choose_voltage(Source::new(&pv), env, dt);
             assert_eq!(
                 step.operating_voltage.value().to_bits(),
@@ -670,28 +644,134 @@ mod tests {
         let mut ch = pv_channel(Box::new(PerturbObserve::new()));
         let env = sunny();
         let dt = Seconds::new(1.0);
-        ch.step(&env, dt);
-        ch.step(&env, dt);
+        ch.step_held(&env, dt);
+        ch.step_held(&env, dt);
         assert_eq!(ch.kernel_cache_stats().hits, 1);
         ch.swap_harvester(Box::new(PvModule::outdoor_panel_two_watt()));
-        ch.step(&env, dt);
+        ch.step_held(&env, dt);
         let swapped = ch.kernel_cache_stats();
         assert_eq!((swapped.hits, swapped.invalidations), (1, 1));
         ch.wrap_harvester(|inner| inner);
-        ch.step(&env, dt);
+        ch.step_held(&env, dt);
         let wrapped = ch.kernel_cache_stats();
         assert_eq!((wrapped.hits, wrapped.invalidations), (1, 2));
         assert_eq!(wrapped.misses, 3);
     }
 
     #[test]
-    fn disabled_cache_counts_no_voltage_lookups() {
-        let mut ch = pv_channel(Box::new(PerturbObserve::new()));
-        ch.set_cache_enabled(false);
-        for env in held_windows() {
-            ch.step(&env, Seconds::new(60.0));
+    fn per_step_solves_never_replay_and_match_held_steps() {
+        use crate::mppt::FractionalVoc;
+        let builds: [fn() -> InputChannel; 3] = [
+            || pv_channel(Box::new(PerturbObserve::new())),
+            || pv_channel(Box::new(FractionalVoc::pv_standard())),
+            || pv_channel(Box::new(FixedPoint::new(Volts::new(3.0)))),
+        ];
+        let dt = Seconds::new(60.0);
+        for build in builds {
+            let (mut fresh, mut held) = (build(), build());
+            let windows = held_windows();
+            for (i, env) in windows.iter().enumerate() {
+                assert_eq!(fresh.step(env, dt), held.step_held(env, dt), "step {i}");
+            }
+            let name = fresh.controller().name().to_owned();
+            // One miss per call and nothing stored: no replay, no flush.
+            let expected = CacheStats {
+                misses: windows.len() as u64,
+                ..CacheStats::default()
+            };
+            assert_eq!(fresh.kernel_cache_stats(), expected, "{name}");
+            fresh.swap_harvester(Box::new(PvModule::outdoor_panel_two_watt()));
+            assert_eq!(fresh.kernel_cache_stats().invalidations, 0, "{name}");
+            // The held channel did replay the repeated snapshots.
+            assert!(held.kernel_cache_stats().hits > 0, "{name}");
         }
-        assert_eq!(ch.kernel_cache_stats(), CacheStats::default());
+    }
+
+    /// Held snapshots that differ from a base in one ambient field at a
+    /// time, each held for two steps: a memo key that misses a field
+    /// replays the base's solve for the moved snapshot.
+    fn one_field_moves() -> Vec<EnvConditions> {
+        use mseh_units::{GAccel, Hertz, Lux, MetersPerSecond};
+        let base = EnvConditions {
+            time: Seconds::ZERO,
+            irradiance: WattsPerSqM::new(500.0),
+            illuminance: Lux::new(400.0),
+            wind: MetersPerSecond::new(6.0),
+            ambient: Celsius::new(20.0),
+            hot_surface: Celsius::new(85.0),
+            vibration_amp: GAccel::new(0.4),
+            vibration_freq: Hertz::new(90.0),
+            rf_incident: Watts::from_micro(100.0),
+            water_flow: MetersPerSecond::new(1.0),
+        };
+        let moves: [fn(&mut EnvConditions); 9] = [
+            |e| e.irradiance = WattsPerSqM::new(700.0),
+            |e| e.illuminance = Lux::new(700.0),
+            |e| e.wind = MetersPerSecond::new(7.5),
+            |e| e.ambient = Celsius::new(30.0),
+            |e| e.hot_surface = Celsius::new(95.0),
+            |e| e.vibration_amp = GAccel::new(0.6),
+            |e| e.vibration_freq = Hertz::new(80.0),
+            |e| e.rf_incident = Watts::from_micro(200.0),
+            |e| e.water_flow = MetersPerSecond::new(1.4),
+        ];
+        let mut snapshots = Vec::new();
+        for shift in moves {
+            let mut moved = base;
+            shift(&mut moved);
+            snapshots.extend([base, base, moved, moved]);
+        }
+        for (i, env) in snapshots.iter_mut().enumerate() {
+            env.time = Seconds::new(60.0 * i as f64);
+        }
+        snapshots
+    }
+
+    #[test]
+    fn held_steps_match_fresh_solves_when_one_ambient_field_moves() {
+        use crate::mppt::FractionalVoc;
+        use mseh_harvesters::{FlowTurbine, Rectenna, VibrationHarvester};
+        let snapshots = one_field_moves();
+        let dt = Seconds::new(60.0);
+        let harvesters: [fn() -> Box<dyn Transducer>; 8] = [
+            || Box::new(PvModule::outdoor_panel_half_watt()),
+            || Box::new(PvModule::amorphous_indoor()),
+            || Box::new(Teg::module_40mm()),
+            || Box::new(VibrationHarvester::piezo_cantilever()),
+            || Box::new(VibrationHarvester::electromagnetic()),
+            || Box::new(FlowTurbine::micro_wind()),
+            || Box::new(FlowTurbine::micro_hydro()),
+            || Box::new(Rectenna::rectenna_915mhz()),
+        ];
+        for harvester in harvesters {
+            let device = harvester();
+            let fixed = device.open_circuit_voltage(&snapshots[0]) * 0.6;
+            let controllers: [Box<dyn Fn() -> Box<dyn OperatingPointController>>; 3] = [
+                Box::new(|| Box::new(FractionalVoc::thevenin_standard())),
+                Box::new(move || Box::new(FixedPoint::new(fixed))),
+                Box::new(|| Box::new(PerturbObserve::new())),
+            ];
+            for controller in controllers {
+                let channel = || {
+                    InputChannel::new(
+                        harvester(),
+                        controller(),
+                        Box::new(IdealDiode::nanopower()),
+                        Box::new(DcDcConverter::mppt_front_end_5v()),
+                    )
+                };
+                let (mut fresh, mut held) = (channel(), channel());
+                let label = format!("{} / {}", device.name(), fresh.controller().name());
+                let mut extracted = Watts::ZERO;
+                for (i, env) in snapshots.iter().enumerate() {
+                    let step = fresh.step(env, dt);
+                    assert_eq!(held.step_held(env, dt), step, "{label}, snapshot {i}");
+                    extracted += step.extracted;
+                }
+                assert!(extracted.value() > 0.0, "{label} harvested nothing");
+                assert!(held.kernel_cache_stats().hits > 0, "{label} never replayed");
+            }
+        }
     }
 
     #[test]
@@ -707,7 +787,6 @@ mod tests {
         };
         let mut cached = build();
         let mut cold = build();
-        cold.set_cache_enabled(false);
         // Constant-sun spans with a condition change in the middle; the
         // 60 s step exceeds the 30 s FOCV interval, so every step samples.
         let dt = Seconds::new(60.0);
@@ -717,7 +796,7 @@ mod tests {
         for (i, g) in irradiances.into_iter().enumerate() {
             let mut env = EnvConditions::quiescent(Seconds::new(60.0 * i as f64));
             env.irradiance = WattsPerSqM::new(g);
-            let a = cached.step(&env, dt);
+            let a = cached.step_held(&env, dt);
             let b = cold.step(&env, dt);
             assert_eq!(
                 a.operating_voltage.value().to_bits(),
@@ -732,22 +811,23 @@ mod tests {
         }
         let stats = cached.kernel_cache_stats();
         assert!(stats.hits >= 20, "{stats:?}");
-        assert_eq!(cold.kernel_cache_stats().hits, 0);
+        let cold = cold.kernel_cache_stats();
+        assert_eq!((cold.hits, cold.misses), (0, 25), "{cold:?}");
     }
 
     #[test]
     fn swap_and_wrap_flush_the_memo() {
         let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
         let env = sunny();
-        ch.step(&env, Seconds::new(1.0));
-        ch.step(&env, Seconds::new(1.0));
+        ch.step_held(&env, Seconds::new(1.0));
+        ch.step_held(&env, Seconds::new(1.0));
         assert!(ch.kernel_cache_stats().hits >= 1);
         let before = ch.kernel_cache_stats().invalidations;
         ch.swap_harvester(Box::new(PvModule::outdoor_panel_half_watt()));
         assert!(ch.kernel_cache_stats().invalidations > before);
         // The post-swap step must be a fresh solve, not a replay.
         let hits_before = ch.kernel_cache_stats().hits;
-        ch.step(&env, Seconds::new(1.0));
+        ch.step_held(&env, Seconds::new(1.0));
         assert_eq!(ch.kernel_cache_stats().hits, hits_before);
     }
 
@@ -781,7 +861,7 @@ mod tests {
                 assert_eq!(out[i], scalar, "lane {i}");
             }
             // The batch pass books nothing: the caller owns the counters.
-            assert_eq!(batched.memo_stats().hits + batched.memo_stats().misses, 0);
+            assert_eq!(batched.kernel_cache_stats(), CacheStats::default());
         }
     }
 
@@ -854,10 +934,6 @@ mod tests {
             Box::new(DcDcConverter::mppt_front_end_5v()),
         );
         assert!(!no_kernel.supports_window_lanes(dt));
-        // A disabled kernel cache disables the batched lane with it.
-        let mut disabled = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        disabled.set_cache_enabled(false);
-        assert!(!disabled.supports_window_lanes(dt));
         // Time-varying stages (scheduled brownouts) break replayability.
         struct Clocked;
         impl PowerStage for Clocked {
@@ -883,21 +959,12 @@ mod tests {
                 false
             }
         }
-        let mut wrapped = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        wrapped.wrap_converter(|_| Box::new(Clocked));
-        assert!(!wrapped.supports_window_lanes(dt));
-    }
-
-    #[test]
-    fn disabled_cache_never_replays() {
-        let mut ch = pv_channel(Box::new(FixedPoint::new(Volts::new(3.0))));
-        ch.set_cache_enabled(false);
-        assert!(!ch.cache_enabled());
-        let env = sunny();
-        let a = ch.step(&env, Seconds::new(1.0));
-        let b = ch.step(&env, Seconds::new(1.0));
-        assert_eq!(a, b);
-        let stats = ch.kernel_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
+        let clocked = InputChannel::new(
+            Box::new(PvModule::outdoor_panel_half_watt()),
+            Box::new(FixedPoint::new(Volts::new(3.0))),
+            Box::new(IdealDiode::nanopower()),
+            Box::new(Clocked),
+        );
+        assert!(!clocked.supports_window_lanes(dt));
     }
 }

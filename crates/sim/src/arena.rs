@@ -349,8 +349,10 @@ pub struct ArenaSummary {
     pub standings: Vec<ContenderStanding>,
     /// Kernel-cache counters of the channel solves: one shared driver
     /// per seed row, for boxed and dense scenarios alike, since lanes
-    /// only settle or replay its harvest. Dense lanes add one
-    /// synthesized hit per table replay, as dense fleet nodes do.
+    /// only settle or replay its harvest. The arena runs per step, so
+    /// that shared platform consults no memo and counts one miss per
+    /// channel step. Dense lanes add one synthesized hit per table
+    /// replay, as dense fleet nodes do.
     pub kernel_cache: CacheStats,
     /// Arena-aggregated conservation residual: |Σ signed per-lane
     /// residuals| over total storage throughput (≈0; a run at or above

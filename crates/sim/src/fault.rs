@@ -991,7 +991,7 @@ mod tests {
             env.irradiance = WattsPerSqM::new(800.0);
             for i in 0..20 {
                 env.time = Seconds::new(10.0 * i as f64);
-                channel.step(&env, Seconds::new(10.0));
+                channel.step_held(&env, Seconds::new(10.0));
             }
             assert_eq!(
                 channel.kernel_cache_stats(),

@@ -31,8 +31,14 @@
 //! [`EnvCadence::PerWindow`] samples each site once per control window
 //! and holds that snapshot (including its `time` field) for every step in
 //! the window — the fleet-scale semantic: condition fields move at
-//! control cadence, and each input channel's solve memos answer the
-//! window's remaining steps from its first solve.
+//! control cadence. The walk picks the channels' solve path from the
+//! cadence: a held window's steps go through
+//! [`Platform::harvest_held`], whose input channels' memos answer the
+//! window's remaining steps from its first solve, and a per-step
+//! window's through [`Platform::harvest`], which consults no memo. The
+//! two return the same harvest bit for bit, so a node of an
+//! un-jittered group equals [`crate::run_simulation`] over
+//! [`HeldWindows`] of its site.
 //!
 //! # The dense lane
 //!
@@ -146,8 +152,42 @@ pub enum EnvCadence {
     /// field) for every step in the window. This is the fleet-scale
     /// semantic: conditions move at control cadence and the kernel
     /// caches replay the window's first operating-point solve for the
-    /// remaining steps.
+    /// remaining steps. An un-jittered node's run equals
+    /// [`crate::run_simulation`] over [`HeldWindows`] of its site.
     PerWindow,
+}
+
+/// A site as an [`EnvCadence::PerWindow`] node of an un-jittered group
+/// sees it, for a single run: `site`'s snapshot at the first step of
+/// each control window of `sim`, held (its `time` field included) for
+/// every step of the window.
+///
+/// A [`crate::run_simulation`] over it with the same `sim` steps
+/// per step, so its channels memoize nothing, yet it must equal the
+/// per-window node bit for bit: it is the reference for the channels'
+/// held-snapshot memos.
+#[derive(Debug, Clone)]
+pub struct HeldWindows<S> {
+    site: S,
+    sim: SimConfig,
+}
+
+impl<S: EnvSampler> HeldWindows<S> {
+    /// `site` held over the control windows of `sim`.
+    pub fn new(site: S, sim: SimConfig) -> Self {
+        Self { site, sim }
+    }
+}
+
+impl<S: EnvSampler> EnvSampler for HeldWindows<S> {
+    fn conditions(&self, t: Seconds) -> EnvConditions {
+        // The run's own step and window arithmetic (see `StepPlan`).
+        let (dt, control) = (self.sim.dt.value(), self.sim.control_interval.value());
+        let step = ((t - self.sim.start_at).value() / dt).round() as u64;
+        let every = (control / dt).round().max(1.0) as u64;
+        let start = self.sim.start_at + Seconds::new((step - step % every) as f64 * dt);
+        self.site.conditions(start)
+    }
 }
 
 /// Builds one node's platform from its per-node seed.
@@ -614,8 +654,11 @@ pub struct FleetSummary {
     /// Worst single node's relative audit residual.
     pub worst_node_audit: f64,
     /// Kernel-cache counters summed across all node platforms. Cache
-    /// state never crosses nodes, so these are deterministic too. Lane
-    /// groups count their table driver's solves once and synthesize each
+    /// state never crosses nodes, so these are deterministic too. Under
+    /// per-window cadence the channels' memos answer each held window's
+    /// repeat steps; under per-step cadence every channel step counts
+    /// one miss and nothing hits. Lane groups count the solves of the
+    /// one channel that steps their harvest table and synthesize each
     /// lane's replays, so a dense group's counters differ from a boxed
     /// group of the same units while every physical quantity agrees.
     pub kernel_cache: CacheStats,
@@ -640,8 +683,9 @@ pub struct FleetResult {
 /// (checked once per control window).
 ///
 /// The driver performs exactly a member's step sequence, so the table
-/// is exact for any controller: a held window's repeat steps are
-/// whatever the member's channel would return, memo hits included.
+/// is exact for any controller: a held window's steps go through
+/// [`InputChannel::step_held`], as a member's would, and a per-step
+/// window's through [`InputChannel::step`].
 pub(crate) fn build_harvest_table(
     class: &DenseClass,
     rows: &[EnvConditions],
@@ -654,8 +698,14 @@ pub(crate) fn build_harvest_table(
         if tripped(cancel) {
             return None;
         }
+        let held = matches!(window.ambient(rows), Ambient::Held(_));
         for step in window.steps() {
-            table.push(channel.step(window.row(rows, &step), step.dt));
+            let env = window.row(rows, &step);
+            table.push(if held {
+                channel.step_held(env, step.dt)
+            } else {
+                channel.step(env, step.dt)
+            });
         }
     }
     Some((table, channel.kernel_cache_stats()))
@@ -983,6 +1033,7 @@ mod tests {
     use super::*;
     use crate::runner::run_simulation;
     use mseh_core::{BusHarvest, StepReport};
+    use mseh_env::JitteredEnv;
     use mseh_harvesters::PvModule;
     use mseh_node::{EnergyStatus, FixedDuty, VoltageThreshold};
     use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
@@ -1111,25 +1162,6 @@ mod tests {
         assert_eq!(out.summary.uptime.mean, reference.uptime);
     }
 
-    /// The site's conditions at each control window's first step,
-    /// jittered by one node's factors and held for the whole window:
-    /// what a per-window-cadence fleet node sees.
-    struct HeldWindows {
-        site: Environment,
-        factors: JitterFactors,
-        sim: SimConfig,
-    }
-
-    impl EnvSampler for HeldWindows {
-        fn conditions(&self, t: Seconds) -> EnvConditions {
-            let (dt, control) = (self.sim.dt.value(), self.sim.control_interval.value());
-            let step = ((t - self.sim.start_at).value() / dt).round() as u64;
-            let every = (control / dt).round().max(1.0) as u64;
-            let start = self.sim.start_at + Seconds::new((step - step % every) as f64 * dt);
-            self.factors.apply(&self.site.conditions(start))
-        }
-    }
-
     #[test]
     fn jittered_per_window_node_matches_an_independent_run() {
         let horizon = Seconds::from_hours(12.0);
@@ -1174,13 +1206,10 @@ mod tests {
                         ..FleetConfig::over(horizon)
                     };
                     let out = run_fleet(&spec, config);
+                    let site = Environment::outdoor_temperate(seed);
                     let reference = run_simulation(
                         &mut unit(),
-                        &HeldWindows {
-                            site: Environment::outdoor_temperate(seed),
-                            factors,
-                            sim: config.sim,
-                        },
+                        &HeldWindows::new(JitteredEnv::new(&site, factors), config.sim),
                         &SensorNode::submilliwatt_class(),
                         &mut VoltageThreshold::supercap_ladder(),
                         config.sim,

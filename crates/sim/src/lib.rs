@@ -96,7 +96,7 @@ pub use fault::{
 pub use fleet::{
     run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseStore,
     EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec, FleetSummary,
-    PlatformFactory, PolicyFactory, Straggler,
+    HeldWindows, PlatformFactory, PolicyFactory, Straggler,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry,

@@ -36,6 +36,14 @@ pub trait Platform {
     /// channels once per control window for every lane.
     fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport;
 
+    /// [`harvest`](Self::harvest) under a snapshot the walk holds for
+    /// a whole control window, where the platform may answer the
+    /// window's repeat steps from a memo. It returns bit for bit what
+    /// `harvest` returns. Default: `harvest`.
+    fn harvest_held(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        self.harvest(env, dt)
+    }
+
     /// Advances one interval, serving `load` at the output rail:
     /// exactly `settle(harvest(..))`.
     fn step(&mut self, env: &EnvConditions, dt: Seconds, load: Watts) -> StepReport {
@@ -82,13 +90,6 @@ pub trait Platform {
     fn kernel_cache_stats(&self) -> CacheStats {
         CacheStats::default()
     }
-
-    /// Enables or disables the platform's operating-point kernel caches.
-    /// Disabling drops stored entries so every step solves from scratch
-    /// (the uncached reference path). Default: no-op.
-    fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
 }
 
 impl Platform for PowerUnit {
@@ -98,6 +99,10 @@ impl Platform for PowerUnit {
 
     fn harvest(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
         PowerUnit::harvest(self, env, dt)
+    }
+
+    fn harvest_held(&mut self, env: &EnvConditions, dt: Seconds) -> BusHarvest {
+        PowerUnit::harvest_held(self, env, dt)
     }
 
     fn settle(&mut self, harvest: &BusHarvest, dt: Seconds, load: Watts) -> StepReport {
@@ -130,10 +135,6 @@ impl Platform for PowerUnit {
 
     fn kernel_cache_stats(&self) -> CacheStats {
         PowerUnit::kernel_cache_stats(self)
-    }
-
-    fn set_kernel_cache_enabled(&mut self, enabled: bool) {
-        PowerUnit::set_kernel_cache_enabled(self, enabled)
     }
 }
 

@@ -435,7 +435,8 @@ fn step_window<P: Platform + ?Sized>(
         }
         Ambient::Held(env) => {
             for step in window.steps() {
-                book(&step, &platform.step(env, step.dt, load.power));
+                let harvest = platform.harvest_held(env, step.dt);
+                book(&step, &platform.settle(&harvest, step.dt, load.power));
             }
         }
         Ambient::Settle(harvests) => {

@@ -331,11 +331,6 @@ impl PartialEq for Chemistry {
 }
 
 impl Chemistry {
-    /// Usable capacity, joules.
-    pub(crate) fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Sets the self-discharge rate (fraction per 30 days) and drops
     /// the keep-factor memo.
     ///

@@ -49,21 +49,6 @@ impl BatteryLanes {
         }
     }
 
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.energy.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.energy.is_empty()
-    }
-
-    /// Usable capacity, joules.
-    pub fn capacity(&self) -> f64 {
-        self.chemistry.capacity()
-    }
-
     /// Overrides the self-discharge rate (fraction per 30 days) and
     /// drops the shared keep-factor memo, as
     /// [`Battery::set_self_discharge_month`] does.
@@ -336,7 +321,7 @@ mod tests {
         solo.step(&charge_w, &zeros, 60.0, &mut a, &mut b);
         let n = 6;
         let lanes = solo.replicate_lane0(n);
-        assert_eq!(lanes.len(), n);
+        assert_eq!(lanes.energy.len(), n);
         for i in 0..n {
             assert_eq!(
                 lanes.stored_energy(i).to_bits(),

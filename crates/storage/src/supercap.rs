@@ -660,36 +660,6 @@ impl SupercapLanes {
             active: vec![false; lanes],
         }
     }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.v.is_empty()
-    }
-
-    /// Usable capacity of the full voltage window, joules.
-    pub fn capacity(&self) -> f64 {
-        self.cell.solver.stored_energy(self.cell.solver.v_max)
-    }
-
-    /// Discharge cutoff voltage, volts.
-    pub fn min_voltage(&self) -> f64 {
-        self.cell.solver.a
-    }
-
-    /// Rated voltage, volts.
-    pub fn max_voltage(&self) -> f64 {
-        self.cell.solver.v_max
-    }
-
-    /// The shared inversion kernel.
-    pub fn solver(&self) -> &SupercapSolver {
-        &self.cell.solver
-    }
 }
 
 impl StoreLanes for SupercapLanes {

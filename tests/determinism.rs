@@ -5,27 +5,28 @@
 //! 1. **Parallel-engine determinism** — fanning an ensemble across
 //!    worker threads must be observationally invisible: bit-for-bit the
 //!    same `SimResult`s, in the same seed order, as the sequential path.
-//! 2. **Kernel-cache transparency** — the input channels' solve memos
-//!    (the step memo and the open-circuit-voltage memo) must be
-//!    bit-exact replay, never approximation: a cached run equals the
-//!    uncached reference for every surveyed system, per step and over
-//!    held windows; hot-swap and wrap flush both memos, and fault
-//!    wrappers are never memoized, so no stale answer survives a
-//!    hardware or fault transition.
+//! 2. **Held-snapshot memos** — the input channels' solve memos (the
+//!    step memo and the open-circuit-voltage memo) answer only steps
+//!    whose snapshot the walk holds for a whole control window, and
+//!    must be bit-exact replay, never approximation: for every surveyed
+//!    system a per-window run equals a per-step run over a table that
+//!    repeats each window's snapshot, which memoizes nothing; hot-swap
+//!    and wrap flush both memos, and fault wrappers are never memoized,
+//!    so no stale answer survives a hardware or fault transition.
 
-use mseh::core::{PortRequirement, PowerUnit, StoreRole};
-use mseh::env::{EnvJitter, Environment};
+use mseh::core::{PortRequirement, PowerUnit, StepReport, StoreRole};
+use mseh::env::{EnvSampler, Environment};
 use mseh::harvesters::{CacheStats, FlowTurbine, HarvesterKind, PvModule};
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
     run_fleet, run_seed_ensemble, run_seed_ensemble_seq, run_seed_ensemble_with_threads,
     run_simulation, run_simulation_observed, ConservationAuditor, FaultSchedule, FleetConfig,
-    FleetGroup, FleetSpec, GlitchingHarvester, SimConfig, SimResult,
+    FleetGroup, FleetResult, FleetSpec, GlitchingHarvester, HeldWindows, SimConfig, SimResult,
 };
 use mseh::storage::Supercap;
 use mseh::systems::{system_b, SystemId};
-use mseh::units::{DutyCycle, Seconds, Volts};
+use mseh::units::{DutyCycle, Seconds, Volts, Watts};
 
 const SEEDS: [u64; 8] = [1, 7, 42, 300, 4096, 65535, 123456, 987654321];
 
@@ -148,203 +149,187 @@ fn default_pool_matches_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// Kernel-cache transparency
+// Held-snapshot memos
 // ---------------------------------------------------------------------
 
-/// Runs `unit` for one recorded day and returns the full result
-/// (traces included, so equality below is trace-deep).
-fn recorded_day(unit: &mut PowerUnit, env: &Environment) -> SimResult {
-    let config = SimConfig {
-        record: true,
-        ..SimConfig::over(Seconds::from_days(1.0))
-    };
-    run_simulation(
-        unit,
-        env,
-        &SensorNode::submilliwatt_class(),
-        &mut FixedDuty::new(DutyCycle::saturating(0.05)),
-        config,
+fn five_percent() -> FixedDuty {
+    FixedDuty::new(DutyCycle::saturating(0.05))
+}
+
+/// A one-node fleet of `unit`s at `site` under per-window cadence, the
+/// node's result kept.
+fn held_fleet(
+    unit: impl Fn() -> PowerUnit + Send + Sync + 'static,
+    site: Environment,
+    config: FleetConfig,
+) -> FleetResult {
+    let mut spec = FleetSpec::new();
+    let site = spec.add_site(site);
+    spec.add_group(FleetGroup::new(
+        "held windows",
+        1,
+        site,
+        SensorNode::submilliwatt_class(),
+        move |_| Box::new(unit()),
+        |_| Box::new(five_percent()),
+    ));
+    run_fleet(
+        &spec,
+        FleetConfig {
+            keep_node_results: true,
+            ..config
+        },
     )
 }
 
-/// The tentpole's exactness contract, system by system: for every
-/// surveyed platform (Table I, Systems A–G) a run with the kernel
-/// caches enabled is bit-for-bit identical — energy books, uptime,
-/// outage stats and recorded traces — to the uncached reference run.
+/// The held-snapshot contract, system by system: for every
+/// surveyed platform (Table I, Systems A–G) a per-window fleet node,
+/// whose held windows replay through the memos (the step memo on
+/// environment-pure controllers, the open-circuit-voltage memo under
+/// perturb-and-observe), equals a per-step run over the same held
+/// snapshots on every physical quantity, and the per-step run replays
+/// nothing. The group is un-jittered: a node's jitter factors come from
+/// a seed private to the fleet.
 #[test]
-fn cached_runs_are_bit_identical_to_uncached_for_all_seven_systems() {
+fn held_window_replays_match_per_step_runs_for_all_seven_systems() {
+    let config = FleetConfig::over(Seconds::from_hours(12.0));
     for id in SystemId::ALL {
-        let env = Environment::outdoor_temperate(42);
-
-        let mut warm = id.build();
-        let cached = recorded_day(&mut warm, &env);
-
-        let mut cold = id.build();
-        cold.set_kernel_cache_enabled(false);
-        let uncached = recorded_day(&mut cold, &env);
-
-        assert_eq!(cached, uncached, "{id}: cached run diverged");
-        // The reference path really ran cache-less: disabled caches
-        // count nothing.
-        assert_eq!(
-            cold.kernel_cache_stats(),
-            CacheStats::default(),
-            "{id}: uncached reference touched a cache"
+        let fleet = held_fleet(
+            move || id.build(),
+            Environment::outdoor_temperate(42),
+            config,
         );
-        // And the cached path really consulted its caches.
-        let stats = warm.kernel_cache_stats();
+        let mut unit = id.build();
+        let per_step = run_simulation(
+            &mut unit,
+            &HeldWindows::new(Environment::outdoor_temperate(42), config.sim),
+            &SensorNode::submilliwatt_class(),
+            &mut five_percent(),
+            config.sim,
+        );
+        assert_eq!(
+            fleet.node_results.expect("kept")[0],
+            per_step,
+            "{id}: held node diverged from the per-step run"
+        );
+        let stats = unit.kernel_cache_stats();
+        assert_eq!(stats.hits, 0, "{id}: per-step run replayed: {stats:?}");
         assert!(
-            stats.hits + stats.misses > 0,
-            "{id}: cached run never looked up a memo"
+            fleet.summary.kernel_cache.hits > 0,
+            "{id}: held fleet never replayed: {:?}",
+            fleet.summary.kernel_cache
         );
     }
 }
 
-/// Per-step runs almost never repeat a key, so the test above cannot
-/// show a replay. Held windows can: every surveyed system, as a small
-/// jittered fleet under per-window cadence, equals its uncached
-/// reference on every physical quantity, the reference counts nothing,
-/// and the cached fleet hits (the step memo on environment-pure
-/// controllers, the open-circuit-voltage memo under perturb-and-observe).
-#[test]
-fn held_window_replays_match_uncached_fleets_for_all_seven_systems() {
-    for id in SystemId::ALL {
-        let fleet = |cached: bool| {
-            let mut spec = FleetSpec::new();
-            let site = spec.add_site(Environment::outdoor_temperate(42));
-            spec.add_group(
-                FleetGroup::new(
-                    "held windows",
-                    6,
-                    site,
-                    SensorNode::submilliwatt_class(),
-                    move |_| {
-                        let mut unit = id.build();
-                        unit.set_kernel_cache_enabled(cached);
-                        Box::new(unit)
-                    },
-                    |_| Box::new(FixedDuty::new(DutyCycle::saturating(0.05))),
-                )
-                .with_seed(11)
-                .with_jitter(EnvJitter::relative(0.1)),
-            );
-            run_fleet(&spec, FleetConfig::over(Seconds::from_hours(12.0))).summary
-        };
-        let (mut warm, cold) = (fleet(true), fleet(false));
-        assert_eq!(
-            cold.kernel_cache,
-            CacheStats::default(),
-            "{id}: uncached reference touched a cache"
-        );
-        assert!(
-            warm.kernel_cache.hits > 0,
-            "{id}: cached fleet never replayed: {:?}",
-            warm.kernel_cache
-        );
-        warm.kernel_cache = CacheStats::default();
-        assert_eq!(warm, cold, "{id}: cached fleet diverged");
-    }
-}
-
-/// Runs System B for six hours, hot-swaps the wind module for a second
-/// PV module on the plug-and-play port, rebuilds the remaining channel
-/// through the wrap path (which must flush its memos), then continues
-/// another six hours through the environment's calendar.
-fn hot_swap_sequence(cached: bool) -> (SimResult, SimResult, CacheStats) {
+/// Steps System B through twelve hours of 10-minute snapshots of its
+/// site, each held for ten 60 s steps, harvesting through
+/// `harvest_held` (held) or `harvest` (per step) and settling a fixed
+/// load. At the halfway window the wind module leaves the
+/// plug-and-play port for a fresh PV module, and the surviving channel
+/// is rebuilt through the wrap path, which must flush its memos.
+fn hot_swap_sequence(held: bool) -> (Vec<StepReport>, CacheStats) {
     let mut b = SystemId::B.build();
-    if !cached {
-        b.set_kernel_cache_enabled(false);
-    }
     let env = Environment::outdoor_temperate(99);
-    let node = SensorNode::submilliwatt_class();
-    let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
-    let config = SimConfig {
-        record: true,
-        ..SimConfig::over(Seconds::from_hours(6.0))
-    };
-    let before = run_simulation(&mut b, &env, &node, &mut policy, config);
-
-    // Hot-swap: the wind module leaves — and its channel's warmed memos
-    // leave with it — and a fresh (cold) PV module takes the port.
-    b.detach_harvester(1).expect("wind module attached");
-    let (channel, sheet) = system_b::harvester_module(HarvesterKind::Photovoltaic);
-    b.attach_harvester(1, channel, Volts::new(4.1), Some(&sheet))
-        .expect("plug-and-play port accepts the module");
-    // Rebuild the surviving channel through the wrap path: same device,
-    // but the swap machinery must flush its memos (an invalidation the
-    // counters make observable).
-    assert!(b.instrument_harvester(0, |h| h));
-    if !cached {
-        // The freshly attached module arrives with its cache enabled;
-        // the uncached reference must stay uncached.
-        b.set_kernel_cache_enabled(false);
+    let (dt, load, windows) = (Seconds::new(60.0), Watts::from_micro(50.0), 72);
+    let mut reports = Vec::new();
+    for window in 0..windows {
+        if window == windows / 2 {
+            // The wind module leaves, and its channel's warmed memos
+            // leave with it; a fresh (cold) PV module takes the port.
+            b.detach_harvester(1).expect("wind module attached");
+            let (channel, sheet) = system_b::harvester_module(HarvesterKind::Photovoltaic);
+            b.attach_harvester(1, channel, Volts::new(4.1), Some(&sheet))
+                .expect("plug-and-play port accepts the module");
+            // Same device, but the wrap must flush its memos (an
+            // invalidation the counters make observable).
+            assert!(b.instrument_harvester(0, |h| h));
+        }
+        let snapshot = env.conditions(Seconds::from_minutes(10.0 * window as f64));
+        for _ in 0..10 {
+            let harvest = if held {
+                b.harvest_held(&snapshot, dt)
+            } else {
+                b.harvest(&snapshot, dt)
+            };
+            reports.push(b.settle(&harvest, dt, load));
+        }
     }
-
-    let after = run_simulation(
-        &mut b,
-        &env,
-        &node,
-        &mut policy,
-        config.starting_at(Seconds::from_hours(6.0)),
-    );
-    (before, after, b.kernel_cache_stats())
+    (reports, b.kernel_cache_stats())
 }
 
 /// Hot-swapping a harvester mid-run leaves no memo of the old device
-/// behind: both the segment before and the segment after the swap are
-/// bit-identical to a reference that never cached anything, and the
-/// wrap path's flush shows up in the invalidation counters.
+/// behind: held steps on both sides of the swap equal the per-step
+/// solves bit for bit, and the wrap path's flush shows up in the
+/// invalidation counters.
 #[test]
 fn hot_swap_mid_run_flushes_memos_and_matches_cold_run() {
-    let (warm_before, warm_after, warm_stats) = hot_swap_sequence(true);
-    let (cold_before, cold_after, _) = hot_swap_sequence(false);
-    assert_eq!(warm_before, cold_before, "pre-swap segment diverged");
-    assert_eq!(warm_after, cold_after, "post-swap segment diverged");
+    let (held, held_stats) = hot_swap_sequence(true);
+    let (per_step, per_step_stats) = hot_swap_sequence(false);
+    assert_eq!(held, per_step, "held steps diverged from per-step solves");
     assert!(
-        warm_stats.invalidations >= 1,
-        "wrap path must flush memos: {warm_stats:?}"
+        held_stats.hits > 0,
+        "held steps never replayed: {held_stats:?}"
+    );
+    assert_eq!(per_step_stats.hits, 0, "{per_step_stats:?}");
+    assert!(
+        held_stats.invalidations >= 1,
+        "wrap path must flush memos: {held_stats:?}"
     );
 }
 
-/// Runs the two-source rig with a glitching PV harvester (one dropout
-/// firing at hour 4, clearing at hour 7) under a conservation audit.
-fn glitching_run(cached: bool) -> (SimResult, (u64, u64), f64) {
+/// The two-source rig with a glitching PV harvester: one dropout firing
+/// at hour 4, clearing at hour 7.
+fn glitching_rig() -> PowerUnit {
     let mut unit = rig();
     let schedule =
         FaultSchedule::one_shot_recovering(Seconds::from_hours(4.0), Seconds::from_hours(3.0));
     assert!(unit.instrument_harvester(0, |inner| {
         Box::new(GlitchingHarvester::new(inner, schedule))
     }));
-    if !cached {
-        unit.set_kernel_cache_enabled(false);
-    }
+    unit
+}
+
+/// Runs [`glitching_rig`] per step over `env` under a conservation
+/// audit.
+fn glitching_run(env: &dyn EnvSampler, config: SimConfig) -> (SimResult, (u64, u64), f64) {
+    let mut unit = glitching_rig();
     let mut auditor = ConservationAuditor::new();
-    let config = SimConfig {
-        record: true,
-        ..SimConfig::over(Seconds::from_hours(18.0))
-    };
     let result = run_simulation_observed(
         &mut unit,
-        &Environment::outdoor_temperate(7),
+        env,
         &SensorNode::submilliwatt_class(),
-        &mut FixedDuty::new(DutyCycle::saturating(0.05)),
+        &mut five_percent(),
         config,
         &mut [&mut auditor],
     );
     (result, unit.fault_counts(), auditor.report().worst_relative)
 }
 
-/// A fault firing and clearing mid-run: the glitching wrapper reports
-/// itself time-varying, so no memo answers for it on either side of an
-/// edge. The cached faulted run is bit-identical to the uncached
-/// faulted run, and the books stay closed through both transitions.
+/// A fault firing and clearing mid-run: the books stay closed through
+/// both transitions, and the glitching wrapper reports itself
+/// time-varying, so no memo answers for it on either side of an edge: a
+/// per-window node of the faulted rig equals the per-step run over its
+/// held windows.
 #[test]
 fn fault_fire_and_clear_flush_matches_cold_run() {
-    let (warm, warm_faults, warm_audit) = glitching_run(true);
-    let (cold, cold_faults, cold_audit) = glitching_run(false);
-    assert_eq!(warm, cold, "faulted cached run diverged from uncached");
-    assert_eq!(warm_faults, (1, 1), "dropout must fire and clear");
-    assert_eq!(cold_faults, (1, 1));
-    assert!(warm_audit < 1e-6, "cached audit {warm_audit}");
-    assert!(cold_audit < 1e-6, "uncached audit {cold_audit}");
+    let site = Environment::outdoor_temperate(7);
+    let recorded = SimConfig {
+        record: true,
+        ..SimConfig::over(Seconds::from_hours(18.0))
+    };
+    let (_, faults, audit) = glitching_run(&site, recorded);
+    assert_eq!(faults, (1, 1), "dropout must fire and clear");
+    assert!(audit < 1e-6, "audit {audit}");
+
+    let config = FleetConfig::over(Seconds::from_hours(18.0));
+    let fleet = held_fleet(glitching_rig, Environment::outdoor_temperate(7), config);
+    let (per_step, faults, audit) = glitching_run(&HeldWindows::new(site, config.sim), config.sim);
+    assert_eq!(fleet.node_results.expect("kept")[0], per_step);
+    assert_eq!(
+        faults,
+        (1, 1),
+        "dropout must fire and clear under held windows"
+    );
+    assert!(audit < 1e-6, "held audit {audit}");
 }
