@@ -1,10 +1,9 @@
 //! Std-only performance harness: measures simulator hot-loop speed
 //! (steps/second), environment sampling per instant and batched,
 //! observability overhead (bare vs no-op-observed vs
-//! fully instrumented), ensemble throughput at 1/2/4/N worker threads,
-//! and fleet-engine throughput (node-steps/second, dense and mixed
-//! lanes), then writes `BENCH_sim.json` at the repo root — the tracked
-//! baseline for the bench trajectory.
+//! fully instrumented) and fleet-engine throughput (node-steps/second,
+//! dense and mixed lanes), then writes `BENCH_sim.json` at the repo
+//! root — the tracked baseline for the bench trajectory.
 //!
 //! ```text
 //! cargo run --release -p mseh-bench --bin perf [--quick] [output-path]
@@ -15,14 +14,12 @@
 //! baseline — the CI smoke mode; pass an explicit path to override
 //! either default.
 //!
-//! The ensemble measurements fan out through the same
-//! [`mseh_sim::run_seed_ensemble_with_threads`] pool the experiments
-//! use, and the harness first asserts that the parallel results are
-//! bit-for-bit identical to the sequential reference, so every recorded
-//! number comes from a verified-equivalent path. Thread scaling only
-//! materializes on multi-core hosts; the JSON records the host's
-//! `available_parallelism` so single-core numbers aren't misread as a
-//! regression.
+//! The harness first asserts that a seed ensemble fanned out through
+//! the [`mseh_sim::run_seed_ensemble_with_threads`] pool the experiments
+//! use is bit-for-bit identical to the sequential reference. Thread
+//! scaling only materializes on multi-core hosts; the JSON records the
+//! host's `available_parallelism` so single-core numbers aren't misread
+//! as a regression.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -463,24 +460,6 @@ fn step_count(config: SimConfig) -> u64 {
     full as u64 + u64::from(rem > config.dt.value() * 1e-9)
 }
 
-/// One timed ensemble pass at a given worker count; returns wall
-/// seconds.
-fn time_ensemble(threads: usize, seeds: &[u64], config: SimConfig, node: &SensorNode) -> f64 {
-    let start = Instant::now();
-    let summary = run_seed_ensemble_with_threads(
-        threads,
-        seeds,
-        |_| SystemId::C.build(),
-        Environment::outdoor_temperate,
-        |_| duty(),
-        node,
-        config,
-    );
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(summary.runs.len(), seeds.len());
-    elapsed
-}
-
 /// How the overhead benchmark drives the kernel.
 #[derive(Clone, Copy, PartialEq)]
 enum Attach {
@@ -787,28 +766,6 @@ fn main() {
         host_threads.max(2),
         seeds.len()
     );
-
-    // --- Ensemble throughput at 1/2/4/N threads. --------------------
-    let mut thread_counts = vec![1usize, 2, 4, host_threads];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    let mut rows = Vec::new();
-    let mut base_runs_per_sec = 0.0;
-    for &threads in &thread_counts {
-        // Two passes, keep the faster (steadier on shared hosts).
-        let secs = time_ensemble(threads, seeds, ens_cfg, &node)
-            .min(time_ensemble(threads, seeds, ens_cfg, &node));
-        let runs_per_sec = seeds.len() as f64 / secs;
-        if threads == 1 {
-            base_runs_per_sec = runs_per_sec;
-        }
-        let speedup = runs_per_sec / base_runs_per_sec;
-        println!(
-            "ensemble   : {threads:>2} threads  {secs:>7.3} s  {runs_per_sec:>7.2} runs/s  \
-             speedup ×{speedup:.2}"
-        );
-        rows.push((threads, secs, runs_per_sec, speedup));
-    }
 
     // --- Fleet gates: one-node ≡ single run; geometry invariance. ---
     // Both gates run before the timed rows so every recorded fleet
@@ -1336,34 +1293,7 @@ fn main() {
     let _ = writeln!(json, "  \"ensemble\": {{");
     let _ = writeln!(json, "    \"seeds\": {},", seeds.len());
     let _ = writeln!(json, "    \"days_per_run\": {ensemble_days},");
-    let _ = writeln!(json, "    \"parallel_matches_sequential\": true,");
-    let _ = writeln!(json, "    \"single_core_host\": {},", host_threads == 1);
-    if host_threads == 1 {
-        let _ = writeln!(
-            json,
-            "    \"note\": \"available_parallelism is 1 on this host: the by_threads \
-             rows only verify determinism and pool overhead, not scaling\","
-        );
-    }
-    let _ = writeln!(json, "    \"by_threads\": [");
-    for (i, (threads, secs, runs_per_sec, speedup)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        // On a single-core host every thread count measures the same
-        // serial work plus pool overhead; a "speedup" there is pure
-        // scheduler noise (0.985-style readings), so the scaling cell
-        // is null rather than a number someone might gate on.
-        let speedup_cell = if host_threads == 1 {
-            "null".to_owned()
-        } else {
-            format!("{speedup:.3}")
-        };
-        let _ = writeln!(
-            json,
-            "      {{ \"threads\": {threads}, \"seconds\": {secs:.6}, \
-             \"runs_per_sec\": {runs_per_sec:.3}, \"speedup_vs_1\": {speedup_cell} }}{comma}"
-        );
-    }
-    let _ = writeln!(json, "    ]");
+    let _ = writeln!(json, "    \"parallel_matches_sequential\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"fleet\": {{");
     let _ = writeln!(

@@ -12,7 +12,9 @@ use mseh_power::{
     DcDcConverter, FixedPoint, FractionalVoc, IdealDiode, InputChannel, LinearRegulator,
     OperatingPointController, PerturbObserve, PowerStage,
 };
-use mseh_sim::{par_map, par_sweep, run_simulation, SimConfig, SweepPoint};
+use mseh_sim::{
+    crossover, first_meeting, par_map, par_sweep, run_simulation, SimConfig, SweepPoint,
+};
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_units::{DutyCycle, Farads, Joules, Ohms, Seconds, Volts, Watts, WattsPerSqM};
 
@@ -243,12 +245,7 @@ pub fn e2_buffer_sizing(days: f64, seed: u64, sizes: &[f64]) -> E2Result {
             r.uptime
         });
         uptime.push(points.iter().map(|p| p.outcome).collect::<Vec<_>>());
-        min_zero.push(
-            points
-                .iter()
-                .find(|p| p.outcome >= 1.0 - 1e-9)
-                .map(|p| p.parameter),
-        );
+        min_zero.push(first_meeting(&points, 1.0 - 1e-9).map(|p| p.parameter));
     }
     E2Result {
         sizes: sizes.to_vec(),
@@ -356,15 +353,21 @@ pub fn e3_mppt_overhead(irradiances: &[f64]) -> E3Result {
             net_fixed: settle_net(&mut fixed, &env),
         });
     }
-    let crossover = |pick: fn(&E3Point) -> Watts| {
+    let series = |pick: fn(&E3Point) -> Watts| -> Vec<SweepPoint> {
         points
             .iter()
-            .find(|p| pick(p) > p.net_fixed)
-            .map(|p| p.irradiance)
+            .map(|p| SweepPoint {
+                parameter: p.irradiance.value(),
+                outcome: pick(p).value(),
+            })
+            .collect()
     };
+    let fixed = series(|p| p.net_fixed);
+    let overtakes_fixed =
+        |pick: fn(&E3Point) -> Watts| crossover(&series(pick), &fixed).map(WattsPerSqM::new);
     E3Result {
-        po_crossover: crossover(|p| p.net_perturb_observe),
-        focv_crossover: crossover(|p| p.net_focv),
+        po_crossover: overtakes_fixed(|p| p.net_perturb_observe),
+        focv_crossover: overtakes_fixed(|p| p.net_focv),
         points,
     }
 }

@@ -7,7 +7,6 @@
 //! overhead — experiment E8 compares intelligence placements partly on
 //! this.
 
-use crate::datasheet::ElectronicDatasheet;
 use crate::power_unit::PowerUnit;
 use mseh_node::EnergyStatus;
 use mseh_units::{Joules, Volts};
@@ -19,7 +18,8 @@ pub enum BusRequest {
     ReadStoreVoltage,
     /// Read the full energy status (SoC, stored energy, harvest power).
     ReadEnergyStatus,
-    /// Read the electronic datasheet of the module in a slot.
+    /// Read the electronic datasheet of the module in a slot. NAKed: a
+    /// unit checks a datasheet when a module is attached and keeps none.
     ReadDatasheet {
         /// Storage-port index.
         slot: usize,
@@ -100,7 +100,6 @@ pub struct EnergyBus {
     transactions: u64,
     /// Energy per transaction (bus drivers + register logic).
     cost_per_transaction: Joules,
-    datasheets: Vec<Option<ElectronicDatasheet>>,
 }
 
 impl EnergyBus {
@@ -110,12 +109,10 @@ impl EnergyBus {
 
     /// Wraps a unit in a bus master.
     pub fn new(unit: PowerUnit) -> Self {
-        let slots = unit.store_ports().len();
         Self {
             unit,
             transactions: 0,
             cost_per_transaction: Self::DEFAULT_TRANSACTION_COST,
-            datasheets: vec![None; slots],
         }
     }
 
@@ -127,19 +124,6 @@ impl EnergyBus {
     /// Mutable access to the wrapped unit (for stepping the simulation).
     pub fn unit_mut(&mut self) -> &mut PowerUnit {
         &mut self.unit
-    }
-
-    /// Consumes the bus, returning the unit.
-    pub fn into_unit(self) -> PowerUnit {
-        self.unit
-    }
-
-    /// Registers the datasheet a slot's module exposes (set when a module
-    /// is attached).
-    pub fn publish_datasheet(&mut self, slot: usize, sheet: Option<ElectronicDatasheet>) {
-        if slot < self.datasheets.len() {
-            self.datasheets[slot] = sheet;
-        }
     }
 
     /// Transactions completed so far.
@@ -172,15 +156,9 @@ impl EnergyBus {
                 }
                 BusResponse::EnergyStatus(self.unit.energy_status())
             }
-            BusRequest::ReadDatasheet { slot } => {
-                if !digital {
-                    return BusResponse::Nak;
-                }
-                match self.datasheets.get(slot).and_then(Option::as_ref) {
-                    Some(sheet) => BusResponse::Datasheet(sheet.to_wire()),
-                    None => BusResponse::Nak,
-                }
-            }
+            // The unit keeps no module's datasheet past its attach-time
+            // check, so there is none to read back.
+            BusRequest::ReadDatasheet { .. } => BusResponse::Nak,
             BusRequest::Enumerate { slot } => {
                 if !digital {
                     return BusResponse::Nak;
@@ -216,7 +194,7 @@ mod tests {
     use crate::taxonomy::{IntelligenceLocation, InterfaceKind};
     use mseh_node::MonitoringLevel;
     use mseh_power::DcDcConverter;
-    use mseh_storage::{StorageKind, Supercap};
+    use mseh_storage::Supercap;
     use mseh_units::{Volts, Watts};
 
     fn unit(interface: InterfaceKind, monitoring: MonitoringLevel) -> PowerUnit {
@@ -243,15 +221,6 @@ mod tests {
             InterfaceKind::Digital { two_way: true },
             MonitoringLevel::Full,
         ));
-        bus.publish_datasheet(
-            0,
-            Some(ElectronicDatasheet::storage(
-                "SC",
-                StorageKind::Supercapacitor,
-                Watts::from_milli(100.0),
-                mseh_units::Joules::new(60.0),
-            )),
-        );
         assert!(matches!(
             bus.transact(BusRequest::ReadStoreVoltage),
             BusResponse::StoreVoltage(_)
@@ -260,16 +229,12 @@ mod tests {
             bus.transact(BusRequest::ReadEnergyStatus),
             BusResponse::EnergyStatus(_)
         ));
-        assert!(matches!(
-            bus.transact(BusRequest::ReadDatasheet { slot: 0 }),
-            BusResponse::Datasheet(_)
-        ));
         assert_eq!(
             bus.transact(BusRequest::Enumerate { slot: 0 }),
             BusResponse::Present(true)
         );
-        assert_eq!(bus.transaction_count(), 4);
-        assert!((bus.traffic_energy().value() - 4.0 * 5e-6).abs() < 1e-12);
+        assert_eq!(bus.transaction_count(), 3);
+        assert!((bus.traffic_energy().value() - 3.0 * 5e-6).abs() < 1e-12);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl ElectronicDatasheet {
         }
     }
 
-    /// Whether this datasheet describes a storage module.
-    pub fn is_storage(&self) -> bool {
-        matches!(self.class, DeviceClass::Storage(_))
-    }
-
     /// Serializes the datasheet to the wire format modules expose over
     /// the digital bus (a stable, line-oriented record).
     pub fn to_wire(&self) -> String {
@@ -120,7 +115,7 @@ mod tests {
             HarvesterKind::WindTurbine,
             Watts::from_milli(80.0),
         );
-        assert!(!ds.is_storage());
+        assert!(matches!(ds.class, DeviceClass::Harvester(_)));
         assert_eq!(ds.capacity, None);
         assert_eq!(ds.class.to_string(), "harvester (Wind)");
     }
@@ -133,7 +128,7 @@ mod tests {
             Watts::from_milli(500.0),
             Joules::new(60.0),
         );
-        assert!(ds.is_storage());
+        assert!(matches!(ds.class, DeviceClass::Storage(_)));
         assert_eq!(ds.capacity, Some(Joules::new(60.0)));
     }
 

@@ -95,6 +95,6 @@ pub use compat::{CompatError, PortRequirement};
 pub use datasheet::{DeviceClass, ElectronicDatasheet};
 pub use power_unit::{
     BusBalance, BusHarvest, HarvesterPort, PowerUnit, PowerUnitBuilder, StepReport, StorePort,
-    StoreRole, Supervisor,
+    StoreReading, StoreRole, Supervisor,
 };
 pub use taxonomy::{ConditioningPlacement, Exchangeability, IntelligenceLocation, InterfaceKind};

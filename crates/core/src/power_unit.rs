@@ -339,6 +339,58 @@ impl BusBalance {
     }
 }
 
+/// A unit's buffers as its supervisor reads them: the input of
+/// [`status`](Self::status), the [`EnergyStatus`] a node sees, which
+/// [`PowerUnit::energy_status`] and the simulator's lane kernels both
+/// report through.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreReading {
+    /// The working store voltage.
+    pub voltage: Volts,
+    /// The energy the buffers actually hold.
+    pub stored: Joules,
+    /// The buffers' actual capacity.
+    pub capacity: Joules,
+    /// The buffer capacity the unit's software believes it has.
+    pub recognized_capacity: Joules,
+    /// The harvest power the unit reports.
+    pub harvest: Watts,
+    /// The supervisor's monitoring tier.
+    pub monitoring: MonitoringLevel,
+    /// The analog sense line's converter, which a store-voltage-only
+    /// tier reads the voltage through.
+    pub sense_adc: Option<AdcModel>,
+}
+
+impl StoreReading {
+    /// The status a node sees: the actual state of charge, the believed
+    /// stored energy (that charge over the recognized capacity), clamped
+    /// to the monitoring tier. A store-voltage-only tier reads through
+    /// the sense ADC when there is one; full digital monitoring reports
+    /// calibrated values.
+    #[inline]
+    pub fn status(&self) -> EnergyStatus {
+        let soc_actual = if self.capacity.value() > 0.0 {
+            self.stored.value() / self.capacity.value()
+        } else {
+            0.0
+        };
+        let mut status = EnergyStatus::full(
+            self.voltage,
+            Ratio::new(soc_actual),
+            self.recognized_capacity * soc_actual,
+            self.harvest,
+        )
+        .clamped_to(self.monitoring);
+        if self.monitoring == MonitoringLevel::StoreVoltage {
+            if let (Some(adc), Some(v)) = (self.sense_adc, status.store_voltage) {
+                status.store_voltage = Some(adc.quantize(v));
+            }
+        }
+        status
+    }
+}
+
 /// A multi-source energy-harvesting power unit.
 ///
 /// Construct with [`PowerUnit::builder`]; the seven surveyed platforms in
@@ -450,11 +502,6 @@ impl PowerUnit {
         self.commercial
     }
 
-    /// Whether the unit re-reads electronic datasheets on swap (System B).
-    pub fn is_datasheet_capable(&self) -> bool {
-        self.datasheet_capable
-    }
-
     /// For architectures whose ports accept harvesters *or* storage
     /// interchangeably (System B's six slots), the number of such shared
     /// ports; `None` for conventional dedicated-port designs.
@@ -503,48 +550,49 @@ impl PowerUnit {
         self.output.output_voltage()
     }
 
-    /// Standing power draw with every source dead: channel idle
-    /// overheads + supervisor + output-stage quiescent, plus a devolved
-    /// unit's module micro-managers. Divided by the output rail this is
-    /// Table I's "Quiescent Current Draw".
+    /// Standing power draw with every source dead: the sum of the
+    /// [`quiescent_ledger`](Self::quiescent_ledger)'s entries. Divided by
+    /// the output rail this is Table I's "Quiescent Current Draw".
     pub fn quiescent_power(&self) -> Watts {
-        let channels: Watts = self
-            .harvester_ports
-            .iter()
-            .filter_map(|p| p.channel.as_ref())
-            .map(InputChannel::idle_overhead)
-            .sum();
-        let mcus =
-            Self::MODULE_DRAW * (usize::from(self.devolved()) * self.occupied_ports()) as f64;
-        channels + self.supervisor.overhead + self.output.quiescent() + mcus
+        self.standing_draws().map(|(_, _, power)| power).sum()
     }
 
     /// The standing draw itemized per component as a
-    /// [`mseh_power::QuiescentLedger`] referenced to the output rail:
-    /// one entry per occupied harvester channel (its idle front-end
-    /// overhead), the supervisor, and the output stage, plus on a
-    /// devolved unit one module-MCU entry per occupied port. The
-    /// ledger's total equals [`quiescent_power`](Self::quiescent_power),
-    /// so the observability layer can report not just Table I's µA
-    /// figure but *which* component is drawing it.
+    /// [`mseh_power::QuiescentLedger`] referenced to the output rail, so
+    /// the observability layer can report not just Table I's µA figure
+    /// but *which* component is drawing it. Its total is
+    /// [`quiescent_power`](Self::quiescent_power).
     pub fn quiescent_ledger(&self) -> mseh_power::QuiescentLedger {
         let mut ledger = mseh_power::QuiescentLedger::new(self.output_rail());
-        for port in &self.harvester_ports {
-            if let Some(channel) = port.channel.as_ref() {
-                ledger.add(
-                    format!("{} front-end", port.requirement.label),
-                    channel.idle_overhead(),
-                );
-            }
-        }
-        ledger.add("supervisor", self.supervisor.overhead);
-        ledger.add("output stage", self.output.quiescent());
-        if self.devolved() {
-            for module in self.modules() {
-                ledger.add(format!("{} module MCU", module.label), Self::MODULE_DRAW);
-            }
+        for (name, part, power) in self.standing_draws() {
+            ledger.add(format!("{name}{part}"), power);
         }
         ledger
+    }
+
+    /// The unit's standing draws in ledger order, each named by a label
+    /// and a suffix: one per occupied harvester channel (its idle
+    /// front-end overhead), the supervisor, the output stage, and on a
+    /// devolved unit one module MCU per occupied port.
+    fn standing_draws(&self) -> impl Iterator<Item = (&str, &'static str, Watts)> + '_ {
+        let channels = self.harvester_ports.iter().filter_map(|p| {
+            let channel = p.channel.as_ref()?;
+            Some((
+                p.requirement.label.as_str(),
+                " front-end",
+                channel.idle_overhead(),
+            ))
+        });
+        let own = [
+            ("supervisor", "", self.supervisor.overhead),
+            ("output stage", "", self.output.quiescent()),
+        ];
+        let devolved = self.devolved();
+        let modules = self
+            .modules()
+            .filter(move |_| devolved)
+            .map(|m| (m.label.as_str(), " module MCU", Self::MODULE_DRAW));
+        channels.chain(own).chain(modules)
     }
 
     /// Total actual capacity across *all* attached storage devices,
@@ -635,41 +683,26 @@ impl PowerUnit {
     /// sum of its harvester modules' last pushed values as the harvest
     /// power.
     pub fn energy_status(&self) -> EnergyStatus {
-        let soc_actual = {
-            let cap: Joules = self
+        StoreReading {
+            voltage: self.store_voltage(),
+            stored: self.stored_energy(),
+            capacity: self
                 .store_ports
                 .iter()
                 .filter(|p| p.role != StoreRole::Backup)
                 .filter_map(|p| p.device.as_ref())
                 .map(|d| d.capacity())
-                .sum();
-            if cap.value() > 0.0 {
-                self.stored_energy().value() / cap.value()
+                .sum(),
+            recognized_capacity: self.recognized_capacity(),
+            harvest: if self.devolved() {
+                self.harvester_ports.iter().map(|p| p.reported).sum()
             } else {
-                0.0
-            }
-        };
-        let believed_stored = self.recognized_capacity() * soc_actual;
-        let harvest = if self.devolved() {
-            self.harvester_ports.iter().map(|p| p.reported).sum()
-        } else {
-            self.last_harvest
-        };
-        let mut status = EnergyStatus::full(
-            self.store_voltage(),
-            Ratio::new(soc_actual),
-            believed_stored,
-            harvest,
-        )
-        .clamped_to(self.supervisor.monitoring);
-        // A store-voltage-only tier reads through the analog sense line's
-        // ADC; full digital monitoring reports calibrated values.
-        if self.supervisor.monitoring == MonitoringLevel::StoreVoltage {
-            if let (Some(adc), Some(v)) = (self.sense_adc, status.store_voltage) {
-                status.store_voltage = Some(adc.quantize(v));
-            }
+                self.last_harvest
+            },
+            monitoring: self.supervisor.monitoring,
+            sense_adc: self.sense_adc,
         }
-        status
+        .status()
     }
 
     /// Attaches a harvester channel to port `port`.
@@ -1527,7 +1560,7 @@ mod tests {
             crate::taxonomy::Exchangeability::CompletelyFlexible
         );
         // One module micro-manager per occupied port, the backup included
-        // and the empty spare left out, and the ledger totals the draw.
+        // and the empty spare left out.
         let ledger = unit.quiescent_ledger();
         let modules: Vec<_> = ledger
             .iter()
@@ -1544,12 +1577,6 @@ mod tests {
             ]
         );
         assert_eq!(unit.occupied_ports(), 3);
-        let total = ledger.total_power();
-        assert!(
-            (total - unit.quiescent_power()).abs().value() <= 1e-15,
-            "ledger {total:?} vs quiescent {:?}",
-            unit.quiescent_power()
-        );
     }
 
     #[test]

@@ -56,20 +56,6 @@ impl HarvesterKind {
             HarvesterKind::ExternalAcDc => "General AC/DC",
         }
     }
-
-    /// Whether this source class delivers AC that must be rectified before
-    /// storage (the survey's input-conditioning discussion).
-    pub fn is_ac(self) -> bool {
-        matches!(
-            self,
-            HarvesterKind::WindTurbine
-                | HarvesterKind::Piezoelectric
-                | HarvesterKind::Electromagnetic
-                | HarvesterKind::RfRectenna
-                | HarvesterKind::Hydro
-                | HarvesterKind::ExternalAcDc
-        )
-    }
 }
 
 impl fmt::Display for HarvesterKind {
@@ -88,15 +74,6 @@ mod tests {
         assert_eq!(HarvesterKind::WindTurbine.to_string(), "Wind");
         assert_eq!(HarvesterKind::RfRectenna.to_string(), "Radio");
         assert_eq!(HarvesterKind::Hydro.to_string(), "Water Flow");
-    }
-
-    #[test]
-    fn dc_sources_are_pv_and_teg_only() {
-        let dc: Vec<_> = HarvesterKind::ALL.iter().filter(|k| !k.is_ac()).collect();
-        assert_eq!(
-            dc,
-            [&HarvesterKind::Photovoltaic, &HarvesterKind::Thermoelectric]
-        );
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl FailoverPolicy {
         }
     }
 
-    /// Sets the duty ceiling applied while degraded.
-    pub fn with_degraded_duty(mut self, duty: DutyCycle) -> Self {
-        self.degraded_duty = duty;
-        self
-    }
-
     /// Sets how long degraded mode holds after a trigger.
     ///
     /// # Panics
@@ -96,22 +90,6 @@ impl FailoverPolicy {
     pub fn with_hold(mut self, hold: Seconds) -> Self {
         assert!(hold.value() > 0.0, "hold time must be positive");
         self.hold = hold;
-        self
-    }
-
-    /// Sets the detection thresholds: a relative stored-energy drop in
-    /// `(0, 1]` and a store-voltage floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `collapse_fraction` is outside `(0, 1]`.
-    pub fn with_thresholds(mut self, collapse_fraction: f64, collapse_voltage: Volts) -> Self {
-        assert!(
-            collapse_fraction > 0.0 && collapse_fraction <= 1.0,
-            "collapse fraction must be in (0, 1]"
-        );
-        self.collapse_fraction = collapse_fraction;
-        self.collapse_voltage = collapse_voltage;
         self
     }
 
@@ -201,7 +179,6 @@ mod tests {
     fn stored_collapse_triggers_and_holds_then_releases() {
         let node = SensorNode::submilliwatt_class();
         let mut p = FailoverPolicy::new(Box::new(FixedDuty::new(DutyCycle::ONE)))
-            .with_degraded_duty(DutyCycle::saturating(0.02))
             .with_hold(Seconds::from_hours(1.0));
         p.choose(&node, &full_status(50.0, 2.5).at(Seconds::ZERO));
         // Primary store dies: stored drops 90 % between reports.
@@ -209,14 +186,14 @@ mod tests {
             &node,
             &full_status(5.0, 2.4).at(Seconds::from_minutes(10.0)),
         );
-        assert_eq!(d.value(), 0.02);
+        assert_eq!(d.value(), 0.05);
         assert_eq!(p.failover_count(), 1);
         // Still held inside the hold window.
         let d = p.choose(
             &node,
             &full_status(5.0, 2.4).at(Seconds::from_minutes(30.0)),
         );
-        assert_eq!(d.value(), 0.02);
+        assert_eq!(d.value(), 0.05);
         // Released after the hold elapses (no further collapse).
         let d = p.choose(&node, &full_status(5.0, 2.4).at(Seconds::from_hours(1.5)));
         assert_eq!(d.value(), 1.0);
@@ -226,8 +203,8 @@ mod tests {
     #[test]
     fn voltage_crossing_triggers_once() {
         let node = SensorNode::submilliwatt_class();
-        let mut p = FailoverPolicy::new(Box::new(FixedDuty::new(DutyCycle::ONE)))
-            .with_thresholds(0.5, Volts::new(1.0));
+        // The default floor is 0.5 V.
+        let mut p = FailoverPolicy::new(Box::new(FixedDuty::new(DutyCycle::ONE)));
         let v = |volts: f64, min: f64| {
             EnergyStatus::voltage_only(Volts::new(volts)).at(Seconds::from_minutes(min))
         };
@@ -250,10 +227,10 @@ mod tests {
 
     #[test]
     fn degraded_duty_caps_but_never_raises() {
-        // An inner policy already below the cap keeps its own choice.
+        // An inner policy already below the default 5 % cap keeps its
+        // own choice.
         let node = SensorNode::submilliwatt_class();
-        let mut p = FailoverPolicy::new(Box::new(FixedDuty::new(DutyCycle::saturating(0.01))))
-            .with_degraded_duty(DutyCycle::saturating(0.05));
+        let mut p = FailoverPolicy::new(Box::new(FixedDuty::new(DutyCycle::saturating(0.01))));
         p.choose(&node, &full_status(50.0, 2.5).at(Seconds::ZERO));
         let d = p.choose(
             &node,

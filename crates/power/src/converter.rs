@@ -146,11 +146,6 @@ impl DcDcConverter {
     pub fn rated_power(&self) -> Watts {
         self.rated
     }
-
-    /// The accepted input-voltage window.
-    pub fn input_window(&self) -> (Volts, Volts) {
-        (self.v_in_min, self.v_in_max)
-    }
 }
 
 impl PowerStage for DcDcConverter {
@@ -208,7 +203,9 @@ mod tests {
             c.output_for_input(Watts::from_milli(10.0), Volts::new(19.0)),
             Watts::ZERO
         );
-        assert_eq!(c.input_window(), (Volts::new(0.3), Volts::new(18.0)));
+        // The window's edges are inclusive: 0.3–18 V.
+        assert!(c.accepts_input_voltage(Volts::new(0.3)));
+        assert!(c.accepts_input_voltage(Volts::new(18.0)));
     }
 
     #[test]

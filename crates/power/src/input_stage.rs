@@ -46,8 +46,8 @@ impl HarvestStep {
 /// bit-identical to the solve it replaces:
 ///
 /// * the **step memo** replays a whole [`HarvestStep`] when the
-///   controller's choice is a pure function of `(env, dt)` and every
-///   block is time-invariant;
+///   controller states a source-free [`WindowChoice`] at the step's
+///   width and every block is time-invariant;
 /// * the **open-circuit-voltage memo** answers the controller's
 ///   [`Source::open_circuit_voltage`] reads when the harvester is
 ///   time-invariant — what a perturb-and-observe tracker, which the step
@@ -290,20 +290,16 @@ impl InputChannel {
     /// [`step`](Self::step) under a snapshot the walk holds for a whole
     /// control window, returning the same step bit for bit.
     ///
-    /// When every block in the chain is provably quasi-static for this
-    /// step — the controller's choice is a pure function of `(env, dt)`
-    /// and harvester, protection and converter are time-invariant — the
-    /// result is memoised on the exact ambient bit pattern, and a repeat
-    /// of the same conditions replays the stored step verbatim
-    /// (bit-identical by construction) instead of re-solving. Otherwise
-    /// the controller reads a time-invariant harvester through the
-    /// open-circuit-voltage memo.
+    /// When the step is replayable — the controller states a
+    /// source-free [`WindowChoice`] at width `dt` and harvester,
+    /// protection and converter are time-invariant — the result is
+    /// memoised on the exact ambient bit pattern, and a repeat of the
+    /// same conditions replays the stored step verbatim (bit-identical by
+    /// construction) instead of re-solving. Otherwise the controller
+    /// reads a time-invariant harvester through the open-circuit-voltage
+    /// memo.
     pub fn step_held(&mut self, env: &EnvConditions, dt: Seconds) -> HarvestStep {
-        let step = if !(self.controller.is_env_pure(dt)
-            && self.harvester.is_time_invariant()
-            && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant())
-        {
+        let step = if !self.replayable(dt) {
             self.solve_step(env, dt)
         } else {
             let key = (env.ambient_bits(), dt.value().to_bits());
@@ -323,6 +319,17 @@ impl InputChannel {
         };
         self.advance_stages(dt);
         step
+    }
+
+    /// Whether a step of width `dt` is a function of the ambient
+    /// conditions and `dt` alone: the controller states a source-free
+    /// [`WindowChoice`] at this width, and harvester, protection and
+    /// converter are time-invariant.
+    fn replayable(&self, dt: Seconds) -> bool {
+        self.controller.window_choice(dt).is_some()
+            && self.harvester.is_time_invariant()
+            && self.protection.is_time_invariant()
+            && self.converter.is_time_invariant()
     }
 
     /// Stages with internal clocks (scheduled-brownout wrappers) tick
@@ -377,20 +384,16 @@ impl InputChannel {
     }
 
     /// Whether [`window_lanes`](Self::window_lanes) can stand in for
-    /// per-node [`step`](Self::step) calls at width `dt`: the chain must
-    /// be replayable (every block time-invariant) *and* the controller
-    /// must state a source-free [`WindowChoice`] — with a batch Voc
-    /// kernel on the harvester when that choice needs one.
+    /// per-node [`step`](Self::step) calls at width `dt`: the step must
+    /// be replayable, as [`step_held`](Self::step_held) defines it, with
+    /// a batch Voc kernel on the harvester when the controller's
+    /// [`WindowChoice`] needs one.
     pub fn supports_window_lanes(&self, dt: Seconds) -> bool {
-        let batchable = match self.controller.window_choice(dt) {
-            Some(WindowChoice::FractionOfVoc(_)) => self.harvester.voc_batch().is_some(),
-            Some(WindowChoice::Fixed(_)) => true,
-            None => false,
-        };
-        batchable
-            && self.harvester.is_time_invariant()
-            && self.protection.is_time_invariant()
-            && self.converter.is_time_invariant()
+        self.replayable(dt)
+            && match self.controller.window_choice(dt) {
+                Some(WindowChoice::FractionOfVoc(_)) => self.harvester.voc_batch().is_some(),
+                _ => true,
+            }
     }
 
     /// One control window for a whole population: writes into `out[i]`

@@ -73,33 +73,25 @@ pub trait OperatingPointController: Send + Sync {
         0.0
     }
 
-    /// Whether a `choose_voltage(source, env, dt)` call *right now* would
-    /// be a pure function of `(env, dt)` — same voltage out, same
-    /// controller state after — so the channel's step memo may replay a
-    /// stored result instead of calling it. Controllers with hidden
-    /// dither state (P&O) answer `false` unconditionally; FOCV answers
-    /// `true` exactly when the call would land on a fresh resample.
-    /// Defaults to `false` (never replayable), which is always safe.
-    fn is_env_pure(&self, _dt: Seconds) -> bool {
-        false
-    }
-
     /// Restores the exact post-`choose_voltage` state for a replayed
     /// call that held `held` for `dt` — the state-side half of the memo
-    /// contract above. Only invoked after [`is_env_pure`](Self::is_env_pure)
-    /// returned `true` for the same `dt`. Default: stateless, nothing to
-    /// restore.
+    /// contract below. Only invoked when
+    /// [`window_choice`](Self::window_choice) answers `Some` for the same
+    /// `dt`. Default: stateless, nothing to restore.
     fn reuse_voltage(&mut self, _held: Volts, _dt: Seconds) {}
 
-    /// The source-free rule an env-pure `choose_voltage` call of width
-    /// `dt` applies from the replayable steady state, if one exists —
-    /// `None` (the default) for controllers whose choice depends on
-    /// hidden history. A `Some` answer lets the fleet's batched dense
-    /// lane compute every member node's operating voltage in one
-    /// struct-of-arrays pass; for widths where this returns `None`, a
-    /// batchable controller must hold its previous window's voltage
-    /// unchanged (the FOCV mid-interval contract), so the caller can
-    /// carry it forward per lane.
+    /// The source-free rule every `choose_voltage` call of width `dt`
+    /// applies, whatever state the controller is in, if one exists —
+    /// `None` (the default, always safe) for controllers whose choice
+    /// depends on hidden history. A `Some` answer says the call is a
+    /// pure function of `(env, dt)`: same voltage out and, after
+    /// [`reuse_voltage`](Self::reuse_voltage), same controller state, so
+    /// a channel's step memo may replay a stored result, and the fleet's
+    /// batched dense lane may compute every member node's operating
+    /// voltage in one struct-of-arrays pass. For widths where this
+    /// returns `None`, a batchable controller must hold its previous
+    /// window's voltage unchanged (the FOCV mid-interval contract), so
+    /// the caller can carry it forward per lane.
     fn window_choice(&self, _dt: Seconds) -> Option<WindowChoice> {
         None
     }
@@ -298,16 +290,6 @@ impl OperatingPointController for FractionalVoc {
         self.held
     }
 
-    fn is_env_pure(&self, dt: Seconds) -> bool {
-        // Pure exactly when the next call is guaranteed to resample: in
-        // the post-first-call steady state (`since_sample == 0`) with a
-        // step at least as long as the interval, every call re-reads Voc
-        // and lands back at `since_sample == 0` — output and post-state
-        // are functions of `(env, dt)` alone. A mid-interval call returns
-        // the stale `held`, which is history, not environment.
-        self.since_sample == Seconds::ZERO && self.since_sample + dt >= self.sample_interval
-    }
-
     fn reuse_voltage(&mut self, held: Volts, _dt: Seconds) {
         // Reproduce the exact state a resampling call leaves behind.
         self.since_sample = Seconds::ZERO;
@@ -315,10 +297,12 @@ impl OperatingPointController for FractionalVoc {
     }
 
     fn window_choice(&self, dt: Seconds) -> Option<WindowChoice> {
-        // Steps at least as long as the interval resample on every call
-        // (the same condition `is_env_pure` checks from the steady
-        // state); shorter widths return the stale `held`, which the
-        // batched caller carries per lane.
+        // A step at least as long as the interval resamples whatever the
+        // clock holds (it never runs backwards) and lands it back at
+        // zero, so output and post-state are functions of `(env, dt)`
+        // alone. A shorter step may return the stale `held`, which is
+        // history, not environment; the batched caller carries it per
+        // lane.
         (dt >= self.sample_interval).then_some(WindowChoice::FractionOfVoc(self.k))
     }
 }
@@ -363,12 +347,8 @@ impl OperatingPointController for FixedPoint {
         self.v
     }
 
-    fn is_env_pure(&self, _dt: Seconds) -> bool {
-        // Stateless and constant: trivially replayable.
-        true
-    }
-
     fn window_choice(&self, _dt: Seconds) -> Option<WindowChoice> {
+        // Stateless and constant: trivially replayable.
         Some(WindowChoice::Fixed(self.v))
     }
 }
@@ -498,20 +478,40 @@ mod tests {
 
     #[test]
     fn env_purity_contract_per_controller() {
-        let dt = Seconds::new(60.0);
-        // Fixed point: always pure.
-        assert!(FixedPoint::new(Volts::new(2.0)).is_env_pure(dt));
-        // P&O: never pure (hidden dither state).
-        assert!(!PerturbObserve::new().is_env_pure(dt));
-        // FOCV: impure before the first call (since_sample = ∞) …
+        // Wherever a controller states a window rule, `choose_voltage`
+        // applies that rule to the environment from whatever state the
+        // controller is in.
         let pv = PvModule::outdoor_panel_half_watt();
-        let mut focv = FractionalVoc::pv_standard();
-        assert!(!focv.is_env_pure(dt));
-        // … pure in the steady state where every step resamples …
-        focv.choose_voltage(Source::new(&pv), &sunny(), dt);
-        assert!(focv.is_env_pure(dt));
-        // … and impure for steps shorter than the sample interval.
-        assert!(!focv.is_env_pure(Seconds::new(1.0)));
+        let env = sunny();
+        let voc = pv.open_circuit_voltage(&env);
+        let dt = Seconds::new(60.0);
+        // FOCV with a fresh clock, in the steady state, and mid-interval
+        // after a short step under dimmer light: a step spanning the
+        // interval resamples from each of them.
+        let mut fresh = FractionalVoc::pv_standard();
+        let mut steady = FractionalVoc::pv_standard();
+        steady.choose_voltage(Source::new(&pv), &env, dt);
+        let mut dim = env;
+        dim.irradiance = WattsPerSqM::new(50.0);
+        let mut mid = FractionalVoc::pv_standard();
+        mid.choose_voltage(Source::new(&pv), &dim, dt);
+        mid.choose_voltage(Source::new(&pv), &dim, Seconds::new(1.0));
+        let mut fixed = FixedPoint::new(Volts::new(2.0));
+        let controllers: [&mut dyn OperatingPointController; 4] =
+            [&mut fresh, &mut steady, &mut mid, &mut fixed];
+        for c in controllers {
+            let expected = match c.window_choice(dt) {
+                Some(WindowChoice::FractionOfVoc(k)) => voc * k,
+                Some(WindowChoice::Fixed(v)) => v,
+                None => panic!("{} states no rule at {dt:?}", c.name()),
+            };
+            assert_eq!(c.choose_voltage(Source::new(&pv), &env, dt), expected);
+        }
+        // P&O: never pure (hidden dither state). FOCV below the
+        // interval: a mid-interval step returns the stale hold.
+        assert_eq!(PerturbObserve::new().window_choice(dt), None);
+        let focv = FractionalVoc::pv_standard();
+        assert_eq!(focv.window_choice(Seconds::new(1.0)), None);
     }
 
     #[test]

@@ -48,13 +48,13 @@
 use super::{DenseClass, DenseStore};
 use crate::cancel::{tripped, CancelToken};
 use crate::steps::{NodeBooks, NodeOutcome, StepPlan, WindowLoad};
-use mseh_core::BusBalance;
+use mseh_core::{BusBalance, StoreReading};
 use mseh_env::{EnvConditions, JitterFactors};
 use mseh_harvesters::CacheStats;
-use mseh_node::{DutyCyclePolicy, EnergyStatus, SensorNode};
+use mseh_node::{DutyCyclePolicy, SensorNode};
 use mseh_power::{HarvestStep, InputChannel, PowerStage};
 use mseh_storage::{BatteryLanes, Storage, StoreLanes, SupercapLanes};
-use mseh_units::{DutyCycle, Joules, Ratio, Volts, Watts};
+use mseh_units::{DutyCycle, Joules, Volts, Watts};
 
 /// Where a lane population's harvests come from.
 pub(crate) enum LaneHarvest<'a> {
@@ -169,23 +169,17 @@ fn run_lane_population<L: StoreLanes>(
     let mut books = vec![NodeBooks::open(template.stored_energy(), template.losses()); lanes_n];
     // Each lane's latest bus harvest, for its policy's energy status.
     let mut last_harvest = vec![Watts::ZERO; lanes_n];
-    // The exact `EnergyStatus` the class's `PowerUnit` reports for its
-    // one primary store: actual SoC over the device capacity, believed
-    // stored energy over the recognized (commissioning) capacity,
-    // clamped to the monitoring tier.
-    let status = |lanes: &L, i: usize, last_harvest: Watts| {
-        let soc_actual = if cap.value() > 0.0 {
-            lanes.stored_energy(i) / cap.value()
-        } else {
-            0.0
-        };
-        EnergyStatus::full(
-            Volts::new(lanes.voltage(i)),
-            Ratio::new(soc_actual),
-            cap * soc_actual,
-            last_harvest,
-        )
-        .clamped_to(monitoring)
+    // The status the class's `PowerUnit` reports for its one primary
+    // store, whose recognized (commissioning) capacity is the device's,
+    // read with no sense ADC, which a class never has.
+    let reading = |lanes: &L, i: usize, harvest: Watts| StoreReading {
+        voltage: Volts::new(lanes.voltage(i)),
+        stored: Joules::new(lanes.stored_energy(i)),
+        capacity: cap,
+        recognized_capacity: cap,
+        harvest,
+        monitoring,
+        sense_adc: None,
     };
 
     let mut jenvs: Vec<EnvConditions> = Vec::new();
@@ -222,7 +216,7 @@ fn run_lane_population<L: StoreLanes>(
         // as they would alone — and the population materializes on the
         // first divergent duty.
         if uniform {
-            let timed = status(&lanes, 0, last_harvest[0]).at(t_win);
+            let timed = reading(&lanes, 0, last_harvest[0]).status().at(t_win);
             let mut diverged = false;
             for i in 0..lanes_n {
                 duties[i] = policies[i].choose(node, &timed);
@@ -241,7 +235,7 @@ fn run_lane_population<L: StoreLanes>(
             }
         } else {
             for i in 0..lanes_n {
-                let timed = status(&lanes, i, last_harvest[i]).at(t_win);
+                let timed = reading(&lanes, i, last_harvest[i]).status().at(t_win);
                 duties[i] = policies[i].choose(node, &timed);
             }
         }

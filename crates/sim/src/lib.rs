@@ -9,9 +9,9 @@
 //! energy books are audited: the storage conservation identity must close
 //! to numerical precision or the run fails in debug builds.
 //!
-//! [`sweep`] and friends support the experiment harness: parameter grids,
-//! threshold search (minimum buffer size) and crossover location (where
-//! MPPT starts paying off).
+//! [`par_sweep`], [`first_meeting`] and [`crossover`] support the
+//! experiment harness: parameter sweeps, threshold search (minimum
+//! buffer size) and crossover location (where MPPT starts paying off).
 //!
 //! Ensembles and sweeps fan out across a dependency-free scoped worker
 //! pool ([`par_map`]; `MSEH_THREADS` sets the width, default
@@ -113,7 +113,4 @@ pub use runner::{
     SimTraces,
 };
 pub use steps::UptimePercentiles;
-pub use sweep::{
-    crossover, day_grid, first_meeting, geometric_grid, par_sweep, par_sweep_with_threads, sweep,
-    SweepPoint,
-};
+pub use sweep::{crossover, first_meeting, par_sweep, SweepPoint};

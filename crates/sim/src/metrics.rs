@@ -20,9 +20,12 @@
 //! use mseh_sim::MetricsRegistry;
 //!
 //! let mut m = MetricsRegistry::new();
-//! m.counter_add("sim_steps_total", &[("system", "C")], 1440.0);
-//! m.gauge_set("store_soc", &[], 0.83);
-//! m.histogram_observe("window_residual_j", &[], 3.2e-13);
+//! let steps = m.handle_counter("sim_steps_total", &[("system", "C")]);
+//! let soc = m.handle_gauge("store_soc", &[]);
+//! let residual = m.handle_histogram("window_residual_j", &[]);
+//! m.counter_add_handle(steps, 1440.0);
+//! m.gauge_set_handle(soc, 0.83);
+//! m.histogram_observe_handle(residual, 3.2e-13);
 //! assert_eq!(m.counter("sim_steps_total", &[("system", "C")]), Some(1440.0));
 //! let json = m.snapshot_json();
 //! assert!(json.contains("\"sim_steps_total\""));
@@ -163,10 +166,10 @@ pub struct HistogramHandle(usize);
 /// histograms, snapshotable to JSON and mergeable across workers.
 ///
 /// Series live in a flat slot vector; the [`BTreeMap`] only maps keys to
-/// slot indices. Name-based methods pay one map lookup per call; the
-/// handle methods ([`handle_counter`](Self::handle_counter) and friends)
-/// resolve the key once and index directly thereafter — the hot-path
-/// interface for per-step observers.
+/// slot indices. Writers resolve a key once
+/// ([`handle_counter`](Self::handle_counter) and friends) and index
+/// directly thereafter — the hot-path interface for per-step observers;
+/// the name-based readers pay one map lookup per call.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     index: BTreeMap<SeriesKey, SlotRef>,
@@ -206,16 +209,6 @@ impl MetricsRegistry {
         slot
     }
 
-    fn new_counter(&mut self) -> SlotRef {
-        self.counters.push(0.0);
-        SlotRef::Counter(self.counters.len() - 1)
-    }
-
-    fn new_gauge(&mut self) -> SlotRef {
-        self.gauges.push(0.0);
-        SlotRef::Gauge(self.gauges.len() - 1)
-    }
-
     /// Pre-resolves a counter series (creating it at zero if absent) and
     /// returns its O(1) handle.
     ///
@@ -223,7 +216,11 @@ impl MetricsRegistry {
     ///
     /// Panics if the series exists with a different type.
     pub fn handle_counter(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        match self.slot(name, labels, Self::new_counter) {
+        let slot = self.slot(name, labels, |me| {
+            me.counters.push(0.0);
+            SlotRef::Counter(me.counters.len() - 1)
+        });
+        match slot {
             SlotRef::Counter(i) => CounterHandle(i),
             other => panic!("metric {name} is a {}, not a counter", other.type_name()),
         }
@@ -236,7 +233,11 @@ impl MetricsRegistry {
     ///
     /// Panics if the series exists with a different type.
     pub fn handle_gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        match self.slot(name, labels, Self::new_gauge) {
+        let slot = self.slot(name, labels, |me| {
+            me.gauges.push(0.0);
+            SlotRef::Gauge(me.gauges.len() - 1)
+        });
+        match slot {
             SlotRef::Gauge(i) => GaugeHandle(i),
             other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
         }
@@ -281,70 +282,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn histogram_observe_handle(&mut self, h: HistogramHandle, v: f64) {
         self.histograms[h.0].observe(v);
-    }
-
-    /// Adds `v` to a counter, creating it at zero first if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is negative (counters are monotonic) or the series
-    /// exists with a different type.
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        assert!(v >= 0.0, "counter {name} increment must be >= 0, got {v}");
-        match self.slot(name, labels, Self::new_counter) {
-            SlotRef::Counter(i) => self.counters[i] += v,
-            other => panic!("metric {name} is a {}, not a counter", other.type_name()),
-        }
-    }
-
-    /// Sets a gauge to `v`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series exists with a different type.
-    pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        match self.slot(name, labels, Self::new_gauge) {
-            SlotRef::Gauge(i) => self.gauges[i] = v,
-            other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
-        }
-    }
-
-    /// Records `v` into a histogram with [`DEFAULT_BUCKETS`], creating
-    /// it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series exists with a different type.
-    pub fn histogram_observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.histogram_observe_with(name, labels, v, &DEFAULT_BUCKETS);
-    }
-
-    /// Records `v` into a histogram, creating it with the given bucket
-    /// bounds if absent (bounds must be ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series exists with a different type, or on
-    /// non-ascending `bounds` for a new series.
-    pub fn histogram_observe_with(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        v: f64,
-        bounds: &[f64],
-    ) {
-        let slot = self.slot(name, labels, |me| {
-            assert!(
-                bounds.windows(2).all(|w| w[0] < w[1]),
-                "histogram {name} bounds must be strictly ascending"
-            );
-            me.histograms.push(HistogramSnapshot::new(bounds.to_vec()));
-            SlotRef::Histogram(me.histograms.len() - 1)
-        });
-        match slot {
-            SlotRef::Histogram(i) => self.histograms[i].observe(v),
-            other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
-        }
     }
 
     /// Reads a counter's value.
@@ -563,9 +500,11 @@ mod tests {
     #[test]
     fn counters_accumulate_per_label_set() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("steps", &[("system", "A")], 2.0);
-        m.counter_add("steps", &[("system", "A")], 3.0);
-        m.counter_add("steps", &[("system", "B")], 7.0);
+        let a = m.handle_counter("steps", &[("system", "A")]);
+        let b = m.handle_counter("steps", &[("system", "B")]);
+        m.counter_add_handle(a, 2.0);
+        m.counter_add_handle(a, 3.0);
+        m.counter_add_handle(b, 7.0);
         assert_eq!(m.counter("steps", &[("system", "A")]), Some(5.0));
         assert_eq!(m.counter("steps", &[("system", "B")]), Some(7.0));
         assert_eq!(m.counter("steps", &[]), None);
@@ -575,8 +514,11 @@ mod tests {
     #[test]
     fn label_order_does_not_matter() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("x", &[("a", "1"), ("b", "2")], 1.0);
-        m.counter_add("x", &[("b", "2"), ("a", "1")], 1.0);
+        let ab = m.handle_counter("x", &[("a", "1"), ("b", "2")]);
+        let ba = m.handle_counter("x", &[("b", "2"), ("a", "1")]);
+        assert_eq!(ab, ba);
+        m.counter_add_handle(ab, 1.0);
+        m.counter_add_handle(ba, 1.0);
         assert_eq!(m.counter("x", &[("b", "2"), ("a", "1")]), Some(2.0));
         assert_eq!(m.len(), 1);
     }
@@ -584,16 +526,18 @@ mod tests {
     #[test]
     fn gauges_overwrite() {
         let mut m = MetricsRegistry::new();
-        m.gauge_set("soc", &[], 0.4);
-        m.gauge_set("soc", &[], 0.9);
+        let soc = m.handle_gauge("soc", &[]);
+        m.gauge_set_handle(soc, 0.4);
+        m.gauge_set_handle(soc, 0.9);
         assert_eq!(m.gauge("soc", &[]), Some(0.9));
     }
 
     #[test]
     fn histograms_bucket_and_summarize() {
         let mut m = MetricsRegistry::new();
+        let h = m.handle_histogram("residual", &[]);
         for v in [1e-8, 2e-8, 0.5, 2e7] {
-            m.histogram_observe("residual", &[], v);
+            m.histogram_observe_handle(h, v);
         }
         let h = m.histogram("residual", &[]).unwrap();
         assert_eq!(h.count, 4);
@@ -605,17 +549,26 @@ mod tests {
         assert_eq!(h.counts[1], 1);
     }
 
+    /// A registry holding one counter `c`, gauge `g` and histogram `h`.
+    fn one_of_each(c: f64, g: f64, h: f64) -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        let (hc, hg, hh) = (
+            m.handle_counter("c", &[]),
+            m.handle_gauge("g", &[]),
+            m.handle_histogram("h", &[]),
+        );
+        m.counter_add_handle(hc, c);
+        m.gauge_set_handle(hg, g);
+        m.histogram_observe_handle(hh, h);
+        m
+    }
+
     #[test]
     fn merge_is_typewise() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", &[], 1.0);
-        a.gauge_set("g", &[], 5.0);
-        a.histogram_observe("h", &[], 0.5);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", &[], 2.0);
-        b.gauge_set("g", &[], 7.0);
-        b.histogram_observe("h", &[], 2.5);
-        b.counter_add("only_b", &[], 9.0);
+        let mut a = one_of_each(1.0, 5.0, 0.5);
+        let mut b = one_of_each(2.0, 7.0, 2.5);
+        let only_b = b.handle_counter("only_b", &[]);
+        b.counter_add_handle(only_b, 9.0);
         a.merge(&b);
         assert_eq!(a.counter("c", &[]), Some(3.0));
         assert_eq!(a.gauge("g", &[]), Some(7.0));
@@ -631,8 +584,9 @@ mod tests {
         let regs: Vec<MetricsRegistry> = (1..=4)
             .map(|i| {
                 let mut m = MetricsRegistry::new();
-                m.counter_add("steps", &[], i as f64);
-                m.histogram_observe("e", &[], i as f64);
+                let (steps, e) = (m.handle_counter("steps", &[]), m.handle_histogram("e", &[]));
+                m.counter_add_handle(steps, i as f64);
+                m.histogram_observe_handle(e, i as f64);
                 m
             })
             .collect();
@@ -650,8 +604,10 @@ mod tests {
     #[test]
     fn snapshot_json_is_deterministic_and_escaped() {
         let mut m = MetricsRegistry::new();
-        m.gauge_set("quirky \"name\"", &[("sys\n", "a\\b")], 1.5);
-        m.counter_add("steps", &[], 3.0);
+        let quirky = m.handle_gauge("quirky \"name\"", &[("sys\n", "a\\b")]);
+        let steps = m.handle_counter("steps", &[]);
+        m.gauge_set_handle(quirky, 1.5);
+        m.counter_add_handle(steps, 3.0);
         let json = m.snapshot_json();
         assert_eq!(json, m.clone().snapshot_json());
         assert!(json.starts_with("{\"metrics\":["));
@@ -666,15 +622,18 @@ mod tests {
     #[should_panic(expected = "not a counter")]
     fn type_confusion_panics() {
         let mut m = MetricsRegistry::new();
-        m.gauge_set("x", &[], 1.0);
-        m.counter_add("x", &[], 1.0);
+        m.handle_gauge("x", &[]);
+        m.handle_counter("x", &[]);
     }
 
+    // The increment check is a debug assertion, off in release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "must be >= 0")]
     fn counters_are_monotonic() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("c", &[], -1.0);
+        let c = m.handle_counter("c", &[]);
+        m.counter_add_handle(c, -1.0);
     }
 
     #[test]
@@ -687,41 +646,43 @@ mod tests {
     #[test]
     fn handles_address_the_same_series_as_names() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("steps", &[("system", "C")], 2.0);
         let c = m.handle_counter("steps", &[("system", "C")]);
         let g = m.handle_gauge("soc", &[]);
         let h = m.handle_histogram("residual", &[]);
         m.counter_add_handle(c, 3.0);
         m.gauge_set_handle(g, 0.7);
         m.histogram_observe_handle(h, 1e-7);
-        assert_eq!(m.counter("steps", &[("system", "C")]), Some(5.0));
+        assert_eq!(m.counter("steps", &[("system", "C")]), Some(3.0));
         assert_eq!(m.gauge("soc", &[]), Some(0.7));
         assert_eq!(m.histogram("residual", &[]).unwrap().count, 1);
-        // Name-based writes keep flowing into the handled series.
-        m.histogram_observe("residual", &[], 0.5);
-        assert_eq!(m.histogram("residual", &[]).unwrap().count, 2);
+        // Resolving the same key again returns the same handle.
+        assert_eq!(m.handle_counter("steps", &[("system", "C")]), c);
+        assert_eq!(m.handle_histogram("residual", &[]), h);
     }
 
     #[test]
     fn equality_ignores_slot_numbering() {
         let mut a = MetricsRegistry::new();
-        a.counter_add("x", &[], 1.0);
-        a.gauge_set("y", &[], 2.0);
+        let (ax, ay) = (a.handle_counter("x", &[]), a.handle_gauge("y", &[]));
+        a.counter_add_handle(ax, 1.0);
+        a.gauge_set_handle(ay, 2.0);
         let mut b = MetricsRegistry::new();
-        b.gauge_set("y", &[], 2.0);
-        b.counter_add("x", &[], 1.0);
+        let (by, bx) = (b.handle_gauge("y", &[]), b.handle_counter("x", &[]));
+        b.gauge_set_handle(by, 2.0);
+        b.counter_add_handle(bx, 1.0);
         assert_eq!(a, b);
-        b.counter_add("x", &[], 1.0);
+        b.counter_add_handle(bx, 1.0);
         assert_ne!(a, b);
     }
 
     #[test]
     fn binary_bucketing_matches_linear_semantics() {
         let mut m = MetricsRegistry::new();
+        let h = m.handle_histogram("h", &[]);
         // Exactly on a bound (inclusive), just above, well below the
         // first bound, and NaN (overflow, as before).
         for v in [1e-6, 1.000_000_1e-6, 1e-12, f64::NAN] {
-            m.histogram_observe("h", &[], v);
+            m.histogram_observe_handle(h, v);
         }
         let h = m.histogram("h", &[]).unwrap();
         assert_eq!(h.counts[3], 1); // 1e-6 bound, inclusive
@@ -734,7 +695,7 @@ mod tests {
     #[should_panic(expected = "not a gauge")]
     fn handle_resolution_checks_types() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("x", &[], 1.0);
+        m.handle_counter("x", &[]);
         m.handle_gauge("x", &[]);
     }
 }

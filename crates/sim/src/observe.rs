@@ -711,11 +711,6 @@ impl MetricsObserver {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-
-    /// Consumes the observer, returning its registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 impl Default for MetricsObserver {

@@ -143,7 +143,8 @@ where
 ///
 /// ```
 /// let (doubled, metrics) = mseh_sim::par_map_instrumented(2, &[1.0, 2.0, 3.0], |&x, reg| {
-///     reg.counter_add("work_total", &[], x);
+///     let work = reg.handle_counter("work_total", &[]);
+///     reg.counter_add_handle(work, x);
 ///     x * 2.0
 /// });
 /// assert_eq!(doubled, vec![2.0, 4.0, 6.0]);
@@ -239,9 +240,12 @@ mod tests {
         let items: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let run = |threads| {
             par_map_instrumented(threads, &items, |&x, reg| {
-                reg.counter_add("sum_total", &[], x);
-                reg.gauge_set("last_item", &[], x);
-                reg.histogram_observe("item_values", &[], x);
+                let sum = reg.handle_counter("sum_total", &[]);
+                let last = reg.handle_gauge("last_item", &[]);
+                let values = reg.handle_histogram("item_values", &[]);
+                reg.counter_add_handle(sum, x);
+                reg.gauge_set_handle(last, x);
+                reg.histogram_observe_handle(values, x);
                 x
             })
         };

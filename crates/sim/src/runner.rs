@@ -37,14 +37,6 @@ impl SimConfig {
         Self::over(Seconds::from_days(7.0))
     }
 
-    /// One day at 60 s steps with recording on.
-    pub fn day_recorded() -> Self {
-        Self {
-            record: true,
-            ..Self::over(Seconds::from_days(1.0))
-        }
-    }
-
     /// Custom span at 60 s steps, starting at simulation time zero.
     pub fn over(duration: Seconds) -> Self {
         Self {
@@ -380,7 +372,10 @@ mod tests {
             &env,
             &node,
             &mut policy,
-            SimConfig::day_recorded(),
+            SimConfig {
+                record: true,
+                ..SimConfig::over(Seconds::from_days(1.0))
+            },
         );
         let traces = result.traces.expect("recording enabled");
         assert_eq!(traces.store_voltage.len(), 1440);

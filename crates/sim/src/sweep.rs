@@ -3,7 +3,6 @@
 //! point.
 
 use crate::parallel::{par_map_with, thread_count};
-use mseh_units::Seconds;
 
 /// One point of a sweep: the swept parameter value and the measured
 /// outcome.
@@ -15,59 +14,27 @@ pub struct SweepPoint {
     pub outcome: f64,
 }
 
-/// Runs `measure` over each parameter value and collects the points.
+/// Runs `measure` over each parameter value, fanned out across the
+/// worker pool ([`thread_count`](crate::thread_count) workers;
+/// `MSEH_THREADS` overrides): each grid point's measurement runs on its
+/// own worker, and the returned points stay grid-aligned.
+///
+/// `measure` is shared by reference across workers, hence `Fn + Sync`.
+/// Grid points whose measurement is a pure function of the parameter
+/// (every simulation-backed sweep in the bench harness qualifies)
+/// produce the same points at any worker count.
 ///
 /// # Examples
 ///
 /// ```
-/// use mseh_sim::sweep;
+/// use mseh_sim::par_sweep;
 ///
-/// let points = sweep(&[1.0, 2.0, 3.0], |x| x * x);
+/// let points = par_sweep(&[1.0, 2.0, 3.0], |x| x * x);
+/// assert_eq!(points[2].parameter, 3.0);
 /// assert_eq!(points[2].outcome, 9.0);
 /// ```
-pub fn sweep(parameters: &[f64], mut measure: impl FnMut(f64) -> f64) -> Vec<SweepPoint> {
-    parameters
-        .iter()
-        .map(|&parameter| SweepPoint {
-            parameter,
-            outcome: measure(parameter),
-        })
-        .collect()
-}
-
-/// [`sweep`] fanned out across the worker pool
-/// ([`thread_count`](crate::thread_count) workers; `MSEH_THREADS`
-/// overrides): each grid point's measurement runs on its own worker,
-/// and the returned points stay grid-aligned.
-///
-/// `measure` is shared by reference across workers, hence `Fn + Sync`
-/// instead of `sweep`'s `FnMut`. Grid points whose measurement is a
-/// pure function of the parameter (every simulation-backed sweep in the
-/// bench harness qualifies) produce output identical to [`sweep`].
-///
-/// # Examples
-///
-/// ```
-/// use mseh_sim::{par_sweep, sweep};
-///
-/// let grid = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(par_sweep(&grid, |x| x * x), sweep(&grid, |x| x * x));
-/// ```
 pub fn par_sweep(parameters: &[f64], measure: impl Fn(f64) -> f64 + Sync) -> Vec<SweepPoint> {
-    par_sweep_with_threads(thread_count(), parameters, measure)
-}
-
-/// [`par_sweep`] with an explicit worker count (`1` runs inline).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn par_sweep_with_threads(
-    threads: usize,
-    parameters: &[f64],
-    measure: impl Fn(f64) -> f64 + Sync,
-) -> Vec<SweepPoint> {
-    par_map_with(threads, parameters, |&parameter| SweepPoint {
+    par_map_with(thread_count(), parameters, |&parameter| SweepPoint {
         parameter,
         outcome: measure(parameter),
     })
@@ -92,8 +59,8 @@ pub fn first_meeting(points: &[SweepPoint], threshold: f64) -> Option<SweepPoint
 ///
 /// Grid equality is judged to a relative tolerance (1 part in 10⁹), so
 /// two grids built by equivalent-but-reordered arithmetic (e.g.
-/// [`geometric_grid`] versus a hand-rolled `lo * r.powi(i)` loop) still
-/// compare as the same grid instead of being rejected over one ULP.
+/// `lo * r.powi(i)` versus a running product) still compare as the same
+/// grid instead of being rejected over one ULP.
 pub fn crossover(a: &[SweepPoint], b: &[SweepPoint]) -> Option<f64> {
     if a.len() != b.len() {
         return None;
@@ -111,46 +78,22 @@ pub fn crossover(a: &[SweepPoint], b: &[SweepPoint]) -> Option<f64> {
         .map(|(pa, _)| pa.parameter)
 }
 
-/// A geometric parameter grid from `lo` to `hi` (inclusive) with `n`
-/// points — natural for power/size sweeps spanning decades.
-///
-/// # Panics
-///
-/// Panics if `lo` or `hi` is non-positive, `hi <= lo`, or `n < 2`.
-pub fn geometric_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    assert!(n >= 2, "need at least two points");
-    let ratio = (hi / lo).powf(1.0 / (n - 1) as f64);
-    let mut grid: Vec<f64> = (0..n).map(|i| lo * ratio.powi(i as i32)).collect();
-    // powf/powi round-off leaves dust on the endpoints (lo * r^(n-1) is
-    // not exactly hi), which breaks exact-bound comparisons downstream —
-    // a sweep that should include the caller's hi can stop one ULP
-    // short. Snap both ends to the requested bounds.
-    grid[0] = lo;
-    grid[n - 1] = hi;
-    grid
-}
-
-/// Durations in whole days as a grid of seconds (for horizon sweeps).
-pub fn day_grid(days: &[f64]) -> Vec<Seconds> {
-    days.iter().map(|&d| Seconds::from_days(d)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sweep_applies_measure() {
-        let pts = sweep(&[0.0, 1.0, 2.0], |x| 2.0 * x + 1.0);
+        let pts = par_sweep(&[0.0, 1.0, 2.0], |x| 2.0 * x + 1.0);
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[0].outcome, 1.0);
+        assert_eq!(pts[2].parameter, 2.0);
         assert_eq!(pts[2].outcome, 5.0);
     }
 
     #[test]
     fn first_meeting_finds_threshold() {
-        let pts = sweep(&[1.0, 2.0, 4.0, 8.0], |x| x);
+        let pts = par_sweep(&[1.0, 2.0, 4.0, 8.0], |x| x);
         let hit = first_meeting(&pts, 3.0).expect("4 meets it");
         assert_eq!(hit.parameter, 4.0);
         assert!(first_meeting(&pts, 100.0).is_none());
@@ -159,8 +102,8 @@ mod tests {
     #[test]
     fn crossover_detects_overtake() {
         let grid = [1.0, 2.0, 3.0, 4.0];
-        let a = sweep(&grid, |x| x * x); // overtakes...
-        let b = sweep(&grid, |x| 3.0 * x); // ...after x=3
+        let a = par_sweep(&grid, |x| x * x); // overtakes...
+        let b = par_sweep(&grid, |x| 3.0 * x); // ...after x=3
         assert_eq!(crossover(&a, &b), Some(4.0));
         assert_eq!(crossover(&b, &a), Some(1.0));
         assert_eq!(crossover(&a, &a), None);
@@ -169,63 +112,40 @@ mod tests {
 
     #[test]
     fn crossover_rejects_mismatched_grids() {
-        let a = sweep(&[1.0, 2.0, 3.0], |x| x * x);
+        let a = par_sweep(&[1.0, 2.0, 3.0], |x| x * x);
         // Same length, different parameter values: outcomes are not
         // comparable, even though a's outcomes overtake b's everywhere.
-        let b = sweep(&[1.0, 2.5, 3.0], |x| x);
+        let b = par_sweep(&[1.0, 2.5, 3.0], |x| x);
         assert_eq!(crossover(&a, &b), None);
         assert_eq!(crossover(&b, &a), None);
         // An exactly matching grid still works.
-        let c = sweep(&[1.0, 2.0, 3.0], |x| x);
+        let c = par_sweep(&[1.0, 2.0, 3.0], |x| x);
         assert_eq!(crossover(&a, &c), Some(2.0));
     }
 
     #[test]
     fn par_sweep_matches_sequential() {
-        let grid = geometric_grid(0.1, 100.0, 13);
+        let grid: Vec<f64> = (0..13).map(|i| 0.1 * 1.78f64.powi(i)).collect();
         let measure = |x: f64| (x * 1.7).sin() + x.sqrt();
-        let seq = sweep(&grid, measure);
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                par_sweep_with_threads(threads, &grid, measure),
-                seq,
-                "threads = {threads}"
-            );
-        }
+        let seq: Vec<SweepPoint> = grid
+            .iter()
+            .map(|&parameter| SweepPoint {
+                parameter,
+                outcome: measure(parameter),
+            })
+            .collect();
         assert_eq!(par_sweep(&grid, measure), seq);
-    }
-
-    #[test]
-    fn geometric_grid_spans_decades() {
-        let g = geometric_grid(1.0, 1000.0, 4);
-        assert_eq!(g.len(), 4);
-        assert!((g[0] - 1.0).abs() < 1e-12);
-        assert!((g[1] - 10.0).abs() < 1e-9);
-        assert!((g[3] - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grid_endpoints_are_exact() {
-        // Regression: powf round-off used to leave the last point one
-        // ULP off hi (e.g. 99.99999999999997 for hi = 100), so exact
-        // comparisons against the requested bounds failed.
-        for (lo, hi, n) in [(0.1, 100.0, 13), (1.0, 3.0, 7), (2e-6, 5e3, 41)] {
-            let g = geometric_grid(lo, hi, n);
-            assert_eq!(g[0], lo, "lo for ({lo}, {hi}, {n})");
-            assert_eq!(g[n - 1], hi, "hi for ({lo}, {hi}, {n})");
-            // Still strictly ascending after the snap.
-            assert!(g.windows(2).all(|w| w[0] < w[1]), "{g:?}");
-        }
     }
 
     #[test]
     fn crossover_tolerates_one_ulp_of_grid_noise() {
         // Regression: grids computed by equivalent-but-reordered
         // arithmetic differ in the last bit; exact == rejected them.
-        let grid = geometric_grid(0.5, 64.0, 9);
+        let ratio = (64.0f64 / 0.5).powf(1.0 / 8.0);
+        let mut grid: Vec<f64> = (0..9).map(|i| 0.5 * ratio.powi(i)).collect();
+        grid[8] = 64.0;
         // The same grid via a cumulative product instead of powi: the
         // rounding accumulates differently.
-        let ratio = (64.0f64 / 0.5).powf(1.0 / 8.0);
         let mut v = 0.5;
         let jittered: Vec<f64> = (0..9)
             .map(|_| {
@@ -235,24 +155,12 @@ mod tests {
             })
             .collect();
         assert_ne!(grid, jittered, "jitter should actually perturb bits");
-        let a = sweep(&grid, |x| x * x);
-        let b = sweep(&jittered, |x| 10.0 * x);
+        let a = par_sweep(&grid, |x| x * x);
+        let b = par_sweep(&jittered, |x| 10.0 * x);
         assert_eq!(crossover(&a, &b), Some(grid[5]));
         // A genuinely different grid is still rejected.
         let shifted: Vec<f64> = grid.iter().map(|&x| x * 1.001).collect();
-        let c = sweep(&shifted, |x| x);
+        let c = par_sweep(&shifted, |x| x);
         assert_eq!(crossover(&a, &c), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < lo < hi")]
-    fn grid_rejects_bad_range() {
-        geometric_grid(10.0, 1.0, 4);
-    }
-
-    #[test]
-    fn day_grid_converts() {
-        let g = day_grid(&[1.0, 7.0]);
-        assert_eq!(g[1].as_days(), 7.0);
     }
 }

@@ -24,7 +24,7 @@ use mseh_units::{Joules, Seconds, Volts, Watts};
 /// assert!(taken.value() > 0.0);
 /// assert!(cell.soc().value() > 0.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     name: String,
     /// The per-cell arithmetic: capacity, OCV curve, efficiencies,
@@ -34,18 +34,6 @@ pub struct Battery {
     energy: f64,
     /// Accumulated internal dissipation, joules.
     losses: f64,
-    /// Total energy throughput (for cycle counting), joules.
-    throughput: f64,
-}
-
-impl PartialEq for Battery {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.chemistry == other.chemistry
-            && self.energy == other.energy
-            && self.losses == other.losses
-            && self.throughput == other.throughput
-    }
 }
 
 impl Battery {
@@ -104,7 +92,6 @@ impl Battery {
             chemistry,
             energy: 0.0,
             losses: 0.0,
-            throughput: 0.0,
         }
     }
 
@@ -192,12 +179,6 @@ impl Battery {
         self.chemistry.set_self_discharge_month(rate);
     }
 
-    /// Equivalent full charge/discharge cycles seen so far
-    /// (throughput / 2·capacity).
-    pub fn equivalent_full_cycles(&self) -> f64 {
-        self.throughput / (2.0 * self.chemistry.capacity)
-    }
-
     /// The cell's chemistry, for a struct-of-arrays population
     /// ([`BatteryLanes`](crate::BatteryLanes)) of clones.
     pub(crate) fn chemistry(&self) -> &Chemistry {
@@ -244,30 +225,18 @@ impl Storage for Battery {
 
     fn charge(&mut self, power: Watts, dt: Seconds) -> Joules {
         let (p, dt) = (power.value(), dt.value());
-        match self
-            .chemistry
-            .charge(&mut self.energy, &mut self.losses, p, dt)
-        {
-            Some((taken, stored)) => {
-                self.throughput += stored;
-                Joules::new(taken)
-            }
-            None => Joules::ZERO,
-        }
+        Joules::new(
+            self.chemistry
+                .charge(&mut self.energy, &mut self.losses, p, dt),
+        )
     }
 
     fn discharge(&mut self, power: Watts, dt: Seconds) -> Joules {
         let (p, dt) = (power.value(), dt.value());
-        match self
-            .chemistry
-            .discharge(&mut self.energy, &mut self.losses, p, dt)
-        {
-            Some((delivered, drawn)) => {
-                self.throughput += drawn;
-                Joules::new(delivered)
-            }
-            None => Joules::ZERO,
-        }
+        Joules::new(
+            self.chemistry
+                .discharge(&mut self.energy, &mut self.losses, p, dt),
+        )
     }
 
     fn idle(&mut self, dt: Seconds) {
@@ -397,20 +366,13 @@ impl Chemistry {
     }
 
     /// Pushes up to `power` watts for `dt` seconds into a cell holding
-    /// `energy`: the energy taken from the bus and the energy stored, or
-    /// `None` when nothing moves. Updates `energy`; the charge loss
-    /// accrues in `losses`.
+    /// `energy`: the energy taken from the bus, zero when nothing moves.
+    /// Updates `energy`; the charge loss accrues in `losses`.
     #[inline]
-    pub(crate) fn charge(
-        &self,
-        energy: &mut f64,
-        losses: &mut f64,
-        power: f64,
-        dt: f64,
-    ) -> Option<(f64, f64)> {
+    pub(crate) fn charge(&self, energy: &mut f64, losses: &mut f64, power: f64, dt: f64) -> f64 {
         let p = power.min(self.max_charge_power(*energy)).max(0.0);
         if p == 0.0 || dt <= 0.0 {
-            return None;
+            return 0.0;
         }
         let gross = p * dt;
         let mut net = gross * self.eta_charge;
@@ -422,24 +384,17 @@ impl Chemistry {
         }
         *energy += net;
         *losses += taken - net;
-        Some((taken, net))
+        taken
     }
 
     /// Draws up to `power` watts for `dt` seconds from a cell holding
-    /// `energy`: the energy delivered to the bus and the internal energy
-    /// drawn, or `None` when nothing moves. Updates `energy`; the
-    /// discharge loss accrues in `losses`.
+    /// `energy`: the energy delivered to the bus, zero when nothing
+    /// moves. Updates `energy`; the discharge loss accrues in `losses`.
     #[inline]
-    pub(crate) fn discharge(
-        &self,
-        energy: &mut f64,
-        losses: &mut f64,
-        power: f64,
-        dt: f64,
-    ) -> Option<(f64, f64)> {
+    pub(crate) fn discharge(&self, energy: &mut f64, losses: &mut f64, power: f64, dt: f64) -> f64 {
         let p = power.min(self.max_discharge_power(*energy)).max(0.0);
         if p == 0.0 || dt <= 0.0 {
-            return None;
+            return 0.0;
         }
         let mut internal = (p * dt) / self.eta_discharge;
         if internal > *energy {
@@ -448,7 +403,7 @@ impl Chemistry {
         let delivered = internal * self.eta_discharge;
         *energy -= internal;
         *losses += internal - delivered;
-        Some((delivered, internal))
+        delivered
     }
 
     /// The fraction of its content a cell keeps over an idle `dt`
@@ -560,21 +515,6 @@ mod tests {
         tf.idle(Seconds::from_days(30.0));
         assert!((nimh.soc().value() - 0.8).abs() < 1e-6);
         assert!(tf.soc().value() > 0.97);
-    }
-
-    #[test]
-    fn cycle_counting() {
-        let mut b = Battery::thin_film_50uah();
-        let cap = b.capacity().value();
-        // One full charge + full discharge ≈ one equivalent cycle.
-        while b.soc().value() < 0.999 {
-            b.charge(Watts::new(1.0), Seconds::new(10.0));
-        }
-        while b.stored_energy().value() > 1e-9 * cap {
-            b.discharge(Watts::new(1.0), Seconds::new(10.0));
-        }
-        let cycles = b.equivalent_full_cycles();
-        assert!((cycles - 1.0).abs() < 0.1, "cycles {cycles}");
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::storage::{Storage, StoreLanes};
 /// pass evaluates one `powf` per distinct `(dt, rate)` bit-pattern for
 /// the whole population through the `(dt bits, rate bits)`-keyed memo
 /// that a scalar [`Battery`] carries per device. The bit-identity
-/// contract is [`StoreLanes`]'s. (Cycle-counting throughput is not
-/// tracked per lane: it is not observable through the fleet kernel.)
+/// contract is [`StoreLanes`]'s.
 ///
 /// # Memo invalidation
 ///
@@ -108,20 +107,14 @@ impl StoreLanes for BatteryLanes {
         }
         let (energy, losses) = (&mut self.energy, &mut self.losses);
         for i in 0..n {
-            let moved = self
+            charged[i] = self
                 .chemistry
                 .charge(&mut energy[i], &mut losses[i], charge_w[i], dt);
-            if let Some((taken, _)) = moved {
-                charged[i] = taken;
-            }
         }
         for i in 0..n {
-            let moved =
+            discharged[i] =
                 self.chemistry
                     .discharge(&mut energy[i], &mut losses[i], discharge_w[i], dt);
-            if let Some((delivered, _)) = moved {
-                discharged[i] = delivered;
-            }
         }
         // One keep factor for the whole population, resolved at the
         // first non-empty lane, so an all-empty population never warms

@@ -159,12 +159,6 @@ impl Supercap {
         cap
     }
 
-    /// Capacitance at voltage `v`.
-    pub fn capacitance_at(&self, v: Volts) -> Farads {
-        let solver = &self.cell.solver;
-        Farads::new(solver.c0 + solver.k * v.value())
-    }
-
     /// The energy↔voltage inversion kernel for this capacitor's
     /// parameters, detached from the mutable cell state so it can run
     /// standalone or across struct-of-arrays lanes (see [`BatchSolve`]).
@@ -817,11 +811,17 @@ mod tests {
 
     #[test]
     fn voltage_dependent_capacitance() {
-        let cap = Supercap::edlc_22f();
-        let c_low = cap.capacitance_at(Volts::new(1.0));
-        let c_high = cap.capacitance_at(Volts::new(2.5));
-        assert!(c_high.value() > c_low.value());
-        assert!((c_high.value() - (22.0 + 1.5 * 2.5)).abs() < 1e-12);
+        // C(V) = 22 F + 1.5 F/V · V: the energy taken between two
+        // voltages is ∫ C(v)·v dv, more than a constant 22 F would take.
+        let mut cap = Supercap::edlc_22f();
+        cap.set_voltage(Volts::new(1.0));
+        let low = cap.stored_energy().value();
+        cap.set_voltage(Volts::new(2.5));
+        let between = cap.stored_energy().value() - low;
+        let constant = 22.0 * (2.5f64.powi(2) - 1.0) / 2.0;
+        let expected = constant + 1.5 * (2.5f64.powi(3) - 1.0) / 3.0;
+        assert!(between > constant, "{between} J");
+        assert!((between - expected).abs() < 1e-9, "{between} vs {expected}");
     }
 
     #[test]

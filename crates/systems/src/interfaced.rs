@@ -83,12 +83,6 @@ impl InterfacedStorage {
     pub fn inner(&self) -> &dyn Storage {
         self.inner.as_ref()
     }
-
-    /// Mutable access to the wrapped device (e.g. to set its initial
-    /// state of charge).
-    pub fn inner_mut(&mut self) -> &mut dyn Storage {
-        self.inner.as_mut()
-    }
 }
 
 impl Storage for InterfacedStorage {
@@ -239,8 +233,7 @@ mod tests {
 
     #[test]
     fn inner_access() {
-        let mut module = charged_module();
+        let module = charged_module();
         assert!(module.inner().name().contains("EDLC"));
-        module.inner_mut().idle(Seconds::new(1.0));
     }
 }

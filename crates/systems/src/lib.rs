@@ -166,6 +166,28 @@ mod tests {
     }
 
     #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // One entry per occupied front-end plus the supervisor and the
+        // output stage, referenced to the output rail; each system's
+        // `classify` test pins the total's microamp figure.
+        for id in SystemId::ALL {
+            let unit = id.build();
+            let ledger = unit.quiescent_ledger();
+            let front_ends: Vec<String> = unit
+                .harvester_ports()
+                .iter()
+                .filter(|p| p.channel().is_some())
+                .map(|p| format!("{} front-end", p.requirement().label))
+                .collect();
+            let mut expected: Vec<&str> = front_ends.iter().map(String::as_str).collect();
+            expected.extend(["supervisor", "output stage"]);
+            let components: Vec<&str> = ledger.iter().map(|e| e.component.as_str()).collect();
+            assert_eq!(components, expected, "{id}");
+            assert_eq!(ledger.rail(), unit.output_rail(), "{id}");
+        }
+    }
+
+    #[test]
     fn only_commercial_products_are_e_f_g() {
         let commercial: Vec<bool> = SystemId::ALL
             .iter()

@@ -148,34 +148,3 @@ mod tests {
         assert!(unit.attach_harvester(1, rf, Volts::new(2.0), None).is_ok());
     }
 }
-
-#[cfg(test)]
-mod ledger_tests {
-    use super::*;
-
-    #[test]
-    fn quiescent_ledger_itemizes_the_idle_budget() {
-        let unit = build();
-        let ledger = unit.quiescent_ledger();
-        // The itemization adds up to the platform's standing draw...
-        let total = ledger.total_power();
-        assert!(
-            (total - unit.quiescent_power()).value().abs() <= 1e-15,
-            "ledger total {total:?} vs quiescent {:?}",
-            unit.quiescent_power()
-        );
-        // ...with one entry per occupied front-end plus the supervisor
-        // and the output stage.
-        let occupied = unit
-            .harvester_ports()
-            .iter()
-            .filter(|p| p.channel().is_some())
-            .count();
-        assert_eq!(ledger.iter().count(), occupied + 2);
-        assert_eq!(ledger.rail(), unit.output_rail());
-        // Referenced to the output rail, the total reproduces Table I's
-        // quiescent-current figure.
-        let micro = ledger.total_current().as_micro();
-        assert!(micro < 1.0, "quiescent {micro} uA");
-    }
-}

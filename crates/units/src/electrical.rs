@@ -77,14 +77,6 @@ impl Volts {
     }
 }
 
-impl Amps {
-    /// Power dissipated in a resistance by this current: `I²·R`.
-    #[inline]
-    pub fn power_through(self, r: Ohms) -> Watts {
-        Watts::new(self.value() * self.value() * r.value())
-    }
-}
-
 impl Farads {
     /// Energy stored in this capacitance charged to `v`: `½·C·V²`.
     ///
@@ -139,7 +131,6 @@ mod tests {
     #[test]
     fn resistive_power_helpers() {
         assert_eq!(Volts::new(4.0).power_into(Ohms::new(2.0)).value(), 8.0);
-        assert_eq!(Amps::new(2.0).power_through(Ohms::new(3.0)).value(), 12.0);
     }
 
     #[test]

@@ -94,17 +94,6 @@ quantity!(
     "g"
 );
 
-impl GAccel {
-    /// Standard gravity in m/s².
-    pub const STANDARD_GRAVITY: f64 = 9.80665;
-
-    /// Acceleration amplitude in m/s².
-    #[inline]
-    pub fn to_meters_per_s2(self) -> f64 {
-        self.value() * Self::STANDARD_GRAVITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,11 +110,6 @@ mod tests {
         assert_eq!(hot.diff(cold).value(), 38.0);
         assert_eq!(cold.diff(hot).value(), -38.0);
         assert!((Celsius::new(0.0).to_kelvin() - 273.15).abs() < 1e-12);
-    }
-
-    #[test]
-    fn g_to_si_acceleration() {
-        assert!((GAccel::new(2.0).to_meters_per_s2() - 19.6133).abs() < 1e-9);
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl Ratio {
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
     }
-
-    /// Clamps into `[0, 1]`.
-    #[inline]
-    pub fn clamp_unit(self) -> Self {
-        Self(self.0.clamp(0.0, 1.0))
-    }
 }
 
 impl fmt::Display for Ratio {
@@ -212,8 +206,6 @@ mod tests {
         let r = Ratio::from_percent(37.5);
         assert_eq!(r.value(), 0.375);
         assert_eq!(r.as_percent(), 37.5);
-        assert_eq!(Ratio::new(1.5).clamp_unit(), Ratio::ONE);
-        assert_eq!(Ratio::new(-0.5).clamp_unit(), Ratio::ZERO);
         assert_eq!(Ratio::new(0.5).to_string(), "50.00%");
     }
 

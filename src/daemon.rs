@@ -10,16 +10,18 @@
 //!
 //! # Job kinds
 //!
-//! | kind | spec fields | runs |
+//! | kind | spec fields and their wire defaults | runs |
 //! |---|---|---|
-//! | `single` | `system`, `env`, `days`, `seed`, `policy` | one [`run_simulation`] |
-//! | `campaign` | `system`, `days`, `seed`, `seeds` | a resilience campaign |
-//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `shard_size` | a fleet run |
-//! | `arena` | `system`, `env`, `days`, `seed`, `seeds`, `roster` | a policy arena |
+//! | `single` | `system`, `env=outdoor`, `days=2`, `seed=42`, `policy=ladder` | one [`run_simulation`] |
+//! | `campaign` | `system`, `days=1`, `seed=1`, `seeds=4` | a resilience campaign |
+//! | `fleet` | `system`, `env=outdoor`, `days=1`, `seed=7`, `population=64`, `policy=ladder`, `jitter=0`, `shard_size=16` | a fleet run |
+//! | `arena` | `system`, `env=outdoor`, `days=1`, `seed=17`, `seeds=4`, `roster=default` | a policy arena |
 //!
-//! Every field is optional except `system`; defaults mirror the CLI.
-//! All validation happens in `prepare` — a malformed spec becomes an
-//! `err code=bad_spec` reply and never reaches a worker.
+//! Every field is optional except `system`. The wire defaults are the
+//! daemon's own, not the CLI's: `mseh simulate` runs 7 days, and
+//! `mseh arena` runs seed 42 over 2 days. All validation happens in
+//! `prepare` — a malformed spec becomes an `err code=bad_spec` reply
+//! and never reaches a worker.
 //!
 //! [`run_simulation`]: mseh_sim::run_simulation
 

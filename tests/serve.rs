@@ -284,6 +284,36 @@ fn streamed_arena_digest_matches_direct_run_bit_for_bit() {
     handle.shutdown_and_wait();
 }
 
+/// Each kind's wire defaults are the ones `mseh::daemon` documents: a
+/// spec naming only `system` runs what a spec spelling out every
+/// documented default runs, so both receipts carry the same seed and
+/// digest.
+#[test]
+fn omitted_fields_take_the_documented_wire_defaults() {
+    let handle = start(8, 2);
+    let mut client = Client::connect(&handle);
+    for (kind, defaults) in [
+        ("single", "env=outdoor;days=2;seed=42;policy=ladder"),
+        ("campaign", "days=1;seed=1;seeds=4"),
+        (
+            "fleet",
+            "env=outdoor;days=1;seed=7;population=64;policy=ladder;jitter=0;shard_size=16",
+        ),
+        ("arena", "env=outdoor;days=1;seed=17;seeds=4;roster=default"),
+    ] {
+        let bare = run_to_result(&mut client, &format!("submit kind={kind};system=E"));
+        let spelled = run_to_result(
+            &mut client,
+            &format!("submit kind={kind};system=E;{defaults}"),
+        );
+        for key in ["seed", "digest"] {
+            assert!(field(&bare, key).is_some(), "{kind}: no {key} in {bare}");
+            assert_eq!(field(&bare, key), field(&spelled, key), "{kind} {key}");
+        }
+    }
+    handle.shutdown_and_wait();
+}
+
 #[test]
 fn resubmitting_a_spec_yields_identical_receipts_and_summaries() {
     let handle = start(8, 1);
