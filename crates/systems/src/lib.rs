@@ -165,26 +165,25 @@ mod tests {
         assert!(g < d, "G < D: {q:?}");
     }
 
-    #[test]
-    fn quiescent_ledger_itemizes_the_idle_budget() {
-        // One entry per occupied front-end plus the supervisor and the
-        // output stage, referenced to the output rail; each system's
-        // `classify` test pins the total's microamp figure.
-        for id in SystemId::ALL {
-            let unit = id.build();
-            let ledger = unit.quiescent_ledger();
-            let front_ends: Vec<String> = unit
-                .harvester_ports()
-                .iter()
-                .filter(|p| p.channel().is_some())
-                .map(|p| format!("{} front-end", p.requirement().label))
-                .collect();
-            let mut expected: Vec<&str> = front_ends.iter().map(String::as_str).collect();
-            expected.extend(["supervisor", "output stage"]);
-            let components: Vec<&str> = ledger.iter().map(|e| e.component.as_str()).collect();
-            assert_eq!(components, expected, "{id}");
-            assert_eq!(ledger.rail(), unit.output_rail(), "{id}");
-        }
+    /// Checks that `id`'s quiescent ledger holds one entry per occupied
+    /// front-end plus the supervisor and the output stage, referenced to the
+    /// output rail, and returns its total current in microamps so that each
+    /// system's `ledger_tests` can compare it with Table I.
+    pub(crate) fn ledger_itemizes_the_idle_budget(id: SystemId) -> f64 {
+        let unit = id.build();
+        let ledger = unit.quiescent_ledger();
+        let front_ends: Vec<String> = unit
+            .harvester_ports()
+            .iter()
+            .filter(|p| p.channel().is_some())
+            .map(|p| format!("{} front-end", p.requirement().label))
+            .collect();
+        let mut expected: Vec<&str> = front_ends.iter().map(String::as_str).collect();
+        expected.extend(["supervisor", "output stage"]);
+        let components: Vec<&str> = ledger.iter().map(|e| e.component.as_str()).collect();
+        assert_eq!(components, expected, "{id}");
+        assert_eq!(ledger.rail(), unit.output_rail(), "{id}");
+        ledger.total_current().as_micro()
     }
 
     #[test]

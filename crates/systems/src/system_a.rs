@@ -199,3 +199,17 @@ mod tests {
         assert!(unit.attach_harvester(0, ch, Volts::new(6.0), None).is_err());
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::A);
+        assert!((micro - 5.0).abs() < 0.5, "quiescent {micro} uA");
+    }
+}

@@ -265,3 +265,17 @@ mod tests {
         harvester_module(HarvesterKind::Hydro);
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::B);
+        assert!((micro - 7.0).abs() < 0.5, "quiescent {micro} uA");
+    }
+}

@@ -170,3 +170,17 @@ mod tests {
         assert!(unit.attach_harvester(2, pv, Volts::new(6.0), None).is_ok());
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::C);
+        assert!(micro > 1.0 && micro < 5.0, "quiescent {micro} uA");
+    }
+}

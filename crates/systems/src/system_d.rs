@@ -187,3 +187,17 @@ mod tests {
         assert!(d > 10.0 * b, "D {d} vs B {b}");
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::D);
+        assert!((micro - 75.0).abs() < 5.0, "quiescent {micro} uA");
+    }
+}

@@ -148,3 +148,17 @@ mod tests {
         assert!(unit.attach_harvester(1, rf, Volts::new(2.0), None).is_ok());
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::E);
+        assert!(micro < 1.0, "quiescent {micro} uA");
+    }
+}

@@ -206,3 +206,17 @@ mod tests {
         assert!(unit.store_ports()[1].is_swappable());
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::F);
+        assert!((micro - 20.0).abs() < 2.0, "quiescent {micro} uA");
+    }
+}

@@ -174,3 +174,17 @@ mod tests {
         assert!(unit.attach_harvester(2, rf, Volts::new(3.0), None).is_err());
     }
 }
+
+#[cfg(test)]
+mod ledger_tests {
+    use crate::tests::ledger_itemizes_the_idle_budget;
+    use crate::SystemId;
+
+    #[test]
+    fn quiescent_ledger_itemizes_the_idle_budget() {
+        // Referenced to the output rail, the total reproduces Table I's
+        // quiescent-current figure.
+        let micro = ledger_itemizes_the_idle_budget(SystemId::G);
+        assert!(micro > 10.0 && micro < 32.0, "quiescent {micro} uA");
+    }
+}
