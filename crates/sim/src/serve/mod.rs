@@ -6,14 +6,16 @@
 //! module owns everything protocol- and lifecycle-shaped — the
 //! newline-delimited `key=value;` wire grammar ([`protocol`]), the
 //! bounded job queue with explicit backpressure, per-job cancellation
-//! tokens, and window-batched event streaming to subscribers.
+//! tokens, window-batched event streaming to subscribers, and the
+//! result cache.
 //!
 //! # Lifecycle
 //!
 //! ```text
 //! submit ──▶ queued ──▶ running ──▶ done
-//!               │           │   └──▶ failed   (run error / panic)
-//!               └──────────▶└──────▶ cancelled
+//!   │           │           │   └──▶ failed   (run error / panic)
+//!   │           └──────────▶└──────▶ cancelled
+//!   └──▶ done                         (repeat answered from the cache)
 //! ```
 //!
 //! A full queue rejects `submit` with `err code=queue_full;
@@ -24,6 +26,29 @@
 //! Each finished job carries a determinism receipt (`seed`,
 //! `spec_hash`, `digest`): re-submitting the same spec must reproduce
 //! the same digest bit for bit.
+//!
+//! # Result cache
+//!
+//! Because of that receipt, the daemon answers a repeated spec from a
+//! least-recently-used cache of finished summaries instead of running
+//! it again. The cache is keyed on the whole normalized spec
+//! ([`protocol::normalize_spec`], so field order does not matter), not
+//! on the 64-bit `spec_hash` alone, and it holds at most 4096 specs. A
+//! repeat is still validated by [`JobRunner::prepare`] (the same
+//! `bad_spec` errors, the same receipt seed). Then it goes straight to
+//! `done`: the ack reads `ok id=…;state=done;spec_hash=…;cached=1`,
+//! and the job takes no queue slot and no worker and streams no `event`
+//! lines. Its `done` line and `result` reply equal the first run's
+//! field for field under its own `id`.
+//!
+//! Caching is sound for two reasons. A runner's output depends on the
+//! spec alone, which the receipt promises and `tests/serve.rs` checks
+//! across two daemons that each compute. And only jobs that end `done`
+//! enter the cache: a cancelled or failed job never does, so submitting
+//! its spec again runs it. A finished summary is held once, shared by
+//! its job's record, its cache entry and the record of every repeat;
+//! the `done` line and the `result` reply are formatted from it when
+//! they are sent.
 
 pub mod protocol;
 mod queue;
@@ -105,7 +130,9 @@ impl std::fmt::Debug for PreparedJob {
 /// Turns declarative job specs into runnable work. Implementations
 /// must validate eagerly: a malformed spec returns `Err` from
 /// [`JobRunner::prepare`] (becoming a protocol error reply) and must
-/// never panic the daemon.
+/// never panic the daemon. A run's output must depend on its spec
+/// alone: the daemon answers a repeated spec with the first run's
+/// output (see the module docs).
 pub trait JobRunner: Send + Sync {
     /// Validates `spec` and returns the prepared job, or a
     /// human-readable error for the `err code=bad_spec` reply.
@@ -154,10 +181,13 @@ impl std::fmt::Debug for JobContext {
     }
 }
 
-/// A queued run: the closure plus the token `cancel`/shutdown trips.
+/// A queued run: the closure, the token `cancel`/shutdown trips, and
+/// the normalized spec, which enters the result cache if the run ends
+/// `done`.
 pub(crate) struct StoredRun {
     pub(crate) run: JobRun,
     pub(crate) cancel: CancelToken,
+    pub(crate) spec: String,
 }
 
 /// Daemon sizing: queue bound, worker count, and the backpressure
@@ -305,14 +335,19 @@ pub fn serve(
 
 #[cfg(test)]
 mod tests {
+    use super::registry::{ResultCache, ResultSnapshot};
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A runner whose jobs emit one event and finish with a digest
     /// derived from the spec — enough to exercise the full lifecycle
-    /// without simulation plumbing.
-    struct EchoRunner;
+    /// without simulation plumbing. It counts the runs that start.
+    #[derive(Default)]
+    struct EchoRunner {
+        runs: Arc<AtomicUsize>,
+    }
 
     impl JobRunner for EchoRunner {
         fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob, String> {
@@ -330,9 +365,11 @@ mod tests {
             let wait = spec.get("wait").is_some();
             let panic_in_run = spec.get("panic").is_some();
             let hash = spec.spec_hash();
+            let runs = Arc::clone(&self.runs);
             Ok(PreparedJob {
                 seed,
                 run: Box::new(move |ctx| {
+                    runs.fetch_add(1, Ordering::SeqCst);
                     if panic_in_run {
                         panic!("intentional test panic");
                     }
@@ -386,9 +423,17 @@ mod tests {
     }
 
     fn start() -> (ServerHandle, Client) {
+        let (handle, client, _) = start_counting();
+        (handle, client)
+    }
+
+    /// [`start`], also returning the count of runs the daemon started.
+    fn start_counting() -> (ServerHandle, Client, Arc<AtomicUsize>) {
+        let runner = EchoRunner::default();
+        let runs = Arc::clone(&runner.runs);
         let handle = serve(
             "127.0.0.1:0",
-            Arc::new(EchoRunner),
+            Arc::new(runner),
             ServeConfig {
                 queue_capacity: 2,
                 workers: 1,
@@ -397,7 +442,7 @@ mod tests {
         )
         .expect("bind");
         let client = Client::connect(handle.addr());
-        (handle, client)
+        (handle, client, runs)
     }
 
     #[test]
@@ -532,6 +577,177 @@ mod tests {
         wait_for_state(&mut client, &id, "running");
         assert_eq!(client.roundtrip("shutdown"), "ok state=shutting_down");
         handle.wait();
+    }
+
+    #[test]
+    fn a_repeat_is_answered_from_the_cache_without_a_run() {
+        let (handle, mut client, runs) = start_counting();
+        let first = parse_id(&client.roundtrip("submit kind=echo;seed=5;tag=a"));
+        let first_result = wait_done(&mut client, &first);
+        assert!(first_result.starts_with("ok "), "{first_result}");
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        let (first_events, first_done) = stream(&mut client, &first);
+        assert_eq!(first_events.len(), 1, "the first run streamed its event");
+
+        let ack = client.roundtrip("submit kind=echo;seed=5;tag=a");
+        let repeat = parse_id(&ack);
+        assert_ne!(repeat, first);
+        assert_eq!(
+            ack,
+            format!(
+                "ok id={repeat};state=done;spec_hash={};cached=1",
+                parse_reply(&first_result).get("spec_hash").unwrap()
+            )
+        );
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "a cached repeat never runs");
+
+        // The repeat's stream is its `done` line alone, equal to the
+        // first run's apart from the id; so is its `result` reply.
+        let (events, done) = stream(&mut client, &repeat);
+        assert!(events.is_empty(), "{events:?}");
+        assert_eq!(parse_reply(&done).get("id"), Some(repeat.as_str()));
+        assert_eq!(without_id(&done), without_id(&first_done));
+        let result = client.roundtrip(&format!("result id={repeat}"));
+        assert_eq!(parse_id(&result), repeat);
+        assert_eq!(without_id(&result), without_id(&first_result));
+
+        // The same fields in another order hit too.
+        let reordered = client.roundtrip("submit tag=a;seed=5;kind=echo");
+        assert_eq!(
+            parse_reply(&reordered).get("cached"),
+            Some("1"),
+            "{reordered}"
+        );
+        // A different value misses and runs.
+        let other = client.roundtrip("submit kind=echo;seed=5;tag=b");
+        assert_eq!(parse_reply(&other).get("state"), Some("queued"), "{other}");
+        assert_eq!(parse_reply(&other).get("cached"), None);
+        wait_done(&mut client, &parse_id(&other));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        handle.shutdown_and_wait();
+    }
+
+    #[test]
+    fn failed_and_cancelled_jobs_are_not_cached() {
+        let (handle, mut client, runs) = start_counting();
+        for round in 1..=2 {
+            let ack = client.roundtrip("submit kind=echo;panic=1");
+            assert_eq!(parse_reply(&ack).get("state"), Some("queued"), "{ack}");
+            let result = wait_done(&mut client, &parse_id(&ack));
+            assert!(result.starts_with("err code=job_failed"), "{result}");
+            assert_eq!(runs.load(Ordering::SeqCst), round);
+        }
+        for round in 1..=2 {
+            let ack = client.roundtrip("submit kind=echo;wait=1");
+            assert_eq!(parse_reply(&ack).get("state"), Some("queued"), "{ack}");
+            let id = parse_id(&ack);
+            wait_for_state(&mut client, &id, "running");
+            client.roundtrip(&format!("cancel id={id}"));
+            wait_for_state(&mut client, &id, "cancelled");
+            assert_eq!(runs.load(Ordering::SeqCst), 2 + round);
+        }
+        handle.shutdown_and_wait();
+    }
+
+    #[test]
+    fn the_result_cache_evicts_the_least_recently_used_spec() {
+        let output = |digest| {
+            Arc::new(JobOutput {
+                digest,
+                fields: Vec::new(),
+            })
+        };
+        let digest = |cache: &mut ResultCache, spec: &str| cache.get(spec).map(|o| o.digest);
+        let mut cache = ResultCache::new(2);
+        cache.insert("a".into(), output(1));
+        cache.insert("b".into(), output(2));
+        // Reading `a` refreshes it, so `c` evicts `b`.
+        assert_eq!(digest(&mut cache, "a"), Some(1));
+        cache.insert("c".into(), output(3));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(digest(&mut cache, "b"), None);
+        // Now `c` is the least recently used.
+        assert_eq!(digest(&mut cache, "a"), Some(1));
+        cache.insert("d".into(), output(4));
+        assert_eq!(digest(&mut cache, "c"), None);
+        assert_eq!(digest(&mut cache, "d"), Some(4));
+        // A spec already cached keeps its summary and is refreshed.
+        cache.insert("a".into(), output(9));
+        assert_eq!(cache.len(), 2);
+        cache.insert("e".into(), output(5));
+        assert_eq!(digest(&mut cache, "a"), Some(1));
+        assert_eq!(digest(&mut cache, "d"), None);
+        // The bound holds however many specs pass through.
+        for i in 0..100 {
+            cache.insert(format!("spec {i}"), output(i));
+            assert!(cache.len() <= 2);
+        }
+        assert_eq!(digest(&mut cache, "spec 99"), Some(99));
+        assert_eq!(digest(&mut cache, "spec 98"), Some(98));
+    }
+
+    #[test]
+    fn a_summary_is_held_once_by_its_record_the_cache_and_each_repeat() {
+        let shared = registry::Shared::new(2, 99);
+        let submit_spec = |spec: &str| shared.submit(spec.into(), 1, 2, Box::new(|_| Ok(None)));
+        let submit = || submit_spec("kind=echo");
+        let first = submit().expect("queued");
+        assert!(!first.cached);
+        let (id, run) = shared.claim().expect("a queued job");
+        assert_eq!(id, first.id);
+        let output = Arc::new(JobOutput {
+            digest: 3,
+            fields: vec![("k".into(), "v".into())],
+        });
+        shared.complete(&id, run.spec, registry::Outcome::Done(Arc::clone(&output)));
+        // A full queue turns a new spec away, but a repeat takes no slot.
+        for spec in ["kind=echo;n=1", "kind=echo;n=2"] {
+            assert!(!submit_spec(spec).expect("queued").cached);
+        }
+        assert!(submit_spec("kind=echo;n=3").is_err());
+        let repeats: Vec<_> = (0..3).map(|_| submit().expect("cached")).collect();
+        for repeat in &repeats {
+            assert!(repeat.cached);
+            let Ok(ResultSnapshot::Ended(ending)) = shared.result(&repeat.id) else {
+                panic!("a cached repeat has ended");
+            };
+            let registry::Outcome::Done(held) = &ending.outcome else {
+                panic!("a cached repeat is done");
+            };
+            assert!(Arc::ptr_eq(held, &output));
+        }
+        // Ours, the first record's, the cache entry's and one per repeat.
+        assert_eq!(Arc::strong_count(&output), 3 + repeats.len());
+    }
+
+    /// Subscribes to `id` and reads its stream: the `event` lines, then
+    /// the `done` line.
+    fn stream(client: &mut Client, id: &str) -> (Vec<String>, String) {
+        let ack = client.roundtrip(&format!("subscribe id={id}"));
+        assert_eq!(ack, format!("ok id={id};subscribed=1"));
+        let mut events = Vec::new();
+        loop {
+            let line = client.recv();
+            if line.starts_with("done ") {
+                // The connection is back in request mode: nothing else
+                // was streamed after the `done` line.
+                assert_eq!(client.roundtrip("ping"), "ok pong=1");
+                return (events, line);
+            }
+            assert!(line.starts_with("event "), "{line}");
+            events.push(line);
+        }
+    }
+
+    /// A reply's verb and fields without its `id` field.
+    fn without_id(line: &str) -> (String, Vec<(String, String)>) {
+        let reply = parse_reply(line);
+        let fields = reply
+            .fields
+            .into_iter()
+            .filter(|(k, _)| k != "id")
+            .collect();
+        (reply.verb, fields)
     }
 
     fn parse_reply(line: &str) -> super::protocol::Request {

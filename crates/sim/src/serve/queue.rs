@@ -4,7 +4,7 @@
 //! daemon) down.
 
 use super::registry::{Outcome, Shared};
-use super::JobContext;
+use super::{JobContext, StoredRun};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,19 +24,19 @@ pub(crate) fn spawn_workers(shared: &Arc<Shared>, workers: usize) -> Vec<JoinHan
 }
 
 fn run_worker(shared: &Arc<Shared>) {
-    while let Some((id, stored)) = shared.claim() {
+    while let Some((id, StoredRun { run, cancel, spec })) = shared.claim() {
         let ctx = JobContext {
             id: id.clone(),
-            cancel: stored.cancel.clone(),
+            cancel,
             shared: Arc::clone(shared),
         };
-        let outcome = match catch_unwind(AssertUnwindSafe(|| (stored.run)(&ctx))) {
-            Ok(Ok(Some(output))) => Outcome::Done(output),
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run(&ctx))) {
+            Ok(Ok(Some(output))) => Outcome::Done(Arc::new(output)),
             Ok(Ok(None)) => Outcome::Cancelled,
             Ok(Err(message)) => Outcome::Failed(message),
             Err(panic) => Outcome::Failed(panic_text(&panic)),
         };
-        shared.complete(&id, outcome);
+        shared.complete(&id, spec, outcome);
     }
 }
 

@@ -1,14 +1,18 @@
 //! Shared daemon state: the bounded job queue, per-job records with
-//! buffered event lines, subscriber channels, and lifecycle
-//! transitions. One mutex guards the whole state; workers park on a
+//! buffered event lines, subscriber channels, lifecycle transitions and
+//! the result cache. One mutex guards the whole state; workers park on a
 //! condvar when the queue is empty.
 
 use super::protocol::format_line;
-use super::{JobOutput, StoredRun};
+use super::{JobOutput, JobRun, StoredRun};
 use crate::cancel::CancelToken;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+
+/// How many specs the result cache holds; past it the least recently
+/// used one is evicted.
+const RESULT_CACHE_ENTRIES: usize = 4096;
 
 /// Lifecycle state of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +52,10 @@ impl JobState {
 
 /// A message on a subscriber's channel.
 pub(crate) enum StreamMsg {
-    /// One buffered/live wire line (`event …` or `done …`).
-    Line(String),
-    /// The job reached a terminal state; no further lines follow.
-    Done,
+    /// One live `event` line.
+    Event(String),
+    /// The job's `done` line; nothing follows it.
+    Done(String),
 }
 
 /// Why a submission was turned away.
@@ -66,18 +70,163 @@ pub(crate) enum SubmitError {
     ShuttingDown,
 }
 
+/// An accepted submission: its wire id, and whether the result cache
+/// answered it (the job is then `done` already).
+pub(crate) struct Admitted {
+    pub id: String,
+    pub cached: bool,
+}
+
+/// How a job ended.
+#[derive(Clone)]
+pub(crate) enum Outcome {
+    /// The run finished. Its summary is shared by the job's record, the
+    /// result cache and every repeat the cache answers.
+    Done(Arc<JobOutput>),
+    Cancelled,
+    Failed(String),
+}
+
+impl Outcome {
+    fn state(&self) -> JobState {
+        match self {
+            Outcome::Done(_) => JobState::Done,
+            Outcome::Cancelled => JobState::Cancelled,
+            Outcome::Failed(_) => JobState::Failed,
+        }
+    }
+}
+
+/// A finished job's receipt and outcome, from which its `done` line and
+/// `result` reply are formatted when they are sent.
+pub(crate) struct Ending {
+    seed: u64,
+    spec_hash: u64,
+    pub outcome: Outcome,
+}
+
+impl Ending {
+    /// The fields of the job's `done` line under `id`; the `result`
+    /// reply of a `done` job carries the same fields.
+    pub(crate) fn fields<'a>(&'a self, id: &str) -> Vec<(&'a str, String)> {
+        let mut fields = vec![
+            ("id", id.to_string()),
+            ("state", self.outcome.state().as_wire().into()),
+        ];
+        if let Outcome::Failed(msg) = &self.outcome {
+            fields.push(("msg", msg.clone()));
+            return fields;
+        }
+        fields.push(("seed", self.seed.to_string()));
+        fields.push(("spec_hash", format!("{:016x}", self.spec_hash)));
+        if let Outcome::Done(output) = &self.outcome {
+            fields.push(("digest", format!("{:016x}", output.digest)));
+            fields.extend(output.fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
+        }
+        fields
+    }
+}
+
+/// Where a job is in its lifecycle.
+enum Phase {
+    Queued,
+    Running,
+    Ended(Outcome),
+}
+
 struct JobRecord {
-    state: JobState,
+    phase: Phase,
     seed: u64,
     spec_hash: u64,
     cancel: CancelToken,
-    /// Buffered `event`/`done` lines in emission order, replayed to
-    /// late subscribers before live delivery.
-    lines: Vec<String>,
+    /// Buffered `event` lines in emission order, replayed to late
+    /// subscribers before live delivery.
+    events: Vec<String>,
     subscribers: Vec<mpsc::Sender<StreamMsg>>,
-    /// Fields of the final reply (`result` verb), set on completion.
-    final_fields: Option<Vec<(String, String)>>,
-    error: Option<String>,
+}
+
+impl JobRecord {
+    fn state(&self) -> JobState {
+        match &self.phase {
+            Phase::Queued => JobState::Queued,
+            Phase::Running => JobState::Running,
+            Phase::Ended(outcome) => outcome.state(),
+        }
+    }
+
+    fn ending(&self) -> Option<Ending> {
+        match &self.phase {
+            Phase::Ended(outcome) => Some(Ending {
+                seed: self.seed,
+                spec_hash: self.spec_hash,
+                outcome: outcome.clone(),
+            }),
+            Phase::Queued | Phase::Running => None,
+        }
+    }
+
+    fn done_line(&self, id: &str) -> Option<String> {
+        let ending = self.ending()?;
+        Some(format_line("done", &ending.fields(id)))
+    }
+}
+
+/// The summaries of specs that ran to `done`, keyed on the normalized
+/// spec string and bounded: inserting past the bound evicts the least
+/// recently used entry, and a hit refreshes the entry it reads.
+pub(crate) struct ResultCache {
+    bound: usize,
+    clock: u64,
+    /// Each spec's summary and its last use on `clock`.
+    entries: HashMap<Arc<str>, (u64, Arc<JobOutput>)>,
+    /// The specs by last use, oldest first.
+    by_use: BTreeMap<u64, Arc<str>>,
+}
+
+impl ResultCache {
+    pub(crate) fn new(bound: usize) -> Self {
+        Self {
+            bound,
+            clock: 0,
+            entries: HashMap::new(),
+            by_use: BTreeMap::new(),
+        }
+    }
+
+    /// The summary cached for `spec`, which becomes the most recently
+    /// used entry.
+    pub(crate) fn get(&mut self, spec: &str) -> Option<Arc<JobOutput>> {
+        let (used, output) = self.entries.get_mut(spec)?;
+        let key = self.by_use.remove(used).expect("every entry has a use");
+        self.clock += 1;
+        *used = self.clock;
+        self.by_use.insert(self.clock, key);
+        Some(Arc::clone(output))
+    }
+
+    /// Caches `output` for `spec` as the most recently used entry and
+    /// evicts the least recently used one past the bound. A spec already
+    /// cached keeps its summary, which by the receipt contract is the
+    /// same.
+    pub(crate) fn insert(&mut self, spec: String, output: Arc<JobOutput>) {
+        if self.get(&spec).is_some() {
+            return;
+        }
+        self.clock += 1;
+        let key: Arc<str> = spec.into();
+        self.by_use.insert(self.clock, Arc::clone(&key));
+        self.entries.insert(key, (self.clock, output));
+        if self.entries.len() > self.bound {
+            if let Some((_, oldest)) = self.by_use.pop_first() {
+                self.entries.remove(&oldest);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// Point-in-time view of one job plus queue occupancy, for `status`
@@ -88,18 +237,18 @@ pub(crate) struct StatusSnapshot {
     pub running: usize,
 }
 
-/// Point-in-time view of a job's terminal output, for `result`
-/// replies.
-pub(crate) struct ResultSnapshot {
-    pub state: JobState,
-    pub final_fields: Option<Vec<(String, String)>>,
-    pub error: Option<String>,
+/// Point-in-time view of a job for `result` replies: its state while it
+/// is live, or how it ended.
+pub(crate) enum ResultSnapshot {
+    Live(JobState),
+    Ended(Ending),
 }
 
 struct Inner {
     queue: VecDeque<String>,
     runs: HashMap<String, StoredRun>,
     jobs: HashMap<String, JobRecord>,
+    cache: ResultCache,
     next_id: u64,
     running: usize,
     shutdown: bool,
@@ -113,13 +262,6 @@ pub(crate) struct Shared {
     work: Condvar,
 }
 
-/// How a worker finished a job.
-pub(crate) enum Outcome {
-    Done(JobOutput),
-    Cancelled,
-    Failed(String),
-}
-
 impl Shared {
     pub(crate) fn new(capacity: usize, retry_after_ms: u64) -> Self {
         Self {
@@ -129,6 +271,7 @@ impl Shared {
                 queue: VecDeque::new(),
                 runs: HashMap::new(),
                 jobs: HashMap::new(),
+                cache: ResultCache::new(RESULT_CACHE_ENTRIES),
                 next_id: 1,
                 running: 0,
                 shutdown: false,
@@ -141,41 +284,57 @@ impl Shared {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues a prepared run; errors when full or shutting down.
+    /// Admits a validated job of normalized `spec`. A spec in the result
+    /// cache is recorded as `done` at once with the cached summary, and
+    /// `run` is dropped; any other is queued. Errors when the queue is
+    /// full or the daemon is shutting down.
     pub(crate) fn submit(
         &self,
+        spec: String,
         seed: u64,
         spec_hash: u64,
-        run: StoredRun,
-    ) -> Result<String, SubmitError> {
+        run: JobRun,
+    ) -> Result<Admitted, SubmitError> {
         let mut inner = self.lock();
         if inner.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        if inner.queue.len() >= self.capacity {
+        let hit = inner.cache.get(&spec);
+        if hit.is_none() && inner.queue.len() >= self.capacity {
             return Err(SubmitError::Full {
                 retry_after_ms: self.retry_after_ms,
             });
         }
+        let cached = hit.is_some();
         let id = format!("job-{}", inner.next_id);
         inner.next_id += 1;
+        let cancel = CancelToken::new();
+        let phase = match hit {
+            Some(output) => Phase::Ended(Outcome::Done(output)),
+            None => {
+                let run = StoredRun {
+                    run,
+                    cancel: cancel.clone(),
+                    spec,
+                };
+                inner.runs.insert(id.clone(), run);
+                inner.queue.push_back(id.clone());
+                self.work.notify_one();
+                Phase::Queued
+            }
+        };
         inner.jobs.insert(
             id.clone(),
             JobRecord {
-                state: JobState::Queued,
+                phase,
                 seed,
                 spec_hash,
-                cancel: run.cancel.clone(),
-                lines: Vec::new(),
+                cancel,
+                events: Vec::new(),
                 subscribers: Vec::new(),
-                final_fields: None,
-                error: None,
             },
         );
-        inner.runs.insert(id.clone(), run);
-        inner.queue.push_back(id.clone());
-        self.work.notify_one();
-        Ok(id)
+        Ok(Admitted { id, cached })
     }
 
     /// Blocks until a job is available or shutdown; `None` means the
@@ -186,7 +345,7 @@ impl Shared {
             if let Some(id) = inner.queue.pop_front() {
                 let run = inner.runs.remove(&id).expect("queued job has a run");
                 if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.state = JobState::Running;
+                    job.phase = Phase::Running;
                 }
                 inner.running += 1;
                 return Some((id, run));
@@ -198,12 +357,6 @@ impl Shared {
         }
     }
 
-    fn push_line(job: &mut JobRecord, line: String) {
-        job.subscribers
-            .retain(|tx| tx.send(StreamMsg::Line(line.clone())).is_ok());
-        job.lines.push(line);
-    }
-
     /// Appends a live `event` line and fans it out to subscribers.
     pub(crate) fn append_event(&self, id: &str, fields: &[(&str, String)]) {
         let mut inner = self.lock();
@@ -211,60 +364,35 @@ impl Shared {
             let mut all = vec![("id", id.to_string())];
             all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
             let line = format_line("event", &all);
-            Self::push_line(job, line);
+            job.subscribers
+                .retain(|tx| tx.send(StreamMsg::Event(line.clone())).is_ok());
+            job.events.push(line);
         }
     }
 
-    /// Records a worker's outcome: terminal state, `done` line,
-    /// subscriber completion, `result` fields.
-    pub(crate) fn complete(&self, id: &str, outcome: Outcome) {
+    /// Records a worker's outcome for the job of normalized `spec`:
+    /// terminal state, subscriber completion and, for a `done` job, the
+    /// result cache entry.
+    pub(crate) fn complete(&self, id: &str, spec: String, outcome: Outcome) {
         let mut inner = self.lock();
         inner.running = inner.running.saturating_sub(1);
+        if let Outcome::Done(output) = &outcome {
+            inner.cache.insert(spec, Arc::clone(output));
+        }
         if let Some(job) = inner.jobs.get_mut(id) {
             Self::finish_record(id, job, outcome);
         }
     }
 
+    /// Ends a job and sends its `done` line to every subscriber.
     fn finish_record(id: &str, job: &mut JobRecord, outcome: Outcome) {
-        let mut fields: Vec<(&str, String)> = vec![("id", id.to_string())];
-        match outcome {
-            Outcome::Done(output) => {
-                job.state = JobState::Done;
-                fields.push(("state", "done".into()));
-                fields.push(("seed", job.seed.to_string()));
-                fields.push(("spec_hash", format!("{:016x}", job.spec_hash)));
-                fields.push(("digest", format!("{:016x}", output.digest)));
-                for (k, v) in &output.fields {
-                    fields.push((k.as_str(), v.clone()));
-                }
-                job.final_fields = Some(
-                    fields
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), v.clone()))
-                        .collect(),
-                );
-                let line = format_line("done", &fields);
-                Self::push_line(job, line);
-            }
-            Outcome::Cancelled => {
-                job.state = JobState::Cancelled;
-                fields.push(("state", "cancelled".into()));
-                fields.push(("seed", job.seed.to_string()));
-                fields.push(("spec_hash", format!("{:016x}", job.spec_hash)));
-                let line = format_line("done", &fields);
-                Self::push_line(job, line);
-            }
-            Outcome::Failed(msg) => {
-                job.state = JobState::Failed;
-                fields.push(("state", "failed".into()));
-                fields.push(("msg", msg.clone()));
-                job.error = Some(msg);
-                let line = format_line("done", &fields);
-                Self::push_line(job, line);
-            }
+        job.phase = Phase::Ended(outcome);
+        if job.subscribers.is_empty() {
+            return;
         }
+        let line = job.done_line(id).expect("the job has ended");
         for tx in job.subscribers.drain(..) {
-            let _ = tx.send(StreamMsg::Done);
+            let _ = tx.send(StreamMsg::Done(line.clone()));
         }
     }
 
@@ -285,10 +413,10 @@ impl Shared {
             return Ok(JobState::Cancelled);
         }
         let job = inner.jobs.get_mut(id).expect("checked above");
-        if !job.state.is_terminal() {
+        if !job.state().is_terminal() {
             job.cancel.cancel();
         }
-        Ok(job.state)
+        Ok(job.state())
     }
 
     /// Job state plus queue occupancy.
@@ -299,45 +427,43 @@ impl Shared {
             .get(id)
             .ok_or_else(|| format!("unknown job {id}"))?;
         Ok(StatusSnapshot {
-            state: job.state,
+            state: job.state(),
             queued: inner.queue.len(),
             running: inner.running,
         })
     }
 
-    /// The final `result` fields of a terminal job.
+    /// A job's state, or its ending once it has one.
     pub(crate) fn result(&self, id: &str) -> Result<ResultSnapshot, String> {
         let inner = self.lock();
         let job = inner
             .jobs
             .get(id)
             .ok_or_else(|| format!("unknown job {id}"))?;
-        Ok(ResultSnapshot {
-            state: job.state,
-            final_fields: job.final_fields.clone(),
-            error: job.error.clone(),
+        Ok(match job.ending() {
+            Some(ending) => ResultSnapshot::Ended(ending),
+            None => ResultSnapshot::Live(job.state()),
         })
     }
 
-    /// Registers a subscriber: returns the backlog of buffered lines
-    /// and whether the job is already terminal (in which case `tx` was
-    /// not retained and no `Done` will be sent).
+    /// Registers a subscriber: returns the buffered `event` lines and,
+    /// for a job that has already ended, its `done` line (in which case
+    /// `tx` was not retained and no message will be sent).
     pub(crate) fn subscribe(
         &self,
         id: &str,
         tx: mpsc::Sender<StreamMsg>,
-    ) -> Result<(Vec<String>, bool), String> {
+    ) -> Result<(Vec<String>, Option<String>), String> {
         let mut inner = self.lock();
         let job = inner
             .jobs
             .get_mut(id)
             .ok_or_else(|| format!("unknown job {id}"))?;
-        let backlog = job.lines.clone();
-        let terminal = job.state.is_terminal();
-        if !terminal {
+        let done = job.done_line(id);
+        if done.is_none() {
             job.subscribers.push(tx);
         }
-        Ok((backlog, terminal))
+        Ok((job.events.clone(), done))
     }
 
     /// Flips the shutdown flag, cancels everything queued, trips every
@@ -356,7 +482,7 @@ impl Shared {
             }
         }
         for job in inner.jobs.values_mut() {
-            if !job.state.is_terminal() {
+            if !job.state().is_terminal() {
                 job.cancel.cancel();
             }
         }

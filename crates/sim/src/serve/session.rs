@@ -2,10 +2,9 @@
 //! and — for `subscribe` — switches the connection into streaming mode
 //! until the job's `done` line has been delivered.
 
-use super::protocol::{format_line, parse_line, Request};
-use super::registry::{Shared, StreamMsg, SubmitError};
-use super::{JobRunner, JobSpec, StoredRun};
-use crate::cancel::CancelToken;
+use super::protocol::{format_line, normalize_spec, parse_line, Request};
+use super::registry::{Admitted, Outcome, ResultSnapshot, Shared, StreamMsg, SubmitError};
+use super::{JobRunner, JobSpec, JobState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
@@ -53,12 +52,18 @@ impl LineReader {
     }
 }
 
+/// Writes `lines`, each with its newline, in one call.
+fn send_lines<'a>(stream: &mut TcpStream, lines: impl IntoIterator<Item = &'a str>) -> bool {
+    let mut buf = String::new();
+    for line in lines {
+        buf.push_str(line);
+        buf.push('\n');
+    }
+    stream.write_all(buf.as_bytes()).is_ok()
+}
+
 fn send(stream: &mut TcpStream, line: &str) -> bool {
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_ok()
+    send_lines(stream, [line])
 }
 
 fn send_err(stream: &mut TcpStream, code: &str, msg: &str) -> bool {
@@ -154,22 +159,24 @@ fn handle_submit(
         Err(msg) => return send_err(writer, "bad_spec", &msg),
     };
     let spec_hash = spec.spec_hash();
-    let stored = StoredRun {
-        run: prepared.run,
-        cancel: CancelToken::new(),
-    };
-    match shared.submit(prepared.seed, spec_hash, stored) {
-        Ok(id) => send(
-            writer,
-            &format_line(
-                "ok",
-                &[
-                    ("id", id),
-                    ("state", "queued".into()),
-                    ("spec_hash", format!("{spec_hash:016x}")),
-                ],
-            ),
-        ),
+    let key = normalize_spec(&spec.kind, &spec.fields);
+    match shared.submit(key, prepared.seed, spec_hash, prepared.run) {
+        Ok(Admitted { id, cached }) => {
+            let state = if cached {
+                JobState::Done
+            } else {
+                JobState::Queued
+            };
+            let mut fields = vec![
+                ("id", id),
+                ("state", state.as_wire().into()),
+                ("spec_hash", format!("{spec_hash:016x}")),
+            ];
+            if cached {
+                fields.push(("cached", "1".into()));
+            }
+            send(writer, &format_line("ok", &fields))
+        }
         Err(SubmitError::Full { retry_after_ms }) => send(
             writer,
             &format_line(
@@ -237,34 +244,21 @@ fn handle_result(writer: &mut TcpStream, shared: &Shared, request: &Request) -> 
         Err(msg) => return send_err(writer, "bad_request", &msg),
     };
     match shared.result(id) {
-        Ok(snapshot) => match snapshot.state {
-            super::JobState::Done => {
-                let fields = snapshot
-                    .final_fields
-                    .expect("done job stores result fields");
-                let borrowed: Vec<(&str, String)> = fields
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.clone()))
-                    .collect();
-                send(writer, &format_line("ok", &borrowed))
-            }
-            super::JobState::Failed => send_err(
-                writer,
-                "job_failed",
-                snapshot.error.as_deref().unwrap_or("job failed"),
-            ),
-            super::JobState::Cancelled => send_err(writer, "job_cancelled", "job was cancelled"),
-            state => send(
-                writer,
-                &format_line(
-                    "err",
-                    &[
-                        ("code", "not_finished".into()),
-                        ("state", state.as_wire().into()),
-                    ],
-                ),
-            ),
+        Ok(ResultSnapshot::Ended(ending)) => match &ending.outcome {
+            Outcome::Done(_) => send(writer, &format_line("ok", &ending.fields(id))),
+            Outcome::Failed(msg) => send_err(writer, "job_failed", msg),
+            Outcome::Cancelled => send_err(writer, "job_cancelled", "job was cancelled"),
         },
+        Ok(ResultSnapshot::Live(state)) => send(
+            writer,
+            &format_line(
+                "err",
+                &[
+                    ("code", "not_finished".into()),
+                    ("state", state.as_wire().into()),
+                ],
+            ),
+        ),
         Err(msg) => send_err(writer, "unknown_job", &msg),
     }
 }
@@ -275,34 +269,28 @@ fn handle_subscribe(writer: &mut TcpStream, shared: &Shared, request: &Request) 
         Err(msg) => return send_err(writer, "bad_request", &msg),
     };
     let (tx, rx) = mpsc::channel();
-    let (backlog, terminal) = match shared.subscribe(id, tx) {
+    let (events, done) = match shared.subscribe(id, tx) {
         Ok(sub) => sub,
         Err(msg) => return send_err(writer, "unknown_job", &msg),
     };
-    if !send(
-        writer,
-        &format_line("ok", &[("id", id.to_string()), ("subscribed", "1".into())]),
-    ) {
+    let ack = format_line("ok", &[("id", id.to_string()), ("subscribed", "1".into())]);
+    let backlog = events.iter().chain(&done).map(String::as_str);
+    if !send_lines(writer, std::iter::once(ack.as_str()).chain(backlog)) {
         return false;
     }
-    for line in &backlog {
-        if !send(writer, line) {
-            return false;
-        }
-    }
-    if terminal {
-        // The buffered `done` line was part of the backlog; the
-        // connection drops straight back to request mode.
+    if done.is_some() {
+        // The job had already ended: its `done` line closed the backlog
+        // and the connection drops straight back to request mode.
         return true;
     }
     loop {
         match rx.recv_timeout(READ_POLL) {
-            Ok(StreamMsg::Line(line)) => {
+            Ok(StreamMsg::Event(line)) => {
                 if !send(writer, &line) {
                     return false;
                 }
             }
-            Ok(StreamMsg::Done) => return true,
+            Ok(StreamMsg::Done(line)) => return send(writer, &line),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // Shutdown cancels every live job, so Done is coming;
                 // keep draining until it arrives.

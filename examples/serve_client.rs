@@ -1,6 +1,7 @@
 //! A worked `mseh serve` session over the newline-delimited wire
-//! protocol: ping → submit → subscribe/stream → a rejected spec →
-//! cancel of a running fleet job → shutdown.
+//! protocol: ping → submit → subscribe/stream → a repeat answered from
+//! the result cache → a rejected spec → cancel of a running fleet job →
+//! shutdown.
 //!
 //! With no arguments the example hosts its own daemon in-process on an
 //! ephemeral port, so it runs standalone (and in the example sweep of
@@ -88,7 +89,8 @@ fn main() {
     client.roundtrip("ping");
 
     // A quick single-platform job, watched end to end.
-    let reply = client.roundtrip("submit kind=single;system=B;env=indoor;days=0.5;seed=9");
+    let submit = "submit kind=single;system=B;env=indoor;days=0.5;seed=9";
+    let reply = client.roundtrip(submit);
     let id = field(&reply, "id").expect("job id");
     client.send(&format!("subscribe id={id}"));
     while let Some(line) = client.recv() {
@@ -96,7 +98,16 @@ fn main() {
             break;
         }
     }
-    client.roundtrip(&format!("result id={id}"));
+    let first = client.roundtrip(&format!("result id={id}"));
+    let digest = field(&first, "digest").expect("digest of a done job");
+
+    // The same spec again is answered from the result cache: done at
+    // once, with the first run's digest.
+    let reply = client.roundtrip(submit);
+    assert_eq!(field(&reply, "cached").as_deref(), Some("1"), "{reply}");
+    let id = field(&reply, "id").expect("job id");
+    let repeat = client.roundtrip(&format!("result id={id}"));
+    assert_eq!(field(&repeat, "digest"), Some(digest), "{repeat}");
 
     // Malformed specs come back as protocol errors, not disconnects.
     client.roundtrip("submit kind=fleet;system=A;population=0");

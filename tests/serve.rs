@@ -3,8 +3,9 @@
 //! would: submit → status → subscribe → result, plus the contract
 //! checks the service mode promises — queue-full backpressure,
 //! cooperative cancellation that leaves the worker pool reusable,
-//! deterministic receipts on resubmission, and bit-identical digests
-//! between a streamed job and the same scenario run in-process.
+//! deterministic receipts on recomputation by two daemons, repeats
+//! answered from the result cache, and bit-identical digests between a
+//! streamed (or cached) job and the same scenario run in-process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -101,13 +102,20 @@ fn wait_for_state(client: &mut Client, id: &str, want: &str) -> String {
     }
 }
 
-/// Submits and waits until `done`, returning the `result` reply.
-fn run_to_result(client: &mut Client, submit: &str) -> String {
-    let id = job_id(&client.roundtrip(submit));
+/// Submits and waits until `done`, returning the `submit` ack and the
+/// `result` reply.
+fn submit_and_wait(client: &mut Client, submit: &str) -> (String, String) {
+    let ack = client.roundtrip(submit);
+    let id = job_id(&ack);
     wait_for_state(client, &id, "done");
     let reply = client.roundtrip(&format!("result id={id}"));
     assert!(reply.starts_with("ok "), "result failed: {reply}");
-    reply
+    (ack, reply)
+}
+
+/// Submits and waits until `done`, returning the `result` reply.
+fn run_to_result(client: &mut Client, submit: &str) -> String {
+    submit_and_wait(client, submit).1
 }
 
 /// The reply with its `id=` field blanked, for byte-comparisons
@@ -174,11 +182,12 @@ fn streamed_single_digest_matches_direct_run_bit_for_bit() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
 
-    let result = run_to_result(
-        &mut client,
-        "submit kind=single;system=C;env=outdoor;days=0.25;seed=11;policy=ladder",
-    );
+    let submit = "submit kind=single;system=C;env=outdoor;days=0.25;seed=11;policy=ladder";
+    let result = run_to_result(&mut client, submit);
     let wire_digest = field(&result, "digest").expect("digest field");
+    // A repeat is answered from the daemon's result cache.
+    let (ack, repeat) = submit_and_wait(&mut client, submit);
+    assert_eq!(field(&ack, "cached").as_deref(), Some("1"), "{ack}");
 
     // The same scenario, run in-process through the plain kernel.
     let mut unit = SystemId::C.build();
@@ -192,10 +201,15 @@ fn streamed_single_digest_matches_direct_run_bit_for_bit() {
         policy.as_mut(),
         SimConfig::over(Seconds::from_days(0.25)),
     );
+    let direct_digest = format!("{:016x}", digest_single(&direct));
     assert_eq!(
-        wire_digest,
-        format!("{:016x}", digest_single(&direct)),
+        wire_digest, direct_digest,
         "daemon and direct kernel disagree bit-for-bit"
+    );
+    assert_eq!(
+        field(&repeat, "digest"),
+        Some(direct_digest),
+        "cached repeat and direct kernel disagree bit-for-bit"
     );
 
     handle.shutdown_and_wait();
@@ -316,27 +330,39 @@ fn omitted_fields_take_the_documented_wire_defaults() {
 
 #[test]
 fn resubmitting_a_spec_yields_identical_receipts_and_summaries() {
-    let handle = start(8, 1);
-    let mut client = Client::connect(&handle);
-
+    // A daemon answers a repeat from its result cache, so recomputation
+    // is compared across two daemons that each run the spec.
+    let handles = [start(8, 1), start(8, 1)];
     let submit = "submit kind=campaign;system=A;days=0.1;seed=3;seeds=3";
-    let first = run_to_result(&mut client, submit);
-    let second = run_to_result(&mut client, submit);
-
-    assert_ne!(field(&first, "id"), field(&second, "id"));
+    let [first, second] = handles.each_ref().map(|handle| {
+        let (ack, result) = submit_and_wait(&mut Client::connect(handle), submit);
+        assert_eq!(field(&ack, "state").as_deref(), Some("queued"), "{ack}");
+        assert_eq!(field(&ack, "cached"), None, "{ack}");
+        result
+    });
     // Everything but the job id — receipt (seed, spec_hash, digest) and
     // the full summary — must match byte for byte.
     assert_eq!(without_id(&first), without_id(&second));
 
-    // Field order on the wire must not change the receipt's spec hash.
-    let reordered = run_to_result(
-        &mut client,
+    // Resubmitted to the first daemon, the spec is answered from its
+    // cache with the same result under a new id; so is the spec with its
+    // fields in another order, which has the same spec hash.
+    let mut client = Client::connect(&handles[0]);
+    for resubmit in [
+        submit,
         "submit kind=campaign;seeds=3;seed=3;days=0.1;system=A",
-    );
-    assert_eq!(field(&first, "spec_hash"), field(&reordered, "spec_hash"));
-    assert_eq!(field(&first, "digest"), field(&reordered, "digest"));
+    ] {
+        let (ack, repeat) = submit_and_wait(&mut client, resubmit);
+        assert_eq!(field(&ack, "state").as_deref(), Some("done"), "{ack}");
+        assert_eq!(field(&ack, "cached").as_deref(), Some("1"), "{ack}");
+        assert_eq!(field(&ack, "spec_hash"), field(&first, "spec_hash"));
+        assert_ne!(field(&repeat, "id"), field(&first, "id"));
+        assert_eq!(without_id(&repeat), without_id(&first));
+    }
 
-    handle.shutdown_and_wait();
+    for handle in handles {
+        handle.shutdown_and_wait();
+    }
 }
 
 #[test]
