@@ -33,7 +33,9 @@
 //! least-recently-used cache of finished summaries instead of running
 //! it again. The cache is keyed on the whole normalized spec
 //! ([`protocol::normalize_spec`], so field order does not matter), not
-//! on the 64-bit `spec_hash` alone, and it holds at most 4096 specs. A
+//! on the 64-bit `spec_hash` alone, and it holds at most 4096 specs.
+//! That key sorts the fields, so `submit` rejects a spec that names a
+//! field twice (`err code=bad_spec`) before anything else. A
 //! repeat is still validated by [`JobRunner::prepare`] (the same
 //! `bad_spec` errors, the same receipt seed). Then it goes straight to
 //! `done`: the ack reads `ok id=…;state=done;spec_hash=…;cached=1`,
@@ -42,9 +44,9 @@
 //! field for field under its own `id`.
 //!
 //! Caching is sound for two reasons. A runner's output depends on the
-//! spec alone, which the receipt promises and `tests/serve.rs` checks
-//! across two daemons that each compute. And only jobs that end `done`
-//! enter the cache: a cancelled or failed job never does, so submitting
+//! spec alone, not on its field order, which the receipt promises and
+//! `tests/serve.rs` checks across two daemons that each compute, one
+//! per field order. And only jobs that end `done` enter the cache: a cancelled or failed job never does, so submitting
 //! its spec again runs it. A finished summary is held once, shared by
 //! its job's record, its cache entry and the record of every repeat;
 //! the `done` line and the `result` reply are formatted from it when
@@ -73,7 +75,9 @@ use std::time::Duration;
 pub struct JobSpec {
     /// The `kind=` field of the `submit` line.
     pub kind: String,
-    /// Every other spec field, in wire order.
+    /// Every other spec field, in wire order. The daemon rejects a
+    /// `submit` that names a key twice, so in the specs it builds each
+    /// key appears once.
     pub fields: Vec<(String, String)>,
 }
 
@@ -130,9 +134,11 @@ impl std::fmt::Debug for PreparedJob {
 /// Turns declarative job specs into runnable work. Implementations
 /// must validate eagerly: a malformed spec returns `Err` from
 /// [`JobRunner::prepare`] (becoming a protocol error reply) and must
-/// never panic the daemon. A run's output must depend on its spec
-/// alone: the daemon answers a repeated spec with the first run's
-/// output (see the module docs).
+/// never panic the daemon. A run's output must depend on its kind and
+/// the set of its fields alone, not on their wire order: the daemon
+/// answers a repeated spec, in any field order, with the first run's
+/// output (see the module docs). A spec naming a field twice is
+/// rejected before `prepare` sees it.
 pub trait JobRunner: Send + Sync {
     /// Validates `spec` and returns the prepared job, or a
     /// human-readable error for the `err code=bad_spec` reply.
@@ -624,6 +630,27 @@ mod tests {
         assert_eq!(parse_reply(&other).get("cached"), None);
         wait_done(&mut client, &parse_id(&other));
         assert_eq!(runs.load(Ordering::SeqCst), 2);
+        handle.shutdown_and_wait();
+    }
+
+    #[test]
+    fn a_spec_naming_a_field_twice_is_rejected() {
+        // The echo runner would take the first value; the daemon turns
+        // the spec away before the cache key merges the two orders.
+        let (handle, mut client, runs) = start_counting();
+        for line in [
+            "submit kind=echo;seed=1;seed=2",
+            "submit kind=echo;seed=2;seed=1",
+            "submit kind=echo;kind=echo;seed=1",
+        ] {
+            let reply = client.roundtrip(line);
+            assert!(reply.starts_with("err code=bad_spec;"), "{reply}");
+            assert!(reply.contains("duplicate field"), "{reply}");
+        }
+        let ack = client.roundtrip("submit kind=echo;seed=1");
+        assert_eq!(parse_reply(&ack).get("state"), Some("queued"), "{ack}");
+        wait_done(&mut client, &parse_id(&ack));
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
         handle.shutdown_and_wait();
     }
 

@@ -171,7 +171,8 @@ impl Digest {
 
 /// The normalized spec string a job's `spec_hash` covers: the kind,
 /// then every field sorted by key — so field order on the wire never
-/// changes the hash, while any value change does.
+/// changes the hash, while any value change does. The keys must be
+/// unique: the daemon rejects a `submit` that names one twice.
 pub fn normalize_spec(kind: &str, fields: &[(String, String)]) -> String {
     let mut sorted: Vec<&(String, String)> = fields.iter().collect();
     sorted.sort();

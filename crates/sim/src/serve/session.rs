@@ -2,7 +2,7 @@
 //! and — for `subscribe` — switches the connection into streaming mode
 //! until the job's `done` line has been delivered.
 
-use super::protocol::{format_line, normalize_spec, parse_line, Request};
+use super::protocol::{fnv1a64, format_line, normalize_spec, parse_line, Request};
 use super::registry::{Admitted, Outcome, ResultSnapshot, Shared, StreamMsg, SubmitError};
 use super::{JobRunner, JobSpec, JobState};
 use std::io::{Read, Write};
@@ -136,12 +136,29 @@ fn job_id(request: &Request) -> Result<&str, String> {
         .ok_or_else(|| "missing id field".to_string())
 }
 
+/// The first key that `fields` names twice, if any.
+fn duplicate_key(fields: &[(String, String)]) -> Option<&str> {
+    let mut seen: Vec<&str> = Vec::new();
+    for (key, _) in fields {
+        if seen.contains(&key.as_str()) {
+            return Some(key);
+        }
+        seen.push(key);
+    }
+    None
+}
+
 fn handle_submit(
     writer: &mut TcpStream,
     shared: &Shared,
     runner: &dyn JobRunner,
     request: &Request,
 ) -> bool {
+    // The cache key sorts the fields, so a key given twice would make
+    // `seed=1;seed=2` and `seed=2;seed=1` one spec.
+    if let Some(key) = duplicate_key(&request.fields) {
+        return send_err(writer, "bad_spec", &format!("duplicate field {key:?}"));
+    }
     let Some(kind) = request.get("kind") else {
         return send_err(writer, "bad_spec", "missing kind field");
     };
@@ -158,8 +175,8 @@ fn handle_submit(
         Ok(prepared) => prepared,
         Err(msg) => return send_err(writer, "bad_spec", &msg),
     };
-    let spec_hash = spec.spec_hash();
     let key = normalize_spec(&spec.kind, &spec.fields);
+    let spec_hash = fnv1a64(key.as_bytes());
     match shared.submit(key, prepared.seed, spec_hash, prepared.run) {
         Ok(Admitted { id, cached }) => {
             let state = if cached {

@@ -19,7 +19,8 @@
 //!
 //! Every field is optional except `system`. The wire defaults are the
 //! daemon's own, not the CLI's: `mseh simulate` runs 7 days, and
-//! `mseh arena` runs seed 42 over 2 days. All validation happens in
+//! `mseh arena` runs seed 42 over 2 days. The serve layer rejects a
+//! spec that names a field twice; all other validation happens in
 //! `prepare` — a malformed spec becomes an `err code=bad_spec` reply
 //! and never reaches a worker.
 //!
@@ -321,13 +322,6 @@ fn reject_unknown_fields(spec: &JobSpec) -> Result<(), String> {
             spec.kind,
             allowed.join(", ")
         ));
-    }
-    let mut seen: Vec<&str> = Vec::new();
-    for (key, _) in &spec.fields {
-        if seen.contains(&key.as_str()) {
-            return Err(format!("duplicate field {key:?}"));
-        }
-        seen.push(key);
     }
     Ok(())
 }
@@ -730,12 +724,6 @@ mod tests {
             .is_err());
         assert!(catalog
             .prepare(&spec("single", &[("system", "A"), ("dys", "3")]))
-            .is_err());
-        assert!(catalog
-            .prepare(&spec(
-                "single",
-                &[("system", "A"), ("seed", "1"), ("seed", "2")]
-            ))
             .is_err());
         assert!(catalog
             .prepare(&spec("fleet", &[("system", "A"), ("population", "0")]))

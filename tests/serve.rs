@@ -331,27 +331,27 @@ fn omitted_fields_take_the_documented_wire_defaults() {
 #[test]
 fn resubmitting_a_spec_yields_identical_receipts_and_summaries() {
     // A daemon answers a repeat from its result cache, so recomputation
-    // is compared across two daemons that each run the spec.
+    // is compared across two daemons that each run the spec, one of
+    // them with its fields in another order.
     let handles = [start(8, 1), start(8, 1)];
     let submit = "submit kind=campaign;system=A;days=0.1;seed=3;seeds=3";
-    let [first, second] = handles.each_ref().map(|handle| {
-        let (ack, result) = submit_and_wait(&mut Client::connect(handle), submit);
-        assert_eq!(field(&ack, "state").as_deref(), Some("queued"), "{ack}");
-        assert_eq!(field(&ack, "cached"), None, "{ack}");
-        result
-    });
+    let reordered = "submit kind=campaign;seeds=3;seed=3;days=0.1;system=A";
+    let [first, second] =
+        [(&handles[0], submit), (&handles[1], reordered)].map(|(handle, line)| {
+            let (ack, result) = submit_and_wait(&mut Client::connect(handle), line);
+            assert_eq!(field(&ack, "state").as_deref(), Some("queued"), "{ack}");
+            assert_eq!(field(&ack, "cached"), None, "{ack}");
+            result
+        });
     // Everything but the job id — receipt (seed, spec_hash, digest) and
-    // the full summary — must match byte for byte.
+    // the full summary — must match byte for byte, so field order on the
+    // wire changes neither the spec hash nor the run.
     assert_eq!(without_id(&first), without_id(&second));
 
-    // Resubmitted to the first daemon, the spec is answered from its
-    // cache with the same result under a new id; so is the spec with its
-    // fields in another order, which has the same spec hash.
+    // Resubmitted to the first daemon, either spelling is answered from
+    // its cache with the same result under a new id.
     let mut client = Client::connect(&handles[0]);
-    for resubmit in [
-        submit,
-        "submit kind=campaign;seeds=3;seed=3;days=0.1;system=A",
-    ] {
+    for resubmit in [submit, reordered] {
         let (ack, repeat) = submit_and_wait(&mut client, resubmit);
         assert_eq!(field(&ack, "state").as_deref(), Some("done"), "{ack}");
         assert_eq!(field(&ack, "cached").as_deref(), Some("1"), "{ack}");
