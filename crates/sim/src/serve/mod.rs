@@ -46,11 +46,12 @@
 //! Caching is sound for two reasons. A runner's output depends on the
 //! spec alone, not on its field order, which the receipt promises and
 //! `tests/serve.rs` checks across two daemons that each compute, one
-//! per field order. And only jobs that end `done` enter the cache: a cancelled or failed job never does, so submitting
-//! its spec again runs it. A finished summary is held once, shared by
-//! its job's record, its cache entry and the record of every repeat;
-//! the `done` line and the `result` reply are formatted from it when
-//! they are sent.
+//! per field order. And only jobs that end `done` enter the cache: a
+//! cancelled or failed job never does, so submitting its spec again
+//! runs it. A finished summary is held once, shared by its job's
+//! record, its cache entry and the record of every repeat; the `done`
+//! line and the `result` reply are formatted from it when they are
+//! sent.
 
 pub mod protocol;
 mod queue;
@@ -495,8 +496,9 @@ mod tests {
         assert!(client
             .roundtrip("submit kind=echo;seed=notanumber")
             .starts_with("err code=bad_spec"));
-        // The echo runner would take a field's first value; the daemon
-        // rejects a field named twice, whose orders one cache key merges.
+        // The echo runner would take a field's first value, and one
+        // cache key would merge the two orders: the daemon rejects a
+        // field named twice.
         for line in [
             "submit kind=echo;seed=1;seed=2",
             "submit kind=echo;kind=echo;seed=1",
