@@ -6,16 +6,18 @@
 //! module owns everything protocol- and lifecycle-shaped — the
 //! newline-delimited `key=value;` wire grammar ([`protocol`]), the
 //! bounded job queue with explicit backpressure, per-job cancellation
-//! tokens, window-batched event streaming to subscribers, and the
-//! result cache.
+//! tokens, window-batched event streaming to subscribers, the result
+//! cache and the bounded set of finished job records.
 //!
 //! # Lifecycle
 //!
 //! ```text
-//! submit ──▶ queued ──▶ running ──▶ done
-//!   │           │           │   └──▶ failed   (run error / panic)
-//!   │           └──────────▶└──────▶ cancelled
-//!   └──▶ done                         (repeat answered from the cache)
+//! submit ──▶ queued ──▶ running ──▶ done ──────┐
+//!   │           │           │   └──▶ failed ───┤ (run error / panic)
+//!   │           └──────────▶└──────▶ cancelled ┤ (cancel / shutdown)
+//!   └──▶ done ─────────────────────────────────┤ (repeat answered from the cache)
+//!                                              ▼
+//!              finished, the last 1024 kept ──▶ expired (record dropped)
 //! ```
 //!
 //! A full queue rejects `submit` with `err code=queue_full;
@@ -49,9 +51,30 @@
 //! per field order. And only jobs that end `done` enter the cache: a
 //! cancelled or failed job never does, so submitting its spec again
 //! runs it. A finished summary is held once, shared by its job's
-//! record, its cache entry and the record of every repeat; the `done`
-//! line and the `result` reply are formatted from it when they are
-//! sent.
+//! record, its cache entry and the record of every repeat that is still
+//! kept; the `done` line and the `result` reply are formatted from it
+//! when they are sent. Dropping a record (below) releases only the
+//! record's reference: the cache entry keeps the summary until the
+//! cache evicts it.
+//!
+//! # Bounded state
+//!
+//! The daemon keeps every queued and running job's record and the
+//! records of the last 1024 jobs that finished. A job joins that
+//! first-in first-out set when it ends `done`, `failed` or `cancelled`,
+//! including a repeat the cache answers at submit and a queued job that
+//! `cancel` or shutdown ends; past the bound the oldest finished record
+//! is dropped with its buffered `event` lines. Ids come from one
+//! counter as `job-<n>`, so nothing is kept per dropped job: `status`,
+//! `result`, `subscribe` and `cancel` answer `err code=expired` for an
+//! id spelled exactly as issued whose record is gone, and
+//! `err code=unknown_job` for any other id (`job-05`, `job-+5`, `job-0`
+//! or one not yet issued). A dropped result is recovered by submitting
+//! its spec again: the cache answers it, or a worker recomputes the same
+//! digest, as the receipt promises. A record keeps every `event` line
+//! its job emits, so runners emit a bounded number per job (see
+//! [`JobContext::emit`]). The accept loop joins each session thread
+//! that has exited when it accepts the next connection.
 
 pub mod protocol;
 mod queue;
@@ -108,7 +131,7 @@ pub struct JobOutput {
     /// same spec must produce equal digests.
     pub digest: u64,
     /// Summary fields appended to the `done` and `result` replies.
-    pub fields: Vec<(String, String)>,
+    pub fields: Vec<(&'static str, String)>,
 }
 
 /// The closure a prepared job runs on a worker thread. `Ok(None)`
@@ -150,6 +173,8 @@ pub trait JobRunner: Send + Sync {
 /// stream back to subscribers.
 pub struct JobContext {
     pub(crate) id: String,
+    /// The `n` of the job's id `job-<n>`.
+    pub(crate) number: u64,
     pub(crate) cancel: CancelToken,
     pub(crate) shared: Arc<Shared>,
 }
@@ -173,10 +198,11 @@ impl JobContext {
     }
 
     /// Emits one `event` line to the job's subscribers (buffered for
-    /// late subscribers). Emit at window-batched cadence, not per
-    /// step.
+    /// late subscribers). The job's record keeps every line until it is
+    /// dropped, so emit a bounded number per job, not one per step or
+    /// per shard: the catalog's runners emit one per eighth of the work.
     pub fn emit(&self, fields: &[(&str, String)]) {
-        self.shared.append_event(&self.id, fields);
+        self.shared.append_event(self.number, fields);
     }
 }
 
@@ -196,6 +222,10 @@ pub(crate) struct StoredRun {
     pub(crate) cancel: CancelToken,
     pub(crate) spec: String,
 }
+
+/// How many finished job records the daemon keeps; past it the oldest
+/// is dropped, and its id answers `err code=expired`.
+const FINISHED_JOBS_KEPT: usize = 1024;
 
 /// Daemon sizing: queue bound, worker count, and the backpressure
 /// retry hint.
@@ -281,6 +311,15 @@ impl ServerHandle {
         self.shutdown();
         self.wait();
     }
+
+    /// How many session threads the daemon holds a handle for.
+    #[cfg(test)]
+    fn held_sessions(&self) -> usize {
+        self.sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
 }
 
 /// Starts the daemon on `addr` (use port 0 for an ephemeral port) and
@@ -296,7 +335,11 @@ pub fn serve(
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let shared = Arc::new(Shared::new(config.queue_capacity, config.retry_after_ms));
+    let shared = Arc::new(Shared::new(
+        config.queue_capacity,
+        config.retry_after_ms,
+        FINISHED_JOBS_KEPT,
+    ));
     let workers = queue::spawn_workers(&shared, config.workers);
     let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -316,11 +359,11 @@ pub fn serve(
                             .spawn(move || {
                                 session::handle_connection(stream, shared, session_runner);
                             });
+                        let mut sessions =
+                            accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
+                        reap_finished(&mut sessions);
                         if let Ok(handle) = handle {
-                            accept_sessions
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(handle);
+                            sessions.push(handle);
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -340,13 +383,23 @@ pub fn serve(
     })
 }
 
+/// Joins the session threads that have exited, so the daemon holds a
+/// handle only for each live connection and the ones that closed since
+/// the last accept.
+fn reap_finished(sessions: &mut Vec<JoinHandle<()>>) {
+    for finished in sessions.extract_if(.., |session| session.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::registry::{ResultCache, ResultSnapshot};
+    use super::registry::{Missing, Outcome, ResultCache, ResultSnapshot};
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     /// A runner whose jobs emit one event and finish with a digest
     /// derived from the spec — enough to exercise the full lifecycle
@@ -389,7 +442,7 @@ mod tests {
                     }
                     Ok(Some(JobOutput {
                         digest: hash,
-                        fields: vec![("echo_seed".into(), seed.to_string())],
+                        fields: vec![("echo_seed", seed.to_string())],
                     }))
                 }),
             })
@@ -706,18 +759,18 @@ mod tests {
 
     #[test]
     fn a_summary_is_held_once_by_its_record_the_cache_and_each_repeat() {
-        let shared = registry::Shared::new(2, 99);
+        let shared = registry::Shared::new(2, 99, FINISHED_JOBS_KEPT);
         let submit_spec = |spec: &str| shared.submit(spec.into(), 1, 2, Box::new(|_| Ok(None)));
         let submit = || submit_spec("kind=echo");
         let first = submit().expect("queued");
         assert!(!first.cached);
-        let (id, run) = shared.claim().expect("a queued job");
-        assert_eq!(id, first.id);
+        let (n, run) = shared.claim().expect("a queued job");
+        assert_eq!(registry::wire_id(n), first.id);
         let output = Arc::new(JobOutput {
             digest: 3,
-            fields: vec![("k".into(), "v".into())],
+            fields: vec![("k", "v".into())],
         });
-        shared.complete(&id, run.spec, registry::Outcome::Done(Arc::clone(&output)));
+        shared.complete(n, run.spec, registry::Outcome::Done(Arc::clone(&output)));
         // A full queue turns a new spec away, but a repeat takes no slot.
         for spec in ["kind=echo;n=1", "kind=echo;n=2"] {
             assert!(!submit_spec(spec).expect("queued").cached);
@@ -736,6 +789,173 @@ mod tests {
         }
         // Ours, the first record's, the cache entry's and one per repeat.
         assert_eq!(Arc::strong_count(&output), 3 + repeats.len());
+    }
+
+    #[test]
+    fn a_soak_holds_the_bound_plus_the_live_jobs() {
+        const BOUND: usize = 4;
+        let shared = registry::Shared::new(2, 99, BOUND);
+        let submit = |spec: String| {
+            shared
+                .submit(spec, 1, 2, Box::new(|_| Ok(None)))
+                .expect("a queue slot")
+        };
+        let claim = || shared.claim().expect("a queued job");
+        let summary = |digest| {
+            Arc::new(JobOutput {
+                digest,
+                fields: Vec::new(),
+            })
+        };
+        let state = |id: &str| shared.status(id).map(|s| s.state);
+        let within_bound = || {
+            let (records, live) = shared.held();
+            assert!(records <= BOUND + live, "{records} records, {live} live");
+        };
+
+        // A job that runs through the whole soak is never dropped.
+        let long = submit("kind=echo;long=1".into());
+        let (long_n, long_run) = claim();
+
+        // A `done` record past the bound drops its reference to the
+        // summary; the cache keeps its own and answers the spec.
+        let first = submit("kind=echo;n=0".into());
+        let (n, run) = claim();
+        let output = summary(0);
+        shared.complete(n, run.spec, Outcome::Done(Arc::clone(&output)));
+        assert_eq!(
+            Arc::strong_count(&output),
+            3,
+            "ours, the record's, the cache's"
+        );
+        for i in 0..BOUND {
+            submit(format!("kind=echo;fail={i}"));
+            let (n, run) = claim();
+            shared.complete(n, run.spec, Outcome::Failed("failed".into()));
+            within_bound();
+        }
+        assert_eq!(state(&first.id), Err(Missing::Expired));
+        assert_eq!(Arc::strong_count(&output), 2);
+        assert!(submit("kind=echo;n=0".into()).cached);
+
+        // A queued job outlives the finished records around it.
+        let queued = submit("kind=echo;queued=1".into());
+        for _ in 0..2 * BOUND {
+            assert!(submit("kind=echo;n=0".into()).cached);
+            within_bound();
+        }
+        assert_eq!(state(&queued.id), Ok(JobState::Queued));
+        assert_eq!(shared.cancel(&queued.id), Ok(JobState::Cancelled));
+
+        // 50 000 jobs: runs, failures, cancels of queued and of running
+        // jobs, and cached repeats.
+        for i in 1..=50_000u64 {
+            let spec = format!("kind=echo;n={i}");
+            match i % 5 {
+                0 | 1 => {
+                    submit(spec);
+                    let (n, run) = claim();
+                    let outcome = if i % 5 == 0 {
+                        Outcome::Done(summary(i))
+                    } else {
+                        Outcome::Failed("failed".into())
+                    };
+                    shared.complete(n, run.spec, outcome);
+                }
+                2 => {
+                    let job = submit(spec);
+                    assert_eq!(shared.cancel(&job.id), Ok(JobState::Cancelled));
+                }
+                3 => {
+                    let job = submit(spec);
+                    let (n, run) = claim();
+                    assert_eq!(shared.cancel(&job.id), Ok(JobState::Running));
+                    assert!(run.cancel.is_cancelled());
+                    shared.complete(n, run.spec, Outcome::Cancelled);
+                }
+                _ => assert!(submit(format!("kind=echo;n={}", i - 4)).cached),
+            }
+            within_bound();
+        }
+        assert_eq!(state(&long.id), Ok(JobState::Running));
+        shared.complete(long_n, long_run.spec, Outcome::Cancelled);
+        assert_eq!(shared.held(), (BOUND, 0));
+    }
+
+    #[test]
+    fn an_id_past_the_bound_expires_and_other_spellings_stay_unknown() {
+        let (handle, mut client, runs) = start_counting();
+        let submit = "submit kind=echo;seed=3";
+        let first = parse_id(&client.roundtrip(submit));
+        assert_eq!(first, "job-1");
+        let first_result = wait_done(&mut client, &first);
+        // Cached repeats finish at once, so they push the first job past
+        // the bound without a run.
+        let repeats: Vec<String> = (0..FINISHED_JOBS_KEPT)
+            .map(|_| {
+                let ack = client.roundtrip(submit);
+                assert_eq!(parse_reply(&ack).get("cached"), Some("1"), "{ack}");
+                parse_id(&ack)
+            })
+            .collect();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        for verb in ["status", "result", "subscribe", "cancel"] {
+            let reply = client.roundtrip(&format!("{verb} id={first}"));
+            assert!(reply.starts_with("err code=expired;"), "{verb}: {reply}");
+            let held = client.roundtrip(&format!("{verb} id={}", repeats[0]));
+            assert!(held.starts_with("ok "), "{verb}: {held}");
+            if verb == "subscribe" {
+                assert!(client.recv().starts_with("done "));
+            }
+        }
+        let next = format!("job-{}", repeats.len() + 2);
+        for id in [
+            "job-01",
+            "job-+1",
+            "job-0",
+            "job-18446744073709551616",
+            "job-",
+            "JOB-1",
+            "1",
+            next.as_str(),
+        ] {
+            for verb in ["status", "result", "subscribe", "cancel"] {
+                let reply = client.roundtrip(&format!("{verb} id={id}"));
+                assert!(
+                    reply.starts_with("err code=unknown_job;"),
+                    "{verb} {id}: {reply}"
+                );
+            }
+        }
+        assert_eq!(client.roundtrip("ping"), "ok pong=1");
+        // The spec still answers with the first result.
+        let again = parse_id(&client.roundtrip(submit));
+        let result = client.roundtrip(&format!("result id={again}"));
+        assert_eq!(without_id(&result), without_id(&first_result));
+        handle.shutdown_and_wait();
+    }
+
+    #[test]
+    fn finished_sessions_are_reaped_on_accept() {
+        let (handle, mut client) = start();
+        for _ in 0..30 {
+            let mut passing = Client::connect(handle.addr());
+            assert_eq!(passing.roundtrip("ping"), "ok pong=1");
+        }
+        // Each accept joins the sessions that have exited, so the held
+        // handles fall back to the live ones: `client` and the probe.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut probe = Client::connect(handle.addr());
+            assert_eq!(probe.roundtrip("ping"), "ok pong=1");
+            let held = handle.held_sessions();
+            if held == 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{held} session handles held");
+        }
+        assert_eq!(client.roundtrip("ping"), "ok pong=1");
+        handle.shutdown_and_wait();
     }
 
     /// Subscribes to `id` and reads its stream: the `event` lines, then

@@ -3,7 +3,7 @@
 //! caught and recorded as `failed` — it never takes a worker (or the
 //! daemon) down.
 
-use super::registry::{Outcome, Shared};
+use super::registry::{wire_id, Outcome, Shared};
 use super::{JobContext, StoredRun};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -24,9 +24,10 @@ pub(crate) fn spawn_workers(shared: &Arc<Shared>, workers: usize) -> Vec<JoinHan
 }
 
 fn run_worker(shared: &Arc<Shared>) {
-    while let Some((id, StoredRun { run, cancel, spec })) = shared.claim() {
+    while let Some((n, StoredRun { run, cancel, spec })) = shared.claim() {
         let ctx = JobContext {
-            id: id.clone(),
+            id: wire_id(n),
+            number: n,
             cancel,
             shared: Arc::clone(shared),
         };
@@ -36,7 +37,7 @@ fn run_worker(shared: &Arc<Shared>) {
             Ok(Err(message)) => Outcome::Failed(message),
             Err(panic) => Outcome::Failed(panic_text(&panic)),
         };
-        shared.complete(&id, spec, outcome);
+        shared.complete(n, spec, outcome);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Shared daemon state: the bounded job queue, per-job records with
-//! buffered event lines, subscriber channels, lifecycle transitions and
-//! the result cache. One mutex guards the whole state; workers park on a
-//! condvar when the queue is empty.
+//! buffered event lines, subscriber channels, lifecycle transitions, the
+//! bounded set of finished records and the result cache. One mutex
+//! guards the whole state; workers park on a condvar when the queue is
+//! empty.
 
 use super::protocol::format_line;
 use super::{JobOutput, JobRun, StoredRun};
@@ -48,6 +49,31 @@ impl JobState {
             JobState::Done | JobState::Cancelled | JobState::Failed
         )
     }
+}
+
+/// Why a wire id names no held job record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Missing {
+    /// The daemon never issued the id: `err code=unknown_job`.
+    Unknown,
+    /// The job finished and its record was dropped past the retention
+    /// bound: `err code=expired`.
+    Expired,
+}
+
+/// The wire id of job number `n`.
+pub(crate) fn wire_id(n: u64) -> String {
+    format!("job-{n}")
+}
+
+/// The number `n` of an id spelled exactly as [`wire_id`] spells it: no
+/// sign and no leading zero, so `job-05` and `job-+5` name no job.
+fn job_number(id: &str) -> Option<u64> {
+    let digits = id.strip_prefix("job-")?;
+    if digits.starts_with(['+', '0']) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// A message on a subscriber's channel.
@@ -121,7 +147,7 @@ impl Ending {
         fields.push(("spec_hash", format!("{:016x}", self.spec_hash)));
         if let Outcome::Done(output) = &self.outcome {
             fields.push(("digest", format!("{:016x}", output.digest)));
-            fields.extend(output.fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
+            fields.extend(output.fields.iter().map(|(k, v)| (*k, v.clone())));
         }
         fields
     }
@@ -165,9 +191,9 @@ impl JobRecord {
         }
     }
 
-    fn done_line(&self, id: &str) -> Option<String> {
+    fn done_line(&self, n: u64) -> Option<String> {
         let ending = self.ending()?;
-        Some(format_line("done", &ending.fields(id)))
+        Some(format_line("done", &ending.fields(&wire_id(n))))
     }
 }
 
@@ -245,13 +271,61 @@ pub(crate) enum ResultSnapshot {
 }
 
 struct Inner {
-    queue: VecDeque<String>,
-    runs: HashMap<String, StoredRun>,
-    jobs: HashMap<String, JobRecord>,
+    /// Queued job numbers, oldest first.
+    queue: VecDeque<u64>,
+    runs: HashMap<u64, StoredRun>,
+    /// Every live job's record and the last `retention` finished ones,
+    /// keyed by job number.
+    jobs: HashMap<u64, JobRecord>,
+    /// The held finished records' job numbers in finish order.
+    finished: VecDeque<u64>,
+    retention: usize,
     cache: ResultCache,
+    /// The number the next job gets; `1..next_id` have been issued.
     next_id: u64,
     running: usize,
     shutdown: bool,
+}
+
+impl Inner {
+    /// The number of the job `id` names, if its record is held. An
+    /// issued id without a record has expired: records are dropped only
+    /// past the retention bound.
+    fn find(&self, id: &str) -> Result<u64, Missing> {
+        match job_number(id).filter(|n| (1..self.next_id).contains(n)) {
+            None => Err(Missing::Unknown),
+            Some(n) if self.jobs.contains_key(&n) => Ok(n),
+            Some(_) => Err(Missing::Expired),
+        }
+    }
+
+    /// Ends job `n`, sends its `done` line to every subscriber and files
+    /// it among the finished records.
+    fn finish(&mut self, n: u64, outcome: Outcome) {
+        let Some(job) = self.jobs.get_mut(&n) else {
+            return;
+        };
+        job.phase = Phase::Ended(outcome);
+        if !job.subscribers.is_empty() {
+            let line = job.done_line(n).expect("the job has ended");
+            for tx in job.subscribers.drain(..) {
+                let _ = tx.send(StreamMsg::Done(line.clone()));
+            }
+        }
+        self.retire(n);
+    }
+
+    /// Files the ended job `n` as the newest finished record and drops
+    /// the oldest past the retention bound, with its `event` lines and
+    /// its reference to the summary (the result cache holds its own).
+    fn retire(&mut self, n: u64) {
+        self.finished.push_back(n);
+        while self.finished.len() > self.retention {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// The daemon's shared state: one mutex, one worker-wakeup condvar.
@@ -263,7 +337,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(capacity: usize, retry_after_ms: u64) -> Self {
+    /// The state of a daemon whose queue holds `capacity` jobs and which
+    /// keeps the records of the last `retention` finished jobs.
+    pub(crate) fn new(capacity: usize, retry_after_ms: u64, retention: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             retry_after_ms,
@@ -271,6 +347,8 @@ impl Shared {
                 queue: VecDeque::new(),
                 runs: HashMap::new(),
                 jobs: HashMap::new(),
+                finished: VecDeque::new(),
+                retention,
                 cache: ResultCache::new(RESULT_CACHE_ENTRIES),
                 next_id: 1,
                 running: 0,
@@ -306,7 +384,7 @@ impl Shared {
             });
         }
         let cached = hit.is_some();
-        let id = format!("job-{}", inner.next_id);
+        let n = inner.next_id;
         inner.next_id += 1;
         let cancel = CancelToken::new();
         let phase = match hit {
@@ -317,14 +395,14 @@ impl Shared {
                     cancel: cancel.clone(),
                     spec,
                 };
-                inner.runs.insert(id.clone(), run);
-                inner.queue.push_back(id.clone());
+                inner.runs.insert(n, run);
+                inner.queue.push_back(n);
                 self.work.notify_one();
                 Phase::Queued
             }
         };
         inner.jobs.insert(
-            id.clone(),
+            n,
             JobRecord {
                 phase,
                 seed,
@@ -334,21 +412,27 @@ impl Shared {
                 subscribers: Vec::new(),
             },
         );
-        Ok(Admitted { id, cached })
+        if cached {
+            inner.retire(n);
+        }
+        Ok(Admitted {
+            id: wire_id(n),
+            cached,
+        })
     }
 
-    /// Blocks until a job is available or shutdown; `None` means the
-    /// worker should exit.
-    pub(crate) fn claim(&self) -> Option<(String, StoredRun)> {
+    /// Blocks until a job is available or shutdown, and returns its
+    /// number and run; `None` means the worker should exit.
+    pub(crate) fn claim(&self) -> Option<(u64, StoredRun)> {
         let mut inner = self.lock();
         loop {
-            if let Some(id) = inner.queue.pop_front() {
-                let run = inner.runs.remove(&id).expect("queued job has a run");
-                if let Some(job) = inner.jobs.get_mut(&id) {
+            if let Some(n) = inner.queue.pop_front() {
+                let run = inner.runs.remove(&n).expect("queued job has a run");
+                if let Some(job) = inner.jobs.get_mut(&n) {
                     job.phase = Phase::Running;
                 }
                 inner.running += 1;
-                return Some((id, run));
+                return Some((n, run));
             }
             if inner.shutdown {
                 return None;
@@ -357,11 +441,12 @@ impl Shared {
         }
     }
 
-    /// Appends a live `event` line and fans it out to subscribers.
-    pub(crate) fn append_event(&self, id: &str, fields: &[(&str, String)]) {
+    /// Appends a live `event` line of job `n` and fans it out to
+    /// subscribers.
+    pub(crate) fn append_event(&self, n: u64, fields: &[(&str, String)]) {
         let mut inner = self.lock();
-        if let Some(job) = inner.jobs.get_mut(id) {
-            let mut all = vec![("id", id.to_string())];
+        if let Some(job) = inner.jobs.get_mut(&n) {
+            let mut all = vec![("id", wire_id(n))];
             all.extend(fields.iter().map(|(k, v)| (*k, v.clone())));
             let line = format_line("event", &all);
             job.subscribers
@@ -370,49 +455,31 @@ impl Shared {
         }
     }
 
-    /// Records a worker's outcome for the job of normalized `spec`:
+    /// Records a worker's outcome for job `n` of normalized `spec`:
     /// terminal state, subscriber completion and, for a `done` job, the
     /// result cache entry.
-    pub(crate) fn complete(&self, id: &str, spec: String, outcome: Outcome) {
+    pub(crate) fn complete(&self, n: u64, spec: String, outcome: Outcome) {
         let mut inner = self.lock();
         inner.running = inner.running.saturating_sub(1);
         if let Outcome::Done(output) = &outcome {
             inner.cache.insert(spec, Arc::clone(output));
         }
-        if let Some(job) = inner.jobs.get_mut(id) {
-            Self::finish_record(id, job, outcome);
-        }
-    }
-
-    /// Ends a job and sends its `done` line to every subscriber.
-    fn finish_record(id: &str, job: &mut JobRecord, outcome: Outcome) {
-        job.phase = Phase::Ended(outcome);
-        if job.subscribers.is_empty() {
-            return;
-        }
-        let line = job.done_line(id).expect("the job has ended");
-        for tx in job.subscribers.drain(..) {
-            let _ = tx.send(StreamMsg::Done(line.clone()));
-        }
+        inner.finish(n, outcome);
     }
 
     /// Requests cancellation. Queued jobs are cancelled on the spot;
     /// running jobs get their token tripped and finish within one
     /// control window. Returns the job's state after the request.
-    pub(crate) fn cancel(&self, id: &str) -> Result<JobState, String> {
+    pub(crate) fn cancel(&self, id: &str) -> Result<JobState, Missing> {
         let mut inner = self.lock();
-        if !inner.jobs.contains_key(id) {
-            return Err(format!("unknown job {id}"));
-        }
-        let queued_pos = inner.queue.iter().position(|q| q == id);
-        if let Some(pos) = queued_pos {
+        let n = inner.find(id)?;
+        if let Some(pos) = inner.queue.iter().position(|&q| q == n) {
             inner.queue.remove(pos);
-            inner.runs.remove(id);
-            let job = inner.jobs.get_mut(id).expect("checked above");
-            Self::finish_record(id, job, Outcome::Cancelled);
+            inner.runs.remove(&n);
+            inner.finish(n, Outcome::Cancelled);
             return Ok(JobState::Cancelled);
         }
-        let job = inner.jobs.get_mut(id).expect("checked above");
+        let job = &inner.jobs[&n];
         if !job.state().is_terminal() {
             job.cancel.cancel();
         }
@@ -420,26 +487,20 @@ impl Shared {
     }
 
     /// Job state plus queue occupancy.
-    pub(crate) fn status(&self, id: &str) -> Result<StatusSnapshot, String> {
+    pub(crate) fn status(&self, id: &str) -> Result<StatusSnapshot, Missing> {
         let inner = self.lock();
-        let job = inner
-            .jobs
-            .get(id)
-            .ok_or_else(|| format!("unknown job {id}"))?;
+        let n = inner.find(id)?;
         Ok(StatusSnapshot {
-            state: job.state(),
+            state: inner.jobs[&n].state(),
             queued: inner.queue.len(),
             running: inner.running,
         })
     }
 
     /// A job's state, or its ending once it has one.
-    pub(crate) fn result(&self, id: &str) -> Result<ResultSnapshot, String> {
+    pub(crate) fn result(&self, id: &str) -> Result<ResultSnapshot, Missing> {
         let inner = self.lock();
-        let job = inner
-            .jobs
-            .get(id)
-            .ok_or_else(|| format!("unknown job {id}"))?;
+        let job = &inner.jobs[&inner.find(id)?];
         Ok(match job.ending() {
             Some(ending) => ResultSnapshot::Ended(ending),
             None => ResultSnapshot::Live(job.state()),
@@ -453,13 +514,11 @@ impl Shared {
         &self,
         id: &str,
         tx: mpsc::Sender<StreamMsg>,
-    ) -> Result<(Vec<String>, Option<String>), String> {
+    ) -> Result<(Vec<String>, Option<String>), Missing> {
         let mut inner = self.lock();
-        let job = inner
-            .jobs
-            .get_mut(id)
-            .ok_or_else(|| format!("unknown job {id}"))?;
-        let done = job.done_line(id);
+        let n = inner.find(id)?;
+        let job = inner.jobs.get_mut(&n).expect("found above");
+        let done = job.done_line(n);
         if done.is_none() {
             job.subscribers.push(tx);
         }
@@ -474,12 +533,10 @@ impl Shared {
             return;
         }
         inner.shutdown = true;
-        let queued: Vec<String> = inner.queue.drain(..).collect();
+        let queued: Vec<u64> = inner.queue.drain(..).collect();
         inner.runs.clear();
-        for id in queued {
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                Self::finish_record(&id, job, Outcome::Cancelled);
-            }
+        for n in queued {
+            inner.finish(n, Outcome::Cancelled);
         }
         for job in inner.jobs.values_mut() {
             if !job.state().is_terminal() {
@@ -492,5 +549,13 @@ impl Shared {
     /// Whether shutdown has begun.
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.lock().shutdown
+    }
+
+    /// How many job records are held, and how many of them are live
+    /// (queued or running).
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let inner = self.lock();
+        (inner.jobs.len(), inner.queue.len() + inner.running)
     }
 }

@@ -3,7 +3,7 @@
 //! until the job's `done` line has been delivered.
 
 use super::protocol::{fnv1a64, format_line, normalize_spec, parse_line, Request};
-use super::registry::{Admitted, Outcome, ResultSnapshot, Shared, StreamMsg, SubmitError};
+use super::registry::{Admitted, Missing, Outcome, ResultSnapshot, Shared, StreamMsg, SubmitError};
 use super::{JobRunner, JobSpec, JobState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -74,6 +74,18 @@ fn send_err(stream: &mut TcpStream, code: &str, msg: &str) -> bool {
             &[("code", code.to_string()), ("msg", msg.to_string())],
         ),
     )
+}
+
+/// The reply to a request naming job `id`, whose record is not held.
+fn send_missing(stream: &mut TcpStream, id: &str, missing: Missing) -> bool {
+    match missing {
+        Missing::Unknown => send_err(stream, "unknown_job", &format!("unknown job {id}")),
+        Missing::Expired => send_err(
+            stream,
+            "expired",
+            &format!("{id} finished and its record was dropped: resubmit its spec"),
+        ),
+    }
 }
 
 /// Runs one client connection to completion. All I/O errors simply end
@@ -228,7 +240,7 @@ fn handle_status(writer: &mut TcpStream, shared: &Shared, request: &Request) -> 
                 ],
             ),
         ),
-        Err(msg) => send_err(writer, "unknown_job", &msg),
+        Err(missing) => send_missing(writer, id, missing),
     }
 }
 
@@ -251,7 +263,7 @@ fn handle_cancel(writer: &mut TcpStream, shared: &Shared, request: &Request) -> 
                 &format_line("ok", &[("id", id.to_string()), ("state", wire.into())]),
             )
         }
-        Err(msg) => send_err(writer, "unknown_job", &msg),
+        Err(missing) => send_missing(writer, id, missing),
     }
 }
 
@@ -276,7 +288,7 @@ fn handle_result(writer: &mut TcpStream, shared: &Shared, request: &Request) -> 
                 ],
             ),
         ),
-        Err(msg) => send_err(writer, "unknown_job", &msg),
+        Err(missing) => send_missing(writer, id, missing),
     }
 }
 
@@ -288,7 +300,7 @@ fn handle_subscribe(writer: &mut TcpStream, shared: &Shared, request: &Request) 
     let (tx, rx) = mpsc::channel();
     let (events, done) = match shared.subscribe(id, tx) {
         Ok(sub) => sub,
-        Err(msg) => return send_err(writer, "unknown_job", &msg),
+        Err(missing) => return send_missing(writer, id, missing),
     };
     let ack = format_line("ok", &[("id", id.to_string()), ("subscribed", "1".into())]);
     let backlog = events.iter().chain(&done).map(String::as_str);

@@ -1,7 +1,7 @@
 //! A worked `mseh serve` session over the newline-delimited wire
 //! protocol: ping → submit → subscribe/stream → a repeat answered from
-//! the result cache → a rejected spec → cancel of a running fleet job →
-//! shutdown.
+//! the result cache → repeats until the first job's record expires → a
+//! rejected spec → cancel of a running fleet job → shutdown.
 //!
 //! With no arguments the example hosts its own daemon in-process on an
 //! ephemeral port, so it runs standalone (and in the example sweep of
@@ -58,7 +58,21 @@ impl Client {
         self.send(line);
         self.recv().expect("reply before close")
     }
+
+    /// [`Client::roundtrip`] without echoing the exchange.
+    fn quiet_roundtrip(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("recv");
+        reply.trim_end().to_string()
+    }
 }
+
+/// How many resubmissions may pass before the first job's record
+/// expires: the daemon keeps the last 1024 finished records.
+const MAX_RESUBMISSIONS: usize = 2000;
 
 /// Pulls `key=...` out of a reply line.
 fn field(reply: &str, key: &str) -> Option<String> {
@@ -105,9 +119,30 @@ fn main() {
     // once, with the first run's digest.
     let reply = client.roundtrip(submit);
     assert_eq!(field(&reply, "cached").as_deref(), Some("1"), "{reply}");
-    let id = field(&reply, "id").expect("job id");
-    let repeat = client.roundtrip(&format!("result id={id}"));
-    assert_eq!(field(&repeat, "digest"), Some(digest), "{repeat}");
+    let repeat_id = field(&reply, "id").expect("job id");
+    let repeat = client.roundtrip(&format!("result id={repeat_id}"));
+    assert_eq!(field(&repeat, "digest"), Some(digest.clone()), "{repeat}");
+
+    // Every repeat is a finished job too, so enough of them push the
+    // first job's record past the daemon's bound: its id then answers
+    // `err code=expired`, and resubmitting the spec recovers the result.
+    let status = format!("status id={id}");
+    let mut resubmissions = 0;
+    while field(&client.quiet_roundtrip(&status), "code").as_deref() != Some("expired") {
+        assert!(
+            resubmissions < MAX_RESUBMISSIONS,
+            "{id} still held after {resubmissions} resubmissions"
+        );
+        let reply = client.quiet_roundtrip(submit);
+        assert_eq!(field(&reply, "cached").as_deref(), Some("1"), "{reply}");
+        resubmissions += 1;
+    }
+    println!("{id} expired after {resubmissions} more cached repeats");
+    client.roundtrip(&status);
+    let reply = client.roundtrip(submit);
+    let again = field(&reply, "id").expect("job id");
+    let recovered = client.roundtrip(&format!("result id={again}"));
+    assert_eq!(field(&recovered, "digest"), Some(digest), "{recovered}");
 
     // Malformed specs come back as protocol errors, not disconnects.
     client.roundtrip("submit kind=fleet;system=A;population=0");

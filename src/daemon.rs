@@ -42,6 +42,7 @@ use mseh_sim::{
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
 use mseh_units::{DutyCycle, Seconds};
+use std::sync::{Mutex, PoisonError};
 
 /// Longest accepted job horizon, days — a guard against jobs sized to
 /// occupy a worker forever.
@@ -359,24 +360,41 @@ fn parse_u64_field(spec: &JobSpec, key: &str, default: u64) -> Result<u64, Strin
     }
 }
 
-/// Window-batched progress events for `single` jobs: one `event` line
-/// every `every` control windows, counted from the windows' books.
-struct ProgressEmitter<'a> {
+/// A job's progress reporter: it emits `done_key=<done>;total_key=<total>`
+/// each time the completed count crosses into a new eighth of the total.
+/// So a job streams at most eight `event` lines, however many windows,
+/// shards, seed rows or scenarios it has, and the last one reports the
+/// final count. Workers report at once: the check and the emit share one
+/// lock, so each eighth is sent once and the lines leave in order.
+fn eighths<'a>(
     ctx: &'a JobContext,
-    windows: u64,
-    total: u64,
-    every: u64,
+    done_key: &'static str,
+    total_key: &'static str,
+) -> impl Fn(u64, u64) + Sync + 'a {
+    let sent = Mutex::new(0u64);
+    move |done, total| {
+        let eighth = done.saturating_mul(8) / total.max(1);
+        // A count is valid after any update, so a poisoned lock is kept.
+        let mut sent = sent.lock().unwrap_or_else(PoisonError::into_inner);
+        if eighth > *sent {
+            *sent = eighth;
+            ctx.emit(&[(done_key, done.to_string()), (total_key, total.to_string())]);
+        }
+    }
 }
 
-impl SimObserver for ProgressEmitter<'_> {
+/// Window-batched progress events for `single` jobs, counted from the
+/// windows' books and reported through [`eighths`].
+struct ProgressEmitter<F> {
+    windows: u64,
+    total: u64,
+    report: F,
+}
+
+impl<F: Fn(u64, u64)> SimObserver for ProgressEmitter<F> {
     fn on_window(&mut self, _books: &WindowBooks) {
         self.windows += 1;
-        if self.windows.is_multiple_of(self.every) {
-            self.ctx.emit(&[
-                ("windows", self.windows.to_string()),
-                ("total_windows", self.total.to_string()),
-            ]);
-        }
+        (self.report)(self.windows, self.total);
     }
 }
 
@@ -399,10 +417,9 @@ fn prepare_single(spec: &JobSpec) -> Result<PreparedJob, String> {
             let config = SimConfig::over(Seconds::from_days(days));
             let total = (config.duration.value() / config.control_interval.value()).ceil() as u64;
             let mut progress = ProgressEmitter {
-                ctx,
                 windows: 0,
                 total,
-                every: (total / 8).max(1),
+                report: eighths(ctx, "windows", "total_windows"),
             };
             let result = run_simulation_cancellable(
                 &mut unit,
@@ -419,26 +436,17 @@ fn prepare_single(spec: &JobSpec) -> Result<PreparedJob, String> {
             Ok(Some(JobOutput {
                 digest: digest_single(&result),
                 fields: vec![
-                    ("uptime".into(), format!("{:.6}", result.uptime)),
-                    ("samples".into(), format!("{:.1}", result.samples)),
+                    ("uptime", format!("{:.6}", result.uptime)),
+                    ("samples", format!("{:.1}", result.samples)),
+                    ("harvested_j", format!("{:.6}", result.harvested.value())),
+                    ("delivered_j", format!("{:.6}", result.delivered.value())),
+                    ("shortfall_j", format!("{:.6}", result.shortfall.value())),
+                    ("brownout_steps", result.brownout_steps.to_string()),
                     (
-                        "harvested_j".into(),
-                        format!("{:.6}", result.harvested.value()),
-                    ),
-                    (
-                        "delivered_j".into(),
-                        format!("{:.6}", result.delivered.value()),
-                    ),
-                    (
-                        "shortfall_j".into(),
-                        format!("{:.6}", result.shortfall.value()),
-                    ),
-                    ("brownout_steps".into(), result.brownout_steps.to_string()),
-                    (
-                        "min_store_v".into(),
+                        "min_store_v",
                         format!("{:.4}", result.min_store_voltage.value()),
                     ),
-                    ("audit".into(), format!("{:.3e}", result.audit_residual)),
+                    ("audit", format!("{:.3e}", result.audit_residual)),
                 ],
             }))
         }),
@@ -458,12 +466,7 @@ fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
             let horizon = Seconds::from_days(days);
             let seeds: Vec<u64> = (seed..seed.saturating_add(count)).collect();
             let node = natural_node(system);
-            let emit = |done: u64, total: u64| {
-                ctx.emit(&[
-                    ("scenarios", done.to_string()),
-                    ("total_scenarios", total.to_string()),
-                ]);
-            };
+            let emit = eighths(ctx, "scenarios", "total_scenarios");
             let summary = run_resilience_campaign_cancellable(
                 0,
                 &seeds,
@@ -479,15 +482,15 @@ fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
             Ok(Some(JobOutput {
                 digest: digest_campaign(&summary),
                 fields: vec![
-                    ("scenarios".into(), summary.outcomes.len().to_string()),
-                    ("uptime_mean".into(), format!("{:.6}", summary.uptime.mean)),
-                    ("uptime_min".into(), format!("{:.6}", summary.uptime.min)),
-                    ("faults".into(), summary.total_faults.to_string()),
-                    ("clears".into(), summary.total_clears.to_string()),
-                    ("failovers".into(), summary.total_failovers.to_string()),
-                    ("recoveries".into(), summary.total_recoveries.to_string()),
+                    ("scenarios", summary.outcomes.len().to_string()),
+                    ("uptime_mean", format!("{:.6}", summary.uptime.mean)),
+                    ("uptime_min", format!("{:.6}", summary.uptime.min)),
+                    ("faults", summary.total_faults.to_string()),
+                    ("clears", summary.total_clears.to_string()),
+                    ("failovers", summary.total_failovers.to_string()),
+                    ("recoveries", summary.total_recoveries.to_string()),
                     (
-                        "worst_audit".into(),
+                        "worst_audit",
                         format!("{:.3e}", summary.worst_audit_relative),
                     ),
                 ],
@@ -530,12 +533,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
                 fleet_config(days, shard_size as usize),
                 FleetControl {
                     cancel: Some(ctx.cancel_token()),
-                    progress: Some(&|done: u64, total: u64| {
-                        ctx.emit(&[
-                            ("nodes", done.to_string()),
-                            ("total_nodes", total.to_string()),
-                        ]);
-                    }),
+                    progress: Some(&eighths(ctx, "nodes", "total_nodes")),
                 },
             )?
             else {
@@ -543,16 +541,16 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
             };
             let s = &result.summary;
             let fields = vec![
-                ("population".into(), s.population.to_string()),
-                ("uptime_mean".into(), format!("{:.6}", s.uptime.mean)),
-                ("uptime_min".into(), format!("{:.6}", s.uptime.min)),
+                ("population", s.population.to_string()),
+                ("uptime_mean", format!("{:.6}", s.uptime.mean)),
+                ("uptime_min", format!("{:.6}", s.uptime.min)),
                 (
-                    "neutral_fraction".into(),
+                    "neutral_fraction",
                     format!("{:.6}", s.energy_neutral_fraction),
                 ),
-                ("harvested_j".into(), format!("{:.6}", s.harvested.value())),
-                ("delivered_j".into(), format!("{:.6}", s.delivered.value())),
-                ("audit".into(), format!("{:.3e}", s.audit_relative)),
+                ("harvested_j", format!("{:.6}", s.harvested.value())),
+                ("delivered_j", format!("{:.6}", s.delivered.value())),
+                ("audit", format!("{:.3e}", s.audit_relative)),
             ];
             Ok(Some(JobOutput {
                 digest: digest_fleet(s),
@@ -579,12 +577,7 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
                 ArenaConfig::over(Seconds::from_days(days)),
                 FleetControl {
                     cancel: Some(ctx.cancel_token()),
-                    progress: Some(&|done: u64, total: u64| {
-                        ctx.emit(&[
-                            ("lanes", done.to_string()),
-                            ("total_lanes", total.to_string()),
-                        ]);
-                    }),
+                    progress: Some(&eighths(ctx, "lanes", "total_lanes")),
                 },
             )?
             else {
@@ -595,16 +588,13 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
             Ok(Some(JobOutput {
                 digest: digest_arena(s),
                 fields: vec![
-                    ("contenders".into(), s.contenders.to_string()),
-                    ("seeds".into(), s.seeds.to_string()),
-                    ("lanes".into(), s.lanes.to_string()),
-                    ("winner".into(), top.name.clone()),
-                    (
-                        "winner_served".into(),
-                        format!("{:.6}", top.served_fraction),
-                    ),
-                    ("winner_uptime".into(), format!("{:.6}", top.uptime.mean)),
-                    ("audit".into(), format!("{:.3e}", s.audit_relative)),
+                    ("contenders", s.contenders.to_string()),
+                    ("seeds", s.seeds.to_string()),
+                    ("lanes", s.lanes.to_string()),
+                    ("winner", top.name.clone()),
+                    ("winner_served", format!("{:.6}", top.served_fraction)),
+                    ("winner_uptime", format!("{:.6}", top.uptime.mean)),
+                    ("audit", format!("{:.3e}", s.audit_relative)),
                 ],
             }))
         }),

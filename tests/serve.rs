@@ -4,8 +4,9 @@
 //! checks the service mode promises — queue-full backpressure,
 //! cooperative cancellation that leaves the worker pool reusable,
 //! deterministic receipts on recomputation by two daemons, repeats
-//! answered from the result cache, and bit-identical digests between a
-//! streamed (or cached) job and the same scenario run in-process.
+//! answered from the result cache, progress streams of at most eight
+//! lines, and bit-identical digests between a streamed (or cached) job
+//! and the same scenario run in-process.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -295,6 +296,67 @@ fn streamed_arena_digest_matches_direct_run_bit_for_bit() {
     );
     assert_eq!(field(&result, "lanes").as_deref(), Some("8"));
 
+    handle.shutdown_and_wait();
+}
+
+/// Every kind streams at most eight `event` lines, the last one at the
+/// full count, however many shards, seed rows, scenarios or windows it
+/// reports; a late subscriber replays them all. The first spec reports
+/// once per shard, 20 000 times; the rest are the benchmark's job shapes,
+/// whose counts stay 8, 4, 2 and 2.
+#[test]
+fn progress_streams_at_most_eight_events_ending_at_the_total() {
+    let handle = start(8, 2);
+    let mut client = Client::connect(&handle);
+    for (submit, done_key, total_key, count) in [
+        (
+            "submit kind=fleet;system=C;population=20000;shard_size=1;days=0.01;seed=1",
+            "nodes",
+            "total_nodes",
+            8,
+        ),
+        (
+            "submit kind=single;system=B;days=1;seed=1",
+            "windows",
+            "total_windows",
+            8,
+        ),
+        (
+            "submit kind=campaign;system=B;seeds=4;days=1;seed=1",
+            "scenarios",
+            "total_scenarios",
+            4,
+        ),
+        (
+            "submit kind=arena;system=B;seeds=2;days=1;seed=1",
+            "lanes",
+            "total_lanes",
+            2,
+        ),
+        (
+            "submit kind=fleet;system=B;population=32;jitter=0.1;days=1;seed=1",
+            "nodes",
+            "total_nodes",
+            2,
+        ),
+    ] {
+        let id = job_id(&client.roundtrip(submit));
+        wait_for_state(&mut client, &id, "done");
+        let ack = client.roundtrip(&format!("subscribe id={id}"));
+        assert_eq!(field(&ack, "subscribed").as_deref(), Some("1"), "{ack}");
+        let mut events = Vec::new();
+        loop {
+            let line = client.recv();
+            if line.starts_with("done ") {
+                break;
+            }
+            events.push(line);
+        }
+        assert_eq!(events.len(), count, "{submit}: {events:?}");
+        let last = events.last().expect("an event");
+        assert!(field(last, total_key).is_some(), "{last}");
+        assert_eq!(field(last, done_key), field(last, total_key), "{last}");
+    }
     handle.shutdown_and_wait();
 }
 
