@@ -354,14 +354,16 @@ pub fn serve(
                         let _ = stream.set_nonblocking(false);
                         let shared = Arc::clone(&accept_shared);
                         let session_runner = Arc::clone(&runner);
+                        // Held across the spawn, so a session's handle is
+                        // listed before it can answer its first request.
+                        let mut sessions =
+                            accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
+                        reap_finished(&mut sessions);
                         let handle = std::thread::Builder::new()
                             .name("mseh-serve-session".to_string())
                             .spawn(move || {
                                 session::handle_connection(stream, shared, session_runner);
                             });
-                        let mut sessions =
-                            accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
-                        reap_finished(&mut sessions);
                         if let Ok(handle) = handle {
                             sessions.push(handle);
                         }
