@@ -42,7 +42,7 @@ use mseh_sim::{
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
 use mseh_units::{DutyCycle, Seconds};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU16, Ordering};
 
 /// Longest accepted job horizon, days — a guard against jobs sized to
 /// occupy a worker forever.
@@ -361,23 +361,24 @@ fn parse_u64_field(spec: &JobSpec, key: &str, default: u64) -> Result<u64, Strin
 }
 
 /// A job's progress reporter: it emits `done_key=<done>;total_key=<total>`
-/// each time the completed count crosses into a new eighth of the total.
-/// So a job streams at most eight `event` lines, however many windows,
-/// shards, seed rows or scenarios it has, and the last one reports the
-/// final count. Workers report at once: the check and the emit share one
-/// lock, so each eighth is sent once and the lines leave in order.
+/// for the first count that lands in each eighth of the total. So a job
+/// streams at most eight `event` lines, however many windows, shards,
+/// seed rows or scenarios it has, one per eighth its counts reach, and
+/// the final count is always sent. Workers report at once: `fetch_or`
+/// on one bit per eighth sends each eighth once. Two reports that race
+/// may still leave out of order, since the kernels number a report
+/// before they make it. The bits publish no other data, so `Relaxed`
+/// suffices.
 fn eighths<'a>(
     ctx: &'a JobContext,
     done_key: &'static str,
     total_key: &'static str,
 ) -> impl Fn(u64, u64) + Sync + 'a {
-    let sent = Mutex::new(0u64);
+    // Eighth 0 (less than an eighth done) is never sent.
+    let sent = AtomicU16::new(1);
     move |done, total| {
-        let eighth = done.saturating_mul(8) / total.max(1);
-        // A count is valid after any update, so a poisoned lock is kept.
-        let mut sent = sent.lock().unwrap_or_else(PoisonError::into_inner);
-        if eighth > *sent {
-            *sent = eighth;
+        let bit = 1 << (done.saturating_mul(8) / total.max(1)).min(8);
+        if sent.fetch_or(bit, Ordering::Relaxed) & bit == 0 {
             ctx.emit(&[(done_key, done.to_string()), (total_key, total.to_string())]);
         }
     }

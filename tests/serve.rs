@@ -299,63 +299,72 @@ fn streamed_arena_digest_matches_direct_run_bit_for_bit() {
     handle.shutdown_and_wait();
 }
 
-/// Every kind streams at most eight `event` lines, the last one at the
-/// full count, however many shards, seed rows, scenarios or windows it
-/// reports; a late subscriber replays them all. The first spec reports
-/// once per shard, 20 000 times; the rest are the benchmark's job shapes,
-/// whose counts stay 8, 4, 2 and 2.
+/// Runs `submit` to `done`, then replays its stream to a late
+/// subscriber: the `key` count of each `event` line, and the
+/// `total_<key>` they report.
+fn replayed_progress(client: &mut Client, submit: &str, key: &str) -> (Vec<u64>, u64) {
+    let id = job_id(&client.roundtrip(submit));
+    wait_for_state(client, &id, "done");
+    let ack = client.roundtrip(&format!("subscribe id={id}"));
+    assert_eq!(field(&ack, "subscribed").as_deref(), Some("1"), "{ack}");
+    let mut done = Vec::new();
+    let mut total = None;
+    loop {
+        let line = client.recv();
+        if line.starts_with("done ") {
+            break;
+        }
+        let count = |k: &str| -> u64 { field(&line, k).expect(k).parse().expect("a count") };
+        done.push(count(key));
+        total = Some(count(&format!("total_{key}")));
+    }
+    (done, total.expect("an event line"))
+}
+
+/// A job streams at most eight `event` lines, one for each eighth of
+/// its work that its counts reach, however many windows, shards, seed
+/// rows or scenarios report; the final count is always among them.
 #[test]
 fn progress_streams_at_most_eight_events_ending_at_the_total() {
     let handle = start(8, 2);
     let mut client = Client::connect(&handle);
-    for (submit, done_key, total_key, count) in [
-        (
-            "submit kind=fleet;system=C;population=20000;shard_size=1;days=0.01;seed=1",
-            "nodes",
-            "total_nodes",
-            8,
-        ),
-        (
-            "submit kind=single;system=B;days=1;seed=1",
-            "windows",
-            "total_windows",
-            8,
-        ),
+    let one_per_eighth = |done: &[u64], total: u64| {
+        let eighths: std::collections::BTreeSet<u64> = done.iter().map(|d| d * 8 / total).collect();
+        assert_eq!(eighths.len(), done.len(), "{done:?} of {total}");
+        assert!(done.contains(&total), "{done:?} of {total}");
+    };
+    // One report per shard, 20 000 of them.
+    let (done, total) = replayed_progress(
+        &mut client,
+        "submit kind=fleet;system=C;population=20000;shard_size=1;days=0.01;seed=1",
+        "nodes",
+    );
+    assert_eq!(total, 20_000);
+    assert_eq!(done.len(), 8, "{done:?}");
+    assert_eq!(done.last(), Some(&total));
+    one_per_eighth(&done, total);
+    // The benchmark's job shapes keep their 8, 4, 2 and 2 lines.
+    for (submit, key, count) in [
+        ("submit kind=single;system=B;days=1;seed=1", "windows", 8),
         (
             "submit kind=campaign;system=B;seeds=4;days=1;seed=1",
             "scenarios",
-            "total_scenarios",
             4,
         ),
         (
             "submit kind=arena;system=B;seeds=2;days=1;seed=1",
             "lanes",
-            "total_lanes",
             2,
         ),
         (
             "submit kind=fleet;system=B;population=32;jitter=0.1;days=1;seed=1",
             "nodes",
-            "total_nodes",
             2,
         ),
     ] {
-        let id = job_id(&client.roundtrip(submit));
-        wait_for_state(&mut client, &id, "done");
-        let ack = client.roundtrip(&format!("subscribe id={id}"));
-        assert_eq!(field(&ack, "subscribed").as_deref(), Some("1"), "{ack}");
-        let mut events = Vec::new();
-        loop {
-            let line = client.recv();
-            if line.starts_with("done ") {
-                break;
-            }
-            events.push(line);
-        }
-        assert_eq!(events.len(), count, "{submit}: {events:?}");
-        let last = events.last().expect("an event");
-        assert!(field(last, total_key).is_some(), "{last}");
-        assert_eq!(field(last, done_key), field(last, total_key), "{last}");
+        let (done, total) = replayed_progress(&mut client, submit, key);
+        assert_eq!(done.len(), count, "{submit}: {done:?}");
+        one_per_eighth(&done, total);
     }
     handle.shutdown_and_wait();
 }
