@@ -34,11 +34,11 @@ use mseh_node::{
 };
 use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh_sim::{
-    default_contenders, run_arena, run_fleet, run_resilience_campaign_with_threads,
-    run_seed_ensemble_seq, run_seed_ensemble_with_threads, run_simulation, run_simulation_observed,
-    ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup,
-    DenseStore, FleetConfig, FleetGroup, FleetSpec, FleetSummary, HeldWindows, MetricsObserver,
-    SimConfig, SimResult,
+    default_contenders, run_arena, run_fleet, run_resilience_campaign, run_seed_ensemble_seq,
+    run_seed_ensemble_with_threads, run_simulation, run_simulation_observed, ArenaConfig,
+    ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup, DenseStore,
+    FleetConfig, FleetGroup, FleetSpec, FleetSummary, HeldWindows, MetricsObserver, SimConfig,
+    SimResult,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
@@ -1184,12 +1184,11 @@ fn main() {
     let campaign_cfg = CampaignConfig::over(campaign_horizon);
     let campaign_node = resilience::natural_node(SystemId::D);
     let run_campaign = |threads: usize| {
-        run_resilience_campaign_with_threads(
-            threads,
+        run_resilience_campaign(
             seeds,
             |seed| resilience::resilience_scenario(SystemId::D, seed, campaign_horizon),
             &campaign_node,
-            campaign_cfg,
+            campaign_cfg.with_threads(threads),
         )
     };
     let campaign_ref = run_campaign(1);

@@ -18,12 +18,6 @@ pub enum BusRequest {
     ReadStoreVoltage,
     /// Read the full energy status (SoC, stored energy, harvest power).
     ReadEnergyStatus,
-    /// Read the electronic datasheet of the module in a slot. NAKed: a
-    /// unit checks a datasheet when a module is attached and keeps none.
-    ReadDatasheet {
-        /// Storage-port index.
-        slot: usize,
-    },
     /// Ping a slot to ask whether a module is present.
     Enumerate {
         /// Storage-port index.
@@ -48,8 +42,6 @@ pub enum BusResponse {
     StoreVoltage(Volts),
     /// The (monitoring-clamped) energy status.
     EnergyStatus(EnergyStatus),
-    /// A module's datasheet wire record.
-    Datasheet(String),
     /// Whether a module answered the enumeration ping.
     Present(bool),
     /// Energy actually deposited by a transfer command.
@@ -156,9 +148,6 @@ impl EnergyBus {
                 }
                 BusResponse::EnergyStatus(self.unit.energy_status())
             }
-            // The unit keeps no module's datasheet past its attach-time
-            // check, so there is none to read back.
-            BusRequest::ReadDatasheet { .. } => BusResponse::Nak,
             BusRequest::Enumerate { slot } => {
                 if !digital {
                     return BusResponse::Nak;
@@ -245,10 +234,6 @@ mod tests {
             BusResponse::StoreVoltage(_)
         ));
         assert_eq!(bus.transact(BusRequest::ReadEnergyStatus), BusResponse::Nak);
-        assert_eq!(
-            bus.transact(BusRequest::ReadDatasheet { slot: 0 }),
-            BusResponse::Nak
-        );
     }
 
     #[test]
@@ -349,10 +334,6 @@ mod tests {
             InterfaceKind::Digital { two_way: false },
             MonitoringLevel::Full,
         ));
-        assert_eq!(
-            bus.transact(BusRequest::ReadDatasheet { slot: 9 }),
-            BusResponse::Nak
-        );
         assert_eq!(
             bus.transact(BusRequest::Enumerate { slot: 9 }),
             BusResponse::Nak

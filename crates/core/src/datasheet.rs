@@ -84,24 +84,6 @@ impl ElectronicDatasheet {
             capacity: Some(capacity),
         }
     }
-
-    /// Serializes the datasheet to the wire format modules expose over
-    /// the digital bus (a stable, line-oriented record).
-    pub fn to_wire(&self) -> String {
-        let (class, kind) = match self.class {
-            DeviceClass::Harvester(k) => ("H", k.table_label().to_owned()),
-            DeviceClass::Storage(k) => ("S", k.table_label().to_owned()),
-        };
-        let capacity = self
-            .capacity
-            .map_or("-".to_owned(), |c| format!("{}", c.value()));
-        format!(
-            "model={};class={class};kind={kind};v={};p={};cap={capacity}",
-            self.model,
-            self.bus_voltage.value(),
-            self.rated_power.value(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -130,26 +112,5 @@ mod tests {
         );
         assert!(matches!(ds.class, DeviceClass::Storage(_)));
         assert_eq!(ds.capacity, Some(Joules::new(60.0)));
-    }
-
-    #[test]
-    fn wire_format_is_parsable_fields() {
-        let ds = ElectronicDatasheet::storage(
-            "SC-22",
-            StorageKind::Supercapacitor,
-            Watts::from_milli(500.0),
-            Joules::new(60.0),
-        );
-        let wire = ds.to_wire();
-        assert!(wire.contains("model=SC-22"));
-        assert!(wire.contains("class=S"));
-        assert!(wire.contains("kind=Supercap"));
-        assert!(wire.contains("cap=60"));
-        let h = ElectronicDatasheet::harvester(
-            "PV-07",
-            HarvesterKind::Photovoltaic,
-            Watts::from_milli(50.0),
-        );
-        assert!(h.to_wire().contains("cap=-"));
     }
 }

@@ -70,12 +70,10 @@
 //! assert_eq!(out.summary.standings[0].rank, 1);
 //! ```
 
-use crate::cancel::{tripped, CancelToken};
+use crate::cancel::{tripped, uncontrolled, CancelToken, RunControl};
 use crate::fleet::dense_lanes::{run_lanes, LaneHarvest};
-use crate::fleet::{
-    build_harvest_table, DenseClass, EnvCadence, FleetControl, PlatformFactory, PolicyFactory,
-};
-use crate::parallel::{par_map_with, thread_count};
+use crate::fleet::{build_harvest_table, DenseClass, EnvCadence, PlatformFactory, PolicyFactory};
+use crate::parallel::{par_map_with, resolve_threads};
 use crate::platform::Platform;
 #[cfg(doc)]
 use crate::runner::run_simulation;
@@ -252,7 +250,7 @@ pub struct ArenaConfig {
     /// Per-lane stepping parameters. `record` is ignored: lanes never
     /// keep per-step traces.
     pub sim: SimConfig,
-    /// Worker threads fanning out over seeds (`0` = [`thread_count`]).
+    /// Worker threads fanning out over seeds (`0` = [`crate::thread_count`]).
     /// Results are bit-identical at any value.
     pub threads: usize,
     /// Also return a full [`SimResult`] per lane, in seed-major lane
@@ -412,17 +410,13 @@ pub fn default_contenders() -> Vec<Contender> {
 /// (the `mseh serve` daemon) use [`run_arena_controlled`], which reports
 /// those as `Err` instead.
 pub fn run_arena(spec: &ArenaSpec, config: ArenaConfig) -> ArenaResult {
-    match run_arena_controlled(spec, config, FleetControl::default()) {
-        Ok(Some(result)) => result,
-        Ok(None) => unreachable!("no cancel token was installed"),
-        Err(message) => panic!("{message}"),
-    }
+    uncontrolled(run_arena_controlled(spec, config, RunControl::default()))
 }
 
 /// [`run_arena`] as a daemon-facing entry point: spec/config validation
 /// errors and energy books that fail the 1e-6 conservation audit come
 /// back as `Err` instead of panicking, and a
-/// [`FleetControl`] supplies optional cooperative cancellation
+/// [`RunControl`] supplies optional cooperative cancellation
 /// (`Ok(None)` when the token trips — partial results are discarded,
 /// never returned torn) and progress reporting (counts are lanes). An
 /// un-cancelled run returns exactly [`run_arena`]'s result, bit for
@@ -430,7 +424,7 @@ pub fn run_arena(spec: &ArenaSpec, config: ArenaConfig) -> ArenaResult {
 pub fn run_arena_controlled(
     spec: &ArenaSpec,
     config: ArenaConfig,
-    control: FleetControl<'_>,
+    control: RunControl<'_>,
 ) -> Result<Option<ArenaResult>, String> {
     let cancel = control.cancel;
     let n = spec.contenders.len();
@@ -443,11 +437,6 @@ pub fn run_arena_controlled(
     let plan = StepPlan::new(config.sim, EnvCadence::PerStep)?;
     let times = plan.table_times();
     let lanes_total = spec.lanes();
-    let threads = if config.threads == 0 {
-        thread_count()
-    } else {
-        config.threads
-    };
 
     // One shard per scenario seed: the row samples its environment
     // trace once, solves its harvest once, and steps all N policy lanes
@@ -481,9 +470,10 @@ pub fn run_arena_controlled(
 
     // A tripped token may have left rows unfinished; partial results
     // are discarded wholesale rather than folded torn.
-    let rows_out: Option<Vec<RowOutcome>> = par_map_with(threads.max(1), &seed_indices, run_row)
-        .into_iter()
-        .collect();
+    let rows_out: Option<Vec<RowOutcome>> =
+        par_map_with(resolve_threads(config.threads), &seed_indices, run_row)
+            .into_iter()
+            .collect();
     let Some(rows_out) = rows_out.filter(|_| !tripped(cancel)) else {
         return Ok(None);
     };
@@ -818,7 +808,7 @@ mod tests {
         let out = run_arena_controlled(
             &dense_spec(),
             ArenaConfig::over(Seconds::from_hours(2.0)),
-            FleetControl {
+            RunControl {
                 cancel: Some(&token),
                 progress: None,
             },
@@ -838,21 +828,21 @@ mod tests {
         assert!(run_arena_controlled(
             &no_contenders,
             ArenaConfig::over(Seconds::from_hours(1.0)),
-            FleetControl::default(),
+            RunControl::default(),
         )
         .is_err());
         let no_seeds = dense_spec().with_seeds(&[]);
         assert!(run_arena_controlled(
             &no_seeds,
             ArenaConfig::over(Seconds::from_hours(1.0)),
-            FleetControl::default(),
+            RunControl::default(),
         )
         .is_err());
         // More 60 s steps than a u64 counts: no silent zero-step run.
         let err = run_arena_controlled(
             &dense_spec(),
             ArenaConfig::over(Seconds::new(1e22)),
-            FleetControl::default(),
+            RunControl::default(),
         )
         .expect_err("step count overflows");
         assert!(err.contains("more than a run can count"), "{err}");
@@ -904,7 +894,7 @@ mod tests {
         let err = run_arena_controlled(
             &spec,
             ArenaConfig::over(Seconds::from_hours(12.0)),
-            FleetControl::default(),
+            RunControl::default(),
         )
         .expect_err("a 2x stored-energy misreport breaks conservation");
         assert!(err.contains("do not close"), "{err}");

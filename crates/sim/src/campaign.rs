@@ -22,11 +22,11 @@
 //! edge at or after each boundary, before the policy decides that
 //! window.
 
-use crate::cancel::{tripped, CancelToken};
+use crate::cancel::{tripped, uncontrolled, CancelToken, RunControl};
 use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
 use crate::observe::{worst_relative, AuditReport, ConservationAuditor, SimEvent, SimObserver};
-use crate::parallel::{par_map_with, thread_count};
+use crate::parallel::{par_map_with, resolve_threads};
 use crate::platform::Platform;
 use crate::runner::{run_simulation_core, SimConfig};
 use mseh_env::Environment;
@@ -44,16 +44,27 @@ pub struct CampaignConfig {
     /// most once per edge, so an interval shorter than a window checks
     /// at every edge. No check runs at the horizon end.
     pub check_interval: Seconds,
+    /// Worker threads (`0` = [`crate::thread_count`], which honours
+    /// `MSEH_THREADS`). Results are bit-identical at any value.
+    pub threads: usize,
 }
 
 impl CampaignConfig {
-    /// A campaign over `duration` with the default step/control widths
-    /// and hourly recovery checks.
+    /// A campaign over `duration` with the default step/control widths,
+    /// hourly recovery checks and auto threads.
     pub fn over(duration: Seconds) -> Self {
         Self {
             sim: SimConfig::over(duration),
             check_interval: Seconds::from_hours(1.0),
+            threads: 0,
         }
+    }
+
+    /// Sets an explicit worker-thread count (`1` runs inline on the
+    /// calling thread).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// Sets the time between recovery checks.
@@ -236,7 +247,7 @@ impl SimObserver for FaultEdges {
 /// Runs one prepared scenario as one kernel run, sampling stranded
 /// energy and calling the recovery hook at each check edge. Returns
 /// `None` when `cancel` trips mid-scenario (checked once per control
-/// window).
+/// window); `config` has passed [`CampaignConfig::check`].
 fn run_scenario<P: Platform>(
     seed: u64,
     mut scenario: FaultScenario<P>,
@@ -266,7 +277,10 @@ fn run_scenario<P: Platform>(
         scenario.policy.as_mut(),
         sim,
         &mut [&mut edges, &mut auditor],
-        cancel,
+        RunControl {
+            cancel,
+            progress: None,
+        },
         Some(&mut |platform: &mut P, now: Seconds| {
             let elapsed = (now - sim.start_at).value();
             if elapsed < next_check {
@@ -282,7 +296,8 @@ fn run_scenario<P: Platform>(
                 }
             }
         }),
-    )?;
+    )
+    .expect("the campaign checks its config before any scenario runs")?;
     peak_stranded = peak_stranded.max(scenario.platform.stranded_energy());
 
     let (faults_fired, faults_cleared) = scenario.platform.fault_counts();
@@ -319,8 +334,9 @@ fn run_scenario<P: Platform>(
     })
 }
 
-/// Runs `make_scenario(seed)` for every seed, fanned across the shared
-/// thread pool, and aggregates availability metrics.
+/// Runs `make_scenario(seed)` for every seed, fanned across
+/// [`CampaignConfig::threads`] workers, and aggregates availability
+/// metrics.
 ///
 /// Scenarios are pure functions of their seed and every draw is
 /// precomputed (the stochastic [`FaultSchedule`] draws at
@@ -329,8 +345,10 @@ fn run_scenario<P: Platform>(
 ///
 /// # Panics
 ///
-/// Panics if `seeds` is empty or `config` cannot run (see
-/// [`run_resilience_campaign_with_threads`]).
+/// Panics, before any scenario runs, if `seeds` is empty, `config.sim`
+/// cannot run (see [`SimConfig::check`]) or the check interval is not
+/// positive and finite. [`run_resilience_campaign_controlled`] returns
+/// those as `Err` instead.
 ///
 /// # Examples
 ///
@@ -390,52 +408,25 @@ where
     P: Platform,
     F: Fn(u64) -> FaultScenario<P> + Sync,
 {
-    run_resilience_campaign_with_threads(thread_count(), seeds, make_scenario, node, config)
-}
-
-/// [`run_resilience_campaign`] with an explicit worker count (`1` runs
-/// inline on the calling thread).
-///
-/// # Panics
-///
-/// Panics, before any scenario runs, if `seeds` is empty, `threads` is
-/// zero, `config.sim` cannot run (see [`SimConfig::check`]) or the check
-/// interval is not positive and finite.
-pub fn run_resilience_campaign_with_threads<P, F>(
-    threads: usize,
-    seeds: &[u64],
-    make_scenario: F,
-    node: &SensorNode,
-    config: CampaignConfig,
-) -> CampaignSummary
-where
-    P: Platform,
-    F: Fn(u64) -> FaultScenario<P> + Sync,
-{
-    assert!(!seeds.is_empty(), "need at least one seed");
-    config.check().unwrap_or_else(|message| panic!("{message}"));
-    run_campaign_core(threads, seeds, make_scenario, node, config, None, None)
-        .expect("a run without a cancel token cannot be cancelled")
+    let control = RunControl::default();
+    let result = run_resilience_campaign_controlled(seeds, make_scenario, node, config, control);
+    uncontrolled(result)
 }
 
 /// [`run_resilience_campaign`] as a daemon-facing entry point:
-/// validation errors come back as `Err` instead of panicking, a
-/// cooperative [`CancelToken`] stops the campaign within one control
-/// window of compute per in-flight scenario (`Ok(None)`), and an
-/// optional `progress` callback reports `(completed, total)` scenario
-/// counts as workers finish them.
-///
-/// `threads == 0` selects [`thread_count`]. An un-cancelled campaign is
-/// bit-identical to [`run_resilience_campaign_with_threads`] at any
-/// thread count.
-pub fn run_resilience_campaign_cancellable<P, F>(
-    threads: usize,
+/// validation errors come back as `Err` instead of panicking, and a
+/// [`RunControl`] supplies optional cooperative cancellation (`Ok(None)`
+/// within one control window of compute per in-flight scenario) and
+/// progress reporting (`(completed, total)` scenario counts as workers
+/// finish them). An un-cancelled campaign returns exactly
+/// [`run_resilience_campaign`]'s summary, bit for bit, at any thread
+/// count.
+pub fn run_resilience_campaign_controlled<P, F>(
     seeds: &[u64],
     make_scenario: F,
     node: &SensorNode,
     config: CampaignConfig,
-    cancel: &CancelToken,
-    progress: Option<&(dyn Fn(u64, u64) + Sync)>,
+    control: RunControl<'_>,
 ) -> Result<Option<CampaignSummary>, String>
 where
     P: Platform,
@@ -445,53 +436,20 @@ where
         return Err("campaign needs at least one seed".into());
     }
     config.check()?;
-    let threads = if threads == 0 {
-        thread_count()
-    } else {
-        threads
-    };
-    Ok(run_campaign_core(
-        threads,
-        seeds,
-        make_scenario,
-        node,
-        config,
-        Some(cancel),
-        progress,
-    ))
-}
-
-/// The seed fan-out behind both campaign entry points, on checked
-/// inputs: runs `make_scenario(seed)` for every seed on `threads`
-/// workers, reports `(completed, total)` to `progress` as each scenario
-/// finishes, and summarizes in seed order. `None` when `cancel` trips.
-fn run_campaign_core<P, F>(
-    threads: usize,
-    seeds: &[u64],
-    make_scenario: F,
-    node: &SensorNode,
-    config: CampaignConfig,
-    cancel: Option<&CancelToken>,
-    progress: Option<&(dyn Fn(u64, u64) + Sync)>,
-) -> Option<CampaignSummary>
-where
-    P: Platform,
-    F: Fn(u64) -> FaultScenario<P> + Sync,
-{
     let done = AtomicU64::new(0);
     let total = seeds.len() as u64;
-    let outcomes = par_map_with(threads, seeds, |&seed| {
-        if tripped(cancel) {
+    let outcomes = par_map_with(resolve_threads(config.threads), seeds, |&seed| {
+        if tripped(control.cancel) {
             return None;
         }
-        let outcome = run_scenario(seed, make_scenario(seed), node, config, cancel)?;
-        if let Some(report) = progress {
+        let outcome = run_scenario(seed, make_scenario(seed), node, config, control.cancel)?;
+        if let Some(report) = control.progress {
             report(done.fetch_add(1, Ordering::Relaxed) + 1, total);
         }
         Some(outcome)
     });
     let outcomes: Option<Vec<ScenarioOutcome>> = outcomes.into_iter().collect();
-    outcomes.map(|outcomes| summarize_campaign(seeds, outcomes))
+    Ok(outcomes.map(|outcomes| summarize_campaign(seeds, outcomes)))
 }
 
 fn summarize_campaign(seeds: &[u64], outcomes: Vec<ScenarioOutcome>) -> CampaignSummary {
@@ -575,12 +533,11 @@ mod tests {
 
     #[test]
     fn campaign_reports_faults_and_stays_conserved() {
-        let summary = run_resilience_campaign_with_threads(
-            1,
+        let summary = run_resilience_campaign(
             &[7, 8, 9],
             scenario,
             &SensorNode::submilliwatt_class(),
-            CampaignConfig::over(Seconds::from_hours(6.0)),
+            CampaignConfig::over(Seconds::from_hours(6.0)).with_threads(1),
         );
         assert_eq!(summary.outcomes.len(), 3);
         assert!(summary.total_faults > 0, "{summary:?}");
@@ -599,12 +556,11 @@ mod tests {
 
     #[test]
     fn worst_audit_is_nan_when_any_scenario_is() {
-        let summary = run_resilience_campaign_with_threads(
-            1,
+        let summary = run_resilience_campaign(
             &[7, 8, 9],
             scenario,
             &SensorNode::submilliwatt_class(),
-            CampaignConfig::over(Seconds::from_hours(2.0)),
+            CampaignConfig::over(Seconds::from_hours(2.0)).with_threads(1),
         );
         assert!(summary.worst_audit_relative < 1e-6);
         for poisoned in 0..3 {
@@ -620,13 +576,13 @@ mod tests {
         let mut summary_recoveries = 0;
         // A hook that always claims a repair: one call per check
         // boundary before the horizon end.
-        let summary = run_resilience_campaign_with_threads(
-            1,
+        let summary = run_resilience_campaign(
             &[3],
             |seed| scenario(seed).with_recovery(|_unit, _now| true),
             &SensorNode::submilliwatt_class(),
             CampaignConfig::over(Seconds::from_hours(3.0))
-                .with_check_interval(Seconds::from_hours(1.0)),
+                .with_check_interval(Seconds::from_hours(1.0))
+                .with_threads(1),
         );
         summary_recoveries += summary.total_recoveries;
         assert_eq!(summary_recoveries, 2);
@@ -635,40 +591,38 @@ mod tests {
     #[test]
     fn cancellable_campaign_matches_plain_and_honours_the_token() {
         let node = SensorNode::submilliwatt_class();
-        let config = CampaignConfig::over(Seconds::from_hours(3.0));
-        let plain = run_resilience_campaign_with_threads(1, &[7, 8], scenario, &node, config);
+        let config = CampaignConfig::over(Seconds::from_hours(3.0)).with_threads(1);
+        let run = |seeds: &[u64], config, control| {
+            run_resilience_campaign_controlled(seeds, scenario, &node, config, control)
+        };
+        let plain = run_resilience_campaign(&[7, 8], scenario, &node, config);
         let token = CancelToken::new();
-        let same =
-            run_resilience_campaign_cancellable(1, &[7, 8], scenario, &node, config, &token, None)
-                .expect("valid config")
-                .expect("token never tripped");
+        let reports = std::sync::Mutex::new(Vec::new());
+        let record = |done, total| reports.lock().unwrap().push((done, total));
+        let control = RunControl {
+            cancel: Some(&token),
+            progress: Some(&record),
+        };
+        let same = run(&[7, 8], config, control)
+            .expect("valid config")
+            .expect("token never tripped");
         assert_eq!(plain, same);
+        assert_eq!(reports.lock().unwrap()[..], [(1, 2), (2, 2)]);
 
+        // A tripped token gives `Ok(None)` at any thread count.
         token.cancel();
-        let cancelled =
-            run_resilience_campaign_cancellable(1, &[7, 8], scenario, &node, config, &token, None)
-                .expect("valid config");
-        assert!(cancelled.is_none());
+        for threads in [1, 2] {
+            let cancelled = run(&[7, 8], config.with_threads(threads), control);
+            assert_eq!(cancelled, Ok(None), "{threads} threads");
+        }
 
-        let empty = run_resilience_campaign_cancellable(
-            1,
-            &[],
-            scenario,
-            &node,
-            config,
-            &CancelToken::new(),
-            None,
-        );
+        let empty = run(&[], config, RunControl::default());
         assert!(empty.is_err());
 
-        let endless = run_resilience_campaign_cancellable(
-            1,
+        let endless = run(
             &[7],
-            scenario,
-            &node,
             CampaignConfig::over(Seconds::new(f64::INFINITY)),
-            &CancelToken::new(),
-            None,
+            RunControl::default(),
         )
         .expect_err("an endless horizon cannot run");
         assert!(endless.contains("be finite"), "{endless}");
@@ -680,48 +634,48 @@ mod tests {
             ..config
         };
         let repaired = |seed| scenario(seed).with_recovery(|_unit, _now| true);
-        let summary = run_resilience_campaign_cancellable(
-            1,
+        let summary = run_resilience_campaign_controlled(
             &[7],
             repaired,
             &node,
             every_edge,
-            &CancelToken::new(),
-            None,
+            RunControl::default(),
         )
         .expect("a sub-window interval is valid")
         .expect("token never tripped");
         assert_eq!(summary.total_recoveries, 17);
         assert_eq!(
             summary,
-            run_resilience_campaign_with_threads(1, &[7], repaired, &node, every_edge)
+            run_resilience_campaign(&[7], repaired, &node, every_edge)
         );
 
-        // Invalid intervals are refused before any scenario runs: as an
-        // `Err` here, as a panic from the plain entry points.
+        // Invalid configs are refused before any scenario runs: as an
+        // `Err` here, as a panic from the plain entry point.
+        let bad_sim = [
+            SimConfig::over(Seconds::new(30.0)),
+            SimConfig {
+                dt: Seconds::ZERO,
+                ..config.sim
+            },
+        ];
+        for bad in bad_sim {
+            let config = CampaignConfig { sim: bad, ..config };
+            let err = run(&[7], config, RunControl::default()).expect_err("a sim that cannot run");
+            assert_eq!(Err(err), bad.check());
+        }
         for bad in [0.0, -60.0, f64::NAN, f64::INFINITY] {
             let config = CampaignConfig {
                 check_interval: Seconds::new(bad),
                 ..config
             };
-            let err = run_resilience_campaign_cancellable(
-                1,
-                &[7],
-                scenario,
-                &node,
-                config,
-                &CancelToken::new(),
-                None,
-            )
-            .expect_err("invalid check interval");
+            let err = run(&[7], config, RunControl::default()).expect_err("invalid check interval");
             assert!(
                 err.contains("check interval must be positive and finite"),
                 "{err}"
             );
-            let panic = std::panic::catch_unwind(|| {
-                run_resilience_campaign_with_threads(1, &[7], scenario, &node, config)
-            })
-            .expect_err("invalid check interval");
+            let panic =
+                std::panic::catch_unwind(|| run_resilience_campaign(&[7], scenario, &node, config))
+                    .expect_err("invalid check interval");
             assert_eq!(panic.downcast_ref::<String>(), Some(&err));
             assert!(
                 std::panic::catch_unwind(|| config.with_check_interval(Seconds::new(bad))).is_err()
@@ -732,24 +686,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "duration must cover at least one step and be finite")]
     fn rejects_an_endless_horizon() {
-        run_resilience_campaign_with_threads(
-            1,
+        run_resilience_campaign(
             &[3],
             scenario,
             &SensorNode::submilliwatt_class(),
-            CampaignConfig::over(Seconds::new(f64::INFINITY)),
+            CampaignConfig::over(Seconds::new(f64::INFINITY)).with_threads(1),
         );
     }
 
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn rejects_empty_seed_list() {
-        run_resilience_campaign_with_threads(
-            1,
+        run_resilience_campaign(
             &[],
             scenario,
             &SensorNode::submilliwatt_class(),
-            CampaignConfig::over(Seconds::from_hours(1.0)),
+            CampaignConfig::over(Seconds::from_hours(1.0)).with_threads(1),
         );
     }
 }

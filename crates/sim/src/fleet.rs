@@ -116,8 +116,8 @@
 //! assert!(out.summary.audit_relative < 1e-6);
 //! ```
 
-use crate::cancel::{tripped, CancelToken};
-use crate::parallel::{par_map_with, thread_count};
+use crate::cancel::{tripped, uncontrolled, CancelToken, RunControl};
+use crate::parallel::{par_map_with, resolve_threads};
 use crate::platform::Platform;
 use crate::runner::{SimConfig, SimResult};
 use crate::steps::{Ambient, BoxedRun, NodeOutcome, OutcomeTotals, StepPlan, UptimePercentiles};
@@ -551,7 +551,7 @@ pub struct FleetConfig {
     /// Per-node stepping parameters. `record` is ignored: fleets never
     /// keep per-step traces.
     pub sim: SimConfig,
-    /// Worker threads (`0` = [`thread_count`], which honours
+    /// Worker threads (`0` = [`crate::thread_count`], which honours
     /// `MSEH_THREADS`). Results are bit-identical at any value.
     pub threads: usize,
     /// Nodes per shard (`0` = 1024). Results are bit-identical at any
@@ -711,31 +711,6 @@ pub(crate) fn build_harvest_table(
     Some((table, channel.kernel_cache_stats()))
 }
 
-/// External control of a [`run_fleet_controlled`] run: a cooperative
-/// cancellation token and a progress callback, both optional. The
-/// default value is "no control" — exactly [`run_fleet`]'s behaviour.
-#[derive(Default, Clone, Copy)]
-pub struct FleetControl<'a> {
-    /// Checked at control-window granularity by every lane; a tripped
-    /// token makes the run return `Ok(None)` within one control window
-    /// of compute per in-flight node.
-    pub cancel: Option<&'a CancelToken>,
-    /// Called with `(nodes_completed, population)` as shards finish.
-    /// Completion order is scheduling-dependent, but the reported
-    /// counts are monotone and the final call always reports the full
-    /// population.
-    pub progress: Option<&'a (dyn Fn(u64, u64) + Sync)>,
-}
-
-impl core::fmt::Debug for FleetControl<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FleetControl")
-            .field("cancel", &self.cancel)
-            .field("progress", &self.progress.map(|_| "Fn"))
-            .finish()
-    }
-}
-
 /// Runs the whole fleet described by `spec` under `config`.
 ///
 /// Per-node trajectories are pure functions of the spec (group seed →
@@ -752,11 +727,7 @@ impl core::fmt::Debug for FleetControl<'_> {
 /// `mseh serve` daemon) use [`run_fleet_controlled`], which reports
 /// those as `Err` instead.
 pub fn run_fleet(spec: &FleetSpec, config: FleetConfig) -> FleetResult {
-    match run_fleet_controlled(spec, config, FleetControl::default()) {
-        Ok(Some(result)) => result,
-        Ok(None) => unreachable!("no cancel token was installed"),
-        Err(message) => panic!("{message}"),
-    }
+    uncontrolled(run_fleet_controlled(spec, config, RunControl::default()))
 }
 
 /// How a group's members step.
@@ -774,14 +745,14 @@ enum GroupLanes<'a> {
 /// [`run_fleet`] as a daemon-facing entry point: spec/config validation
 /// errors and energy books that fail the 1e-6 conservation audit come
 /// back as `Err` instead of panicking, and a
-/// [`FleetControl`] supplies optional cooperative cancellation
+/// [`RunControl`] supplies optional cooperative cancellation
 /// (`Ok(None)` when the token trips — partial results are discarded,
 /// never returned torn) and progress reporting. An un-cancelled run
 /// returns exactly [`run_fleet`]'s result, bit for bit.
 pub fn run_fleet_controlled(
     spec: &FleetSpec,
     config: FleetConfig,
-    control: FleetControl<'_>,
+    control: RunControl<'_>,
 ) -> Result<Option<FleetResult>, String> {
     let cancel = control.cancel;
     let population = spec.population();
@@ -844,11 +815,6 @@ pub fn run_fleet_controlled(
         .step_by(shard_size as usize)
         .map(|lo| (lo, (lo + shard_size).min(population)))
         .collect();
-    let threads = if config.threads == 0 {
-        thread_count()
-    } else {
-        config.threads
-    };
 
     let done_nodes = std::sync::atomic::AtomicU64::new(0);
     let run_shard = |&(lo, hi): &(u64, u64)| -> Vec<NodeOutcome> {
@@ -949,7 +915,7 @@ pub fn run_fleet_controlled(
         }
         out
     };
-    let shard_outcomes = par_map_with(threads.max(1), &shards, run_shard);
+    let shard_outcomes = par_map_with(resolve_threads(config.threads), &shards, run_shard);
 
     // A tripped token may have left some shards short; partial results
     // are discarded wholesale rather than folded torn.
@@ -1648,7 +1614,7 @@ mod tests {
         let controlled = run_fleet_controlled(
             &spec,
             config,
-            FleetControl {
+            RunControl {
                 cancel: Some(&token),
                 progress: None,
             },
@@ -1661,7 +1627,7 @@ mod tests {
         let cancelled = run_fleet_controlled(
             &spec,
             config,
-            FleetControl {
+            RunControl {
                 cancel: Some(&token),
                 progress: None,
             },
@@ -1675,24 +1641,23 @@ mod tests {
         let empty = FleetSpec::new();
         let config = FleetConfig::over(Seconds::from_hours(1.0));
         let err =
-            run_fleet_controlled(&empty, config, FleetControl::default()).expect_err("empty fleet");
+            run_fleet_controlled(&empty, config, RunControl::default()).expect_err("empty fleet");
         assert!(err.contains("population must be non-empty"), "{err}");
 
         let spec = small_spec(1, EnvJitter::NONE);
         let bad_duration = FleetConfig::over(Seconds::new(-5.0));
-        let err = run_fleet_controlled(&spec, bad_duration, FleetControl::default())
+        let err = run_fleet_controlled(&spec, bad_duration, RunControl::default())
             .expect_err("negative duration");
         assert!(err.contains("duration"), "{err}");
 
         let mut bad_dt = FleetConfig::over(Seconds::from_hours(1.0));
         bad_dt.sim.dt = Seconds::new(0.0);
-        let err =
-            run_fleet_controlled(&spec, bad_dt, FleetControl::default()).expect_err("zero dt");
+        let err = run_fleet_controlled(&spec, bad_dt, RunControl::default()).expect_err("zero dt");
         assert!(err.contains("dt must be positive"), "{err}");
 
         // More 60 s steps than a u64 counts: no silent zero-step run.
         let endless = FleetConfig::over(Seconds::new(1e22));
-        let err = run_fleet_controlled(&spec, endless, FleetControl::default())
+        let err = run_fleet_controlled(&spec, endless, RunControl::default())
             .expect_err("step count overflows");
         assert!(err.contains("more than a run can count"), "{err}");
     }
@@ -1739,7 +1704,7 @@ mod tests {
         let err = run_fleet_controlled(
             &spec,
             FleetConfig::over(Seconds::from_hours(12.0)),
-            FleetControl::default(),
+            RunControl::default(),
         )
         .expect_err("a 2x stored-energy misreport breaks conservation");
         assert!(err.contains("do not close"), "{err}");
@@ -1770,7 +1735,7 @@ mod tests {
                 shard_size: 4,
                 ..FleetConfig::over(Seconds::from_hours(2.0))
             },
-            FleetControl {
+            RunControl {
                 cancel: Some(&token),
                 progress: Some(&trip),
             },

@@ -19,6 +19,15 @@
 //! function of its seed, parallel output is bit-for-bit identical to
 //! sequential output at any thread count.
 //!
+//! Each run kind has a plain entry point that panics on a spec or
+//! config it cannot run ([`run_simulation`], [`run_resilience_campaign`],
+//! [`run_fleet`], [`run_arena`]) and a daemon-facing
+//! `run_*_controlled` form ([`run_simulation_controlled`],
+//! [`run_resilience_campaign_controlled`], [`run_fleet_controlled`],
+//! [`run_arena_controlled`]) that returns the same error as `Err` and
+//! takes one [`RunControl`]: an optional [`CancelToken`] and an
+//! optional `(done, total)` progress callback.
+//!
 //! # Examples
 //!
 //! ```
@@ -81,11 +90,10 @@ pub use arena::{
     ArenaSummary, Contender, ContenderStanding, EnvFactory,
 };
 pub use campaign::{
-    run_resilience_campaign, run_resilience_campaign_cancellable,
-    run_resilience_campaign_with_threads, CampaignConfig, CampaignSummary, FaultScenario,
-    ScenarioOutcome,
+    run_resilience_campaign, run_resilience_campaign_controlled, CampaignConfig, CampaignSummary,
+    FaultScenario, ScenarioOutcome,
 };
-pub use cancel::CancelToken;
+pub use cancel::{CancelToken, RunControl};
 pub use ensemble::{
     run_seed_ensemble, run_seed_ensemble_instrumented, run_seed_ensemble_seq,
     run_seed_ensemble_with_threads, EnsembleSummary, InstrumentedEnsemble, Spread,
@@ -95,8 +103,8 @@ pub use fault::{
 };
 pub use fleet::{
     run_fleet, run_fleet_controlled, ChannelFactory, DenseClass, DenseGroup, DenseStore,
-    EnvCadence, FleetConfig, FleetControl, FleetGroup, FleetResult, FleetSpec, FleetSummary,
-    HeldWindows, PlatformFactory, PolicyFactory, Straggler,
+    EnvCadence, FleetConfig, FleetGroup, FleetResult, FleetSpec, FleetSummary, HeldWindows,
+    PlatformFactory, PolicyFactory, Straggler,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry,
@@ -109,7 +117,7 @@ pub use observe::{
 pub use parallel::{par_map, par_map_instrumented, par_map_with, thread_count};
 pub use platform::Platform;
 pub use runner::{
-    run_simulation, run_simulation_cancellable, run_simulation_observed, SimConfig, SimResult,
+    run_simulation, run_simulation_controlled, run_simulation_observed, SimConfig, SimResult,
     SimTraces,
 };
 pub use steps::UptimePercentiles;

@@ -50,6 +50,16 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count a run config asks for: its `threads` field, where
+/// `0` selects [`thread_count`].
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        thread_count()
+    } else {
+        threads
+    }
+}
+
 /// Maps `f` over `items` on a scoped worker pool of [`thread_count`]
 /// workers, preserving item order in the output.
 ///

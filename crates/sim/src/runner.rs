@@ -2,10 +2,10 @@
 //! environment, sampling its conditions window by window, recording time
 //! series and enforcing energy conservation. The stepping, the books and
 //! the observers' window edge belong to [`crate::steps`]'s `BoxedRun`;
-//! the runner adds the condition sampling, the traces, cancellation and
-//! the campaign's edge hook.
+//! the runner adds the condition sampling, the traces, run control
+//! (cancellation and per-window progress) and the campaign's edge hook.
 
-use crate::cancel::{tripped, CancelToken};
+use crate::cancel::{tripped, uncontrolled, RunControl};
 use crate::fleet::EnvCadence;
 use crate::observe::SimObserver;
 use crate::platform::Platform;
@@ -128,6 +128,11 @@ impl SimResult {
 /// [`SimResult::audit_residual`] and asserted small when debug
 /// assertions are on.
 ///
+/// # Panics
+///
+/// With [`SimConfig::check`]'s message when `config` cannot run;
+/// [`run_simulation_controlled`] returns it as `Err` instead.
+///
 /// # Examples
 ///
 /// ```
@@ -184,7 +189,7 @@ pub fn run_simulation(
 ///
 /// Passing an empty slice is exactly [`run_simulation`]: the kernel
 /// builds no events and no window books, so the bare hot loop pays
-/// nothing for observability.
+/// nothing for observability. It panics as [`run_simulation`] does.
 pub fn run_simulation_observed(
     platform: &mut dyn Platform,
     env: &dyn EnvSampler,
@@ -193,44 +198,44 @@ pub fn run_simulation_observed(
     config: SimConfig,
     observers: &mut [&mut dyn SimObserver],
 ) -> SimResult {
-    run_simulation_core(platform, env, node, policy, config, observers, None, None)
-        .expect("a run without a cancel token cannot be cancelled")
+    let control = RunControl::default();
+    let result = run_simulation_controlled(platform, env, node, policy, config, observers, control);
+    uncontrolled(result)
 }
 
-/// [`run_simulation_observed`] with a cooperative [`CancelToken`].
+/// [`run_simulation_observed`] as a daemon-facing entry point: a config
+/// that [`SimConfig::check`] rejects comes back as `Err` with that
+/// message instead of a panic, and a [`RunControl`] supplies optional
+/// cooperative cancellation and progress reporting.
 ///
 /// The token is checked once per control window; a tripped token makes
-/// the kernel stop before starting the next window and return `None`
-/// (partial results are discarded, never returned torn). An
+/// the kernel stop before starting the next window and return
+/// `Ok(None)` (partial results are discarded, never returned torn).
+/// Progress is reported once per window as `(windows closed, windows
+/// in the run)`, so the last report is the run's window count. An
 /// un-cancelled run returns exactly what [`run_simulation_observed`]
-/// would — the checkpoint is a read-only branch, so results are
+/// would: both checkpoints are read-only branches, so results are
 /// bit-identical.
-pub fn run_simulation_cancellable(
+pub fn run_simulation_controlled(
     platform: &mut dyn Platform,
     env: &dyn EnvSampler,
     node: &SensorNode,
     policy: &mut dyn DutyCyclePolicy,
     config: SimConfig,
     observers: &mut [&mut dyn SimObserver],
-    cancel: &CancelToken,
-) -> Option<SimResult> {
+    control: RunControl<'_>,
+) -> Result<Option<SimResult>, String> {
     run_simulation_core(
-        platform,
-        env,
-        node,
-        policy,
-        config,
-        observers,
-        Some(cancel),
-        None,
+        platform, env, node, policy, config, observers, control, None,
     )
 }
 
-/// The kernel behind every single run and campaign scenario. `edge`, when
-/// given, runs at every control-window edge with the platform, as the
-/// caller's own type, and the edge's time: after the edge's fault poll,
-/// before the policy decides. The poll is then re-baselined on the
-/// platform the hook leaves, so a repair is not reported as a fault.
+/// The kernel behind every single run and campaign scenario: `Err` when
+/// `config` cannot run, `Ok(None)` when `control`'s token trips. `edge`,
+/// when given, runs at every control-window edge with the platform, as
+/// the caller's own type, and the edge's time: after the edge's fault
+/// poll, before the policy decides. The poll is then re-baselined on
+/// the platform the hook leaves, so a repair is not reported as a fault.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
     platform: &mut P,
@@ -239,10 +244,11 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
     policy: &mut dyn DutyCyclePolicy,
     config: SimConfig,
     observers: &mut [&mut dyn SimObserver],
-    cancel: Option<&CancelToken>,
+    control: RunControl<'_>,
     mut edge: Option<&mut dyn FnMut(&mut P, Seconds)>,
-) -> Option<SimResult> {
-    let plan = StepPlan::from_sim(config, EnvCadence::PerStep);
+) -> Result<Option<SimResult>, String> {
+    let plan = StepPlan::new(config, EnvCadence::PerStep)?;
+    let windows = plan.window_count();
     let mut run = BoxedRun::open(platform, policy, node, &plan, observers);
 
     let mut traces = config.record.then(|| SimTraces {
@@ -266,8 +272,8 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
         // Cancellation checkpoint: at most one control window of work
         // happens after the token trips, and a cancelled run never
         // returns a torn partial result.
-        if tripped(cancel) {
-            return None;
+        if tripped(control.cancel) {
+            return Ok(None);
         }
         if let Some(edge) = edge.as_mut() {
             run.edit(&window, edge);
@@ -292,6 +298,9 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
                 }
             },
         );
+        if let Some(report) = control.progress {
+            report(window.index as u64 + 1, windows);
+        }
     }
 
     let outcome = run.close();
@@ -300,15 +309,16 @@ pub(crate) fn run_simulation_core<P: Platform + ?Sized>(
         "storage conservation violated: residual {} J",
         outcome.residual_signed
     );
-    Some(SimResult {
+    Ok(Some(SimResult {
         traces,
         ..outcome.to_sim_result(config.duration)
-    })
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use mseh_core::{PortRequirement, PowerUnit, StoreRole};
     use mseh_env::Environment;
     use mseh_harvesters::PvModule;
@@ -498,18 +508,23 @@ mod tests {
         let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
         let plain = run_simulation(&mut unit, &env, &node, &mut policy, config);
 
+        let token = CancelToken::new();
+        let control = RunControl {
+            cancel: Some(&token),
+            progress: None,
+        };
         let mut unit = solar_unit();
         let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
-        let token = CancelToken::new();
-        let cancellable = run_simulation_cancellable(
+        let cancellable = run_simulation_controlled(
             &mut unit,
             &env,
             &node,
             &mut policy,
             config,
             &mut [],
-            &token,
+            control,
         )
+        .expect("a valid config")
         .expect("token never tripped");
         assert_eq!(plain, cancellable);
 
@@ -517,16 +532,89 @@ mod tests {
         let mut unit = solar_unit();
         let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
         token.cancel();
-        assert!(run_simulation_cancellable(
+        let cancelled = run_simulation_controlled(
             &mut unit,
             &env,
             &node,
             &mut policy,
             config,
             &mut [],
-            &token,
-        )
-        .is_none());
+            control,
+        );
+        assert_eq!(cancelled, Ok(None));
+    }
+
+    #[test]
+    fn controlled_run_reports_every_window_once_and_matches_the_plain_run() {
+        let env = Environment::outdoor_temperate(5);
+        let node = SensorNode::submilliwatt_class();
+        // A dust remainder that grows no closer (1440 steps), a
+        // fractional closer (14 whole steps and 0.4 of one) and a whole
+        // horizon, at ten steps per window.
+        for (days, windows) in [(1.000_000_000_000_1, 144), (0.01, 2), (1.0, 144)] {
+            let config = SimConfig::over(Seconds::from_days(days));
+            let mut unit = solar_unit();
+            let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
+            let plain = run_simulation(&mut unit, &env, &node, &mut policy, config);
+
+            let reports = std::sync::Mutex::new(Vec::new());
+            let record = |done, total| reports.lock().unwrap().push((done, total));
+            let control = RunControl {
+                cancel: None,
+                progress: Some(&record),
+            };
+            let mut unit = solar_unit();
+            let mut policy = FixedDuty::new(DutyCycle::saturating(0.05));
+            let controlled = run_simulation_controlled(
+                &mut unit,
+                &env,
+                &node,
+                &mut policy,
+                config,
+                &mut [],
+                control,
+            )
+            .expect("a valid config")
+            .expect("no token");
+            // `Debug` prints each float's shortest round trip, so equal
+            // text is equal bits (where `==` lets 0.0 match -0.0).
+            assert_eq!(format!("{plain:?}"), format!("{controlled:?}"), "{days} d");
+            let expected: Vec<(u64, u64)> = (1..=windows).map(|k| (k, windows)).collect();
+            assert_eq!(reports.into_inner().unwrap(), expected, "{days} d");
+        }
+    }
+
+    #[test]
+    fn controlled_run_returns_the_message_the_plain_run_panics_with() {
+        let env = Environment::outdoor_temperate(1);
+        let node = SensorNode::submilliwatt_class();
+        let short = SimConfig::over(Seconds::new(30.0));
+        let zero_dt = SimConfig {
+            dt: Seconds::ZERO,
+            ..SimConfig::over(Seconds::new(600.0))
+        };
+        for config in [short, zero_dt] {
+            let mut unit = solar_unit();
+            let mut policy = FixedDuty::new(DutyCycle::ZERO);
+            let err = run_simulation_controlled(
+                &mut unit,
+                &env,
+                &node,
+                &mut policy,
+                config,
+                &mut [],
+                RunControl::default(),
+            )
+            .expect_err("a config that cannot run");
+            assert_eq!(Err(err.clone()), config.check());
+            let panic = std::panic::catch_unwind(|| {
+                let mut unit = solar_unit();
+                let mut policy = FixedDuty::new(DutyCycle::ZERO);
+                run_simulation(&mut unit, &env, &node, &mut policy, config)
+            })
+            .expect_err("the plain run panics");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&err));
+        }
     }
 
     #[test]

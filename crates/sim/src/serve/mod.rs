@@ -75,6 +75,15 @@
 //! its job emits, so runners emit a bounded number per job (see
 //! [`JobContext::emit`]). The accept loop joins each session thread
 //! that has exited when it accepts the next connection.
+//!
+//! # Threads
+//!
+//! The accept loop blocks in `accept`, so a connection is served as
+//! soon as it arrives. Shutdown, from [`ServerHandle::shutdown`] or the
+//! wire `shutdown` verb, wakes it with one connection to the bound
+//! address, which it drops. Each session polls its socket every 50 ms
+//! to see the shutdown flag, and a subscriber blocks on its job's
+//! stream, which shutdown ends by cancelling the job.
 
 pub mod protocol;
 mod queue;
@@ -185,9 +194,9 @@ impl JobContext {
         &self.id
     }
 
-    /// The job's cancellation token, for threading into
-    /// `run_simulation_cancellable` / `run_fleet_controlled` /
-    /// `run_resilience_campaign_cancellable`.
+    /// The job's cancellation token, for the `cancel` field of the
+    /// [`crate::RunControl`] a runner hands to a `run_*_controlled`
+    /// entry point.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
     }
@@ -333,12 +342,12 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shared = Arc::new(Shared::new(
         config.queue_capacity,
         config.retry_after_ms,
         FINISHED_JOBS_KEPT,
+        Some(local_addr),
     ));
     let workers = queue::spawn_workers(&shared, config.workers);
     let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -347,32 +356,32 @@ pub fn serve(
     let accept_sessions = Arc::clone(&sessions);
     let accept = std::thread::Builder::new()
         .name("mseh-serve-accept".to_string())
-        .spawn(move || {
-            while !accept_shared.is_shutting_down() {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let shared = Arc::clone(&accept_shared);
-                        let session_runner = Arc::clone(&runner);
-                        // Held across the spawn, so a session's handle is
-                        // listed before it can answer its first request.
-                        let mut sessions =
-                            accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
-                        reap_finished(&mut sessions);
-                        let handle = std::thread::Builder::new()
-                            .name("mseh-serve-session".to_string())
-                            .spawn(move || {
-                                session::handle_connection(stream, shared, session_runner);
-                            });
-                        if let Ok(handle) = handle {
-                            sessions.push(handle);
-                        }
+        .spawn(move || loop {
+            // Blocks until a client connects or shutdown's wake
+            // connection arrives; that one is dropped unanswered.
+            let accepted = listener.accept();
+            if accept_shared.is_shutting_down() {
+                break;
+            }
+            match accepted {
+                Ok((stream, _peer)) => {
+                    let shared = Arc::clone(&accept_shared);
+                    let session_runner = Arc::clone(&runner);
+                    // Held across the spawn, so a session's handle is
+                    // listed before it can answer its first request.
+                    let mut sessions = accept_sessions.lock().unwrap_or_else(|e| e.into_inner());
+                    reap_finished(&mut sessions);
+                    let handle = std::thread::Builder::new()
+                        .name("mseh-serve-session".to_string())
+                        .spawn(move || {
+                            session::handle_connection(stream, shared, session_runner);
+                        });
+                    if let Ok(handle) = handle {
+                        sessions.push(handle);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
                 }
+                // Out of descriptors, say: back off rather than spin.
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         })?;
 
@@ -653,6 +662,27 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_wakes_the_blocked_accept_loop_on_a_wildcard_bind() {
+        let handle = serve(
+            "0.0.0.0:0",
+            Arc::new(EchoRunner::default()),
+            ServeConfig::default(),
+        )
+        .expect("bind");
+        let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        assert_eq!(Client::connect(loopback).roundtrip("ping"), "ok pong=1");
+        // The accept loop is now blocked in `accept`; shutdown's own
+        // connection to `0.0.0.0` must reach it, or the loop never exits.
+        let (stopped, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.shutdown_and_wait();
+            let _ = stopped.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the daemon stops within 10 s of shutdown");
+    }
+
+    #[test]
     fn a_repeat_is_answered_from_the_cache_without_a_run() {
         let (handle, mut client, runs) = start_counting();
         let first = parse_id(&client.roundtrip("submit kind=echo;seed=5;tag=a"));
@@ -761,7 +791,7 @@ mod tests {
 
     #[test]
     fn a_summary_is_held_once_by_its_record_the_cache_and_each_repeat() {
-        let shared = registry::Shared::new(2, 99, FINISHED_JOBS_KEPT);
+        let shared = registry::Shared::new(2, 99, FINISHED_JOBS_KEPT, None);
         let submit_spec = |spec: &str| shared.submit(spec.into(), 1, 2, Box::new(|_| Ok(None)));
         let submit = || submit_spec("kind=echo");
         let first = submit().expect("queued");
@@ -796,7 +826,7 @@ mod tests {
     #[test]
     fn a_soak_holds_the_bound_plus_the_live_jobs() {
         const BOUND: usize = 4;
-        let shared = registry::Shared::new(2, 99, BOUND);
+        let shared = registry::Shared::new(2, 99, BOUND, None);
         let submit = |spec: String| {
             shared
                 .submit(spec, 1, 2, Box::new(|_| Ok(None)))

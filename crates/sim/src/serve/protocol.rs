@@ -1,6 +1,5 @@
 //! The `mseh serve` line protocol: newline-delimited requests and
-//! replies in the `key=value;` wire idiom of
-//! [`mseh_core::ElectronicDatasheet::to_wire`].
+//! replies, each a verb and then `key=value` fields separated by `;`.
 //!
 //! # Grammar
 //!
@@ -8,8 +7,14 @@
 //! request  = verb [" " fields] "\n"
 //! fields   = field *(";" field) [";"]
 //! field    = key "=" value            ; no ';', '=', '\n' in key/value
+//! verb     = 1*(ALPHA / DIGIT / "_")
+//! key      = 1*(ALPHA / DIGIT / "_")
 //! reply    = ("ok" / "err" / "event" / "done") [" " fields] "\n"
 //! ```
+//!
+//! Whitespace around a verb, key or value is trimmed, empty fields are
+//! skipped (so a trailing `;` is allowed), and a blank line is no
+//! request.
 //!
 //! Verbs: `ping`, `submit`, `status`, `cancel`, `result`, `subscribe`,
 //! `shutdown`. Every request gets exactly one reply line, except
@@ -60,8 +65,7 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, String> {
     }))
 }
 
-/// Parses a `key=value;key=value` tail (trailing `;` tolerated, as in
-/// `to_wire` output).
+/// Parses a `key=value;key=value` tail (a trailing `;` is tolerated).
 pub fn parse_fields(rest: &str) -> Result<Vec<(String, String)>, String> {
     let mut fields = Vec::new();
     for part in rest.split(';') {

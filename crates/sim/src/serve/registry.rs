@@ -8,12 +8,18 @@ use super::protocol::format_line;
 use super::{JobOutput, JobRun, StoredRun};
 use crate::cancel::CancelToken;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// How many specs the result cache holds; past it the least recently
 /// used one is evicted.
 const RESULT_CACHE_ENTRIES: usize = 4096;
+/// How long shutdown waits for its wake connection to the accept loop.
+/// A local connect returns at once unless the listener's backlog is
+/// full, and then the accept loop is busy accepting and sees the flag.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Lifecycle state of a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,17 +338,27 @@ impl Inner {
 pub(crate) struct Shared {
     capacity: usize,
     retry_after_ms: u64,
+    /// The listener's bound address, which shutdown connects to once to
+    /// wake the blocked accept loop; `None` when no listener exists.
+    listener: Option<SocketAddr>,
     inner: Mutex<Inner>,
     work: Condvar,
 }
 
 impl Shared {
-    /// The state of a daemon whose queue holds `capacity` jobs and which
-    /// keeps the records of the last `retention` finished jobs.
-    pub(crate) fn new(capacity: usize, retry_after_ms: u64, retention: usize) -> Self {
+    /// The state of a daemon whose queue holds `capacity` jobs, which
+    /// keeps the records of the last `retention` finished jobs and
+    /// whose accept loop listens on `listener`.
+    pub(crate) fn new(
+        capacity: usize,
+        retry_after_ms: u64,
+        retention: usize,
+        listener: Option<SocketAddr>,
+    ) -> Self {
         Self {
             capacity: capacity.max(1),
             retry_after_ms,
+            listener,
             inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 runs: HashMap::new(),
@@ -526,24 +542,34 @@ impl Shared {
     }
 
     /// Flips the shutdown flag, cancels everything queued, trips every
-    /// running job's token, and wakes all workers.
+    /// running job's token, and wakes all workers and the accept loop.
+    /// Both shutdown paths, [`super::ServerHandle::shutdown`] and the
+    /// wire `shutdown` verb, come through here.
     pub(crate) fn begin_shutdown(&self) {
-        let mut inner = self.lock();
-        if inner.shutdown {
-            return;
-        }
-        inner.shutdown = true;
-        let queued: Vec<u64> = inner.queue.drain(..).collect();
-        inner.runs.clear();
-        for n in queued {
-            inner.finish(n, Outcome::Cancelled);
-        }
-        for job in inner.jobs.values_mut() {
-            if !job.state().is_terminal() {
-                job.cancel.cancel();
+        {
+            let mut inner = self.lock();
+            if inner.shutdown {
+                return;
             }
+            inner.shutdown = true;
+            let queued: Vec<u64> = inner.queue.drain(..).collect();
+            inner.runs.clear();
+            for n in queued {
+                inner.finish(n, Outcome::Cancelled);
+            }
+            for job in inner.jobs.values_mut() {
+                if !job.state().is_terminal() {
+                    job.cancel.cancel();
+                }
+            }
+            self.work.notify_all();
         }
-        self.work.notify_all();
+        // The accept loop blocks in `accept`: one connection wakes it,
+        // it sees the flag and drops that connection. On Linux a
+        // connect to a wildcard bind (`0.0.0.0`, `::`) reaches loopback.
+        if let Some(addr) = self.listener {
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether shutdown has begun.

@@ -312,20 +312,16 @@ fn handle_subscribe(writer: &mut TcpStream, shared: &Shared, request: &Request) 
         // and the connection drops straight back to request mode.
         return true;
     }
-    loop {
-        match rx.recv_timeout(READ_POLL) {
-            Ok(StreamMsg::Event(line)) => {
+    // Shutdown cancels every live job, so `Done` comes in the end.
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            StreamMsg::Event(line) => {
                 if !send(writer, &line) {
                     return false;
                 }
             }
-            Ok(StreamMsg::Done(line)) => return send(writer, &line),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Shutdown cancels every live job, so Done is coming;
-                // keep draining until it arrives.
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return true,
+            StreamMsg::Done(line) => return send(writer, &line),
         }
     }
+    true
 }

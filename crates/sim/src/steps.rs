@@ -96,16 +96,6 @@ impl StepPlan {
         })
     }
 
-    /// [`StepPlan::new`] for callers whose contract is to panic on a
-    /// config that cannot run.
-    ///
-    /// # Panics
-    ///
-    /// With [`StepPlan::new`]'s message when `sim` cannot run.
-    pub(crate) fn from_sim(sim: SimConfig, cadence: EnvCadence) -> Self {
-        Self::new(sim, cadence).unwrap_or_else(|message| panic!("{message}"))
-    }
-
     #[inline]
     pub(crate) fn time_at(&self, i: u64) -> Seconds {
         self.start_at + Seconds::new(i as f64 * self.dt.value())
@@ -123,6 +113,11 @@ impl StepPlan {
             EnvCadence::PerStep => (0..self.steps).map(|i| self.time_at(i)).collect(),
             EnvCadence::PerWindow => self.windows().map(|w| self.time_at(w.start)).collect(),
         }
+    }
+
+    /// How many control windows [`StepPlan::windows`] yields.
+    pub(crate) fn window_count(&self) -> u64 {
+        self.steps.div_ceil(self.control_every)
     }
 
     /// The control windows, in order.

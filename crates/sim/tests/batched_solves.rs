@@ -30,8 +30,8 @@ use mseh_power::{
 };
 use mseh_sim::{
     run_arena_controlled, run_fleet, run_fleet_controlled, ArenaConfig, ArenaResult, ArenaSpec,
-    Contender, DenseClass, DenseGroup, DenseStore, EnvCadence, FleetConfig, FleetControl,
-    FleetGroup, FleetSpec, FleetSummary, SimConfig,
+    Contender, DenseClass, DenseGroup, DenseStore, EnvCadence, FleetConfig, FleetGroup, FleetSpec,
+    FleetSummary, RunControl, SimConfig,
 };
 use mseh_storage::{Battery, Storage, StorageKind, Supercap};
 use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts};
@@ -274,7 +274,7 @@ impl Cell {
     /// Runs the cell as a dense group and as its boxed twin.
     fn run(self) -> (FleetSummary, FleetSummary) {
         let run = |spec: &FleetSpec| {
-            run_fleet_controlled(spec, self.config(), FleetControl::default())
+            run_fleet_controlled(spec, self.config(), RunControl::default())
                 .expect("valid spec")
                 .expect("no cancel token")
                 .summary
@@ -455,7 +455,7 @@ fn arena_pair_with(
     let config = config.keep_lane_results();
     let run = |spec: ArenaSpec| {
         let spec = spec.with_contenders(arena_roster()).with_seeds(&[3, 17]);
-        run_arena_controlled(&spec, config, FleetControl::default())
+        run_arena_controlled(&spec, config, RunControl::default())
             .expect("valid spec")
             .expect("no cancel token")
     };

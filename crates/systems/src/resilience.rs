@@ -155,7 +155,7 @@ pub fn resilience_scenario(id: SystemId, seed: u64, horizon: Seconds) -> FaultSc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mseh_sim::{run_resilience_campaign_with_threads, CampaignConfig};
+    use mseh_sim::{run_resilience_campaign, CampaignConfig};
 
     #[test]
     fn every_platform_has_a_buildable_scenario() {
@@ -201,12 +201,11 @@ mod tests {
     #[test]
     fn campaign_runs_clean_for_a_commercial_platform() {
         let horizon = Seconds::from_hours(8.0);
-        let summary = run_resilience_campaign_with_threads(
-            2,
+        let summary = run_resilience_campaign(
             &[1, 2],
             |seed| resilience_scenario(SystemId::E, seed, horizon),
             &natural_node(SystemId::E),
-            CampaignConfig::over(horizon),
+            CampaignConfig::over(horizon).with_threads(2),
         );
         assert!(summary.worst_audit_relative < 1e-6, "{summary:?}");
         assert!(summary.total_faults > 0, "{summary:?}");

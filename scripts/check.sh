@@ -86,6 +86,18 @@ if ! cargo run --release -q -p mseh --example serve_client -- "$addr" >/dev/null
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+# The accept loop blocks until shutdown wakes it with a connection of
+# its own; if that wake were lost the daemon would never exit, so give
+# it 30 s and fail instead of hanging.
+for _ in $(seq 1 300); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+    kill "$serve_pid" 2>/dev/null || true
+    echo "FAIL: daemon still running 30 s after wire shutdown"
+    exit 1
+fi
 if ! wait "$serve_pid"; then
     echo "FAIL: daemon exited non-zero after wire shutdown"
     exit 1

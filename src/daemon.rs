@@ -17,6 +17,10 @@
 //! | `fleet` | `system`, `env=outdoor`, `days=1`, `seed=7`, `population=64`, `policy=ladder`, `jitter=0`, `shard_size=16` | a fleet run |
 //! | `arena` | `system`, `env=outdoor`, `days=1`, `seed=17`, `seeds=4`, `roster=default` | a policy arena |
 //!
+//! Each runner calls its kind's `run_*_controlled` entry point with a
+//! [`RunControl`] that carries the job's cancel token and a reporter
+//! that streams one `event` line per eighth of the work.
+//!
 //! Every field is optional except `system`. The wire defaults are the
 //! daemon's own, not the CLI's: `mseh simulate` runs 7 days, and
 //! `mseh arena` runs seed 42 over 2 days. The serve layer rejects a
@@ -35,9 +39,9 @@ use mseh_sim::serve::protocol::Digest;
 use mseh_sim::serve::{JobContext, JobOutput, JobRunner, JobSpec, PreparedJob};
 use mseh_sim::{
     default_contenders, run_arena_controlled, run_fleet_controlled,
-    run_resilience_campaign_cancellable, run_simulation_cancellable, ArenaConfig, ArenaSpec,
-    ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetControl,
-    FleetGroup, FleetSpec, FleetSummary, SimConfig, SimObserver, SimResult, Spread, WindowBooks,
+    run_resilience_campaign_controlled, run_simulation_controlled, ArenaConfig, ArenaSpec,
+    ArenaSummary, CampaignConfig, CampaignSummary, Contender, FleetConfig, FleetGroup, FleetSpec,
+    FleetSummary, RunControl, SimConfig, SimResult, Spread,
 };
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
@@ -384,21 +388,6 @@ fn eighths<'a>(
     }
 }
 
-/// Window-batched progress events for `single` jobs, counted from the
-/// windows' books and reported through [`eighths`].
-struct ProgressEmitter<F> {
-    windows: u64,
-    total: u64,
-    report: F,
-}
-
-impl<F: Fn(u64, u64)> SimObserver for ProgressEmitter<F> {
-    fn on_window(&mut self, _books: &WindowBooks) {
-        self.windows += 1;
-        (self.report)(self.windows, self.total);
-    }
-}
-
 fn prepare_single(spec: &JobSpec) -> Result<PreparedJob, String> {
     let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
     let seed = parse_u64_field(spec, "seed", 42)?;
@@ -415,23 +404,19 @@ fn prepare_single(spec: &JobSpec) -> Result<PreparedJob, String> {
             let mut policy = make_policy(&policy_spec).expect("validated in prepare");
             let mut unit = system.build();
             let node = natural_node(system);
-            let config = SimConfig::over(Seconds::from_days(days));
-            let total = (config.duration.value() / config.control_interval.value()).ceil() as u64;
-            let mut progress = ProgressEmitter {
-                windows: 0,
-                total,
-                report: eighths(ctx, "windows", "total_windows"),
-            };
-            let result = run_simulation_cancellable(
+            let Some(result) = run_simulation_controlled(
                 &mut unit,
                 &environment,
                 &node,
                 policy.as_mut(),
-                config,
-                &mut [&mut progress],
-                ctx.cancel_token(),
-            );
-            let Some(result) = result else {
+                SimConfig::over(Seconds::from_days(days)),
+                &mut [],
+                RunControl {
+                    cancel: Some(ctx.cancel_token()),
+                    progress: Some(&eighths(ctx, "windows", "total_windows")),
+                },
+            )?
+            else {
                 return Ok(None);
             };
             Ok(Some(JobOutput {
@@ -467,17 +452,17 @@ fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
             let horizon = Seconds::from_days(days);
             let seeds: Vec<u64> = (seed..seed.saturating_add(count)).collect();
             let node = natural_node(system);
-            let emit = eighths(ctx, "scenarios", "total_scenarios");
-            let summary = run_resilience_campaign_cancellable(
-                0,
+            let Some(summary) = run_resilience_campaign_controlled(
                 &seeds,
                 |s| resilience_scenario(system, s, horizon),
                 &node,
                 CampaignConfig::over(horizon),
-                ctx.cancel_token(),
-                Some(&emit),
-            )?;
-            let Some(summary) = summary else {
+                RunControl {
+                    cancel: Some(ctx.cancel_token()),
+                    progress: Some(&eighths(ctx, "scenarios", "total_scenarios")),
+                },
+            )?
+            else {
                 return Ok(None);
             };
             Ok(Some(JobOutput {
@@ -532,7 +517,7 @@ fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
             let Some(result) = run_fleet_controlled(
                 &build_fleet_spec(system, &env_kind, seed, population, &policy_spec, jitter),
                 fleet_config(days, shard_size as usize),
-                FleetControl {
+                RunControl {
                     cancel: Some(ctx.cancel_token()),
                     progress: Some(&eighths(ctx, "nodes", "total_nodes")),
                 },
@@ -576,7 +561,7 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
             let Some(result) = run_arena_controlled(
                 &arena,
                 ArenaConfig::over(Seconds::from_days(days)),
-                FleetControl {
+                RunControl {
                     cancel: Some(ctx.cancel_token()),
                     progress: Some(&eighths(ctx, "lanes", "total_lanes")),
                 },
@@ -804,12 +789,11 @@ mod tests {
     #[test]
     fn campaign_digest_covers_every_field() {
         let horizon = Seconds::from_hours(2.0);
-        let summary = mseh_sim::run_resilience_campaign_with_threads(
-            1,
+        let summary = mseh_sim::run_resilience_campaign(
             &[3, 4],
             |seed| resilience_scenario(SystemId::A, seed, horizon),
             &natural_node(SystemId::A),
-            CampaignConfig::over(horizon),
+            CampaignConfig::over(horizon).with_threads(1),
         );
         fn ulp(x: &mut f64) {
             *x = f64::from_bits(x.to_bits() ^ 1);

@@ -32,9 +32,9 @@ use mseh::node::SensorNode;
 use mseh::power::{DcDcConverter, IdealDiode, InputChannel, PerturbObserve};
 use mseh::sim::serve::protocol::Digest;
 use mseh::sim::{
-    run_arena, run_fleet, run_resilience_campaign_with_threads, run_simulation,
-    run_simulation_observed, ArenaConfig, CampaignConfig, ConservationAuditor, EventSink,
-    MetricsObserver, SimConfig, SinkFormat,
+    run_arena, run_fleet, run_resilience_campaign, run_simulation, run_simulation_observed,
+    ArenaConfig, CampaignConfig, ConservationAuditor, EventSink, MetricsObserver, SimConfig,
+    SinkFormat,
 };
 use mseh::storage::Supercap;
 use mseh::systems::resilience::{
@@ -131,12 +131,11 @@ fn observed_runs(out: &mut Vec<(String, String)>) {
 fn campaigns(out: &mut Vec<(String, String)>) {
     let horizon = Seconds::from_days(2.0);
     for id in SystemId::ALL {
-        let summary = run_resilience_campaign_with_threads(
-            1,
+        let summary = run_resilience_campaign(
             &[1, 7],
             |seed| resilience_scenario(id, seed, horizon),
             &natural_node(id),
-            CampaignConfig::over(horizon),
+            CampaignConfig::over(horizon).with_threads(1),
         );
         let detect = summary
             .mean_time_to_detect

@@ -9,10 +9,10 @@ use mseh::harvesters::PvModule;
 use mseh::node::{DutyCyclePolicy, FailoverPolicy, FixedDuty, SensorNode, VoltageThreshold};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
-    run_resilience_campaign_with_threads, run_simulation, run_simulation_observed,
-    BrownoutConverter, CampaignConfig, ConservationAuditor, DegradingHarvester, FaultScenario,
-    FaultSchedule, GlitchingHarvester, IntermittentStorage, RingRecorder, ScenarioOutcome,
-    SimConfig, SimEvent, SimObserver, WindowBooks,
+    run_resilience_campaign, run_simulation, run_simulation_observed, BrownoutConverter,
+    CampaignConfig, ConservationAuditor, DegradingHarvester, FaultScenario, FaultSchedule,
+    GlitchingHarvester, IntermittentStorage, RingRecorder, ScenarioOutcome, SimConfig, SimEvent,
+    SimObserver, WindowBooks,
 };
 use mseh::storage::{Battery, Supercap};
 use mseh::systems::{resilience, SystemId};
@@ -414,12 +414,11 @@ fn campaign_metrics_are_thread_count_invariant_for_every_system() {
     let seeds = [1u64, 2, 3];
     for id in SystemId::ALL {
         let run = |threads: usize| {
-            run_resilience_campaign_with_threads(
-                threads,
+            run_resilience_campaign(
                 &seeds,
                 |seed| resilience::resilience_scenario(id, seed, horizon),
                 &resilience::natural_node(id),
-                CampaignConfig::over(horizon),
+                CampaignConfig::over(horizon).with_threads(threads),
             )
         };
         let base = run(1);
@@ -457,12 +456,13 @@ fn hot_swap_scenario(seed: u64) -> FaultScenario<PowerUnit> {
 #[test]
 fn campaign_counts_recoveries_made_through_the_hot_swap_path() {
     let horizon = Seconds::from_hours(4.0);
-    let summary = run_resilience_campaign_with_threads(
-        1,
+    let summary = run_resilience_campaign(
         &[5],
         hot_swap_scenario,
         &SensorNode::submilliwatt_class(),
-        CampaignConfig::over(horizon).with_check_interval(Seconds::from_hours(1.0)),
+        CampaignConfig::over(horizon)
+            .with_check_interval(Seconds::from_hours(1.0))
+            .with_threads(1),
     );
     let outcome = &summary.outcomes[0];
     assert_eq!(outcome.faults_fired, 1);
@@ -483,7 +483,7 @@ fn campaign_outcome(
     node: &SensorNode,
     config: CampaignConfig,
 ) -> ScenarioOutcome {
-    run_resilience_campaign_with_threads(1, &[seed], scenario, node, config)
+    run_resilience_campaign(&[seed], scenario, node, config.with_threads(1))
         .outcomes
         .remove(0)
 }

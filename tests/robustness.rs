@@ -104,13 +104,11 @@ fn conservation_holds_under_injected_faults_across_seeds() {
     // through every fire, clear and failover engagement.
     use mseh::node::FailoverPolicy;
     use mseh::sim::{
-        run_resilience_campaign_with_threads, CampaignConfig, FaultScenario, FaultSchedule,
-        IntermittentStorage,
+        run_resilience_campaign, CampaignConfig, FaultScenario, FaultSchedule, IntermittentStorage,
     };
 
     let horizon = Seconds::from_hours(18.0);
-    let summary = run_resilience_campaign_with_threads(
-        2,
+    let summary = run_resilience_campaign(
         &SEEDS,
         |seed| {
             let schedule = FaultSchedule::stochastic(
@@ -133,7 +131,7 @@ fn conservation_holds_under_injected_faults_across_seeds() {
             )
         },
         &SensorNode::submilliwatt_class(),
-        CampaignConfig::over(horizon),
+        CampaignConfig::over(horizon).with_threads(2),
     );
     assert!(summary.total_faults > 0, "{summary:?}");
     for outcome in &summary.outcomes {

@@ -343,9 +343,16 @@ fn progress_streams_at_most_eight_events_ending_at_the_total() {
     assert_eq!(done.len(), 8, "{done:?}");
     assert_eq!(done.last(), Some(&total));
     one_per_eighth(&done, total);
-    // The benchmark's job shapes keep their 8, 4, 2 and 2 lines.
+    // The benchmark's job shapes keep their 8, 4, 2 and 2 lines, and a
+    // horizon whose sub-step remainder grows no step counts the 144
+    // windows its run has.
     for (submit, key, count) in [
         ("submit kind=single;system=B;days=1;seed=1", "windows", 8),
+        (
+            "submit kind=single;system=B;days=1.0000000000001;seed=1",
+            "windows",
+            8,
+        ),
         (
             "submit kind=campaign;system=B;seeds=4;days=1;seed=1",
             "scenarios",
@@ -365,6 +372,10 @@ fn progress_streams_at_most_eight_events_ending_at_the_total() {
         let (done, total) = replayed_progress(&mut client, submit, key);
         assert_eq!(done.len(), count, "{submit}: {done:?}");
         one_per_eighth(&done, total);
+        if key == "windows" {
+            // A single run reports its windows in order.
+            assert_eq!((done.last(), total), (Some(&144), 144), "{submit}");
+        }
     }
     handle.shutdown_and_wait();
 }
