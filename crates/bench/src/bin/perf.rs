@@ -14,9 +14,9 @@
 //! baseline — the CI smoke mode; pass an explicit path to override
 //! either default.
 //!
-//! The harness first asserts that a seed ensemble fanned out through
-//! the [`mseh_sim::run_seed_ensemble_with_threads`] pool the experiments
-//! use is bit-for-bit identical to the sequential reference. Thread
+//! The harness first asserts that a seed sweep run as a one-contender
+//! [`mseh_sim::run_arena`] across worker threads is bit-for-bit
+//! identical to a sequential loop of [`mseh_sim::run_simulation`]. Thread
 //! scaling only materializes on multi-core hosts; the JSON records the
 //! host's `available_parallelism` so single-core numbers aren't misread
 //! as a regression.
@@ -34,18 +34,17 @@ use mseh_node::{
 };
 use mseh_power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh_sim::{
-    default_contenders, run_arena, run_fleet, run_resilience_campaign, run_seed_ensemble_seq,
-    run_seed_ensemble_with_threads, run_simulation, run_simulation_observed, ArenaConfig,
-    ArenaSpec, CampaignConfig, ConservationAuditor, Contender, DenseClass, DenseGroup, DenseStore,
-    FleetConfig, FleetGroup, FleetSpec, FleetSummary, HeldWindows, MetricsObserver, SimConfig,
-    SimResult,
+    default_contenders, run_arena, run_fleet, run_resilience_campaign, run_simulation,
+    run_simulation_observed, ArenaConfig, ArenaSpec, CampaignConfig, ConservationAuditor,
+    Contender, DenseClass, DenseGroup, DenseStore, FleetConfig, FleetGroup, FleetSpec,
+    FleetSummary, HeldWindows, MetricsObserver, SimConfig, SimResult,
 };
 use mseh_storage::{Battery, Storage, Supercap};
 use mseh_systems::{resilience, SystemId};
 use mseh_units::{DutyCycle, Seconds, Volts, Watts};
 
 const SINGLE_RUN_DAYS: f64 = 7.0;
-const ENSEMBLE_DAYS: f64 = 2.0;
+const SEED_SWEEP_DAYS: f64 = 2.0;
 /// Long enough that each rep spans tens of milliseconds even now that
 /// the storage idle memo has pushed the bare kernel past 10⁶ steps/s —
 /// shorter spans let scheduler jitter swamp the small percentage the
@@ -570,7 +569,7 @@ fn main() {
             format!("{repo_root}/BENCH_sim.json")
         }
     });
-    // Quick keeps the ensemble/campaign budgets tiny, but the two timed
+    // Quick keeps the seed-sweep/campaign budgets tiny, but the two timed
     // sections need a few milliseconds per measurement or jitter
     // swamps the percentages they report. The gated hot-loop row runs
     // at the full horizon in both modes — per-run setup cost skews the
@@ -578,10 +577,10 @@ fn main() {
     // to the committed full-scale one (same rationale as the
     // fixed-spec fleet rate rows) — and it costs only ~40 ms.
     let single_days = SINGLE_RUN_DAYS;
-    let (ensemble_days, overhead_days) = if quick {
+    let (sweep_days, overhead_days) = if quick {
         (0.25, 10.0)
     } else {
-        (ENSEMBLE_DAYS, OVERHEAD_DAYS)
+        (SEED_SWEEP_DAYS, OVERHEAD_DAYS)
     };
     let seeds: &[u64] = if quick { &SEEDS[..4] } else { &SEEDS };
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -739,30 +738,43 @@ fn main() {
     println!("overhead   : instrumented {inst_sps:>9.0} steps/s  ({inst_overhead_pct:+.2} %)");
 
     // --- Correctness gate: parallel ≡ sequential, bit for bit. ------
-    let ens_cfg = SimConfig::over(Seconds::from_days(ensemble_days));
-    let reference = run_seed_ensemble_seq(
-        seeds,
-        |_| SystemId::C.build(),
+    // A seed sweep is a one-contender arena: each kept lane must equal
+    // its seed's independent run.
+    let sweep_horizon = Seconds::from_days(sweep_days);
+    let reference: Vec<SimResult> = seeds
+        .iter()
+        .map(|&seed| {
+            run_simulation(
+                &mut SystemId::C.build(),
+                &Environment::outdoor_temperate(seed),
+                &node,
+                &mut duty(),
+                SimConfig::over(sweep_horizon),
+            )
+        })
+        .collect();
+    let sweep = ArenaSpec::boxed(
+        "seed sweep",
+        node.clone(),
+        |_| Box::new(SystemId::C.build()),
         Environment::outdoor_temperate,
-        |_| duty(),
-        &node,
-        ens_cfg,
-    );
-    let parallel = run_seed_ensemble_with_threads(
-        host_threads.max(2),
-        seeds,
-        |_| SystemId::C.build(),
-        Environment::outdoor_temperate,
-        |_| duty(),
-        &node,
-        ens_cfg,
-    );
+    )
+    .with_contender(Contender::new("fixed-5%", |_| Box::new(duty())))
+    .with_seeds(seeds);
+    let parallel = run_arena(
+        &sweep,
+        ArenaConfig::over(sweep_horizon)
+            .with_threads(host_threads.max(2))
+            .keep_lane_results(),
+    )
+    .lane_results
+    .expect("lanes kept");
     assert_eq!(
         parallel, reference,
-        "parallel ensemble diverged from sequential reference"
+        "parallel seed sweep diverged from sequential runs"
     );
     println!(
-        "determinism: parallel ensemble ({} threads) bit-identical to sequential over {} seeds",
+        "determinism: one-contender arena ({} threads) bit-identical to sequential runs over {} seeds",
         host_threads.max(2),
         seeds.len()
     );
@@ -1180,7 +1192,7 @@ fn main() {
     // System D (MPWiNode) in its agricultural deployment, primary store
     // failing open and lead harvester glitching on seeded stochastic
     // plans, failover-wrapped voltage ladder as the policy.
-    let campaign_horizon = Seconds::from_days(ensemble_days);
+    let campaign_horizon = Seconds::from_days(sweep_days);
     let campaign_cfg = CampaignConfig::over(campaign_horizon);
     let campaign_node = resilience::natural_node(SystemId::D);
     let run_campaign = |threads: usize| {
@@ -1289,9 +1301,10 @@ fn main() {
         "    \"instrumented_observers\": [\"MetricsObserver\", \"ConservationAuditor\"]"
     );
     let _ = writeln!(json, "  }},");
+    // The seed-sweep gate above; the block keeps its schema name.
     let _ = writeln!(json, "  \"ensemble\": {{");
     let _ = writeln!(json, "    \"seeds\": {},", seeds.len());
-    let _ = writeln!(json, "    \"days_per_run\": {ensemble_days},");
+    let _ = writeln!(json, "    \"days_per_run\": {sweep_days},");
     let _ = writeln!(json, "    \"parallel_matches_sequential\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"fleet\": {{");
@@ -1448,7 +1461,7 @@ fn main() {
          harvester glitches, failover-wrapped ladder\","
     );
     let _ = writeln!(json, "    \"seeds\": {},", seeds.len());
-    let _ = writeln!(json, "    \"days_per_scenario\": {ensemble_days},");
+    let _ = writeln!(json, "    \"days_per_scenario\": {sweep_days},");
     let _ = writeln!(json, "    \"seconds\": {campaign_secs:.6},");
     let _ = writeln!(json, "    \"scenarios_per_sec\": {scenarios_per_sec:.3},");
     let _ = writeln!(json, "    \"uptime_mean\": {:.6},", campaign.uptime.mean);

@@ -38,8 +38,8 @@ pub trait EnvSampler {
     ///
     /// Implementations must be observationally identical to the
     /// per-instant path: `conditions_into(times)[i] == conditions(times[i])`
-    /// bit-for-bit for any `times`, sorted or not, or parallel/sequential
-    /// ensemble equivalence breaks.
+    /// bit-for-bit for any `times`, sorted or not, or the equivalence of
+    /// fleet nodes and arena lanes with independent runs breaks.
     fn conditions_into(&self, times: &[Seconds], out: &mut Vec<EnvConditions>) {
         out.clear();
         out.reserve(times.len());

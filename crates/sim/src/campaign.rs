@@ -2,7 +2,7 @@
 //! scenarios and measure availability.
 //!
 //! [`run_resilience_campaign`] is the fault-injection counterpart of
-//! the seed ensemble: each seed builds a [`FaultScenario`] (platform
+//! a seed sweep: each seed builds a [`FaultScenario`] (platform
 //! with injected fault wrappers + environment + policy + the injected
 //! [`FaultSchedule`]), the scenarios fan out across the thread pool,
 //! and the summary reports the metrics the survey's redundancy argument
@@ -23,7 +23,6 @@
 //! window.
 
 use crate::cancel::{tripped, uncontrolled, CancelToken, RunControl};
-use crate::ensemble::Spread;
 use crate::fault::FaultSchedule;
 use crate::observe::{worst_relative, AuditReport, ConservationAuditor, SimEvent, SimObserver};
 use crate::parallel::{par_map_with, resolve_threads};
@@ -185,6 +184,66 @@ pub struct ScenarioOutcome {
     /// The per-window conservation audit across the whole scenario,
     /// held through every fault and recovery.
     pub audit: AuditReport,
+}
+
+/// Summary statistics of one metric across seeds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Mean.
+    pub mean: f64,
+    /// Smallest observation.
+    pub min: f64,
+    /// Largest observation.
+    pub max: f64,
+    /// Sample standard deviation (0 for a single observation).
+    pub std_dev: f64,
+    /// Median (mean of the two central observations for even counts).
+    pub median: f64,
+}
+
+impl Spread {
+    /// Summarizes a non-empty slice of observations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let s = mseh_sim::Spread::of(&[1.0, 2.0, 3.0, 10.0]);
+    /// assert_eq!(s.mean, 4.0);
+    /// assert_eq!(s.median, 2.5);
+    /// assert!(s.std_dev > 0.0);
+    /// ```
+    pub fn of(values: &[f64]) -> Self {
+        assert!(!values.is_empty(), "need at least one observation");
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let std_dev = if values.len() < 2 {
+            0.0
+        } else {
+            let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
+            var.sqrt()
+        };
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            0.5 * (sorted[mid - 1] + sorted[mid])
+        };
+        Self {
+            mean,
+            min,
+            max,
+            std_dev,
+            median,
+        }
+    }
 }
 
 /// Aggregate results of a resilience campaign.
@@ -703,5 +762,30 @@ mod tests {
             &SensorNode::submilliwatt_class(),
             CampaignConfig::over(Seconds::from_hours(1.0)).with_threads(1),
         );
+    }
+
+    #[test]
+    fn spread_reports_dispersion() {
+        let s = Spread::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert_eq!(s.mean, 5.0);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
+        assert_eq!(s.median, 4.5);
+        // Known sample std-dev of this set ≈ 2.138.
+        assert!((s.std_dev - 2.138).abs() < 0.01, "{}", s.std_dev);
+
+        let odd = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!(odd.median, 2.0);
+
+        let single = Spread::of(&[7.5]);
+        assert_eq!(single.std_dev, 0.0);
+        assert_eq!(single.median, 7.5);
+        assert_eq!(single.mean, 7.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one observation")]
+    fn spread_rejects_empty() {
+        Spread::of(&[]);
     }
 }

@@ -21,8 +21,8 @@
 //! crate's scoped worker pool and merges per-shard results in shard
 //! order. Every per-node trajectory is a pure function of the spec and
 //! config, which makes the whole run **bit-identical at any thread count
-//! and any shard size** — the same guarantee the ensemble runner gives,
-//! extended to populations.
+//! and any shard size** — the same guarantee campaigns and arenas give
+//! across seeds, extended to populations.
 //!
 //! # Environment cadence
 //!

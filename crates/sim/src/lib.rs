@@ -13,11 +13,14 @@
 //! experiment harness: parameter sweeps, threshold search (minimum
 //! buffer size) and crossover location (where MPPT starts paying off).
 //!
-//! Ensembles and sweeps fan out across a dependency-free scoped worker
-//! pool ([`par_map`]; `MSEH_THREADS` sets the width, default
-//! [`std::thread::available_parallelism`]). Because every run is a pure
-//! function of its seed, parallel output is bit-for-bit identical to
-//! sequential output at any thread count.
+//! Sweeps, campaigns, fleets and arenas fan out across a
+//! dependency-free scoped worker pool ([`par_map`]; `MSEH_THREADS` sets
+//! the width, default [`std::thread::available_parallelism`]). Because
+//! every run is a pure function of its seed, parallel output is
+//! bit-for-bit identical to sequential output at any thread count. A
+//! seed sweep of one platform under one policy is a one-contender
+//! [`ArenaSpec::boxed`] arena with [`ArenaConfig::keep_lane_results`]:
+//! each kept lane equals an independent [`run_simulation`] of its seed.
 //!
 //! Each run kind has a plain entry point that panics on a spec or
 //! config it cannot run ([`run_simulation`], [`run_resilience_campaign`],
@@ -73,7 +76,6 @@
 mod arena;
 mod campaign;
 mod cancel;
-mod ensemble;
 mod fault;
 mod fleet;
 mod metrics;
@@ -91,13 +93,9 @@ pub use arena::{
 };
 pub use campaign::{
     run_resilience_campaign, run_resilience_campaign_controlled, CampaignConfig, CampaignSummary,
-    FaultScenario, ScenarioOutcome,
+    FaultScenario, ScenarioOutcome, Spread,
 };
 pub use cancel::{CancelToken, RunControl};
-pub use ensemble::{
-    run_seed_ensemble, run_seed_ensemble_instrumented, run_seed_ensemble_seq,
-    run_seed_ensemble_with_threads, EnsembleSummary, InstrumentedEnsemble, Spread,
-};
 pub use fault::{
     BrownoutConverter, DegradingHarvester, FaultSchedule, GlitchingHarvester, IntermittentStorage,
 };
@@ -114,7 +112,7 @@ pub use observe::{
     AuditReport, ConservationAuditor, EventSink, MetricsObserver, RingRecorder, SimEvent,
     SimObserver, SinkFormat, WindowBooks,
 };
-pub use parallel::{par_map, par_map_instrumented, par_map_with, thread_count};
+pub use parallel::{par_map, par_map_with, thread_count};
 pub use platform::Platform;
 pub use runner::{
     run_simulation, run_simulation_controlled, run_simulation_observed, SimConfig, SimResult,

@@ -3,16 +3,16 @@
 //!
 //! The registry is the numeric half of the observability layer (the
 //! event half is [`crate::SimObserver`]): anything that wants to report
-//! "where the joules went" — the runner, the ensemble pool, a platform's
-//! quiescent ledger — writes named series here, and a single
+//! "where the joules went" — the runner's [`crate::MetricsObserver`], a
+//! platform's quiescent ledger — writes named series here, and a single
 //! [`MetricsRegistry::snapshot_json`] call serializes the lot for
 //! dashboards or regression diffing.
 //!
 //! Determinism: the registry stores series in a [`BTreeMap`], so
 //! iteration, snapshots and [`PartialEq`] comparisons are independent
 //! of insertion order, and [`MetricsRegistry::merge`] applied in a
-//! fixed order (seed order, in the ensemble) gives bit-identical
-//! results at any worker count.
+//! fixed order (seed or shard order) gives bit-identical results at
+//! any worker count.
 //!
 //! # Examples
 //!

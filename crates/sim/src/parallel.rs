@@ -1,6 +1,7 @@
 //! A dependency-free scoped worker pool for embarrassingly-parallel
-//! simulation work: seed ensembles, parameter sweeps and the bench
-//! harness all fan out through [`par_map`].
+//! simulation work: parameter sweeps, campaign scenarios, fleet shards,
+//! arena seed rows and the bench harness all fan out through
+//! [`par_map_with`].
 //!
 //! Built on [`std::thread::scope`] so borrowed data (environments,
 //! nodes, factory closures) crosses into workers without `'static`
@@ -19,10 +20,9 @@
 //! `par_map` preserves item order in its output: result `i` is always
 //! `f(&items[i])` regardless of which worker ran it or in what order
 //! items were claimed. Combined with the simulator's pure
-//! `(seed, time)`-addressed randomness, parallel ensembles are
+//! `(seed, time)`-addressed randomness, parallel seed sweeps are
 //! bit-for-bit identical to sequential ones.
 
-use crate::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -135,51 +135,6 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`par_map_with`] where each item also gets a private
-/// [`MetricsRegistry`]; the per-item registries are merged into one
-/// after the scope joins.
-///
-/// The merge happens **in item order** (not in worker-completion
-/// order), so the combined registry — like the result vector — is
-/// bit-for-bit identical at any thread count. Registries are per-item
-/// rather than per-worker precisely so that the merge order cannot
-/// depend on how the atomic claiming interleaved.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or `f` panics on any item.
-///
-/// # Examples
-///
-/// ```
-/// let (doubled, metrics) = mseh_sim::par_map_instrumented(2, &[1.0, 2.0, 3.0], |&x, reg| {
-///     let work = reg.handle_counter("work_total", &[]);
-///     reg.counter_add_handle(work, x);
-///     x * 2.0
-/// });
-/// assert_eq!(doubled, vec![2.0, 4.0, 6.0]);
-/// assert_eq!(metrics.counter("work_total", &[]), Some(6.0));
-/// ```
-pub fn par_map_instrumented<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, MetricsRegistry)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut MetricsRegistry) -> R + Sync,
-{
-    let pairs = par_map_with(threads, items, |item| {
-        let mut registry = MetricsRegistry::new();
-        let result = f(item, &mut registry);
-        (result, registry)
-    });
-    let mut merged = MetricsRegistry::new();
-    let mut results = Vec::with_capacity(pairs.len());
-    for (result, registry) in pairs {
-        merged.merge(&registry);
-        results.push(result);
-    }
-    (results, merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,31 +198,5 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn instrumented_merge_is_thread_count_independent() {
-        let items: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let run = |threads| {
-            par_map_instrumented(threads, &items, |&x, reg| {
-                let sum = reg.handle_counter("sum_total", &[]);
-                let last = reg.handle_gauge("last_item", &[]);
-                let values = reg.handle_histogram("item_values", &[]);
-                reg.counter_add_handle(sum, x);
-                reg.gauge_set_handle(last, x);
-                reg.histogram_observe_handle(values, x);
-                x
-            })
-        };
-        let (seq_results, seq_metrics) = run(1);
-        for threads in [2, 4, 8] {
-            let (results, metrics) = run(threads);
-            assert_eq!(results, seq_results, "threads = {threads}");
-            assert_eq!(metrics, seq_metrics, "threads = {threads}");
-        }
-        assert_eq!(seq_metrics.counter("sum_total", &[]), Some(780.0));
-        // Gauges merge last-writer-wins in item order.
-        assert_eq!(seq_metrics.gauge("last_item", &[]), Some(39.0));
-        assert_eq!(seq_metrics.histogram("item_values", &[]).unwrap().count, 40);
     }
 }

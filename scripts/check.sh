@@ -10,6 +10,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> symbol-size smoke (scripts/symbol-sizes.sh on the mseh binary against itself)"
+# The script compares function sizes between two builds when a change
+# must leave kernel code where it was; a binary against itself must
+# print nothing, so a parse that rots fails here, not in a comparison.
+moved="$(scripts/symbol-sizes.sh target/release/mseh target/release/mseh)"
+if [ -n "$moved" ]; then
+    echo "FAIL: symbol-sizes.sh reports functions moving between target/release/mseh and itself:"
+    echo "$moved" | head -n 20
+    exit 1
+fi
+echo "ok: symbol-sizes.sh finds no change between target/release/mseh and itself"
+
 echo "==> cargo test -q --no-fail-fast"
 # --no-fail-fast: one failing test binary must not hide the results of
 # the binaries after it; the step still fails on any failure.

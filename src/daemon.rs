@@ -450,7 +450,7 @@ fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
         seed,
         run: Box::new(move |ctx| {
             let horizon = Seconds::from_days(days);
-            let seeds: Vec<u64> = (seed..seed.saturating_add(count)).collect();
+            let seeds = consecutive_seeds(seed, count);
             let node = natural_node(system);
             let Some(summary) = run_resilience_campaign_controlled(
                 &seeds,
@@ -587,6 +587,12 @@ fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
     })
 }
 
+/// The `count` consecutive seeds from `seed` that a campaign or arena
+/// job runs, wrapping past `u64::MAX` to 0.
+fn consecutive_seeds(seed: u64, count: u64) -> Vec<u64> {
+    (0..count).map(|i| seed.wrapping_add(i)).collect()
+}
+
 /// Checks a campaign or arena seed count: at least one, and at most
 /// 4096 so that a job's seed list stays small.
 pub fn check_seed_count(count: u64) -> Result<(), String> {
@@ -599,7 +605,8 @@ pub fn check_seed_count(count: u64) -> Result<(), String> {
 /// The exact [`ArenaSpec`] an `arena` job runs — public so tests and
 /// the CLI can reproduce a wire job via [`mseh_sim::run_arena`]
 /// directly and assert digest equality. Scenario seeds are the `count`
-/// consecutive values from `seed` ([`check_seed_count`] bounds them);
+/// consecutive values from `seed`, wrapping past `u64::MAX`
+/// ([`check_seed_count`] bounds them);
 /// each lane's platform is a fresh build of the surveyed system.
 pub fn build_arena_spec(
     system: SystemId,
@@ -612,7 +619,7 @@ pub fn build_arena_spec(
     let contenders = make_roster(roster)?;
     make_env(env_kind, seed)?;
     let env_kind = env_kind.to_string();
-    let seeds: Vec<u64> = (0..count).map(|i| seed.wrapping_add(i)).collect();
+    let seeds = consecutive_seeds(seed, count);
     Ok(ArenaSpec::boxed(
         &format!("{system}"),
         natural_node(system),

@@ -2,9 +2,10 @@
 //!
 //! Two families of guarantees live here:
 //!
-//! 1. **Parallel-engine determinism** — fanning an ensemble across
-//!    worker threads must be observationally invisible: bit-for-bit the
-//!    same `SimResult`s, in the same seed order, as the sequential path.
+//! 1. **Parallel-engine determinism** — fanning a seed sweep across
+//!    worker threads, through the pool or as a one-contender arena,
+//!    must be observationally invisible: bit-for-bit the same
+//!    `SimResult`s, in the same seed order, as a sequential loop.
 //! 2. **Held-snapshot memos** — the input channels' solve memos (the
 //!    step memo and the open-circuit-voltage memo) answer only steps
 //!    whose snapshot the walk holds for a whole control window, and
@@ -20,9 +21,9 @@ use mseh::harvesters::{CacheStats, FlowTurbine, HarvesterKind, PvModule};
 use mseh::node::{FixedDuty, SensorNode};
 use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{
-    run_fleet, run_seed_ensemble, run_seed_ensemble_seq, run_seed_ensemble_with_threads,
-    run_simulation, run_simulation_observed, ConservationAuditor, FaultSchedule, FleetConfig,
-    FleetGroup, FleetResult, FleetSpec, GlitchingHarvester, HeldWindows, SimConfig, SimResult,
+    par_map_with, run_arena, run_fleet, run_simulation, run_simulation_observed, ArenaConfig,
+    ArenaSpec, ConservationAuditor, Contender, FaultSchedule, FleetConfig, FleetGroup, FleetResult,
+    FleetSpec, GlitchingHarvester, HeldWindows, SimConfig, SimResult, Spread,
 };
 use mseh::storage::Supercap;
 use mseh::systems::{system_b, SystemId};
@@ -66,46 +67,69 @@ fn rig() -> PowerUnit {
         .build()
 }
 
-fn ensemble_at(threads: Option<usize>, record: bool) -> mseh::sim::EnsembleSummary {
-    let config = SimConfig {
-        record,
-        ..SimConfig::over(Seconds::from_hours(18.0))
-    };
-    let make_platform = |_| rig();
-    let make_policy = |_| FixedDuty::new(DutyCycle::saturating(0.05));
-    let node = SensorNode::submilliwatt_class();
-    match threads {
-        Some(n) => run_seed_ensemble_with_threads(
-            n,
-            &SEEDS,
-            make_platform,
-            Environment::outdoor_temperate,
-            make_policy,
-            &node,
-            config,
-        ),
-        None => run_seed_ensemble_seq(
-            &SEEDS,
-            make_platform,
-            Environment::outdoor_temperate,
-            make_policy,
-            &node,
-            config,
-        ),
-    }
+fn five_percent() -> FixedDuty {
+    FixedDuty::new(DutyCycle::saturating(0.05))
 }
 
-/// The parallel ensemble returns bit-for-bit the same `SimResult`s as
-/// the sequential path for the same seeds, at every worker count —
-/// including full recorded traces.
+/// One seed's run of the rig at its own site.
+fn run_seed(seed: u64, config: SimConfig) -> SimResult {
+    run_simulation(
+        &mut rig(),
+        &Environment::outdoor_temperate(seed),
+        &SensorNode::submilliwatt_class(),
+        &mut five_percent(),
+        config,
+    )
+}
+
+/// The reference every parallel path must match: one run per seed, in
+/// seed order, on the calling thread.
+fn sequential(config: SimConfig) -> Vec<SimResult> {
+    SEEDS.iter().map(|&seed| run_seed(seed, config)).collect()
+}
+
+/// The seed sweep as a one-contender arena on `threads` workers (`0` =
+/// the default pool), every lane kept in seed order.
+fn arena_sweep(threads: usize, horizon: Seconds) -> Vec<SimResult> {
+    let spec = ArenaSpec::boxed(
+        "determinism",
+        SensorNode::submilliwatt_class(),
+        |_| Box::new(rig()),
+        Environment::outdoor_temperate,
+    )
+    .with_contender(Contender::new("fixed-5%", |_| Box::new(five_percent())))
+    .with_seeds(&SEEDS);
+    let config = ArenaConfig::over(horizon)
+        .with_threads(threads)
+        .keep_lane_results();
+    run_arena(&spec, config).lane_results.expect("kept")
+}
+
+/// Different seeds genuinely differ, so an equality over the sweep is
+/// not vacuous: at least two runs harvested different totals.
+fn assert_seeds_differ(runs: &[SimResult]) {
+    assert_eq!(runs.len(), SEEDS.len());
+    let joules: Vec<f64> = runs.iter().map(|r| r.harvested.value()).collect();
+    let harvested = Spread::of(&joules);
+    assert!(harvested.max > harvested.min, "{harvested:?}");
+}
+
+/// Runs fanned out over the pool return bit-for-bit the same
+/// `SimResult`s as the sequential loop for the same seeds, at every
+/// worker count — including full recorded traces.
 #[test]
 fn parallel_ensemble_is_bit_identical_to_sequential() {
-    let sequential = ensemble_at(None, true);
-    assert_eq!(sequential.runs.len(), SEEDS.len());
+    let config = SimConfig {
+        record: true,
+        ..SimConfig::over(Seconds::from_hours(18.0))
+    };
+    let sequential = sequential(config);
+    assert_eq!(sequential.len(), SEEDS.len());
+    assert!(sequential.iter().all(|r| r.traces.is_some()));
     for threads in [1, 2, 3, 4, 8] {
-        let parallel = ensemble_at(Some(threads), true);
-        // Whole-summary equality covers every SimResult field (energy
-        // books, uptime, outage stats, traces) and the spreads.
+        let parallel = par_map_with(threads, &SEEDS, |&seed| run_seed(seed, config));
+        // Whole-result equality covers every SimResult field: energy
+        // books, uptime, outage stats and traces.
         assert_eq!(parallel, sequential, "threads = {threads}");
     }
 }
@@ -114,47 +138,27 @@ fn parallel_ensemble_is_bit_identical_to_sequential() {
 /// not a special case.
 #[test]
 fn single_thread_equals_multi_thread() {
-    let one = ensemble_at(Some(1), false);
-    let many = ensemble_at(Some(8), false);
+    let horizon = Seconds::from_hours(18.0);
+    let one = arena_sweep(1, horizon);
+    let many = arena_sweep(8, horizon);
     assert_eq!(one, many);
+    assert_eq!(one, sequential(SimConfig::over(horizon)));
+    assert_seeds_differ(&one);
 }
 
-/// The default entry point (pool-sized by `MSEH_THREADS` /
-/// `available_parallelism`) agrees with the sequential reference too.
+/// The default pool (sized by `MSEH_THREADS` / `available_parallelism`)
+/// agrees with the sequential reference too.
 #[test]
 fn default_pool_matches_sequential() {
-    let config = SimConfig::over(Seconds::from_hours(6.0));
-    let node = SensorNode::submilliwatt_class();
-    let default = run_seed_ensemble(
-        &SEEDS,
-        |_| rig(),
-        Environment::outdoor_temperate,
-        |_| FixedDuty::new(DutyCycle::saturating(0.05)),
-        &node,
-        config,
-    );
-    let sequential = run_seed_ensemble_seq(
-        &SEEDS,
-        |_| rig(),
-        Environment::outdoor_temperate,
-        |_| FixedDuty::new(DutyCycle::saturating(0.05)),
-        &node,
-        config,
-    );
-    assert_eq!(default, sequential);
-    assert_eq!(default.seeds, SEEDS.to_vec());
-    // Different seeds genuinely differ (the equality above is not
-    // vacuous): at least two runs harvested different totals.
-    assert!(default.harvested.max > default.harvested.min);
+    let horizon = Seconds::from_hours(6.0);
+    let default = arena_sweep(0, horizon);
+    assert_eq!(default, sequential(SimConfig::over(horizon)));
+    assert_seeds_differ(&default);
 }
 
 // ---------------------------------------------------------------------
 // Held-snapshot memos
 // ---------------------------------------------------------------------
-
-fn five_percent() -> FixedDuty {
-    FixedDuty::new(DutyCycle::saturating(0.05))
-}
 
 /// A one-node fleet of `unit`s at `site` under per-window cadence, the
 /// node's result kept.

@@ -358,6 +358,18 @@ fn progress_streams_at_most_eight_events_ending_at_the_total() {
             "scenarios",
             4,
         ),
+        // Campaign seeds wrap past u64::MAX as arena seeds do: four
+        // scenarios from either of the last two seeds.
+        (
+            "submit kind=campaign;system=B;seeds=4;days=1;seed=18446744073709551614",
+            "scenarios",
+            4,
+        ),
+        (
+            "submit kind=campaign;system=B;seeds=4;days=1;seed=18446744073709551615",
+            "scenarios",
+            4,
+        ),
         (
             "submit kind=arena;system=B;seeds=2;days=1;seed=1",
             "lanes",
