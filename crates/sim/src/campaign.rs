@@ -189,7 +189,7 @@ pub struct ScenarioOutcome {
 /// Summary statistics of one metric across seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
-    /// Mean.
+    /// Mean of the observations.
     pub mean: f64,
     /// Smallest observation.
     pub min: f64,
