@@ -4,9 +4,8 @@
 
 use std::fmt;
 
-use mseh_core::{PortRequirement, PowerUnit, StoreRole};
 use mseh_env::{EnvConditions, Environment};
-use mseh_harvesters::{FlowTurbine, PvModule};
+use mseh_harvesters::PvModule;
 use mseh_node::{FixedDuty, SensorNode};
 use mseh_power::{
     DcDcConverter, FixedPoint, FractionalVoc, IdealDiode, InputChannel, LinearRegulator,
@@ -16,92 +15,10 @@ use mseh_sim::{
     crossover, first_meeting, par_map, par_sweep, run_simulation, SimConfig, SweepPoint,
 };
 use mseh_storage::{Battery, Storage, Supercap};
-use mseh_units::{DutyCycle, Farads, Joules, Ohms, Seconds, Volts, Watts, WattsPerSqM};
+use mseh_systems::buffer_rig;
+use mseh_units::{DutyCycle, Joules, Seconds, Volts, Watts, WattsPerSqM};
 
-fn pv_channel() -> InputChannel {
-    InputChannel::new(
-        Box::new(PvModule::outdoor_panel_half_watt()),
-        Box::new(FractionalVoc::pv_standard()),
-        Box::new(IdealDiode::nanopower()),
-        Box::new(DcDcConverter::mppt_front_end_5v()),
-    )
-}
-
-fn wind_channel() -> InputChannel {
-    InputChannel::new(
-        Box::new(FlowTurbine::micro_wind()),
-        Box::new(FractionalVoc::thevenin_standard()),
-        Box::new(IdealDiode::nanopower()),
-        Box::new(DcDcConverter::mppt_front_end_5v()),
-    )
-}
-
-fn sized_cap(farads: f64, initial: Volts) -> Supercap {
-    let mut cap = Supercap::new(
-        format!("{farads} F EDLC"),
-        Farads::new(farads),
-        farads / 15.0,
-        Ohms::from_milli(60.0),
-        Ohms::from_kilo(15.0),
-        Volts::new(0.8),
-        Volts::new(2.7),
-    );
-    cap.set_voltage(initial);
-    cap
-}
-
-/// Which sources a test platform carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SourceSet {
-    /// Photovoltaic only.
-    Solar,
-    /// Wind turbine only.
-    Wind,
-    /// Both.
-    SolarPlusWind,
-}
-
-impl SourceSet {
-    /// All three sets.
-    pub const ALL: [SourceSet; 3] = [SourceSet::Solar, SourceSet::Wind, SourceSet::SolarPlusWind];
-}
-
-impl fmt::Display for SourceSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SourceSet::Solar => "solar",
-            SourceSet::Wind => "wind",
-            SourceSet::SolarPlusWind => "solar+wind",
-        })
-    }
-}
-
-fn platform(set: SourceSet, farads: f64) -> PowerUnit {
-    let mut builder = PowerUnit::builder(format!("{set} rig"));
-    if matches!(set, SourceSet::Solar | SourceSet::SolarPlusWind) {
-        builder = builder.harvester_port(
-            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-            Some(pv_channel()),
-            true,
-        );
-    }
-    if matches!(set, SourceSet::Wind | SourceSet::SolarPlusWind) {
-        builder = builder.harvester_port(
-            PortRequirement::any_in_window("wind", Volts::ZERO, Volts::new(12.0)),
-            Some(wind_channel()),
-            true,
-        );
-    }
-    builder
-        .store_port(
-            PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(3.0)),
-            Some(Box::new(sized_cap(farads, Volts::new(2.2)))),
-            StoreRole::PrimaryBuffer,
-            true,
-        )
-        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-        .build()
-}
+pub use mseh_systems::buffer_rig::SourceSet;
 
 // ------------------------------------------------------------------
 // E1 — multi-source availability
@@ -157,7 +74,7 @@ impl fmt::Display for E1Result {
 pub fn e1_multisource_availability(days: f64, seed: u64) -> E1Result {
     let env = Environment::outdoor_temperate(seed);
     let rows = par_map(&SourceSet::ALL, |&sources| {
-        let mut unit = platform(sources, 22.0);
+        let mut unit = buffer_rig::build(sources, 22.0);
         let steps = (days * 1440.0) as usize;
         let mut harvested = Joules::ZERO;
         let mut generating_steps = 0usize;
@@ -234,7 +151,7 @@ pub fn e2_buffer_sizing(days: f64, seed: u64, sizes: &[f64]) -> E2Result {
     let mut min_zero = Vec::new();
     for set in SourceSet::ALL {
         let points: Vec<SweepPoint> = par_sweep(sizes, |farads| {
-            let mut unit = platform(set, farads);
+            let mut unit = buffer_rig::build(set, farads);
             let r = run_simulation(
                 &mut unit,
                 &env,

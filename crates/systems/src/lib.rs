@@ -13,7 +13,8 @@
 //!
 //! The [`prometheus`] module additionally models the survey's historical
 //! single-source baseline (not a Table-I column) for before/after
-//! comparisons.
+//! comparisons, and [`buffer_rig`] the PV and wind rig whose buffer
+//! experiments E1 and E2 size.
 //!
 //! Each model's Table-I row (port counts, swappability, monitoring tier,
 //! interface, quiescent current, device kinds, commercial flag) is
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod buffer_rig;
 mod interfaced;
 pub mod parts;
 pub mod prometheus;

@@ -10,65 +10,11 @@
 //! cargo run --release --example buffer_sizing
 //! ```
 
-use mseh::core::{PortRequirement, PowerUnit, StoreRole};
 use mseh::env::Environment;
-use mseh::harvesters::{FlowTurbine, PvModule, Transducer};
 use mseh::node::{FixedDuty, SensorNode};
-use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
 use mseh::sim::{run_simulation, SimConfig};
-use mseh::storage::Supercap;
-use mseh::units::{DutyCycle, Farads, Ohms, Seconds, Volts};
-
-fn channel(harvester: Box<dyn Transducer>, pv: bool) -> InputChannel {
-    let tracker: Box<dyn mseh::power::OperatingPointController> = if pv {
-        Box::new(FractionalVoc::pv_standard())
-    } else {
-        Box::new(FractionalVoc::thevenin_standard())
-    };
-    InputChannel::new(
-        harvester,
-        tracker,
-        Box::new(IdealDiode::nanopower()),
-        Box::new(DcDcConverter::mppt_front_end_5v()),
-    )
-}
-
-fn platform(sources: &str, farads: f64) -> PowerUnit {
-    let mut cap = Supercap::new(
-        format!("{farads} F EDLC"),
-        Farads::new(farads),
-        farads / 15.0,
-        Ohms::from_milli(60.0),
-        Ohms::from_kilo(15.0),
-        Volts::new(0.8),
-        Volts::new(2.7),
-    );
-    cap.set_voltage(Volts::new(2.2)); // commissioned charged
-    let mut builder = PowerUnit::builder(format!("{sources} / {farads} F"));
-    if sources.contains("solar") {
-        builder = builder.harvester_port(
-            PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-            Some(channel(Box::new(PvModule::outdoor_panel_half_watt()), true)),
-            true,
-        );
-    }
-    if sources.contains("wind") {
-        builder = builder.harvester_port(
-            PortRequirement::any_in_window("wind", Volts::ZERO, Volts::new(12.0)),
-            Some(channel(Box::new(FlowTurbine::micro_wind()), false)),
-            true,
-        );
-    }
-    builder
-        .store_port(
-            PortRequirement::any_in_window("buffer", Volts::ZERO, Volts::new(3.0)),
-            Some(Box::new(cap)),
-            StoreRole::PrimaryBuffer,
-            true,
-        )
-        .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-        .build()
-}
+use mseh::systems::buffer_rig::{self, SourceSet};
+use mseh::units::{DutyCycle, Seconds};
 
 fn main() {
     let env = Environment::outdoor_temperate(77);
@@ -91,8 +37,8 @@ fn main() {
     let mut min_size: [Option<f64>; 3] = [None, None, None];
     for &farads in &sizes {
         let mut cells = Vec::new();
-        for (i, sources) in ["solar", "wind", "solar+wind"].iter().enumerate() {
-            let mut unit = platform(sources, farads);
+        for (i, sources) in SourceSet::ALL.into_iter().enumerate() {
+            let mut unit = buffer_rig::build(sources, farads);
             let result = run_simulation(
                 &mut unit,
                 &env,
@@ -112,7 +58,8 @@ fn main() {
     }
 
     println!("\nsmallest zero-downtime buffer over 14 days:");
-    for (label, found) in ["solar", "wind", "solar+wind"].iter().zip(min_size) {
+    for (sources, found) in SourceSet::ALL.into_iter().zip(min_size) {
+        let label = sources.to_string();
         match found {
             Some(f) => println!("  {label:11}: {f:.0} F"),
             None => println!("  {label:11}: none of the tested sizes sufficed"),

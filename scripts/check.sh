@@ -22,6 +22,16 @@ if [ -n "$moved" ]; then
 fi
 echo "ok: symbol-sizes.sh finds no change between target/release/mseh and itself"
 
+echo "==> non-test line count smoke (scripts/non-test-lines.sh)"
+# The count that simplicity changes quote before and after; a parse that
+# rots into an empty or zero total fails here.
+lines="$(scripts/non-test-lines.sh)"
+if ! [ "$lines" -gt 0 ] 2>/dev/null; then
+    echo "FAIL: non-test-lines.sh printed '${lines}', not a positive line count"
+    exit 1
+fi
+echo "ok: non-test-lines.sh counts ${lines} non-test lines"
+
 echo "==> cargo test -q --no-fail-fast"
 # --no-fail-fast: one failing test binary must not hide the results of
 # the binaries after it; the step still fails on any failure.

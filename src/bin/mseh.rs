@@ -13,15 +13,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mseh::core::{classify, render_table};
-use mseh::daemon::{
-    build_arena_spec, check_days, check_seed_count, make_env, make_policy, parse_system,
-    SystemCatalog,
-};
+use mseh::daemon::{check_days, make_env, Job, JobKind, JobSummary, SystemCatalog};
 use mseh::env::Environment;
 use mseh::node::{FixedDuty, SensorNode};
-use mseh::sim::serve::{serve, ServeConfig};
-use mseh::sim::{run_arena, run_simulation, ArenaConfig, SimConfig};
-use mseh::systems::resilience::natural_node;
+use mseh::sim::serve::{serve, JobSpec, ServeConfig};
+use mseh::sim::{run_simulation, RunControl, SimConfig};
+use mseh::systems::buffer_rig::{self, SourceSet};
 use mseh::systems::{all_systems, SystemId};
 use mseh::units::{DutyCycle, Seconds};
 
@@ -61,12 +58,10 @@ The full experiment suite (Table I, figures, E1-E10, ablations) lives in
 enum Command {
     Table1,
     Systems,
-    Simulate {
-        system: SystemId,
-        env: String,
-        days: f64,
-        seed: u64,
-        policy: String,
+    /// `simulate` (a `single` job) or `arena`, and where `simulate
+    /// --record` writes its traces.
+    Run {
+        job: Job,
         record: Option<String>,
     },
     SweepBuffer {
@@ -78,14 +73,6 @@ enum Command {
         days: f64,
         seed: u64,
     },
-    Arena {
-        system: SystemId,
-        env: String,
-        days: f64,
-        seed: u64,
-        seeds: u64,
-        roster: String,
-    },
     Serve {
         addr: String,
         queue: usize,
@@ -94,39 +81,18 @@ enum Command {
     Help,
 }
 
-/// The options each subcommand accepts; anything else is an error, not
-/// a silent no-op.
-fn allowed_options(sub: &str) -> &'static [&'static str] {
-    match sub {
-        "simulate" => &["system", "env", "days", "seed", "policy", "record"],
-        "sweep-buffer" => &["days", "seed"],
-        "survey" => &["env", "days", "seed"],
-        "arena" => &["system", "env", "days", "seed", "seeds", "roster"],
-        "serve" => &["addr", "queue", "workers"],
-        _ => &[],
-    }
-}
-
 /// Parses arguments (first element is the subcommand, no program name).
 fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let sub = match it.next() {
-        None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
     };
-    let mut opts = std::collections::HashMap::new();
-    let rest: Vec<&String> = it.collect();
-    let allowed = allowed_options(sub);
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i]
+    let mut opts: Vec<(String, String)> = Vec::new();
+    for pair in rest.chunks(2) {
+        let key = pair[0]
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, got {:?}", rest[i]))?;
-        if !allowed.contains(&key) {
-            return Err(format!("unknown option --{key} for {sub}"));
-        }
-        let value = rest
-            .get(i + 1)
+            .ok_or_else(|| format!("expected --option, got {:?}", pair[0]))?;
+        let value = pair
+            .get(1)
             .ok_or_else(|| format!("--{key} needs a value"))?;
         // A following `--option` is the next flag, not this option's
         // value — without this check `--record --days 3` would silently
@@ -134,74 +100,70 @@ fn parse(args: &[String]) -> Result<Command, String> {
         if value.starts_with("--") {
             return Err(format!("--{key} needs a value, got option {value:?}"));
         }
-        if opts.insert(key.to_owned(), (*value).clone()).is_some() {
+        if opts.iter().any(|(k, _)| k == key) {
             return Err(format!("duplicate option --{key}"));
         }
-        i += 2;
+        opts.push((key.to_owned(), value.clone()));
     }
+    // `simulate` and `arena` run jobs of `mseh::daemon`'s grammar and give
+    // their own defaults to the fields it leaves to its front end.
+    let job = match sub.as_str() {
+        "simulate" => Some(("single", "system=A;days=7;seed=42")),
+        "arena" => Some(("arena", "system=B;days=2;seed=42")),
+        _ => None,
+    };
+    if let Some((kind, defaults)) = job {
+        let record = opts
+            .iter()
+            .position(|(k, _)| sub == "simulate" && k == "record")
+            .map(|i| opts.remove(i).1);
+        let spec = JobSpec {
+            kind: kind.to_owned(),
+            fields: opts,
+        };
+        let job = Job::parse(&spec, defaults).map_err(|e| format!("--{e}"))?;
+        return Ok(Command::Run { job, record });
+    }
+    // Every other subcommand takes only its own options; anything else is
+    // an error, not a silent no-op.
+    let allowed: &[&str] = match sub.as_str() {
+        "sweep-buffer" => &["days", "seed"],
+        "survey" => &["env", "days", "seed"],
+        "serve" => &["addr", "queue", "workers"],
+        _ => &[],
+    };
+    if let Some((key, _)) = opts.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        return Err(format!("unknown option --{key} for {sub}"));
+    }
+    let get = |key: &str| opts.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     // A horizon the subcommand can run at its step, within the daemon's
     // bound (see `check_days`).
     let days = |default: f64, step: Seconds| -> Result<f64, String> {
-        let days: f64 = match opts.get("days") {
+        let days: f64 = match get("days") {
             None => default,
             Some(v) => v.parse().map_err(|e| format!("--days: {e}"))?,
         };
         check_days(days, step).map_err(|e| format!("--{e}"))?;
         Ok(days)
     };
-    let sim_step = SimConfig::week().dt;
     let seed = || -> Result<u64, String> {
-        opts.get("seed")
-            .map_or(Ok(42), |v| v.parse().map_err(|e| format!("--seed: {e}")))
+        get("seed").map_or(Ok(42), |v| v.parse().map_err(|e| format!("--seed: {e}")))
     };
-    match sub {
+    match sub.as_str() {
         "table1" => Ok(Command::Table1),
         "systems" => Ok(Command::Systems),
-        "simulate" => {
-            let system = parse_system(opts.get("system").map(String::as_str).unwrap_or("A"))?;
-            Ok(Command::Simulate {
-                system,
-                env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
-                days: days(7.0, sim_step)?,
-                seed: seed()?,
-                policy: opts
-                    .get("policy")
-                    .cloned()
-                    .unwrap_or_else(|| "ladder".into()),
-                record: opts.get("record").cloned(),
-            })
-        }
         "sweep-buffer" => Ok(Command::SweepBuffer {
-            days: days(14.0, sim_step)?,
+            days: days(14.0, SimConfig::week().dt)?,
             seed: seed()?,
         }),
         "survey" => Ok(Command::Survey {
-            env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
+            env: get("env").cloned().unwrap_or_else(|| "outdoor".into()),
             days: days(3.0, SURVEY_STEP)?,
             seed: seed()?,
         }),
-        "arena" => {
-            let system = parse_system(opts.get("system").map(String::as_str).unwrap_or("B"))?;
-            let seeds: u64 = match opts.get("seeds") {
-                None => 4,
-                Some(v) => v.parse().map_err(|e| format!("--seeds: {e}"))?,
-            };
-            check_seed_count(seeds).map_err(|e| format!("--{e}"))?;
-            Ok(Command::Arena {
-                system,
-                env: opts.get("env").cloned().unwrap_or_else(|| "outdoor".into()),
-                days: days(2.0, sim_step)?,
-                seed: seed()?,
-                seeds,
-                roster: opts
-                    .get("roster")
-                    .cloned()
-                    .unwrap_or_else(|| "default".into()),
-            })
-        }
         "serve" => {
             let parse_count = |key: &str, default: usize| -> Result<usize, String> {
-                let n: usize = match opts.get(key) {
+                let n: usize = match get(key) {
                     None => default,
                     Some(v) => v.parse().map_err(|e| format!("--{key}: {e}"))?,
                 };
@@ -211,8 +173,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 Ok(n)
             };
             Ok(Command::Serve {
-                addr: opts
-                    .get("addr")
+                addr: get("addr")
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".into()),
                 queue: parse_count("queue", 8)?,
@@ -244,44 +205,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 );
             }
         }
-        Command::Simulate {
-            system,
-            env,
-            days,
-            seed,
-            policy,
-            record,
-        } => {
-            let environment = make_env(&env, seed)?;
-            let mut policy_box = make_policy(&policy)?;
-            let mut unit = system.build();
-            let node = natural_node(system);
-            let mut config = SimConfig::over(Seconds::from_days(days));
-            config.record = record.is_some();
-            println!("{system} in {env} for {days} days (seed {seed}, policy {policy})");
-            let result =
-                run_simulation(&mut unit, &environment, &node, policy_box.as_mut(), config);
-            println!("harvested        : {}", result.harvested);
-            println!("delivered        : {}", result.delivered);
-            println!("uptime           : {:.2} %", result.uptime * 100.0);
-            println!("samples          : {:.0}", result.samples);
-            println!("brownout steps   : {}", result.brownout_steps);
-            println!("min store voltage: {}", result.min_store_voltage);
-            println!("audit residual   : {:.2e}", result.audit_residual);
-            if let (Some(path), Some(traces)) = (record, result.traces) {
-                let mut csv = String::from("time_s,store_voltage_v,harvest_power_w,duty\n");
-                for ((tv, hv), dv) in traces
-                    .store_voltage
-                    .iter()
-                    .zip(traces.harvest_power.iter())
-                    .zip(traces.duty.iter())
-                {
-                    csv.push_str(&format!("{},{},{},{}\n", tv.0.value(), tv.1, hv.1, dv.1));
-                }
-                std::fs::write(&path, csv).map_err(|e| format!("writing {path}: {e}"))?;
-                println!("traces written to {path}");
-            }
-        }
+        Command::Run { job, record } => run_job(&job, record)?,
         Command::Survey { env, days, seed } => {
             let environment = make_env(&env, seed)?;
             let report =
@@ -289,97 +213,20 @@ fn run(cmd: Command) -> Result<(), String> {
             println!("{report}");
         }
         Command::SweepBuffer { days, seed } => {
-            // Delegate to the experiment harness's E2 kernel via the same
-            // public pieces (kept self-contained to avoid a bench dep).
+            // E2's solar column, on the same rig (`mseh::systems::buffer_rig`).
             println!("buffer sweep over {days} days (seed {seed}) — see also E2 in mseh-bench");
-            let sizes = [2.0, 5.0, 10.0, 22.0, 50.0, 100.0];
             let env = Environment::outdoor_temperate(seed);
             let node = SensorNode::submilliwatt_class();
             println!("{:>8} | {:>9}", "size (F)", "uptime");
-            for farads in sizes {
-                use mseh::core::{PortRequirement, PowerUnit, StoreRole};
-                use mseh::power::{DcDcConverter, FractionalVoc, IdealDiode, InputChannel};
-                use mseh::storage::Supercap;
-                use mseh::units::{Farads, Ohms, Volts};
-                let channel = InputChannel::new(
-                    Box::new(mseh::harvesters::PvModule::outdoor_panel_half_watt()),
-                    Box::new(FractionalVoc::pv_standard()),
-                    Box::new(IdealDiode::nanopower()),
-                    Box::new(DcDcConverter::mppt_front_end_5v()),
-                );
-                let mut cap = Supercap::new(
-                    format!("{farads} F"),
-                    Farads::new(farads),
-                    farads / 15.0,
-                    Ohms::from_milli(60.0),
-                    Ohms::from_kilo(15.0),
-                    Volts::new(0.8),
-                    Volts::new(2.7),
-                );
-                cap.set_voltage(Volts::new(2.2));
-                let mut unit = PowerUnit::builder("sweep rig")
-                    .harvester_port(
-                        PortRequirement::any_in_window("PV", Volts::ZERO, Volts::new(7.0)),
-                        Some(channel),
-                        true,
-                    )
-                    .store_port(
-                        PortRequirement::any_in_window("buf", Volts::ZERO, Volts::new(3.0)),
-                        Some(Box::new(cap)),
-                        StoreRole::PrimaryBuffer,
-                        true,
-                    )
-                    .output_stage(Box::new(DcDcConverter::buck_boost_3v3()))
-                    .build();
+            for farads in [2.0, 5.0, 10.0, 22.0, 50.0, 100.0] {
                 let result = run_simulation(
-                    &mut unit,
+                    &mut buffer_rig::build(SourceSet::Solar, farads),
                     &env,
                     &node,
                     &mut FixedDuty::new(DutyCycle::saturating(0.15)),
                     SimConfig::over(Seconds::from_days(days)),
                 );
                 println!("{farads:>8.0} | {:>7.2} %", result.uptime * 100.0);
-            }
-        }
-        Command::Arena {
-            system,
-            env,
-            days,
-            seed,
-            seeds,
-            roster,
-        } => {
-            let spec = build_arena_spec(system, &env, seed, seeds, &roster)?;
-            println!(
-                "arena: {system} in {env} for {days} days — {} contenders × {seeds} seeds (base seed {seed})",
-                spec.contenders().len(),
-            );
-            let out = run_arena(&spec, ArenaConfig::over(Seconds::from_days(days)));
-            let s = &out.summary;
-            println!(
-                "{} lanes, {} steps each; kernel cache {} hits / {} misses; audit {:.2e}",
-                s.lanes,
-                s.steps_per_lane,
-                s.kernel_cache.hits,
-                s.kernel_cache.misses,
-                s.audit_relative
-            );
-            println!(
-                "{:>4} | {:<24} | {:>8} | {:>8} | {:>7} | {:>10} | {:>9}",
-                "rank", "contender", "served", "uptime", "neutral", "samples", "failovers"
-            );
-            for standing in &s.standings {
-                println!(
-                    "{:>4} | {:<24} | {:>7.3}% | {:>7.3}% | {:>4}/{:<2} | {:>10.0} | {:>9}",
-                    standing.rank,
-                    standing.name,
-                    standing.served_fraction * 100.0,
-                    standing.uptime.mean * 100.0,
-                    standing.energy_neutral_seeds,
-                    s.seeds,
-                    standing.samples,
-                    standing.failovers,
-                );
             }
         }
         Command::Serve {
@@ -410,6 +257,70 @@ fn run(cmd: Command) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs a `simulate` or `arena` job and prints its summary; `record` is
+/// where `simulate --record` writes the run's traces.
+fn run_job(job: &Job, record: Option<String>) -> Result<(), String> {
+    let summary = job
+        .run(RunControl::default(), record.is_some())?
+        .expect("a run without a cancel token runs to its end");
+    let (system, days, seed) = (job.system, job.days, job.seed);
+    match (&job.kind, summary) {
+        (JobKind::Single { env, policy }, JobSummary::Single(result)) => {
+            println!("{system} in {env} for {days} days (seed {seed}, policy {policy})");
+            println!("harvested        : {}", result.harvested);
+            println!("delivered        : {}", result.delivered);
+            println!("uptime           : {:.2} %", result.uptime * 100.0);
+            println!("samples          : {:.0}", result.samples);
+            println!("brownout steps   : {}", result.brownout_steps);
+            println!("min store voltage: {}", result.min_store_voltage);
+            println!("audit residual   : {:.2e}", result.audit_residual);
+            if let (Some(path), Some(traces)) = (record, result.traces) {
+                let mut csv = String::from("time_s,store_voltage_v,harvest_power_w,duty\n");
+                let (voltage, harvest, duty) =
+                    (&traces.store_voltage, &traces.harvest_power, &traces.duty);
+                for ((tv, hv), dv) in voltage.iter().zip(harvest.iter()).zip(duty.iter()) {
+                    csv.push_str(&format!("{},{},{},{}\n", tv.0.value(), tv.1, hv.1, dv.1));
+                }
+                std::fs::write(&path, csv).map_err(|e| format!("writing {path}: {e}"))?;
+                println!("traces written to {path}");
+            }
+        }
+        (JobKind::Arena { env, seeds, .. }, JobSummary::Arena(s)) => {
+            println!(
+                "arena: {system} in {env} for {days} days — {} contenders × {seeds} seeds (base seed {seed})",
+                s.contenders,
+            );
+            println!(
+                "{} lanes, {} steps each; kernel cache {} hits / {} misses; audit {:.2e}",
+                s.lanes,
+                s.steps_per_lane,
+                s.kernel_cache.hits,
+                s.kernel_cache.misses,
+                s.audit_relative
+            );
+            println!(
+                "{:>4} | {:<24} | {:>8} | {:>8} | {:>7} | {:>10} | {:>9}",
+                "rank", "contender", "served", "uptime", "neutral", "samples", "failovers"
+            );
+            for standing in &s.standings {
+                println!(
+                    "{:>4} | {:<24} | {:>7.3}% | {:>7.3}% | {:>4}/{:<2} | {:>10.0} | {:>9}",
+                    standing.rank,
+                    standing.name,
+                    standing.served_fraction * 100.0,
+                    standing.uptime.mean * 100.0,
+                    standing.energy_neutral_seeds,
+                    s.seeds,
+                    standing.samples,
+                    standing.failovers,
+                );
+            }
+        }
+        _ => unreachable!("the CLI parses single and arena jobs only"),
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args).and_then(run) {
@@ -424,6 +335,11 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mseh::daemon::make_policy;
+    use mseh::sim::serve::protocol::parse_line;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -449,12 +365,14 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Simulate {
-                system,
-                env,
-                days,
-                seed,
-                policy,
+            Command::Run {
+                job:
+                    Job {
+                        kind: JobKind::Single { env, policy },
+                        system,
+                        days,
+                        seed,
+                    },
                 record,
             } => {
                 assert_eq!(system, SystemId::B);
@@ -471,12 +389,14 @@ mod tests {
     #[test]
     fn defaults_apply() {
         match parse(&argv("simulate")).unwrap() {
-            Command::Simulate {
-                system,
-                env,
-                days,
-                seed,
-                policy,
+            Command::Run {
+                job:
+                    Job {
+                        kind: JobKind::Single { env, policy },
+                        system,
+                        days,
+                        seed,
+                    },
                 ..
             } => {
                 assert_eq!(system, SystemId::A);
@@ -543,13 +463,15 @@ mod tests {
     #[test]
     fn parses_arena_options() {
         match parse(&argv("arena")).unwrap() {
-            Command::Arena {
-                system,
-                env,
-                days,
-                seed,
-                seeds,
-                roster,
+            Command::Run {
+                job:
+                    Job {
+                        kind: JobKind::Arena { env, seeds, roster },
+                        system,
+                        days,
+                        seed,
+                    },
+                ..
             } => {
                 assert_eq!(system, SystemId::B);
                 assert_eq!(env, "outdoor");
@@ -565,10 +487,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Arena {
-                system,
-                seeds,
-                roster,
+            Command::Run {
+                job:
+                    Job {
+                        kind: JobKind::Arena { seeds, roster, .. },
+                        system,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(system, SystemId::D);
@@ -630,5 +555,88 @@ mod tests {
             assert!(make_env(kind, 1).is_ok());
         }
         assert!(make_env("mars", 1).is_err());
+    }
+
+    /// The job spec of `submit <spec>`, whose first field is `kind=`.
+    fn wire_spec(spec: &str) -> JobSpec {
+        let mut fields = parse_line(&format!("submit {spec}"))
+            .unwrap()
+            .unwrap()
+            .fields;
+        let (_, kind) = fields.remove(0);
+        JobSpec { kind, fields }
+    }
+
+    /// The `digest` a daemon on an ephemeral port returns for `spec`.
+    fn daemon_digest(spec: &str) -> String {
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(SystemCatalog),
+            ServeConfig::default(),
+        )
+        .expect("bind an ephemeral port");
+        let mut writer = TcpStream::connect(handle.addr()).expect("connect");
+        writer
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+        let mut roundtrip = |line: String| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            parse_line(&reply).unwrap().expect("a reply")
+        };
+        let ack = roundtrip(format!("submit {spec}"));
+        let id = ack.get("id").expect("a job id").to_string();
+        let mut reply = roundtrip(format!("subscribe id={id}"));
+        while reply.verb != "done" {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(!line.is_empty(), "daemon closed the stream");
+            reply = parse_line(&line).unwrap().expect("a stream line");
+        }
+        handle.shutdown_and_wait();
+        reply.get("digest").expect("a digest").to_string()
+    }
+
+    /// `simulate` and `arena` run the job that their wire spec names: each
+    /// flag line, with the CLI's defaults written out, parses to the job
+    /// the daemon parses, and the CLI's run of a spelled-out line has the
+    /// digest the daemon returns.
+    #[test]
+    fn cli_lines_run_the_jobs_of_their_wire_specs() {
+        for (line, spec, run) in [
+            ("simulate", "kind=single;system=A;days=7;seed=42", false),
+            (
+                "simulate --system C --env winter --days 0.25 --seed 11 --policy fixed:0.05 \
+                 --record traces.csv",
+                "kind=single;system=C;env=winter;days=0.25;seed=11;policy=fixed:0.05",
+                true,
+            ),
+            ("arena", "kind=arena;system=B;days=2;seed=42", false),
+            (
+                "arena --system D --env office --days 0.1 --seed 7 --seeds 2 \
+                 --roster ladder,hillclimb,select",
+                "kind=arena;system=D;env=office;days=0.1;seed=7;seeds=2;\
+                 roster=ladder,hillclimb,select",
+                true,
+            ),
+        ] {
+            let Command::Run { job, record } = parse(&argv(line)).unwrap() else {
+                panic!("{line} parsed to another command");
+            };
+            let spelled_record = line.contains("--record").then(|| "traces.csv".to_string());
+            assert_eq!(record, spelled_record, "{line}");
+            assert_eq!(
+                Ok(&job),
+                SystemCatalog.job(&wire_spec(spec)).as_ref(),
+                "{line}"
+            );
+            if run {
+                let summary = job.run(RunControl::default(), false).unwrap().unwrap();
+                let digest = format!("{:016x}", summary.digest());
+                assert_eq!(digest, daemon_digest(spec), "{line}");
+            }
+        }
     }
 }

@@ -1,5 +1,7 @@
-//! The `mseh serve` job catalog: turns declarative, datasheet-style
-//! job specs into runs over the surveyed reference systems.
+//! The job grammar of `mseh serve` and the CLI, and the daemon's job
+//! catalog: one parser turns a declarative, datasheet-style
+//! `key=value` spec into a typed [`Job`] over the surveyed reference
+//! systems, and one [`Job::run`] runs it.
 //!
 //! The daemon machinery itself (TCP listener, bounded queue,
 //! subscriber streams) lives in [`mseh_sim::serve`] and is generic
@@ -10,23 +12,20 @@
 //!
 //! # Job kinds
 //!
-//! | kind | spec fields and their wire defaults | runs |
-//! |---|---|---|
-//! | `single` | `system`, `env=outdoor`, `days=2`, `seed=42`, `policy=ladder` | one [`run_simulation`] |
-//! | `campaign` | `system`, `days=1`, `seed=1`, `seeds=4` | a resilience campaign |
-//! | `fleet` | `system`, `env=outdoor`, `days=1`, `seed=7`, `population=64`, `policy=ladder`, `jitter=0`, `shard_size=16` | a fleet run |
-//! | `arena` | `system`, `env=outdoor`, `days=1`, `seed=17`, `seeds=4`, `roster=default` | a policy arena |
+//! | kind | spec fields | wire defaults | CLI defaults | runs |
+//! |---|---|---|---|---|
+//! | `single` | `system`, `env`, `days`, `seed`, `policy` | `days=2`, `seed=42` | `mseh simulate`: `system=A`, `days=7`, `seed=42` | one [`run_simulation`] |
+//! | `campaign` | `system`, `days`, `seed`, `seeds` | `days=1`, `seed=1` | no subcommand | a resilience campaign |
+//! | `fleet` | `system`, `env`, `days`, `seed`, `population`, `policy`, `jitter`, `shard_size` | `days=1`, `seed=7`, `population=64`, `jitter=0`, `shard_size=16` | no subcommand | a fleet run |
+//! | `arena` | `system`, `env`, `days`, `seed`, `seeds`, `roster` | `days=1`, `seed=17` | `mseh arena`: `system=B`, `days=2`, `seed=42` | a policy arena |
 //!
-//! Each runner calls its kind's `run_*_controlled` entry point with a
-//! [`RunControl`] that carries the job's cancel token and a reporter
-//! that streams one `event` line per eighth of the work.
-//!
-//! Every field is optional except `system`. The wire defaults are the
-//! daemon's own, not the CLI's: `mseh simulate` runs 7 days, and
-//! `mseh arena` runs seed 42 over 2 days. The serve layer rejects a
-//! spec that names a field twice; all other validation happens in
-//! `prepare` — a malformed spec becomes an `err code=bad_spec` reply
-//! and never reaches a worker.
+//! Both front ends share the grammar's own defaults, `env=outdoor`,
+//! `policy=ladder`, `seeds=4` and `roster=default`; a wire spec must
+//! name its `system`. The daemon runs a job with its cancel token and a
+//! reporter that streams one `event` line per eighth of the work, the
+//! CLI with [`RunControl::default`]. The serve layer rejects a spec that
+//! names a field twice; [`Job::parse`] checks the rest, so a malformed
+//! spec becomes an `err code=bad_spec` reply and never reaches a worker.
 //!
 //! [`run_simulation`]: mseh_sim::run_simulation
 
@@ -46,6 +45,8 @@ use mseh_sim::{
 use mseh_systems::resilience::{natural_node, resilience_scenario};
 use mseh_systems::SystemId;
 use mseh_units::{DutyCycle, Seconds};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU16, Ordering};
 
 /// Longest accepted job horizon, days — a guard against jobs sized to
@@ -60,9 +61,11 @@ const MAX_SEEDS: u64 = 4096;
 const MAX_SHARD_SIZE: u64 = 1 << 20;
 /// Largest accepted arena roster.
 const MAX_CONTENDERS: usize = 256;
+/// The defaults the grammar holds for every front end.
+const GRAMMAR_DEFAULTS: &str = "env=outdoor;policy=ladder;seeds=4;roster=default";
 
 /// Parses a surveyed system id (`A`..`G`, case-insensitive).
-pub fn parse_system(s: &str) -> Result<SystemId, String> {
+fn parse_system(s: &str) -> Result<SystemId, String> {
     Ok(match s {
         "A" | "a" => SystemId::A,
         "B" | "b" => SystemId::B,
@@ -109,7 +112,7 @@ pub fn make_policy(spec: &str) -> Result<Box<dyn DutyCyclePolicy>, String> {
 /// [`make_policy`] spelling works, plus `select` (forecast-driven duty
 /// selection) and `hillclimb` (seeded duty search, reseeded per
 /// scenario seed so rankings average over its exploration noise).
-pub fn make_contender(spec: &str) -> Result<Contender, String> {
+fn make_contender(spec: &str) -> Result<Contender, String> {
     match spec {
         "select" => Ok(Contender::new("select", |_| {
             Box::new(ForecastDutySelect::new(Seconds::from_hours(14.0)))
@@ -130,7 +133,7 @@ pub fn make_contender(spec: &str) -> Result<Contender, String> {
 /// Builds an arena roster from its CLI/wire spelling: `default` (the
 /// stock [`default_contenders`] tournament) or a comma-separated list
 /// of [`make_contender`] spellings with no duplicates.
-pub fn make_roster(spec: &str) -> Result<Vec<Contender>, String> {
+fn make_roster(spec: &str) -> Result<Vec<Contender>, String> {
     if spec == "default" {
         return Ok(default_contenders());
     }
@@ -276,70 +279,346 @@ pub fn digest_arena(summary: &ArenaSummary) -> u64 {
     digest.finish()
 }
 
-/// The survey's [`JobRunner`]: validates specs against the reference
-/// catalog and builds cancellable runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SystemCatalog;
+/// One job of the grammar, parsed and checked: a surveyed `system` run
+/// for `days` from scenario `seed`, as its `kind` says.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Job {
+    /// What runs, with the fields only that kind has.
+    pub kind: JobKind,
+    /// The surveyed platform.
+    pub system: SystemId,
+    /// The horizon, in days.
+    pub days: f64,
+    /// The scenario seed; a campaign or an arena counts up from it,
+    /// wrapping past `u64::MAX`.
+    pub seed: u64,
+}
 
-impl JobRunner for SystemCatalog {
-    fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob, String> {
-        reject_unknown_fields(spec)?;
-        match spec.kind.as_str() {
-            "single" => prepare_single(spec),
-            "campaign" => prepare_campaign(spec),
-            "fleet" => prepare_fleet(spec),
-            "arena" => prepare_arena(spec),
-            other => Err(format!(
-                "unknown job kind {other:?} (use single, campaign, fleet, or arena)"
-            )),
+/// A [`Job`]'s kind: one variant per `kind=` of the grammar.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobKind {
+    /// One run under one duty-cycle policy.
+    Single {
+        /// The [`make_env`] spelling of the deployment.
+        env: String,
+        /// The [`make_policy`] spelling of the policy.
+        policy: String,
+    },
+    /// A resilience campaign.
+    Campaign {
+        /// How many scenario seeds.
+        seeds: u64,
+    },
+    /// A fleet of nodes at one site.
+    Fleet {
+        /// The [`make_env`] spelling of the site.
+        env: String,
+        /// How many nodes.
+        population: u64,
+        /// Every node's [`make_policy`] spelling.
+        policy: String,
+        /// Each node's relative environment jitter, in `[0, 1)`.
+        jitter: f64,
+        /// Nodes per shard, the unit of work a worker takes.
+        shard_size: u64,
+    },
+    /// A policy arena.
+    Arena {
+        /// The [`make_env`] spelling of the scenarios.
+        env: String,
+        /// How many scenario seeds.
+        seeds: u64,
+        /// `default`, or a comma-separated list of [`make_policy`]
+        /// spellings, `select` and `hillclimb`.
+        roster: String,
+    },
+}
+
+/// What a [`Job`] run returns: its kind's summary.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobSummary {
+    /// A `single` job's result.
+    Single(SimResult),
+    /// A `campaign` job's summary.
+    Campaign(CampaignSummary),
+    /// A `fleet` job's summary.
+    Fleet(FleetSummary),
+    /// An `arena` job's summary, standings in rank order.
+    Arena(ArenaSummary),
+}
+
+/// A spec over its front end's defaults.
+struct Fields<'a>(&'a JobSpec, &'a str);
+
+impl Fields<'_> {
+    /// The value of `key`: the spec's, else the front end's default,
+    /// else the grammar's.
+    fn get<T: FromStr<Err: Display>>(&self, key: &str) -> Result<T, String> {
+        let Fields(spec, defaults) = *self;
+        let default = [defaults, GRAMMAR_DEFAULTS]
+            .into_iter()
+            .flat_map(|pairs| pairs.split(';'))
+            .find_map(|pair| pair.strip_prefix(key)?.strip_prefix('='));
+        let text = spec.get(key).or(default);
+        let text = text.ok_or_else(|| format!("{key}: missing"))?;
+        text.parse().map_err(|e| format!("{key}: {e}"))
+    }
+}
+
+/// Prefixes an error with the field it is about.
+fn about(key: &'static str) -> impl Fn(String) -> String {
+    move |e| format!("{key}: {e}")
+}
+
+impl Job {
+    /// Parses and checks a spec of the grammar. A field the spec leaves
+    /// out takes its value from `defaults` (`key=value` pairs joined by
+    /// `;`, as on the wire), else from the grammar's own. Every error
+    /// but an unknown kind names its field first, so a front end can
+    /// spell the field its own way (the CLI adds `--`).
+    pub fn parse(spec: &JobSpec, defaults: &str) -> Result<Job, String> {
+        let own: &[&str] = match spec.kind.as_str() {
+            "single" => &["env", "policy"],
+            "campaign" => &["seeds"],
+            "fleet" => &["env", "population", "policy", "jitter", "shard_size"],
+            "arena" => &["env", "seeds", "roster"],
+            other => {
+                return Err(format!(
+                    "unknown job kind {other:?} (use single, campaign, fleet, or arena)"
+                ))
+            }
+        };
+        let allowed = [&["system", "days", "seed"], own].concat();
+        let mut keys = spec.fields.iter().map(|(key, _)| key.as_str());
+        if let Some(key) = keys.find(|key| !allowed.contains(key)) {
+            return Err(format!(
+                "{key}: unknown field for kind {} (allowed: {})",
+                spec.kind,
+                allowed.join(", ")
+            ));
+        }
+        let f = Fields(spec, defaults);
+        let system = parse_system(&f.get::<String>("system")?).map_err(about("system"))?;
+        let kind = match spec.kind.as_str() {
+            "single" => JobKind::Single {
+                env: f.get("env")?,
+                policy: f.get("policy")?,
+            },
+            "campaign" => JobKind::Campaign {
+                seeds: f.get("seeds")?,
+            },
+            "fleet" => JobKind::Fleet {
+                env: f.get("env")?,
+                population: f.get("population")?,
+                policy: f.get("policy")?,
+                jitter: f.get("jitter")?,
+                shard_size: f.get("shard_size")?,
+            },
+            // "arena": the kind was checked above.
+            _ => JobKind::Arena {
+                env: f.get("env")?,
+                seeds: f.get("seeds")?,
+                roster: f.get("roster")?,
+            },
+        };
+        let job = Job {
+            kind,
+            system,
+            days: f.get("days")?,
+            seed: f.get("seed")?,
+        };
+        job.check()?;
+        Ok(job)
+    }
+
+    /// Checks the values a parse cannot: ranges, and the spellings of
+    /// environments, policies and rosters.
+    fn check(&self) -> Result<(), String> {
+        check_days(self.days, SimConfig::week().dt)?;
+        let check_env = |env: &str| make_env(env, self.seed).map(drop).map_err(about("env"));
+        let check_policy = |policy: &str| make_policy(policy).map(drop).map_err(about("policy"));
+        match &self.kind {
+            JobKind::Single { env, policy } => check_env(env).and(check_policy(policy)),
+            JobKind::Campaign { seeds } => check_count("seeds", *seeds, MAX_SEEDS),
+            JobKind::Fleet {
+                env,
+                population,
+                policy,
+                jitter,
+                shard_size,
+            } => {
+                check_count("population", *population, MAX_POPULATION)?;
+                check_env(env)?;
+                check_policy(policy)?;
+                EnvJitter::try_relative(*jitter).map_err(about("jitter"))?;
+                check_count("shard_size", *shard_size, MAX_SHARD_SIZE)
+            }
+            JobKind::Arena { env, seeds, roster } => {
+                build_arena_spec(self.system, env, self.seed, *seeds, roster).map(drop)
+            }
+        }
+    }
+
+    /// Runs the job under `control`: `Ok(None)` when its cancel token
+    /// trips, `Err` when the job cannot run. The job is checked again
+    /// first, so one built by hand fails here rather than in a kernel.
+    /// `record` keeps a single run's traces (the CLI's `--record`); the
+    /// other kinds ignore it.
+    pub fn run(&self, control: RunControl<'_>, record: bool) -> Result<Option<JobSummary>, String> {
+        self.check()?;
+        let (system, days, seed) = (self.system, self.days, self.seed);
+        let horizon = Seconds::from_days(days);
+        Ok(match &self.kind {
+            JobKind::Single { env, policy } => run_simulation_controlled(
+                &mut system.build(),
+                &make_env(env, seed)?,
+                &natural_node(system),
+                make_policy(policy)?.as_mut(),
+                SimConfig {
+                    record,
+                    ..SimConfig::over(horizon)
+                },
+                &mut [],
+                control,
+            )?
+            .map(JobSummary::Single),
+            JobKind::Campaign { seeds } => run_resilience_campaign_controlled(
+                &consecutive_seeds(seed, *seeds),
+                |s| resilience_scenario(system, s, horizon),
+                &natural_node(system),
+                CampaignConfig::over(horizon),
+                control,
+            )?
+            .map(JobSummary::Campaign),
+            JobKind::Fleet {
+                env,
+                population,
+                policy,
+                jitter,
+                shard_size,
+            } => run_fleet_controlled(
+                &build_fleet_spec(system, env, seed, *population, policy, *jitter),
+                fleet_config(days, *shard_size as usize),
+                control,
+            )?
+            .map(|result| JobSummary::Fleet(result.summary)),
+            JobKind::Arena { env, seeds, roster } => run_arena_controlled(
+                &build_arena_spec(system, env, seed, *seeds, roster)?,
+                ArenaConfig::over(horizon),
+                control,
+            )?
+            .map(|result| JobSummary::Arena(result.summary)),
+        })
+    }
+}
+
+impl JobSummary {
+    /// The summary's bit-exact digest, the `digest` of its job's
+    /// receipt: [`digest_single`], [`digest_campaign`], [`digest_fleet`]
+    /// or [`digest_arena`].
+    pub fn digest(&self) -> u64 {
+        match self {
+            JobSummary::Single(result) => digest_single(result),
+            JobSummary::Campaign(summary) => digest_campaign(summary),
+            JobSummary::Fleet(summary) => digest_fleet(summary),
+            JobSummary::Arena(summary) => digest_arena(summary),
+        }
+    }
+
+    /// The fields a `done` or `result` reply carries after the receipt.
+    fn reply_fields(&self) -> Vec<(&'static str, String)> {
+        match self {
+            JobSummary::Single(r) => vec![
+                ("uptime", format!("{:.6}", r.uptime)),
+                ("samples", format!("{:.1}", r.samples)),
+                ("harvested_j", format!("{:.6}", r.harvested.value())),
+                ("delivered_j", format!("{:.6}", r.delivered.value())),
+                ("shortfall_j", format!("{:.6}", r.shortfall.value())),
+                ("brownout_steps", r.brownout_steps.to_string()),
+                ("min_store_v", format!("{:.4}", r.min_store_voltage.value())),
+                ("audit", format!("{:.3e}", r.audit_residual)),
+            ],
+            JobSummary::Campaign(s) => vec![
+                ("scenarios", s.outcomes.len().to_string()),
+                ("uptime_mean", format!("{:.6}", s.uptime.mean)),
+                ("uptime_min", format!("{:.6}", s.uptime.min)),
+                ("faults", s.total_faults.to_string()),
+                ("clears", s.total_clears.to_string()),
+                ("failovers", s.total_failovers.to_string()),
+                ("recoveries", s.total_recoveries.to_string()),
+                ("worst_audit", format!("{:.3e}", s.worst_audit_relative)),
+            ],
+            JobSummary::Fleet(s) => vec![
+                ("population", s.population.to_string()),
+                ("uptime_mean", format!("{:.6}", s.uptime.mean)),
+                ("uptime_min", format!("{:.6}", s.uptime.min)),
+                (
+                    "neutral_fraction",
+                    format!("{:.6}", s.energy_neutral_fraction),
+                ),
+                ("harvested_j", format!("{:.6}", s.harvested.value())),
+                ("delivered_j", format!("{:.6}", s.delivered.value())),
+                ("audit", format!("{:.3e}", s.audit_relative)),
+            ],
+            JobSummary::Arena(s) => {
+                let top = &s.standings[0];
+                vec![
+                    ("contenders", s.contenders.to_string()),
+                    ("seeds", s.seeds.to_string()),
+                    ("lanes", s.lanes.to_string()),
+                    ("winner", top.name.clone()),
+                    ("winner_served", format!("{:.6}", top.served_fraction)),
+                    ("winner_uptime", format!("{:.6}", top.uptime.mean)),
+                    ("audit", format!("{:.3e}", s.audit_relative)),
+                ]
+            }
         }
     }
 }
 
-fn allowed_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "single" => &["system", "env", "days", "seed", "policy"],
-        "campaign" => &["system", "days", "seed", "seeds"],
-        "fleet" => &[
-            "system",
-            "env",
-            "days",
-            "seed",
-            "population",
-            "policy",
-            "jitter",
-            "shard_size",
-        ],
-        "arena" => &["system", "env", "days", "seed", "seeds", "roster"],
-        _ => &[],
+/// The survey's [`JobRunner`]: parses wire specs against the reference
+/// catalog and builds cancellable runs.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SystemCatalog;
+
+impl SystemCatalog {
+    /// Parses a wire spec: [`Job::parse`] over its kind's wire defaults
+    /// (see the module docs).
+    pub fn job(&self, spec: &JobSpec) -> Result<Job, String> {
+        let defaults = match spec.kind.as_str() {
+            "single" => "days=2;seed=42",
+            "campaign" => "days=1;seed=1",
+            "fleet" => "days=1;seed=7;population=64;jitter=0;shard_size=16",
+            "arena" => "days=1;seed=17",
+            _ => "",
+        };
+        Job::parse(spec, defaults)
     }
 }
 
-fn reject_unknown_fields(spec: &JobSpec) -> Result<(), String> {
-    let allowed = allowed_fields(&spec.kind);
-    if let Some((key, _)) = spec
-        .fields
-        .iter()
-        .find(|(k, _)| !allowed.contains(&k.as_str()))
-    {
-        return Err(format!(
-            "unknown field {key:?} for kind {} (allowed: {})",
-            spec.kind,
-            allowed.join(", ")
-        ));
+impl JobRunner for SystemCatalog {
+    fn prepare(&self, spec: &JobSpec) -> Result<PreparedJob, String> {
+        let job = self.job(spec)?;
+        let (done_key, total_key) = match job.kind {
+            JobKind::Single { .. } => ("windows", "total_windows"),
+            JobKind::Campaign { .. } => ("scenarios", "total_scenarios"),
+            JobKind::Fleet { .. } => ("nodes", "total_nodes"),
+            JobKind::Arena { .. } => ("lanes", "total_lanes"),
+        };
+        Ok(PreparedJob {
+            seed: job.seed,
+            run: Box::new(move |ctx| {
+                let control = RunControl {
+                    cancel: Some(ctx.cancel_token()),
+                    progress: Some(&eighths(ctx, done_key, total_key)),
+                };
+                Ok(job.run(control, false)?.map(|summary| JobOutput {
+                    digest: summary.digest(),
+                    fields: summary.reply_fields(),
+                }))
+            }),
+        })
     }
-    Ok(())
-}
-
-/// The job's horizon in days: one every job kind can run at its 60 s
-/// step (see [`check_days`]).
-fn parse_days(spec: &JobSpec, default: f64) -> Result<f64, String> {
-    let days: f64 = match spec.get("days") {
-        None => default,
-        Some(v) => v.parse().map_err(|e| format!("days: {e}"))?,
-    };
-    check_days(days, SimConfig::week().dt)?;
-    Ok(days)
 }
 
 /// Checks a horizon of `days` run at step `dt`: one the run can take
@@ -357,11 +636,13 @@ pub fn check_days(days: f64, dt: Seconds) -> Result<(), String> {
     .map_err(|e| format!("days {days}: {e}"))
 }
 
-fn parse_u64_field(spec: &JobSpec, key: &str, default: u64) -> Result<u64, String> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("{key}: {e}")),
+/// Checks a count field: at least one, and at most `max`, so that a
+/// job's seed list, population and shards stay bounded.
+fn check_count(key: &str, count: u64, max: u64) -> Result<(), String> {
+    if count == 0 || count > max {
+        return Err(format!("{key} must be in 1..={max}, got {count}"));
     }
+    Ok(())
 }
 
 /// A job's progress reporter: it emits `done_key=<done>;total_key=<total>`
@@ -388,226 +669,18 @@ fn eighths<'a>(
     }
 }
 
-fn prepare_single(spec: &JobSpec) -> Result<PreparedJob, String> {
-    let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
-    let seed = parse_u64_field(spec, "seed", 42)?;
-    let days = parse_days(spec, 2.0)?;
-    let env_kind = spec.get("env").unwrap_or("outdoor").to_string();
-    make_env(&env_kind, seed)?;
-    let policy_spec = spec.get("policy").unwrap_or("ladder").to_string();
-    make_policy(&policy_spec)?;
-
-    Ok(PreparedJob {
-        seed,
-        run: Box::new(move |ctx| {
-            let environment = make_env(&env_kind, seed).expect("validated in prepare");
-            let mut policy = make_policy(&policy_spec).expect("validated in prepare");
-            let mut unit = system.build();
-            let node = natural_node(system);
-            let Some(result) = run_simulation_controlled(
-                &mut unit,
-                &environment,
-                &node,
-                policy.as_mut(),
-                SimConfig::over(Seconds::from_days(days)),
-                &mut [],
-                RunControl {
-                    cancel: Some(ctx.cancel_token()),
-                    progress: Some(&eighths(ctx, "windows", "total_windows")),
-                },
-            )?
-            else {
-                return Ok(None);
-            };
-            Ok(Some(JobOutput {
-                digest: digest_single(&result),
-                fields: vec![
-                    ("uptime", format!("{:.6}", result.uptime)),
-                    ("samples", format!("{:.1}", result.samples)),
-                    ("harvested_j", format!("{:.6}", result.harvested.value())),
-                    ("delivered_j", format!("{:.6}", result.delivered.value())),
-                    ("shortfall_j", format!("{:.6}", result.shortfall.value())),
-                    ("brownout_steps", result.brownout_steps.to_string()),
-                    (
-                        "min_store_v",
-                        format!("{:.4}", result.min_store_voltage.value()),
-                    ),
-                    ("audit", format!("{:.3e}", result.audit_residual)),
-                ],
-            }))
-        }),
-    })
-}
-
-fn prepare_campaign(spec: &JobSpec) -> Result<PreparedJob, String> {
-    let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
-    let seed = parse_u64_field(spec, "seed", 1)?;
-    let count = parse_u64_field(spec, "seeds", 4)?;
-    check_seed_count(count)?;
-    let days = parse_days(spec, 1.0)?;
-
-    Ok(PreparedJob {
-        seed,
-        run: Box::new(move |ctx| {
-            let horizon = Seconds::from_days(days);
-            let seeds = consecutive_seeds(seed, count);
-            let node = natural_node(system);
-            let Some(summary) = run_resilience_campaign_controlled(
-                &seeds,
-                |s| resilience_scenario(system, s, horizon),
-                &node,
-                CampaignConfig::over(horizon),
-                RunControl {
-                    cancel: Some(ctx.cancel_token()),
-                    progress: Some(&eighths(ctx, "scenarios", "total_scenarios")),
-                },
-            )?
-            else {
-                return Ok(None);
-            };
-            Ok(Some(JobOutput {
-                digest: digest_campaign(&summary),
-                fields: vec![
-                    ("scenarios", summary.outcomes.len().to_string()),
-                    ("uptime_mean", format!("{:.6}", summary.uptime.mean)),
-                    ("uptime_min", format!("{:.6}", summary.uptime.min)),
-                    ("faults", summary.total_faults.to_string()),
-                    ("clears", summary.total_clears.to_string()),
-                    ("failovers", summary.total_failovers.to_string()),
-                    ("recoveries", summary.total_recoveries.to_string()),
-                    (
-                        "worst_audit",
-                        format!("{:.3e}", summary.worst_audit_relative),
-                    ),
-                ],
-            }))
-        }),
-    })
-}
-
-fn prepare_fleet(spec: &JobSpec) -> Result<PreparedJob, String> {
-    let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
-    let seed = parse_u64_field(spec, "seed", 7)?;
-    let days = parse_days(spec, 1.0)?;
-    let population = parse_u64_field(spec, "population", 64)?;
-    if population == 0 || population > MAX_POPULATION {
-        return Err(format!(
-            "population must be in 1..={MAX_POPULATION}, got {population}"
-        ));
-    }
-    let env_kind = spec.get("env").unwrap_or("outdoor").to_string();
-    make_env(&env_kind, seed)?;
-    let policy_spec = spec.get("policy").unwrap_or("ladder").to_string();
-    make_policy(&policy_spec)?;
-    let jitter: f64 = match spec.get("jitter") {
-        None => 0.0,
-        Some(v) => v.parse().map_err(|e| format!("jitter: {e}"))?,
-    };
-    EnvJitter::try_relative(jitter)?;
-    let shard_size = parse_u64_field(spec, "shard_size", 16)?;
-    if shard_size == 0 || shard_size > MAX_SHARD_SIZE {
-        return Err(format!(
-            "shard_size must be in 1..={MAX_SHARD_SIZE}, got {shard_size}"
-        ));
-    }
-
-    Ok(PreparedJob {
-        seed,
-        run: Box::new(move |ctx| {
-            let Some(result) = run_fleet_controlled(
-                &build_fleet_spec(system, &env_kind, seed, population, &policy_spec, jitter),
-                fleet_config(days, shard_size as usize),
-                RunControl {
-                    cancel: Some(ctx.cancel_token()),
-                    progress: Some(&eighths(ctx, "nodes", "total_nodes")),
-                },
-            )?
-            else {
-                return Ok(None);
-            };
-            let s = &result.summary;
-            let fields = vec![
-                ("population", s.population.to_string()),
-                ("uptime_mean", format!("{:.6}", s.uptime.mean)),
-                ("uptime_min", format!("{:.6}", s.uptime.min)),
-                (
-                    "neutral_fraction",
-                    format!("{:.6}", s.energy_neutral_fraction),
-                ),
-                ("harvested_j", format!("{:.6}", s.harvested.value())),
-                ("delivered_j", format!("{:.6}", s.delivered.value())),
-                ("audit", format!("{:.3e}", s.audit_relative)),
-            ];
-            Ok(Some(JobOutput {
-                digest: digest_fleet(s),
-                fields,
-            }))
-        }),
-    })
-}
-
-fn prepare_arena(spec: &JobSpec) -> Result<PreparedJob, String> {
-    let system = parse_system(spec.get("system").ok_or("missing system field")?)?;
-    let seed = parse_u64_field(spec, "seed", 17)?;
-    let count = parse_u64_field(spec, "seeds", 4)?;
-    let days = parse_days(spec, 1.0)?;
-    let env_kind = spec.get("env").unwrap_or("outdoor");
-    let roster_spec = spec.get("roster").unwrap_or("default");
-    let arena = build_arena_spec(system, env_kind, seed, count, roster_spec)?;
-
-    Ok(PreparedJob {
-        seed,
-        run: Box::new(move |ctx| {
-            let Some(result) = run_arena_controlled(
-                &arena,
-                ArenaConfig::over(Seconds::from_days(days)),
-                RunControl {
-                    cancel: Some(ctx.cancel_token()),
-                    progress: Some(&eighths(ctx, "lanes", "total_lanes")),
-                },
-            )?
-            else {
-                return Ok(None);
-            };
-            let s = &result.summary;
-            let top = &s.standings[0];
-            Ok(Some(JobOutput {
-                digest: digest_arena(s),
-                fields: vec![
-                    ("contenders", s.contenders.to_string()),
-                    ("seeds", s.seeds.to_string()),
-                    ("lanes", s.lanes.to_string()),
-                    ("winner", top.name.clone()),
-                    ("winner_served", format!("{:.6}", top.served_fraction)),
-                    ("winner_uptime", format!("{:.6}", top.uptime.mean)),
-                    ("audit", format!("{:.3e}", s.audit_relative)),
-                ],
-            }))
-        }),
-    })
-}
-
 /// The `count` consecutive seeds from `seed` that a campaign or arena
 /// job runs, wrapping past `u64::MAX` to 0.
 fn consecutive_seeds(seed: u64, count: u64) -> Vec<u64> {
     (0..count).map(|i| seed.wrapping_add(i)).collect()
 }
 
-/// Checks a campaign or arena seed count: at least one, and at most
-/// 4096 so that a job's seed list stays small.
-pub fn check_seed_count(count: u64) -> Result<(), String> {
-    if count == 0 || count > MAX_SEEDS {
-        return Err(format!("seeds must be in 1..={MAX_SEEDS}, got {count}"));
-    }
-    Ok(())
-}
-
 /// The exact [`ArenaSpec`] an `arena` job runs — public so tests and
-/// the CLI can reproduce a wire job via [`mseh_sim::run_arena`]
+/// the benchmark can reproduce a wire job via [`mseh_sim::run_arena`]
 /// directly and assert digest equality. Scenario seeds are the `count`
-/// consecutive values from `seed`, wrapping past `u64::MAX`
-/// ([`check_seed_count`] bounds them);
-/// each lane's platform is a fresh build of the surveyed system.
+/// consecutive values from `seed`, wrapping past `u64::MAX` (at most
+/// 4096 of them); each lane's platform is a fresh build of the surveyed
+/// system.
 pub fn build_arena_spec(
     system: SystemId,
     env_kind: &str,
@@ -615,9 +688,9 @@ pub fn build_arena_spec(
     count: u64,
     roster: &str,
 ) -> Result<ArenaSpec, String> {
-    check_seed_count(count)?;
-    let contenders = make_roster(roster)?;
-    make_env(env_kind, seed)?;
+    check_count("seeds", count, MAX_SEEDS)?;
+    let contenders = make_roster(roster).map_err(about("roster"))?;
+    make_env(env_kind, seed).map_err(about("env"))?;
     let env_kind = env_kind.to_string();
     let seeds = consecutive_seeds(seed, count);
     Ok(ArenaSpec::boxed(

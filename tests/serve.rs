@@ -86,7 +86,8 @@ fn job_id(reply: &str) -> String {
     field(reply, "id").expect("id field")
 }
 
-/// Polls `status` until the job reaches `want` (or panics after 60 s).
+/// Polls `status` until the job reaches `want`. Panics with the reply as
+/// soon as the job ends in another terminal state, and after 60 s.
 fn wait_for_state(client: &mut Client, id: &str, want: &str) -> String {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -95,6 +96,10 @@ fn wait_for_state(client: &mut Client, id: &str, want: &str) -> String {
         if state == want {
             return reply;
         }
+        assert!(
+            !["done", "failed", "cancelled"].contains(&state.as_str()),
+            "job {id} ended {state}, wanted {want}: {reply}"
+        );
         assert!(
             Instant::now() < deadline,
             "job {id} stuck in {state}, wanted {want}"
